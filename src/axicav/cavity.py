@@ -6,9 +6,12 @@ field passage splits every beam in two (angle +- theta_split at entry, the
 same-signed kick again at exit, weight halved) so the ensemble doubles per
 traversal; coalescing merges beams that have become indistinguishable.
 
-The ensemble is stored as flat numpy arrays, which is what keeps thousand-
-traversal runs affordable: a traversal is a handful of vectorised affine
-operations plus one grid-based merge.
+The ensemble is stored as flat numpy arrays: a traversal is a handful of
+vectorised affine operations plus one grid-based merge, so its cost is linear
+in the number of beams.  How long a run can be is set by how many beams
+survive coalescing.  Cavities whose branches reconverge (bnl-quad) stay at
+thousands of beams; the confocal cavity never merges a branch, so its
+ensemble doubles on every traversal and n of about 23 already exhausts 8 GB.
 """
 
 from __future__ import annotations
@@ -182,7 +185,7 @@ class BeamEnsemble:
         return math.fsum(self.weights.tolist())
 
     def sorted_copy(self) -> "BeamEnsemble":
-        order = np.lexsort((self.angles, self.positions))
+        order = _lexorder(self.positions, self.angles)
         return BeamEnsemble(
             self.positions[order], self.angles[order], self.weights[order], self.generation
         )
@@ -227,23 +230,36 @@ def coalesce(
             merged_any = merged_any or merged
         if not merged_any:
             break
-    order = np.lexsort((ang, pos))
+    order = _lexorder(pos, ang)
     return BeamEnsemble(pos[order], ang[order], w[order], ensemble.generation)
+
+
+def _lexorder(major, minor):
+    """Indices that sort by ``major``, then ``minor``, ties kept in input
+    order (the permutation numpy's lexsort gives for the keys (minor, major)),
+    from one stable sort of a complex key: numpy orders complex numbers by
+    real part, then imaginary part."""
+    key = np.empty(major.size, dtype=np.complex128)
+    key.real = major
+    key.imag = minor
+    return np.argsort(key, kind="stable")
 
 
 def _grid_merge(pos, ang, w, tol_p, tol_a, shift):
     scaled_p = pos / tol_p + shift
     scaled_a = ang / tol_a + shift
-    # floor() of a float beyond int64 range would wrap silently; refuse instead.
+    # Refuse cell indices of 2^62 and beyond: the grid is too fine for the
+    # ensemble's scale (far past 2^53, where the half-cell shift is lost).
     limit = float(2**62)
     if np.abs(scaled_p).max(initial=0.0) >= limit or np.abs(scaled_a).max(initial=0.0) >= limit:
         raise ValueError("coalescing tolerance too small for the ensemble scale")
-    cell_p = np.floor(scaled_p).astype(np.int64)
-    cell_a = np.floor(scaled_a).astype(np.int64)
-    order = np.lexsort((cell_a, cell_p))
+    # The floored floats are exact integers, so they key the cells directly.
+    cell_p = np.floor(scaled_p)
+    cell_a = np.floor(scaled_a)
+    order = _lexorder(cell_p, cell_a)
     cell_p, cell_a = cell_p[order], cell_a[order]
     pos, ang, w = pos[order], ang[order], w[order]
-    starts = np.concatenate([[True], (np.diff(cell_p) != 0) | (np.diff(cell_a) != 0)])
+    starts = np.concatenate([[True], (cell_p[1:] != cell_p[:-1]) | (cell_a[1:] != cell_a[:-1])])
     if starts.all():
         return pos, ang, w, False
     idx = np.flatnonzero(starts)
@@ -336,12 +352,9 @@ def _to_detector(ensemble: BeamEnsemble, config: CavityConfig) -> BeamEnsemble:
     if config.lens_focal_m is None:
         pos = pos + ang * config.detector_distance_m
     else:
-        rest = config.detector_distance_m - config.lens_offset_m
-        if rest < 0:
-            raise ConfigError("lens_offset_m exceeds detector_distance_m")
         pos = pos + ang * config.lens_offset_m
         ang = ang - pos / config.lens_focal_m
-        pos = pos + ang * rest
+        pos = pos + ang * (config.detector_distance_m - config.lens_offset_m)
     return BeamEnsemble(pos, ang, ensemble.weights.copy(), ensemble.generation)
 
 

@@ -22,6 +22,7 @@ EXPANSION_GUARD = 0.1  # max alpha/r or epsilon/r the closed forms accept
 
 DEFAULT_BIN_WIDTH_M = 1.0e-4
 DEFAULT_HISTOGRAM_MAX_M = 3.0e-3
+RENDER_BLOCK_BEAMS = 4096  # beams rendered per block in bin_ensemble
 
 # effective peak rate of the triangle-shaped deficit estimate, photons/s
 TRIANGLE_SCALE_PHOTONS_PER_S = (5.0 / 6.0) * 1e18
@@ -214,13 +215,18 @@ def histogram_edges(
     return np.arange(n + 1, dtype=float) * bin_width_m
 
 
+def _erf_frame(positions, profile: GaussianProfile):
+    """Beam centers, the erf argument scale r*sqrt(2) and the integral of
+    one unit-weight beam over the whole line."""
+    r = profile.waist_m
+    centers = np.asarray(positions, dtype=float) + profile.center_m
+    return centers, r * math.sqrt(2.0), profile.amplitude * r * math.sqrt(math.pi / 2.0)
+
+
 def _window_integrals(positions, weights, lo, hi, profile: GaussianProfile):
     """Exact integral of each beam's Gaussian over [lo, hi), summed with
     weights.  lo/hi may be arrays (one entry per bin)."""
-    r = profile.waist_m
-    s = r * math.sqrt(2.0)
-    norm = profile.amplitude * r * math.sqrt(math.pi / 2.0)
-    centers = np.asarray(positions, dtype=float) + profile.center_m
+    centers, s, norm = _erf_frame(positions, profile)
     contrib = weights[:, None] * (
         norm * (erf((hi[None, :] - centers[:, None]) / s) - erf((lo[None, :] - centers[:, None]) / s))
     )
@@ -232,13 +238,35 @@ def bin_ensemble(ensemble, profile: GaussianProfile, edges_m=None) -> DetectorHi
     weight times the exact integral of a Gaussian of the profile's waist
     centered at the beam position.  Bins this narrow (0.13 sigma at the
     defaults) make midpoint sampling visibly biased, hence erf differences.
+
+    The counts are bit for bit those of ``_window_integrals`` over the bins,
+    computed more cheaply: erf is evaluated once per beam and edge (a bin
+    shares each edge with its neighbour) and the beams go through in blocks
+    of ``RENDER_BLOCK_BEAMS``, so the temporaries stay small.  Each term is
+    formed in the same operation order, and the running column sum is added
+    into the first row of the next block before that block is summed; the
+    rows are therefore still added one after another in beam order, which is
+    how numpy sums a C-ordered array along axis 0.
     """
     if edges_m is None:
         edges_m = histogram_edges()
     edges_m = np.asarray(edges_m, dtype=float)
-    counts = _window_integrals(
-        ensemble.positions, ensemble.weights, edges_m[:-1], edges_m[1:], profile
-    )
+    centers, s, norm = _erf_frame(ensemble.positions, profile)
+    weights = ensemble.weights
+    counts = None
+    for start in range(0, centers.size, RENDER_BLOCK_BEAMS):
+        block = slice(start, start + RENDER_BLOCK_BEAMS)
+        e = edges_m[None, :] - centers[block, None]
+        e /= s
+        erf(e, out=e)
+        contrib = e[:, 1:] - e[:, :-1]
+        contrib *= norm
+        contrib *= weights[block, None]
+        if counts is not None:
+            contrib[0] += counts
+        counts = contrib.sum(axis=0)
+    if counts is None:
+        counts = np.zeros(edges_m.size - 1)
     return DetectorHistogram(edges_m, counts)
 
 

@@ -8,6 +8,7 @@ from axicav.cavity import (
     CavityConfig,
     ConfigError,
     WeightedBeam,
+    _lexorder,
     build_preset,
     coalesce,
     null_field_config,
@@ -184,6 +185,82 @@ def test_coalesce_guards_against_index_overflow():
     ens = BeamEnsemble([1e-3, 2e-3], [0.0, 0.0], [0.5, 0.5])
     with pytest.raises(ValueError):
         coalesce(ens, 1e-300, 1e-16)
+    # the refusal starts exactly at cell index 2^62; power-of-two tolerances
+    # keep the scaled coordinates exact
+    tol_p, tol_a = 2.0**-40, 2.0**-70
+    below = np.nextafter(2.0**62, 0.0)
+    ok = coalesce(BeamEnsemble([below * tol_p, -below * tol_p], [0.0, 0.0], [0.5, 0.5]), tol_p, tol_a)
+    assert len(ok) == 2
+    with pytest.raises(ValueError, match="tolerance too small"):
+        coalesce(BeamEnsemble([2.0**62 * tol_p], [0.0], [1.0]), tol_p, tol_a)
+    with pytest.raises(ValueError, match="tolerance too small"):
+        coalesce(BeamEnsemble([0.0], [-(2.0**62) * tol_a], [1.0]), tol_p, tol_a)
+
+
+def _lexorder_cases():
+    rng = np.random.default_rng(11)
+    # heavy ties: a handful of distinct values per key
+    yield rng.integers(-3, 4, 5000).astype(float), rng.integers(-2, 3, 5000).astype(float)
+    # signed zeros compare equal, so they must tie like in lexsort
+    zeros = np.array([0.0, -0.0])
+    yield rng.choice(zeros, 1000), rng.choice(np.array([-0.0, 0.0, 1.0, -1.0]), 1000)
+    # cell indices near the 2^62 guard, where float spacing is 1024
+    big = 2.0**62 - 1024.0 * rng.integers(0, 5, 3000)
+    yield big * rng.choice([-1.0, 1.0], 3000), np.floor(rng.normal(scale=2.0**61, size=3000))
+    # continuous values with duplicated majors
+    major = np.repeat(rng.normal(size=500), 4)
+    yield major, rng.normal(size=major.size)
+    yield np.array([]), np.array([])
+
+
+@pytest.mark.parametrize("major, minor", list(_lexorder_cases()))
+def test_lexorder_matches_lexsort(major, minor):
+    assert np.array_equal(_lexorder(major, minor), np.lexsort((minor, major)))
+
+
+def _coalesce_reference(ens, tol_p, tol_a):
+    """The lexsort / int64-cell formulation of coalesce, kept as an oracle."""
+    pos, ang, w = ens.positions, ens.angles, ens.weights
+    for _ in range(64):
+        merged_any = False
+        for shift in (0.0, 0.5):
+            cell_p = np.floor(pos / tol_p + shift).astype(np.int64)
+            cell_a = np.floor(ang / tol_a + shift).astype(np.int64)
+            order = np.lexsort((cell_a, cell_p))
+            cell_p, cell_a = cell_p[order], cell_a[order]
+            pos, ang, w = pos[order], ang[order], w[order]
+            starts = np.concatenate([[True], (np.diff(cell_p) != 0) | (np.diff(cell_a) != 0)])
+            if starts.all():
+                continue
+            merged_any = True
+            idx = np.flatnonzero(starts)
+            wsum = np.add.reduceat(w, idx)
+            pos = np.add.reduceat(w * pos, idx) / wsum
+            ang = np.add.reduceat(w * ang, idx) / wsum
+            w = wsum
+        if not merged_any:
+            break
+    order = np.lexsort((ang, pos))
+    return pos[order], ang[order], w[order]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_coalesce_matches_lexsort_reference_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    n = 4000
+    # a few tolerances wide, so most cells hold several beams and merges cascade
+    pos = rng.normal(scale=3e-12, size=n)
+    ang = rng.normal(scale=3e-16, size=n)
+    pos[: n // 4] = 0.0
+    pos[n // 4 : n // 2] = -0.0
+    w = rng.uniform(0.1, 1.0, n)
+    ens = BeamEnsemble(pos, ang, w)
+    out = coalesce(ens, 1e-12, 1e-16)
+    ref_pos, ref_ang, ref_w = _coalesce_reference(ens, 1e-12, 1e-16)
+    assert len(out) < n
+    assert np.array_equal(out.positions, ref_pos)
+    assert np.array_equal(out.angles, ref_ang)
+    assert np.array_equal(out.weights, ref_w)
 
 
 def test_coalesce_conserves_weight_exactly_for_dyadic_weights():

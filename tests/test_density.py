@@ -8,6 +8,7 @@ from axicav.density import (
     DEFAULT_BIN_WIDTH_M,
     DEFAULT_HISTOGRAM_MAX_M,
     EXPANSION_GUARD,
+    RENDER_BLOCK_BEAMS,
     DetectorHistogram,
     GaussianProfile,
     GuardError,
@@ -22,6 +23,7 @@ from axicav.density import (
     profile_difference,
     single_pass_estimate,
     split_pair_density,
+    _window_integrals,
 )
 
 AMPLITUDE = 5e18
@@ -271,6 +273,21 @@ def test_weighted_beams_superpose_linearly():
     plus = bin_ensemble(BeamEnsemble([1e-5], [0.0], [1.0]), PROFILE, edges)
     minus = bin_ensemble(BeamEnsemble([-1e-5], [0.0], [1.0]), PROFILE, edges)
     assert np.allclose(hist.counts, 0.5 * plus.counts + 0.5 * minus.counts, rtol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1, RENDER_BLOCK_BEAMS - 1, RENDER_BLOCK_BEAMS, RENDER_BLOCK_BEAMS + 1, 3 * RENDER_BLOCK_BEAMS + 17],
+)
+def test_blocked_rendering_is_bitwise_the_one_shot_integral(n):
+    rng = np.random.default_rng(n)
+    pos = rng.normal(scale=1e-3, size=n)
+    w = rng.uniform(0.0, 2.0, n)  # deliberately not normalised
+    profile = GaussianProfile(AMPLITUDE, WAIST, center_m=1e-5)
+    edges = histogram_edges()
+    hist = bin_ensemble(BeamEnsemble(pos, np.zeros(n), w), profile, edges)
+    one_shot = _window_integrals(pos, w, edges[:-1], edges[1:], profile)
+    assert np.array_equal(hist.counts, one_shot)
 
 
 def test_integrate_window_matches_bin_sums():
