@@ -27,13 +27,10 @@ from .cavity import (
     ConfigError,
     DetectorSnapshot,
     RunResult,
-    WeightedBeam,
     build_preset,
     coalesce,
     null_field_config,
-    reflect_and_conserve,
     run,
-    traverse,
 )
 from .density import (
     DetectorHistogram,
@@ -41,7 +38,6 @@ from .density import (
     GuardError,
     SplitProfileParams,
     bin_ensemble,
-    center_minus_sidebands,
     deficit_with_broadening,
     density_deficit,
     gaussian_density,

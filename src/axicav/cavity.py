@@ -11,13 +11,15 @@ vectorised affine operations plus one grid-based merge, so its cost is linear
 in the number of beams.  How long a run can be is set by how many beams
 survive coalescing.  Cavities whose branches reconverge (bnl-quad) stay at
 thousands of beams; the confocal cavity never merges a branch, so its
-ensemble doubles on every traversal and n of about 23 already exhausts 8 GB.
+ensemble doubles on every traversal.  A run is refused with BeamBudgetError
+before a split would take the ensemble past MAX_BEAMS, rather than left to
+run out of memory.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator
 
 import numpy as np
 
@@ -27,10 +29,15 @@ MIRROR_1 = "mirror1"
 MIRROR_2 = "mirror2"
 
 GEOMETRY_TOL = 1e-9  # m, slack for the length = field + 2*gap identity
+MAX_BEAMS = 2**20  # largest ensemble a split leg may produce
 
 
 class ConfigError(ValueError):
     """Raised for geometrically or physically inconsistent configurations."""
+
+
+class BeamBudgetError(RuntimeError):
+    """A split leg would take the ensemble past MAX_BEAMS."""
 
 
 @dataclass(frozen=True)
@@ -118,23 +125,12 @@ def build_preset(kind: str, **overrides) -> CavityConfig:
     return CavityConfig(**params)
 
 
-@dataclass(frozen=True)
-class WeightedBeam:
-    """One ensemble member: ray state, statistical weight, and the number of
-    field passages it has experienced."""
-
-    ray: RayState
-    weight: float
-    generation: int = 0
-
-
 class BeamEnsemble:
-    """Ordered, weighted collection of beams (array-of-structs facade over
-    struct-of-arrays storage)."""
+    """Weighted beams stored as three parallel arrays."""
 
-    __slots__ = ("positions", "angles", "weights", "generation")
+    __slots__ = ("positions", "angles", "weights")
 
-    def __init__(self, positions, angles, weights, generation: int = 0):
+    def __init__(self, positions, angles, weights):
         positions = np.atleast_1d(np.asarray(positions, dtype=float))
         angles = np.atleast_1d(np.asarray(angles, dtype=float))
         weights = np.atleast_1d(np.asarray(weights, dtype=float))
@@ -150,54 +146,29 @@ class BeamEnsemble:
         self.positions = positions
         self.angles = angles
         self.weights = weights
-        self.generation = generation
 
     @classmethod
     def single(cls, ray: RayState, weight: float = 1.0) -> "BeamEnsemble":
-        return cls([ray.position], [ray.angle], [weight], generation=0)
-
-    @classmethod
-    def from_beams(cls, beams: list[WeightedBeam]) -> "BeamEnsemble":
-        if not beams:
-            raise ValueError("ensemble needs at least one beam")
-        gen = beams[0].generation
-        if any(b.generation != gen for b in beams):
-            raise ValueError("all beams in an ensemble share one generation")
-        return cls(
-            [b.ray.position for b in beams],
-            [b.ray.angle for b in beams],
-            [b.weight for b in beams],
-            generation=gen,
-        )
+        return cls([ray.position], [ray.angle], [weight])
 
     def __len__(self) -> int:
         return self.positions.size
 
-    def __iter__(self) -> Iterator[WeightedBeam]:
-        for p, a, w in zip(self.positions, self.angles, self.weights):
-            yield WeightedBeam(RayState(float(p), float(a)), float(w), self.generation)
-
     @property
     def total_weight(self) -> float:
         # fsum, not np.sum: the conservation checks care about the last digit
-        import math
-
         return math.fsum(self.weights.tolist())
 
     def sorted_copy(self) -> "BeamEnsemble":
         order = _lexorder(self.positions, self.angles)
-        return BeamEnsemble(
-            self.positions[order], self.angles[order], self.weights[order], self.generation
-        )
+        return BeamEnsemble(self.positions[order], self.angles[order], self.weights[order])
 
 
-def reflect_and_conserve(ray: RayState, mirror_focal_m: float | None) -> RayState:
-    """Mirror reflection in unfolded coordinates: position unchanged, the
-    accumulated transverse angle is kept (never reset) and a curved mirror
-    adds its focusing kick -position/f."""
-    if mirror_focal_m is None:
-        return ray
-    return RayState(ray.position, ray.angle - ray.position / mirror_focal_m)
+def axial_beam() -> BeamEnsemble:
+    """The unsplit beam: one unit-weight ray on the axis.  It is where every
+    run starts by default, and it is what a field-off run stays at, so it is
+    also the reference every difference is taken against."""
+    return BeamEnsemble.single(RayState(0.0, 0.0))
 
 
 def coalesce(
@@ -231,7 +202,7 @@ def coalesce(
         if not merged_any:
             break
     order = _lexorder(pos, ang)
-    return BeamEnsemble(pos[order], ang[order], w[order], ensemble.generation)
+    return BeamEnsemble(pos[order], ang[order], w[order])
 
 
 def _lexorder(major, minor):
@@ -270,21 +241,20 @@ def _grid_merge(pos, ang, w, tol_p, tol_a, shift):
 
 
 def _transport_to_far_mirror(
-    ensemble: BeamEnsemble, config: CavityConfig, direction: str
+    ensemble: BeamEnsemble, config: CavityConfig, split: bool
 ) -> BeamEnsemble:
-    """Carry every beam gap -> field (with the split/enhance kicks) -> gap,
-    ending at the far mirror just before reflection.
+    """Carry every beam gap -> field -> gap, ending at the far mirror just
+    before reflection.
 
-    Forward means mirror 1 to mirror 2; the geometry is symmetric so both
-    directions use the same sequence.  When splitting is disabled for this
-    leg the field region is plain propagation.
+    The geometry is symmetric, so both directions use the same sequence.
+    With ``split`` each beam enters the field as two half-weight branches
+    kicked by +-theta_split and takes the same-signed kick again at the
+    exit; otherwise the field region is plain propagation.
     """
     ths = config.theta_split_rad
-    do_split = ths > 0 and (direction == "forward" or config.split_on_backward)
-
     pos = ensemble.positions + ensemble.angles * config.gap_m
     ang = ensemble.angles
-    if do_split:
+    if split:
         n = pos.size
         pos = np.concatenate([pos, pos])
         ang = np.concatenate([ang + ths, ang - ths])
@@ -296,7 +266,7 @@ def _transport_to_far_mirror(
         w = ensemble.weights.copy()
         pos = pos + ang * config.field_length_m
     pos = pos + ang * config.gap_m
-    return BeamEnsemble(pos, ang, w, ensemble.generation + (1 if do_split else 0))
+    return BeamEnsemble(pos, ang, w)
 
 
 def _far_mirror_focal(config: CavityConfig, direction: str) -> float | None:
@@ -304,24 +274,14 @@ def _far_mirror_focal(config: CavityConfig, direction: str) -> float | None:
 
 
 def _reflect_all(ensemble: BeamEnsemble, focal: float | None) -> BeamEnsemble:
+    """Mirror reflection in unfolded coordinates: positions unchanged, the
+    accumulated angles kept, plus a curved mirror's focusing kick
+    -position/f."""
     if focal is None:
         return ensemble
     return BeamEnsemble(
-        ensemble.positions,
-        ensemble.angles - ensemble.positions / focal,
-        ensemble.weights,
-        ensemble.generation,
+        ensemble.positions, ensemble.angles - ensemble.positions / focal, ensemble.weights
     )
-
-
-def traverse(ensemble: BeamEnsemble, config: CavityConfig, direction: str) -> BeamEnsemble:
-    """One full traversal: transport across the cavity (splitting in the
-    field region), reflect off the far mirror, then coalesce."""
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    at_mirror = _transport_to_far_mirror(ensemble, config, direction)
-    reflected = _reflect_all(at_mirror, _far_mirror_focal(config, direction))
-    return coalesce(reflected, config.coalesce_tol_position_m, config.coalesce_tol_angle_rad)
 
 
 @dataclass(frozen=True)
@@ -334,7 +294,6 @@ class DetectorSnapshot:
 
 @dataclass
 class RunResult:
-    config: CavityConfig
     snapshots: list[DetectorSnapshot] = field(default_factory=list)
     final: BeamEnsemble | None = None
 
@@ -355,24 +314,36 @@ def _to_detector(ensemble: BeamEnsemble, config: CavityConfig) -> BeamEnsemble:
         pos = pos + ang * config.lens_offset_m
         ang = ang - pos / config.lens_focal_m
         pos = pos + ang * (config.detector_distance_m - config.lens_offset_m)
-    return BeamEnsemble(pos, ang, ensemble.weights.copy(), ensemble.generation)
+    return BeamEnsemble(pos, ang, ensemble.weights.copy())
 
 
 def run(config: CavityConfig, initial: BeamEnsemble | None = None) -> RunResult:
-    """Run n_traversals of the cavity, alternating direction each traversal,
-    and record detector snapshots at every extraction opportunity.
+    """Run n_traversals of the cavity from ``initial`` (default: the axial
+    beam), alternating direction each traversal: transport across the
+    cavity (splitting in the field region), reflect off the far mirror,
+    coalesce.  Detector snapshots are recorded at every extraction
+    opportunity.
 
     With extraction through mirror 2 a snapshot is taken each traversal at
     whichever mirror the beams just reached (the symmetric-cavity detector
     picture); with extraction through mirror 1 only traversals that end on
     mirror 1 (the even ones) are sampled.  Snapshots are taken before the
     reflection, since the transmitted light never feels the mirror curvature.
+
+    Raises BeamBudgetError before a split leg would produce more than
+    MAX_BEAMS beams.
     """
-    ens = initial if initial is not None else BeamEnsemble.single(RayState(0.0, 0.0))
-    result = RunResult(config=config)
+    ens = axial_beam() if initial is None else initial
+    result = RunResult()
     for k in range(1, config.n_traversals + 1):
         direction = "forward" if k % 2 == 1 else "backward"
-        at_mirror = _transport_to_far_mirror(ens, config, direction)
+        split = config.theta_split_rad > 0 and (direction == "forward" or config.split_on_backward)
+        if split and 2 * len(ens) > MAX_BEAMS:
+            raise BeamBudgetError(
+                f"traversal {k} would split {len(ens)} beams into {2 * len(ens)}, "
+                f"past the budget of {MAX_BEAMS}"
+            )
+        at_mirror = _transport_to_far_mirror(ens, config, split)
         if config.extraction_mirror == MIRROR_2 or direction == "backward":
             result.snapshots.append(
                 DetectorSnapshot(traversal=k, ensemble=_to_detector(at_mirror, config))

@@ -291,28 +291,3 @@ def profile_difference(off: DetectorHistogram, on: DetectorHistogram) -> Detecto
     if off.edges_m.shape != on.edges_m.shape or not np.array_equal(off.edges_m, on.edges_m):
         raise ValueError("histograms must share identical binning")
     return DetectorHistogram(off.edges_m.copy(), off.counts - on.counts)
-
-
-def _overlap_integral(hist: DetectorHistogram, lo: float, hi: float) -> float:
-    """Integrate histogram counts over [lo, hi] with fractional bin overlap,
-    treating each bin's rate as uniform across its width."""
-    lo_e, hi_e = hist.edges_m[:-1], hist.edges_m[1:]
-    overlap = np.clip(np.minimum(hi_e, hi) - np.maximum(lo_e, lo), 0.0, None)
-    frac = overlap / (hi_e - lo_e)
-    return float(np.sum(frac * hist.counts))
-
-
-def center_minus_sidebands(hist: DetectorHistogram, waist_m: float) -> float:
-    """Difference of the integrated central region [-waist/2, +waist/2] and
-    the integrated sidebands (waist out to 4*waist + 1 mm on each side),
-    both taken from a one-sided histogram with the doubling rule.  A photon
-    moved from center to sideband changes the result by -2x its rate."""
-    sideband_hi = 4.0 * waist_m + 1.0e-3
-    if hist.edges_m[-1] < sideband_hi - 1e-12:
-        raise ValueError(
-            f"histogram range {hist.edges_m[-1]:g} m does not cover the sideband "
-            f"region out to {sideband_hi:g} m"
-        )
-    center = 2.0 * _overlap_integral(hist, 0.0, 0.5 * waist_m)
-    sidebands = 2.0 * _overlap_integral(hist, waist_m, sideband_hi)
-    return center - sidebands

@@ -1,7 +1,7 @@
 """Scenario files: sectioned key-value configuration for whole runs.
 
-A scenario bundles the cavity geometry with the laser, magnet, mixing and
-analysis parameters that the command-line verbs need.  The on-disk format
+A scenario bundles the cavity geometry with the laser, mixing and analysis
+parameters that the command-line verbs read.  The on-disk format
 is INI (configparser): human-editable, diff-friendly, and round-trippable.
 Planar mirrors are spelled ``planar`` and the ideal detector relay
 ``relay``; every other value is a plain number, boolean, or word.
@@ -22,8 +22,6 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class LaserParams:
-    wavelength_nm: float = 1064.0
-    power_w: float = 1.0
     amplitude_photons_per_s: float = 5e18
     waist_m: float = 7.5e-4
 
@@ -34,30 +32,18 @@ class LaserParams:
 
 
 @dataclass(frozen=True)
-class MagnetParams:
-    grad_b_t_per_m: float = 200.0
-    field_length_m: float = 10.0
-    modulated: bool = True
-
-    def __post_init__(self):
-        if self.grad_b_t_per_m <= 0 or self.field_length_m <= 0:
-            raise ScenarioError("magnet gradient and length must be > 0")
-
-
-@dataclass(frozen=True)
 class AxionParams:
     """Mixing-point parameters for the mass-scan verb."""
 
     g_a_gev: float = 1e-12
-    m_a_ev: float = 0.0
     omega_ev: float = 1.0
     b_mixing_t: float = 1.0
 
     def __post_init__(self):
         if self.omega_ev <= 0:
             raise ScenarioError("axion.omega_ev must be > 0")
-        if self.g_a_gev < 0 or self.m_a_ev < 0 or self.b_mixing_t < 0:
-            raise ScenarioError("axion coupling, mass and field must be >= 0")
+        if self.g_a_gev < 0 or self.b_mixing_t < 0:
+            raise ScenarioError("axion coupling and field must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -93,7 +79,6 @@ class Scenario:
     name: str
     cavity: CavityConfig
     laser: LaserParams
-    magnet: MagnetParams
     axion: AxionParams
     analysis: AnalysisParams
 
@@ -160,19 +145,11 @@ _SCHEMA = {
         "coalesce_tol_angle_rad": (_parse_float, None),
     },
     "laser": {
-        "wavelength_nm": (_parse_float, None),
-        "power_w": (_parse_float, None),
         "amplitude_photons_per_s": (_parse_float, None),
         "waist_m": (_parse_float, None),
     },
-    "magnet": {
-        "grad_b_t_per_m": (_parse_float, None),
-        "field_length_m": (_parse_float, None),
-        "modulated": (_parse_bool, None),
-    },
     "axion": {
         "g_a_gev": (_parse_float, None),
-        "m_a_ev": (_parse_float, None),
         "omega_ev": (_parse_float, None),
         "b_mixing_t": (_parse_float, None),
     },
@@ -190,7 +167,6 @@ _SCHEMA = {
 
 _SECTION_TYPES = {
     "laser": LaserParams,
-    "magnet": MagnetParams,
     "axion": AxionParams,
     "analysis": AnalysisParams,
 }
@@ -218,7 +194,8 @@ def mapping_to_scenario(name: str, mapping: dict) -> Scenario:
     parsed: dict[str, dict] = {}
     for section, values in mapping.items():
         if section not in _SCHEMA:
-            raise ScenarioError(f"unknown section [{section}]")
+            keys = ", ".join(f"{section}.{key}" for key in values) or "no keys"
+            raise ScenarioError(f"unknown section [{section}] (sets {keys})")
         parsed[section] = {}
         for key, raw in values.items():
             if key not in _SCHEMA[section]:
@@ -243,7 +220,6 @@ def scenario_to_mapping(sc: Scenario) -> dict:
     parts = {
         "cavity": sc.cavity,
         "laser": sc.laser,
-        "magnet": sc.magnet,
         "axion": sc.axion,
         "analysis": sc.analysis,
     }

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import density
-from .cavity import MIRROR_1, CavityConfig, RunResult
+from .cavity import RunResult, axial_beam
 
 DEFAULT_BEAM_RATE = 5e18  # photons/s carried by the full beam
 
@@ -192,11 +192,23 @@ def scenario_report(
 # series builders on cavity runs
 
 
-def _reference_ensemble():
-    from .cavity import BeamEnsemble
-    from .rays import RayState
+def _window_series(
+    result: RunResult,
+    profile: density.GaussianProfile,
+    windows: list[tuple[float, float, float]],
+) -> GrowthSeries:
+    """S(reference) - S(snapshot) at every detector snapshot, where
+    S(ensemble) is the sum of coefficient * (exact rate in [lo, hi)) over
+    the ``(lo, hi, coefficient)`` windows and the reference is the unsplit
+    axial beam."""
 
-    return BeamEnsemble.single(RayState(0.0, 0.0))
+    def weighted_total(ens):
+        return sum(c * density.integrate_window(ens, profile, lo, hi) for lo, hi, c in windows)
+
+    ref = weighted_total(axial_beam())
+    ns = [snap.traversal for snap in result.snapshots]
+    vals = [ref - weighted_total(snap.ensemble) for snap in result.snapshots]
+    return GrowthSeries(np.array(ns, dtype=float), np.array(vals, dtype=float))
 
 
 def central_loss_series(
@@ -207,17 +219,7 @@ def central_loss_series(
     """Photon rate lost from the central pixel (a two-sided window of
     +-pixel_half_width around the axis) at each detector snapshot, relative
     to the unsplit reference beam."""
-    ref = density.integrate_window(
-        _reference_ensemble(), profile, -pixel_half_width_m, pixel_half_width_m
-    )
-    ns, vals = [], []
-    for snap in result.snapshots:
-        got = density.integrate_window(
-            snap.ensemble, profile, -pixel_half_width_m, pixel_half_width_m
-        )
-        ns.append(snap.traversal)
-        vals.append(ref - got)
-    return GrowthSeries(np.array(ns, dtype=float), np.array(vals, dtype=float))
+    return _window_series(result, profile, [(-pixel_half_width_m, pixel_half_width_m, 1.0)])
 
 
 def sideband_gain_series(
@@ -229,13 +231,7 @@ def sideband_gain_series(
     """Photon rate gained in a narrow sideband pixel (both detector halves,
     via the symmetric doubling rule) relative to the unsplit reference."""
     lo, hi = pixel_center_m - pixel_half_width_m, pixel_center_m + pixel_half_width_m
-    ref = 2.0 * density.integrate_window(_reference_ensemble(), profile, lo, hi)
-    ns, vals = [], []
-    for snap in result.snapshots:
-        got = 2.0 * density.integrate_window(snap.ensemble, profile, lo, hi)
-        ns.append(snap.traversal)
-        vals.append(got - ref)
-    return GrowthSeries(np.array(ns, dtype=float), np.array(vals, dtype=float))
+    return _window_series(result, profile, [(lo, hi, -2.0)])
 
 
 def center_sideband_series(
@@ -255,26 +251,4 @@ def center_sideband_series(
     if waist_m is None:
         waist_m = profile.waist_m
     hi = 4.0 * waist_m + 1.0e-3
-
-    def a_minus_b(ens):
-        a = 2.0 * density.integrate_window(ens, profile, 0.0, 0.5 * waist_m)
-        b = 2.0 * density.integrate_window(ens, profile, waist_m, hi)
-        return a - b
-
-    ref = a_minus_b(_reference_ensemble())
-    ns, vals = [], []
-    for snap in result.snapshots:
-        ns.append(snap.traversal)
-        vals.append(ref - a_minus_b(snap.ensemble))
-    return GrowthSeries(np.array(ns, dtype=float), np.array(vals, dtype=float))
-
-
-def suggested_fit_kind(config: CavityConfig) -> str:
-    """Linear growth is the confocal behavior; the defocusing pair grows
-    super-linearly, so extraction through mirror 1 with a defocusing far
-    mirror defaults to a power law."""
-    if config.extraction_mirror == MIRROR_1 and (
-        config.mirror2_focal_m is not None and config.mirror2_focal_m < 0
-    ):
-        return "power"
-    return "linear"
+    return _window_series(result, profile, [(0.0, 0.5 * waist_m, 2.0), (waist_m, hi, -2.0)])

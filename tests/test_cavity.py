@@ -1,20 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import axicav.cavity as cavity
 from axicav.cavity import (
+    BeamBudgetError,
     BeamEnsemble,
     CavityConfig,
     ConfigError,
-    WeightedBeam,
     _lexorder,
     build_preset,
     coalesce,
     null_field_config,
-    reflect_and_conserve,
     run,
-    traverse,
 )
 from axicav.rays import ParaxialError, RayState
 
@@ -101,24 +101,10 @@ def test_ensemble_enforces_paraxial_window():
         BeamEnsemble([0.0], [0.2], [1.0])
 
 
-def test_ensemble_iteration_and_total_weight():
-    ens = BeamEnsemble([1e-3, -1e-3], [1e-6, -1e-6], [0.25, 0.75], generation=2)
-    beams = list(ens)
-    assert len(beams) == 2
-    assert beams[0] == WeightedBeam(RayState(1e-3, 1e-6), 0.25, 2)
+def test_ensemble_total_weight():
+    ens = BeamEnsemble([1e-3, -1e-3], [1e-6, -1e-6], [0.25, 0.75])
+    assert len(ens) == 2
     assert ens.total_weight == 1.0
-
-
-def test_from_beams_requires_consistent_generation():
-    good = [
-        WeightedBeam(RayState(0.0, 0.0), 0.5, 1),
-        WeightedBeam(RayState(1e-3, 0.0), 0.5, 1),
-    ]
-    ens = BeamEnsemble.from_beams(good)
-    assert len(ens) == 2 and ens.generation == 1
-    bad = [WeightedBeam(RayState(0.0, 0.0), 0.5, 0), good[0]]
-    with pytest.raises(ValueError):
-        BeamEnsemble.from_beams(bad)
 
 
 def test_sorted_copy_orders_by_position_then_angle():
@@ -129,17 +115,22 @@ def test_sorted_copy_orders_by_position_then_angle():
 
 
 # --- reflection ------------------------------------------------------------
+# One field-off traversal is transport over the cavity length followed by the
+# far mirror's reflection, so the final ensemble shows the reflection alone.
 
 
 def test_planar_reflection_keeps_the_accumulated_angle():
-    ray = RayState(5.6e-9, 8e-10)
-    assert reflect_and_conserve(ray, None) == ray
+    cfg = CavityConfig(mirror2_focal_m=None, theta_split_rad=0.0, n_traversals=1)
+    out = run(cfg, initial=BeamEnsemble.single(RayState(5.6e-9, 8e-10))).final
+    assert out.angles[0] == 8e-10
+    assert out.positions[0] == pytest.approx(5.6e-9 + 8e-10 * cfg.length_m, rel=1e-15)
 
 
 def test_curved_reflection_adds_focusing_kick():
-    out = reflect_and_conserve(RayState(1e-3, 0.0), 12.5)
-    assert out.position == 1e-3
-    assert out.angle == pytest.approx(-8e-5, rel=1e-15)
+    cfg = build_preset("confocal", theta_split_rad=0.0, n_traversals=1)
+    out = run(cfg, initial=BeamEnsemble.single(RayState(1e-3, 0.0))).final
+    assert out.positions[0] == 1e-3
+    assert out.angles[0] == pytest.approx(-8e-5, rel=1e-15)
 
 
 # --- coalescing ------------------------------------------------------------
@@ -284,17 +275,10 @@ def test_coalesce_output_is_sorted():
 # --- traversal mechanics ---------------------------------------------------
 
 
-def test_traverse_validates_direction():
-    cfg = build_preset("confocal")
-    with pytest.raises(ValueError):
-        traverse(BeamEnsemble.single(RayState(0.0, 0.0)), cfg, "sideways")
-
-
 def test_single_traversal_splits_axial_beam():
-    cfg = build_preset("confocal")
-    out = traverse(BeamEnsemble.single(RayState(0.0, 0.0)), cfg, "forward")
+    cfg = build_preset("confocal", n_traversals=1)
+    out = run(cfg).final
     assert len(out) == 2
-    assert out.generation == 1
     assert np.array_equal(out.weights, [0.5, 0.5])
     # position at the far mirror: one field passage walks the beam off axis
     # by theta * (field + 2 gap)
@@ -307,11 +291,10 @@ def test_single_traversal_splits_axial_beam():
 
 
 def test_two_planar_traversals_build_the_four_state_pattern():
-    cfg = CavityConfig(kind="planar", mirror1_focal_m=None, mirror2_focal_m=None)
-    ens = BeamEnsemble.single(RayState(0.0, 0.0))
-    ens = traverse(ens, cfg, "forward")
-    ens = traverse(ens, cfg, "backward")
-    assert ens.generation == 2
+    cfg = CavityConfig(
+        kind="planar", mirror1_focal_m=None, mirror2_focal_m=None, n_traversals=2
+    )
+    ens = run(cfg).final
     assert len(ens) == 4
     assert np.array_equal(ens.weights, np.full(4, 0.25))
     # angles in units of the per-passage kick 2*theta
@@ -324,13 +307,12 @@ def test_two_planar_traversals_build_the_four_state_pattern():
 
 
 def test_split_on_backward_false_splits_half_as_often():
-    cfg = CavityConfig(split_on_backward=False, n_traversals=2)
-    ens = BeamEnsemble.single(RayState(0.0, 0.0))
-    ens = traverse(ens, cfg, "forward")
-    assert ens.generation == 1 and len(ens) == 2
-    ens = traverse(ens, cfg, "backward")
-    assert ens.generation == 1  # no split on the return leg
-    assert len(ens) == 2
+    cfg = CavityConfig(split_on_backward=False, n_traversals=1)
+    ens = run(cfg).final
+    assert len(ens) == 2 and np.array_equal(ens.weights, [0.5, 0.5])
+    ens = run(replace(cfg, n_traversals=2)).final
+    # no split on the return leg: still two half-weight beams
+    assert len(ens) == 2 and np.array_equal(ens.weights, [0.5, 0.5])
 
 
 def test_traversal_count_growth_on_planar_mirrors():
@@ -338,9 +320,8 @@ def test_traversal_count_growth_on_planar_mirrors():
     integer lattice; after merging, the beam count follows
     (n^3 + 5 n + 6) / 6 exactly."""
     cfg = CavityConfig(kind="planar", mirror1_focal_m=None, mirror2_focal_m=None)
-    ens = BeamEnsemble.single(RayState(0.0, 0.0))
     for n in range(1, 26):
-        ens = traverse(ens, cfg, "forward" if n % 2 else "backward")
+        ens = run(replace(cfg, n_traversals=n)).final
         assert len(ens) == (n**3 + 5 * n + 6) // 6, f"count law broke at n={n}"
     assert ens.total_weight == pytest.approx(1.0, abs=1e-12)
 
@@ -447,3 +428,32 @@ def test_run_accepts_convex_concave_geometry():
     assert res.snapshots
     for snap in res.snapshots:
         assert abs(snap.ensemble.total_weight - 1.0) <= 1e-12
+
+
+# --- beam budget -------------------------------------------------------------
+
+
+def test_run_refuses_a_split_past_the_beam_budget(monkeypatch):
+    """The confocal ensemble doubles on every traversal: with a budget of 16
+    beams, four traversals fit and the fifth split is refused before any
+    work is done on it."""
+    monkeypatch.setattr(cavity, "MAX_BEAMS", 16)
+    assert len(run(build_preset("confocal", n_traversals=4)).final) == 16
+    with pytest.raises(BeamBudgetError, match="traversal 5 would split 16 beams into 32"):
+        run(build_preset("confocal", n_traversals=5))
+
+
+def test_beam_budget_counts_only_split_legs(monkeypatch):
+    """Without backward splits the ensemble doubles every other traversal,
+    and the budget applies to the merged ensemble being split: on planar
+    mirrors 26 beams split into 52 at traversal 6, where the unmerged
+    confocal ensemble would be 64."""
+    monkeypatch.setattr(cavity, "MAX_BEAMS", 8)
+    assert len(run(build_preset("confocal", n_traversals=6, split_on_backward=False)).final) == 8
+    with pytest.raises(BeamBudgetError):
+        run(build_preset("confocal", n_traversals=7, split_on_backward=False))
+    monkeypatch.setattr(cavity, "MAX_BEAMS", 52)
+    planar = CavityConfig(kind="planar", mirror1_focal_m=None, mirror2_focal_m=None)
+    assert len(run(replace(planar, n_traversals=6)).final) == 42
+    with pytest.raises(BeamBudgetError):
+        run(build_preset("confocal", n_traversals=6))

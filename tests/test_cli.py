@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from axicav import cli
+from axicav import cavity, cli
 
 SERIES = "n,signal\n1,64124793\n2,128224793\n3,192324793\n4,256424793\n5,320524793\n"
 
@@ -132,6 +132,24 @@ def test_simulate_paraxial_blowup_is_a_guard_error(tmp_path, capsys):
     )
     assert rc == 3
     assert "guard" in capsys.readouterr().err
+
+
+def test_simulate_past_the_beam_budget_is_a_guard_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cavity, "MAX_BEAMS", 16)
+    args = ["--preset", "confocal", "--out", str(tmp_path), "--override"]
+    assert cli.main(args + ["cavity.n_traversals=4", "simulate"]) == 0
+    capsys.readouterr()
+    assert cli.main(args + ["cavity.n_traversals=5", "simulate"]) == 3
+    assert "budget of 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [("laser", "wavelength_nm"), ("magnet", "grad_b_t_per_m")])
+def test_simulate_refuses_settings_no_verb_reads(tmp_path, capsys, section, key):
+    cfg = tmp_path / "old.ini"
+    cfg.write_text(f"[cavity]\nn_traversals = 1\n\n[{section}]\n{key} = 100\n")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "simulate"]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "growth_series.csv").exists()
 
 
 # --- analyze verb ------------------------------------------------------------

@@ -14,7 +14,6 @@ from axicav.density import (
     GuardError,
     SplitProfileParams,
     bin_ensemble,
-    center_minus_sidebands,
     deficit_with_broadening,
     density_deficit,
     gaussian_density,
@@ -341,41 +340,3 @@ def test_doubled_absolute_total():
     hist = DetectorHistogram(np.array([0.0, 1e-4, 2e-4]), np.array([3.0, -1.0]))
     assert hist.doubled_absolute_total() == 8.0
     assert hist.signed_sum() == 2.0
-
-
-# --- center-minus-sidebands observable --------------------------------------
-
-
-def _synthetic_hist(hot_bin, value, n_bins=60):
-    counts = np.zeros(n_bins)
-    counts[hot_bin] = value
-    return DetectorHistogram(np.arange(n_bins + 1) * 1e-4, counts)
-
-
-def test_center_minus_sidebands_requires_enough_range():
-    short = _synthetic_hist(0, 1.0, n_bins=30)  # only reaches 3 mm
-    with pytest.raises(ValueError):
-        center_minus_sidebands(short, WAIST)
-
-
-def test_center_minus_sidebands_counts_center_positive():
-    hist = _synthetic_hist(0, 1.0)  # all rate inside [0, waist/2]
-    assert center_minus_sidebands(hist, WAIST) == pytest.approx(2.0, rel=1e-12)
-
-
-def test_center_minus_sidebands_counts_sidebands_negative():
-    hist = _synthetic_hist(10, 1.0)  # 1.0-1.1 mm sits inside the sideband region
-    assert center_minus_sidebands(hist, WAIST) == pytest.approx(-2.0, rel=1e-12)
-
-
-def test_center_minus_sidebands_takes_fractional_bins():
-    # bin [0.3, 0.4] mm straddles the waist/2 = 0.375 mm boundary
-    hist = _synthetic_hist(3, 1.0)
-    assert center_minus_sidebands(hist, WAIST) == pytest.approx(2 * 0.75, rel=1e-12)
-
-
-def test_moving_rate_from_center_to_sideband_swings_twice():
-    before = _synthetic_hist(0, 1.0)
-    after = _synthetic_hist(10, 1.0)
-    swing = center_minus_sidebands(before, WAIST) - center_minus_sidebands(after, WAIST)
-    assert swing == pytest.approx(4.0, rel=1e-12)

@@ -1,9 +1,11 @@
 """Byte-identity gate for ``axicav simulate``.
 
-Pins the sha256 of every CSV that ``simulate`` writes on two runs: confocal
-at n=14 (16384 final beams, so the later snapshots span several rendering
-blocks) and bnl-quad at n=12 (4096 branches coalesce to 539 beams).  A
-refactor or speed-up must leave these hashes unchanged.  A change that
+Pins the sha256 of every CSV that ``simulate`` writes on three runs:
+confocal at n=14 (16384 final beams, so the later snapshots span several
+rendering blocks), bnl-quad at n=12 (4096 branches coalesce to 539 beams),
+and confocal at n=8 with a 0.7 m detector lens and no split on the backward
+legs (the thin-lens trip to the detector and the field passages without a
+split).  A refactor or speed-up must leave these hashes unchanged.  A change that
 alters the numbers on purpose re-pins them and logs the reason.
 
 The values depend on the erf of the installed scipy, so a failure message
@@ -48,13 +50,34 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("preset, n", sorted(GOLDEN))
-def test_simulate_outputs_are_byte_identical(preset, n, tmp_path):
-    rc = cli.main(
-        ["--preset", preset, "--override", f"cavity.n_traversals={n}", "--out", str(tmp_path), "simulate"]
-    )
-    assert rc == 0
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
-    assert got == GOLDEN[(preset, n)], (
+GOLDEN_LENS = {
+    "growth_series.csv": "21f0090ec3899f21eb91f62593df9d1e38b04b7d9b3e6ce770f66f03ae2c014a",
+    "profile_difference_t001.csv": "c0c6f1204e875cdf57f9d5302f9ede6102d4d6ef9c8764736f8eaac72736585c",
+    "profile_difference_t002.csv": "01c3efa07bf07c30c757160405667063b6aa72f46d8ad6974b91f513f576ca76",
+    "profile_difference_t003.csv": "4b2c7ada08fb0ef7cbc894e8aafdb349b785a9bc7aef7995684316ae57b08846",
+    "profile_difference_t004.csv": "2aeb17ac593466992d9959611ab02ac631ba4fb68e995387351656ea5d7de702",
+    "profile_difference_t005.csv": "45fde5fdfa904ff06607a67bed4516c47856524abeb6228b777f8ce3464d23b8",
+    "profile_difference_t006.csv": "910986648ab53213167cbd304d14f0be7d5c695f1d7fd62d40e5ed1c06d588b3",
+    "profile_difference_t007.csv": "3c23563374b66a68548ec27dc72b2bebb836ed440f191b9f59580a198246fca2",
+    "profile_difference_t008.csv": "523e21a839fcd8067840cb5c34b823f72f7f40b5d5acab967500156478effd81",
+}
+
+
+def _assert_outputs(out_dir, args, golden):
+    assert cli.main([*args, "--out", str(out_dir), "simulate"]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.iterdir())}
+    assert got == golden, (
         f"simulate output changed (numpy {np.__version__}, scipy {scipy.__version__})"
     )
+
+
+@pytest.mark.parametrize("preset, n", sorted(GOLDEN))
+def test_simulate_outputs_are_byte_identical(preset, n, tmp_path):
+    _assert_outputs(tmp_path, ["--preset", preset, "--override", f"cavity.n_traversals={n}"],
+                    GOLDEN[(preset, n)])
+
+
+def test_simulate_lens_and_unsplit_legs_are_byte_identical(tmp_path):
+    args = ["--preset", "confocal", "--override", "cavity.n_traversals=8",
+            "--override", "cavity.lens_focal_m=0.7", "--override", "cavity.split_on_backward=false"]
+    _assert_outputs(tmp_path, args, GOLDEN_LENS)

@@ -4,7 +4,6 @@ from axicav.scenario import (
     AnalysisParams,
     AxionParams,
     LaserParams,
-    MagnetParams,
     Scenario,
     ScenarioError,
     apply_overrides,
@@ -29,9 +28,7 @@ def test_param_defaults_and_validation():
     assert laser.amplitude_photons_per_s == 5e18
     assert laser.waist_m == 7.5e-4
     with pytest.raises(ScenarioError):
-        LaserParams(power_w=0.0)
-    with pytest.raises(ScenarioError):
-        MagnetParams(grad_b_t_per_m=-1.0)
+        LaserParams(waist_m=0.0)
     with pytest.raises(ScenarioError):
         AxionParams(omega_ev=0.0)
     with pytest.raises(ScenarioError):
@@ -45,7 +42,7 @@ def test_minimal_text_fills_defaults():
     assert sc.name == "mini"
     assert sc.cavity.n_traversals == 4
     assert sc.cavity.length_m == 14.0
-    assert sc.laser.wavelength_nm == 1064.0
+    assert sc.laser.amplitude_photons_per_s == 5e18
     assert sc.analysis.fit_kind == "linear"
 
 
@@ -58,9 +55,9 @@ def test_unknown_section_and_key_are_rejected():
 
 def test_bad_values_are_rejected_with_context():
     with pytest.raises(ScenarioError):
-        loads_scenario("[laser]\npower_w = strong\n", "bad")
+        loads_scenario("[laser]\nwaist_m = strong\n", "bad")
     with pytest.raises(ScenarioError):
-        loads_scenario("[magnet]\nmodulated = perhaps\n", "bad")
+        loads_scenario("[cavity]\nsplit_on_backward = perhaps\n", "bad")
     with pytest.raises(ScenarioError):
         loads_scenario("[cavity]\nn_traversals = 2.5\n", "bad")
 
@@ -89,9 +86,9 @@ def test_inline_comments_are_stripped():
 
 def test_apply_overrides_patches_values():
     mapping = {"cavity": {"n_traversals": "4"}}
-    out = apply_overrides(mapping, ["cavity.n_traversals=9", "laser.power_w=2.0"])
+    out = apply_overrides(mapping, ["cavity.n_traversals=9", "laser.waist_m=1e-3"])
     assert out["cavity"]["n_traversals"] == "9"
-    assert out["laser"]["power_w"] == "2.0"
+    assert out["laser"]["waist_m"] == "1e-3"
     # the input mapping is not mutated
     assert mapping["cavity"]["n_traversals"] == "4"
 
@@ -124,7 +121,6 @@ def test_load_scenario_roundtrip(tmp_path):
         name="copy",
         cavity=sc.cavity,
         laser=sc.laser,
-        magnet=sc.magnet,
         axion=sc.axion,
         analysis=sc.analysis,
     )
@@ -165,8 +161,6 @@ def test_confocal_preset_values():
     assert sc.cavity.n_traversals == 15
     assert sc.cavity.extraction_mirror == "mirror2"
     assert sc.cavity.mirror1_focal_m == 12.5
-    assert sc.magnet.grad_b_t_per_m == 200.0
-    assert sc.magnet.field_length_m == 10.0
     assert sc.axion.g_a_gev == 1e-12
     assert sc.axion.b_mixing_t == 1.0
     assert sc.analysis.fit_kind == "linear"
@@ -184,8 +178,6 @@ def test_quad_doublet_preset_values():
     assert sc.cavity.gap_m == 6.5
     assert sc.cavity.theta_split_rad == 2e-14
     assert sc.cavity.n_traversals == 20
-    assert sc.magnet.grad_b_t_per_m == 100.0
-    assert sc.magnet.field_length_m == 1.0
     assert sc.analysis.fit_kind == "power"
     assert sc.analysis.extraction_count == 15000
     assert sc.analysis.integration_time_s == 3e6
@@ -200,6 +192,25 @@ def test_preset_roundtrip_via_dump(tmp_path):
         again = load_scenario(str(path))
         assert again.cavity == sc.cavity
         assert again.laser == sc.laser
-        assert again.magnet == sc.magnet
         assert again.axion == sc.axion
         assert again.analysis == sc.analysis
+
+
+# settings that no verb reads are refused, not silently ignored
+UNREAD_SETTINGS = (
+    "laser.wavelength_nm",
+    "laser.power_w",
+    "magnet.grad_b_t_per_m",
+    "magnet.field_length_m",
+    "magnet.modulated",
+    "axion.m_a_ev",
+)
+
+
+@pytest.mark.parametrize("path", UNREAD_SETTINGS)
+def test_unread_settings_are_refused_by_name(path):
+    section, key = path.split(".")
+    with pytest.raises(ScenarioError, match=path):
+        loads_scenario(f"[{section}]\n{key} = 1\n", "old")
+    with pytest.raises(ScenarioError, match=path):
+        loads_scenario(MINIMAL, "old", [f"{path}=1"])

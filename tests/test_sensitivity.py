@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from axicav.cavity import build_preset, null_field_config, run
-from axicav.density import GaussianProfile
+from axicav.cavity import axial_beam, build_preset, null_field_config, run
+from axicav.density import GaussianProfile, integrate_window
 from axicav.sensitivity import (
     DEFAULT_BEAM_RATE,
     GrowthFit,
@@ -19,7 +19,6 @@ from axicav.sensitivity import (
     scenario_report,
     shot_noise_fraction,
     sideband_gain_series,
-    suggested_fit_kind,
 )
 
 PROFILE = GaussianProfile(5e18, 7.5e-4)
@@ -260,7 +259,24 @@ def test_mirror1_extraction_series_use_even_traversals():
     assert np.array_equal(series.n, [2.0, 4.0, 6.0, 8.0])
 
 
-def test_suggested_fit_kind_by_geometry():
-    assert suggested_fit_kind(build_preset("confocal")) == "linear"
-    assert suggested_fit_kind(build_preset("planar-concave")) == "linear"
-    assert suggested_fit_kind(build_preset("convex-concave")) == "power"
+def test_series_windows_and_signs_match_direct_integrals():
+    """Each series is reference minus snapshot of its own weighted window
+    sum, bit for bit: the central pixel once, the sideband pixel doubled
+    with the sign flipped (a gain), and the doubled center [0, w/2] minus the
+    doubled sidebands [w, 4w + 1 mm]."""
+    res = run(build_preset("confocal", n_traversals=4))
+    h, c, w = 1e-6, 3.3e-3, PROFILE.waist_m
+
+    def win(ens, lo, hi):
+        return integrate_window(ens, PROFILE, lo, hi)
+
+    def expected(observable):
+        ref = observable(axial_beam())
+        return [ref - observable(s.ensemble) for s in res.snapshots]
+
+    central = expected(lambda e: win(e, -h, h))
+    sideband = expected(lambda e: -2.0 * win(e, c - h, c + h))
+    amb = expected(lambda e: 2.0 * win(e, 0.0, 0.5 * w) - 2.0 * win(e, w, 4.0 * w + 1e-3))
+    assert np.array_equal(central_loss_series(res, PROFILE, h).signal, central)
+    assert np.array_equal(sideband_gain_series(res, PROFILE, c, h).signal, sideband)
+    assert np.array_equal(center_sideband_series(res, PROFILE, w).signal, amb)
