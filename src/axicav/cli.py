@@ -78,6 +78,12 @@ def cmd_simulate(args) -> int:
     edges = density.histogram_edges(sc.analysis.bin_width_m, sc.analysis.histogram_max_m)
 
     signal_run = run(sc.cavity)
+    # Histograms an earlier run left for traversals this one does not
+    # snapshot would read as its output.
+    written = {f"profile_difference_t{snap.traversal:03d}.csv" for snap in signal_run.snapshots}
+    for stale in out_dir.glob("profile_difference_t[0-9]*.csv"):
+        if stale.name not in written:
+            stale.unlink()
     # A field-off run never leaves the axis, so one render of the axial beam
     # is the reference for every snapshot.
     ref_hist = density.bin_ensemble(axial_beam(), profile, edges)
@@ -145,17 +151,20 @@ def _read_series(path: str) -> sensitivity.GrowthSeries:
     if not p.is_file():
         raise scenario.ScenarioError(f"no such series file: {path}")
     ns, signals = [], []
-    for line in p.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
+    lines = enumerate(p.read_text().splitlines(), 1)
+    rows = [(lineno, line.strip()) for lineno, line in lines if line.strip()]
+    for k, (lineno, line) in enumerate(rows):
         parts = line.split(",")
         try:
             values = [float(x) for x in parts[:2]]
         except ValueError:
-            continue  # header row
+            if k == 0:
+                continue  # header row; only the first row may be one
+            raise scenario.ScenarioError(
+                f"series line {lineno}: n and signal must be numbers: {line!r}"
+            ) from None
         if len(values) < 2:
-            raise scenario.ScenarioError(f"series rows need n,signal columns: {line!r}")
+            raise scenario.ScenarioError(f"series line {lineno}: need n,signal columns: {line!r}")
         ns.append(values[0])
         signals.append(values[1])
     if len(ns) < 3:

@@ -13,6 +13,9 @@ separate on purpose and each function documents which one it uses.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +25,29 @@ EXPANSION_GUARD = 0.1  # max alpha/r or epsilon/r the closed forms accept
 
 DEFAULT_BIN_WIDTH_M = 1.0e-4
 DEFAULT_HISTOGRAM_MAX_M = 3.0e-3
-RENDER_BLOCK_BEAMS = 4096  # beams rendered per block in bin_ensemble
+RENDER_BLOCK_BEAMS = 4096  # beams per block in bin_ensemble
+# beams per block in _window_integrals: a beam costs 2 erf there against one
+# per edge (31 at the defaults) in bin_ensemble, so a block holds 16 times the
+# beams for about the same work per hand-off to a render thread
+WINDOW_BLOCK_BEAMS = 16 * RENDER_BLOCK_BEAMS
+
+# One render thread per CPU the process may run on, so taskset and cpusets
+# are followed.  The pool starts its threads on first use, not at import.
+_RENDER_THREADS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+
+def _start_render_pool() -> None:
+    global _RENDER_POOL
+    _RENDER_POOL = ThreadPoolExecutor(_RENDER_THREADS, thread_name_prefix="axicav-render")
+
+
+_start_render_pool()
+if hasattr(os, "register_at_fork"):
+    # A forked child has none of the parent's threads, and a pool copied from
+    # the parent would queue blocks that no thread ever runs.
+    os.register_at_fork(after_in_child=_start_render_pool)
 
 # effective peak rate of the triangle-shaped deficit estimate, photons/s
 TRIANGLE_SCALE_PHOTONS_PER_S = (5.0 / 6.0) * 1e18
@@ -223,14 +248,74 @@ def _erf_frame(positions, profile: GaussianProfile):
     return centers, r * math.sqrt(2.0), profile.amplitude * r * math.sqrt(math.pi / 2.0)
 
 
-def _window_integrals(positions, weights, lo, hi, profile: GaussianProfile):
+def _render_blocks(terms, n_beams, block_beams, shapes):
+    """Run ``terms(block, *buffers)`` for each block of ``block_beams``
+    beams and yield ``(block, buffers)`` in beam order once the block's
+    terms are written: one float array per entry of ``shapes``, each with a
+    row per beam of the block.
+
+    A single block runs on the calling thread: there is nothing to overlap
+    it with.  More blocks run on the render pool, writing into a ring of
+    buffers allocated here, on the calling thread, with a slot per render
+    thread plus one for the block the caller is working on.  At most that
+    many blocks are in flight, and a slot is handed to a new block only
+    after the caller has moved on from the one before."""
+    if n_beams <= block_beams:
+        block = slice(0, n_beams)
+        buffers = [np.empty((n_beams, *shape)) for shape in shapes]
+        terms(block, *buffers)
+        yield block, buffers
+        return
+    n_slots = min(-(-n_beams // block_beams), _RENDER_THREADS + 1)
+    ring = [[np.empty((block_beams, *shape)) for shape in shapes] for _ in range(n_slots)]
+    pending = deque()
+
+    def oldest():
+        block, buffers, done = pending.popleft()
+        done.result()
+        return block, buffers
+
+    try:
+        for i, start in enumerate(range(0, n_beams, block_beams)):
+            block = slice(start, min(start + block_beams, n_beams))
+            buffers = [buf[: block.stop - start] for buf in ring[i % n_slots]]
+            pending.append((block, buffers, _RENDER_POOL.submit(terms, block, *buffers)))
+            if len(pending) == n_slots:
+                yield oldest()
+        while pending:
+            yield oldest()
+    finally:
+        for *_, left in pending:
+            left.cancel()
+
+
+def _window_integrals(positions, weights, lo: float, hi: float, profile: GaussianProfile):
     """Exact integral of each beam's Gaussian over [lo, hi), summed with
-    weights.  lo/hi may be arrays (one entry per bin)."""
+    weights.
+
+    The per-beam terms are computed block by block (on the render pool
+    when there are several) into one column in beam order, which is then
+    summed by a single ``sum()``:
+    the same terms, summed the same way, as the one-shot
+    ``weights * (norm * (erf(hi') - erf(lo')))`` over all beams."""
     centers, s, norm = _erf_frame(positions, profile)
-    contrib = weights[:, None] * (
-        norm * (erf((hi[None, :] - centers[:, None]) / s) - erf((lo[None, :] - centers[:, None]) / s))
-    )
-    return contrib.sum(axis=0)
+    contrib = np.empty(centers.size)
+
+    def terms(block, low):
+        out = contrib[block]
+        np.subtract(hi, centers[block], out=out)
+        out /= s
+        erf(out, out=out)
+        np.subtract(lo, centers[block], out=low)
+        low /= s
+        erf(low, out=low)
+        out -= low
+        out *= norm
+        out *= weights[block]
+
+    for _ in _render_blocks(terms, centers.size, WINDOW_BLOCK_BEAMS, [()]):
+        pass
+    return contrib.sum()
 
 
 def bin_ensemble(ensemble, profile: GaussianProfile, edges_m=None) -> DetectorHistogram:
@@ -239,34 +324,44 @@ def bin_ensemble(ensemble, profile: GaussianProfile, edges_m=None) -> DetectorHi
     centered at the beam position.  Bins this narrow (0.13 sigma at the
     defaults) make midpoint sampling visibly biased, hence erf differences.
 
-    The counts are bit for bit those of ``_window_integrals`` over the bins,
-    computed more cheaply: erf is evaluated once per beam and edge (a bin
-    shares each edge with its neighbour) and the beams go through in blocks
-    of ``RENDER_BLOCK_BEAMS``, so the temporaries stay small.  Each term is
+    The counts are bit for bit the one-shot sum over all beams of
+    ``weights * (norm * (erf(hi') - erf(lo')))`` per bin, computed more
+    cheaply: erf is evaluated once per beam and edge (a bin shares each
+    edge with its neighbour) and the beams go through in blocks of
+    ``RENDER_BLOCK_BEAMS``, so the temporaries stay small.  Each term is
     formed in the same operation order, and the running column sum is added
     into the first row of the next block before that block is summed; the
     rows are therefore still added one after another in beam order, which is
     how numpy sums a C-ordered array along axis 0.
+
+    When there is more than one block, their terms are computed on the
+    render pool, one thread per CPU the process may use, while the fold
+    above stays on the calling thread and takes the blocks strictly in beam
+    order; the counts are the same bits for any number of threads.  The
+    workers write into a ring of buffers that the calling thread allocates
+    (``_render_blocks``), one slot per block in flight (threads + 1), and a
+    slot is reused only after its block has been folded.
     """
     if edges_m is None:
         edges_m = histogram_edges()
     edges_m = np.asarray(edges_m, dtype=float)
     centers, s, norm = _erf_frame(ensemble.positions, profile)
     weights = ensemble.weights
-    counts = None
-    for start in range(0, centers.size, RENDER_BLOCK_BEAMS):
-        block = slice(start, start + RENDER_BLOCK_BEAMS)
-        e = edges_m[None, :] - centers[block, None]
+
+    def terms(block, e, contrib):
+        np.subtract(edges_m, centers[block, None], out=e)
         e /= s
         erf(e, out=e)
-        contrib = e[:, 1:] - e[:, :-1]
+        np.subtract(e[:, 1:], e[:, :-1], out=contrib)
         contrib *= norm
         contrib *= weights[block, None]
+
+    counts = None
+    shapes = [(edges_m.size,), (edges_m.size - 1,)]
+    for _, (_, contrib) in _render_blocks(terms, centers.size, RENDER_BLOCK_BEAMS, shapes):
         if counts is not None:
             contrib[0] += counts
         counts = contrib.sum(axis=0)
-    if counts is None:
-        counts = np.zeros(edges_m.size - 1)
     return DetectorHistogram(edges_m, counts)
 
 
@@ -275,14 +370,7 @@ def integrate_window(ensemble, profile: GaussianProfile, lo_m: float, hi_m: floa
     The window is signed (lo may be negative for a two-sided center pixel)."""
     if hi_m <= lo_m:
         raise ValueError("window must have hi > lo")
-    val = _window_integrals(
-        ensemble.positions,
-        ensemble.weights,
-        np.array([lo_m], dtype=float),
-        np.array([hi_m], dtype=float),
-        profile,
-    )
-    return float(val[0])
+    return float(_window_integrals(ensemble.positions, ensemble.weights, lo_m, hi_m, profile))
 
 
 def profile_difference(off: DetectorHistogram, on: DetectorHistogram) -> DetectorHistogram:

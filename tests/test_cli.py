@@ -71,6 +71,22 @@ def test_simulate_writes_histograms_and_series(tmp_path, capsys):
     assert float(series[1].split(",")[1]) > 0
 
 
+def test_simulate_rerun_removes_histograms_it_does_not_write(tmp_path, capsys):
+    def simulate(n):
+        return cli.main(["--preset", "confocal", "--override", f"cavity.n_traversals={n}",
+                         "--out", str(tmp_path), "simulate"])
+
+    (tmp_path / "notes.txt").write_text("kept")
+    assert simulate(4) == 0
+    assert simulate(2) == 0
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "growth_series.csv",
+        "notes.txt",
+        "profile_difference_t001.csv",
+        "profile_difference_t002.csv",
+    ]
+
+
 def test_simulate_null_field_writes_exact_zeros(tmp_path, capsys):
     rc = cli.main(
         [
@@ -222,6 +238,22 @@ def test_analyze_short_series(tmp_path, capsys):
     rc = cli.main(["analyze", "--series", str(path), "--n-target", "10",
                    "--g-ref", "1e-6"])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("n,signal\n1,10\n2,oops\n3,30\n4,40\n", 3),
+        ("n,signal\n\n1,10\n2,20\n3\n4,40\n", 5),  # blank lines still count
+    ],
+)
+def test_analyze_refuses_a_bad_row_after_the_header(tmp_path, capsys, text, line):
+    path = tmp_path / "typo.csv"
+    path.write_text(text)
+    rc = cli.main(["analyze", "--series", str(path), "--n-target", "10",
+                   "--g-ref", "1e-6"])
+    assert rc == 2
+    assert f"line {line}:" in capsys.readouterr().err
 
 
 def test_analyze_needs_targets_without_scenario(tmp_path, capsys):

@@ -1,14 +1,20 @@
 import math
+import os
+import signal
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
+from axicav import density
 from axicav.cavity import BeamEnsemble
 from axicav.density import (
     DEFAULT_BIN_WIDTH_M,
     DEFAULT_HISTOGRAM_MAX_M,
     EXPANSION_GUARD,
     RENDER_BLOCK_BEAMS,
+    WINDOW_BLOCK_BEAMS,
     DetectorHistogram,
     GaussianProfile,
     GuardError,
@@ -22,7 +28,6 @@ from axicav.density import (
     profile_difference,
     single_pass_estimate,
     split_pair_density,
-    _window_integrals,
 )
 
 AMPLITUDE = 5e18
@@ -274,19 +279,107 @@ def test_weighted_beams_superpose_linearly():
     assert np.allclose(hist.counts, 0.5 * plus.counts + 0.5 * minus.counts, rtol=1e-13)
 
 
-@pytest.mark.parametrize(
-    "n",
-    [1, RENDER_BLOCK_BEAMS - 1, RENDER_BLOCK_BEAMS, RENDER_BLOCK_BEAMS + 1, 3 * RENDER_BLOCK_BEAMS + 17],
-)
-def test_blocked_rendering_is_bitwise_the_one_shot_integral(n):
-    rng = np.random.default_rng(n)
+def _serial_terms(pos, w, lo, hi, profile):
+    """Each beam's weighted integral over each window [lo, hi), all computed
+    at once on the calling thread: the rendering formula before blocks and
+    threads."""
+    centers = np.asarray(pos, dtype=float) + profile.center_m
+    s = profile.waist_m * math.sqrt(2.0)
+    norm = profile.amplitude * profile.waist_m * math.sqrt(math.pi / 2.0)
+    return w[:, None] * (
+        norm * (erf((hi[None, :] - centers[:, None]) / s) - erf((lo[None, :] - centers[:, None]) / s))
+    )
+
+
+def _serial_fold(terms):
+    """The rows added one after another in beam order."""
+    counts = terms[0]
+    for row in terms[1:]:
+        counts = counts + row
+    return counts
+
+
+def _random_beams(n, seed=None):
+    rng = np.random.default_rng(n if seed is None else seed)
     pos = rng.normal(scale=1e-3, size=n)
     w = rng.uniform(0.0, 2.0, n)  # deliberately not normalised
+    return pos, w
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        1,
+        RENDER_BLOCK_BEAMS - 1,
+        RENDER_BLOCK_BEAMS,
+        RENDER_BLOCK_BEAMS + 1,
+        3 * RENDER_BLOCK_BEAMS + 17,
+        7 * RENDER_BLOCK_BEAMS + 5,  # more blocks than buffer slots
+    ],
+)
+def test_blocked_rendering_is_bitwise_the_one_shot_integral(n):
+    pos, w = _random_beams(n)
     profile = GaussianProfile(AMPLITUDE, WAIST, center_m=1e-5)
     edges = histogram_edges()
     hist = bin_ensemble(BeamEnsemble(pos, np.zeros(n), w), profile, edges)
-    one_shot = _window_integrals(pos, w, edges[:-1], edges[1:], profile)
-    assert np.array_equal(hist.counts, one_shot)
+    terms = _serial_terms(pos, w, edges[:-1], edges[1:], profile)
+    assert np.array_equal(hist.counts, _serial_fold(terms))
+
+
+@pytest.mark.parametrize("block_beams", [WINDOW_BLOCK_BEAMS, 1000])
+def test_integrate_window_is_bitwise_the_one_shot_sum(block_beams, monkeypatch):
+    """One sum over the whole column, whatever the blocks.  A sum per block
+    would round differently in about one case in six, hence many cases."""
+    monkeypatch.setattr(density, "WINDOW_BLOCK_BEAMS", block_beams)
+    n = 3 * block_beams + 17  # more blocks than buffer slots on two CPUs
+    for seed in range(8):
+        pos, w = _random_beams(n, seed)
+        ens = BeamEnsemble(pos, np.zeros(n), w)
+        for lo, hi in [(-7e-4, 7e-4), (8e-4, 3e-3), (-3e-3, -1e-3)]:
+            one_shot = _serial_terms(pos, w, np.array([lo]), np.array([hi]), PROFILE).sum(axis=0)
+            assert integrate_window(ens, PROFILE, lo, hi) == float(one_shot[0])
+
+
+def _render_on(threads, monkeypatch, ens, edges):
+    pool = ThreadPoolExecutor(threads)
+    monkeypatch.setattr(density, "_RENDER_POOL", pool)
+    monkeypatch.setattr(density, "_RENDER_THREADS", threads)
+    try:
+        return bin_ensemble(ens, PROFILE, edges).counts, integrate_window(ens, PROFILE, -7e-4, 7e-4)
+    finally:
+        pool.shutdown()
+
+
+def test_rendering_is_the_same_on_any_number_of_threads(monkeypatch):
+    n = 3 * WINDOW_BLOCK_BEAMS + 17
+    pos, w = _random_beams(n)
+    ens = BeamEnsemble(pos, np.zeros(n), w)
+    edges = histogram_edges()
+    one_counts, one_window = _render_on(1, monkeypatch, ens, edges)
+    many_counts, many_window = _render_on(3, monkeypatch, ens, edges)
+    assert np.array_equal(one_counts, many_counts)
+    assert one_window == many_window
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
+def test_forked_child_renders_on_a_fresh_pool():
+    """The parent's render threads do not exist in a forked child; rendering
+    there must not wait on them."""
+    n = RENDER_BLOCK_BEAMS + 1  # two blocks, so the pool renders them
+    pos, w = _random_beams(n)
+    ens = BeamEnsemble(pos, np.zeros(n), w)
+    expect = bin_ensemble(ens, PROFILE).counts  # starts the parent's threads
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child reports through its exit code
+        code = 1
+        try:
+            signal.alarm(10)
+            code = 0 if np.array_equal(bin_ensemble(ens, PROFILE).counts, expect) else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
 
 def test_integrate_window_matches_bin_sums():
