@@ -7,13 +7,15 @@ same-signed kick again at exit, weight halved) so the ensemble doubles per
 traversal; coalescing merges beams that have become indistinguishable.
 
 The ensemble is stored as flat numpy arrays: a traversal is a handful of
-vectorised affine operations plus one grid-based merge, so its cost is linear
-in the number of beams.  How long a run can be is set by how many beams
-survive coalescing.  Cavities whose branches reconverge (bnl-quad) stay at
-thousands of beams; the confocal cavity never merges a branch, so its
-ensemble doubles on every traversal.  A run is refused with BeamBudgetError
-before a split would take the ensemble past MAX_BEAMS, rather than left to
-run out of memory.
+vectorised affine operations plus one grid-based merge.  The merge sorts the
+beams, so for N beams a traversal costs O(N log N), not O(N).  An ensemble
+in which no two beams share a grid cell costs one check (two sorts of int64
+cell keys) plus the final ordering by position.  How long a run can be is
+set by how many beams survive coalescing.  Cavities whose branches
+reconverge (bnl-quad) stay at thousands of beams; the confocal cavity never
+merges a branch, so its ensemble doubles on every traversal.  A run is
+refused with BeamBudgetError before a split would take the ensemble past
+MAX_BEAMS, rather than left to run out of memory.
 """
 
 from __future__ import annotations
@@ -181,10 +183,19 @@ def coalesce(
     Beams are binned on a (position, angle) grid with cell sizes equal to the
     tolerances; each occupied cell collapses to its weight-weighted mean with
     the summed weight.  The pass is repeated on a half-cell-shifted grid and
-    iterated to a fixed point, so any two beams closer than half a tolerance
-    in both coordinates are guaranteed to merge, and beams farther apart than
-    a full tolerance in either coordinate never merge.  Output is sorted by
-    (position, angle), which makes the result order deterministic.
+    iterated to a fixed point (at most 64 iterations).  Each pass merges
+    exactly the beams that share one of its cells, so at the fixed point no
+    two beams share a cell of either grid.  That bounds no distance: two
+    beams closer than half a tolerance in both coordinates stay apart when
+    one grid splits their positions and the other their angles, and merges
+    chain (a merged beam sits at its members' weighted mean, where it may
+    share a cell with a third beam), so beams more than a full tolerance
+    apart can end up in one beam.  Output is sorted by (position, angle),
+    which makes the result order deterministic.
+
+    Each iteration starts by checking whether any two beams share a cell on
+    either grid; when none do, it would merge nothing and is skipped, so an
+    ensemble that merges nothing costs that check and the final ordering.
 
     A zero tolerance on either coordinate disables merging entirely and
     returns a sorted copy of the input.
@@ -195,13 +206,18 @@ def coalesce(
         return ensemble.sorted_copy()
     pos, ang, w = ensemble.positions, ensemble.angles, ensemble.weights
     for _ in range(64):
+        # An iteration that would merge nothing only permutes the beams.  At
+        # a fixed point no two beams tie in (position, angle), so the final
+        # order does not depend on that permutation.
+        if _no_shared_cell(pos, ang, tol_position_m, tol_angle_rad):
+            break
         merged_any = False
         for shift in (0.0, 0.5):
             pos, ang, w, merged = _grid_merge(pos, ang, w, tol_position_m, tol_angle_rad, shift)
             merged_any = merged_any or merged
         if not merged_any:
             break
-    order = _lexorder(pos, ang)
+    order = _final_order(pos, ang)
     return BeamEnsemble(pos[order], ang[order], w[order])
 
 
@@ -216,7 +232,18 @@ def _lexorder(major, minor):
     return np.argsort(key, kind="stable")
 
 
-def _grid_merge(pos, ang, w, tol_p, tol_a, shift):
+def _final_order(pos, ang):
+    """The permutation ``_lexorder(pos, ang)`` returns.  When the positions
+    are strictly increasing under a plain argsort (a NaN or a tie fails the
+    comparison), no two beams tie and that permutation is the only one."""
+    order = np.argsort(pos)
+    sorted_pos = pos[order]
+    if (sorted_pos[1:] > sorted_pos[:-1]).all():
+        return order
+    return _lexorder(pos, ang)
+
+
+def _cells(pos, ang, tol_p, tol_a, shift):
     scaled_p = pos / tol_p + shift
     scaled_a = ang / tol_a + shift
     # Refuse cell indices of 2^62 and beyond: the grid is too fine for the
@@ -225,9 +252,61 @@ def _grid_merge(pos, ang, w, tol_p, tol_a, shift):
     if np.abs(scaled_p).max(initial=0.0) >= limit or np.abs(scaled_a).max(initial=0.0) >= limit:
         raise ValueError("coalescing tolerance too small for the ensemble scale")
     # The floored floats are exact integers, so they key the cells directly.
-    cell_p = np.floor(scaled_p)
-    cell_a = np.floor(scaled_a)
-    order = _lexorder(cell_p, cell_a)
+    return np.floor(scaled_p), np.floor(scaled_a)
+
+
+def _pack_cells(cell_p, cell_a, low_bits):
+    """One int64 per beam that orders like (cell_p, cell_a), with ``low_bits``
+    zero bits left free at the bottom, or None when that does not fit.
+
+    Each coordinate is offset by its minimum.  A span below 2^53 keeps that
+    difference exact in floats (a NaN cell fails this test), and the two
+    fields plus the free bits must fit the 63 bits of a non-negative int64.
+    """
+    if cell_p.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    lo_p, lo_a = cell_p.min(), cell_a.min()
+    span_p, span_a = cell_p.max() - lo_p, cell_a.max() - lo_a
+    if not (span_p < 2.0**53 and span_a < 2.0**53):
+        return None
+    bits_a = int(span_a).bit_length()
+    if int(span_p).bit_length() + bits_a + low_bits > 63:
+        return None
+    key = (cell_p - lo_p).astype(np.int64) << (bits_a + low_bits)
+    key |= (cell_a - lo_a).astype(np.int64) << low_bits
+    return key
+
+
+def _no_shared_cell(pos, ang, tol_p, tol_a):
+    """True when no two beams share a cell of the grid at shift 0 or at
+    shift 0.5, so a fixed-point iteration would merge nothing.  False when
+    some do, or when the cells do not pack into int64 keys."""
+    for shift in (0.0, 0.5):
+        key = _pack_cells(*_cells(pos, ang, tol_p, tol_a, shift), 0)
+        if key is None:
+            return False
+        key.sort()
+        if (key[1:] == key[:-1]).any():
+            return False
+    return True
+
+
+def _cell_order(cell_p, cell_a):
+    """The permutation ``_lexorder(cell_p, cell_a)`` returns.  With the input
+    index in the low bits the packed keys are unique, so any sort orders them
+    the same way, and the sorted keys' low bits are the permutation."""
+    index_bits = max(cell_p.size - 1, 0).bit_length()
+    key = _pack_cells(cell_p, cell_a, index_bits)
+    if key is None:
+        return _lexorder(cell_p, cell_a)
+    key |= np.arange(cell_p.size)
+    key.sort()
+    return key & ((1 << index_bits) - 1)
+
+
+def _grid_merge(pos, ang, w, tol_p, tol_a, shift):
+    cell_p, cell_a = _cells(pos, ang, tol_p, tol_a, shift)
+    order = _cell_order(cell_p, cell_a)
     cell_p, cell_a = cell_p[order], cell_a[order]
     pos, ang, w = pos[order], ang[order], w[order]
     starts = np.concatenate([[True], (cell_p[1:] != cell_p[:-1]) | (cell_a[1:] != cell_a[:-1])])

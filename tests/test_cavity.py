@@ -17,6 +17,7 @@ from axicav.cavity import (
     run,
 )
 from axicav.rays import ParaxialError, RayState
+from axicav.scenario import load_preset
 
 THETA = 4e-10
 
@@ -202,11 +203,18 @@ def _lexorder_cases():
     major = np.repeat(rng.normal(size=500), 4)
     yield major, rng.normal(size=major.size)
     yield np.array([]), np.array([])
+    # distinct majors: _final_order takes its plain-argsort path
+    yield rng.normal(size=3000), rng.normal(size=3000)
 
 
 @pytest.mark.parametrize("major, minor", list(_lexorder_cases()))
 def test_lexorder_matches_lexsort(major, minor):
     assert np.array_equal(_lexorder(major, minor), np.lexsort((minor, major)))
+
+
+@pytest.mark.parametrize("major, minor", list(_lexorder_cases()))
+def test_final_order_matches_lexsort(major, minor):
+    assert np.array_equal(cavity._final_order(major, minor), np.lexsort((minor, major)))
 
 
 def _coalesce_reference(ens, tol_p, tol_a):
@@ -252,6 +260,182 @@ def test_coalesce_matches_lexsort_reference_bitwise(seed):
     assert np.array_equal(out.positions, ref_pos)
     assert np.array_equal(out.angles, ref_ang)
     assert np.array_equal(out.weights, ref_w)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_matches_reference(ens, tol_p, tol_a):
+    out = coalesce(ens, tol_p, tol_a)
+    ref_pos, ref_ang, ref_w = _coalesce_reference(ens, tol_p, tol_a)
+    assert _same_bits(out.positions, ref_pos)
+    assert _same_bits(out.angles, ref_ang)
+    assert _same_bits(out.weights, ref_w)
+    return out
+
+
+def test_coalesce_merges_chain_past_a_full_tolerance():
+    """Beams 1.3 tolerances apart still merge when a third beam links them:
+    the shift-0 pass merges 0.1 and 0.9 into 0.5, which then shares a
+    shift-0.5 cell with 1.4."""
+    tol_p, tol_a = 1.0 / 1024, 1e-16
+    ens = BeamEnsemble(np.array([0.1, 0.9, 1.4]) * tol_p, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    out = _assert_matches_reference(ens, tol_p, tol_a)
+    assert len(out) == 1
+    assert out.positions[0] == pytest.approx(0.8 * tol_p, rel=1e-15)
+    assert out.weights[0] == 3.0
+
+
+def test_coalesce_can_keep_beams_closer_than_half_a_tolerance_apart():
+    """The shift-0 grid splits the positions (0.9 | 1.3) and the shift-0.5
+    grid the angles (0.8 | 1.1), so the pair shares no cell."""
+    tol_p, tol_a = 1.0 / 1024, 2.0**-60
+    ens = BeamEnsemble(np.array([0.9, 1.3]) * tol_p, np.array([0.3, 0.6]) * tol_a, [0.5, 0.5])
+    assert len(_assert_matches_reference(ens, tol_p, tol_a)) == 2
+
+
+def _shares_cell_brute(pos, ang, tol_p, tol_a):
+    """Whether any pair of beams shares a cell at shift 0 or 0.5, pair by pair."""
+    for shift in (0.0, 0.5):
+        cell_p = np.floor(pos / tol_p + shift)
+        cell_a = np.floor(ang / tol_a + shift)
+        for i in range(pos.size):
+            for j in range(i + 1, pos.size):
+                if cell_p[i] == cell_p[j] and cell_a[i] == cell_a[j]:
+                    return True
+    return False
+
+
+# power-of-two tolerances keep the scaled coordinates exact, so beams placed
+# on half-integer multiples sit exactly on the cell edges of both grids
+EDGE_TOL_P, EDGE_TOL_A = 2.0**-40, 2.0**-70
+
+
+def _edge_ensembles():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        pos = rng.integers(-6, 7, n) / 2.0
+        ang = rng.integers(-4, 5, n) / 2.0
+        # nudge some beams just below an edge
+        pos = np.where(rng.random(n) < 0.3, np.nextafter(pos, -np.inf), pos)
+        ang = np.where(rng.random(n) < 0.3, np.nextafter(ang, -np.inf), ang)
+        yield pos * EDGE_TOL_P, ang * EDGE_TOL_A
+    # +0.0 and -0.0 share every cell
+    yield np.array([0.0, -0.0]), np.array([0.0, 0.0])
+    yield np.array([0.0, -0.0]), np.array([-0.0, 3.0 * EDGE_TOL_A])
+    # tied positions with distinct angles, one and two cells apart
+    yield np.array([1.0, 1.0, 1.0]) * EDGE_TOL_P, np.array([0.0, 1.0, 2.0]) * EDGE_TOL_A
+    yield np.array([1.0, 1.0]) * EDGE_TOL_P, np.array([0.0, 2.0]) * EDGE_TOL_A
+    yield np.array([]), np.array([])
+
+
+def test_no_shared_cell_matches_brute_force():
+    for pos, ang in _edge_ensembles():
+        got = cavity._no_shared_cell(pos, ang, EDGE_TOL_P, EDGE_TOL_A)
+        assert got == (not _shares_cell_brute(pos, ang, EDGE_TOL_P, EDGE_TOL_A)), (pos, ang)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+def test_no_shared_cell_declines_nan_positions():
+    """A NaN cell shares no cell, but it does not pack into a key either, so
+    the check leaves the decision to the full grid passes.  (The reference
+    casts the NaN cell to an int64, which numpy warns about.)"""
+    pos = np.array([np.nan, 0.0, 5.0 * EDGE_TOL_P])
+    ang = np.zeros(3)
+    assert not _shares_cell_brute(pos, ang, EDGE_TOL_P, EDGE_TOL_A)
+    assert not cavity._no_shared_cell(pos, ang, EDGE_TOL_P, EDGE_TOL_A)
+    _assert_matches_reference(BeamEnsemble(pos, ang, [0.25, 0.25, 0.5]), EDGE_TOL_P, EDGE_TOL_A)
+
+
+def test_no_shared_cell_keeps_the_index_guard_for_a_single_beam():
+    with pytest.raises(ValueError, match="tolerance too small"):
+        cavity._no_shared_cell(np.array([2.0**62 * EDGE_TOL_P]), np.zeros(1), EDGE_TOL_P, EDGE_TOL_A)
+    below = np.nextafter(2.0**62, 0.0) * EDGE_TOL_P
+    assert cavity._no_shared_cell(np.array([below]), np.zeros(1), EDGE_TOL_P, EDGE_TOL_A)
+
+
+def _non_merging_ensembles():
+    rng = np.random.default_rng(3)
+    n = 2000
+    # distinct beams, many tolerances apart
+    yield BeamEnsemble(rng.permutation(n) * 7e-12, rng.normal(scale=1e-14, size=n), np.full(n, 1 / n))
+    # tied positions, angles in distinct cells: the final order needs the angles
+    pos = np.repeat(rng.permutation(n // 4) * 7e-12, 4)
+    ang = np.tile([3e-16, -3e-16, 9e-16, 0.0], n // 4)
+    yield BeamEnsemble(pos, ang, rng.uniform(0.1, 1.0, n))
+    # +0.0 and -0.0 positions kept apart by their angles
+    yield BeamEnsemble([0.0, -0.0, 0.0, -0.0], [0.0, 3e-16, -3e-16, 6e-16], [0.25] * 4)
+
+
+@pytest.mark.parametrize("ens", list(_non_merging_ensembles()))
+def test_coalesce_matches_reference_when_nothing_merges(ens):
+    out = _assert_matches_reference(ens, 1e-12, 1e-16)
+    assert len(out) == len(ens)
+
+
+def _count_lexorder(monkeypatch):
+    calls = []
+    lexorder = cavity._lexorder
+    monkeypatch.setattr(cavity, "_lexorder", lambda *a: calls.append(1) or lexorder(*a))
+    return calls
+
+
+# Cells (position, angle) per beam, in units of EDGE_TOL_P and EDGE_TOL_A,
+# and whether the keys pack (otherwise the passes fall back to _lexorder).
+# The first two beams share a cell, so the grid passes run; three beams
+# take 2 bits for the input index.
+PACKING_BOUNDARY = [
+    # position cell span 2^53 - 1 packs, 2^53 does not
+    ([(-(2.0**52), 0.0), (-(2.0**52) + 0.5, 0.0), (2.0**52 - 1, 0.0)], True),
+    ([(-(2.0**52), 0.0), (-(2.0**52) + 0.5, 0.0), (2.0**52, 0.0)], False),
+    # 53 + 8 + 2 bits fill a non-negative int64, 53 + 9 + 2 do not
+    ([(-(2.0**52), 0.0), (-(2.0**52) + 0.5, 0.0), (2.0**52 - 1, 255.0)], True),
+    ([(-(2.0**52), 0.0), (-(2.0**52) + 0.5, 0.0), (2.0**52 - 1, 256.0)], False),
+]
+
+
+@pytest.mark.parametrize("cells, packs", PACKING_BOUNDARY)
+def test_coalesce_packing_boundaries_match_reference(cells, packs, monkeypatch):
+    pos, ang = (np.array(c) for c in zip(*cells))
+    ens = BeamEnsemble(pos * EDGE_TOL_P, ang * EDGE_TOL_A, [0.25, 0.25, 0.5])
+    calls = _count_lexorder(monkeypatch)
+    out = _assert_matches_reference(ens, EDGE_TOL_P, EDGE_TOL_A)
+    assert len(out) == 2
+    assert (not calls) == packs
+
+
+def _run_bits(cfg):
+    res = run(cfg)
+    ensembles = [s.ensemble for s in res.snapshots] + [res.final]
+    return [s.traversal for s in res.snapshots], [
+        (e.positions.tobytes(), e.angles.tobytes(), e.weights.tobytes()) for e in ensembles
+    ]
+
+
+@pytest.mark.parametrize(
+    "cfg, final_beams",
+    [
+        (build_preset("confocal", n_traversals=10), 1024),
+        (replace(load_preset("bnl-quad").cavity, n_traversals=16), 1593),
+        (build_preset("confocal", n_traversals=10, coalesce_tol_position_m=1e-9,
+                      coalesce_tol_angle_rad=1e-10), 882),
+        (build_preset("confocal", n_traversals=10, coalesce_tol_position_m=1e-8,
+                      coalesce_tol_angle_rad=1e-9), 60),
+        (build_preset("confocal", n_traversals=8, lens_focal_m=0.7, split_on_backward=False), 16),
+    ],
+    ids=["confocal", "bnl-quad", "confocal-merging", "confocal-coarse", "lens"],
+)
+def test_run_is_bitwise_equal_without_packed_keys(cfg, final_beams, monkeypatch):
+    """With key packing declined every grid pass sorts with _lexorder and
+    every fixed-point iteration runs its two passes.  The confocal cavity
+    merges nothing at its preset tolerances (2^10 beams after 10
+    traversals); the two coarser pairs make it merge."""
+    traversals, bits = _run_bits(cfg)
+    assert len(bits[-1][0]) == 8 * final_beams
+    monkeypatch.setattr(cavity, "_pack_cells", lambda *a: None)
+    assert _run_bits(cfg) == (traversals, bits)
 
 
 def test_coalesce_conserves_weight_exactly_for_dyadic_weights():
