@@ -123,29 +123,15 @@ def theta_split_from_coupling(
 
 def max_measurable_mass(p: MixingParameters, threshold: float = 0.5) -> float:
     """Largest axion mass whose suppression factor still reaches the
-    threshold, found by bisection on the monotone large-mass tail."""
+    threshold t.  The suppression sin^2(2 phi) = 4 Qm^2 / (4 Qm^2 + (Qgamma
+    + m^2)^2) falls monotonically with mass, and equals t where
+    m^2 = 2 Qm sqrt((1 - t) / t) - Qgamma."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
-    if q_m(p) == 0.0:
+    qm = q_m(p)
+    if qm == 0.0:
         raise ValueError("no coupling: suppression vanishes for every mass")
-
-    def supp(m):
-        return suppression_factor(MixingParameters(p.omega_ev, p.g_a_gev, p.b_field_t, m))
-
-    if supp(0.0) < threshold:
+    m2 = 2.0 * qm * math.sqrt((1.0 - threshold) / threshold) - q_gamma(p)
+    if m2 < 0.0:
         raise ValueError("suppression below threshold already at zero mass")
-    hi = math.sqrt(q_m(p))
-    for _ in range(200):
-        if supp(hi) < threshold:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("no threshold crossing found in bracket")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if supp(mid) >= threshold:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return math.sqrt(m2)

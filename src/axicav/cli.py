@@ -128,10 +128,14 @@ def cmd_analyze(args) -> int:
     if args.config or args.preset:
         sc = _load_scenario(args)
     fit_kind = args.fit_kind or (sc.analysis.fit_kind if sc else "linear")
-    n_target = args.n_target or (sc.analysis.extraction_count if sc else None)
-    g_ref = args.g_ref or (sc.analysis.g_ref_gev if sc else None)
-    time_s = args.time or (sc.analysis.integration_time_s if sc else 1.0)
-    rate = args.rate or (sc.laser.amplitude_photons_per_s if sc else sensitivity.DEFAULT_BEAM_RATE)
+    # An explicit 0 must reach validation, not fall back to the scenario.
+    def given(value, default):
+        return default if value is None else value
+
+    n_target = given(args.n_target, sc.analysis.extraction_count if sc else None)
+    g_ref = given(args.g_ref, sc.analysis.g_ref_gev if sc else None)
+    time_s = given(args.time, sc.analysis.integration_time_s if sc else 1.0)
+    rate = given(args.rate, sc.laser.amplitude_photons_per_s if sc else sensitivity.DEFAULT_BEAM_RATE)
     if n_target is None or g_ref is None:
         raise scenario.ScenarioError("analyze needs --n-target and --g-ref (or a scenario)")
 

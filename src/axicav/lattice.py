@@ -112,39 +112,16 @@ def positive_branch(ensemble_after_first_pass: Ensemble) -> Ensemble:
 
 
 # ---------------------------------------------------------------------------
-# growth comparison via exact second-moment recursions
+# growth comparison via closed-form second moments
 
 # Stepping the ensembles explicitly is exponential for the conserving rule
-# (the state count grows cubically and the early passes double), so the
-# spread laws are tracked through closed recursions on the weight-weighted
-# moments instead.  One pass maps (E[m^2], E[pm], E[p^2]) exactly:
-#   reset rule zeroes E[m^2] and E[pm] at the mirror;
-#   split:    E[m^2] += 1          (children m+-1, mean preserved)
-#   advance:  E[p^2] += 2 E[pm] L + E[m^2] L^2;  E[pm] += E[m^2] L
-# The recursions are validated against brute-force ensembles in the tests.
-
-
-def _spread_streams(n_passes: int, pass_length_m: float):
-    """Yield (pass index, drift of the tagged conserving branch, rms of the
-    reset ensemble, rms of the conserving ensemble) for every pass."""
-    em2_b = epm_b = ep2_b = 0.0
-    ep2_p = 0.0
-    drift = 0.0
-    mean_m_tagged = 0.0
-    L = pass_length_m
-    for k in range(1, n_passes + 1):
-        # conserving rule
-        em2_b += 1.0
-        ep2_b += 2.0 * epm_b * L + em2_b * L * L
-        epm_b += em2_b * L
-        # reset rule: momentum statistics start fresh each pass
-        ep2_p += L * L
-        # tagged branch: first split pins mean momentum at +1, later splits
-        # are symmetric around it
-        if k == 1:
-            mean_m_tagged = 1.0
-        drift += mean_m_tagged * L
-        yield k, drift, math.sqrt(ep2_p), math.sqrt(ep2_b)
+# (the state count grows cubically and the early passes double), but the
+# weight-weighted moments after k passes have closed forms:
+#   conserving rule: E[m^2] = k,  E[pm] = L k(k+1)/2,  E[p^2] = L^2 k(k+1)(2k+1)/6;
+#   reset rule:      E[p^2] = k L^2  (every pass starts from zero momentum);
+#   tagged branch:   drift k L  (the first split pins its mean momentum at
+#                    +1, later splits are symmetric around it).
+# The closed forms are validated against brute-force ensembles in the tests.
 
 
 @dataclass(frozen=True)
@@ -199,10 +176,13 @@ def compare_growth(
     )
     marks = marks[(marks >= 1) & (marks <= n_passes)]
     wanted = set(int(v) for v in marks) | {1, n_passes}
-    samples = []
-    for k, drift, rms_p, rms_b in _spread_streams(n_passes, pass_length_m):
-        if k in wanted:
-            samples.append(SpreadSample(k, k * pass_length_m, drift, rms_p, rms_b))
+    L = pass_length_m
+    # k(k+1)(2k+1)/6 is exact in Python ints and rounds once against L^2
+    samples = [
+        SpreadSample(k, k * L, k * L, math.sqrt(k * (L * L)),
+                     math.sqrt(k * (k + 1) * (2 * k + 1) // 6 * (L * L)))
+        for k in sorted(wanted)
+    ]
     fit_pts = [s for s in samples if s.n_pass >= slope_min_n]
     if len(fit_pts) < 3:
         fit_pts = samples

@@ -167,6 +167,8 @@ def scenario_report(
     1/sqrt(total_rate); integrating longer scales the reach by t^(-1/4)
     (noise drops as sqrt(t), coupling as the fourth root).
     """
+    if integration_time_s <= 0:
+        raise ValueError("integration time must be > 0")
     if noise_fraction_1s is None:
         noise_fraction_1s = shot_noise_fraction(NoiseBudget(total_rate, 1.0))
     extrapolated = extrapolate(fit, n_target)

@@ -110,11 +110,34 @@ def test_suppression_decreases_monotonically_with_mass():
 
 def test_half_suppression_mass_closed_form():
     """sin^2(2 phi) = 0.5 happens where the diagonal gap equals 2 Q_M, i.e.
-    m^2 = 2 Q_M - Q_gamma; the bisection must land on that root."""
+    m^2 = 2 Q_M - Q_gamma; max_measurable_mass must land on that root."""
     got = max_measurable_mass(POINT, threshold=0.5)
     expect = math.sqrt(2 * q_m(POINT) - q_gamma(POINT))
     assert got == pytest.approx(expect, rel=1e-9)
     assert got == pytest.approx(6.244849245075993e-10, rel=1e-12)
+
+
+@pytest.mark.parametrize("threshold", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize(
+    "point",
+    [
+        POINT,
+        MixingParameters(1.0, 1e-12, 1e-6, 0.0),
+        MixingParameters(2.0, 3e-10, 5.0, 0.0),
+    ],
+    ids=["point", "weak-field", "strong-coupling"],
+)
+def test_max_mass_brackets_the_threshold_crossing(point, threshold):
+    """The suppression just below the returned mass still reaches the
+    threshold and just above it no longer does."""
+    m = max_measurable_mass(point, threshold)
+
+    def supp(mass):
+        return suppression_factor(
+            MixingParameters(point.omega_ev, point.g_a_gev, point.b_field_t, mass)
+        )
+
+    assert supp(m * (1 - 1e-9)) >= threshold > supp(m * (1 + 1e-9))
 
 
 def test_half_suppression_mass_with_negligible_birefringence():

@@ -260,6 +260,20 @@ def test_analyze_needs_targets_without_scenario(tmp_path, capsys):
     assert cli.main(["analyze", "--series", _series_file(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("scenario", [["--preset", "confocal"], []], ids=["preset", "bare"])
+@pytest.mark.parametrize("flag, value", [("--time", "-1"), ("--time", "0"), ("--rate", "0"),
+                                         ("--g-ref", "0"), ("--n-target", "0")])
+def test_analyze_refuses_non_positive_arguments(tmp_path, capsys, scenario, flag, value):
+    """An explicit 0 (or a negative time) is refused with exit 2, not
+    replaced by the scenario's value or a default and not ended by a
+    traceback."""
+    args = {"--n-target": "10", "--g-ref": "1e-6", flag: value}
+    rc = cli.main([*scenario, "analyze", "--series", _series_file(tmp_path),
+                   *sum(args.items(), ())])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 # --- profile verb ------------------------------------------------------------
 
 

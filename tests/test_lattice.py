@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -119,27 +120,40 @@ def test_positive_branch_requires_positive_states():
         positive_branch({(0, 0): 1.0})
 
 
-def test_moment_recursions_match_brute_force():
-    """compare_growth runs on closed moment recursions; check every column
+@pytest.mark.parametrize("pass_length", [1.0, 0.3])
+def test_closed_forms_match_brute_force(pass_length):
+    """compare_growth evaluates closed-form moments; check every column
     against explicitly stepped ensembles at a size where that is cheap."""
     n = 12
-    cmp = compare_growth(n, n_points=200)
+    cmp = compare_growth(n, pass_length_m=pass_length, n_points=200)
     by_pass = {s.n_pass: s for s in cmp.samples}
+    assert sorted(by_pass) == list(range(1, n + 1))
 
     e_b = initial_ensemble()
     e_p = initial_ensemble()
     tagged = None
-    drift = 0.0
     for k in range(1, n + 1):
         e_b = step_bifurcation(e_b)
         e_p = step_pascal(e_p)
         tagged = positive_branch(e_b) if k == 1 else step_bifurcation(tagged)
-        drift = mean_position(tagged)
-        if k in by_pass:
-            s = by_pass[k]
-            assert s.spread_bifurcation_m == pytest.approx(drift, rel=1e-12)
-            assert s.spread_pascal_m == pytest.approx(rms_spread(e_p), rel=1e-12)
-            assert s.rms_bifurcation_m == pytest.approx(rms_spread(e_b), rel=1e-12)
+        s = by_pass[k]
+        assert s.spread_bifurcation_m == s.distance_m
+        assert s.spread_bifurcation_m == pytest.approx(
+            mean_position(tagged, pass_length), rel=1e-12
+        )
+        assert s.spread_pascal_m == pytest.approx(rms_spread(e_p, pass_length), rel=1e-12)
+        assert s.rms_bifurcation_m == pytest.approx(rms_spread(e_b, pass_length), rel=1e-12)
+
+
+def test_growth_comparison_costs_nothing_per_pass():
+    start = time.perf_counter()
+    cmp = compare_growth(10**15)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.1
+    assert cmp.classification == "momentum-conserving: linear; momentum-reset: square-root"
+    assert cmp.samples[-1].n_pass == 10**15
+    assert cmp.factor_bifurcation == 1e15
+    assert cmp.factor_pascal == pytest.approx(math.sqrt(1e15), rel=1e-15)
 
 
 def test_growth_comparison_reference_run():
