@@ -12,6 +12,7 @@ mathematics and a planar-lattice toy model used as cross-checks.
 from .axion import (
     MixingParameters,
     SplitCalibration,
+    mass_scan,
     max_measurable_mass,
     mixing_angle,
     mixing_angle_from_q,

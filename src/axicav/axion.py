@@ -84,6 +84,27 @@ def suppression_factor(p: MixingParameters) -> float:
     return math.sin(2.0 * mixing_angle(p)) ** 2
 
 
+def mass_scan(p: MixingParameters, masses) -> list[tuple[float, float]]:
+    """``(mixing_angle, suppression_factor)`` of ``p`` with its mass replaced
+    by each of ``masses`` in turn, bit for bit the per-point values: Qm and
+    Qgamma do not depend on the mass, so they are computed once, and each
+    mass then takes the same float operations as the per-point functions.
+    Raises like them on a negative mass and on a degenerate matrix."""
+    two_qm = 2.0 * q_m(p)
+    qgamma = q_gamma(p)
+    atan2, sin = math.atan2, math.sin
+    out = []
+    for m in masses:
+        if m < 0:
+            raise ValueError("mass must be >= 0")
+        diag = qgamma - -(m**2)
+        if two_qm == 0.0 and diag == 0.0:
+            raise DegenerateMixingError("mixing angle undefined: all Q entries equal")
+        phi = 0.5 * atan2(two_qm, diag)
+        out.append((phi, sin(2.0 * phi) ** 2))
+    return out
+
+
 @dataclass(frozen=True)
 class SplitCalibration:
     """Anchor point tying the splitting angle to coupling, field gradient

@@ -233,14 +233,28 @@ def _lexorder(major, minor):
 
 
 def _final_order(pos, ang):
-    """The permutation ``_lexorder(pos, ang)`` returns.  When the positions
-    are strictly increasing under a plain argsort (a NaN or a tie fails the
-    comparison), no two beams tie and that permutation is the only one."""
+    """The permutation ``_lexorder(pos, ang)`` returns.  A plain argsort
+    already puts every beam whose position ties with no other in its final
+    slot; only the slots of tied beams (equal neighbours in sorted order,
+    ±0.0 included) are re-sorted, by position, then angle, then input index.
+    With a tie and a NaN in either key, the whole ensemble goes through
+    ``_lexorder``: its complex key sorts a NaN angle past every number,
+    which moves that beam out of position order even where it ties with no
+    other."""
     order = np.argsort(pos)
     sorted_pos = pos[order]
-    if (sorted_pos[1:] > sorted_pos[:-1]).all():
+    rises = sorted_pos[1:] > sorted_pos[:-1]
+    if rises.all():
         return order
-    return _lexorder(pos, ang)
+    if np.isnan(sorted_pos[-1]) or np.isnan(ang).any():
+        return _lexorder(pos, ang)
+    # Without NaN, a neighbour that does not rise is equal.
+    tied = np.zeros(pos.size, dtype=bool)
+    tied[1:] = ~rises
+    tied[:-1] |= ~rises
+    sub = np.sort(order[tied])
+    order[tied] = sub[_lexorder(pos[sub], ang[sub])]
+    return order
 
 
 def _cells(pos, ang, tol_p, tol_a, shift):

@@ -14,6 +14,10 @@ Global flags (before the verb): --config/--preset select the scenario,
 Exit codes: 0 success, 2 configuration error, 3 numerical guard violation.
 All CSV numbers carry 17 significant digits so repeated runs are
 byte-identical.
+
+Only `simulate` renders, and `density` imports scipy's erf when it first
+renders, so importing this module and running any other verb never loads
+`scipy.special`; those verbs pay only for numpy and their own arithmetic.
 """
 
 from __future__ import annotations
@@ -59,9 +63,10 @@ def _load_scenario(args) -> scenario.Scenario:
 
 
 def _csv(header: str, rows) -> str:
+    """Floats as FLOAT_FMT, anything else (the integer columns) as str()."""
     lines = [header]
     for row in rows:
-        lines.append(",".join(_f(v) if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join([FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row]))
     return "\n".join(lines) + "\n"
 
 
@@ -76,6 +81,11 @@ def cmd_simulate(args) -> int:
         sc.laser.amplitude_photons_per_s, sc.laser.waist_m
     )
     edges = density.histogram_edges(sc.analysis.bin_width_m, sc.analysis.histogram_max_m)
+    # A field-off run never leaves the axis, so one render of the axial beam
+    # is the reference for every snapshot.  Rendering it first loads scipy
+    # before the ensemble is allocated, so the import does not add to the
+    # peak memory.
+    ref_hist = density.bin_ensemble(axial_beam(), profile, edges)
 
     signal_run = run(sc.cavity)
     # Histograms an earlier run left for traversals this one does not
@@ -84,9 +94,6 @@ def cmd_simulate(args) -> int:
     for stale in out_dir.glob("profile_difference_t[0-9]*.csv"):
         if stale.name not in written:
             stale.unlink()
-    # A field-off run never leaves the axis, so one render of the axial beam
-    # is the reference for every snapshot.
-    ref_hist = density.bin_ensemble(axial_beam(), profile, edges)
 
     for snap in signal_run.snapshots:
         on_hist = density.bin_ensemble(snap.ensemble, profile, edges)
@@ -193,25 +200,27 @@ def cmd_profile(args) -> int:
 
 def cmd_mass_scan(args) -> int:
     sc = _load_scenario(args)
+    if args.steps < 1:
+        raise scenario.ScenarioError("--steps must be >= 1")
     if args.log:
         if args.m_min <= 0:
             raise scenario.ScenarioError("--log needs --m-min > 0")
+        if args.m_max <= 0:
+            raise scenario.ScenarioError("--log needs --m-max > 0")
         masses = np.logspace(math.log10(args.m_min), math.log10(args.m_max), args.steps)
     else:
         masses = np.linspace(args.m_min, args.m_max, args.steps)
-    rows = []
-    for m in masses:
-        p = axion.MixingParameters(
-            sc.axion.omega_ev, sc.axion.g_a_gev, sc.axion.b_mixing_t, float(m)
-        )
-        rows.append((float(m), axion.mixing_angle(p), axion.suppression_factor(p)))
-    text = _csv("m_a_ev,phi_rad,suppression", rows)
+    masses = masses.tolist()
+    p = axion.MixingParameters(sc.axion.omega_ev, sc.axion.g_a_gev, sc.axion.b_mixing_t, 0.0)
+    points = axion.mass_scan(p, masses)
+    # Computed before anything is written, so a refused run leaves no file.
+    half = axion.max_measurable_mass(p, 0.5) if args.out_file else None
+    text = _csv(
+        "m_a_ev,phi_rad,suppression",
+        [(m, phi, sup) for m, (phi, sup) in zip(masses, points)],
+    )
     _write_or_print(text, args.out_file)
-    if args.out_file:
-        p0 = axion.MixingParameters(
-            sc.axion.omega_ev, sc.axion.g_a_gev, sc.axion.b_mixing_t, 0.0
-        )
-        half = axion.max_measurable_mass(p0, 0.5)
+    if half is not None:
         print(f"half-suppression mass: {_f(half)} eV")
     return 0
 

@@ -8,6 +8,11 @@ A*exp(-x^2 / 2 r^2) so r is the rms width.  The analytic deficit family
 closed forms in the width convention they are usually written in,
 A*exp(-x^2 / r^2) with r the 1/e half-width; the two conventions are kept
 separate on purpose and each function documents which one it uses.
+
+Only the rendering needs scipy (for erf), so ``bin_ensemble`` and
+``_window_integrals`` import it when they run, on the calling thread before
+any block goes to the render pool; importing this module, and every verb
+that renders nothing, never loads ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 EXPANSION_GUARD = 0.1  # max alpha/r or epsilon/r the closed forms accept
 
@@ -298,6 +302,8 @@ def _window_integrals(positions, weights, lo: float, hi: float, profile: Gaussia
     summed by a single ``sum()``:
     the same terms, summed the same way, as the one-shot
     ``weights * (norm * (erf(hi') - erf(lo')))`` over all beams."""
+    from scipy.special import erf
+
     centers, s, norm = _erf_frame(positions, profile)
     contrib = np.empty(centers.size)
 
@@ -342,6 +348,8 @@ def bin_ensemble(ensemble, profile: GaussianProfile, edges_m=None) -> DetectorHi
     (``_render_blocks``), one slot per block in flight (threads + 1), and a
     slot is reused only after its block has been folded.
     """
+    from scipy.special import erf
+
     if edges_m is None:
         edges_m = histogram_edges()
     edges_m = np.asarray(edges_m, dtype=float)

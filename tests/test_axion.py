@@ -1,4 +1,6 @@
 import math
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -7,6 +9,7 @@ from axicav.axion import (
     DegenerateMixingError,
     MixingParameters,
     SplitCalibration,
+    mass_scan,
     max_measurable_mass,
     mixing_angle,
     mixing_angle_from_q,
@@ -97,6 +100,49 @@ def test_large_mass_angle_and_suppression_tails():
     assert phi == pytest.approx(q_m(heavy) / 1e-10, rel=1e-6)
     assert phi == pytest.approx(1.9499999999996378e-09, rel=1e-12)
     assert suppression_factor(heavy) == pytest.approx(1.520999999999435e-17, rel=1e-12)
+
+
+def _scan_cases():
+    rng = random.Random(5)
+    for _ in range(40):
+        p = MixingParameters(
+            omega_ev=10 ** rng.uniform(-1.0, 1.0),
+            g_a_gev=10 ** rng.uniform(-14.0, -6.0),
+            b_field_t=rng.uniform(0.0, 10.0),
+        )
+        masses = [0.0] + [10 ** rng.uniform(-12.0, -2.0) for _ in range(50)]
+        yield p, masses
+    # no coupling: phi = 0 for every mass, as long as the field is on
+    yield MixingParameters(1.0, 0.0, 1.0), [0.0, 1e-9, 1e-3]
+
+
+@pytest.mark.parametrize("p, masses", list(_scan_cases()))
+def test_mass_scan_matches_the_per_point_functions_bitwise(p, masses):
+    expect = [
+        (mixing_angle(replace(p, mass_ev=m)), suppression_factor(replace(p, mass_ev=m)))
+        for m in masses
+    ]
+    got = mass_scan(p, masses)
+    assert [(phi.hex(), s.hex()) for phi, s in got] == [
+        (phi.hex(), s.hex()) for phi, s in expect
+    ]
+
+
+def test_mass_scan_ignores_the_mass_of_its_parameters():
+    assert mass_scan(replace(POINT, mass_ev=1e-3), [0.0]) == mass_scan(POINT, [0.0])
+
+
+def test_mass_scan_refuses_what_the_per_point_functions_refuse():
+    # no field and no coupling: at zero mass all three entries vanish; any
+    # mass breaks the tie
+    off = MixingParameters(1.0, 0.0, 0.0)
+    with pytest.raises(DegenerateMixingError):
+        mixing_angle(off)
+    with pytest.raises(DegenerateMixingError):
+        mass_scan(off, [1e-9, 0.0])
+    assert mass_scan(off, [1e-9]) == [(0.0, 0.0)]
+    with pytest.raises(ValueError, match="mass must be >= 0"):
+        mass_scan(POINT, [1e-9, -1e-9])
 
 
 def test_suppression_decreases_monotonically_with_mass():

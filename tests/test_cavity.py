@@ -217,6 +217,56 @@ def test_final_order_matches_lexsort(major, minor):
     assert np.array_equal(cavity._final_order(major, minor), np.lexsort((minor, major)))
 
 
+def _tie_run_cases():
+    rng = np.random.default_rng(12)
+    # sparse runs of equal positions among distinct ones, minors tied too
+    major = rng.normal(size=4000)
+    major[rng.integers(0, 4000, 600)] = major[rng.integers(0, 4000, 600)]
+    yield pytest.param(major, rng.integers(-1, 2, 4000).astype(float), id="tie-runs")
+    # runs of +0.0 and -0.0, which compare equal, among distinct values
+    major = rng.normal(size=2000)
+    major[rng.integers(0, 2000, 300)] = rng.choice(np.array([0.0, -0.0]), 300)
+    yield pytest.param(major, rng.choice(np.array([0.0, -0.0, 1.0]), 2000), id="signed-zeros")
+    yield pytest.param(np.full(1000, 3.5), rng.normal(size=1000), id="all-tied")
+    yield pytest.param(np.array([2.0, 1.0, 2.0]), np.array([1.0, 0.0, -1.0]), id="one-pair")
+
+
+@pytest.mark.parametrize("major, minor", list(_tie_run_cases()))
+def test_final_order_sorts_only_the_tied_slots(major, minor, monkeypatch):
+    """Only the beams whose position ties with another go through _lexorder."""
+    calls = []
+    lexorder = cavity._lexorder
+    monkeypatch.setattr(cavity, "_lexorder", lambda a, b: calls.append(a.size) or lexorder(a, b))
+    order = cavity._final_order(major, minor)
+    assert np.array_equal(order, np.lexsort((minor, major)))
+    sorted_major = np.sort(major)
+    tied = np.zeros(major.size, dtype=bool)
+    tied[1:] |= sorted_major[1:] == sorted_major[:-1]
+    tied[:-1] |= sorted_major[1:] == sorted_major[:-1]
+    assert calls == [tied.sum()]
+
+
+def _nan_cases():
+    rng = np.random.default_rng(13)
+    major = rng.integers(-5, 6, 500).astype(float)
+    minor = rng.integers(-2, 3, 500).astype(float)
+    nan_major = major.copy()
+    nan_major[rng.integers(0, 500, 20)] = np.nan
+    yield nan_major, minor
+    # a NaN angle on a beam whose position ties with no other, ties elsewhere
+    distinct = np.arange(500.0)
+    distinct[10] = distinct[11]
+    nan_minor = minor.copy()
+    nan_minor[300] = np.nan
+    yield distinct, nan_minor
+    yield np.array([np.nan, np.nan, 1.0]), np.array([1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("major, minor", list(_nan_cases()))
+def test_final_order_with_a_nan_is_the_full_lexorder(major, minor):
+    assert np.array_equal(cavity._final_order(major, minor), _lexorder(major, minor))
+
+
 def _coalesce_reference(ens, tol_p, tol_a):
     """The lexsort / int64-cell formulation of coalesce, kept as an oracle."""
     pos, ang, w = ens.positions, ens.angles, ens.weights
@@ -436,6 +486,15 @@ def test_run_is_bitwise_equal_without_packed_keys(cfg, final_beams, monkeypatch)
     assert len(bits[-1][0]) == 8 * final_beams
     monkeypatch.setattr(cavity, "_pack_cells", lambda *a: None)
     assert _run_bits(cfg) == (traversals, bits)
+
+
+def test_bnl_quad_run_is_bitwise_equal_with_the_full_lexorder(monkeypatch):
+    """bnl-quad keeps beams that share a position; ordering only their slots
+    gives the same run as ordering every beam by the complex key."""
+    cfg = replace(load_preset("bnl-quad").cavity, n_traversals=40)
+    bits = _run_bits(cfg)
+    monkeypatch.setattr(cavity, "_final_order", _lexorder)
+    assert _run_bits(cfg) == bits
 
 
 def test_coalesce_conserves_weight_exactly_for_dyadic_weights():

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import axicav
 from axicav import cavity, cli
 
 SERIES = "n,signal\n1,64124793\n2,128224793\n3,192324793\n4,256424793\n5,320524793\n"
@@ -347,6 +352,37 @@ def test_mass_scan_needs_a_scenario(capsys):
     assert cli.main(["mass-scan"]) == 2
 
 
+def test_mass_scan_refused_for_its_half_suppression_mass_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    rc = cli.main(
+        ["--preset", "confocal", "--override", "axion.g_a_gev=0", "mass-scan",
+         "--out-file", str(out)]
+    )
+    assert rc == 2
+    assert "no coupling" in capsys.readouterr().err
+    assert not out.exists()
+    # without a file there is no half-suppression mass to compute
+    rc = cli.main(["--preset", "confocal", "--override", "axion.g_a_gev=0", "mass-scan"])
+    assert rc == 0
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--steps", "0"], "--steps"),
+        (["--steps", "-3"], "--steps"),
+        (["--log", "--m-min", "1e-9", "--m-max", "0"], "--m-max"),
+        (["--log", "--m-min", "1e-9", "--m-max", "-0.001"], "--m-max"),
+    ],
+)
+def test_mass_scan_refuses_arguments_naming_the_flag(flags, named, tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    rc = cli.main(["--preset", "confocal", "mass-scan", *flags, "--out-file", str(out)])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- pascal verb --------------------------------------------------------------
 
 
@@ -379,3 +415,67 @@ def test_pascal_file_output_reports_classification(tmp_path, capsys):
 
 def test_pascal_rejects_zero_passes(capsys):
     assert cli.main(["pascal", "--n-passes", "0"]) == 2
+
+
+# --- output formatting and imports ---------------------------------------------
+
+
+def _csv_per_value(header, rows):
+    """The formatter _csv replaced: one call per value."""
+    def f(v):
+        return cli.FLOAT_FMT % v
+
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(f(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_matches_the_per_value_formatter():
+    rows = [
+        (0, 0.0, -0.0),
+        (1, 1e-300, -5e-324),
+        (10**17, 1e17, 123456789012345678),
+        (2**63 + 5, float("inf"), float("-inf")),
+        (-7, 0.1, 2.0 / 3.0),
+        (3, float("nan"), 1.7976931348623157e308),
+    ]
+    text = cli._csv("a,b,c", rows)
+    assert text == _csv_per_value("a,b,c", rows)
+    # integers keep every digit; floats take 17 significant digits
+    assert text.splitlines()[3] == "100000000000000000,1e+17,123456789012345678"
+    assert text.splitlines()[1] == "0,0,-0"
+
+
+SCIPY_PROBE = """
+import sys
+import axicav.cli as cli
+
+out = sys.argv[1]
+series = out + "/series.csv"
+open(series, "w").write("n,signal\\n1,10.0\\n2,20.0\\n3,30.0\\n")
+calls = [
+    ["pascal", "--n-passes", "1000", "--out-file", out + "/pascal.csv"],
+    ["--preset", "confocal", "--out", out + "/an", "analyze", "--series", series],
+    ["--preset", "confocal", "mass-scan", "--log", "--m-min", "1e-9", "--out-file", out + "/m.csv"],
+    ["profile", "--alpha", "5.6e-9", "--out-file", out + "/profile.csv"],
+    ["presets", "list"],
+]
+for call in calls:
+    assert cli.main(call) == 0, call
+    assert "scipy.special" not in sys.modules, call
+assert cli.main(["--preset", "confocal", "--override", "cavity.n_traversals=2",
+                 "--out", out + "/sim", "simulate"]) == 0
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_only_simulate_loads_scipy(tmp_path):
+    src = str(Path(axicav.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
