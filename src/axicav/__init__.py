@@ -30,7 +30,6 @@ from .cavity import (
     RunResult,
     build_preset,
     coalesce,
-    null_field_config,
     run,
 )
 from .density import (

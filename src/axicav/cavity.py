@@ -21,7 +21,7 @@ MAX_BEAMS, rather than left to run out of memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class CavityConfig:
     is pure propagation over ``detector_distance_m``.
     """
 
-    kind: str = "confocal"
     length_m: float = 14.0
     field_length_m: float = 10.0
     gap_m: float = 2.0
@@ -103,19 +102,16 @@ def build_preset(kind: str, **overrides) -> CavityConfig:
     """
     presets = {
         "confocal": dict(
-            kind="confocal",
             mirror1_focal_m=12.5,
             mirror2_focal_m=12.5,
             extraction_mirror=MIRROR_2,
         ),
         "planar-concave": dict(
-            kind="planar-concave",
             mirror1_focal_m=12.5,
             mirror2_focal_m=None,
             extraction_mirror=MIRROR_1,
         ),
         "convex-concave": dict(
-            kind="convex-concave",
             mirror1_focal_m=12.5,
             mirror2_focal_m=-5.5,
             extraction_mirror=MIRROR_1,
@@ -448,8 +444,3 @@ def run(config: CavityConfig, initial: BeamEnsemble | None = None) -> RunResult:
     result.final = ens
     return result
 
-
-def null_field_config(config: CavityConfig) -> CavityConfig:
-    """Same cavity with the field interaction switched off; the reference
-    (unsplit) run every difference measurement is taken against."""
-    return replace(config, theta_split_rad=0.0)

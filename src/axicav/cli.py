@@ -187,6 +187,8 @@ def _read_series(path: str) -> sensitivity.GrowthSeries:
 
 
 def cmd_profile(args) -> int:
+    if args.steps < 1:
+        raise scenario.ScenarioError("--steps must be >= 1")
     profile = density.GaussianProfile(args.amplitude, args.waist)
     xs = np.linspace(0.0, args.x_max, args.steps)
     vals = density.deficit_with_broadening(xs, args.alpha, args.epsilon, profile)
@@ -288,8 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_pr = sub.add_parser("profile", help="analytic deficit curve")
     p_pr.add_argument("--alpha", type=float, required=True, help="displacement, m")
     p_pr.add_argument("--epsilon", type=float, default=0.0, help="broadening, m")
-    p_pr.add_argument("--waist", type=float, default=7.5e-4, help="beam waist, m")
-    p_pr.add_argument("--amplitude", type=float, default=5e18, help="peak rate, photons/s")
+    laser = scenario.LaserParams
+    p_pr.add_argument("--waist", type=float, default=laser.waist_m, help="beam waist, m")
+    p_pr.add_argument(
+        "--amplitude", type=float, default=laser.amplitude_photons_per_s, help="peak rate, photons/s"
+    )
     p_pr.add_argument("--x-max", type=float, default=3e-3, help="grid end, m")
     p_pr.add_argument("--steps", type=int, default=121)
     p_pr.add_argument("--out-file", help="CSV path (default: stdout)")

@@ -128,18 +128,7 @@ def density_deficit(x, alpha_m: float, profile: GaussianProfile):
     the center), negative past the crossover at x = r/sqrt(2).  At x = 0 the
     value is exactly A alpha^2 / r^2.
     """
-    if alpha_m < 0:
-        raise ValueError("alpha must be >= 0")
-    r = profile.waist_m
-    if alpha_m >= EXPANSION_GUARD * r:
-        raise GuardError(f"alpha/waist = {alpha_m / r:.3g} outside expansion window")
-    x = np.asarray(x, dtype=float) - profile.center_m
-    a2 = (alpha_m / r) ** 2
-    return (
-        profile.amplitude
-        * np.exp(-(x * x) / (r * r))
-        * (1.0 - (1.0 - a2) * np.cosh(2.0 * alpha_m * x / (r * r)))
-    )
+    return deficit_with_broadening(x, alpha_m, 0.0, profile)
 
 
 def deficit_with_broadening(x, alpha_m: float, epsilon_m: float, profile: GaussianProfile):
@@ -149,8 +138,6 @@ def deficit_with_broadening(x, alpha_m: float, epsilon_m: float, profile: Gaussi
 
         A e^{-x^2/r^2} [1 - ((r-eps)/r) e^{+x^2 eps/r^3}
                           (1 - alpha^2/r^2) cosh(2 alpha x / r^2)]
-
-    Setting epsilon = 0 reduces exactly to density_deficit.
     """
     params = SplitProfileParams(alpha_m, epsilon_m)
     r = profile.waist_m

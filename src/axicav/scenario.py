@@ -3,16 +3,20 @@
 A scenario bundles the cavity geometry with the laser, mixing and analysis
 parameters that the command-line verbs read.  The on-disk format
 is INI (configparser): human-editable, diff-friendly, and round-trippable.
-Planar mirrors are spelled ``planar`` and the ideal detector relay
-``relay``; every other value is a plain number, boolean, or word.
+The schema is read off the config dataclasses: each section is one of them,
+each key one of its fields, parsed by the field's annotation.  Planar mirrors
+are spelled ``planar`` and the ideal detector relay ``relay``; every other
+value is a plain number (finite), boolean, or word.
 """
 
 from __future__ import annotations
 
+import math
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, fields
 from importlib import resources
 
+from . import density, sensitivity
 from .cavity import CavityConfig, ConfigError
 
 
@@ -22,7 +26,7 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class LaserParams:
-    amplitude_photons_per_s: float = 5e18
+    amplitude_photons_per_s: float = sensitivity.DEFAULT_BEAM_RATE
     waist_m: float = 7.5e-4
 
     def __post_init__(self):
@@ -48,10 +52,10 @@ class AxionParams:
 
 @dataclass(frozen=True)
 class AnalysisParams:
-    bin_width_m: float = 1e-4
-    histogram_max_m: float = 3e-3
-    pixel_half_width_m: float = 1e-6
-    sideband_pixel_center_m: float = 3.3e-3
+    bin_width_m: float = density.DEFAULT_BIN_WIDTH_M
+    histogram_max_m: float = density.DEFAULT_HISTOGRAM_MAX_M
+    pixel_half_width_m: float = sensitivity.DEFAULT_PIXEL_HALF_WIDTH_M
+    sideband_pixel_center_m: float = sensitivity.DEFAULT_SIDEBAND_PIXEL_CENTER_M
     integration_time_s: float = 3e4
     fit_kind: str = "linear"
     extraction_count: int = 12000
@@ -83,14 +87,19 @@ class Scenario:
     analysis: AnalysisParams
 
 
-_NONE_WORDS = {"planar": "mirror", "relay": "lens", "none": "either"}
+# Words read as None.  A None is written back as the word whose prefix its
+# key starts with: planar mirrors, the relay lens, "none" for anything else.
+_NONE_WORDS = {"planar": "mirror", "relay": "lens", "none": ""}
 
 
 def _parse_float(section, key, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ScenarioError(f"{section}.{key}: not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ScenarioError(f"{section}.{key}: not a finite number: {raw!r}")
+    return value
 
 
 def _parse_optional_float(section, key, raw):
@@ -115,61 +124,39 @@ def _parse_bool(section, key, raw):
     raise ScenarioError(f"{section}.{key}: not a boolean: {raw!r}")
 
 
-def _fmt(value) -> str:
+# field annotation (a string: the config modules postpone annotations) -> parser
+_PARSERS = {
+    "float": _parse_float,
+    "float | None": _parse_optional_float,
+    "int": _parse_int,
+    "bool": _parse_bool,
+    "str": lambda section, key, raw: raw.strip(),
+}
+
+# section -> its dataclass, in dump order and in the order sections validate
+_SECTIONS = {
+    "cavity": CavityConfig,
+    "laser": LaserParams,
+    "axion": AxionParams,
+    "analysis": AnalysisParams,
+}
+
+
+# section -> settable key -> parser, read off the dataclass fields; a field
+# whose annotation has no parser is a KeyError at import
+_KEYS = {
+    section: {f.name: _PARSERS[f.type] for f in fields(cls)} for section, cls in _SECTIONS.items()
+}
+
+
+def _fmt(key: str, value) -> str:
     if value is None:
-        return "none"
+        return next(word for word, prefix in _NONE_WORDS.items() if key.startswith(prefix))
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-# section -> key -> (parser, formatter override or None)
-_SCHEMA = {
-    "cavity": {
-        "kind": (lambda s, k, v: v.strip(), None),
-        "length_m": (_parse_float, None),
-        "field_length_m": (_parse_float, None),
-        "gap_m": (_parse_float, None),
-        "mirror1_focal_m": (_parse_optional_float, "planar"),
-        "mirror2_focal_m": (_parse_optional_float, "planar"),
-        "theta_split_rad": (_parse_float, None),
-        "n_traversals": (_parse_int, None),
-        "extraction_mirror": (lambda s, k, v: v.strip(), None),
-        "detector_distance_m": (_parse_float, None),
-        "lens_offset_m": (_parse_float, None),
-        "lens_focal_m": (_parse_optional_float, "relay"),
-        "split_on_backward": (_parse_bool, None),
-        "coalesce_tol_position_m": (_parse_float, None),
-        "coalesce_tol_angle_rad": (_parse_float, None),
-    },
-    "laser": {
-        "amplitude_photons_per_s": (_parse_float, None),
-        "waist_m": (_parse_float, None),
-    },
-    "axion": {
-        "g_a_gev": (_parse_float, None),
-        "omega_ev": (_parse_float, None),
-        "b_mixing_t": (_parse_float, None),
-    },
-    "analysis": {
-        "bin_width_m": (_parse_float, None),
-        "histogram_max_m": (_parse_float, None),
-        "pixel_half_width_m": (_parse_float, None),
-        "sideband_pixel_center_m": (_parse_float, None),
-        "integration_time_s": (_parse_float, None),
-        "fit_kind": (lambda s, k, v: v.strip(), None),
-        "extraction_count": (_parse_int, None),
-        "g_ref_gev": (_parse_float, None),
-    },
-}
-
-_SECTION_TYPES = {
-    "laser": LaserParams,
-    "axion": AxionParams,
-    "analysis": AnalysisParams,
-}
 
 
 def apply_overrides(mapping: dict, pairs) -> dict:
@@ -183,7 +170,7 @@ def apply_overrides(mapping: dict, pairs) -> dict:
         if "." not in path:
             raise ScenarioError(f"override path must be dotted: {path!r}")
         section, key = path.split(".", 1)
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
+        if key not in _KEYS.get(section, ()):
             raise ScenarioError(f"unknown override target {path!r}")
         out.setdefault(section, {})[key.strip()] = value.strip()
     return out
@@ -193,45 +180,28 @@ def mapping_to_scenario(name: str, mapping: dict) -> Scenario:
     """Build a typed, validated Scenario from raw string sections."""
     parsed: dict[str, dict] = {}
     for section, values in mapping.items():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             keys = ", ".join(f"{section}.{key}" for key in values) or "no keys"
             raise ScenarioError(f"unknown section [{section}] (sets {keys})")
         parsed[section] = {}
         for key, raw in values.items():
-            if key not in _SCHEMA[section]:
+            if key not in _KEYS[section]:
                 raise ScenarioError(f"unknown key {section}.{key}")
-            parser, _ = _SCHEMA[section][key]
-            parsed[section][key] = parser(section, key, raw)
-    try:
-        cavity = CavityConfig(**parsed.get("cavity", {}))
-    except (ConfigError, TypeError) as exc:
-        raise ScenarioError(f"cavity section invalid: {exc}") from exc
+            parsed[section][key] = _KEYS[section][key](section, key, raw)
     built = {}
-    for section, cls in _SECTION_TYPES.items():
+    for section, cls in _SECTIONS.items():
         try:
             built[section] = cls(**parsed.get(section, {}))
-        except TypeError as exc:
+        except (ConfigError, TypeError) as exc:
             raise ScenarioError(f"{section} section invalid: {exc}") from exc
-    return Scenario(name=name, cavity=cavity, **built)
+    return Scenario(name=name, **built)
 
 
 def scenario_to_mapping(sc: Scenario) -> dict:
     mapping: dict[str, dict[str, str]] = {}
-    parts = {
-        "cavity": sc.cavity,
-        "laser": sc.laser,
-        "axion": sc.axion,
-        "analysis": sc.analysis,
-    }
-    for section, obj in parts.items():
-        mapping[section] = {}
-        for f in fields(obj):
-            value = getattr(obj, f.name)
-            _, none_word = _SCHEMA[section][f.name]
-            if value is None and none_word:
-                mapping[section][f.name] = none_word
-            else:
-                mapping[section][f.name] = _fmt(value)
+    for section, keys in _KEYS.items():
+        part = getattr(sc, section)
+        mapping[section] = {key: _fmt(key, getattr(part, key)) for key in keys}
     return mapping
 
 

@@ -13,7 +13,6 @@ from axicav.cavity import (
     _lexorder,
     build_preset,
     coalesce,
-    null_field_config,
     run,
 )
 from axicav.rays import ParaxialError, RayState
@@ -77,14 +76,6 @@ def test_build_preset_accepts_overrides_and_rejects_unknown_kind():
     assert cfg.theta_split_rad == 1e-9
     with pytest.raises(ConfigError):
         build_preset("hemispherical")
-
-
-def test_null_field_config_only_clears_the_split():
-    cfg = build_preset("confocal")
-    null = null_field_config(cfg)
-    assert null.theta_split_rad == 0.0
-    assert null.n_traversals == cfg.n_traversals
-    assert null.mirror2_focal_m == cfg.mirror2_focal_m
 
 
 # --- ensembles -------------------------------------------------------------
@@ -534,9 +525,7 @@ def test_single_traversal_splits_axial_beam():
 
 
 def test_two_planar_traversals_build_the_four_state_pattern():
-    cfg = CavityConfig(
-        kind="planar", mirror1_focal_m=None, mirror2_focal_m=None, n_traversals=2
-    )
+    cfg = CavityConfig(mirror1_focal_m=None, mirror2_focal_m=None, n_traversals=2)
     ens = run(cfg).final
     assert len(ens) == 4
     assert np.array_equal(ens.weights, np.full(4, 0.25))
@@ -562,7 +551,7 @@ def test_traversal_count_growth_on_planar_mirrors():
     """With planar mirrors the reachable (angle, position) states form an
     integer lattice; after merging, the beam count follows
     (n^3 + 5 n + 6) / 6 exactly."""
-    cfg = CavityConfig(kind="planar", mirror1_focal_m=None, mirror2_focal_m=None)
+    cfg = CavityConfig(mirror1_focal_m=None, mirror2_focal_m=None)
     for n in range(1, 26):
         ens = run(replace(cfg, n_traversals=n)).final
         assert len(ens) == (n**3 + 5 * n + 6) // 6, f"count law broke at n={n}"
@@ -591,7 +580,7 @@ def test_run_weight_is_conserved_at_every_snapshot():
 
 
 def test_run_null_field_is_a_single_undisturbed_beam():
-    cfg = null_field_config(build_preset("confocal", n_traversals=8))
+    cfg = replace(build_preset("confocal", n_traversals=8), theta_split_rad=0.0)
     res = run(cfg)
     for snap in res.snapshots:
         assert len(snap.ensemble) == 1
@@ -696,7 +685,7 @@ def test_beam_budget_counts_only_split_legs(monkeypatch):
     with pytest.raises(BeamBudgetError):
         run(build_preset("confocal", n_traversals=7, split_on_backward=False))
     monkeypatch.setattr(cavity, "MAX_BEAMS", 52)
-    planar = CavityConfig(kind="planar", mirror1_focal_m=None, mirror2_focal_m=None)
+    planar = CavityConfig(mirror1_focal_m=None, mirror2_focal_m=None)
     assert len(run(replace(planar, n_traversals=6)).final) == 42
     with pytest.raises(BeamBudgetError):
         run(build_preset("confocal", n_traversals=6))

@@ -173,6 +173,17 @@ def test_simulate_refuses_settings_no_verb_reads(tmp_path, capsys, section, key)
     assert not (tmp_path / "growth_series.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "path", ["cavity.theta_split_rad=nan", "laser.waist_m=inf", "analysis.bin_width_m=nan"]
+)
+def test_simulate_refuses_non_finite_numbers_and_writes_nothing(path, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli.main(["--preset", "confocal", "--override", path, "--out", str(out), "simulate"])
+    assert rc == 2
+    assert path.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- analyze verb ------------------------------------------------------------
 
 
@@ -304,6 +315,15 @@ def test_profile_guard_violation_exit_code(capsys):
     rc = cli.main(["profile", "--alpha", "1e-4"])  # alpha/waist = 0.133
     assert rc == 3
     assert "guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_profile_refuses_steps_below_one_naming_the_flag(steps, tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    rc = cli.main(["profile", "--alpha", "5.6e-9", "--steps", steps, "--out-file", str(out)])
+    assert rc == 2
+    assert "--steps" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_profile_writes_file(tmp_path, capsys):

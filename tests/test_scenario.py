@@ -1,5 +1,8 @@
+from dataclasses import fields
+
 import pytest
 
+from axicav.cavity import CavityConfig
 from axicav.scenario import (
     AnalysisParams,
     AxionParams,
@@ -14,11 +17,11 @@ from axicav.scenario import (
     mapping_to_scenario,
     preset_names,
     preset_text,
+    scenario_to_mapping,
 )
 
 MINIMAL = """
 [cavity]
-kind = confocal
 n_traversals = 4
 """
 
@@ -156,7 +159,6 @@ def test_preset_text_unknown_name():
 
 def test_confocal_preset_values():
     sc = load_preset("confocal")
-    assert sc.cavity.kind == "confocal"
     assert sc.cavity.theta_split_rad == 4e-10
     assert sc.cavity.n_traversals == 15
     assert sc.cavity.extraction_mirror == "mirror2"
@@ -171,7 +173,6 @@ def test_confocal_preset_values():
 
 def test_quad_doublet_preset_values():
     sc = load_preset("bnl-quad")
-    assert sc.cavity.kind == "convex-concave"
     assert sc.cavity.mirror2_focal_m == -5.5
     assert sc.cavity.extraction_mirror == "mirror1"
     assert sc.cavity.field_length_m == 1.0
@@ -204,6 +205,7 @@ UNREAD_SETTINGS = (
     "magnet.field_length_m",
     "magnet.modulated",
     "axion.m_a_ev",
+    "cavity.kind",
 )
 
 
@@ -214,3 +216,42 @@ def test_unread_settings_are_refused_by_name(path):
         loads_scenario(f"[{section}]\n{key} = 1\n", "old")
     with pytest.raises(ScenarioError, match=path):
         loads_scenario(MINIMAL, "old", [f"{path}=1"])
+
+
+CONFIG_CLASSES = {
+    "cavity": CavityConfig,
+    "laser": LaserParams,
+    "axion": AxionParams,
+    "analysis": AnalysisParams,
+}
+ALL_SETTINGS = [f"{sec}.{f.name}" for sec, cls in CONFIG_CLASSES.items() for f in fields(cls)]
+
+
+def test_dump_lists_every_field_in_order():
+    dumped = scenario_to_mapping(loads_scenario("", "d"))
+    assert [f"{sec}.{key}" for sec, keys in dumped.items() for key in keys] == ALL_SETTINGS
+    assert len(ALL_SETTINGS) == 27
+
+
+@pytest.mark.parametrize("path", ALL_SETTINGS)
+def test_every_setting_overrides_with_its_dumped_default(path):
+    section, key = path.split(".")
+    default = loads_scenario("", "d")
+    dumped = scenario_to_mapping(default)[section][key]
+    assert loads_scenario("", "d", [f"{path}={dumped}"]) == default
+
+
+NON_FINITE = ("nan", "inf", "-inf", "NaN", "-Infinity")
+
+
+@pytest.mark.parametrize(
+    "path",
+    ("cavity.theta_split_rad", "cavity.lens_focal_m", "laser.waist_m", "analysis.bin_width_m"),
+)
+@pytest.mark.parametrize("raw", NON_FINITE)
+def test_non_finite_numbers_are_refused_by_name(path, raw):
+    section, key = path.split(".")
+    with pytest.raises(ScenarioError, match=rf"{path}: not a finite number"):
+        loads_scenario(f"[{section}]\n{key} = {raw}\n", "bad")
+    with pytest.raises(ScenarioError, match=rf"{path}: not a finite number"):
+        loads_scenario(MINIMAL, "bad", [f"{path}={raw}"])

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from axicav.cavity import axial_beam, build_preset, null_field_config, run
+from axicav.cavity import axial_beam, build_preset, run
 from axicav.density import GaussianProfile, integrate_window
 from axicav.sensitivity import (
     DEFAULT_BEAM_RATE,
@@ -253,7 +254,7 @@ def test_center_sideband_series_counts_migration_twice():
 
 
 def test_series_on_null_run_are_exactly_zero():
-    cfg = null_field_config(build_preset("confocal", n_traversals=5))
+    cfg = replace(build_preset("confocal", n_traversals=5), theta_split_rad=0.0)
     res = run(cfg)
     assert np.array_equal(central_loss_series(res, PROFILE).signal, np.zeros(5))
     assert np.array_equal(sideband_gain_series(res, PROFILE).signal, np.zeros(5))
