@@ -28,7 +28,6 @@ from .cavity import (
     ConfigError,
     DetectorSnapshot,
     RunResult,
-    build_preset,
     coalesce,
     run,
 )
@@ -48,7 +47,6 @@ from .density import (
     split_pair_density,
 )
 from .lattice import (
-    LatticeBeam,
     compare_growth,
     initial_ensemble,
     step_bifurcation,

@@ -9,7 +9,7 @@ the three mixing-matrix entries carry eV^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 FINE_STRUCTURE = 1.0 / 137.036
 CRITICAL_FIELD_T = 4.41e9
@@ -31,6 +31,10 @@ class MixingParameters:
     mass_ev: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.omega_ev <= 0:
             raise ValueError("photon energy must be > 0")
         if self.g_a_gev < 0 or self.b_field_t < 0 or self.mass_ev < 0:

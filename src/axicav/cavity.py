@@ -21,11 +21,11 @@ MAX_BEAMS, rather than left to run out of memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .rays import PARAXIAL_LIMIT, ParaxialError, RayState
+from .rays import PARAXIAL_LIMIT, ParaxialError
 
 MIRROR_1 = "mirror1"
 MIRROR_2 = "mirror2"
@@ -68,6 +68,11 @@ class CavityConfig:
     coalesce_tol_angle_rad: float = 1e-16
 
     def __post_init__(self):
+        # NaN passes every comparison below, so it is refused first.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith("float") and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.length_m <= 0 or self.field_length_m <= 0 or self.gap_m < 0:
             raise ConfigError("cavity lengths must be positive (gap may be zero)")
         if abs(self.field_length_m + 2 * self.gap_m - self.length_m) > GEOMETRY_TOL:
@@ -92,37 +97,6 @@ class CavityConfig:
             raise ConfigError("coalescing tolerances must be > 0")
 
 
-def build_preset(kind: str, **overrides) -> CavityConfig:
-    """Named mirror arrangements sharing the 14 m / 10 m / 2 m geometry.
-
-    confocal        both mirrors focal 12.5 m, detector behind mirror 2
-    planar-concave  mirror 2 planar, extraction through mirror 1
-    convex-concave  mirror 2 defocusing (focal -5.5 m), extraction through
-                    mirror 1
-    """
-    presets = {
-        "confocal": dict(
-            mirror1_focal_m=12.5,
-            mirror2_focal_m=12.5,
-            extraction_mirror=MIRROR_2,
-        ),
-        "planar-concave": dict(
-            mirror1_focal_m=12.5,
-            mirror2_focal_m=None,
-            extraction_mirror=MIRROR_1,
-        ),
-        "convex-concave": dict(
-            mirror1_focal_m=12.5,
-            mirror2_focal_m=-5.5,
-            extraction_mirror=MIRROR_1,
-        ),
-    }
-    if kind not in presets:
-        raise ConfigError(f"unknown preset {kind!r}; choose from {sorted(presets)}")
-    params = presets[kind] | overrides
-    return CavityConfig(**params)
-
-
 class BeamEnsemble:
     """Weighted beams stored as three parallel arrays."""
 
@@ -145,10 +119,6 @@ class BeamEnsemble:
         self.angles = angles
         self.weights = weights
 
-    @classmethod
-    def single(cls, ray: RayState, weight: float = 1.0) -> "BeamEnsemble":
-        return cls([ray.position], [ray.angle], [weight])
-
     def __len__(self) -> int:
         return self.positions.size
 
@@ -157,16 +127,12 @@ class BeamEnsemble:
         # fsum, not np.sum: the conservation checks care about the last digit
         return math.fsum(self.weights.tolist())
 
-    def sorted_copy(self) -> "BeamEnsemble":
-        order = _lexorder(self.positions, self.angles)
-        return BeamEnsemble(self.positions[order], self.angles[order], self.weights[order])
-
 
 def axial_beam() -> BeamEnsemble:
     """The unsplit beam: one unit-weight ray on the axis.  It is where every
     run starts by default, and it is what a field-off run stays at, so it is
     also the reference every difference is taken against."""
-    return BeamEnsemble.single(RayState(0.0, 0.0))
+    return BeamEnsemble([0.0], [0.0], [1.0])
 
 
 def coalesce(
@@ -193,13 +159,11 @@ def coalesce(
     either grid; when none do, it would merge nothing and is skipped, so an
     ensemble that merges nothing costs that check and the final ordering.
 
-    A zero tolerance on either coordinate disables merging entirely and
-    returns a sorted copy of the input.
+    Both tolerances must be > 0 (a NaN is refused too): a grid needs a
+    cell size.
     """
-    if tol_position_m < 0 or tol_angle_rad < 0:
-        raise ValueError("coalescing tolerances must be >= 0")
-    if tol_position_m == 0.0 or tol_angle_rad == 0.0:
-        return ensemble.sorted_copy()
+    if not (tol_position_m > 0 and tol_angle_rad > 0):
+        raise ValueError("coalescing tolerances must be > 0")
     pos, ang, w = ensemble.positions, ensemble.angles, ensemble.weights
     for _ in range(64):
         # An iteration that would merge nothing only permutes the beams.  At

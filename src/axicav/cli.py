@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import axion, density, lattice, scenario, sensitivity
-from .cavity import BeamBudgetError, ConfigError, axial_beam, run
+from .cavity import BeamBudgetError, axial_beam, run
 from .density import GuardError
 from .rays import ParaxialError
 
@@ -60,6 +60,18 @@ def _load_scenario(args) -> scenario.Scenario:
     if args.preset:
         return scenario.load_preset(args.preset, overrides)
     raise scenario.ScenarioError("this command needs --config FILE or --preset NAME")
+
+
+def _finite_float(text: str) -> float:
+    """The argparse type of every float flag: a NaN or an infinity would run
+    and write nan rows, so it is refused (exit 2, naming the flag)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _csv(header: str, rows) -> str:
@@ -176,6 +188,11 @@ def _read_series(path: str) -> sensitivity.GrowthSeries:
             ) from None
         if len(values) < 2:
             raise scenario.ScenarioError(f"series line {lineno}: need n,signal columns: {line!r}")
+        if not (math.isfinite(values[0]) and math.isfinite(values[1])):
+            # the report is JSON, which has no NaN or infinity
+            raise scenario.ScenarioError(
+                f"series line {lineno}: n and signal must be finite: {line!r}"
+            )
         ns.append(values[0])
         signals.append(values[1])
     if len(ns) < 3:
@@ -283,32 +300,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--series", required=True, help="CSV with n,signal columns")
     p_an.add_argument("--fit-kind", choices=("linear", "power"))
     p_an.add_argument("--n-target", type=int, help="extraction count to extrapolate to")
-    p_an.add_argument("--g-ref", type=float, help="coupling the series was simulated at")
-    p_an.add_argument("--time", type=float, help="integration time, s")
-    p_an.add_argument("--rate", type=float, help="full-beam photon rate, photons/s")
+    p_an.add_argument("--g-ref", type=_finite_float, help="coupling the series was simulated at")
+    p_an.add_argument("--time", type=_finite_float, help="integration time, s")
+    p_an.add_argument("--rate", type=_finite_float, help="full-beam photon rate, photons/s")
 
     p_pr = sub.add_parser("profile", help="analytic deficit curve")
-    p_pr.add_argument("--alpha", type=float, required=True, help="displacement, m")
-    p_pr.add_argument("--epsilon", type=float, default=0.0, help="broadening, m")
+    p_pr.add_argument("--alpha", type=_finite_float, required=True, help="displacement, m")
+    p_pr.add_argument("--epsilon", type=_finite_float, default=0.0, help="broadening, m")
     laser = scenario.LaserParams
-    p_pr.add_argument("--waist", type=float, default=laser.waist_m, help="beam waist, m")
+    p_pr.add_argument("--waist", type=_finite_float, default=laser.waist_m, help="beam waist, m")
     p_pr.add_argument(
-        "--amplitude", type=float, default=laser.amplitude_photons_per_s, help="peak rate, photons/s"
+        "--amplitude",
+        type=_finite_float,
+        default=laser.amplitude_photons_per_s,
+        help="peak rate, photons/s",
     )
-    p_pr.add_argument("--x-max", type=float, default=3e-3, help="grid end, m")
+    p_pr.add_argument("--x-max", type=_finite_float, default=3e-3, help="grid end, m")
     p_pr.add_argument("--steps", type=int, default=121)
     p_pr.add_argument("--out-file", help="CSV path (default: stdout)")
 
     p_ms = sub.add_parser("mass-scan", help="suppression vs axion mass")
-    p_ms.add_argument("--m-min", type=float, default=0.0, help="eV")
-    p_ms.add_argument("--m-max", type=float, default=1e-5, help="eV")
+    p_ms.add_argument("--m-min", type=_finite_float, default=0.0, help="eV")
+    p_ms.add_argument("--m-max", type=_finite_float, default=1e-5, help="eV")
     p_ms.add_argument("--steps", type=int, default=61)
     p_ms.add_argument("--log", action="store_true", help="log-spaced masses")
     p_ms.add_argument("--out-file", help="CSV path (default: stdout)")
 
     p_pa = sub.add_parser("pascal", help="lattice growth comparison")
     p_pa.add_argument("--n-passes", type=int, required=True)
-    p_pa.add_argument("--pass-length", type=float, default=1.0, help="m")
+    p_pa.add_argument("--pass-length", type=_finite_float, default=1.0, help="m")
     p_pa.add_argument("--points", type=int, default=25)
     p_pa.add_argument("--out-file", help="CSV path (default: stdout)")
 
@@ -340,9 +360,6 @@ def main(argv=None) -> int:
     except (ParaxialError, GuardError, BeamBudgetError) as exc:
         print(f"numerical guard violation: {exc}", file=sys.stderr)
         return 3
-    except (scenario.ScenarioError, ConfigError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -63,15 +63,17 @@ class GuardError(ValueError):
 
 @dataclass(frozen=True)
 class GaussianProfile:
-    """Reference beam profile: peak rate density, transverse width, center."""
+    """Reference beam profile on the axis: peak rate density and transverse
+    width."""
 
     amplitude: float  # photons/s at the peak
     waist_m: float
-    center_m: float = 0.0
 
     def __post_init__(self):
-        if self.amplitude <= 0 or self.waist_m <= 0:
-            raise ValueError("amplitude and waist must be > 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{f.name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -99,8 +101,8 @@ class SplitProfileParams:
 
 
 def gaussian_density(x, profile: GaussianProfile):
-    """Reference density A*exp(-(x-c)^2 / 2 r^2) (rms-width convention)."""
-    u = (np.asarray(x, dtype=float) - profile.center_m) / profile.waist_m
+    """Reference density A*exp(-x^2 / 2 r^2) (rms-width convention)."""
+    u = np.asarray(x, dtype=float) / profile.waist_m
     return profile.amplitude * np.exp(-0.5 * u * u)
 
 
@@ -113,8 +115,8 @@ def split_pair_density(x, profile: GaussianProfile, params: SplitProfileParams):
     w = r + params.epsilon_m
     x = np.asarray(x, dtype=float)
     pref = 0.5 * profile.amplitude * (r / w)
-    up = (x - profile.center_m - params.alpha_m) / w
-    um = (x - profile.center_m + params.alpha_m) / w
+    up = (x - params.alpha_m) / w
+    um = (x + params.alpha_m) / w
     return pref * np.exp(-0.5 * up * up), pref * np.exp(-0.5 * um * um)
 
 
@@ -142,7 +144,7 @@ def deficit_with_broadening(x, alpha_m: float, epsilon_m: float, profile: Gaussi
     params = SplitProfileParams(alpha_m, epsilon_m)
     r = profile.waist_m
     params.check_small(r)
-    x = np.asarray(x, dtype=float) - profile.center_m
+    x = np.asarray(x, dtype=float)
     x2 = x * x
     a2 = (alpha_m / r) ** 2
     envelope = np.exp(-x2 / (r * r))
@@ -199,14 +201,6 @@ class DetectorHistogram:
         object.__setattr__(self, "edges_m", edges)
         object.__setattr__(self, "counts", counts)
 
-    @property
-    def n_bins(self) -> int:
-        return self.counts.size
-
-    @property
-    def bin_width_m(self) -> float:
-        return float(self.edges_m[1] - self.edges_m[0])
-
     def doubled_absolute_total(self) -> float:
         """Sum of |counts| over both detector halves."""
         return 2.0 * float(np.sum(np.abs(self.counts)))
@@ -235,7 +229,7 @@ def _erf_frame(positions, profile: GaussianProfile):
     """Beam centers, the erf argument scale r*sqrt(2) and the integral of
     one unit-weight beam over the whole line."""
     r = profile.waist_m
-    centers = np.asarray(positions, dtype=float) + profile.center_m
+    centers = np.asarray(positions, dtype=float)
     return centers, r * math.sqrt(2.0), profile.amplitude * r * math.sqrt(math.pi / 2.0)
 
 

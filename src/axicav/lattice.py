@@ -27,13 +27,6 @@ import numpy as np
 Ensemble = dict[tuple[int, int], float]
 
 
-@dataclass(frozen=True)
-class LatticeBeam:
-    momentum: int  # units of one splitting kick
-    position_m: float
-    weight: float
-
-
 def initial_ensemble() -> Ensemble:
     """A single axial beam, at rest on the lattice."""
     return {(0, 0): 1.0}
@@ -61,14 +54,6 @@ def step_pascal(ensemble: Ensemble) -> Ensemble:
         out[(1, p + 1)] = out.get((1, p + 1), 0.0) + hw
         out[(-1, p - 1)] = out.get((-1, p - 1), 0.0) + hw
     return out
-
-
-def beams(ensemble: Ensemble, pass_length_m: float = 1.0) -> list[LatticeBeam]:
-    """Materialize the ensemble, sorted by (momentum, position)."""
-    return [
-        LatticeBeam(m, p * pass_length_m, w)
-        for (m, p), w in sorted(ensemble.items())
-    ]
 
 
 def total_weight(ensemble: Ensemble) -> float:

@@ -21,7 +21,7 @@ from axicav.axion import (
     q_gamma,
     q_m,
 )
-from axicav.cavity import BeamEnsemble, build_preset, run
+from axicav.cavity import MIRROR_1, BeamEnsemble, CavityConfig, run
 from axicav.density import (
     GaussianProfile,
     bin_ensemble,
@@ -31,7 +31,6 @@ from axicav.density import (
     single_pass_estimate,
 )
 from axicav.lattice import compare_growth, initial_ensemble, momentum_spectrum, step_bifurcation, step_pascal
-from axicav.rays import RayState
 from axicav.sensitivity import (
     GrowthFit,
     GrowthSeries,
@@ -343,7 +342,7 @@ def test_criterion_08_lattice_growth_comparison():
 
 @pytest.fixture(scope="module")
 def confocal_run():
-    cfg = build_preset("confocal")  # 15 traversals at theta 4e-10
+    cfg = CavityConfig()  # 15 traversals at theta 4e-10
     return cfg, run(cfg), run(replace(cfg, theta_split_rad=0.0))
 
 
@@ -397,7 +396,9 @@ def test_criterion_11_defocusing_pair_superquadratic_growth():
     """The defocusing-mirror cavity spreads photons super-quadratically with
     traversal count; the exponent is measured and recorded, the criterion is
     exponent > 2."""
-    cfg = build_preset("convex-concave", theta_split_rad=1e-9, n_traversals=20)
+    cfg = CavityConfig(
+        mirror2_focal_m=-5.5, extraction_mirror=MIRROR_1, theta_split_rad=1e-9, n_traversals=20
+    )
     result = run(cfg)
     series = center_sideband_series(result, PROFILE)
     fit = fit_power(series)
@@ -420,8 +421,7 @@ def test_criterion_12_invariant_suite(confocal_run):
     cfg, signal, reference = confocal_run
 
     # (a) weight conservation over 1000 traversals with coarse merging
-    long_cfg = build_preset(
-        "confocal",
+    long_cfg = CavityConfig(
         n_traversals=1000,
         coalesce_tol_position_m=1e-8,
         coalesce_tol_angle_rad=1e-7,
@@ -447,8 +447,8 @@ def test_criterion_12_invariant_suite(confocal_run):
     # (c) one-traversal detector snapshot against the closed form
     r0, a0 = 1e-5, 2e-6
     one = run(
-        build_preset("confocal", n_traversals=1),
-        initial=BeamEnsemble.single(RayState(r0, a0)),
+        CavityConfig(n_traversals=1),
+        initial=BeamEnsemble([r0], [a0], [1.0]),
     )
     e = one.snapshots[0].ensemble
     centroid = r0 + a0 * (cfg.length_m + cfg.detector_distance_m)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,14 +8,16 @@ import axicav.cavity as cavity
 from axicav.cavity import (
     BeamBudgetError,
     BeamEnsemble,
+    MIRROR_1,
     CavityConfig,
     ConfigError,
     _lexorder,
-    build_preset,
     coalesce,
     run,
 )
-from axicav.rays import ParaxialError, RayState
+from axicav.axion import MixingParameters
+from axicav.density import GaussianProfile
+from axicav.rays import ParaxialError
 from axicav.scenario import load_preset
 
 THETA = 4e-10
@@ -49,33 +51,26 @@ def test_config_rejects_bad_values():
         CavityConfig(lens_focal_m=3.0, lens_offset_m=2.5, detector_distance_m=2.0)
 
 
-def test_build_preset_confocal():
-    cfg = build_preset("confocal")
-    assert cfg.mirror1_focal_m == 12.5
-    assert cfg.mirror2_focal_m == 12.5
-    assert cfg.extraction_mirror == "mirror2"
-    assert cfg.n_traversals == 15
+_FLOAT_FIELDS = [
+    (cls, f.name)
+    for cls in (CavityConfig, GaussianProfile, MixingParameters)
+    for f in fields(cls)
+    if f.type.startswith("float")
+]
 
 
-def test_build_preset_planar_concave():
-    cfg = build_preset("planar-concave")
-    assert cfg.mirror1_focal_m == 12.5
-    assert cfg.mirror2_focal_m is None
-    assert cfg.extraction_mirror == "mirror1"
-
-
-def test_build_preset_convex_concave():
-    cfg = build_preset("convex-concave")
-    assert cfg.mirror2_focal_m == -5.5
-    assert cfg.extraction_mirror == "mirror1"
-
-
-def test_build_preset_accepts_overrides_and_rejects_unknown_kind():
-    cfg = build_preset("confocal", n_traversals=3, theta_split_rad=1e-9)
-    assert cfg.n_traversals == 3
-    assert cfg.theta_split_rad == 1e-9
-    with pytest.raises(ConfigError):
-        build_preset("hemispherical")
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "cls, name", _FLOAT_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in _FLOAT_FIELDS]
+)
+def test_config_dataclasses_refuse_non_finite_floats(cls, name, value):
+    """NaN fails every range comparison, so without a finiteness check it
+    would pass validation and run to an all-zero or all-NaN result."""
+    given = {"amplitude": 1.0, "waist_m": 1e-3} if cls is GaussianProfile else {}
+    given[name] = value
+    error = ConfigError if cls is CavityConfig else ValueError
+    with pytest.raises(error, match=f"^{name} must be finite"):
+        cls(**given)
 
 
 # --- ensembles -------------------------------------------------------------
@@ -99,13 +94,6 @@ def test_ensemble_total_weight():
     assert ens.total_weight == 1.0
 
 
-def test_sorted_copy_orders_by_position_then_angle():
-    ens = BeamEnsemble([1e-3, -1e-3, 1e-3], [2e-6, 0.0, -2e-6], [0.2, 0.3, 0.5])
-    out = ens.sorted_copy()
-    assert np.array_equal(out.positions, [-1e-3, 1e-3, 1e-3])
-    assert np.array_equal(out.angles, [0.0, -2e-6, 2e-6])
-
-
 # --- reflection ------------------------------------------------------------
 # One field-off traversal is transport over the cavity length followed by the
 # far mirror's reflection, so the final ensemble shows the reflection alone.
@@ -113,14 +101,14 @@ def test_sorted_copy_orders_by_position_then_angle():
 
 def test_planar_reflection_keeps_the_accumulated_angle():
     cfg = CavityConfig(mirror2_focal_m=None, theta_split_rad=0.0, n_traversals=1)
-    out = run(cfg, initial=BeamEnsemble.single(RayState(5.6e-9, 8e-10))).final
+    out = run(cfg, initial=BeamEnsemble([5.6e-9], [8e-10], [1.0])).final
     assert out.angles[0] == 8e-10
     assert out.positions[0] == pytest.approx(5.6e-9 + 8e-10 * cfg.length_m, rel=1e-15)
 
 
 def test_curved_reflection_adds_focusing_kick():
-    cfg = build_preset("confocal", theta_split_rad=0.0, n_traversals=1)
-    out = run(cfg, initial=BeamEnsemble.single(RayState(1e-3, 0.0))).final
+    cfg = CavityConfig(theta_split_rad=0.0, n_traversals=1)
+    out = run(cfg, initial=BeamEnsemble([1e-3], [0.0], [1.0])).final
     assert out.positions[0] == 1e-3
     assert out.angles[0] == pytest.approx(-8e-5, rel=1e-15)
 
@@ -158,10 +146,13 @@ def test_coalesce_separated_in_angle_only_stays_apart():
     assert len(out) == 2
 
 
-def test_coalesce_zero_tolerance_disables_merging():
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_coalesce_refuses_tolerances_not_above_zero(bad):
     ens = BeamEnsemble([1e-3, 1e-3], [1e-5, 1e-5], [0.25, 0.25])
-    out = coalesce(ens, 0.0, 1e-16)
-    assert len(out) == 2
+    with pytest.raises(ValueError, match="coalescing tolerances must be > 0"):
+        coalesce(ens, bad, 1e-16)
+    with pytest.raises(ValueError, match="coalescing tolerances must be > 0"):
+        coalesce(ens, 1e-12, bad)
 
 
 def test_coalesce_guards_against_index_overflow():
@@ -458,13 +449,13 @@ def _run_bits(cfg):
 @pytest.mark.parametrize(
     "cfg, final_beams",
     [
-        (build_preset("confocal", n_traversals=10), 1024),
+        (CavityConfig(n_traversals=10), 1024),
         (replace(load_preset("bnl-quad").cavity, n_traversals=16), 1593),
-        (build_preset("confocal", n_traversals=10, coalesce_tol_position_m=1e-9,
+        (CavityConfig(n_traversals=10, coalesce_tol_position_m=1e-9,
                       coalesce_tol_angle_rad=1e-10), 882),
-        (build_preset("confocal", n_traversals=10, coalesce_tol_position_m=1e-8,
+        (CavityConfig(n_traversals=10, coalesce_tol_position_m=1e-8,
                       coalesce_tol_angle_rad=1e-9), 60),
-        (build_preset("confocal", n_traversals=8, lens_focal_m=0.7, split_on_backward=False), 16),
+        (CavityConfig(n_traversals=8, lens_focal_m=0.7, split_on_backward=False), 16),
     ],
     ids=["confocal", "bnl-quad", "confocal-merging", "confocal-coarse", "lens"],
 )
@@ -510,7 +501,7 @@ def test_coalesce_output_is_sorted():
 
 
 def test_single_traversal_splits_axial_beam():
-    cfg = build_preset("confocal", n_traversals=1)
+    cfg = CavityConfig(n_traversals=1)
     out = run(cfg).final
     assert len(out) == 2
     assert np.array_equal(out.weights, [0.5, 0.5])
@@ -562,25 +553,29 @@ def test_traversal_count_growth_on_planar_mirrors():
 
 
 def test_run_snapshot_cadence_mirror2_every_traversal():
-    res = run(build_preset("confocal", n_traversals=5))
+    res = run(CavityConfig(n_traversals=5))
     assert [s.traversal for s in res.snapshots] == [1, 2, 3, 4, 5]
 
 
 def test_run_snapshot_cadence_mirror1_every_second_traversal():
-    res = run(build_preset("planar-concave", n_traversals=5))
+    res = run(CavityConfig(mirror2_focal_m=None, extraction_mirror=MIRROR_1, n_traversals=5))
     assert [s.traversal for s in res.snapshots] == [2, 4]
-    res = run(build_preset("convex-concave", n_traversals=6, theta_split_rad=1e-12))
+    res = run(
+        CavityConfig(
+            mirror2_focal_m=-5.5, extraction_mirror=MIRROR_1, n_traversals=6, theta_split_rad=1e-12
+        )
+    )
     assert [s.traversal for s in res.snapshots] == [2, 4, 6]
 
 
 def test_run_weight_is_conserved_at_every_snapshot():
-    res = run(build_preset("confocal"))
+    res = run(CavityConfig())
     for snap in res.snapshots:
         assert abs(snap.ensemble.total_weight - 1.0) <= 1e-12
 
 
 def test_run_null_field_is_a_single_undisturbed_beam():
-    cfg = replace(build_preset("confocal", n_traversals=8), theta_split_rad=0.0)
+    cfg = replace(CavityConfig(n_traversals=8), theta_split_rad=0.0)
     res = run(cfg)
     for snap in res.snapshots:
         assert len(snap.ensemble) == 1
@@ -592,7 +587,7 @@ def test_run_null_field_is_a_single_undisturbed_beam():
 def test_run_snapshots_are_left_right_symmetric():
     """An axial input beam sees a symmetric cavity, so the weighted mean
     position and angle at the detector vanish identically."""
-    res = run(build_preset("confocal"))
+    res = run(CavityConfig())
     for snap in (res.snapshots[0], res.snapshots[7], res.snapshots[-1]):
         e = snap.ensemble
         assert math.fsum((e.weights * e.positions).tolist()) == 0.0
@@ -602,7 +597,7 @@ def test_run_snapshots_are_left_right_symmetric():
 def test_first_snapshot_matches_transfer_matrix_prediction_axial():
     """One traversal of an axial beam lands at +-theta*(length + 2*relay)
     with angle +-2*theta; the chain is short enough to write out by hand."""
-    cfg = build_preset("confocal", n_traversals=1)
+    cfg = CavityConfig(n_traversals=1)
     res = run(cfg)
     e = res.snapshots[0].ensemble
     d = cfg.length_m + cfg.detector_distance_m + cfg.detector_distance_m
@@ -615,9 +610,9 @@ def test_first_snapshot_matches_transfer_matrix_prediction_general():
     """Same traversal from a displaced, tilted input: the split separates the
     detector positions by theta*(length + 2*distance) around the transported
     centroid, and the angles by 2*theta around the input angle."""
-    cfg = build_preset("confocal", n_traversals=1)
+    cfg = CavityConfig(n_traversals=1)
     r0, a0 = 1e-5, 2e-6
-    res = run(cfg, initial=BeamEnsemble.single(RayState(r0, a0)))
+    res = run(cfg, initial=BeamEnsemble([r0], [a0], [1.0]))
     e = res.snapshots[0].ensemble
     centroid = r0 + a0 * (cfg.length_m + cfg.detector_distance_m)
     offsets = np.sort(e.positions) - centroid
@@ -629,7 +624,7 @@ def test_first_snapshot_matches_transfer_matrix_prediction_general():
 def test_detector_lens_path():
     """With an explicit external lens the detector trip is offset, thin-lens
     kick, remainder; check one branch against the hand-computed chain."""
-    cfg = build_preset("confocal", n_traversals=1, lens_focal_m=3.0)
+    cfg = CavityConfig(n_traversals=1, lens_focal_m=3.0)
     res = run(cfg)
     e = res.snapshots[0].ensemble
     p, a = 5.6e-9, 8e-10  # plus branch at the far mirror, pre-reflection
@@ -643,8 +638,7 @@ def test_detector_lens_path():
 def test_long_run_conserves_weight_with_coarse_merging():
     """A thousand traversals with aggressive merge tolerances: the beam count
     stays tiny and the total weight never drifts."""
-    cfg = build_preset(
-        "confocal",
+    cfg = CavityConfig(
         n_traversals=1000,
         coalesce_tol_position_m=1e-8,
         coalesce_tol_angle_rad=1e-7,
@@ -655,7 +649,9 @@ def test_long_run_conserves_weight_with_coarse_merging():
 
 
 def test_run_accepts_convex_concave_geometry():
-    cfg = build_preset("convex-concave", n_traversals=6, theta_split_rad=1e-9)
+    cfg = CavityConfig(
+        mirror2_focal_m=-5.5, extraction_mirror=MIRROR_1, n_traversals=6, theta_split_rad=1e-9
+    )
     res = run(cfg)
     assert res.snapshots
     for snap in res.snapshots:
@@ -670,9 +666,9 @@ def test_run_refuses_a_split_past_the_beam_budget(monkeypatch):
     beams, four traversals fit and the fifth split is refused before any
     work is done on it."""
     monkeypatch.setattr(cavity, "MAX_BEAMS", 16)
-    assert len(run(build_preset("confocal", n_traversals=4)).final) == 16
+    assert len(run(CavityConfig(n_traversals=4)).final) == 16
     with pytest.raises(BeamBudgetError, match="traversal 5 would split 16 beams into 32"):
-        run(build_preset("confocal", n_traversals=5))
+        run(CavityConfig(n_traversals=5))
 
 
 def test_beam_budget_counts_only_split_legs(monkeypatch):
@@ -681,11 +677,11 @@ def test_beam_budget_counts_only_split_legs(monkeypatch):
     mirrors 26 beams split into 52 at traversal 6, where the unmerged
     confocal ensemble would be 64."""
     monkeypatch.setattr(cavity, "MAX_BEAMS", 8)
-    assert len(run(build_preset("confocal", n_traversals=6, split_on_backward=False)).final) == 8
+    assert len(run(CavityConfig(n_traversals=6, split_on_backward=False)).final) == 8
     with pytest.raises(BeamBudgetError):
-        run(build_preset("confocal", n_traversals=7, split_on_backward=False))
+        run(CavityConfig(n_traversals=7, split_on_backward=False))
     monkeypatch.setattr(cavity, "MAX_BEAMS", 52)
     planar = CavityConfig(mirror1_focal_m=None, mirror2_focal_m=None)
     assert len(run(replace(planar, n_traversals=6)).final) == 42
     with pytest.raises(BeamBudgetError):
-        run(build_preset("confocal", n_traversals=6))
+        run(CavityConfig(n_traversals=6))

@@ -261,6 +261,9 @@ def test_analyze_short_series(tmp_path, capsys):
     [
         ("n,signal\n1,10\n2,oops\n3,30\n4,40\n", 3),
         ("n,signal\n\n1,10\n2,20\n3\n4,40\n", 5),  # blank lines still count
+        # the report is JSON, which has no NaN or infinity to print
+        ("n,signal\n1,nan\n2,20\n3,30\n4,40\n", 2),
+        ("n,signal\n1,10\n2,20\n-inf,30\n4,40\n", 4),
     ],
 )
 def test_analyze_refuses_a_bad_row_after_the_header(tmp_path, capsys, text, line):
@@ -435,6 +438,42 @@ def test_pascal_file_output_reports_classification(tmp_path, capsys):
 
 def test_pascal_rejects_zero_passes(capsys):
     assert cli.main(["pascal", "--n-passes", "0"]) == 2
+
+
+# --- float flags ---------------------------------------------------------------
+
+_ANALYZE = ["analyze", "--series", "s.csv", "--n-target", "10"]
+_PROFILE = ["profile", "--out-file", "out.csv"]
+_MASS_SCAN = ["--preset", "confocal", "mass-scan", "--out-file", "out.csv"]
+
+# every float flag of every verb -> the other arguments that verb needs
+_FLOAT_FLAGS = {
+    "--g-ref": _ANALYZE,
+    "--time": [*_ANALYZE, "--g-ref", "1e-6"],
+    "--rate": [*_ANALYZE, "--g-ref", "1e-6"],
+    "--alpha": _PROFILE,
+    "--epsilon": [*_PROFILE, "--alpha", "1e-5"],
+    "--waist": [*_PROFILE, "--alpha", "1e-5"],
+    "--amplitude": [*_PROFILE, "--alpha", "1e-5"],
+    "--x-max": [*_PROFILE, "--alpha", "1e-5"],
+    "--m-min": _MASS_SCAN,
+    "--m-max": _MASS_SCAN,
+    "--pass-length": ["pascal", "--n-passes", "10", "--out-file", "out.csv"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", list(_FLOAT_FLAGS))
+def test_float_flags_refuse_non_finite_values(flag, value, tmp_path, capsys, monkeypatch):
+    """Exit 2 naming the flag, before anything is written."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        # joined with "=": a separate "-inf" would read as an option
+        cli.main([*_FLOAT_FLAGS[flag], f"{flag}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "not a finite number" in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 # --- output formatting and imports ---------------------------------------------

@@ -58,12 +58,6 @@ def test_gaussian_peak_and_falloff():
     )
 
 
-def test_gaussian_center_shifts_the_peak():
-    shifted = GaussianProfile(AMPLITUDE, WAIST, center_m=1e-4)
-    assert gaussian_density(1e-4, shifted) == AMPLITUDE
-    assert gaussian_density(0.0, shifted) < AMPLITUDE
-
-
 def test_split_pair_reduces_to_halved_reference():
     xs = np.linspace(-3e-3, 3e-3, 101)
     plus, minus = split_pair_density(xs, PROFILE, SplitProfileParams(0.0, 0.0))
@@ -238,8 +232,8 @@ def test_bin_single_beam_matches_erf_integral():
     lo, hi = 0.0, DEFAULT_BIN_WIDTH_M
     expect = norm * (erf(hi / s) - erf(lo / s))
     assert hist.counts[0] == pytest.approx(expect, rel=1e-13)
-    assert hist.n_bins == 30
-    assert hist.bin_width_m == pytest.approx(DEFAULT_BIN_WIDTH_M, rel=1e-15)
+    assert hist.counts.size == 30
+    assert hist.edges_m[1] - hist.edges_m[0] == pytest.approx(DEFAULT_BIN_WIDTH_M, rel=1e-15)
 
 
 def test_binned_total_recovers_the_gaussian_norm():
@@ -265,7 +259,7 @@ def test_exact_bin_integral_differs_from_midpoint_sampling():
     ens = BeamEnsemble([0.0], [0.0], [1.0])
     hist = bin_ensemble(ens, PROFILE)
     mid = 0.5 * (hist.edges_m[:-1] + hist.edges_m[1:])
-    midpoint = gaussian_density(mid, PROFILE) * hist.bin_width_m
+    midpoint = gaussian_density(mid, PROFILE) * np.diff(hist.edges_m)
     rel = np.abs(midpoint - hist.counts) / hist.counts
     assert 1e-5 < rel.max() < 2e-2
 
@@ -283,7 +277,7 @@ def _serial_terms(pos, w, lo, hi, profile):
     """Each beam's weighted integral over each window [lo, hi), all computed
     at once on the calling thread: the rendering formula before blocks and
     threads."""
-    centers = np.asarray(pos, dtype=float) + profile.center_m
+    centers = np.asarray(pos, dtype=float)
     s = profile.waist_m * math.sqrt(2.0)
     norm = profile.amplitude * profile.waist_m * math.sqrt(math.pi / 2.0)
     return w[:, None] * (
@@ -319,10 +313,9 @@ def _random_beams(n, seed=None):
 )
 def test_blocked_rendering_is_bitwise_the_one_shot_integral(n):
     pos, w = _random_beams(n)
-    profile = GaussianProfile(AMPLITUDE, WAIST, center_m=1e-5)
     edges = histogram_edges()
-    hist = bin_ensemble(BeamEnsemble(pos, np.zeros(n), w), profile, edges)
-    terms = _serial_terms(pos, w, edges[:-1], edges[1:], profile)
+    hist = bin_ensemble(BeamEnsemble(pos, np.zeros(n), w), PROFILE, edges)
+    terms = _serial_terms(pos, w, edges[:-1], edges[1:], PROFILE)
     assert np.array_equal(hist.counts, _serial_fold(terms))
 
 

@@ -4,8 +4,6 @@ import time
 import pytest
 
 from axicav.lattice import (
-    LatticeBeam,
-    beams,
     compare_growth,
     initial_ensemble,
     mean_momentum,
@@ -86,15 +84,6 @@ def test_conserving_momentum_marginals_are_binomial():
     for k in range(n + 1):
         m = n - 2 * k
         assert marg[m] == math.comb(n, k) / 2**n
-
-
-def test_beams_materialization_is_sorted_and_scaled():
-    e = {(1, 2): 0.5, (-1, -2): 0.5}
-    got = beams(e, pass_length_m=3.0)
-    assert got == [
-        LatticeBeam(-1, -6.0, 0.5),
-        LatticeBeam(1, 6.0, 0.5),
-    ]
 
 
 def test_reset_rms_is_exactly_sqrt_n():

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from axicav.cavity import axial_beam, build_preset, run
+from axicav.cavity import MIRROR_1, CavityConfig, axial_beam, run
 from axicav.density import GaussianProfile, integrate_window
 from axicav.sensitivity import (
     DEFAULT_BEAM_RATE,
@@ -231,7 +231,7 @@ def test_report_refuses_a_non_positive_integration_time(time_s):
 
 
 def test_central_loss_series_grows_with_traversals():
-    res = run(build_preset("confocal", n_traversals=6))
+    res = run(CavityConfig(n_traversals=6))
     series = central_loss_series(res, PROFILE)
     assert np.array_equal(series.n, np.arange(1.0, 7.0))
     assert np.all(series.signal > 0)
@@ -240,21 +240,21 @@ def test_central_loss_series_grows_with_traversals():
 
 
 def test_sideband_gain_series_is_positive():
-    res = run(build_preset("confocal", n_traversals=6))
+    res = run(CavityConfig(n_traversals=6))
     series = sideband_gain_series(res, PROFILE)
     assert np.all(series.signal > 0)
     assert series.signal[-1] > series.signal[0]
 
 
 def test_center_sideband_series_counts_migration_twice():
-    res = run(build_preset("confocal", n_traversals=6))
+    res = run(CavityConfig(n_traversals=6))
     amb = center_sideband_series(res, PROFILE)
     assert np.all(amb.signal > 0)
     assert amb.signal[-1] > amb.signal[0]
 
 
 def test_series_on_null_run_are_exactly_zero():
-    cfg = replace(build_preset("confocal", n_traversals=5), theta_split_rad=0.0)
+    cfg = replace(CavityConfig(n_traversals=5), theta_split_rad=0.0)
     res = run(cfg)
     assert np.array_equal(central_loss_series(res, PROFILE).signal, np.zeros(5))
     assert np.array_equal(sideband_gain_series(res, PROFILE).signal, np.zeros(5))
@@ -262,7 +262,7 @@ def test_series_on_null_run_are_exactly_zero():
 
 
 def test_mirror1_extraction_series_use_even_traversals():
-    res = run(build_preset("planar-concave", n_traversals=8))
+    res = run(CavityConfig(mirror2_focal_m=None, extraction_mirror=MIRROR_1, n_traversals=8))
     series = central_loss_series(res, PROFILE)
     assert np.array_equal(series.n, [2.0, 4.0, 6.0, 8.0])
 
@@ -272,7 +272,7 @@ def test_series_windows_and_signs_match_direct_integrals():
     sum, bit for bit: the central pixel once, the sideband pixel doubled
     with the sign flipped (a gain), and the doubled center [0, w/2] minus the
     doubled sidebands [w, 4w + 1 mm]."""
-    res = run(build_preset("confocal", n_traversals=4))
+    res = run(CavityConfig(n_traversals=4))
     h, c, w = 1e-6, 3.3e-3, PROFILE.waist_m
 
     def win(ens, lo, hi):
