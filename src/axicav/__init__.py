@@ -3,9 +3,9 @@
 A laser beam bouncing in a two-mirror cavity picks up a tiny angular kick
 on every pass through a transverse field gradient, splitting into a
 weighted ensemble of sub-beams.  This package propagates that ensemble
-with paraxial ray algebra, renders detector-plane density changes, fits
-their growth with traversal count, and converts the result into
-shot-noise-limited coupling reach, alongside the analytic profile
+as arrays under paraxial affine updates, renders detector-plane density
+changes, fits their growth with traversal count, and converts the result
+into shot-noise-limited coupling reach, alongside the analytic profile
 mathematics and a planar-lattice toy model used as cross-checks.
 """
 

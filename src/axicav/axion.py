@@ -9,7 +9,9 @@ the three mixing-matrix entries carry eV^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+
+from .checks import NonNegative, Positive, check_args, check_fields
 
 FINE_STRUCTURE = 1.0 / 137.036
 CRITICAL_FIELD_T = 4.41e9
@@ -25,20 +27,13 @@ class DegenerateMixingError(ValueError):
 class MixingParameters:
     """Photon energy, coupling, field, and axion mass for one mixing point."""
 
-    omega_ev: float = 1.0
-    g_a_gev: float = 0.0  # axion-photon coupling, GeV^-1
-    b_field_t: float = 1.0
-    mass_ev: float = 0.0
+    omega_ev: Positive = 1.0
+    g_a_gev: NonNegative = 0.0  # axion-photon coupling, GeV^-1
+    b_field_t: NonNegative = 1.0
+    mass_ev: NonNegative = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if self.omega_ev <= 0:
-            raise ValueError("photon energy must be > 0")
-        if self.g_a_gev < 0 or self.b_field_t < 0 or self.mass_ev < 0:
-            raise ValueError("coupling, field and mass must be >= 0")
+        check_fields(self, ValueError)
 
     @property
     def g_a_ev(self) -> float:
@@ -62,7 +57,7 @@ def q_gamma(p: MixingParameters) -> float:
 
 def q_a(mass_ev: float) -> float:
     """Axion diagonal entry, -mass^2 in eV^2."""
-    if mass_ev < 0:
+    if not mass_ev >= 0:
         raise ValueError("mass must be >= 0")
     return -(mass_ev**2)
 
@@ -93,13 +88,13 @@ def mass_scan(p: MixingParameters, masses) -> list[tuple[float, float]]:
     by each of ``masses`` in turn, bit for bit the per-point values: Qm and
     Qgamma do not depend on the mass, so they are computed once, and each
     mass then takes the same float operations as the per-point functions.
-    Raises like them on a negative mass and on a degenerate matrix."""
+    Raises like them on a negative or NaN mass and on a degenerate matrix."""
     two_qm = 2.0 * q_m(p)
     qgamma = q_gamma(p)
     atan2, sin = math.atan2, math.sin
     out = []
     for m in masses:
-        if m < 0:
+        if not m >= 0:
             raise ValueError("mass must be >= 0")
         diag = qgamma - -(m**2)
         if two_qm == 0.0 and diag == 0.0:
@@ -114,30 +109,27 @@ class SplitCalibration:
     """Anchor point tying the splitting angle to coupling, field gradient
     and field length; the dependence is linear in each."""
 
-    theta_ref_rad: float = 4e-10
-    g_ref_gev: float = 1e-6
-    grad_b_ref_t_per_m: float = 200.0
-    field_len_ref_m: float = 10.0
+    theta_ref_rad: Positive = 4e-10
+    g_ref_gev: Positive = 1e-6
+    grad_b_ref_t_per_m: Positive = 200.0
+    field_len_ref_m: Positive = 10.0
 
     def __post_init__(self):
-        for v in (self.theta_ref_rad, self.g_ref_gev, self.grad_b_ref_t_per_m, self.field_len_ref_m):
-            if v <= 0:
-                raise ValueError("calibration anchor values must be > 0")
+        check_fields(self, ValueError)
 
 
 DEFAULT_CALIBRATION = SplitCalibration()
 
 
+@check_args
 def theta_split_from_coupling(
-    g_a_gev: float,
-    grad_b_t_per_m: float,
-    field_len_m: float,
+    g_a_gev: NonNegative,
+    grad_b_t_per_m: NonNegative,
+    field_len_m: NonNegative,
     cal: SplitCalibration = DEFAULT_CALIBRATION,
 ) -> float:
     """Per-passage splitting angle for a coupling, gradient and field
     length, scaled linearly from the calibration anchor."""
-    if g_a_gev < 0 or grad_b_t_per_m < 0 or field_len_m < 0:
-        raise ValueError("arguments must be >= 0")
     return (
         cal.theta_ref_rad
         * (g_a_gev / cal.g_ref_gev)

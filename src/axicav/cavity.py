@@ -21,16 +21,16 @@ MAX_BEAMS, rather than left to run out of memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import Count, NonNegative, NonZero, Positive, check_fields
 from .rays import PARAXIAL_LIMIT, ParaxialError
 
 MIRROR_1 = "mirror1"
 MIRROR_2 = "mirror2"
 
-GEOMETRY_TOL = 1e-9  # m, slack for the length = field + 2*gap identity
 MAX_BEAMS = 2**20  # largest ensemble a split leg may produce
 
 
@@ -46,55 +46,33 @@ class BeamBudgetError(RuntimeError):
 class CavityConfig:
     """Geometry, mirrors and split strength for one cavity run.
 
-    ``mirror*_focal_m`` of ``None`` means a planar mirror (identity
-    reflection).  ``lens_focal_m`` of ``None`` models the external detector
-    lens as an ideal relay, so the trip from the exit mirror to the detector
-    is pure propagation over ``detector_distance_m``.
+    The mirrors are ``field_length_m + 2 * gap_m`` apart.  ``mirror*_focal_m``
+    of ``None`` means a planar mirror (identity reflection).  ``lens_focal_m``
+    of ``None`` models the external detector lens as an ideal relay, so the
+    trip from the exit mirror to the detector is pure propagation over
+    ``detector_distance_m``.
     """
 
-    length_m: float = 14.0
-    field_length_m: float = 10.0
-    gap_m: float = 2.0
-    mirror1_focal_m: float | None = 12.5
-    mirror2_focal_m: float | None = 12.5
-    theta_split_rad: float = 4e-10
-    n_traversals: int = 15
+    field_length_m: Positive = 10.0
+    gap_m: NonNegative = 2.0
+    mirror1_focal_m: NonZero | None = 12.5
+    mirror2_focal_m: NonZero | None = 12.5
+    theta_split_rad: NonNegative = 4e-10
+    n_traversals: Count = 15
     extraction_mirror: str = MIRROR_2
-    detector_distance_m: float = 2.0
-    lens_offset_m: float = 0.5
-    lens_focal_m: float | None = None
+    detector_distance_m: NonNegative = 2.0
+    lens_offset_m: NonNegative = 0.5
+    lens_focal_m: NonZero | None = None
     split_on_backward: bool = True
-    coalesce_tol_position_m: float = 1e-12
-    coalesce_tol_angle_rad: float = 1e-16
+    coalesce_tol_position_m: Positive = 1e-12
+    coalesce_tol_angle_rad: Positive = 1e-16
 
     def __post_init__(self):
-        # NaN passes every comparison below, so it is refused first.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type.startswith("float") and value is not None and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        if self.length_m <= 0 or self.field_length_m <= 0 or self.gap_m < 0:
-            raise ConfigError("cavity lengths must be positive (gap may be zero)")
-        if abs(self.field_length_m + 2 * self.gap_m - self.length_m) > GEOMETRY_TOL:
-            raise ConfigError(
-                f"field_length_m + 2*gap_m must equal length_m "
-                f"({self.field_length_m} + 2*{self.gap_m} != {self.length_m})"
-            )
-        if self.theta_split_rad < 0:
-            raise ConfigError("theta_split_rad must be >= 0")
-        if self.n_traversals < 1:
-            raise ConfigError("n_traversals must be >= 1")
+        check_fields(self, ConfigError)
         if self.extraction_mirror not in (MIRROR_1, MIRROR_2):
             raise ConfigError(f"extraction_mirror must be {MIRROR_1!r} or {MIRROR_2!r}")
-        for f in (self.mirror1_focal_m, self.mirror2_focal_m, self.lens_focal_m):
-            if f is not None and f == 0:
-                raise ConfigError("focal lengths must be nonzero (None = planar)")
-        if self.detector_distance_m < 0 or self.lens_offset_m < 0:
-            raise ConfigError("detector distances must be >= 0")
         if self.lens_focal_m is not None and self.lens_offset_m > self.detector_distance_m:
             raise ConfigError("lens_offset_m exceeds detector_distance_m")
-        if self.coalesce_tol_position_m <= 0 or self.coalesce_tol_angle_rad <= 0:
-            raise ConfigError("coalescing tolerances must be > 0")
 
 
 class BeamEnsemble:

@@ -21,9 +21,11 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
+
+from .checks import NonNegative, Positive, check_args, check_fields
 
 EXPANSION_GUARD = 0.1  # max alpha/r or epsilon/r the closed forms accept
 
@@ -66,26 +68,22 @@ class GaussianProfile:
     """Reference beam profile on the axis: peak rate density and transverse
     width."""
 
-    amplitude: float  # photons/s at the peak
-    waist_m: float
+    amplitude: Positive  # photons/s at the peak
+    waist_m: Positive
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{f.name} must be finite and > 0, got {value!r}")
+        check_fields(self, ValueError)
 
 
 @dataclass(frozen=True)
 class SplitProfileParams:
     """Displacement and broadening of the two half-beams."""
 
-    alpha_m: float  # each half-beam center moves to +-alpha
-    epsilon_m: float = 0.0  # width increase
+    alpha_m: NonNegative  # each half-beam center moves to +-alpha
+    epsilon_m: NonNegative = 0.0  # width increase
 
     def __post_init__(self):
-        if self.alpha_m < 0 or self.epsilon_m < 0:
-            raise ValueError("alpha and epsilon must be >= 0")
+        check_fields(self, ValueError)
 
     def check_small(self, waist_m: float) -> None:
         if self.alpha_m >= EXPANSION_GUARD * waist_m:
@@ -157,10 +155,11 @@ def deficit_with_broadening(x, alpha_m: float, epsilon_m: float, profile: Gaussi
     return profile.amplitude * envelope * (1.0 - inner)
 
 
+@check_args
 def single_pass_estimate(
-    theta_split_rad: float,
-    cavity_length_m: float,
-    waist_m: float,
+    theta_split_rad: NonNegative,
+    cavity_length_m: Positive,
+    waist_m: Positive,
     amplitude_scale: float = TRIANGLE_SCALE_PHOTONS_PER_S,
 ) -> float:
     """Triangle-area estimate of the photon rate moved out of the beam core
@@ -170,8 +169,6 @@ def single_pass_estimate(
     center deficit is (alpha/r)^2, and the affected region is modeled as a
     triangle of that fractional height against an effective peak rate.
     """
-    if theta_split_rad < 0 or cavity_length_m <= 0 or waist_m <= 0:
-        raise ValueError("theta_split >= 0 and positive lengths required")
     return amplitude_scale * (theta_split_rad * cavity_length_m / waist_m) ** 2
 
 
@@ -213,12 +210,11 @@ class DetectorHistogram:
             yield float(lo), float(hi), float(c)
 
 
+@check_args
 def histogram_edges(
-    bin_width_m: float = DEFAULT_BIN_WIDTH_M,
-    x_max_m: float = DEFAULT_HISTOGRAM_MAX_M,
+    bin_width_m: Positive = DEFAULT_BIN_WIDTH_M,
+    x_max_m: Positive = DEFAULT_HISTOGRAM_MAX_M,
 ) -> np.ndarray:
-    if bin_width_m <= 0 or x_max_m <= 0:
-        raise ValueError("bin width and range must be > 0")
     n = int(round(x_max_m / bin_width_m))
     if abs(n * bin_width_m - x_max_m) > 1e-9 * bin_width_m:
         raise ValueError("x_max must be an integer number of bins")
@@ -311,23 +307,26 @@ def bin_ensemble(ensemble, profile: GaussianProfile, edges_m=None) -> DetectorHi
     centered at the beam position.  Bins this narrow (0.13 sigma at the
     defaults) make midpoint sampling visibly biased, hence erf differences.
 
-    The counts are bit for bit the one-shot sum over all beams of
-    ``weights * (norm * (erf(hi') - erf(lo')))`` per bin, computed more
-    cheaply: erf is evaluated once per beam and edge (a bin shares each
-    edge with its neighbour) and the beams go through in blocks of
-    ``RENDER_BLOCK_BEAMS``, so the temporaries stay small.  Each term is
+    With two or more bins the counts are bit for bit the one-shot sum over
+    all beams of ``weights * (norm * (erf(hi') - erf(lo')))`` per bin,
+    computed more cheaply: erf is evaluated once per beam and edge (a bin
+    shares each edge with its neighbour) and the beams go through in blocks
+    of ``RENDER_BLOCK_BEAMS``, so the temporaries stay small.  Each term is
     formed in the same operation order, and the running column sum is added
     into the first row of the next block before that block is summed; the
     rows are therefore still added one after another in beam order, which is
-    how numpy sums a C-ordered array along axis 0.
+    how numpy sums a C-ordered array of two or more columns along axis 0.
+    A single column is contiguous, so numpy sums each block of it pairwise
+    instead: one bin is not the row-by-row sum and may differ from it in the
+    last bits.
 
     When there is more than one block, their terms are computed on the
     render pool, one thread per CPU the process may use, while the fold
     above stays on the calling thread and takes the blocks strictly in beam
-    order; the counts are the same bits for any number of threads.  The
-    workers write into a ring of buffers that the calling thread allocates
-    (``_render_blocks``), one slot per block in flight (threads + 1), and a
-    slot is reused only after its block has been folded.
+    order; the counts, one bin included, are the same bits for any number
+    of threads.  The workers write into a ring of buffers that the calling
+    thread allocates (``_render_blocks``), one slot per block in flight
+    (threads + 1), and a slot is reused only after its block has been folded.
     """
     from scipy.special import erf
 

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import Count, Positive, check_args
+
 Ensemble = dict[tuple[int, int], float]
 
 
@@ -138,9 +140,10 @@ def _classify(slope: float | None) -> str:
     return f"power {slope:.3f}"
 
 
+@check_args
 def compare_growth(
-    n_passes: int,
-    pass_length_m: float = 1.0,
+    n_passes: Count,
+    pass_length_m: Positive = 1.0,
     n_points: int = 25,
     slope_min_n: int = 100,
 ) -> GrowthComparison:
@@ -152,10 +155,6 @@ def compare_growth(
     fitted over checkpoints with n >= slope_min_n when enough of the range
     lies there, else over all checkpoints.
     """
-    if n_passes < 1:
-        raise ValueError("n_passes must be >= 1")
-    if pass_length_m <= 0:
-        raise ValueError("pass_length must be > 0")
     marks = np.unique(
         np.round(np.logspace(0.0, math.log10(n_passes), n_points)).astype(int)
     )

@@ -4,20 +4,21 @@ A scenario bundles the cavity geometry with the laser, mixing and analysis
 parameters that the command-line verbs read.  The on-disk format
 is INI (configparser): human-editable, diff-friendly, and round-trippable.
 The schema is read off the config dataclasses: each section is one of them,
-each key one of its fields, parsed by the field's annotation.  Planar mirrors
-are spelled ``planar`` and the ideal detector relay ``relay``; every other
-value is a plain number (finite), boolean, or word.
+each key one of its fields, parsed by the field's annotation.  A number's
+annotation also names its domain (``checks``), which the dataclass enforces.
+Planar mirrors are spelled ``planar`` and the ideal detector relay ``relay``;
+every other value is a plain number, boolean, or word.
 """
 
 from __future__ import annotations
 
-import math
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, fields
 from importlib import resources
 
 from . import density, sensitivity
-from .cavity import CavityConfig, ConfigError
+from .cavity import CavityConfig
+from .checks import Count, NonNegative, Positive, check_fields
 
 
 class ScenarioError(ValueError):
@@ -26,56 +27,40 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class LaserParams:
-    amplitude_photons_per_s: float = sensitivity.DEFAULT_BEAM_RATE
-    waist_m: float = 7.5e-4
+    amplitude_photons_per_s: Positive = sensitivity.DEFAULT_BEAM_RATE
+    waist_m: Positive = 7.5e-4
 
     def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ScenarioError(f"laser.{f.name} must be > 0")
+        check_fields(self, ScenarioError)
 
 
 @dataclass(frozen=True)
 class AxionParams:
     """Mixing-point parameters for the mass-scan verb."""
 
-    g_a_gev: float = 1e-12
-    omega_ev: float = 1.0
-    b_mixing_t: float = 1.0
+    g_a_gev: NonNegative = 1e-12
+    omega_ev: Positive = 1.0
+    b_mixing_t: NonNegative = 1.0
 
     def __post_init__(self):
-        if self.omega_ev <= 0:
-            raise ScenarioError("axion.omega_ev must be > 0")
-        if self.g_a_gev < 0 or self.b_mixing_t < 0:
-            raise ScenarioError("axion coupling and field must be >= 0")
+        check_fields(self, ScenarioError)
 
 
 @dataclass(frozen=True)
 class AnalysisParams:
-    bin_width_m: float = density.DEFAULT_BIN_WIDTH_M
-    histogram_max_m: float = density.DEFAULT_HISTOGRAM_MAX_M
-    pixel_half_width_m: float = sensitivity.DEFAULT_PIXEL_HALF_WIDTH_M
-    sideband_pixel_center_m: float = sensitivity.DEFAULT_SIDEBAND_PIXEL_CENTER_M
-    integration_time_s: float = 3e4
+    bin_width_m: Positive = density.DEFAULT_BIN_WIDTH_M
+    histogram_max_m: Positive = density.DEFAULT_HISTOGRAM_MAX_M
+    pixel_half_width_m: Positive = sensitivity.DEFAULT_PIXEL_HALF_WIDTH_M
+    sideband_pixel_center_m: Positive = sensitivity.DEFAULT_SIDEBAND_PIXEL_CENTER_M
+    integration_time_s: Positive = 3e4
     fit_kind: str = "linear"
-    extraction_count: int = 12000
-    g_ref_gev: float = 1e-6
+    extraction_count: Count = 12000
+    g_ref_gev: Positive = 1e-6
 
     def __post_init__(self):
-        for name in (
-            "bin_width_m",
-            "histogram_max_m",
-            "pixel_half_width_m",
-            "sideband_pixel_center_m",
-            "integration_time_s",
-            "g_ref_gev",
-        ):
-            if getattr(self, name) <= 0:
-                raise ScenarioError(f"analysis.{name} must be > 0")
+        check_fields(self, ScenarioError)
         if self.fit_kind not in ("linear", "power"):
-            raise ScenarioError("analysis.fit_kind must be 'linear' or 'power'")
-        if self.extraction_count < 1:
-            raise ScenarioError("analysis.extraction_count must be >= 1")
+            raise ScenarioError("fit_kind must be 'linear' or 'power'")
 
 
 @dataclass(frozen=True)
@@ -94,12 +79,9 @@ _NONE_WORDS = {"planar": "mirror", "relay": "lens", "none": ""}
 
 def _parse_float(section, key, raw):
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise ScenarioError(f"{section}.{key}: not a number: {raw!r}") from None
-    if not math.isfinite(value):
-        raise ScenarioError(f"{section}.{key}: not a finite number: {raw!r}")
-    return value
 
 
 def _parse_optional_float(section, key, raw):
@@ -124,11 +106,13 @@ def _parse_bool(section, key, raw):
     raise ScenarioError(f"{section}.{key}: not a boolean: {raw!r}")
 
 
-# field annotation (a string: the config modules postpone annotations) -> parser
+# field annotation (a string: the config modules postpone annotations) -> parser;
+# the annotation also names the domain the dataclass checks the value against
 _PARSERS = {
-    "float": _parse_float,
-    "float | None": _parse_optional_float,
-    "int": _parse_int,
+    "Positive": _parse_float,
+    "NonNegative": _parse_float,
+    "NonZero | None": _parse_optional_float,
+    "Count": _parse_int,
     "bool": _parse_bool,
     "str": lambda section, key, raw: raw.strip(),
 }
@@ -192,8 +176,9 @@ def mapping_to_scenario(name: str, mapping: dict) -> Scenario:
     for section, cls in _SECTIONS.items():
         try:
             built[section] = cls(**parsed.get(section, {}))
-        except (ConfigError, TypeError) as exc:
-            raise ScenarioError(f"{section} section invalid: {exc}") from exc
+        except ValueError as exc:
+            # every config error starts with the field it is about
+            raise ScenarioError(f"{section}.{exc}") from exc
     return Scenario(name=name, **built)
 
 

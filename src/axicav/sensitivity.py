@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import density
+from .checks import Count, Positive, check_args, check_fields
 from .cavity import RunResult, axial_beam
 
 DEFAULT_BEAM_RATE = 5e18  # photons/s carried by the full beam
@@ -77,12 +78,11 @@ class GrowthFit:
 class NoiseBudget:
     """Photon rate in the counted region and how long it is counted."""
 
-    photon_rate: float  # photons/s
-    integration_time_s: float = 1.0
+    photon_rate: Positive  # photons/s
+    integration_time_s: Positive = 1.0
 
     def __post_init__(self):
-        if self.photon_rate <= 0 or self.integration_time_s <= 0:
-            raise ValueError("rate and integration time must be > 0")
+        check_fields(self, ValueError)
 
 
 def _r_squared(y, fitted) -> float:
@@ -126,10 +126,9 @@ def fit_power(series: GrowthSeries) -> GrowthFit:
     )
 
 
-def extrapolate(fit: GrowthFit, n: float) -> float:
+@check_args
+def extrapolate(fit: GrowthFit, n: Count) -> float:
     """Evaluate the fitted growth law at traversal count n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return float(fit.evaluate(n))
 
 
@@ -138,28 +137,28 @@ def shot_noise_fraction(budget: NoiseBudget) -> float:
     return 1.0 / math.sqrt(budget.photon_rate * budget.integration_time_s)
 
 
-def min_coupling(g_ref: float, signal_fraction_at_ref: float, noise_fraction: float) -> float:
+@check_args
+def min_coupling(g_ref: Positive, signal_fraction_at_ref: float, noise_fraction: Positive) -> float:
     """Smallest coupling whose signal still clears the noise floor.
 
     The fractional signal scales as (g/g_ref)^2 times the fraction measured
     at g_ref, so the threshold crossing is at
     g_min = g_ref * sqrt(noise_fraction / signal_fraction_at_ref).
     """
-    if g_ref <= 0 or noise_fraction <= 0:
-        raise ValueError("g_ref and noise_fraction must be > 0")
     if signal_fraction_at_ref <= 0:
         return math.inf
     return g_ref * math.sqrt(noise_fraction / signal_fraction_at_ref)
 
 
+@check_args
 def scenario_report(
     scenario_name: str,
     fit: GrowthFit,
-    n_target: int,
-    g_ref: float,
-    integration_time_s: float,
-    total_rate: float = DEFAULT_BEAM_RATE,
-    noise_fraction_1s: float | None = None,
+    n_target: Count,
+    g_ref: Positive,
+    integration_time_s: Positive,
+    total_rate: Positive = DEFAULT_BEAM_RATE,
+    noise_fraction_1s: Positive | None = None,
 ) -> dict:
     """Bundle the full extrapolation chain into a JSON-ready report.
 
@@ -167,8 +166,6 @@ def scenario_report(
     1/sqrt(total_rate); integrating longer scales the reach by t^(-1/4)
     (noise drops as sqrt(t), coupling as the fourth root).
     """
-    if integration_time_s <= 0:
-        raise ValueError("integration time must be > 0")
     if noise_fraction_1s is None:
         noise_fraction_1s = shot_noise_fraction(NoiseBudget(total_rate, 1.0))
     extrapolated = extrapolate(fit, n_target)

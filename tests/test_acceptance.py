@@ -451,7 +451,7 @@ def test_criterion_12_invariant_suite(confocal_run):
         initial=BeamEnsemble([r0], [a0], [1.0]),
     )
     e = one.snapshots[0].ensemble
-    centroid = r0 + a0 * (cfg.length_m + cfg.detector_distance_m)
+    centroid = r0 + a0 * (cfg.field_length_m + 2 * cfg.gap_m + cfg.detector_distance_m)
     want_pos = np.sort([centroid - THETA * 18.0, centroid + THETA * 18.0])
     want_ang = np.sort([a0 - 2 * THETA, a0 + 2 * THETA])
     oracle_ok = bool(

@@ -1,9 +1,13 @@
+import importlib
 import math
-from dataclasses import fields, replace
+import pkgutil
+import re
+from dataclasses import MISSING, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
+import axicav
 import axicav.cavity as cavity
 from axicav.cavity import (
     BeamBudgetError,
@@ -15,25 +19,14 @@ from axicav.cavity import (
     coalesce,
     run,
 )
-from axicav.axion import MixingParameters
-from axicav.density import GaussianProfile
+from axicav.checks import DOMAINS
 from axicav.rays import ParaxialError
-from axicav.scenario import load_preset
+from axicav.scenario import ScenarioError, load_preset
 
 THETA = 4e-10
 
 
 # --- configuration ---------------------------------------------------------
-
-
-def test_default_geometry_is_consistent():
-    cfg = CavityConfig()
-    assert cfg.field_length_m + 2 * cfg.gap_m == cfg.length_m
-
-
-def test_geometry_identity_is_enforced():
-    with pytest.raises(ConfigError):
-        CavityConfig(length_m=14.0, field_length_m=10.0, gap_m=1.0)
 
 
 def test_config_rejects_bad_values():
@@ -51,25 +44,59 @@ def test_config_rejects_bad_values():
         CavityConfig(lens_focal_m=3.0, lens_offset_m=2.5, detector_distance_m=2.0)
 
 
-_FLOAT_FIELDS = [
-    (cls, f.name)
-    for cls in (CavityConfig, GaussianProfile, MixingParameters)
+def _config_classes():
+    """Every dataclass of the package that checks itself in ``__post_init__``,
+    less the array holders and the paraxial guard, whose checks are not
+    per-number domains."""
+    for info in pkgutil.iter_modules(axicav.__path__):
+        module = importlib.import_module(f"axicav.{info.name}")
+        for obj in vars(module).values():
+            if (
+                isinstance(obj, type)
+                and is_dataclass(obj)
+                and obj.__module__ == module.__name__
+                and "__post_init__" in vars(obj)
+                and obj.__name__ not in ("RayState", "DetectorHistogram", "GrowthSeries")
+            ):
+                yield obj
+
+
+CONFIG_CLASSES = sorted(_config_classes(), key=lambda cls: cls.__name__)
+
+
+def test_every_config_number_declares_its_domain():
+    assert len(CONFIG_CLASSES) == 9
+    for cls in CONFIG_CLASSES:
+        for f in fields(cls):
+            domain = f.type.partition(" | ")[0]
+            assert domain in DOMAINS or f.type in ("bool", "str"), f"{cls.__name__}.{f.name}"
+
+
+# refused values per domain: NaN fails every range comparison, so without a
+# finiteness check it would pass validation and run to an all-zero or all-NaN
+# result; a count must also be a true int
+_REFUSED = {"Count": [2.5, math.nan, True]}
+_DOMAIN_CASES = [
+    (cls, f.name, value)
+    for cls in CONFIG_CLASSES
     for f in fields(cls)
-    if f.type.startswith("float")
+    if f.type.partition(" | ")[0] in DOMAINS
+    for value in _REFUSED.get(f.type, [math.nan, math.inf, -math.inf])
 ]
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
-    "cls, name", _FLOAT_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in _FLOAT_FIELDS]
+    "cls, name, value",
+    _DOMAIN_CASES,
+    ids=[f"{cls.__name__}.{name}-{value!r}" for cls, name, value in _DOMAIN_CASES],
 )
 def test_config_dataclasses_refuse_non_finite_floats(cls, name, value):
-    """NaN fails every range comparison, so without a finiteness check it
-    would pass validation and run to an all-zero or all-NaN result."""
-    given = {"amplitude": 1.0, "waist_m": 1e-3} if cls is GaussianProfile else {}
+    given = {f.name: 1 if f.type == "Count" else 1.0 for f in fields(cls) if f.default is MISSING}
     given[name] = value
-    error = ConfigError if cls is CavityConfig else ValueError
-    with pytest.raises(error, match=f"^{name} must be finite"):
+    error = {"axicav.cavity": ConfigError, "axicav.scenario": ScenarioError}.get(
+        cls.__module__, ValueError
+    )
+    with pytest.raises(error, match=rf"^{name} must be .*, got {re.escape(repr(value))}$"):
         cls(**given)
 
 
@@ -102,8 +129,9 @@ def test_ensemble_total_weight():
 def test_planar_reflection_keeps_the_accumulated_angle():
     cfg = CavityConfig(mirror2_focal_m=None, theta_split_rad=0.0, n_traversals=1)
     out = run(cfg, initial=BeamEnsemble([5.6e-9], [8e-10], [1.0])).final
+    length = cfg.field_length_m + 2 * cfg.gap_m
     assert out.angles[0] == 8e-10
-    assert out.positions[0] == pytest.approx(5.6e-9 + 8e-10 * cfg.length_m, rel=1e-15)
+    assert out.positions[0] == pytest.approx(5.6e-9 + 8e-10 * length, rel=1e-15)
 
 
 def test_curved_reflection_adds_focusing_kick():
@@ -507,7 +535,7 @@ def test_single_traversal_splits_axial_beam():
     assert np.array_equal(out.weights, [0.5, 0.5])
     # position at the far mirror: one field passage walks the beam off axis
     # by theta * (field + 2 gap)
-    expect = THETA * cfg.length_m
+    expect = THETA * (cfg.field_length_m + 2 * cfg.gap_m)
     assert np.allclose(np.sort(out.positions), [-expect, expect], rtol=1e-12)
     # the far mirror's focusing kick acts on the doubled exit angle
     ang = np.sort(out.angles)
@@ -600,7 +628,7 @@ def test_first_snapshot_matches_transfer_matrix_prediction_axial():
     cfg = CavityConfig(n_traversals=1)
     res = run(cfg)
     e = res.snapshots[0].ensemble
-    d = cfg.length_m + cfg.detector_distance_m + cfg.detector_distance_m
+    d = cfg.field_length_m + 2 * cfg.gap_m + cfg.detector_distance_m + cfg.detector_distance_m
     assert np.allclose(np.sort(e.positions), [-THETA * 18.0, THETA * 18.0], rtol=1e-12)
     assert d == 18.0
     assert np.allclose(np.sort(e.angles), [-2 * THETA, 2 * THETA], rtol=1e-12)
@@ -614,7 +642,7 @@ def test_first_snapshot_matches_transfer_matrix_prediction_general():
     r0, a0 = 1e-5, 2e-6
     res = run(cfg, initial=BeamEnsemble([r0], [a0], [1.0]))
     e = res.snapshots[0].ensemble
-    centroid = r0 + a0 * (cfg.length_m + cfg.detector_distance_m)
+    centroid = r0 + a0 * (cfg.field_length_m + 2 * cfg.gap_m + cfg.detector_distance_m)
     offsets = np.sort(e.positions) - centroid
     assert np.allclose(offsets, [-THETA * 18.0, THETA * 18.0], rtol=1e-12)
     ang_off = np.sort(e.angles) - a0

@@ -312,11 +312,15 @@ def _random_beams(n, seed=None):
     ],
 )
 def test_blocked_rendering_is_bitwise_the_one_shot_integral(n):
+    """Holds from two bins up; one bin is a contiguous column, which numpy
+    sums pairwise."""
     pos, w = _random_beams(n)
-    edges = histogram_edges()
-    hist = bin_ensemble(BeamEnsemble(pos, np.zeros(n), w), PROFILE, edges)
-    terms = _serial_terms(pos, w, edges[:-1], edges[1:], PROFILE)
-    assert np.array_equal(hist.counts, _serial_fold(terms))
+    ens = BeamEnsemble(pos, np.zeros(n), w)
+    # 30, 2 and 3 bins
+    for edges in (histogram_edges(), histogram_edges(1.5e-3), histogram_edges(1e-3)):
+        hist = bin_ensemble(ens, PROFILE, edges)
+        terms = _serial_terms(pos, w, edges[:-1], edges[1:], PROFILE)
+        assert np.array_equal(hist.counts, _serial_fold(terms))
 
 
 @pytest.mark.parametrize("block_beams", [WINDOW_BLOCK_BEAMS, 1000])
@@ -347,11 +351,11 @@ def test_rendering_is_the_same_on_any_number_of_threads(monkeypatch):
     n = 3 * WINDOW_BLOCK_BEAMS + 17
     pos, w = _random_beams(n)
     ens = BeamEnsemble(pos, np.zeros(n), w)
-    edges = histogram_edges()
-    one_counts, one_window = _render_on(1, monkeypatch, ens, edges)
-    many_counts, many_window = _render_on(3, monkeypatch, ens, edges)
-    assert np.array_equal(one_counts, many_counts)
-    assert one_window == many_window
+    for edges in (histogram_edges(), histogram_edges(3e-3)):  # 30 bins and 1
+        one_counts, one_window = _render_on(1, monkeypatch, ens, edges)
+        many_counts, many_window = _render_on(3, monkeypatch, ens, edges)
+        assert np.array_equal(one_counts, many_counts)
+        assert one_window == many_window
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -223,7 +223,7 @@ def test_report_accepts_explicit_noise_fraction():
 @pytest.mark.parametrize("time_s", [-1.0, 0.0])
 def test_report_refuses_a_non_positive_integration_time(time_s):
     fit = GrowthFit(kind="linear", slope=6.41e7, intercept=24793.0)
-    with pytest.raises(ValueError, match="integration time"):
+    with pytest.raises(ValueError, match="^integration_time_s must be finite and > 0"):
         scenario_report("x", fit, 12000, 1e-6, time_s)
 
 
