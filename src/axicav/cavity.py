@@ -76,9 +76,11 @@ class CavityConfig:
 
 
 class BeamEnsemble:
-    """Weighted beams stored as three parallel arrays."""
+    """Weighted beams stored as three parallel arrays, plus a memo of
+    quantities derived from them (`density.moments` keeps its moments
+    there, per waist)."""
 
-    __slots__ = ("positions", "angles", "weights")
+    __slots__ = ("positions", "angles", "weights", "moment_memo")
 
     def __init__(self, positions, angles, weights):
         positions = np.atleast_1d(np.asarray(positions, dtype=float))
@@ -96,6 +98,7 @@ class BeamEnsemble:
         self.positions = positions
         self.angles = angles
         self.weights = weights
+        self.moment_memo = {}
 
     def __len__(self) -> int:
         return self.positions.size

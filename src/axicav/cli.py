@@ -15,9 +15,9 @@ Exit codes: 0 success, 2 configuration error, 3 numerical guard violation.
 All CSV numbers carry 17 significant digits so repeated runs are
 byte-identical.
 
-Only `simulate` renders, and `density` imports scipy's erf when it first
-renders, so importing this module and running any other verb never loads
-`scipy.special`; those verbs pay only for numpy and their own arithmetic.
+No verb loads scipy: `simulate` computes its histograms and series from
+the ensemble's moments with the math module's error function, and every
+other verb pays only for numpy and its own arithmetic.
 """
 
 from __future__ import annotations
@@ -88,31 +88,21 @@ def _csv(header: str, rows) -> str:
 def cmd_simulate(args) -> int:
     sc = _load_scenario(args)
     out_dir = Path(args.out or "axicav-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
     profile = density.GaussianProfile(
         sc.laser.amplitude_photons_per_s, sc.laser.waist_m
     )
     edges = density.histogram_edges(sc.analysis.bin_width_m, sc.analysis.histogram_max_m)
-    # A field-off run never leaves the axis, so one render of the axial beam
-    # is the reference for every snapshot.  Rendering it first loads scipy
-    # before the ensemble is allocated, so the import does not add to the
-    # peak memory.
+    # A field-off run never leaves the axis, so the axial beam's histogram
+    # is the reference for every snapshot.
     ref_hist = density.bin_ensemble(axial_beam(), profile, edges)
 
     signal_run = run(sc.cavity)
-    # Histograms an earlier run left for traversals this one does not
-    # snapshot would read as its output.
-    written = {f"profile_difference_t{snap.traversal:03d}.csv" for snap in signal_run.snapshots}
-    for stale in out_dir.glob("profile_difference_t[0-9]*.csv"):
-        if stale.name not in written:
-            stale.unlink()
-
-    for snap in signal_run.snapshots:
-        on_hist = density.bin_ensemble(snap.ensemble, profile, edges)
-        diff = density.profile_difference(ref_hist, on_hist)
-        path = out_dir / f"profile_difference_t{snap.traversal:03d}.csv"
-        path.write_text(_csv("bin_lo_m,bin_hi_m,photons_per_s", diff.to_csv_rows()))
-
+    diffs = {
+        f"profile_difference_t{snap.traversal:03d}.csv": density.profile_difference(
+            ref_hist, density.bin_ensemble(snap.ensemble, profile, edges)
+        )
+        for snap in signal_run.snapshots
+    }
     central = sensitivity.central_loss_series(
         signal_run, profile, sc.analysis.pixel_half_width_m
     )
@@ -123,6 +113,16 @@ def cmd_simulate(args) -> int:
         sc.analysis.pixel_half_width_m,
     )
     amb = sensitivity.center_sideband_series(signal_run, profile, sc.laser.waist_m)
+
+    # Everything is computed before the first write, so a refused run
+    # leaves no file.  Histograms an earlier run left for traversals this
+    # one does not snapshot would read as its output.
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for stale in out_dir.glob("profile_difference_t[0-9]*.csv"):
+        if stale.name not in diffs:
+            stale.unlink()
+    for name, diff in diffs.items():
+        (out_dir / name).write_text(_csv("bin_lo_m,bin_hi_m,photons_per_s", diff.to_csv_rows()))
     rows = zip(
         central.n.astype(int).tolist(),
         central.signal.tolist(),

@@ -1,27 +1,28 @@
 """Transverse photon-density profiles and detector histograms.
 
 Two families of functions live here.  The numerical side (`bin_ensemble`,
-`integrate_window`, `profile_difference`) renders a weighted beam ensemble
-onto a detector using exact Gaussian integrals, with the beam profile
+`integrate_window`, `profile_difference`) gives the exact photon rate of a
+weighted beam ensemble in detector windows, with the beam profile
 A*exp(-x^2 / 2 r^2) so r is the rms width.  The analytic deficit family
 (`density_deficit`, `deficit_with_broadening`) carries the second-order
 closed forms in the width convention they are usually written in,
 A*exp(-x^2 / r^2) with r the 1/e half-width; the two conventions are kept
 separate on purpose and each function documents which one it uses.
 
-Only the rendering needs scipy (for erf), so ``bin_ensemble`` and
-``_window_integrals`` import it when they run, on the calling thread before
-any block goes to the render pool; importing this module, and every verb
-that renders nothing, never loads ``scipy.special``.
+The beams of a cavity run stay far inside one waist of the axis (max|x|/r
+is 1.5e-4 on the confocal preset), so the rate is expanded about the axis:
+`moments` reads an ensemble once for its scaled raw moments
+m_n = sum_i w_i (x_i/r)^n, and `rates` turns them into the rate in any
+window as the rate of one unit beam on the axis plus the deviation from it.
+A change against the unsplit beam is the deviation alone, never the
+difference of two totals of 1e13-1e15 photons/s.  The edges need only the
+error function of the math module, so no verb loads scipy.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,29 +32,13 @@ EXPANSION_GUARD = 0.1  # max alpha/r or epsilon/r the closed forms accept
 
 DEFAULT_BIN_WIDTH_M = 1.0e-4
 DEFAULT_HISTOGRAM_MAX_M = 3.0e-3
-RENDER_BLOCK_BEAMS = 4096  # beams per block in bin_ensemble
-# beams per block in _window_integrals: a beam costs 2 erf there against one
-# per edge (31 at the defaults) in bin_ensemble, so a block holds 16 times the
-# beams for about the same work per hand-off to a render thread
-WINDOW_BLOCK_BEAMS = 16 * RENDER_BLOCK_BEAMS
 
-# One render thread per CPU the process may run on, so taskset and cpusets
-# are followed.  The pool starts its threads on first use, not at import.
-_RENDER_THREADS = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
-
-
-def _start_render_pool() -> None:
-    global _RENDER_POOL
-    _RENDER_POOL = ThreadPoolExecutor(_RENDER_THREADS, thread_name_prefix="axicav-render")
-
-
-_start_render_pool()
-if hasattr(os, "register_at_fork"):
-    # A forked child has none of the parent's threads, and a pool copied from
-    # the parent would queue blocks that no thread ever runs.
-    os.register_at_fork(after_in_child=_start_render_pool)
+# The moment series: the dropped terms of `rates` stay below TAIL of
+# A*r*m_2, and an ensemble that needs more than MAX_ORDER terms for that
+# (max|x|/r past about 1.1) is refused with GuardError.
+TAIL = 1e-17
+MAX_ORDER = 32
+CRAMER = 1.0865  # |He_k(u)| exp(-u^2/4) <= CRAMER sqrt(k!) for every k and u
 
 # effective peak rate of the triangle-shaped deficit estimate, photons/s
 TRIANGLE_SCALE_PHOTONS_PER_S = (5.0 / 6.0) * 1e18
@@ -180,23 +165,30 @@ def single_pass_estimate(
 class DetectorHistogram:
     """One-sided (x >= 0) binned photon rates.
 
-    Totals that stand for both detector halves use the doubling rule: the
-    profile is symmetric, so a one-sided sum is doubled rather than binning
-    negative x explicitly.
+    Each bin holds the rate of one unit beam on the axis (``axial``) and the
+    deviation of the binned ensemble from it, kept apart so that a
+    difference of two histograms takes the difference part by part;
+    ``counts`` is their sum.  Totals that stand for both detector halves
+    use the doubling rule: the profile is symmetric, so a one-sided sum is
+    doubled rather than binning negative x explicitly.
     """
 
     edges_m: np.ndarray  # nbins+1 edges, ascending, starting at 0
-    counts: np.ndarray  # photons/s per bin
+    axial: np.ndarray  # photons/s per bin of one unit beam on the axis
+    deviation: np.ndarray  # photons/s per bin, this ensemble minus `axial`
+    counts: np.ndarray = field(init=False)  # photons/s per bin
 
     def __post_init__(self):
         edges = np.asarray(self.edges_m, dtype=float)
-        counts = np.asarray(self.counts, dtype=float)
         if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
             raise ValueError("edges must be ascending with at least one bin")
-        if counts.shape != (edges.size - 1,):
-            raise ValueError("counts length must be len(edges) - 1")
         object.__setattr__(self, "edges_m", edges)
-        object.__setattr__(self, "counts", counts)
+        for name in ("axial", "deviation"):
+            part = np.asarray(getattr(self, name), dtype=float)
+            if part.shape != (edges.size - 1,):
+                raise ValueError(f"{name} length must be len(edges) - 1")
+            object.__setattr__(self, name, part)
+        object.__setattr__(self, "counts", self.axial + self.deviation)
 
     def doubled_absolute_total(self) -> float:
         """Sum of |counts| over both detector halves."""
@@ -221,149 +213,148 @@ def histogram_edges(
     return np.arange(n + 1, dtype=float) * bin_width_m
 
 
-def _erf_frame(positions, profile: GaussianProfile):
-    """Beam centers, the erf argument scale r*sqrt(2) and the integral of
-    one unit-weight beam over the whole line."""
-    r = profile.waist_m
-    centers = np.asarray(positions, dtype=float)
-    return centers, r * math.sqrt(2.0), profile.amplitude * r * math.sqrt(math.pi / 2.0)
+def _exact_sum(p: np.ndarray) -> float:
+    """sum(p), faithfully rounded: the result is one of the two doubles
+    next to the exact sum, whatever the cancellation.
+
+    AccSum of Rump, Ogita and Oishi (SIAM J. Sci. Comput. 31, 189, 2008):
+    each pass cuts every term at one power of two, sigma * 2^-53 with
+    sigma >= 2^M max|p| and 2^M >= len(p) + 2, so the high parts add up
+    exactly in any order and the low parts carry on to the next pass.
+    When the high parts cancel to zero the passes start again on the
+    remainders.  Holds for len(p) < 2^26, far above the 2^20 beams a run
+    may hold."""
+    two_m = math.ldexp(1.0, (p.size + 1).bit_length())
+    phi = two_m * 2.0**-53
+    while True:
+        mu = float(np.max(np.abs(p))) if p.size else 0.0
+        if mu == 0.0:
+            return 0.0
+        sigma = math.ldexp(two_m, math.frexp(mu)[1])
+        t = 0.0
+        while True:
+            high = (sigma + p) - sigma
+            tau = float(high.sum())
+            p = p - high
+            t_next = t + tau
+            if abs(t_next) >= two_m * phi * sigma or sigma <= 2.0**-1022:
+                return t_next + ((tau - (t_next - t)) + float(p.sum()))
+            t = t_next
+            if t == 0.0:
+                break
+            sigma *= phi
 
 
-def _render_blocks(terms, n_beams, block_beams, shapes):
-    """Run ``terms(block, *buffers)`` for each block of ``block_beams``
-    beams and yield ``(block, buffers)`` in beam order once the block's
-    terms are written: one float array per entry of ``shapes``, each with a
-    row per beam of the block.
+def _order(rho: float) -> int:
+    """The highest moment order `rates` needs when max|x|/r = rho.
 
-    A single block runs on the calling thread: there is nothing to overlap
-    it with.  More blocks run on the render pool, writing into a ring of
-    buffers allocated here, on the calling thread, with a slot per render
-    thread plus one for the block the caller is working on.  At most that
-    many blocks are in flight, and a slot is handed to a new block only
-    after the caller has moved on from the one before."""
-    if n_beams <= block_beams:
-        block = slice(0, n_beams)
-        buffers = [np.empty((n_beams, *shape)) for shape in shapes]
-        terms(block, *buffers)
-        yield block, buffers
-        return
-    n_slots = min(-(-n_beams // block_beams), _RENDER_THREADS + 1)
-    ring = [[np.empty((block_beams, *shape)) for shape in shapes] for _ in range(n_slots)]
-    pending = deque()
-
-    def oldest():
-        block, buffers, done = pending.popleft()
-        done.result()
-        return block, buffers
-
-    try:
-        for i, start in enumerate(range(0, n_beams, block_beams)):
-            block = slice(start, min(start + block_beams, n_beams))
-            buffers = [buf[: block.stop - start] for buf in ring[i % n_slots]]
-            pending.append((block, buffers, _RENDER_POOL.submit(terms, block, *buffers)))
-            if len(pending) == n_slots:
-                yield oldest()
-        while pending:
-            yield oldest()
-    finally:
-        for *_, left in pending:
-            left.cancel()
+    Term n of the series is A*r*d_n*m_n/n!.  Cramer's inequality bounds
+    |d_n| by 2*CRAMER*sqrt((n-1)!), and |m_n| <= rho^(n-2) m_2, so the
+    term is at most 2*CRAMER*rho^(n-2)/(n*sqrt((n-1)!)) of A*r*m_2.  The
+    series stops at the first order N whose next term is below TAIL/2 of
+    that; below the cap each later term is under half the one before, so
+    everything dropped stays below TAIL."""
+    n = 2
+    while not 4.0 * CRAMER * rho ** (n - 1) / ((n + 1) * math.sqrt(math.factorial(n))) < TAIL:
+        n += 1
+        if n > MAX_ORDER:
+            raise GuardError(
+                f"max|x|/r = {rho:.3g}: the moment series needs more than {MAX_ORDER} "
+                f"terms to reach {TAIL:g}"
+            )
+    return n
 
 
-def _window_integrals(positions, weights, lo: float, hi: float, profile: GaussianProfile):
-    """Exact integral of each beam's Gaussian over [lo, hi), summed with
-    weights.
+def moments(ensemble, waist_m: float) -> np.ndarray:
+    """The ensemble's scaled raw moments, index 0 holding the weight beyond
+    one unit beam: [sum(w) - 1, m_1, ..., m_N] with m_n = sum(w (x/r)^n)
+    and N from `_order`.
 
-    The per-beam terms are computed block by block (on the render pool
-    when there are several) into one column in beam order, which is then
-    summed by a single ``sum()``:
-    the same terms, summed the same way, as the one-shot
-    ``weights * (norm * (erf(hi') - erf(lo')))`` over all beams."""
-    from scipy.special import erf
+    Even orders are sums of nonnegative terms.  Odd orders cancel in a
+    symmetric ensemble, so they and the weight are summed exactly
+    (`_exact_sum`).  The result is kept on the ensemble, per waist, so a
+    snapshot's histogram and its window series read the beams once."""
+    memo = ensemble.moment_memo
+    if waist_m not in memo:
+        y = ensemble.positions / waist_m
+        order = _order(float(np.max(np.abs(y))) if y.size else 0.0)
+        m = np.empty(order + 1)
+        m[0] = _exact_sum(np.append(ensemble.weights, -1.0))
+        term = ensemble.weights.copy()
+        for n in range(1, order + 1):
+            term *= y
+            m[n] = _exact_sum(term) if n % 2 else float(term.sum())
+        memo[waist_m] = m
+    return memo[waist_m]
 
-    centers, s, norm = _erf_frame(positions, profile)
-    contrib = np.empty(centers.size)
 
-    def terms(block, low):
-        out = contrib[block]
-        np.subtract(hi, centers[block], out=out)
-        out /= s
-        erf(out, out=out)
-        np.subtract(lo, centers[block], out=low)
-        low /= s
-        erf(low, out=low)
-        out -= low
-        out *= norm
-        out *= weights[block]
+def _axial_mass(lo: float, hi: float) -> float:
+    """erf(hi/sqrt 2) - erf(lo/sqrt 2), through erfc where both edges lie
+    on one side of the axis, so that a window in the tail keeps its digits."""
+    s = math.sqrt(0.5)
+    if lo >= 0.0:
+        return math.erfc(lo * s) - math.erfc(hi * s)
+    if hi <= 0.0:
+        return math.erfc(-hi * s) - math.erfc(-lo * s)
+    return math.erf(hi * s) - math.erf(lo * s)
 
-    for _ in _render_blocks(terms, centers.size, WINDOW_BLOCK_BEAMS, [()]):
-        pass
-    return contrib.sum()
+
+def rates(ensemble, profile: GaussianProfile, edges_m) -> tuple[np.ndarray, np.ndarray]:
+    """Photon rate of the ensemble in each window [edges[i], edges[i+1]),
+    from its `moments`, as (axial, deviation): the rate of one unit beam
+    on the axis, G(0), and the ensemble's deviation from it,
+
+        G(0) (sum(w) - 1) + sum_{n>=1} A r [E_n(l) - E_n(h)] m_n / n!,
+
+    with l = lo/r, h = hi/r and E_n(u) = He_{n-1}(u) exp(-u^2/2), He the
+    probabilists' Hermite polynomials.  This is the Taylor series of each
+    beam's exact Gaussian integral about the axis, summed over the beams.
+
+    Raises ValueError unless the edges are finite and strictly ascending."""
+    edges = np.asarray(edges_m, dtype=float)
+    if (
+        edges.ndim != 1
+        or edges.size < 2
+        or not np.all(np.isfinite(edges))
+        or np.any(np.diff(edges) <= 0)
+    ):
+        raise ValueError(f"window edges must be finite and strictly ascending, got {edges_m!r}")
+    r, scale = profile.waist_m, profile.amplitude * profile.waist_m
+    m = moments(ensemble, r)
+    u = edges / r
+    e = np.empty((m.size - 1, u.size))  # row n-1: E_n at every edge
+    he_prev, he = np.zeros_like(u), np.ones_like(u)
+    for k in range(m.size - 1):
+        e[k] = he
+        he_prev, he = he, u * he - k * he_prev
+    e *= np.exp(-0.5 * u * u)
+    coef = m[1:] / [math.factorial(n) for n in range(1, m.size)]
+    norm = scale * math.sqrt(0.5 * math.pi)  # one unit beam over the whole line
+    axial = np.array([norm * _axial_mass(lo, hi) for lo, hi in zip(u[:-1], u[1:])])
+    deviation = scale * (coef @ (e[:, :-1] - e[:, 1:])) + axial * m[0]
+    return axial, deviation
 
 
 def bin_ensemble(ensemble, profile: GaussianProfile, edges_m=None) -> DetectorHistogram:
-    """Render a beam ensemble into a histogram: every beam contributes its
-    weight times the exact integral of a Gaussian of the profile's waist
+    """The ensemble's exact photon rate in each bin: every beam contributes
+    its weight times the integral of a Gaussian of the profile's waist
     centered at the beam position.  Bins this narrow (0.13 sigma at the
-    defaults) make midpoint sampling visibly biased, hence erf differences.
-
-    With two or more bins the counts are bit for bit the one-shot sum over
-    all beams of ``weights * (norm * (erf(hi') - erf(lo')))`` per bin,
-    computed more cheaply: erf is evaluated once per beam and edge (a bin
-    shares each edge with its neighbour) and the beams go through in blocks
-    of ``RENDER_BLOCK_BEAMS``, so the temporaries stay small.  Each term is
-    formed in the same operation order, and the running column sum is added
-    into the first row of the next block before that block is summed; the
-    rows are therefore still added one after another in beam order, which is
-    how numpy sums a C-ordered array of two or more columns along axis 0.
-    A single column is contiguous, so numpy sums each block of it pairwise
-    instead: one bin is not the row-by-row sum and may differ from it in the
-    last bits.
-
-    When there is more than one block, their terms are computed on the
-    render pool, one thread per CPU the process may use, while the fold
-    above stays on the calling thread and takes the blocks strictly in beam
-    order; the counts, one bin included, are the same bits for any number
-    of threads.  The workers write into a ring of buffers that the calling
-    thread allocates (``_render_blocks``), one slot per block in flight
-    (threads + 1), and a slot is reused only after its block has been folded.
-    """
-    from scipy.special import erf
-
+    defaults) make midpoint sampling visibly biased, hence integrals."""
     if edges_m is None:
         edges_m = histogram_edges()
-    edges_m = np.asarray(edges_m, dtype=float)
-    centers, s, norm = _erf_frame(ensemble.positions, profile)
-    weights = ensemble.weights
-
-    def terms(block, e, contrib):
-        np.subtract(edges_m, centers[block, None], out=e)
-        e /= s
-        erf(e, out=e)
-        np.subtract(e[:, 1:], e[:, :-1], out=contrib)
-        contrib *= norm
-        contrib *= weights[block, None]
-
-    counts = None
-    shapes = [(edges_m.size,), (edges_m.size - 1,)]
-    for _, (_, contrib) in _render_blocks(terms, centers.size, RENDER_BLOCK_BEAMS, shapes):
-        if counts is not None:
-            contrib[0] += counts
-        counts = contrib.sum(axis=0)
-    return DetectorHistogram(edges_m, counts)
+    return DetectorHistogram(edges_m, *rates(ensemble, profile, edges_m))
 
 
 def integrate_window(ensemble, profile: GaussianProfile, lo_m: float, hi_m: float) -> float:
-    """Exact windowed photon rate of the rendered ensemble over [lo, hi).
-    The window is signed (lo may be negative for a two-sided center pixel)."""
-    if hi_m <= lo_m:
-        raise ValueError("window must have hi > lo")
-    return float(_window_integrals(ensemble.positions, ensemble.weights, lo_m, hi_m, profile))
+    """Exact windowed photon rate of the ensemble over [lo, hi).  The
+    window is signed (lo may be negative for a two-sided center pixel)."""
+    axial, deviation = rates(ensemble, profile, [lo_m, hi_m])
+    return float(axial[0] + deviation[0])
 
 
 def profile_difference(off: DetectorHistogram, on: DetectorHistogram) -> DetectorHistogram:
-    """Field-off minus field-on histogram; central losses come out positive,
-    sideband gains negative."""
+    """Field-off minus field-on histogram, part by part; central losses
+    come out positive, sideband gains negative."""
     if off.edges_m.shape != on.edges_m.shape or not np.array_equal(off.edges_m, on.edges_m):
         raise ValueError("histograms must share identical binning")
-    return DetectorHistogram(off.edges_m.copy(), off.counts - on.counts)
+    return DetectorHistogram(off.edges_m.copy(), off.axial - on.axial, off.deviation - on.deviation)

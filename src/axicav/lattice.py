@@ -144,8 +144,8 @@ def _classify(slope: float | None) -> str:
 def compare_growth(
     n_passes: Count,
     pass_length_m: Positive = 1.0,
-    n_points: int = 25,
-    slope_min_n: int = 100,
+    n_points: Count = 25,
+    slope_min_n: Count = 100,
 ) -> GrowthComparison:
     """Spread-vs-distance table for the two rules, with log-log slopes.
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import density
 from .checks import Count, Positive, check_args, check_fields
-from .cavity import RunResult, axial_beam
+from .cavity import RunResult
 
 DEFAULT_BEAM_RATE = 5e18  # photons/s carried by the full beam
 
@@ -144,7 +144,12 @@ def min_coupling(g_ref: Positive, signal_fraction_at_ref: float, noise_fraction:
     The fractional signal scales as (g/g_ref)^2 times the fraction measured
     at g_ref, so the threshold crossing is at
     g_min = g_ref * sqrt(noise_fraction / signal_fraction_at_ref).
+    A fraction <= 0 has no crossing and gives inf; NaN and +inf are refused.
     """
+    if not signal_fraction_at_ref < math.inf:
+        raise ValueError(
+            f"signal_fraction_at_ref must be a number below inf, got {signal_fraction_at_ref!r}"
+        )
     if signal_fraction_at_ref <= 0:
         return math.inf
     return g_ref * math.sqrt(noise_fraction / signal_fraction_at_ref)
@@ -199,14 +204,16 @@ def _window_series(
     """S(reference) - S(snapshot) at every detector snapshot, where
     S(ensemble) is the sum of coefficient * (exact rate in [lo, hi)) over
     the ``(lo, hi, coefficient)`` windows and the reference is the unsplit
-    axial beam."""
+    axial beam.  Each window contributes minus its coefficient times the
+    snapshot's deviation from that beam (`density.rates`), so no two large
+    totals are subtracted."""
 
-    def weighted_total(ens):
-        return sum(c * density.integrate_window(ens, profile, lo, hi) for lo, hi, c in windows)
+    def change(ens):
+        # 0.0 - x: a snapshot that never left the axis gives +0, not -0
+        return 0.0 - sum(c * density.rates(ens, profile, (lo, hi))[1][0] for lo, hi, c in windows)
 
-    ref = weighted_total(axial_beam())
     ns = [snap.traversal for snap in result.snapshots]
-    vals = [ref - weighted_total(snap.ensemble) for snap in result.snapshots]
+    vals = [change(snap.ensemble) for snap in result.snapshots]
     return GrowthSeries(np.array(ns, dtype=float), np.array(vals, dtype=float))
 
 

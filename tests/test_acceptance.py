@@ -384,8 +384,9 @@ def test_criterion_10_central_loss_linearity(confocal_run):
         ("15 points", len(series) == 15, f"{len(series)}"),
         ("R^2 > 0.99", fit.r_squared > 0.99, f"{fit.r_squared!r}"),
         (
+            # the fit of the mpmath oracle's series (tests/test_oracle.py)
             "pinned R^2",
-            _rel(fit.r_squared, 0.9917529320500393) <= 1e-9,
+            _rel(fit.r_squared, 0.9917529346504957) <= 1e-9,
             "ok",
         ),
     ]
@@ -405,8 +406,10 @@ def test_criterion_11_defocusing_pair_superquadratic_growth():
     parts = [
         ("exponent > 2", fit.exponent > 2.0, f"measured {fit.exponent!r}"),
         (
+            # the fit of the mpmath oracle's series on the coalesced
+            # snapshots (tests/test_oracle.py)
             "pinned exponent",
-            _rel(fit.exponent, 2.9341046148591916) <= 1e-9,
+            _rel(fit.exponent, 2.934104619375521) <= 1e-9,
             "ok",
         ),
         ("fit quality R^2 > 0.99", fit.r_squared > 0.99, f"{fit.r_squared!r}"),

@@ -155,6 +155,28 @@ def test_simulate_paraxial_blowup_is_a_guard_error(tmp_path, capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def test_simulate_past_the_series_order_cap_is_a_guard_error(tmp_path, capsys):
+    """A split of 1e-4 rad stays paraxial but puts the first snapshot's
+    beams 2.4 waists off the axis: the moment series would need more than
+    MAX_ORDER terms, so the run is refused and writes nothing."""
+    out = tmp_path / "out"
+    args = ["--preset", "confocal", "--override", "cavity.theta_split_rad=1e-4",
+            "--override", "cavity.n_traversals=3", "--out", str(out), "simulate"]
+    assert cli.main(args) == 3
+    assert "moment series" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_then_power_fit_on_bnl_quad(tmp_path, capsys):
+    """The bnl-quad series are positive, so the scenario's power fit runs."""
+    args = ["--preset", "bnl-quad", "--out", str(tmp_path)]
+    assert cli.main([*args, "simulate"]) == 0
+    series = str(tmp_path / "growth_series.csv")
+    assert cli.main([*args, "analyze", "--series", series, "--fit-kind", "power"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["fit"]["kind"] == "power" and 2.0 < report["fit"]["exponent"] < 3.5
+
+
 def test_simulate_past_the_beam_budget_is_a_guard_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cavity, "MAX_BEAMS", 16)
     args = ["--preset", "confocal", "--out", str(tmp_path), "--override"]
@@ -440,6 +462,16 @@ def test_pascal_rejects_zero_passes(capsys):
     assert cli.main(["pascal", "--n-passes", "0"]) == 2
 
 
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_pascal_refuses_points_below_one_naming_the_setting(points, tmp_path, capsys):
+    out = tmp_path / "spread.csv"
+    assert cli.main(["pascal", "--n-passes", "100", "--points", points, "--out-file", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "n_points must be an int >= 1" in err
+    assert "Number of samples" not in err
+    assert not out.exists()
+
+
 # --- float flags ---------------------------------------------------------------
 
 _ANALYZE = ["analyze", "--series", "s.csv", "--n-target", "10"]
@@ -519,17 +551,15 @@ calls = [
     ["--preset", "confocal", "mass-scan", "--log", "--m-min", "1e-9", "--out-file", out + "/m.csv"],
     ["profile", "--alpha", "5.6e-9", "--out-file", out + "/profile.csv"],
     ["presets", "list"],
+    ["--preset", "confocal", "--override", "cavity.n_traversals=2", "--out", out + "/sim", "simulate"],
 ]
 for call in calls:
     assert cli.main(call) == 0, call
     assert "scipy.special" not in sys.modules, call
-assert cli.main(["--preset", "confocal", "--override", "cavity.n_traversals=2",
-                 "--out", out + "/sim", "simulate"]) == 0
-assert "scipy.special" in sys.modules
 """
 
 
-def test_only_simulate_loads_scipy(tmp_path):
+def test_no_verb_loads_scipy(tmp_path):
     src = str(Path(axicav.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

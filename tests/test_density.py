@@ -1,20 +1,15 @@
 import math
-import os
-import signal
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from axicav import density
-from axicav.cavity import BeamEnsemble
+from axicav.cavity import BeamEnsemble, CavityConfig, run
 from axicav.density import (
     DEFAULT_BIN_WIDTH_M,
     DEFAULT_HISTOGRAM_MAX_M,
     EXPANSION_GUARD,
-    RENDER_BLOCK_BEAMS,
-    WINDOW_BLOCK_BEAMS,
+    MAX_ORDER,
     DetectorHistogram,
     GaussianProfile,
     GuardError,
@@ -217,9 +212,11 @@ def test_histogram_edges_require_integer_bin_count():
 
 def test_histogram_validation():
     with pytest.raises(ValueError):
-        DetectorHistogram(np.array([0.0, -1e-4]), np.array([1.0]))
+        DetectorHistogram(np.array([0.0, -1e-4]), np.array([1.0]), np.array([0.0]))
     with pytest.raises(ValueError):
-        DetectorHistogram(np.array([0.0, 1e-4, 2e-4]), np.array([1.0]))
+        DetectorHistogram(np.array([0.0, 1e-4, 2e-4]), np.array([1.0]), np.array([0.0, 0.0]))
+    with pytest.raises(ValueError):
+        DetectorHistogram(np.array([0.0, 1e-4, 2e-4]), np.array([1.0, 2.0]), np.array([0.0]))
 
 
 def test_bin_single_beam_matches_erf_integral():
@@ -273,112 +270,6 @@ def test_weighted_beams_superpose_linearly():
     assert np.allclose(hist.counts, 0.5 * plus.counts + 0.5 * minus.counts, rtol=1e-13)
 
 
-def _serial_terms(pos, w, lo, hi, profile):
-    """Each beam's weighted integral over each window [lo, hi), all computed
-    at once on the calling thread: the rendering formula before blocks and
-    threads."""
-    centers = np.asarray(pos, dtype=float)
-    s = profile.waist_m * math.sqrt(2.0)
-    norm = profile.amplitude * profile.waist_m * math.sqrt(math.pi / 2.0)
-    return w[:, None] * (
-        norm * (erf((hi[None, :] - centers[:, None]) / s) - erf((lo[None, :] - centers[:, None]) / s))
-    )
-
-
-def _serial_fold(terms):
-    """The rows added one after another in beam order."""
-    counts = terms[0]
-    for row in terms[1:]:
-        counts = counts + row
-    return counts
-
-
-def _random_beams(n, seed=None):
-    rng = np.random.default_rng(n if seed is None else seed)
-    pos = rng.normal(scale=1e-3, size=n)
-    w = rng.uniform(0.0, 2.0, n)  # deliberately not normalised
-    return pos, w
-
-
-@pytest.mark.parametrize(
-    "n",
-    [
-        1,
-        RENDER_BLOCK_BEAMS - 1,
-        RENDER_BLOCK_BEAMS,
-        RENDER_BLOCK_BEAMS + 1,
-        3 * RENDER_BLOCK_BEAMS + 17,
-        7 * RENDER_BLOCK_BEAMS + 5,  # more blocks than buffer slots
-    ],
-)
-def test_blocked_rendering_is_bitwise_the_one_shot_integral(n):
-    """Holds from two bins up; one bin is a contiguous column, which numpy
-    sums pairwise."""
-    pos, w = _random_beams(n)
-    ens = BeamEnsemble(pos, np.zeros(n), w)
-    # 30, 2 and 3 bins
-    for edges in (histogram_edges(), histogram_edges(1.5e-3), histogram_edges(1e-3)):
-        hist = bin_ensemble(ens, PROFILE, edges)
-        terms = _serial_terms(pos, w, edges[:-1], edges[1:], PROFILE)
-        assert np.array_equal(hist.counts, _serial_fold(terms))
-
-
-@pytest.mark.parametrize("block_beams", [WINDOW_BLOCK_BEAMS, 1000])
-def test_integrate_window_is_bitwise_the_one_shot_sum(block_beams, monkeypatch):
-    """One sum over the whole column, whatever the blocks.  A sum per block
-    would round differently in about one case in six, hence many cases."""
-    monkeypatch.setattr(density, "WINDOW_BLOCK_BEAMS", block_beams)
-    n = 3 * block_beams + 17  # more blocks than buffer slots on two CPUs
-    for seed in range(8):
-        pos, w = _random_beams(n, seed)
-        ens = BeamEnsemble(pos, np.zeros(n), w)
-        for lo, hi in [(-7e-4, 7e-4), (8e-4, 3e-3), (-3e-3, -1e-3)]:
-            one_shot = _serial_terms(pos, w, np.array([lo]), np.array([hi]), PROFILE).sum(axis=0)
-            assert integrate_window(ens, PROFILE, lo, hi) == float(one_shot[0])
-
-
-def _render_on(threads, monkeypatch, ens, edges):
-    pool = ThreadPoolExecutor(threads)
-    monkeypatch.setattr(density, "_RENDER_POOL", pool)
-    monkeypatch.setattr(density, "_RENDER_THREADS", threads)
-    try:
-        return bin_ensemble(ens, PROFILE, edges).counts, integrate_window(ens, PROFILE, -7e-4, 7e-4)
-    finally:
-        pool.shutdown()
-
-
-def test_rendering_is_the_same_on_any_number_of_threads(monkeypatch):
-    n = 3 * WINDOW_BLOCK_BEAMS + 17
-    pos, w = _random_beams(n)
-    ens = BeamEnsemble(pos, np.zeros(n), w)
-    for edges in (histogram_edges(), histogram_edges(3e-3)):  # 30 bins and 1
-        one_counts, one_window = _render_on(1, monkeypatch, ens, edges)
-        many_counts, many_window = _render_on(3, monkeypatch, ens, edges)
-        assert np.array_equal(one_counts, many_counts)
-        assert one_window == many_window
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
-def test_forked_child_renders_on_a_fresh_pool():
-    """The parent's render threads do not exist in a forked child; rendering
-    there must not wait on them."""
-    n = RENDER_BLOCK_BEAMS + 1  # two blocks, so the pool renders them
-    pos, w = _random_beams(n)
-    ens = BeamEnsemble(pos, np.zeros(n), w)
-    expect = bin_ensemble(ens, PROFILE).counts  # starts the parent's threads
-    pid = os.fork()
-    if pid == 0:  # pragma: no cover - the child reports through its exit code
-        code = 1
-        try:
-            signal.alarm(10)
-            code = 0 if np.array_equal(bin_ensemble(ens, PROFILE).counts, expect) else 1
-        finally:
-            os._exit(code)
-    _, status = os.waitpid(pid, 0)
-    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
-
-
 def test_integrate_window_matches_bin_sums():
     ens = BeamEnsemble([2e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
     hist = bin_ensemble(ens, PROFILE)
@@ -427,6 +318,80 @@ def test_csv_rows_cover_every_bin():
 
 
 def test_doubled_absolute_total():
-    hist = DetectorHistogram(np.array([0.0, 1e-4, 2e-4]), np.array([3.0, -1.0]))
+    hist = DetectorHistogram(np.array([0.0, 1e-4, 2e-4]), np.array([2.0, 1.0]), np.array([1.0, -2.0]))
+    assert np.array_equal(hist.counts, [3.0, -1.0])
     assert hist.doubled_absolute_total() == 8.0
     assert hist.signed_sum() == 2.0
+
+
+# --- the moment series -------------------------------------------------------
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (math.nan, 1e-3), (-1e-3, math.nan), (-math.inf, 1e-3), (-1e-3, math.inf),
+    (1e-3, 1e-3), (1e-3, -1e-3),
+])
+def test_window_edges_must_be_finite_and_ascending(lo, hi):
+    ens = BeamEnsemble([1e-6, -1e-6], [0.0, 0.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match="finite and strictly ascending"):
+        integrate_window(ens, PROFILE, lo, hi)
+    with pytest.raises(ValueError, match="finite and strictly ascending"):
+        bin_ensemble(ens, PROFILE, [0.0, lo, hi] if lo > 0 else [lo, hi])
+
+
+def _neighbours(x):
+    return {x, float(np.nextafter(x, -math.inf)), float(np.nextafter(x, math.inf))}
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 7, 4094, 4095, 50_000])
+def test_exact_sum_is_faithful(n):
+    """Within one rounding of the exact sum (math.fsum rounds it correctly),
+    however much the terms cancel."""
+    rng = np.random.default_rng(n)
+    spread = rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, n)
+    mirrored = np.concatenate([spread, -spread[::-1]])
+    nearly = np.append(mirrored, 1e-40)
+    for p in (spread, mirrored, nearly, np.append(spread, -math.fsum(spread))):
+        assert density._exact_sum(p) in _neighbours(math.fsum(p.tolist()))
+    assert density._exact_sum(mirrored) == 0.0
+
+
+def test_moments_are_read_once_per_waist():
+    ens = BeamEnsemble([2e-5, -1e-5], [0.0, 0.0], [0.25, 0.75])
+    m = density.moments(ens, WAIST)
+    assert density.moments(ens, WAIST) is m
+    assert density.moments(ens, 2 * WAIST) is not m
+    assert m[0] == 0.0  # the weights sum to one unit beam
+    assert m[1] == pytest.approx((0.25 * 2e-5 - 0.75 * 1e-5) / WAIST, rel=1e-15)
+
+
+def test_series_order_grows_with_the_spread_and_is_capped():
+    assert density.moments(BeamEnsemble([0.0], [0.0], [1.0]), WAIST).size == 3
+    wide = density.moments(BeamEnsemble([0.5 * WAIST], [0.0], [1.0]), WAIST)
+    assert 3 < wide.size <= MAX_ORDER + 1
+    too_wide = BeamEnsemble([1.5 * WAIST], [0.0], [1.0])
+    with pytest.raises(GuardError, match=f"more than {MAX_ORDER} terms"):
+        bin_ensemble(too_wide, PROFILE)
+
+
+def test_a_wide_beam_renders_as_its_own_gaussian():
+    """At half a waist off the axis the series runs to a high order; the
+    rate is still the beam's Gaussian integral."""
+    from mpmath import mp
+
+    mp.dps = 40
+    x0 = 0.5 * WAIST
+    hist = bin_ensemble(BeamEnsemble([x0], [0.0], [1.0]), PROFILE)
+    s = mp.mpf(WAIST) * mp.sqrt(2)
+    norm = AMPLITUDE * mp.mpf(WAIST) * mp.sqrt(mp.pi / 2)
+    for lo, hi, got in hist.to_csv_rows():
+        expect = norm * (mp.erf((hi - mp.mpf(x0)) / s) - mp.erf((lo - mp.mpf(x0)) / s))
+        assert abs(got - expect) <= 1e-12 * expect
+
+
+def test_null_run_deviates_by_exact_zeros():
+    res = run(CavityConfig(n_traversals=3, theta_split_rad=0.0))
+    for snap in res.snapshots:
+        hist = bin_ensemble(snap.ensemble, PROFILE)
+        assert np.array_equal(hist.deviation, np.zeros(30))
+        assert not np.any(np.signbit(hist.deviation))

@@ -1,65 +1,67 @@
 """Byte-identity gate for ``axicav simulate``.
 
 Pins the sha256 of every CSV that ``simulate`` writes on three runs:
-confocal at n=14 (16384 final beams, so the later snapshots span several
-rendering blocks), bnl-quad at n=12 (4096 branches coalesce to 539 beams),
-and confocal at n=8 with a 0.7 m detector lens and no split on the backward
-legs (the thin-lens trip to the detector and the field passages without a
-split).  A refactor or speed-up must leave these hashes unchanged.  A change that
-alters the numbers on purpose re-pins them and logs the reason.
+confocal at n=14 (16384 final beams), bnl-quad at n=12 (4096 branches
+coalesce to 539 beams), and confocal at n=8 with a 0.7 m detector lens and
+no split on the backward legs (the thin-lens trip to the detector and the
+field passages without a split).  A refactor or speed-up must leave these
+hashes unchanged.  A change that alters the numbers on purpose re-pins them
+and logs the reason.
 
-The values depend on the erf of the installed scipy, so a failure message
-names the numpy and scipy versions.
+The pinned outputs match the mpmath oracle of tests/test_oracle.py to
+5e-13 relative.  They depend on numpy's exp and on the C library's erf and
+erfc (through the math module), so a failure message names the numpy
+version and the C library.
 """
 
 import hashlib
+import platform
 
 import numpy as np
 import pytest
-import scipy
 
 from axicav import cli
 
 GOLDEN = {
     ("confocal", 14): {
-        "growth_series.csv": "8e437ecc7cdd871308ee6880fb6d86abe53d607aa5936cfe1ef28fef84d72c62",
-        "profile_difference_t001.csv": "65882dfcc7983c8ca96c3dcadcb0c4947c00f171a936f3f31d1fe020f2c89728",
-        "profile_difference_t002.csv": "523bb0e390436ffe4d70a1a46ef7c9e77c3613a33cec5d68b6f7257b6c430d7a",
-        "profile_difference_t003.csv": "8f9bc40079eba272b654c301fe0d7a8d70c04b3ce4fdf25dad4ec00c95275afb",
-        "profile_difference_t004.csv": "2439ec0d13d5623e57b5bba19fae8053055a7de5e1ac2f3ec9ce25fbfa45e91f",
-        "profile_difference_t005.csv": "6b36d8131f968a110ffc715a5d42098dae5ab74fbb0ac1e85d980fa08941350f",
-        "profile_difference_t006.csv": "3ecff48a1ec1bb775be020460648d921d804f6ed0669b6d04a58b6dfe84119d5",
-        "profile_difference_t007.csv": "90581b45ce139f984e556290d7248bd533ca28ea344b531e4913fd72b1010a36",
-        "profile_difference_t008.csv": "798629056b30dd4a310b73182a25691781e403fa8cf3ba499542c30f226bad1a",
-        "profile_difference_t009.csv": "9285d8fc90e0bd3e812a90b33ed23af4158c2ec18b3fd0574a461fa18d4c33a6",
-        "profile_difference_t010.csv": "7c9d202129caaf5be63530ad53a93a52f69910d8f31a45e03ea7942b4a18373c",
-        "profile_difference_t011.csv": "d6b258629f57bcc74f8cf4716057a67b0a0e9726d282e6aa727c04ac4efd3a1e",
-        "profile_difference_t012.csv": "482f1c5b02b63fbc3293f3214e9dabf1a1d0284ab971cbb4e3632f89db22f1d5",
-        "profile_difference_t013.csv": "9fe11817867f040b08f827940052caf3a89c54ab4bd52ebdbb51f58e563db2c2",
-        "profile_difference_t014.csv": "3e77fb95039f13abb0176ab9eb71c1f979f86c0134b2b47c760ece9ab0e4b87e",
+        "growth_series.csv": "8b15e00a6eaf2c210dc92f76401b175327c53714b8f0c1cf42ea087739bb19b4",
+        "profile_difference_t001.csv": "06b470b95f4c648db1dbe4b065a0efa56d36bd1c8ea9ffec4ae266c35c2bcdd0",
+        "profile_difference_t002.csv": "9c19f0c862ca6c63fc0d2b08fe8f247a8d4fd248a623b09753af16daa700618c",
+        "profile_difference_t003.csv": "70a180c3de38c1ab3e34b89ef282fc109b15b831a6217f8ed13ad14ab28f61b0",
+        "profile_difference_t004.csv": "210d0502a5a757802869c30991bfe33bac52f3a77a2bdc591383aba60ad4167d",
+        "profile_difference_t005.csv": "a769c140cd353ea5d52135e71528c73aebe8eed30b4ae9e47a7c064793e22232",
+        "profile_difference_t006.csv": "e5c634cf3641d1c12e557b16cd878f3e8aad41d11138203d112194258be3f2d9",
+        "profile_difference_t007.csv": "1dcc88ed353831b25fa36562784c593468445961434d6ec00077668f328bec5e",
+        "profile_difference_t008.csv": "1d78b03d6eb26b9b32a73519976874448ae6217b849013ff13c839e3d7c7d52c",
+        "profile_difference_t009.csv": "d2abe6c1bb341f0795a74ced5491ce1eb87d3020856553416a2a696e8c5a104c",
+        "profile_difference_t010.csv": "647f3c25ca5586c35fb81b5b8c02969189af94773d0419c68e5ec55d3bd04590",
+        "profile_difference_t011.csv": "d2d07c1d7656cd77aca00a22f67991883cdb4d4063d11bbd44e4c4807ec69725",
+        "profile_difference_t012.csv": "f8aeb79788acdc6e466f9fb157b7af9d699b532ac1891fb2726a28f77ffdd0cb",
+        "profile_difference_t013.csv": "88ad6464cadc248bd60fc0c046fce1097ac71b0448cc52430f3ab2dad60468ab",
+        "profile_difference_t014.csv": "fdc7821d2fad50a488783cb94b3ac48d7bd9a65b9093ea485bfee9b10dcb49fd",
     },
     ("bnl-quad", 12): {
-        "growth_series.csv": "a75d006665b2f6cb574919bf36c6819253270ad484d8890f70872b7a04878f2b",
-        "profile_difference_t002.csv": "57e8280e5b6a1f6fa7caf671f1f0d4cb1c8bb13b166319c36341c28fe30dfcfc",
-        "profile_difference_t004.csv": "84fc384ca567163ab531518fae351839150d9d6bbb087eb5776859f41e245b5f",
-        "profile_difference_t006.csv": "cc342c6e771d6d3f60808dd4bc05404ddd23f605ca0324db6def1b02623ee0e2",
-        "profile_difference_t008.csv": "db00b71ad0c7b98374586f341ca69f599ebf65bd1e465226d4721ca5fcb6d704",
-        "profile_difference_t010.csv": "31b34f9463796492acde2f295f7b42fac58d4e853c88b97775b521341c974104",
-        "profile_difference_t012.csv": "cb8d6b18daf3d63706bb1d43e82344396926ab415f2aca08a90d007c2e6f93b4",
+        "growth_series.csv": "6d003f3855f2b56ed5b60e3523c7afbcc44faed2934428e7372d02e4c557d1c5",
+        "profile_difference_t002.csv": "ff134d86898e87b5f46711563ae98b2e6eb830d5520cf52943635f657ed9e00f",
+        "profile_difference_t004.csv": "822e3451294ab1c55f1de3b57fb13020f3bac70870b2ec721f02b755833fb3fb",
+        "profile_difference_t006.csv": "e981119378b40b05991c76175b69d17310d4ee565b25d0483fe27ab3ecbb7f4b",
+        "profile_difference_t008.csv": "2787700d5afb7466690fb0536612d4a6ae2d0bde9f10592c4fe2178d664dfc27",
+        "profile_difference_t010.csv": "fa0efcc646012bf9dbb03190da485e482d2550f427953c1180152fb6bb2fe976",
+        "profile_difference_t012.csv": "f24fd051d477bed847c6f5f8afb4854bab7b251c69a282018e9d1428713d5ed0",
     },
 }
 
 
 GOLDEN_LENS = {
-    "growth_series.csv": "21f0090ec3899f21eb91f62593df9d1e38b04b7d9b3e6ce770f66f03ae2c014a",
-    "profile_difference_t001.csv": "c0c6f1204e875cdf57f9d5302f9ede6102d4d6ef9c8764736f8eaac72736585c",
-    "profile_difference_t002.csv": "01c3efa07bf07c30c757160405667063b6aa72f46d8ad6974b91f513f576ca76",
-    "profile_difference_t003.csv": "4b2c7ada08fb0ef7cbc894e8aafdb349b785a9bc7aef7995684316ae57b08846",
-    "profile_difference_t004.csv": "2aeb17ac593466992d9959611ab02ac631ba4fb68e995387351656ea5d7de702",
-    "profile_difference_t005.csv": "45fde5fdfa904ff06607a67bed4516c47856524abeb6228b777f8ce3464d23b8",
-    "profile_difference_t006.csv": "910986648ab53213167cbd304d14f0be7d5c695f1d7fd62d40e5ed1c06d588b3",
-    "profile_difference_t007.csv": "3c23563374b66a68548ec27dc72b2bebb836ed440f191b9f59580a198246fca2",
-    "profile_difference_t008.csv": "523e21a839fcd8067840cb5c34b823f72f7f40b5d5acab967500156478effd81",
+    "growth_series.csv": "11240d70fba4fadd88f4e05443e09b9ca9c03ad9ae606bcf2dd82fe4e1ef80b6",
+    "profile_difference_t001.csv": "e587e88e262b5678c5190c13cd78960f87f3c3351f71316f39fa0914fc5893ce",
+    "profile_difference_t002.csv": "f02f1969c66d083a6f2de51828659ac3f241561786b47fc0df3bd0215ead8c18",
+    "profile_difference_t003.csv": "1303587397de518218dc1e0dc3cde1c86e8bcb500e9fef062dcfe20974fbdaca",
+    "profile_difference_t004.csv": "135776524ef8a4fc4c39c7661064af449827b054c84f12fc4d35bff65a792c8e",
+    "profile_difference_t005.csv": "d6864eb4ed5c5470ca899d7cbe1b874842d1f45c031d00725d2b6657386a0bcb",
+    "profile_difference_t006.csv": "f725c3bcbeff94b05840b0b771134c7b0101374285d830ebb379267641391971",
+    "profile_difference_t007.csv": "e84a275a228c68bdd200af18035a7842d6d8fdd5ff64c61104820b763f2a0295",
+    "profile_difference_t008.csv": "4bc87ed1c01c00870b3771044c27cb899c5c9e03024535dfbe6820fe19fcd204",
 }
 
 
@@ -67,7 +69,7 @@ def _assert_outputs(out_dir, args, golden):
     assert cli.main([*args, "--out", str(out_dir), "simulate"]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.iterdir())}
     assert got == golden, (
-        f"simulate output changed (numpy {np.__version__}, scipy {scipy.__version__})"
+        f"simulate output changed (numpy {np.__version__}, libc {platform.libc_ver()})"
     )
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from axicav import density, scenario
 from axicav.cavity import MIRROR_1, CavityConfig, axial_beam, run
 from axicav.density import GaussianProfile, integrate_window
 from axicav.sensitivity import (
@@ -158,8 +159,15 @@ def test_min_coupling_improves_with_signal():
 
 def test_min_coupling_zero_signal_is_blind():
     assert min_coupling(1e-6, 0.0, 1e-10) == math.inf
+    assert min_coupling(1e-6, -1e-7, 1e-10) == math.inf
     with pytest.raises(ValueError):
         min_coupling(0.0, 1e-7, 1e-10)
+
+
+@pytest.mark.parametrize("fraction", [math.nan, math.inf])
+def test_min_coupling_refuses_a_fraction_that_is_no_number(fraction):
+    with pytest.raises(ValueError, match="signal_fraction_at_ref"):
+        min_coupling(1e-6, fraction, 1e-10)
 
 
 # --- scenario reports -------------------------------------------------------
@@ -267,24 +275,58 @@ def test_mirror1_extraction_series_use_even_traversals():
     assert np.array_equal(series.n, [2.0, 4.0, 6.0, 8.0])
 
 
-def test_series_windows_and_signs_match_direct_integrals():
-    """Each series is reference minus snapshot of its own weighted window
-    sum, bit for bit: the central pixel once, the sideband pixel doubled
-    with the sign flipped (a gain), and the doubled center [0, w/2] minus the
-    doubled sidebands [w, 4w + 1 mm]."""
+def test_series_windows_and_signs_match_the_change_form():
+    """Each series is minus the coefficient-weighted deviation of its
+    windows from the axial beam (`density.rates`), bit for bit: the central
+    pixel once, the sideband pixel doubled with the sign flipped (a gain),
+    and the doubled center [0, w/2] minus the doubled sidebands
+    [w, 4w + 1 mm].  The change equals the difference of the windows'
+    direct integrals to the roundoff of those 1e13-1e15 photons/s totals."""
     res = run(CavityConfig(n_traversals=4))
     h, c, w = 1e-6, 3.3e-3, PROFILE.waist_m
 
-    def win(ens, lo, hi):
-        return integrate_window(ens, PROFILE, lo, hi)
+    def change(windows):
+        def one(ens):
+            return 0.0 - sum(k * density.rates(ens, PROFILE, (lo, hi))[1][0] for lo, hi, k in windows)
 
-    def expected(observable):
-        ref = observable(axial_beam())
-        return [ref - observable(s.ensemble) for s in res.snapshots]
+        return [one(s.ensemble) for s in res.snapshots]
 
-    central = expected(lambda e: win(e, -h, h))
-    sideband = expected(lambda e: -2.0 * win(e, c - h, c + h))
-    amb = expected(lambda e: 2.0 * win(e, 0.0, 0.5 * w) - 2.0 * win(e, w, 4.0 * w + 1e-3))
-    assert np.array_equal(central_loss_series(res, PROFILE, h).signal, central)
-    assert np.array_equal(sideband_gain_series(res, PROFILE, c, h).signal, sideband)
-    assert np.array_equal(center_sideband_series(res, PROFILE, w).signal, amb)
+    def direct(windows):
+        def total(ens):
+            return sum(k * integrate_window(ens, PROFILE, lo, hi) for lo, hi, k in windows)
+
+        return [total(axial_beam()) - total(s.ensemble) for s in res.snapshots]
+
+    central = [(-h, h, 1.0)]
+    sideband = [(c - h, c + h, -2.0)]
+    amb = [(0.0, 0.5 * w, 2.0), (w, 4.0 * w + 1e-3, -2.0)]
+    for windows, series, scale in [
+        (central, central_loss_series(res, PROFILE, h), 1e13),
+        (sideband, sideband_gain_series(res, PROFILE, c, h), 1e9),
+        (amb, center_sideband_series(res, PROFILE, w), 1e15),
+    ]:
+        assert np.array_equal(series.signal, change(windows))
+        assert np.allclose(series.signal, direct(windows), rtol=0.0, atol=1e-15 * scale)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_series_builders_refuse_non_finite_windows(bad):
+    res = run(CavityConfig(n_traversals=2))
+    for build in (
+        lambda: central_loss_series(res, PROFILE, bad),
+        lambda: sideband_gain_series(res, PROFILE, bad),
+        lambda: sideband_gain_series(res, PROFILE, 3.3e-3, bad),
+        lambda: center_sideband_series(res, PROFILE, bad),
+    ):
+        with pytest.raises(ValueError, match="finite and strictly ascending"):
+            build()
+
+
+def test_bnl_quad_sideband_gain_is_positive_and_increasing():
+    """Exact observables: the sideband column of the preset was negative
+    roundoff while it was the difference of two erf totals."""
+    res = run(scenario.load_preset("bnl-quad").cavity)
+    gain = sideband_gain_series(res, PROFILE).signal
+    assert np.all(gain > 0)
+    assert np.all(np.diff(gain) > 0)
+    assert gain[-1] == pytest.approx(5.3827e-5, rel=1e-4)
