@@ -78,7 +78,14 @@ class CavityConfig:
 class BeamEnsemble:
     """Weighted beams stored as three parallel arrays, plus a memo of
     quantities derived from them (`density.moments` keeps its moments
-    there, per waist)."""
+    there, per waist).
+
+    Ensembles share arrays: a stage that leaves a coordinate unchanged
+    passes the array on instead of copying it, so a snapshot, the
+    reflected ensemble and the caller's ``initial`` may all hold one
+    weights array.  That is safe because no stage writes into an array
+    another ensemble may share; in-place arithmetic is kept to buffers the
+    stage allocated itself."""
 
     __slots__ = ("positions", "angles", "weights", "moment_memo")
 
@@ -88,9 +95,13 @@ class BeamEnsemble:
         weights = np.atleast_1d(np.asarray(weights, dtype=float))
         if not (positions.shape == angles.shape == weights.shape):
             raise ValueError("positions, angles and weights must have equal length")
-        if np.any(weights < 0):
-            raise ValueError("weights must be >= 0")
-        amax = float(np.max(np.abs(angles))) if angles.size else 0.0
+        # min and max only, no temporary arrays; a NaN fails both tests
+        if weights.size:
+            lo, hi = float(weights.min()), float(weights.max())
+            if not (lo >= 0 and hi < math.inf):
+                bad = hi if lo >= 0 else lo
+                raise ValueError(f"weights must be finite and >= 0, got {bad!r}")
+        amax = max(-float(angles.min()), float(angles.max())) if angles.size else 0.0
         if not (amax < PARAXIAL_LIMIT):
             raise ParaxialError(
                 f"ensemble angle {amax!r} outside paraxial window (< {PARAXIAL_LIMIT})"
@@ -199,24 +210,32 @@ def _final_order(pos, ang):
 
 
 def _cells(pos, ang, tol_p, tol_a, shift):
-    scaled_p = pos / tol_p + shift
-    scaled_a = ang / tol_a + shift
-    # Refuse cell indices of 2^62 and beyond: the grid is too fine for the
-    # ensemble's scale (far past 2^53, where the half-cell shift is lost).
-    limit = float(2**62)
-    if np.abs(scaled_p).max(initial=0.0) >= limit or np.abs(scaled_a).max(initial=0.0) >= limit:
-        raise ValueError("coalescing tolerance too small for the ensemble scale")
-    # The floored floats are exact integers, so they key the cells directly.
-    return np.floor(scaled_p), np.floor(scaled_a)
+    """The floored cell coordinates, one new float array each, scaled,
+    shifted and floored in place.  The floored floats are exact integers,
+    so they key the cells directly."""
+    cells = []
+    for x, tol in ((pos, tol_p), (ang, tol_a)):
+        cell = x / tol
+        cell += shift
+        # Refuse cell indices of 2^62 and beyond: the grid is too fine for
+        # the ensemble's scale (far past 2^53, where the half-cell shift is
+        # lost).  A NaN passes, as it fails both comparisons.
+        if cell.min(initial=0.0) <= -(2.0**62) or cell.max(initial=0.0) >= 2.0**62:
+            raise ValueError("coalescing tolerance too small for the ensemble scale")
+        cells.append(np.floor(cell, out=cell))
+    return cells
 
 
 def _pack_cells(cell_p, cell_a, low_bits):
     """One int64 per beam that orders like (cell_p, cell_a), with ``low_bits``
     zero bits left free at the bottom, or None when that does not fit.
 
-    Each coordinate is offset by its minimum.  A span below 2^53 keeps that
-    difference exact in floats (a NaN cell fails this test), and the two
-    fields plus the free bits must fit the 63 bits of a non-negative int64.
+    Each coordinate is offset by its minimum, in place: a packed call
+    leaves ``cell_p`` and ``cell_a`` shifted by a constant each, which
+    keeps which beams share a cell and in what order; a declined call
+    leaves them as they were.  A span below 2^53 keeps that difference
+    exact in floats (a NaN cell fails this test), and the two fields plus
+    the free bits must fit the 63 bits of a non-negative int64.
     """
     if cell_p.size == 0:
         return np.zeros(0, dtype=np.int64)
@@ -227,8 +246,12 @@ def _pack_cells(cell_p, cell_a, low_bits):
     bits_a = int(span_a).bit_length()
     if int(span_p).bit_length() + bits_a + low_bits > 63:
         return None
-    key = (cell_p - lo_p).astype(np.int64) << (bits_a + low_bits)
-    key |= (cell_a - lo_a).astype(np.int64) << low_bits
+    cell_p -= lo_p
+    cell_a -= lo_a
+    key = cell_p.astype(np.int64)
+    key <<= bits_a
+    key |= cell_a.astype(np.int64)
+    key <<= low_bits
     return key
 
 
@@ -243,35 +266,48 @@ def _no_shared_cell(pos, ang, tol_p, tol_a):
         key.sort()
         if (key[1:] == key[:-1]).any():
             return False
+        del key  # before the next grid's cells are made
     return True
 
 
-def _cell_order(cell_p, cell_a):
-    """The permutation ``_lexorder(cell_p, cell_a)`` returns.  With the input
-    index in the low bits the packed keys are unique, so any sort orders them
-    the same way, and the sorted keys' low bits are the permutation."""
+def _cell_groups(cell_p, cell_a):
+    """The permutation ``_lexorder(cell_p, cell_a)`` returns, and a mask of
+    the places in that order where a new cell starts.  With the input index
+    in the low bits the packed keys are unique, so any sort orders them the
+    same way, and the sorted keys' low bits are the permutation."""
     index_bits = max(cell_p.size - 1, 0).bit_length()
     key = _pack_cells(cell_p, cell_a, index_bits)
     if key is None:
-        return _lexorder(cell_p, cell_a)
-    key |= np.arange(cell_p.size)
-    key.sort()
-    return key & ((1 << index_bits) - 1)
+        order = _lexorder(cell_p, cell_a)
+    else:
+        key |= np.arange(cell_p.size)
+        key.sort()
+        order = key
+        order &= (1 << index_bits) - 1
+    starts = np.zeros(order.size, dtype=bool)
+    starts[:1] = True
+    for cell in (cell_p, cell_a):
+        cell = cell[order]
+        starts[1:] |= cell[1:] != cell[:-1]
+    return order, starts
 
 
 def _grid_merge(pos, ang, w, tol_p, tol_a, shift):
-    cell_p, cell_a = _cells(pos, ang, tol_p, tol_a, shift)
-    order = _cell_order(cell_p, cell_a)
-    cell_p, cell_a = cell_p[order], cell_a[order]
-    pos, ang, w = pos[order], ang[order], w[order]
-    starts = np.concatenate([[True], (cell_p[1:] != cell_p[:-1]) | (cell_a[1:] != cell_a[:-1])])
+    # the cells live only until the groups are known
+    order, starts = _cell_groups(*_cells(pos, ang, tol_p, tol_a, shift))
     if starts.all():
-        return pos, ang, w, False
+        return pos[order], ang[order], w[order], False
     idx = np.flatnonzero(starts)
+    w = w[order]
     wsum = np.add.reduceat(w, idx)
-    pos = np.add.reduceat(w * pos, idx) / wsum
-    ang = np.add.reduceat(w * ang, idx) / wsum
-    return pos, ang, wsum, True
+    means = []
+    for x in (pos, ang):
+        x = x[order]
+        x *= w
+        x = np.add.reduceat(x, idx)
+        x /= wsum
+        means.append(x)
+    return *means, wsum, True
 
 
 def _transport_to_far_mirror(
@@ -284,22 +320,33 @@ def _transport_to_far_mirror(
     With ``split`` each beam enters the field as two half-weight branches
     kicked by +-theta_split and takes the same-signed kick again at the
     exit; otherwise the field region is plain propagation.
+
+    A split leg fills three 2N arrays in place, the ``+`` branch in the
+    first half, with the float operations of the plain formulas in their
+    order: position + angle x gap, the entry kick, + angle x length, the
+    exit kick, + angle x gap.
     """
-    ths = config.theta_split_rad
-    pos = ensemble.positions + ensemble.angles * config.gap_m
-    ang = ensemble.angles
-    if split:
-        n = pos.size
-        pos = np.concatenate([pos, pos])
-        ang = np.concatenate([ang + ths, ang - ths])
-        w = np.concatenate([ensemble.weights, ensemble.weights]) * 0.5
-        pos = pos + ang * config.field_length_m
-        branch = np.concatenate([np.full(n, ths), np.full(n, -ths)])
-        ang = ang + branch
-    else:
-        w = ensemble.weights.copy()
-        pos = pos + ang * config.field_length_m
-    pos = pos + ang * config.gap_m
+    ths, gap, length = config.theta_split_rad, config.gap_m, config.field_length_m
+    a = ensemble.angles
+    if not split:
+        pos = a * gap
+        pos += ensemble.positions
+        pos += a * length
+        pos += a * gap
+        return BeamEnsemble(pos, a, ensemble.weights)
+    n = a.size
+    pos, ang, w = np.empty(2 * n), np.empty(2 * n), np.empty(2 * n)
+    np.multiply(a, gap, out=pos[:n])
+    pos[:n] += ensemble.positions
+    pos[n:] = pos[:n]
+    np.add(a, ths, out=ang[:n])
+    np.subtract(a, ths, out=ang[n:])
+    pos += np.multiply(ang, length, out=w)  # w is scratch until the weights go in
+    ang[:n] += ths
+    ang[n:] -= ths
+    pos += np.multiply(ang, gap, out=w)
+    np.multiply(ensemble.weights, 0.5, out=w[:n])
+    w[n:] = w[:n]
     return BeamEnsemble(pos, ang, w)
 
 
@@ -313,9 +360,9 @@ def _reflect_all(ensemble: BeamEnsemble, focal: float | None) -> BeamEnsemble:
     -position/f."""
     if focal is None:
         return ensemble
-    return BeamEnsemble(
-        ensemble.positions, ensemble.angles - ensemble.positions / focal, ensemble.weights
-    )
+    ang = ensemble.positions / focal
+    np.subtract(ensemble.angles, ang, out=ang)
+    return BeamEnsemble(ensemble.positions, ang, ensemble.weights)
 
 
 @dataclass(frozen=True)
@@ -341,14 +388,17 @@ def _to_detector(ensemble: BeamEnsemble, config: CavityConfig) -> BeamEnsemble:
     the beams propagate lens_offset_m, get the thin-lens kick, and propagate
     the remaining distance.
     """
-    pos, ang = ensemble.positions, ensemble.angles
+    ang = ensemble.angles
     if config.lens_focal_m is None:
-        pos = pos + ang * config.detector_distance_m
+        pos = ang * config.detector_distance_m
+        pos += ensemble.positions
     else:
-        pos = pos + ang * config.lens_offset_m
-        ang = ang - pos / config.lens_focal_m
-        pos = pos + ang * (config.detector_distance_m - config.lens_offset_m)
-    return BeamEnsemble(pos, ang, ensemble.weights.copy())
+        pos = ang * config.lens_offset_m
+        pos += ensemble.positions
+        ang = pos / config.lens_focal_m
+        np.subtract(ensemble.angles, ang, out=ang)
+        pos += ang * (config.detector_distance_m - config.lens_offset_m)
+    return BeamEnsemble(pos, ang, ensemble.weights)
 
 
 def run(config: CavityConfig, initial: BeamEnsemble | None = None) -> RunResult:
@@ -382,10 +432,11 @@ def run(config: CavityConfig, initial: BeamEnsemble | None = None) -> RunResult:
             result.snapshots.append(
                 DetectorSnapshot(traversal=k, ensemble=_to_detector(at_mirror, config))
             )
-        reflected = _reflect_all(at_mirror, _far_mirror_focal(config, direction))
-        ens = coalesce(
-            reflected, config.coalesce_tol_position_m, config.coalesce_tol_angle_rad
-        )
+        # neither the previous ensemble nor the at-mirror one outlives this
+        # traversal, and only the reflected one is held while coalescing
+        ens = _reflect_all(at_mirror, _far_mirror_focal(config, direction))
+        at_mirror = None
+        ens = coalesce(ens, config.coalesce_tol_position_m, config.coalesce_tol_angle_rad)
     result.final = ens
     return result
 

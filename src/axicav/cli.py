@@ -75,10 +75,20 @@ def _finite_float(text: str) -> float:
 
 
 def _csv(header: str, rows) -> str:
-    """Floats as FLOAT_FMT, anything else (the integer columns) as str()."""
+    """Floats (any float subclass) as FLOAT_FMT, anything else (the integer
+    columns) as str().  Each row is one % with a format string built once
+    per tuple of value types."""
+    formats = {}
     lines = [header]
     for row in rows:
-        lines.append(",".join([FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row]))
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join(
+                [FLOAT_FMT if issubclass(kind, float) else "%s" for kind in kinds]
+            )
+        lines.append(fmt % row)
     return "\n".join(lines) + "\n"
 
 

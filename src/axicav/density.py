@@ -223,19 +223,25 @@ def _exact_sum(p: np.ndarray) -> float:
     exactly in any order and the low parts carry on to the next pass.
     When the high parts cancel to zero the passes start again on the
     remainders.  Holds for len(p) < 2^26, far above the 2^20 beams a run
-    may hold."""
+    may hold.  Works on one copy of ``p`` and one buffer of high parts,
+    both updated in place; ``p`` itself is left as it was."""
+    if p.size == 0:
+        return 0.0
     two_m = math.ldexp(1.0, (p.size + 1).bit_length())
     phi = two_m * 2.0**-53
+    p = p.copy()
+    high = np.empty_like(p)
     while True:
-        mu = float(np.max(np.abs(p))) if p.size else 0.0
+        mu = max(-float(p.min()), float(p.max()))
         if mu == 0.0:
             return 0.0
         sigma = math.ldexp(two_m, math.frexp(mu)[1])
         t = 0.0
         while True:
-            high = (sigma + p) - sigma
+            np.add(p, sigma, out=high)
+            high -= sigma
             tau = float(high.sum())
-            p = p - high
+            p -= high
             t_next = t + tau
             if abs(t_next) >= two_m * phi * sigma or sigma <= 2.0**-1022:
                 return t_next + ((tau - (t_next - t)) + float(p.sum()))
@@ -276,10 +282,12 @@ def moments(ensemble, waist_m: float) -> np.ndarray:
     snapshot's histogram and its window series read the beams once."""
     memo = ensemble.moment_memo
     if waist_m not in memo:
+        # the weight first, so its buffers are gone before y and term exist
+        weight = _exact_sum(np.append(ensemble.weights, -1.0))
         y = ensemble.positions / waist_m
-        order = _order(float(np.max(np.abs(y))) if y.size else 0.0)
+        order = _order(max(-float(y.min()), float(y.max())) if y.size else 0.0)
         m = np.empty(order + 1)
-        m[0] = _exact_sum(np.append(ensemble.weights, -1.0))
+        m[0] = weight
         term = ensemble.weights.copy()
         for n in range(1, order + 1):
             term *= y

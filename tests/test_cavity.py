@@ -110,6 +110,23 @@ def test_ensemble_shape_validation():
         BeamEnsemble([0.0], [0.0], [-0.5])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+def test_ensemble_refuses_weights_that_are_not_finite_and_nonnegative(bad):
+    """A NaN weight fails every comparison, so `weights < 0` let it through
+    and a run from it wrote NaN histograms.  The message names the weight."""
+    with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+        BeamEnsemble([0.0, 1e-9], [0.0, 0.0], [bad, 0.5])
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        run(CavityConfig(n_traversals=2), initial=BeamEnsemble([0.0, 1e-9], [0.0, 0.0], [bad, 0.5]))
+    # written into the weights after construction, it is refused by the
+    # first ensemble the run builds, split leg or not
+    for cfg in (CavityConfig(n_traversals=2), CavityConfig(n_traversals=2, theta_split_rad=0.0)):
+        initial = BeamEnsemble([0.0, 1e-9], [0.0, 0.0], [0.5, 0.5])
+        initial.weights[0] = bad
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            run(cfg, initial=initial)
+
+
 def test_ensemble_enforces_paraxial_window():
     with pytest.raises(ParaxialError):
         BeamEnsemble([0.0], [0.2], [1.0])
@@ -713,3 +730,38 @@ def test_beam_budget_counts_only_split_legs(monkeypatch):
     assert len(run(replace(planar, n_traversals=6)).final) == 42
     with pytest.raises(BeamBudgetError):
         run(CavityConfig(n_traversals=6))
+
+
+# --- shared arrays -----------------------------------------------------------
+# Stages pass unchanged arrays on instead of copying them, so a snapshot may
+# share its weights (and, on an unsplit leg, its angles) with the ensemble
+# that goes on to the next traversal.  No stage may write into them.
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        CavityConfig(n_traversals=9),
+        replace(load_preset("bnl-quad").cavity, n_traversals=14),
+        CavityConfig(n_traversals=8, lens_focal_m=0.7, split_on_backward=False),
+        CavityConfig(n_traversals=6, theta_split_rad=0.0),
+    ],
+    ids=["confocal", "bnl-quad", "lens-unsplit", "field-off"],
+)
+def test_later_traversals_leave_earlier_snapshots_unchanged(cfg):
+    k = cfg.n_traversals
+    short = _run_bits(cfg)
+    traversals, bits = _run_bits(replace(cfg, n_traversals=k + 3))
+    n_short = len(short[0])
+    assert (traversals[:n_short], bits[:n_short]) == (short[0], short[1][:n_short])
+
+
+@pytest.mark.parametrize("theta", [THETA, 0.0])
+def test_run_leaves_the_initial_arrays_unchanged(theta):
+    rng = np.random.default_rng(11)
+    initial = BeamEnsemble(rng.normal(scale=1e-9, size=64), rng.normal(scale=1e-12, size=64),
+                           rng.uniform(0.0, 1.0 / 32, 64))
+    before = [a.copy() for a in (initial.positions, initial.angles, initial.weights)]
+    run(CavityConfig(n_traversals=5, theta_split_rad=theta), initial=initial)
+    after = (initial.positions, initial.angles, initial.weights)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import axicav
@@ -536,6 +537,23 @@ def test_csv_matches_the_per_value_formatter():
     # integers keep every digit; floats take 17 significant digits
     assert text.splitlines()[3] == "100000000000000000,1e+17,123456789012345678"
     assert text.splitlines()[1] == "0,0,-0"
+
+
+def test_csv_formats_by_each_value_type_not_by_column():
+    """Each row is formatted by a format string built for its tuple of value
+    types, so rows of one table may mix ints, floats and numpy scalars, and
+    lists as well as tuples."""
+    rows = [
+        (1, 0.1, np.float64(0.1)),
+        (np.float64(-2.5e-300), 2, 1.0 / 3.0),
+        [np.int64(7), np.float32(0.1), True],
+        (1, 0.1, np.float64(0.1)),
+        (2.0, 3, np.float64("nan")),
+    ]
+    text = cli._csv("a,b,c", rows)
+    assert text == _csv_per_value("a,b,c", rows)
+    assert text.splitlines()[1] == "1,0.10000000000000001,0.10000000000000001"
+    assert text.splitlines()[3] == "7,0.1,True"
 
 
 SCIPY_PROBE = """
