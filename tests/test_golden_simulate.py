@@ -9,7 +9,7 @@ hashes unchanged.  A change that alters the numbers on purpose re-pins them
 and logs the reason.
 
 The pinned outputs match the mpmath oracle of tests/test_oracle.py to
-5e-13 relative.  They depend on numpy's exp and on the C library's erf and
+2e-15 relative.  They depend on numpy's exp and on the C library's erf and
 erfc (through the math module), so a failure message names the numpy
 version and the C library.
 """
@@ -24,44 +24,44 @@ from axicav import cli
 
 GOLDEN = {
     ("confocal", 14): {
-        "growth_series.csv": "8b15e00a6eaf2c210dc92f76401b175327c53714b8f0c1cf42ea087739bb19b4",
-        "profile_difference_t001.csv": "06b470b95f4c648db1dbe4b065a0efa56d36bd1c8ea9ffec4ae266c35c2bcdd0",
-        "profile_difference_t002.csv": "9c19f0c862ca6c63fc0d2b08fe8f247a8d4fd248a623b09753af16daa700618c",
-        "profile_difference_t003.csv": "70a180c3de38c1ab3e34b89ef282fc109b15b831a6217f8ed13ad14ab28f61b0",
-        "profile_difference_t004.csv": "210d0502a5a757802869c30991bfe33bac52f3a77a2bdc591383aba60ad4167d",
-        "profile_difference_t005.csv": "a769c140cd353ea5d52135e71528c73aebe8eed30b4ae9e47a7c064793e22232",
-        "profile_difference_t006.csv": "e5c634cf3641d1c12e557b16cd878f3e8aad41d11138203d112194258be3f2d9",
-        "profile_difference_t007.csv": "1dcc88ed353831b25fa36562784c593468445961434d6ec00077668f328bec5e",
-        "profile_difference_t008.csv": "1d78b03d6eb26b9b32a73519976874448ae6217b849013ff13c839e3d7c7d52c",
-        "profile_difference_t009.csv": "d2abe6c1bb341f0795a74ced5491ce1eb87d3020856553416a2a696e8c5a104c",
-        "profile_difference_t010.csv": "647f3c25ca5586c35fb81b5b8c02969189af94773d0419c68e5ec55d3bd04590",
-        "profile_difference_t011.csv": "d2d07c1d7656cd77aca00a22f67991883cdb4d4063d11bbd44e4c4807ec69725",
-        "profile_difference_t012.csv": "f8aeb79788acdc6e466f9fb157b7af9d699b532ac1891fb2726a28f77ffdd0cb",
-        "profile_difference_t013.csv": "88ad6464cadc248bd60fc0c046fce1097ac71b0448cc52430f3ab2dad60468ab",
-        "profile_difference_t014.csv": "fdc7821d2fad50a488783cb94b3ac48d7bd9a65b9093ea485bfee9b10dcb49fd",
+        "growth_series.csv": "0b4ac214361d8c2ad41711897c060987a2a0516d856897ea1170d4c9015fa3d5",
+        "profile_difference_t001.csv": "ee50db58256493e0a349d3acd9cbff20bc101ebb058e481b04ebad0746399862",
+        "profile_difference_t002.csv": "def7c4f01cbbad34b2c8cad36d03bfaa189f834d9315e3518ff6b9a4d0fdfcb3",
+        "profile_difference_t003.csv": "f93b052eca095500d32b1adbfcce65b4ce4c730685ae6fbb3443edb9ad60ac34",
+        "profile_difference_t004.csv": "d00c053c9428ea1b9f9b5438faea564a975e8fe479ed8c4cae97c21805784856",
+        "profile_difference_t005.csv": "77853e9d25834b6c927abfa75792f9e2b713a119a8a9725c54ada87617807209",
+        "profile_difference_t006.csv": "d624ede427f17bfb75c27ede6fb0d291ab5825d2f68e8beaf3e4c40a3714f4d4",
+        "profile_difference_t007.csv": "3e70635f241bb2e46aea2084f8c28f6fd340fcf8cc0ae1ec03ee44b61f0f7257",
+        "profile_difference_t008.csv": "f5642b06d515c183fc54786eaa37b12f8ff3c39e2182129f8561c2c2945d399a",
+        "profile_difference_t009.csv": "a1d7416488907b938b98c0eaff3c394106921f8959f98dea7393da2586ac2ad6",
+        "profile_difference_t010.csv": "97310f42b14250937e239c16ab2a158ffd0439853ee09b96e109ff12d59caf8b",
+        "profile_difference_t011.csv": "2254dde3964e3a3b7ae83ecdc082bf725d4aa42824ebb8f00d537a62de94dc22",
+        "profile_difference_t012.csv": "bd431017ee7a8f41a33ee9196e35da5a5ddd57fc905f8b05b8362aed01042365",
+        "profile_difference_t013.csv": "20cd7dff317624109b33fd729af3144a8fa5e9ebd61421b7518ba36167fc405d",
+        "profile_difference_t014.csv": "3afa2bb462fabb54cf308ed16c2a17d5b7785967747251c7cf02f4fe2f1004bf",
     },
     ("bnl-quad", 12): {
-        "growth_series.csv": "6d003f3855f2b56ed5b60e3523c7afbcc44faed2934428e7372d02e4c557d1c5",
-        "profile_difference_t002.csv": "ff134d86898e87b5f46711563ae98b2e6eb830d5520cf52943635f657ed9e00f",
-        "profile_difference_t004.csv": "822e3451294ab1c55f1de3b57fb13020f3bac70870b2ec721f02b755833fb3fb",
-        "profile_difference_t006.csv": "e981119378b40b05991c76175b69d17310d4ee565b25d0483fe27ab3ecbb7f4b",
-        "profile_difference_t008.csv": "2787700d5afb7466690fb0536612d4a6ae2d0bde9f10592c4fe2178d664dfc27",
-        "profile_difference_t010.csv": "fa0efcc646012bf9dbb03190da485e482d2550f427953c1180152fb6bb2fe976",
-        "profile_difference_t012.csv": "f24fd051d477bed847c6f5f8afb4854bab7b251c69a282018e9d1428713d5ed0",
+        "growth_series.csv": "12ab9728ed6c43d5656ed51a6fc9045977ed68fd4c2059540699c7e53168eb42",
+        "profile_difference_t002.csv": "fb1fce6227afc886679eeb3f4956e1a4dad233316fee3a0c45d85dd6ff6f47ab",
+        "profile_difference_t004.csv": "09850f382861e19ac0cc6517f1bb97154db6d1c620702df135601471b8a6c529",
+        "profile_difference_t006.csv": "d4ab1f700e8aa6e626cb57cd5c88e22208020a69437adfb35928061cf4cc5c65",
+        "profile_difference_t008.csv": "bbba1f2fd6d36c606e26bbd4769cfcaf275849969630cf945324158aa8c947de",
+        "profile_difference_t010.csv": "d331a2af2a22387a126a15eaf304fb6209d102591442c8eb017949dd3fcf7355",
+        "profile_difference_t012.csv": "285c115b2c9bfdc18b5eb9576d6374660775be52b2ef9d4c219ebf1db40f86e4",
     },
 }
 
 
 GOLDEN_LENS = {
-    "growth_series.csv": "11240d70fba4fadd88f4e05443e09b9ca9c03ad9ae606bcf2dd82fe4e1ef80b6",
-    "profile_difference_t001.csv": "e587e88e262b5678c5190c13cd78960f87f3c3351f71316f39fa0914fc5893ce",
-    "profile_difference_t002.csv": "f02f1969c66d083a6f2de51828659ac3f241561786b47fc0df3bd0215ead8c18",
-    "profile_difference_t003.csv": "1303587397de518218dc1e0dc3cde1c86e8bcb500e9fef062dcfe20974fbdaca",
-    "profile_difference_t004.csv": "135776524ef8a4fc4c39c7661064af449827b054c84f12fc4d35bff65a792c8e",
-    "profile_difference_t005.csv": "d6864eb4ed5c5470ca899d7cbe1b874842d1f45c031d00725d2b6657386a0bcb",
-    "profile_difference_t006.csv": "f725c3bcbeff94b05840b0b771134c7b0101374285d830ebb379267641391971",
-    "profile_difference_t007.csv": "e84a275a228c68bdd200af18035a7842d6d8fdd5ff64c61104820b763f2a0295",
-    "profile_difference_t008.csv": "4bc87ed1c01c00870b3771044c27cb899c5c9e03024535dfbe6820fe19fcd204",
+    "growth_series.csv": "66ec8d4603ca2655be74db427336ca56df9535e5f69049386637be728ec036d8",
+    "profile_difference_t001.csv": "f57d12c318b8367e222eaba31f9c2947a2f94bcb44fa21276dedfd10c1a5f8c0",
+    "profile_difference_t002.csv": "d3c05614abc7cc8071529ace3436c20290c99cf3afd14167f3749fec50deeacc",
+    "profile_difference_t003.csv": "221b3ad5caff81f0596ed5bb4912d4bac061f732c42447cd3b11683157b43844",
+    "profile_difference_t004.csv": "d487d01e9d9322b104d22a33d895d1937a3c9e4c2579a0c2759a96118a24cdda",
+    "profile_difference_t005.csv": "851e323ebefd058479f33927a4ef6c8fb81976568134c1783c1577e68f851e7f",
+    "profile_difference_t006.csv": "1760e1972e170ef08db3d6a8f892f8d401504c31dae6ed565046f0f94b6d5627",
+    "profile_difference_t007.csv": "ee987af6331420144afe3eed9e0721d848302cf65d6fd5070601d7d03d4e8599",
+    "profile_difference_t008.csv": "3b7d47b84e17707f333e714e3e55c1a54193114ae0766c21cd96b2f218a3b28f",
 }
 
 

@@ -1,10 +1,14 @@
 """The photon rates of `axicav.density` against an mpmath oracle at 40 digits.
 
 Every window series and every difference-histogram bin must match the
-oracle to 1e-12 relative, on confocal n=5, bnl-quad n=20 (where the rates
+oracle to 1e-13 relative, on confocal n=5, bnl-quad n=20 (where the rates
 are 1e13-1e15 photons/s and the changes 1e-5-1e1), confocal at
 theta = 1e-6 (max|x|/r = 0.14, so the series runs to order 14), and an
-off-axis start whose odd moments do not cancel.
+off-axis start whose odd moments do not cancel.  The worst bin of the
+preset cases is 1.7e-15 and the worst pixel 1.6e-15; random ensembles
+reach 7.9e-15.  The off-axis bins keep a bound of 1e-12: at traversal 1
+the first two orders cancel 680-fold in the bin [1.5, 1.6) mm, which
+leaves 7.9e-13 from the 1e-15 rounding of m_1 (its products w x/r).
 
 The oracle takes each beam's Gaussian integral over a window from
 mpmath's erf.  Summed beam by beam (`direct=True`) that costs one 40-digit
@@ -43,7 +47,8 @@ from axicav.sensitivity import (
 
 mp.dps = 40
 PROFILE = GaussianProfile(5e18, 7.5e-4)
-TOL = 1e-12
+TOL = 1e-13
+OFF_AXIS_BIN_TOL = 1e-12
 
 H, C, W = 1e-6, 3.3e-3, PROFILE.waist_m  # the presets' pixel and the waist
 WINDOWS = {  # series -> (lo, hi, coefficient) windows, as in sensitivity
@@ -106,11 +111,11 @@ def _oracle_series(result, windows):
     ]
 
 
-def _assert_close(got, want, what):
+def _assert_close(got, want, what, tol=TOL):
     assert len(got) == len(want), what
     for i, (g, w) in enumerate(zip(got, want)):
         rel = abs(mp.mpf(float(g)) - w) / abs(w)
-        assert rel <= TOL, f"{what}[{i}]: {float(g)!r} against {mp.nstr(w, 20)} (rel {float(rel):.2e})"
+        assert rel <= tol, f"{what}[{i}]: {float(g)!r} against {mp.nstr(w, 20)} (rel {float(rel):.2e})"
 
 
 def _read_csv(path: Path, column: int) -> list[float]:
@@ -153,7 +158,7 @@ def test_off_axis_start_matches_the_oracle():
     for snap in result.snapshots:
         diff = profile_difference(reference, bin_ensemble(snap.ensemble, PROFILE, edges))
         want = [-v for v in _oracle_deviation(snap.ensemble, edges)]
-        _assert_close(diff.counts, want, f"t{snap.traversal:03d}")
+        _assert_close(diff.counts, want, f"t{snap.traversal:03d}", OFF_AXIS_BIN_TOL)
     for name, windows in WINDOWS.items():
         _assert_close(BUILDERS[name](result).signal, _oracle_series(result, windows), name)
 
