@@ -80,12 +80,10 @@ class BeamEnsemble:
     quantities derived from them (`density.moments` keeps its moments
     there, per waist).
 
-    Ensembles share arrays: a stage that leaves a coordinate unchanged
-    passes the array on instead of copying it, so a snapshot, the
-    reflected ensemble and the caller's ``initial`` may all hold one
-    weights array.  That is safe because no stage writes into an array
-    another ensemble may share; in-place arithmetic is kept to buffers the
-    stage allocated itself."""
+    A stage passes on the arrays it leaves unchanged instead of copying
+    them, so ensembles share arrays (a snapshot, the reflected ensemble and
+    ``initial`` may hold one weights array).  The rule that makes this
+    safe: no stage writes into an array another ensemble may share."""
 
     __slots__ = ("positions", "angles", "weights", "moment_memo")
 
@@ -96,11 +94,9 @@ class BeamEnsemble:
         if not (positions.shape == angles.shape == weights.shape):
             raise ValueError("positions, angles and weights must have equal length")
         # min and max only, no temporary arrays; a NaN fails both tests
-        if weights.size:
-            lo, hi = float(weights.min()), float(weights.max())
-            if not (lo >= 0 and hi < math.inf):
-                bad = hi if lo >= 0 else lo
-                raise ValueError(f"weights must be finite and >= 0, got {bad!r}")
+        lo, hi = (float(weights.min()), float(weights.max())) if weights.size else (0.0, 0.0)
+        if not (lo >= 0 and hi < math.inf):
+            raise ValueError(f"weights must be finite and >= 0, got {hi if lo >= 0 else lo!r}")
         amax = max(-float(angles.min()), float(angles.max())) if angles.size else 0.0
         if not (amax < PARAXIAL_LIMIT):
             raise ParaxialError(
@@ -210,19 +206,16 @@ def _final_order(pos, ang):
 
 
 def _cells(pos, ang, tol_p, tol_a, shift):
-    """The floored cell coordinates, one new float array each, scaled,
-    shifted and floored in place.  The floored floats are exact integers,
-    so they key the cells directly."""
-    cells = []
-    for x, tol in ((pos, tol_p), (ang, tol_a)):
-        cell = x / tol
+    cells = pos / tol_p, ang / tol_a
+    for cell in cells:
         cell += shift
         # Refuse cell indices of 2^62 and beyond: the grid is too fine for
         # the ensemble's scale (far past 2^53, where the half-cell shift is
-        # lost).  A NaN passes, as it fails both comparisons.
+        # lost).  A NaN fails both tests, as it did the old abs() test.
         if cell.min(initial=0.0) <= -(2.0**62) or cell.max(initial=0.0) >= 2.0**62:
             raise ValueError("coalescing tolerance too small for the ensemble scale")
-        cells.append(np.floor(cell, out=cell))
+        np.floor(cell, out=cell)
+    # The floored floats are exact integers, so they key the cells directly.
     return cells
 
 
@@ -230,12 +223,11 @@ def _pack_cells(cell_p, cell_a, low_bits):
     """One int64 per beam that orders like (cell_p, cell_a), with ``low_bits``
     zero bits left free at the bottom, or None when that does not fit.
 
-    Each coordinate is offset by its minimum, in place: a packed call
-    leaves ``cell_p`` and ``cell_a`` shifted by a constant each, which
-    keeps which beams share a cell and in what order; a declined call
-    leaves them as they were.  A span below 2^53 keeps that difference
-    exact in floats (a NaN cell fails this test), and the two fields plus
-    the free bits must fit the 63 bits of a non-negative int64.
+    Each coordinate is offset by its minimum in place, so a packed call
+    leaves ``cell_p`` and ``cell_a`` shifted by a constant each.  A span
+    below 2^53 keeps that difference exact in floats (a NaN cell fails
+    this test), and the two fields plus the free bits must fit the 63 bits
+    of a non-negative int64.
     """
     if cell_p.size == 0:
         return np.zeros(0, dtype=np.int64)
@@ -248,10 +240,8 @@ def _pack_cells(cell_p, cell_a, low_bits):
         return None
     cell_p -= lo_p
     cell_a -= lo_a
-    key = cell_p.astype(np.int64)
-    key <<= bits_a
-    key |= cell_a.astype(np.int64)
-    key <<= low_bits
+    key = cell_p.astype(np.int64) << (bits_a + low_bits)
+    key |= cell_a.astype(np.int64) << low_bits
     return key
 
 
@@ -270,44 +260,34 @@ def _no_shared_cell(pos, ang, tol_p, tol_a):
     return True
 
 
-def _cell_groups(cell_p, cell_a):
-    """The permutation ``_lexorder(cell_p, cell_a)`` returns, and a mask of
-    the places in that order where a new cell starts.  With the input index
-    in the low bits the packed keys are unique, so any sort orders them the
-    same way, and the sorted keys' low bits are the permutation."""
+def _cell_order(cell_p, cell_a):
+    """The permutation ``_lexorder(cell_p, cell_a)`` returns.  With the input
+    index in the low bits the packed keys are unique, so any sort orders them
+    the same way, and the sorted keys' low bits are the permutation."""
     index_bits = max(cell_p.size - 1, 0).bit_length()
     key = _pack_cells(cell_p, cell_a, index_bits)
     if key is None:
-        order = _lexorder(cell_p, cell_a)
-    else:
-        key |= np.arange(cell_p.size)
-        key.sort()
-        order = key
-        order &= (1 << index_bits) - 1
-    starts = np.zeros(order.size, dtype=bool)
-    starts[:1] = True
-    for cell in (cell_p, cell_a):
-        cell = cell[order]
-        starts[1:] |= cell[1:] != cell[:-1]
-    return order, starts
+        return _lexorder(cell_p, cell_a)
+    key |= np.arange(cell_p.size)
+    key.sort()
+    return key & ((1 << index_bits) - 1)
 
 
 def _grid_merge(pos, ang, w, tol_p, tol_a, shift):
-    # the cells live only until the groups are known
-    order, starts = _cell_groups(*_cells(pos, ang, tol_p, tol_a, shift))
+    cell_p, cell_a = _cells(pos, ang, tol_p, tol_a, shift)
+    order = _cell_order(cell_p, cell_a)
+    cell_p = cell_p[order]
+    cell_a = cell_a[order]
+    starts = np.concatenate([[True], (cell_p[1:] != cell_p[:-1]) | (cell_a[1:] != cell_a[:-1])])
+    del cell_p, cell_a  # before the beams are reordered
     if starts.all():
         return pos[order], ang[order], w[order], False
     idx = np.flatnonzero(starts)
     w = w[order]
     wsum = np.add.reduceat(w, idx)
-    means = []
-    for x in (pos, ang):
-        x = x[order]
-        x *= w
-        x = np.add.reduceat(x, idx)
-        x /= wsum
-        means.append(x)
-    return *means, wsum, True
+    pos = np.add.reduceat(w * pos[order], idx) / wsum
+    ang = np.add.reduceat(w * ang[order], idx) / wsum
+    return pos, ang, wsum, True
 
 
 def _transport_to_far_mirror(
@@ -321,16 +301,13 @@ def _transport_to_far_mirror(
     kicked by +-theta_split and takes the same-signed kick again at the
     exit; otherwise the field region is plain propagation.
 
-    A split leg fills three 2N arrays in place, the ``+`` branch in the
-    first half, with the float operations of the plain formulas in their
-    order: position + angle x gap, the entry kick, + angle x length, the
-    exit kick, + angle x gap.
+    A split leg fills three 2N arrays in place (the ``+`` branch first) with
+    the float operations of the plain formulas, in their order.
     """
     ths, gap, length = config.theta_split_rad, config.gap_m, config.field_length_m
     a = ensemble.angles
     if not split:
-        pos = a * gap
-        pos += ensemble.positions
+        pos = ensemble.positions + a * gap
         pos += a * length
         pos += a * gap
         return BeamEnsemble(pos, a, ensemble.weights)
@@ -388,16 +365,13 @@ def _to_detector(ensemble: BeamEnsemble, config: CavityConfig) -> BeamEnsemble:
     the beams propagate lens_offset_m, get the thin-lens kick, and propagate
     the remaining distance.
     """
-    ang = ensemble.angles
+    pos, ang = ensemble.positions, ensemble.angles
     if config.lens_focal_m is None:
-        pos = ang * config.detector_distance_m
-        pos += ensemble.positions
+        pos = pos + ang * config.detector_distance_m
     else:
-        pos = ang * config.lens_offset_m
-        pos += ensemble.positions
-        ang = pos / config.lens_focal_m
-        np.subtract(ensemble.angles, ang, out=ang)
-        pos += ang * (config.detector_distance_m - config.lens_offset_m)
+        pos = pos + ang * config.lens_offset_m
+        ang = ang - pos / config.lens_focal_m
+        pos = pos + ang * (config.detector_distance_m - config.lens_offset_m)
     return BeamEnsemble(pos, ang, ensemble.weights)
 
 

@@ -83,12 +83,9 @@ def _csv(header: str, rows) -> str:
     for row in rows:
         row = tuple(row)
         kinds = tuple(map(type, row))
-        fmt = formats.get(kinds)
-        if fmt is None:
-            fmt = formats[kinds] = ",".join(
-                [FLOAT_FMT if issubclass(kind, float) else "%s" for kind in kinds]
-            )
-        lines.append(fmt % row)
+        if kinds not in formats:
+            formats[kinds] = ",".join([FLOAT_FMT if issubclass(k, float) else "%s" for k in kinds])
+        lines.append(formats[kinds] % row)
     return "\n".join(lines) + "\n"
 
 

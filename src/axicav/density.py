@@ -225,14 +225,12 @@ def _exact_sum(p: np.ndarray) -> float:
     remainders.  Holds for len(p) < 2^26, far above the 2^20 beams a run
     may hold.  Works on one copy of ``p`` and one buffer of high parts,
     both updated in place; ``p`` itself is left as it was."""
-    if p.size == 0:
-        return 0.0
     two_m = math.ldexp(1.0, (p.size + 1).bit_length())
     phi = two_m * 2.0**-53
     p = p.copy()
     high = np.empty_like(p)
     while True:
-        mu = max(-float(p.min()), float(p.max()))
+        mu = max(-float(p.min()), float(p.max())) if p.size else 0.0
         if mu == 0.0:
             return 0.0
         sigma = math.ldexp(two_m, math.frexp(mu)[1])
@@ -272,30 +270,22 @@ def _order(rho: float) -> int:
 
 
 def _midpoint_order(n_max: int, delta: float) -> int:
-    """The highest odd power of delta the midpoint series of `rates` needs
-    for the orders n <= n_max, on windows of half-width at most delta
-    (<= 1/4, in units of r).
-
-    Term k of E_n(c - delta) - E_n(c + delta) = 2 sum_{k odd}
-    E_{n+k}(c) delta^k / k! is at most 2*CRAMER*sqrt((n+k-1)!) delta^k/k!
-    by Cramer's inequality.  The series stops at the first odd K whose
-    next term is below TAIL/2 of the first term's bound; with delta <= 1/4
-    and n <= MAX_ORDER each later term is under half the one before, so
-    everything dropped stays below TAIL of it."""
+    """The highest odd power of delta <= 1/4 that the midpoint series of
+    `rates` needs for the orders n <= n_max.  Cramer's inequality bounds
+    term k by 2*CRAMER*sqrt((n+k-1)!) delta^k/k!; the series stops at the
+    first odd K whose next term is below TAIL/2 of the first term's bound,
+    and each later term is under half the one before."""
     k = 1
-    while not (
-        math.sqrt(math.factorial(n_max + k + 1) / math.factorial(n_max))
-        * delta ** (k + 1) / math.factorial(k + 2)
-        < TAIL / 2
-    ):
+    while not (math.sqrt(math.factorial(n_max + k + 1) / math.factorial(n_max))
+               * delta ** (k + 1) / math.factorial(k + 2) < TAIL / 2):
         k += 2
     return k
 
 
 def _hermite_functions(u: np.ndarray, count: int) -> np.ndarray:
-    """Rows E_1(u), ..., E_count(u), with E_n(u) = He_{n-1}(u) exp(-u^2/2)
-    from the three-term recurrence of He.  Starting from the envelope keeps
-    every value finite: far from the axis it underflows to zero."""
+    """Rows E_1(u), ..., E_count(u), E_n(u) = He_{n-1}(u) exp(-u^2/2), by
+    the recurrence of He started from the envelope, so that far from the
+    axis they underflow to zero rather than overflow."""
     e = np.empty((count, u.size))
     prev, cur = np.zeros_like(u), np.exp(-0.5 * u * u)
     for k in range(count):
@@ -358,7 +348,7 @@ def rates(ensemble, profile: GaussianProfile, edges_m) -> tuple[np.ndarray, np.n
 
     which keeps its digits where the window straddles a maximum of E_n
     (on the default bin [0.7, 0.8] mm, around x = r, E_2(l) - E_2(h) is
-    1/5000 of either edge value).  Wider windows keep the edge difference.
+    1/5000 of either edge value).
 
     Raises ValueError unless the edges are finite and strictly ascending."""
     edges = np.asarray(edges_m, dtype=float)
