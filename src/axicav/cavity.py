@@ -16,6 +16,16 @@ reconverge (bnl-quad) stay at thousands of beams; the confocal cavity never
 merges a branch, so its ensemble doubles on every traversal.  A run is
 refused with BeamBudgetError before a split would take the ensemble past
 MAX_BEAMS, rather than left to run out of memory.
+
+Memory: a run keeps every detector snapshot until it is rendered, 24 B per
+snapshot beam (a snapshot shares its weights array with the ensemble it was
+taken from).  Each stage allocates only the arrays it returns, so the
+traced peak of a whole `axicav simulate` is 48-55 B per snapshot beam,
+reached while the last traversal coalesces, with the snapshots, the
+reflected ensemble and the cell keys live.  A run at the budget (confocal
+n=20: 2^20 final beams, 2^21 - 2 snapshot beams) holds 50 MB of snapshots
+and peaks at 101 MB under tracemalloc and 128 MB resident (Linux x86-64,
+numpy 2.4.6).
 """
 
 from __future__ import annotations

@@ -104,6 +104,9 @@ def cmd_simulate(args) -> int:
     ref_hist = density.bin_ensemble(axial_beam(), profile, edges)
 
     signal_run = run(sc.cavity)
+    # only the final ensemble's size is reported: do not hold it while rendering
+    final_beams = len(signal_run.final)
+    signal_run.final = None
     diffs = {
         f"profile_difference_t{snap.traversal:03d}.csv": density.profile_difference(
             ref_hist, density.bin_ensemble(snap.ensemble, profile, edges)
@@ -145,7 +148,7 @@ def cmd_simulate(args) -> int:
         )
     )
     print(f"wrote {len(signal_run.snapshots)} difference histograms and {series_path}")
-    print(f"final ensemble: {len(signal_run.final)} beams")
+    print(f"final ensemble: {final_beams} beams")
     return 0
 
 

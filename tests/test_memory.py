@@ -7,9 +7,9 @@ rendering allocates is transient.  The budget bounds the traced peak of a
 whole ``simulate`` call per snapshot beam, so a stage that copies arrays it
 does not return, or keeps them past their last reader, shows here.  Each
 stage allocating only what it returns brings the peak to about 55 B per
-snapshot beam on both cavities below, set by the moment pass over the
-largest snapshot; keeping those copies cost 68 B (confocal) and 71 B
-(bnl-quad).
+snapshot beam on both cavities below, reached while the last traversal
+coalesces; copies and arrays held past their last reader had cost 68 B
+(confocal) and 71 B (bnl-quad).
 """
 
 import tracemalloc
