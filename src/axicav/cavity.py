@@ -221,7 +221,7 @@ def _cells(pos, ang, tol_p, tol_a, shift):
         cell += shift
         # Refuse cell indices of 2^62 and beyond: the grid is too fine for
         # the ensemble's scale (far past 2^53, where the half-cell shift is
-        # lost).  A NaN fails both tests, as it did the old abs() test.
+        # lost).  A NaN fails both tests; `_pack_cells` then declines it.
         if cell.min(initial=0.0) <= -(2.0**62) or cell.max(initial=0.0) >= 2.0**62:
             raise ValueError("coalescing tolerance too small for the ensemble scale")
         np.floor(cell, out=cell)
