@@ -8,14 +8,16 @@ traversal; coalescing merges beams that have become indistinguishable.
 
 The ensemble is stored as flat numpy arrays: a traversal is a handful of
 vectorised affine operations plus one grid-based merge.  The merge sorts the
-beams, so for N beams a traversal costs O(N log N), not O(N).  An ensemble
-in which no two beams share a grid cell costs one check (two sorts of int64
-cell keys) plus the final ordering by position.  How long a run can be is
-set by how many beams survive coalescing.  Cavities whose branches
-reconverge (bnl-quad) stay at thousands of beams; the confocal cavity never
-merges a branch, so its ensemble doubles on every traversal.  A run is
-refused with BeamBudgetError before a split would take the ensemble past
-MAX_BEAMS, rather than left to run out of memory.
+beams, so for N beams a traversal costs O(N log N), not O(N).  Each grid
+pass sorts one int64 cell key per beam, and that one sort tells which beams
+share a cell, groups them and orders them.  An ensemble in which no two
+beams share a grid cell costs two such sorts (one per grid) plus the final
+ordering by position; a bnl-quad traversal, which merges, costs three.
+How long a run can be is set by how many beams survive coalescing.
+Cavities whose branches reconverge (bnl-quad) stay at thousands of beams;
+the confocal cavity never merges a branch, so its ensemble doubles on every
+traversal.  A run is refused with BeamBudgetError before a split would take
+the ensemble past MAX_BEAMS, rather than left to run out of memory.
 
 Memory: a run keeps every detector snapshot until it is rendered, 24 B per
 snapshot beam (a snapshot shares its weights array with the ensemble it was
@@ -153,9 +155,18 @@ def coalesce(
     apart can end up in one beam.  Output is sorted by (position, angle),
     which makes the result order deterministic.
 
-    Each iteration starts by checking whether any two beams share a cell on
-    either grid; when none do, it would merge nothing and is skipped, so an
-    ensemble that merges nothing costs that check and the final ordering.
+    Each pass sorts its beams' cell keys once (`_grid_pass`).  A pass that
+    merges nothing leaves the beams where they are and keeps only its order:
+    its cells are distinct, so they alone fix that order, and a later pass
+    that merges sums each shared cell in that order, as if the beams had
+    moved.  A merging pass leaves the merged beams in its grid's order, so
+    the next pass on that grid first checks in O(N) whether their
+    recomputed cells still strictly increase; when they do, no two beams
+    share a cell and no sort runs.  A merged mean can cross a cell edge, so
+    the check is made, not assumed.  Two passes in a row that merge nothing
+    end the iteration: neither changed the beams, and each grid found no
+    shared cell in them.  An ensemble that merges nothing costs two sorts
+    plus the final ordering.
 
     Both tolerances must be > 0 (a NaN is refused too): a grid needs a
     cell size.
@@ -163,18 +174,25 @@ def coalesce(
     if not (tol_position_m > 0 and tol_angle_rad > 0):
         raise ValueError("coalescing tolerances must be > 0")
     pos, ang, w = ensemble.positions, ensemble.angles, ensemble.weights
-    for _ in range(64):
-        # An iteration that would merge nothing only permutes the beams.  At
-        # a fixed point no two beams tie in (position, angle), so the final
-        # order does not depend on that permutation.
-        if _no_shared_cell(pos, ang, tol_position_m, tol_angle_rad):
-            break
-        merged_any = False
-        for shift in (0.0, 0.5):
-            pos, ang, w, merged = _grid_merge(pos, ang, w, tol_position_m, tol_angle_rad, shift)
-            merged_any = merged_any or merged
-        if not merged_any:
-            break
+    kept = None  # the order of the last pass, if it merged nothing
+    in_order_of = None  # the grid of the last merge, whose order the beams are in
+    quiet = 0  # passes in a row that merged nothing
+    for shift in (0.0, 0.5) * 64:
+        if shift == in_order_of and _cells_rise(pos, ang, tol_position_m, tol_angle_rad, shift):
+            kept, merged = None, False
+        else:
+            pos, ang, w, kept, merged = _grid_pass(
+                pos, ang, w, tol_position_m, tol_angle_rad, shift, kept
+            )
+        if merged:
+            in_order_of, quiet = shift, 0
+        else:
+            quiet += 1
+            if quiet == 2:
+                break
+    # At the fixed point no two beams tie in (position, angle), so the kept
+    # order does not change the final one.
+    kept = None
     order = _final_order(pos, ang)
     return BeamEnsemble(pos[order], ang[order], w[order])
 
@@ -230,8 +248,9 @@ def _cells(pos, ang, tol_p, tol_a, shift):
 
 
 def _pack_cells(cell_p, cell_a, low_bits):
-    """One int64 per beam that orders like (cell_p, cell_a), with ``low_bits``
-    zero bits left free at the bottom, or None when that does not fit.
+    """One int64 per beam that orders like (cell_p, cell_a), and the number
+    of zero bits left free at the bottom: ``low_bits`` when they fit beside
+    the cells, else none.  None when the cells alone do not fit.
 
     Each coordinate is offset by its minimum in place, so a packed call
     leaves ``cell_p`` and ``cell_a`` shifted by a constant each.  A span
@@ -240,64 +259,123 @@ def _pack_cells(cell_p, cell_a, low_bits):
     of a non-negative int64.
     """
     if cell_p.size == 0:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.int64), low_bits
     lo_p, lo_a = cell_p.min(), cell_a.min()
     span_p, span_a = cell_p.max() - lo_p, cell_a.max() - lo_a
     if not (span_p < 2.0**53 and span_a < 2.0**53):
         return None
     bits_a = int(span_a).bit_length()
-    if int(span_p).bit_length() + bits_a + low_bits > 63:
+    cell_bits = int(span_p).bit_length() + bits_a
+    if cell_bits > 63:
         return None
+    if cell_bits + low_bits > 63:
+        low_bits = 0
     cell_p -= lo_p
     cell_a -= lo_a
-    key = cell_p.astype(np.int64) << (bits_a + low_bits)
-    key |= cell_a.astype(np.int64) << low_bits
-    return key
+    key = cell_p.astype(np.int64)
+    key <<= bits_a + low_bits
+    field_a = cell_a.astype(np.int64)
+    field_a <<= low_bits
+    key |= field_a
+    return key, low_bits
 
 
-def _no_shared_cell(pos, ang, tol_p, tol_a):
-    """True when no two beams share a cell of the grid at shift 0 or at
-    shift 0.5, so a fixed-point iteration would merge nothing.  False when
-    some do, or when the cells do not pack into int64 keys."""
-    for shift in (0.0, 0.5):
-        key = _pack_cells(*_cells(pos, ang, tol_p, tol_a, shift), 0)
-        if key is None:
-            return False
-        key.sort()
-        if (key[1:] == key[:-1]).any():
-            return False
-        del key  # before the next grid's cells are made
-    return True
-
-
-def _cell_order(cell_p, cell_a):
-    """The permutation ``_lexorder(cell_p, cell_a)`` returns.  With the input
-    index in the low bits the packed keys are unique, so any sort orders them
-    the same way, and the sorted keys' low bits are the permutation."""
-    index_bits = max(cell_p.size - 1, 0).bit_length()
-    key = _pack_cells(cell_p, cell_a, index_bits)
-    if key is None:
-        return _lexorder(cell_p, cell_a)
-    key |= np.arange(cell_p.size)
-    key.sort()
-    return key & ((1 << index_bits) - 1)
-
-
-def _grid_merge(pos, ang, w, tol_p, tol_a, shift):
+def _cells_rise(pos, ang, tol_p, tol_a, shift):
+    """True when the beams' cells at ``shift`` strictly increase in their
+    present order, by position cell, then angle cell: no two beams share a
+    cell of that grid, and its order is the present one.  A NaN cell rises
+    past nothing."""
     cell_p, cell_a = _cells(pos, ang, tol_p, tol_a, shift)
-    order = _cell_order(cell_p, cell_a)
-    cell_p = cell_p[order]
-    cell_a = cell_a[order]
-    starts = np.concatenate([[True], (cell_p[1:] != cell_p[:-1]) | (cell_a[1:] != cell_a[:-1])])
-    del cell_p, cell_a  # before the beams are reordered
-    if starts.all():
-        return pos[order], ang[order], w[order], False
+    tied = cell_p[1:] == cell_p[:-1]
+    rises = (cell_p[1:] > cell_p[:-1]) | (tied & (cell_a[1:] > cell_a[:-1]))
+    return bool(rises.all())
+
+
+def _grid_pass(pos, ang, w, tol_p, tol_a, shift, kept):
+    """Merge the beams that share a cell of the grid at ``shift``, from one
+    sort.
+
+    Each beam's packed cell key carries its index in the low bits, so the
+    keys are unique and any sort kernel orders them the same way.  In the
+    sorted keys a cell is shared where neighbouring ``key >> bits`` are
+    equal, the same comparison marks where each cell's run starts, and the
+    low bits are the order; no cell array is gathered.
+
+    ``kept`` is the order of an earlier pass that merged nothing and left
+    the beams where they were, or None.  A shared cell sums its beams in
+    that order, as if that pass had moved them: the summation order of the
+    stable sorts of ``_lexorder``.
+
+    Returns ``pos, ang, w, kept, merged``.  A pass that merges nothing
+    leaves the beams where they are and returns its order as ``kept``.  A
+    merging pass returns the merged beams in the order of the cells they
+    came from, and None.  When the index does not fit beside the cells,
+    sharing is read from the sorted plain keys, and a pass that merges
+    nothing returns its shift instead of an order it did not read.  A pass
+    that must merge then, or whose cells do not pack (a NaN, a span of
+    2^53 or more, or more than 63 bits), orders them with ``_lexorder`` and
+    moves the beams, merged or not.
+    """
+    n = pos.size
+    bits = max(n - 1, 0).bit_length()
+    cell_p, cell_a = _cells(pos, ang, tol_p, tol_a, shift)
+    packed = _pack_cells(cell_p, cell_a, bits)
+    if packed is not None and packed[1] < bits:
+        key = packed[0]
+        del cell_p, cell_a, packed
+        key.sort()
+        if (key[1:] != key[:-1]).all():
+            return pos, ang, w, shift, False
+        del key
+        cell_p, cell_a = _cells(pos, ang, tol_p, tol_a, shift)
+        packed = None
+    if packed is None:
+        order = _lexorder(cell_p, cell_a)
+        cell_p, cell_a = cell_p[order], cell_a[order]
+        starts = np.empty(n, dtype=bool)
+        starts[:1] = True
+        starts[1:] = (cell_p[1:] != cell_p[:-1]) | (cell_a[1:] != cell_a[:-1])
+        del cell_p, cell_a
+        if starts.all():
+            return pos[order], ang[order], w[order], None, False
+    else:
+        key = packed[0]
+        del cell_p, cell_a, packed
+        key |= np.arange(n)
+        key.sort()
+        cell = key >> bits
+        starts = np.empty(n, dtype=bool)
+        starts[:1] = True
+        np.not_equal(cell[1:], cell[:-1], out=starts[1:])
+        del cell
+        key &= (1 << bits) - 1
+        order = key
+        if starts.all():
+            return pos, ang, w, order, False
+    if kept is not None:
+        if isinstance(kept, float):  # the shift of a pass whose order was not read
+            kept = _lexorder(*_cells(pos, ang, tol_p, tol_a, kept))
+        _order_shared_cells_by(order, starts, kept)
     idx = np.flatnonzero(starts)
+    del starts
     w = w[order]
     wsum = np.add.reduceat(w, idx)
     pos = np.add.reduceat(w * pos[order], idx) / wsum
     ang = np.add.reduceat(w * ang[order], idx) / wsum
-    return pos, ang, wsum, True
+    return pos, ang, wsum, None, True
+
+
+def _order_shared_cells_by(order, starts, kept):
+    """Reorder, in place, the beams of each shared cell (the runs of
+    ``order`` that ``starts`` marks) by their place in ``kept``; the order
+    of the cells stays."""
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[kept] = np.arange(order.size)
+    shared = ~starts
+    shared[:-1] |= ~starts[1:]
+    slots = np.flatnonzero(shared)
+    beams = order[slots]
+    order[slots] = beams[np.lexsort((rank[beams], np.cumsum(starts)[slots]))]
 
 
 def _transport_to_far_mirror(

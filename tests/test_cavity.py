@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import math
 import pkgutil
@@ -372,9 +373,10 @@ def test_coalesce_can_keep_beams_closer_than_half_a_tolerance_apart():
     assert len(_assert_matches_reference(ens, tol_p, tol_a)) == 2
 
 
-def _shares_cell_brute(pos, ang, tol_p, tol_a):
-    """Whether any pair of beams shares a cell at shift 0 or 0.5, pair by pair."""
-    for shift in (0.0, 0.5):
+def _shares_cell_brute(pos, ang, tol_p, tol_a, shifts=(0.0, 0.5)):
+    """Whether any pair of beams shares a cell of a grid at one of ``shifts``,
+    pair by pair."""
+    for shift in shifts:
         cell_p = np.floor(pos / tol_p + shift)
         cell_a = np.floor(ang / tol_a + shift)
         for i in range(pos.size):
@@ -408,29 +410,169 @@ def _edge_ensembles():
     yield np.array([]), np.array([])
 
 
-def test_no_shared_cell_matches_brute_force():
+# A beam about 2^52 position cells and 700 angle cells away from the others
+# widens the packed cells to 53 + 10 = 63 bits, so no index fits beside them
+# and a pass reads sharing from the sorted plain keys.
+FAR_CELLS = (2.0**52 + 8, 700.0)
+
+
+def _with_far_beam(pos, ang):
+    return (np.append(pos, FAR_CELLS[0] * EDGE_TOL_P), np.append(ang, FAR_CELLS[1] * EDGE_TOL_A))
+
+
+def _one_pass(pos, ang, shift):
+    """Whether a grid pass at ``shift`` over equal-weight beams merged."""
+    w = np.full(pos.size, 1.0 / max(pos.size, 1))
+    return cavity._grid_pass(pos, ang, w, EDGE_TOL_P, EDGE_TOL_A, shift, None)[4]
+
+
+@pytest.mark.parametrize("far", [False, True], ids=["index-fits", "plain-keys"])
+def test_grid_pass_shares_cells_like_brute_force(far, monkeypatch):
+    """Each pass merges exactly when two beams share one of its cells (±0.0
+    included).  A pass that shares nothing needs no _lexorder, with or
+    without room for the index; one that must merge without room for it
+    orders with _lexorder."""
+    calls = _count_lexorder(monkeypatch)
     for pos, ang in _edge_ensembles():
-        got = cavity._no_shared_cell(pos, ang, EDGE_TOL_P, EDGE_TOL_A)
-        assert got == (not _shares_cell_brute(pos, ang, EDGE_TOL_P, EDGE_TOL_A)), (pos, ang)
+        if far:
+            pos, ang = _with_far_beam(pos, ang)
+            if pos.size > 1:
+                for shift in (0.0, 0.5):
+                    cells = cavity._cells(pos, ang, EDGE_TOL_P, EDGE_TOL_A, shift)
+                    assert cavity._pack_cells(*cells, 1)[1] == 0
+        for shift in (0.0, 0.5):
+            shares = _shares_cell_brute(pos, ang, EDGE_TOL_P, EDGE_TOL_A, [shift])
+            calls.clear()
+            merged = _one_pass(pos, ang, shift)
+            assert merged == shares, (pos, ang, shift)
+            assert len(calls) == (far and shares), (pos, ang, shift)
+
+
+def test_cells_rise_exactly_where_the_sorted_cells_are_distinct():
+    """The O(N) check: in the grid's own order the cells strictly increase
+    exactly when no two beams share a cell; in any order a rise means no
+    shared cell."""
+    for pos, ang in _edge_ensembles():
+        for shift in (0.0, 0.5):
+            shares = _shares_cell_brute(pos, ang, EDGE_TOL_P, EDGE_TOL_A, [shift])
+            if cavity._cells_rise(pos, ang, EDGE_TOL_P, EDGE_TOL_A, shift):
+                assert not shares, (pos, ang, shift)
+            cells = np.floor(ang / EDGE_TOL_A + shift), np.floor(pos / EDGE_TOL_P + shift)
+            order = np.lexsort(cells)
+            rises = cavity._cells_rise(pos[order], ang[order], EDGE_TOL_P, EDGE_TOL_A, shift)
+            assert rises == (not shares), (pos, ang, shift)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
-def test_no_shared_cell_declines_nan_positions():
+def test_grid_pass_declines_to_pack_nan_cells(monkeypatch):
     """A NaN cell shares no cell, but it does not pack into a key either, so
-    the check leaves the decision to the full grid passes.  (The reference
-    casts the NaN cell to an int64, which numpy warns about.)"""
+    the pass decides with _lexorder and the O(N) check declines.  (The
+    reference casts the NaN cell to an int64, which numpy warns about.)"""
     pos = np.array([np.nan, 0.0, 5.0 * EDGE_TOL_P])
     ang = np.zeros(3)
     assert not _shares_cell_brute(pos, ang, EDGE_TOL_P, EDGE_TOL_A)
-    assert not cavity._no_shared_cell(pos, ang, EDGE_TOL_P, EDGE_TOL_A)
+    calls = _count_lexorder(monkeypatch)
+    for shift in (0.0, 0.5):
+        cells = cavity._cells(pos, ang, EDGE_TOL_P, EDGE_TOL_A, shift)
+        assert cavity._pack_cells(*cells, 0) is None
+        assert not cavity._cells_rise(pos, ang, EDGE_TOL_P, EDGE_TOL_A, shift)
+        assert not _one_pass(pos, ang, shift)
+    assert len(calls) == 2
     _assert_matches_reference(BeamEnsemble(pos, ang, [0.25, 0.25, 0.5]), EDGE_TOL_P, EDGE_TOL_A)
 
 
-def test_no_shared_cell_keeps_the_index_guard_for_a_single_beam():
-    with pytest.raises(ValueError, match="tolerance too small"):
-        cavity._no_shared_cell(np.array([2.0**62 * EDGE_TOL_P]), np.zeros(1), EDGE_TOL_P, EDGE_TOL_A)
-    below = np.nextafter(2.0**62, 0.0) * EDGE_TOL_P
-    assert cavity._no_shared_cell(np.array([below]), np.zeros(1), EDGE_TOL_P, EDGE_TOL_A)
+def test_grid_pass_keeps_the_index_guard_for_a_single_beam():
+    for shift in (0.0, 0.5):
+        at = np.array([(2.0**62 - shift) * EDGE_TOL_P])
+        with pytest.raises(ValueError, match="tolerance too small"):
+            _one_pass(at, np.zeros(1), shift)
+        with pytest.raises(ValueError, match="tolerance too small"):
+            cavity._cells_rise(at, np.zeros(1), EDGE_TOL_P, EDGE_TOL_A, shift)
+    below = np.array([np.nextafter(2.0**62, 0.0) * EDGE_TOL_P]) - 0.5 * EDGE_TOL_P
+    for shift in (0.0, 0.5):
+        assert not _one_pass(below, np.zeros(1), shift)
+        assert cavity._cells_rise(below, np.zeros(1), EDGE_TOL_P, EDGE_TOL_A, shift)
+
+
+def _record_passes(monkeypatch):
+    """Log each grid pass, as ("pass", shift, merged), and each O(N) check,
+    as ("check", shift, rises), that coalesce makes."""
+    log = []
+    grid_pass, cells_rise = cavity._grid_pass, cavity._cells_rise
+
+    def logged_pass(*args):
+        out = grid_pass(*args)
+        log.append(("pass", args[5], out[4]))
+        return out
+
+    def logged_check(*args):
+        rises = cells_rise(*args)
+        log.append(("check", args[4], rises))
+        return rises
+
+    monkeypatch.setattr(cavity, "_grid_pass", logged_pass)
+    monkeypatch.setattr(cavity, "_cells_rise", logged_check)
+    return log
+
+
+def _weighted_means(pos, ang, w, order):
+    """The merged beam of all of ``order``, summed in that order."""
+    w = w[order]
+    wsum = np.add.reduceat(w, [0])
+    return [np.add.reduceat(w * x[order], [0]) / wsum for x in (pos, ang)] + [wsum]
+
+
+# Four beams in one cell of the shift-0.5 grid, in four distinct cells of the
+# shift-0 grid (units of EDGE_TOL_P and EDGE_TOL_A), with weights whose
+# weighted means round differently when summed in another order.
+ONE_HALF_CELL = (
+    np.array([0.824, 1.215, 0.83, 1.232]),
+    np.array([0.711, 0.927, 1.265, 1.218]),
+    np.array([0.06, 0.87, 0.86, 0.76]),
+)
+
+
+@pytest.mark.parametrize("far", [False, True], ids=["index-fits", "plain-keys"])
+def test_merge_after_a_pass_that_merged_nothing_sums_in_its_order(far, monkeypatch):
+    """The shift-0 pass merges nothing and leaves the beams in input order;
+    the shift-0.5 pass then sums its cell in the shift-0 order, as the
+    stable sorts of the reference do, not in input order.  Without room for
+    the index the shift-0 pass did not read its order, and the merge gets it
+    from _lexorder."""
+    pos, ang, w = ONE_HALF_CELL
+    pos, ang, w = pos[::-1] * EDGE_TOL_P, ang[::-1] * EDGE_TOL_A, w[::-1]
+    cell_order = np.lexsort((np.floor(ang / EDGE_TOL_A), np.floor(pos / EDGE_TOL_P)))
+    in_cell_order = _weighted_means(pos, ang, w, cell_order)
+    in_input_order = _weighted_means(pos, ang, w, np.arange(4))
+    assert all(not _same_bits(a, b) for a, b in zip(in_cell_order, in_input_order))
+    if far:
+        pos, ang = _with_far_beam(pos, ang)
+        w = np.append(w, 1.0)
+    log = _record_passes(monkeypatch)
+    lexorder_calls = _count_lexorder(monkeypatch)
+    out = _assert_matches_reference(BeamEnsemble(pos, ang, w), EDGE_TOL_P, EDGE_TOL_A)
+    assert log[:2] == [("pass", 0.0, False), ("pass", 0.5, True)]
+    assert len(out) == 1 + far  # the far beam sorts last
+    assert all(_same_bits(x[:1], y) for x, y in
+               zip((out.positions, out.angles, out.weights), in_cell_order))
+    assert bool(lexorder_calls) == far
+
+
+def test_merged_mean_across_a_cell_edge_fails_the_check(monkeypatch):
+    """Three beams just below a shift-0 cell edge merge into a mean that
+    rounds onto the edge, into the cell of a fourth beam.  The shift-0.5
+    pass merges nothing, so the next shift-0 pass starts with the O(N)
+    check on the merged order; it must fail, and the full pass merges the
+    two."""
+    below = np.nextafter(1.0, 0.0)
+    pos = np.array([below, below, below, 1.7]) * EDGE_TOL_P
+    w = np.array([0.2, 0.3, 0.4, 0.1])
+    assert _weighted_means(pos, np.zeros(4), w, np.arange(3))[0][0] == EDGE_TOL_P
+    log = _record_passes(monkeypatch)
+    out = _assert_matches_reference(BeamEnsemble(pos, np.zeros(4), w), EDGE_TOL_P, EDGE_TOL_A)
+    assert len(out) == 1
+    assert log[:4] == [("pass", 0.0, True), ("pass", 0.5, False),
+                       ("check", 0.0, False), ("pass", 0.0, True)]
 
 
 def _non_merging_ensembles():
@@ -513,6 +655,61 @@ def test_run_is_bitwise_equal_without_packed_keys(cfg, final_beams, monkeypatch)
     assert len(bits[-1][0]) == 8 * final_beams
     monkeypatch.setattr(cavity, "_pack_cells", lambda *a: None)
     assert _run_bits(cfg) == (traversals, bits)
+
+
+# sha256 of every snapshot's and the final ensemble's arrays (see
+# _run_digest).  Transport and coalescing only add, multiply, divide and
+# floor, so unlike the hashes of tests/test_golden_simulate.py, which carry
+# numpy's exp, these hold on numpy's AVX2 and AVX-512 kernels alike.
+ENGINE_PINS = {
+    "confocal": (replace(load_preset("confocal").cavity, n_traversals=14),
+                 "59a9310639b74ae56c6e97c2ac502955c2ef843847ab65f7c802add9e5d5f720"),
+    "bnl-quad": (replace(load_preset("bnl-quad").cavity, n_traversals=40),
+                 "2142a2dfdd50ea40460d497e44df57f20833b5db7fbe3e10c06839226d99c3ad"),
+    "lens": (replace(load_preset("confocal").cavity, n_traversals=8, lens_focal_m=0.7,
+                     split_on_backward=False),
+             "34f38686e410091971a119644c6f910ab4416f40abd8fb55866fc15adb9797e2"),
+}
+
+
+def _run_digest(cfg):
+    """One sha256 over each snapshot's traversal, beam count and arrays,
+    then the final ensemble's (traversal 0)."""
+    res = run(cfg)
+    digest = hashlib.sha256()
+    for traversal, ens in [(s.traversal, s.ensemble) for s in res.snapshots] + [(0, res.final)]:
+        digest.update(f"{traversal}:{len(ens)};".encode())
+        for array in (ens.positions, ens.angles, ens.weights):
+            digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_PINS))
+def test_run_arrays_are_pinned(case):
+    cfg, pinned = ENGINE_PINS[case]
+    assert _run_digest(cfg) == pinned
+
+
+@pytest.mark.parametrize("preset, n, most", [("bnl-quad", 40, 3), ("confocal", 14, 2)])
+def test_each_coalesce_sorts_at_most(preset, n, most, monkeypatch):
+    """Each grid pass sorts once.  Most bnl-quad traversals sort three
+    times: the merges at shift 0 and 0.5, then the shift-0 pass that merges
+    nothing, after which the O(N) check stands in for the shift-0.5 pass.
+    The confocal ensemble, which merges nothing, sorts twice."""
+    log = _record_passes(monkeypatch)
+    starts = []
+    coalesce = cavity.coalesce
+    monkeypatch.setattr(cavity, "coalesce", lambda *a: starts.append(len(log)) or coalesce(*a))
+    run(replace(load_preset(preset).cavity, n_traversals=n))
+    calls = [log[a:b] for a, b in zip(starts, starts[1:] + [len(log)])]
+    assert len(calls) == n
+    assert max(sum(kind == "pass" for kind, _, _ in call) for call in calls) == most
+    if preset == "bnl-quad":
+        common = [("pass", 0.0, True), ("pass", 0.5, True),
+                  ("pass", 0.0, False), ("check", 0.5, True)]
+        assert calls.count(common) > n // 2
+    else:
+        assert all(call == [("pass", 0.0, False), ("pass", 0.5, False)] for call in calls)
 
 
 def test_bnl_quad_run_is_bitwise_equal_with_the_full_lexorder(monkeypatch):
