@@ -35,16 +35,13 @@ from .density import (
     DetectorHistogram,
     GaussianProfile,
     GuardError,
-    SplitProfileParams,
     bin_ensemble,
-    deficit_with_broadening,
-    density_deficit,
+    deficit,
     gaussian_density,
     histogram_edges,
     integrate_window,
     profile_difference,
     single_pass_estimate,
-    split_pair_density,
 )
 from .lattice import (
     compare_growth,

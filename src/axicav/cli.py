@@ -4,7 +4,8 @@ Verbs:
   simulate    run a scenario's cavity, write per-traversal difference
               histograms and the signal growth series
   analyze     fit a growth series, extrapolate, and report coupling reach
-  profile     evaluate the analytic deficit curve on a grid
+  profile     evaluate the exact deficit curve of a displaced, broadened
+              half-beam pair on a grid
   mass-scan   mixing angle and signal suppression across an axion mass range
   pascal      lattice growth comparison (momentum conserved vs reset)
   presets     list or show the shipped scenario files
@@ -122,7 +123,7 @@ def cmd_simulate(args) -> int:
         sc.analysis.sideband_pixel_center_m,
         sc.analysis.pixel_half_width_m,
     )
-    amb = sensitivity.center_sideband_series(signal_run, profile, sc.laser.waist_m)
+    amb = sensitivity.center_sideband_series(signal_run, profile)
 
     # Everything is computed before the first write, so a refused run
     # leaves no file.  Histograms an earlier run left for traversals this
@@ -218,7 +219,7 @@ def cmd_profile(args) -> int:
         raise scenario.ScenarioError("--steps must be >= 1")
     profile = density.GaussianProfile(args.amplitude, args.waist)
     xs = np.linspace(0.0, args.x_max, args.steps)
-    vals = density.deficit_with_broadening(xs, args.alpha, args.epsilon, profile)
+    vals = density.deficit(xs, args.alpha, args.epsilon, profile)
     text = _csv(
         "x_m,deficit_photons_per_s",
         ((float(x), float(v)) for x, v in zip(xs, vals)),
@@ -314,9 +315,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--time", type=_finite_float, help="integration time, s")
     p_an.add_argument("--rate", type=_finite_float, help="full-beam photon rate, photons/s")
 
-    p_pr = sub.add_parser("profile", help="analytic deficit curve")
-    p_pr.add_argument("--alpha", type=_finite_float, required=True, help="displacement, m")
-    p_pr.add_argument("--epsilon", type=_finite_float, default=0.0, help="broadening, m")
+    p_pr = sub.add_parser("profile", help="exact split-pair deficit curve")
+    p_pr.add_argument(
+        "--alpha", type=_finite_float, required=True, help="displacement of each half-beam, m"
+    )
+    p_pr.add_argument(
+        "--epsilon",
+        type=_finite_float,
+        default=0.0,
+        help="broadening, m: each half-beam's width becomes sqrt(waist*(waist+epsilon))",
+    )
     laser = scenario.LaserParams
     p_pr.add_argument("--waist", type=_finite_float, default=laser.waist_m, help="beam waist, m")
     p_pr.add_argument(

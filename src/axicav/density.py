@@ -1,13 +1,14 @@
 """Transverse photon-density profiles and detector histograms.
 
-Two families of functions live here.  The numerical side (`bin_ensemble`,
+Two sides live here.  The numerical side (`bin_ensemble`,
 `integrate_window`, `profile_difference`) gives the exact photon rate of a
 weighted beam ensemble in detector windows, with the beam profile
-A*exp(-x^2 / 2 r^2) so r is the rms width.  The analytic deficit family
-(`density_deficit`, `deficit_with_broadening`) carries the second-order
-closed forms in the width convention they are usually written in,
-A*exp(-x^2 / r^2) with r the 1/e half-width; the two conventions are kept
-separate on purpose and each function documents which one it uses.
+A*exp(-x^2 / 2 r^2) so r is the rms width.  The analytic side is one
+model, a beam split into a displaced, broadened half-beam pair: `deficit`
+gives its exact density change in the width convention the paper writes it
+in, A*exp(-x^2 / r^2) with r the 1/e half-width, and reduces to the paper's
+second-order form for a small split.  The two conventions are kept separate
+on purpose and each function documents which one it uses.
 
 The beams of a cavity run stay far inside one waist of the axis (max|x|/r
 is 1.5e-4 on the confocal preset), so the rate is expanded about the axis:
@@ -28,8 +29,6 @@ import numpy as np
 
 from .checks import NonNegative, Positive, check_args, check_fields
 
-EXPANSION_GUARD = 0.1  # max alpha/r or epsilon/r the closed forms accept
-
 DEFAULT_BIN_WIDTH_M = 1.0e-4
 DEFAULT_HISTOGRAM_MAX_M = 3.0e-3
 
@@ -45,7 +44,7 @@ TRIANGLE_SCALE_PHOTONS_PER_S = (5.0 / 6.0) * 1e18
 
 
 class GuardError(ValueError):
-    """A closed-form expansion was evaluated outside its validity window."""
+    """An ensemble sits too far off the axis for the moment series."""
 
 
 @dataclass(frozen=True)
@@ -60,84 +59,51 @@ class GaussianProfile:
         check_fields(self, ValueError)
 
 
-@dataclass(frozen=True)
-class SplitProfileParams:
-    """Displacement and broadening of the two half-beams."""
-
-    alpha_m: NonNegative  # each half-beam center moves to +-alpha
-    epsilon_m: NonNegative = 0.0  # width increase
-
-    def __post_init__(self):
-        check_fields(self, ValueError)
-
-    def check_small(self, waist_m: float) -> None:
-        if self.alpha_m >= EXPANSION_GUARD * waist_m:
-            raise GuardError(
-                f"alpha/waist = {self.alpha_m / waist_m:.3g} outside expansion "
-                f"window (< {EXPANSION_GUARD})"
-            )
-        if self.epsilon_m >= EXPANSION_GUARD * waist_m:
-            raise GuardError(
-                f"epsilon/waist = {self.epsilon_m / waist_m:.3g} outside expansion "
-                f"window (< {EXPANSION_GUARD})"
-            )
-
-
 def gaussian_density(x, profile: GaussianProfile):
     """Reference density A*exp(-x^2 / 2 r^2) (rms-width convention)."""
     u = np.asarray(x, dtype=float) / profile.waist_m
     return profile.amplitude * np.exp(-0.5 * u * u)
 
 
-def split_pair_density(x, profile: GaussianProfile, params: SplitProfileParams):
-    """The two displaced, broadened half-beams (exact, same convention as
-    gaussian_density).  Each carries half the amplitude, widened to r+eps
-    with the peak scaled by r/(r+eps) so the integrated power is conserved
-    per branch.  Returns (plus branch, minus branch)."""
+@check_args
+def deficit(x, alpha_m: NonNegative, epsilon_m: NonNegative, profile: GaussianProfile):
+    """Density change, reference minus split pair, of a beam split into two
+    half-weight beams at +-alpha, each widened from r to w = sqrt(r (r + eps))
+    with its peak scaled by r^2/w^2 (1/e-half-width convention: the
+    reference is A e^{-x^2/r^2}; the pair carries r/w of its integrated
+    rate).  Exact for any alpha, eps >= 0:
+
+        D = -A e^{-x^2/r^2} expm1(L),
+        L = x^2 eps/(r w^2) - log1p(eps/r) - alpha^2/w^2 + ln cosh(2 alpha x/w^2),
+
+    so nothing cancels however small alpha and eps are.  Positive near the
+    axis (photons lost from the center), negative past the crossover, near
+    x = r/sqrt(2) for a small split.  To second order in alpha/r and first
+    in eps/r, D is the paper's
+
+        A e^{-x^2/r^2} [1 - ((r-eps)/r) e^{x^2 eps/r^3}
+                          (1 - alpha^2/r^2) cosh(2 alpha x/r^2)].
+
+    Where the pair outweighs the reference by e or more (L >= 1) the
+    difference is taken directly, the pair's exponent written as
+    -(|x| - alpha)^2/w^2 so that no factor overflows far from the axis."""
     r = profile.waist_m
-    w = r + params.epsilon_m
-    x = np.asarray(x, dtype=float)
-    pref = 0.5 * profile.amplitude * (r / w)
-    up = (x - params.alpha_m) / w
-    um = (x + params.alpha_m) / w
-    return pref * np.exp(-0.5 * up * up), pref * np.exp(-0.5 * um * um)
-
-
-def density_deficit(x, alpha_m: float, profile: GaussianProfile):
-    """Closed-form density change (reference minus split pair) for a pure
-    displacement, to second order in alpha/r:
-
-        A e^{-x^2/r^2} [1 - (1 - alpha^2/r^2) cosh(2 alpha x / r^2)]
-
-    1/e-half-width convention.  Positive near the axis (photons lost from
-    the center), negative past the crossover at x = r/sqrt(2).  At x = 0 the
-    value is exactly A alpha^2 / r^2.
-    """
-    return deficit_with_broadening(x, alpha_m, 0.0, profile)
-
-
-def deficit_with_broadening(x, alpha_m: float, epsilon_m: float, profile: GaussianProfile):
-    """Closed-form density change with both displacement and broadening,
-    second order in alpha/r and first order in epsilon/r (same width
-    convention as density_deficit):
-
-        A e^{-x^2/r^2} [1 - ((r-eps)/r) e^{+x^2 eps/r^3}
-                          (1 - alpha^2/r^2) cosh(2 alpha x / r^2)]
-    """
-    params = SplitProfileParams(alpha_m, epsilon_m)
-    r = profile.waist_m
-    params.check_small(r)
-    x = np.asarray(x, dtype=float)
-    x2 = x * x
-    a2 = (alpha_m / r) ** 2
-    envelope = np.exp(-x2 / (r * r))
-    inner = (
-        ((r - epsilon_m) / r)
-        * np.exp(x2 * epsilon_m / r**3)
-        * (1.0 - a2)
-        * np.cosh(2.0 * alpha_m * x / (r * r))
+    w2 = r * (r + epsilon_m)
+    log_peak = -math.log1p(epsilon_m / r)  # ln(r^2/w^2)
+    x = np.abs(np.asarray(x, dtype=float))
+    y = (alpha_m / w2) * x
+    s = np.sinh(np.minimum(y, 1.0))
+    # ln(1 + e^{-4y}) - ln 2: the pair's cosh over its larger exponential
+    tail = np.log1p(np.exp(-4.0 * y)) - math.log(2.0)
+    log_cosh = np.where(y < 1.0, np.log1p(2.0 * s * s), 2.0 * y + tail)
+    log_ratio = (epsilon_m / (r * w2)) * x * x + log_peak - alpha_m**2 / w2 + log_cosh
+    ref = np.exp(-((x / r) ** 2))
+    pair = np.exp(log_peak - (x - alpha_m) ** 2 / w2 + tail)
+    near = log_ratio < 1.0
+    # 0.0 - : an unsplit beam gives +0, not -0
+    return profile.amplitude * np.where(
+        near, 0.0 - ref * np.expm1(np.minimum(log_ratio, 1.0)), ref - pair
     )
-    return profile.amplitude * envelope * (1.0 - inner)
 
 
 @check_args
@@ -161,6 +127,20 @@ def single_pass_estimate(
 # detector binning
 
 
+def _ascending_edges(edges_m) -> np.ndarray:
+    """The edges as a float array; ValueError unless they are at least two
+    finite, strictly ascending numbers (one bin or window or more)."""
+    edges = np.asarray(edges_m, dtype=float)
+    if (
+        edges.ndim != 1
+        or edges.size < 2
+        or not np.all(np.isfinite(edges))
+        or np.any(np.diff(edges) <= 0)
+    ):
+        raise ValueError(f"edges must be finite and strictly ascending, got {edges_m!r}")
+    return edges
+
+
 @dataclass(frozen=True)
 class DetectorHistogram:
     """One-sided (x >= 0) binned photon rates.
@@ -179,9 +159,7 @@ class DetectorHistogram:
     counts: np.ndarray = field(init=False)  # photons/s per bin
 
     def __post_init__(self):
-        edges = np.asarray(self.edges_m, dtype=float)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("edges must be ascending with at least one bin")
+        edges = _ascending_edges(self.edges_m)
         object.__setattr__(self, "edges_m", edges)
         for name in ("axial", "deviation"):
             part = np.asarray(getattr(self, name), dtype=float)
@@ -189,13 +167,6 @@ class DetectorHistogram:
                 raise ValueError(f"{name} length must be len(edges) - 1")
             object.__setattr__(self, name, part)
         object.__setattr__(self, "counts", self.axial + self.deviation)
-
-    def doubled_absolute_total(self) -> float:
-        """Sum of |counts| over both detector halves."""
-        return 2.0 * float(np.sum(np.abs(self.counts)))
-
-    def signed_sum(self) -> float:
-        return float(math.fsum(self.counts.tolist()))
 
     def to_csv_rows(self):
         for lo, hi, c in zip(self.edges_m[:-1], self.edges_m[1:], self.counts):
@@ -351,14 +322,7 @@ def rates(ensemble, profile: GaussianProfile, edges_m) -> tuple[np.ndarray, np.n
     1/5000 of either edge value).
 
     Raises ValueError unless the edges are finite and strictly ascending."""
-    edges = np.asarray(edges_m, dtype=float)
-    if (
-        edges.ndim != 1
-        or edges.size < 2
-        or not np.all(np.isfinite(edges))
-        or np.any(np.diff(edges) <= 0)
-    ):
-        raise ValueError(f"window edges must be finite and strictly ascending, got {edges_m!r}")
+    edges = _ascending_edges(edges_m)
     r, scale = profile.waist_m, profile.amplitude * profile.waist_m
     m = moments(ensemble, r)
     u = edges / r

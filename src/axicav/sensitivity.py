@@ -26,7 +26,7 @@ DEFAULT_SIDEBAND_PIXEL_CENTER_M = 3.3e-3
 
 @dataclass(frozen=True)
 class GrowthSeries:
-    """Signal vs traversal count, strictly increasing in n."""
+    """Signal vs traversal count, n finite and strictly increasing."""
 
     n: np.ndarray
     signal: np.ndarray
@@ -36,8 +36,8 @@ class GrowthSeries:
         s = np.asarray(self.signal, dtype=float)
         if n.ndim != 1 or n.shape != s.shape:
             raise ValueError("n and signal must be 1-d arrays of equal length")
-        if n.size and np.any(np.diff(n) <= 0):
-            raise ValueError("traversal counts must be strictly increasing")
+        if not (np.all(np.isfinite(n)) and np.all(np.diff(n) > 0)):
+            raise ValueError("traversal counts must be finite and strictly increasing")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "signal", s)
 
@@ -240,21 +240,15 @@ def sideband_gain_series(
     return _window_series(result, profile, [(lo, hi, -2.0)])
 
 
-def center_sideband_series(
-    result: RunResult,
-    profile: density.GaussianProfile,
-    waist_m: float | None = None,
-) -> GrowthSeries:
+def center_sideband_series(result: RunResult, profile: density.GaussianProfile) -> GrowthSeries:
     """Change of the (center minus sidebands) observable per snapshot.
 
-    Center is [0, waist/2] and the sidebands run from the waist out to
-    4*waist + 1 mm, each doubled for the two detector halves; windows are
+    With w the profile's waist, center is [0, w/2] and the sidebands run
+    from w out to 4*w + 1 mm, each doubled for the two detector halves; windows are
     integrated exactly rather than through binned counts.  The change is
     reference minus run, so photons migrating outward give a growing
     positive signal (each moved photon counts twice: once missing from the
     center, once arriving in the sidebands).
     """
-    if waist_m is None:
-        waist_m = profile.waist_m
-    hi = 4.0 * waist_m + 1.0e-3
-    return _window_series(result, profile, [(0.0, 0.5 * waist_m, 2.0), (waist_m, hi, -2.0)])
+    w = profile.waist_m
+    return _window_series(result, profile, [(0.0, 0.5 * w, 2.0), (w, 4.0 * w + 1.0e-3, -2.0)])

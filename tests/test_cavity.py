@@ -66,7 +66,7 @@ CONFIG_CLASSES = sorted(_config_classes(), key=lambda cls: cls.__name__)
 
 
 def test_every_config_number_declares_its_domain():
-    assert len(CONFIG_CLASSES) == 9
+    assert len(CONFIG_CLASSES) == 8
     for cls in CONFIG_CLASSES:
         for f in fields(cls):
             domain = f.type.partition(" | ")[0]

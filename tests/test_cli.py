@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -327,7 +328,8 @@ def test_profile_curve_to_stdout(capsys):
     assert len(lines) == 5
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == 0.0
-    assert first[1] == pytest.approx(278755352.13439661, rel=1e-12)
+    # A (alpha/r)^2 (1 - (alpha/r)^2/2 + ...) = -A expm1(-alpha^2/r^2), from 50-digit mpmath
+    assert first[1] == pytest.approx(278755555.5477850, rel=1e-15)
 
 
 def test_profile_zero_alpha_is_flat(capsys):
@@ -337,10 +339,24 @@ def test_profile_zero_alpha_is_flat(capsys):
     assert all(line.endswith(",0") for line in lines)
 
 
-def test_profile_guard_violation_exit_code(capsys):
-    rc = cli.main(["profile", "--alpha", "1e-4"])  # alpha/waist = 0.133
-    assert rc == 3
-    assert "guard" in capsys.readouterr().err
+def test_profile_takes_any_split(capsys):
+    """The curve is exact, so a split past a tenth of the waist is no
+    longer refused (alpha/waist = 0.133 here)."""
+    rc = cli.main(["profile", "--alpha", "1e-4", "--epsilon", "1e-5"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 122
+    assert all(math.isfinite(float(line.split(",")[1])) for line in lines[1:])
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--epsilon"])
+def test_profile_refuses_a_negative_split_naming_it(flag, capsys):
+    # joined with "=": a separate "-1e-9" would read as an option
+    args = {"--alpha": "1e-5", flag: "-1e-9"}
+    rc = cli.main(["profile", *(f"{k}={v}" for k, v in args.items())])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and flag[2:] + "_m must be finite and >= 0" in err
 
 
 @pytest.mark.parametrize("steps", ["0", "-3"])

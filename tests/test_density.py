@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -8,21 +10,17 @@ from axicav.cavity import BeamEnsemble, CavityConfig, run
 from axicav.density import (
     DEFAULT_BIN_WIDTH_M,
     DEFAULT_HISTOGRAM_MAX_M,
-    EXPANSION_GUARD,
     MAX_ORDER,
     DetectorHistogram,
     GaussianProfile,
     GuardError,
-    SplitProfileParams,
     bin_ensemble,
-    deficit_with_broadening,
-    density_deficit,
+    deficit,
     gaussian_density,
     histogram_edges,
     integrate_window,
     profile_difference,
     single_pass_estimate,
-    split_pair_density,
 )
 
 AMPLITUDE = 5e18
@@ -38,8 +36,6 @@ def test_profile_validation():
         GaussianProfile(0.0, WAIST)
     with pytest.raises(ValueError):
         GaussianProfile(AMPLITUDE, -1e-3)
-    with pytest.raises(ValueError):
-        SplitProfileParams(-1e-9)
 
 
 def test_gaussian_peak_and_falloff():
@@ -53,85 +49,133 @@ def test_gaussian_peak_and_falloff():
     )
 
 
-def test_split_pair_reduces_to_halved_reference():
-    xs = np.linspace(-3e-3, 3e-3, 101)
-    plus, minus = split_pair_density(xs, PROFILE, SplitProfileParams(0.0, 0.0))
-    ref = 0.5 * gaussian_density(xs, PROFILE)
-    assert np.array_equal(plus, ref)
-    assert np.array_equal(minus, ref)
+# --- the split-pair deficit --------------------------------------------------
 
 
-def test_split_pair_peaks_sit_at_plus_minus_alpha():
-    alpha = 5e-5
-    xs = np.linspace(-3e-3, 3e-3, 6001)
-    plus, minus = split_pair_density(xs, PROFILE, SplitProfileParams(alpha))
-    assert abs(xs[np.argmax(plus)] - alpha) < 2e-6
-    assert abs(xs[np.argmax(minus)] + alpha) < 2e-6
+def _exact_deficit(x, alpha, eps, profile=PROFILE):
+    """The split-pair deficit at 50 digits, straight from its definition:
+    reference A e^{-x^2/r^2} minus two half-weight beams at +-alpha of
+    width w = sqrt(r (r + eps)) and peak r^2/w^2."""
+    with mp.workdps(50):
+        x, a, e, r = (mp.mpf(float(v)) for v in (x, alpha, eps, profile.waist_m))
+        w2 = r * (r + e)
+        pair = (r * r / w2) * (mp.exp(-((x - a) ** 2) / w2) + mp.exp(-((x + a) ** 2) / w2)) / 2
+        return mp.mpf(profile.amplitude) * (mp.exp(-x * x / (r * r)) - pair)
 
 
-def test_split_pair_broadening_conserves_power():
-    """The width grows to waist+epsilon but the r/(r+eps) peak rescaling
-    keeps the integrated rate of the two branches at the reference value."""
-    xs = np.linspace(-8 * WAIST, 8 * WAIST, 20001)
-    plus, minus = split_pair_density(xs, PROFILE, SplitProfileParams(2e-5, 4e-5))
-    total = np.trapezoid(plus + minus, xs)
-    assert total == pytest.approx(AMPLITUDE * WAIST * math.sqrt(2 * math.pi), rel=1e-6)
+def _paper_deficit(x, alpha, eps, profile=PROFILE):
+    """The paper's form at 50 digits: second order in alpha/r, first in eps/r,
+
+        A e^{-x^2/r^2} [1 - ((r-eps)/r) e^{x^2 eps/r^3} (1 - alpha^2/r^2) cosh(2 alpha x/r^2)]."""
+    with mp.workdps(50):
+        x, a, e, r = (mp.mpf(float(v)) for v in (x, alpha, eps, profile.waist_m))
+        inner = ((r - e) / r) * mp.exp(x * x * e / r**3) * (1 - a * a / (r * r)) * mp.cosh(2 * a * x / (r * r))
+        return mp.mpf(profile.amplitude) * mp.exp(-x * x / (r * r)) * (1 - inner)
 
 
-def test_expansion_guard_trips_at_a_tenth_of_the_waist():
-    SplitProfileParams(0.099 * WAIST).check_small(WAIST)
-    with pytest.raises(GuardError):
-        SplitProfileParams(EXPANSION_GUARD * WAIST).check_small(WAIST)
-    with pytest.raises(GuardError):
-        SplitProfileParams(1e-6, EXPANSION_GUARD * WAIST).check_small(WAIST)
+PROFILE_GRID = np.linspace(0.0, 3e-3, 121)  # the `profile` verb's default grid
+ALPHA_OVER_R = [0.0, 1e-8, 7.5e-6, 1e-3, 0.09, 0.3, 2.0, 20.0]
+EPSILON_OVER_R = [0.0, 1e-6, 1e-3, 0.5, 5.0]
 
 
-# --- closed-form deficit ---------------------------------------------------
+@pytest.mark.parametrize("eps_r", EPSILON_OVER_R)
+@pytest.mark.parametrize("alpha_r", ALPHA_OVER_R)
+def test_deficit_matches_the_mpmath_model(alpha_r, eps_r):
+    """Every value of the default grid is within 4e-15 of the curve's
+    largest |D| of the model evaluated at 50 digits, from a split far below
+    the roundoff of the reference (alpha/r = 1e-8) to pairs twenty waists
+    apart, and raises no RuntimeWarning on the way."""
+    alpha, eps = alpha_r * WAIST, eps_r * WAIST
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = deficit(PROFILE_GRID, alpha, eps, PROFILE)
+    exact = [_exact_deficit(x, alpha, eps) for x in PROFILE_GRID]
+    scale = max(abs(v) for v in exact)
+    err = max(abs(float(g) - v) for g, v in zip(got, exact))
+    assert err <= 4e-15 * scale
+
+
+@pytest.mark.parametrize("eps_r", [e for e in EPSILON_OVER_R if e <= 1e-2])
+@pytest.mark.parametrize("alpha_r", [a for a in ALPHA_OVER_R if a <= 0.09])
+def test_deficit_has_the_paper_form_as_its_small_split_limit(alpha_r, eps_r):
+    """The paper's second-order form is the exact curve's limit: the two
+    differ by at most ((alpha/r)^2 + 2 eps/r) of the curve's largest |D|.
+    At alpha/r = 1e-8 and eps = 0 that truncation bound (1e-16) is below the
+    curve's own float64 roundoff, so the bound carries the 4e-15 of
+    test_deficit_matches_the_mpmath_model as well."""
+    alpha, eps = alpha_r * WAIST, eps_r * WAIST
+    got = deficit(PROFILE_GRID, alpha, eps, PROFILE)
+    scale = max(abs(_exact_deficit(x, alpha, eps)) for x in PROFILE_GRID)
+    err = max(abs(float(g) - _paper_deficit(x, alpha, eps)) for g, x in zip(got, PROFILE_GRID))
+    assert err <= (alpha_r**2 + 2 * eps_r + 4e-15) * scale
 
 
 def test_deficit_is_zero_without_displacement():
     xs = np.linspace(0.0, 3e-3, 301)
-    assert np.array_equal(density_deficit(xs, 0.0, PROFILE), np.zeros_like(xs))
+    got = deficit(xs, 0.0, 0.0, PROFILE)
+    assert np.array_equal(got, np.zeros_like(xs))
+    assert not np.any(np.signbit(got))  # +0, not -0
 
 
 def test_deficit_peak_value_at_the_axis():
+    """At x = 0 the pair sits alpha out on either side: D = -A expm1(-alpha^2/r^2),
+    the paper's A alpha^2/r^2 to second order."""
     alpha = 0.01 * WAIST
-    got = density_deficit(0.0, alpha, PROFILE)
-    assert got == pytest.approx(AMPLITUDE * (alpha / WAIST) ** 2, rel=1e-12)
+    got = deficit(0.0, alpha, 0.0, PROFILE)
+    assert got == pytest.approx(-AMPLITUDE * math.expm1(-((alpha / WAIST) ** 2)), rel=1e-15)
+    assert got == pytest.approx(AMPLITUDE * (alpha / WAIST) ** 2, rel=1e-4)
 
 
 def test_deficit_is_continuous_near_the_axis():
     alpha = 5.6e-9
-    a = density_deficit(0.0, alpha, PROFILE)
-    b = density_deficit(1e-12, alpha, PROFILE)
+    a = deficit(0.0, alpha, 0.0, PROFILE)
+    b = deficit(1e-12, alpha, 0.0, PROFILE)
     assert b == pytest.approx(a, rel=1e-9)
 
 
+def test_deficit_is_even_in_x():
+    xs = np.linspace(0.0, 3e-3, 61)
+    assert np.array_equal(deficit(-xs, 1e-5, 2e-6, PROFILE), deficit(xs, 1e-5, 2e-6, PROFILE))
+
+
 def test_deficit_changes_sign_once_near_the_crossover():
-    """Photons leave the core and pile up in the shoulders; the closed form
+    """Photons leave the core and pile up in the shoulders; the curve
     crosses zero near waist/sqrt(2)."""
     alpha = 0.02 * WAIST
     xs = np.linspace(0.0, 2.5 * WAIST, 1001)
-    vals = density_deficit(xs, alpha, PROFILE)
+    vals = deficit(xs, alpha, 0.0, PROFILE)
     signs = np.sign(vals[np.abs(vals) > 0])
     flips = np.nonzero(np.diff(signs))[0]
     assert len(flips) == 1
     crossing = xs[flips[0]]
     assert abs(crossing - WAIST / math.sqrt(2)) < 0.05 * WAIST
-    assert density_deficit(0.5 * WAIST, alpha, PROFILE) > 0
-    assert density_deficit(WAIST, alpha, PROFILE) < 0
+    assert deficit(0.5 * WAIST, alpha, 0.0, PROFILE) > 0
+    assert deficit(WAIST, alpha, 0.0, PROFILE) < 0
 
 
-def test_deficit_guard_rejects_large_displacement():
-    with pytest.raises(GuardError):
-        density_deficit(0.0, 0.2 * WAIST, PROFILE)
-    with pytest.raises(ValueError):
-        density_deficit(0.0, -1e-9, PROFILE)
+def test_deficit_refuses_negative_and_non_finite_splits():
+    for alpha, eps in [(-1e-9, 0.0), (0.0, -1e-9), (math.nan, 0.0), (0.0, math.inf)]:
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            deficit(0.0, alpha, eps, PROFILE)
 
 
-def test_deficit_matches_brute_force_within_one_percent():
+def test_deficit_far_from_the_axis_stays_finite():
+    """A waist far below the grid's reach puts the pair's exponentials past
+    the float range of e^{-x^2/r^2} expm1(L); the far-field form gives
+    the model's value there, with no RuntimeWarning."""
+    narrow = GaussianProfile(AMPLITUDE, 1e-5)
+    xs = np.linspace(0.0, 3e-3, 121)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = deficit(xs, 1e-4, 2e-6, narrow)
+    exact = [_exact_deficit(x, 1e-4, 2e-6, narrow) for x in xs]
+    err = max(abs(float(g) - v) for g, v in zip(got, exact))
+    assert err <= 4e-15 * max(abs(v) for v in exact)
+
+
+def test_paper_form_matches_brute_force_within_one_percent():
     """Reference minus two displaced half-Gaussians of the same width
-    convention, evaluated exactly, bounds the second-order closed form."""
+    convention, evaluated exactly, bounds the paper's second-order form."""
     alpha = 0.01 * WAIST
     xs = np.linspace(0.0, 3 * WAIST, 601)
     brute_ref = AMPLITUDE * np.exp(-(xs**2) / WAIST**2)
@@ -140,32 +184,18 @@ def test_deficit_matches_brute_force_within_one_percent():
         + np.exp(-((xs + alpha) ** 2) / WAIST**2)
     )
     brute = brute_ref - brute_pair
-    approx = density_deficit(xs, alpha, PROFILE)
+    approx = np.array([float(_paper_deficit(x, alpha, 0.0)) for x in xs])
     mask = np.abs(brute) > 1e-12 * np.abs(brute).max()
     rel = np.abs(approx[mask] - brute[mask]) / np.abs(brute[mask])
     assert rel.max() < 0.01
 
 
-def test_broadened_deficit_reduces_exactly_at_zero_epsilon():
-    xs = np.linspace(0.0, 3e-3, 301)
-    alpha = 5.6e-9
-    a = deficit_with_broadening(xs, alpha, 0.0, PROFILE)
-    b = density_deficit(xs, alpha, PROFILE)
-    assert np.array_equal(a, b)
-
-
 def test_broadening_alone_depletes_the_axis():
+    """With alpha = 0 the axis keeps r^2/w^2 = r/(r + eps) of the reference."""
     eps = 1e-5
-    got = deficit_with_broadening(0.0, 0.0, eps, PROFILE)
-    assert got == pytest.approx(AMPLITUDE * eps / WAIST, rel=1e-12)
+    got = deficit(0.0, 0.0, eps, PROFILE)
+    assert got == pytest.approx(AMPLITUDE * eps / (WAIST + eps), rel=1e-15)
     assert got > 0
-
-
-def test_broadened_deficit_guards_both_parameters():
-    with pytest.raises(GuardError):
-        deficit_with_broadening(0.0, 0.2 * WAIST, 0.0, PROFILE)
-    with pytest.raises(GuardError):
-        deficit_with_broadening(0.0, 0.0, 0.2 * WAIST, PROFILE)
 
 
 # --- single-pass estimate --------------------------------------------------
@@ -237,7 +267,7 @@ def test_binned_total_recovers_the_gaussian_norm():
     edges = np.linspace(-8 * WAIST, 8 * WAIST, 241)
     ens = BeamEnsemble([0.0], [0.0], [1.0])
     hist = bin_ensemble(ens, PROFILE, edges)
-    assert hist.signed_sum() == pytest.approx(
+    assert math.fsum(hist.counts.tolist()) == pytest.approx(
         AMPLITUDE * WAIST * math.sqrt(2 * math.pi), rel=1e-6
     )
 
@@ -246,7 +276,9 @@ def test_binned_total_is_independent_of_beam_position():
     edges = np.linspace(-8 * WAIST, 8 * WAIST, 241)
     at_zero = bin_ensemble(BeamEnsemble([0.0], [0.0], [1.0]), PROFILE, edges)
     shifted = bin_ensemble(BeamEnsemble([1e-4], [0.0], [1.0]), PROFILE, edges)
-    assert shifted.signed_sum() == pytest.approx(at_zero.signed_sum(), rel=1e-9)
+    assert math.fsum(shifted.counts.tolist()) == pytest.approx(
+        math.fsum(at_zero.counts.tolist()), rel=1e-9
+    )
 
 
 def test_exact_bin_integral_differs_from_midpoint_sampling():
@@ -317,11 +349,23 @@ def test_csv_rows_cover_every_bin():
     assert rows[0][2] == hist.counts[0]
 
 
-def test_doubled_absolute_total():
+def test_histogram_counts_are_axial_plus_deviation():
     hist = DetectorHistogram(np.array([0.0, 1e-4, 2e-4]), np.array([2.0, 1.0]), np.array([1.0, -2.0]))
     assert np.array_equal(hist.counts, [3.0, -1.0])
-    assert hist.doubled_absolute_total() == 8.0
-    assert hist.signed_sum() == 2.0
+    assert 2.0 * float(np.sum(np.abs(hist.counts))) == 8.0  # both detector halves
+    assert math.fsum(hist.counts.tolist()) == 2.0
+
+
+@pytest.mark.parametrize("edges", [
+    [0.0, math.nan, 1e-4], [0.0, 1e-4, math.inf], [-math.inf, 0.0, 1e-4],
+    [0.0, 1e-4, 1e-4], [0.0, 2e-4, 1e-4], [0.0],
+], ids=["nan", "inf", "-inf", "repeated", "descending", "no-bin"])
+def test_histogram_refuses_edges_that_rates_refuses(edges):
+    """One edge rule for histograms and windows: finite, strictly
+    ascending, at least one bin."""
+    parts = np.zeros(max(len(edges) - 1, 0))
+    with pytest.raises(ValueError, match="finite and strictly ascending"):
+        DetectorHistogram(edges, parts, parts)
 
 
 # --- the moment series -------------------------------------------------------

@@ -59,7 +59,7 @@ WINDOWS = {  # series -> (lo, hi, coefficient) windows, as in sensitivity
 BUILDERS = {
     "central": lambda res: central_loss_series(res, PROFILE, H),
     "sideband": lambda res: sideband_gain_series(res, PROFILE, C, H),
-    "center_sideband": lambda res: center_sideband_series(res, PROFILE, W),
+    "center_sideband": lambda res: center_sideband_series(res, PROFILE),
 }
 
 
