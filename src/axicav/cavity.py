@@ -153,7 +153,11 @@ def coalesce(
     chain (a merged beam sits at its members' weighted mean, where it may
     share a cell with a third beam), so beams more than a full tolerance
     apart can end up in one beam.  Output is sorted by (position, angle),
-    which makes the result order deterministic.
+    which makes the result order deterministic.  No two output beams share
+    a (position, angle), so a symmetric ensemble (each beam at (x, theta)
+    matched by one of the same weight at (-x, -theta)) comes out in the
+    layout x == -x[::-1], w == w[::-1]; `density.moments` reads its odd
+    moments as exact zeros from that layout.
 
     Each pass sorts its beams' cell keys once (`_grid_pass`).  A pass that
     merges nothing leaves the beams where they are and keeps only its order:

@@ -18,10 +18,19 @@ window as the rate of one unit beam on the axis plus the deviation from it.
 A change against the unsplit beam is the deviation alone, never the
 difference of two totals of 1e13-1e15 photons/s.  The edges need only the
 error function of the math module, so no verb loads scipy.
+
+Two results are known in advance and are not recomputed.  A run started on
+the axis stays its own mirror image bit for bit (the kicks are +-theta and
+IEEE rounding does not depend on the sign), so its odd moments are exactly
+0.0 and `moments` sets them without summing; any other ensemble has them
+summed exactly.  The Hermite table of a set of windows depends only on the
+edges, the waist and the highest order, so `rates` builds it once per key
+(`_window_table`) and every snapshot of a run reads it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -86,11 +95,14 @@ def deficit(x, alpha_m: NonNegative, epsilon_m: NonNegative, profile: GaussianPr
 
     Where the pair outweighs the reference by e or more (L >= 1) the
     difference is taken directly, the pair's exponent written as
-    -(|x| - alpha)^2/w^2 so that no factor overflows far from the axis."""
+    -(|x| - alpha)^2/w^2 so that no factor overflows far from the axis.
+    Past |x| = alpha + 40 w both Gaussians are below the smallest double,
+    so D is +0 there; |x| is capped at that point, which keeps the squares
+    finite for any x."""
     r = profile.waist_m
     w2 = r * (r + epsilon_m)
     log_peak = -math.log1p(epsilon_m / r)  # ln(r^2/w^2)
-    x = np.abs(np.asarray(x, dtype=float))
+    x = np.minimum(np.abs(np.asarray(x, dtype=float)), alpha_m + 40.0 * math.sqrt(w2))
     y = (alpha_m / w2) * x
     s = np.sinh(np.minimum(y, 1.0))
     # ln(1 + e^{-4y}) - ln 2: the pair's cosh over its larger exponential
@@ -265,6 +277,12 @@ def _hermite_functions(u: np.ndarray, count: int) -> np.ndarray:
     return e
 
 
+def _is_mirrored(positions: np.ndarray, weights: np.ndarray) -> bool:
+    """Whether the beams are their own mirror image bit for bit, listed
+    from one end: x == -x[::-1] and w == w[::-1], with no tolerance."""
+    return np.array_equal(positions, -positions[::-1]) and np.array_equal(weights, weights[::-1])
+
+
 def moments(ensemble, waist_m: float) -> np.ndarray:
     """The ensemble's scaled raw moments, index 0 holding the weight beyond
     one unit beam: [sum(w) - 1, m_1, ..., m_N] with m_n = sum(w (x/r)^n)
@@ -272,20 +290,31 @@ def moments(ensemble, waist_m: float) -> np.ndarray:
 
     Even orders are sums of nonnegative terms.  Odd orders cancel in a
     symmetric ensemble, so they and the weight are summed exactly
-    (`_exact_sum`).  The result is kept on the ensemble, per waist, so a
-    snapshot's histogram and its window series read the beams once."""
+    (`_exact_sum`), unless the ensemble is its own mirror image
+    (`_is_mirrored`).  Then every odd moment is exactly 0.0, the value the
+    exact sum returns: negation and multiplication round the same for
+    either sign, so the term w (x/r)^n of the beam at -x is the negated
+    term of the beam at x, and the terms cancel in pairs (a beam on the
+    axis gives a zero term).  An on-axis run stays mirrored, and
+    `cavity.coalesce`'s order lists it that way.  The result is kept on the
+    ensemble, per waist, so a snapshot's histogram and its window series
+    read the beams once."""
     memo = ensemble.moment_memo
     if waist_m not in memo:
         # the weight first, so its buffers are gone before y and term exist
         weight = _exact_sum(np.append(ensemble.weights, -1.0))
+        mirrored = _is_mirrored(ensemble.positions, ensemble.weights)
         y = ensemble.positions / waist_m
         order = _order(max(-float(y.min()), float(y.max())) if y.size else 0.0)
-        m = np.empty(order + 1)
+        m = np.zeros(order + 1)  # a mirrored ensemble's odd moments stay 0.0
         m[0] = weight
         term = ensemble.weights.copy()
         for n in range(1, order + 1):
             term *= y
-            m[n] = _exact_sum(term) if n % 2 else float(term.sum())
+            if n % 2 == 0:
+                m[n] = float(term.sum())
+            elif not mirrored:
+                m[n] = _exact_sum(term)
         memo[waist_m] = m
     return memo[waist_m]
 
@@ -299,6 +328,35 @@ def _axial_mass(lo: float, hi: float) -> float:
     if hi <= 0.0:
         return math.erfc(-hi * s) - math.erfc(-lo * s)
     return math.erf(hi * s) - math.erf(lo * s)
+
+
+@functools.lru_cache(maxsize=128)
+def _window_table(edges_bytes: bytes, r: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The part of `rates` that depends only on the windows, the waist and
+    the highest order: the changes E_n(l) - E_n(h) (row n-1 for orders 1
+    to n_max, one column per window) and each window's axial mass
+    erf(h/sqrt 2) - erf(l/sqrt 2).  Kept per key, read-only, since every
+    snapshot of a run reads the same windows."""
+    edges = np.frombuffer(edges_bytes)
+    u = edges / r
+    e = _hermite_functions(u, n_max)
+    change = e[:, :-1] - e[:, 1:]
+    # from the edges in metres: the sideband pixel is 2 um wide at 3.3 mm,
+    # so a width taken from u = edges/r would lose three digits
+    half = 0.5 * (edges[1:] - edges[:-1]) / r
+    narrow = half <= 0.25
+    if narrow.any():
+        delta = half[narrow]
+        k_max = _midpoint_order(n_max, float(delta.max()))
+        mid = _hermite_functions((0.5 * (edges[:-1] + edges[1:]) / r)[narrow], n_max + k_max)
+        series = np.zeros((n_max, delta.size))
+        for k in range(k_max, 0, -2):  # the smallest terms first
+            series += mid[k : k + n_max] * (2.0 * delta**k / math.factorial(k))
+        change[:, narrow] = series
+    mass = np.array([_axial_mass(lo, hi) for lo, hi in zip(u[:-1], u[1:])])
+    change.flags.writeable = False
+    mass.flags.writeable = False
+    return change, mass
 
 
 def rates(ensemble, profile: GaussianProfile, edges_m) -> tuple[np.ndarray, np.ndarray]:
@@ -319,31 +377,18 @@ def rates(ensemble, profile: GaussianProfile, edges_m) -> tuple[np.ndarray, np.n
 
     which keeps its digits where the window straddles a maximum of E_n
     (on the default bin [0.7, 0.8] mm, around x = r, E_2(l) - E_2(h) is
-    1/5000 of either edge value).
+    1/5000 of either edge value).  The changes and the axial masses depend
+    on the ensemble only through its order, so they are built once per
+    windows, waist and order (`_window_table`).
 
     Raises ValueError unless the edges are finite and strictly ascending."""
     edges = _ascending_edges(edges_m)
     r, scale = profile.waist_m, profile.amplitude * profile.waist_m
     m = moments(ensemble, r)
-    u = edges / r
-    n_max = m.size - 1
-    e = _hermite_functions(u, n_max)
-    change = e[:, :-1] - e[:, 1:]  # row n-1: E_n(l) - E_n(h) per window
-    # from the edges in metres: the sideband pixel is 2 um wide at 3.3 mm,
-    # so a width taken from u = edges/r would lose three digits
-    half = 0.5 * (edges[1:] - edges[:-1]) / r
-    narrow = half <= 0.25
-    if narrow.any():
-        delta = half[narrow]
-        k_max = _midpoint_order(n_max, float(delta.max()))
-        mid = _hermite_functions((0.5 * (edges[:-1] + edges[1:]) / r)[narrow], n_max + k_max)
-        series = np.zeros((n_max, delta.size))
-        for k in range(k_max, 0, -2):  # the smallest terms first
-            series += mid[k : k + n_max] * (2.0 * delta**k / math.factorial(k))
-        change[:, narrow] = series
+    change, mass = _window_table(edges.tobytes(), r, m.size - 1)
     coef = m[1:] / [math.factorial(n) for n in range(1, m.size)]
     norm = scale * math.sqrt(0.5 * math.pi)  # one unit beam over the whole line
-    axial = np.array([norm * _axial_mass(lo, hi) for lo, hi in zip(u[:-1], u[1:])])
+    axial = norm * mass
     deviation = scale * (coef @ change) + axial * m[0]
     return axial, deviation
 

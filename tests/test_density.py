@@ -1,12 +1,13 @@
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from axicav import density
-from axicav.cavity import BeamEnsemble, CavityConfig, run
+from axicav import cli, density
+from axicav.cavity import BeamEnsemble, CavityConfig, axial_beam, run
 from axicav.density import (
     DEFAULT_BIN_WIDTH_M,
     DEFAULT_HISTOGRAM_MAX_M,
@@ -22,6 +23,7 @@ from axicav.density import (
     profile_difference,
     single_pass_estimate,
 )
+from axicav.scenario import load_preset
 
 AMPLITUDE = 5e18
 WAIST = 7.5e-4
@@ -171,6 +173,19 @@ def test_deficit_far_from_the_axis_stays_finite():
     exact = [_exact_deficit(x, 1e-4, 2e-6, narrow) for x in xs]
     err = max(abs(float(g) - v) for g, v in zip(got, exact))
     assert err <= 4e-15 * max(abs(v) for v in exact)
+
+
+def test_deficit_computes_without_overflow_at_any_distance():
+    """Past alpha + 40 w both Gaussians underflow, so D is +0 there; the
+    squares of |x| up to 1e308 and beyond must not overflow on the way."""
+    xs = np.array([0.0, 1e-3, 1e150, 1e154, 5e199, 1e200, 1.7e308, math.inf])
+    for alpha, eps in [(1e-5, 1e-6), (1e-5, 0.0), (0.0, 1e-6), (0.0, 0.0)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = deficit(xs, alpha, eps, PROFILE)
+        exact = [float(_exact_deficit(x, alpha, eps)) for x in xs[:2]]
+        assert np.all(np.abs(got[:2] - exact) <= 4e-15 * abs(exact[0]))
+        assert np.array_equal(got[2:], np.zeros(6)) and not np.signbit(got[2:]).any()
 
 
 def test_paper_form_matches_brute_force_within_one_percent():
@@ -439,3 +454,162 @@ def test_null_run_deviates_by_exact_zeros():
         hist = bin_ensemble(snap.ensemble, PROFILE)
         assert np.array_equal(hist.deviation, np.zeros(30))
         assert not np.any(np.signbit(hist.deviation))
+
+
+# --- the mirror rule of `moments` --------------------------------------------
+
+CONFOCAL = load_preset("confocal").cavity
+BNL_QUAD = load_preset("bnl-quad").cavity
+MIRRORED_RUNS = {
+    "confocal": replace(CONFOCAL, n_traversals=12),
+    "confocal-0.9theta": replace(CONFOCAL, n_traversals=12, theta_split_rad=0.9 * CONFOCAL.theta_split_rad),
+    "confocal-1.1theta": replace(CONFOCAL, n_traversals=12, theta_split_rad=1.1 * CONFOCAL.theta_split_rad),
+    "bnl-quad": replace(BNL_QUAD, n_traversals=40),
+    "lens": replace(CONFOCAL, n_traversals=8, lens_focal_m=0.7, split_on_backward=False),
+    "no-backward-split": replace(CONFOCAL, n_traversals=12, split_on_backward=False),
+    "coarse-tolerance": replace(CONFOCAL, n_traversals=10, coalesce_tol_position_m=1e-9,
+                                coalesce_tol_angle_rad=1e-10),
+}
+
+
+def _odd_sized_mirrored():
+    """Mirrored ensembles with a beam on the axis, at +0 and at -0."""
+    return [
+        axial_beam(),
+        BeamEnsemble([-2e-5, 0.0, 2e-5], [1e-7, 0.0, -1e-7], [0.25, 0.5, 0.25]),
+        BeamEnsemble([-3e-5, -1e-6, -0.0, 1e-6, 3e-5], [0.0] * 5, [0.1, 0.3, 0.2, 0.3, 0.1]),
+    ]
+
+
+def _moment_bits(ens, monkeypatch, mirror_check):
+    """The moments' bytes, with the mirror check as it is or forced off."""
+    with monkeypatch.context() as patch:
+        if not mirror_check:
+            patch.setattr(density, "_is_mirrored", lambda positions, weights: False)
+        ens.moment_memo.clear()
+        bits = density.moments(ens, WAIST).tobytes()
+    ens.moment_memo.clear()
+    return bits
+
+
+@pytest.mark.parametrize("case", [*MIRRORED_RUNS, "odd-sized"])
+def test_mirrored_moments_are_bitwise_the_exact_sums(case, monkeypatch):
+    """Every snapshot of these runs is its own mirror image, and its odd
+    moments set to 0.0 are bitwise what the exact sums return."""
+    if case == "odd-sized":
+        ensembles = _odd_sized_mirrored()
+    else:
+        ensembles = [snap.ensemble for snap in run(MIRRORED_RUNS[case]).snapshots]
+    for ens in ensembles:
+        assert density._is_mirrored(ens.positions, ens.weights)
+        assert _moment_bits(ens, monkeypatch, True) == _moment_bits(ens, monkeypatch, False)
+
+
+def _exact_sums_per_ensemble(monkeypatch, ensembles):
+    """How many times `moments` calls `_exact_sum` on each ensemble."""
+    sizes = []
+    exact_sum = density._exact_sum
+    monkeypatch.setattr(density, "_exact_sum", lambda p: sizes.append(p.size) or exact_sum(p))
+    counts = []
+    for ens in ensembles:
+        del sizes[:]
+        ens.moment_memo.clear()
+        m = density.moments(ens, WAIST)
+        assert sizes[0] == len(ens) + 1  # the weight, with the unit beam taken off
+        counts.append((len(sizes), m.size - 1))
+    return counts
+
+
+def test_asymmetric_ensembles_take_the_exact_sums(monkeypatch):
+    """An off-axis start, late bnl-quad snapshots off the preset split
+    (asymmetric merges), and a mirrored ensemble with one position or one
+    weight moved by one ulp are summed exactly at every odd order, and
+    still match the forced-off path bitwise."""
+    rng = np.random.default_rng(7)
+    half = np.sort(rng.uniform(1e-6, 3e-5, 500))
+    x = np.concatenate([-half[::-1], half])
+    w = np.full(1000, 1e-3)
+    x_moved, w_moved = x.copy(), w.copy()
+    x_moved[700] = np.nextafter(x[700], math.inf)
+    w_moved[300] = np.nextafter(w[300], math.inf)
+    assert density._is_mirrored(x, w)
+    off_axis = BeamEnsemble([3e-5, -1e-5], [2e-7, -1e-7], [0.25, 0.75])
+    bnl = run(replace(BNL_QUAD, n_traversals=40, theta_split_rad=0.9 * BNL_QUAD.theta_split_rad))
+    late = [s.ensemble for s in bnl.snapshots
+            if not density._is_mirrored(s.ensemble.positions, s.ensemble.weights)]
+    assert late  # 6 of the 20 snapshots at this split
+    ensembles = [off_axis, BeamEnsemble(x_moved, np.zeros(1000), w),
+                 BeamEnsemble(x, np.zeros(1000), w_moved), *late]
+    for ens in ensembles:
+        assert not density._is_mirrored(ens.positions, ens.weights)
+    for calls, order in _exact_sums_per_ensemble(monkeypatch, ensembles):
+        assert calls == 1 + (order + 1) // 2  # the weight and every odd order
+    monkeypatch.undo()
+    for ens in ensembles:
+        assert _moment_bits(ens, monkeypatch, True) == _moment_bits(ens, monkeypatch, False)
+
+
+def test_confocal_simulate_sums_only_the_weights_exactly(tmp_path, monkeypatch):
+    """A confocal `simulate` reads each ensemble's moments once (the axial
+    reference and every snapshot), and each of them is mirrored, so
+    `_exact_sum` runs once per ensemble, on its weights."""
+    sizes, checked = [], []
+    exact_sum, is_mirrored = density._exact_sum, density._is_mirrored
+    monkeypatch.setattr(density, "_exact_sum", lambda p: sizes.append(p.size) or exact_sum(p))
+    monkeypatch.setattr(density, "_is_mirrored",
+                        lambda x, w: checked.append(x.size) or is_mirrored(x, w))
+    assert cli.main(["--preset", "confocal", "--override", "cavity.n_traversals=8",
+                     "--out", str(tmp_path), "simulate"]) == 0
+    assert checked == [1] + [2**n for n in range(1, 9)]
+    assert sizes == [n + 1 for n in checked]
+
+
+# --- one window table per windows, waist and order ------------------------------
+
+
+def _all_rates(ensembles, profile=PROFILE):
+    """The bins and the central and sideband pixels of every ensemble, as
+    the bytes of their float values (past order 20 the deviation is an
+    array of Python floats)."""
+    windows = [histogram_edges(), (-1e-6, 1e-6), (3.299e-3, 3.301e-3)]
+    return [b"".join(np.asarray(part, dtype=float).tobytes() for edges in windows
+                     for part in density.rates(ens, profile, edges)) for ens in ensembles]
+
+
+def test_window_tables_from_a_cold_and_a_warm_cache_agree():
+    ensembles = [s.ensemble for s in run(replace(CONFOCAL, n_traversals=10)).snapshots]
+    ensembles.append(BeamEnsemble([0.5 * WAIST], [0.0], [1.0]))  # a high order
+    cold = []
+    for ens in ensembles:
+        density._window_table.cache_clear()
+        cold += _all_rates([ens])
+    assert _all_rates(ensembles) == cold
+    assert density._window_table.cache_info().hits > 0
+
+
+def test_window_tables_are_read_only():
+    change, mass = density._window_table(histogram_edges().tobytes(), WAIST, 4)
+    assert change.shape == (4, 30) and mass.shape == (30,)
+    for table in (change, mass):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+    axial, deviation = density.rates(axial_beam(), PROFILE, histogram_edges())
+    assert axial.flags.writeable and deviation.flags.writeable
+
+
+def test_window_tables_are_kept_per_waist_and_order():
+    """Two waists or two orders over the same edges build two tables, and
+    each rate matches the one computed from an empty cache."""
+    near = BeamEnsemble([-1e-6, 1e-6], [0.0, 0.0], [0.5, 0.5])
+    wide = BeamEnsemble([-0.3 * WAIST, 0.3 * WAIST], [0.0, 0.0], [0.5, 0.5])
+    assert density.moments(near, WAIST).size != density.moments(wide, WAIST).size
+    cases = [(near, PROFILE), (wide, PROFILE), (near, GaussianProfile(AMPLITUDE, 2 * WAIST))]
+    cold = []
+    for ens, profile in cases:
+        density._window_table.cache_clear()
+        cold += _all_rates([ens], profile)
+    density._window_table.cache_clear()
+    warm = [_all_rates([ens], profile)[0] for ens, profile in cases]
+    assert warm == cold
+    assert density._window_table.cache_info().currsize == 3 * 3
