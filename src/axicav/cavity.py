@@ -160,14 +160,13 @@ def coalesce(
     moments as exact zeros from that layout.
 
     Each pass sorts its beams' cell keys once (`_grid_pass`).  A pass that
-    merges nothing leaves the beams where they are and keeps only its order:
-    its cells are distinct, so they alone fix that order, and a later pass
-    that merges sums each shared cell in that order, as if the beams had
-    moved.  A merging pass leaves the merged beams in its grid's order, so
-    the next pass on that grid first checks in O(N) whether their
-    recomputed cells still strictly increase; when they do, no two beams
-    share a cell and no sort runs.  A merged mean can cross a cell edge, so
-    the check is made, not assumed.  Two passes in a row that merge nothing
+    merges nothing leaves the beams where they are, and a pass that merges
+    sums each shared cell in the order the beams hold.  A merging pass
+    leaves the merged beams in its grid's order, so the next pass on that
+    grid first checks in O(N) whether their recomputed cells still strictly
+    increase; when they do, no two beams share a cell and no sort runs.  A
+    merged mean can cross a cell edge, so the check is made, not assumed.
+    Two passes in a row that merge nothing
     end the iteration: neither changed the beams, and each grid found no
     shared cell in them.  An ensemble that merges nothing costs two sorts
     plus the final ordering.
@@ -178,25 +177,19 @@ def coalesce(
     if not (tol_position_m > 0 and tol_angle_rad > 0):
         raise ValueError("coalescing tolerances must be > 0")
     pos, ang, w = ensemble.positions, ensemble.angles, ensemble.weights
-    kept = None  # the order of the last pass, if it merged nothing
     in_order_of = None  # the grid of the last merge, whose order the beams are in
     quiet = 0  # passes in a row that merged nothing
     for shift in (0.0, 0.5) * 64:
         if shift == in_order_of and _cells_rise(pos, ang, tol_position_m, tol_angle_rad, shift):
-            kept, merged = None, False
+            merged = False
         else:
-            pos, ang, w, kept, merged = _grid_pass(
-                pos, ang, w, tol_position_m, tol_angle_rad, shift, kept
-            )
+            pos, ang, w, merged = _grid_pass(pos, ang, w, tol_position_m, tol_angle_rad, shift)
         if merged:
             in_order_of, quiet = shift, 0
         else:
             quiet += 1
             if quiet == 2:
                 break
-    # At the fixed point no two beams tie in (position, angle), so the kept
-    # order does not change the final one.
-    kept = None
     order = _final_order(pos, ang)
     return BeamEnsemble(pos[order], ang[order], w[order])
 
@@ -295,30 +288,24 @@ def _cells_rise(pos, ang, tol_p, tol_a, shift):
     return bool(rises.all())
 
 
-def _grid_pass(pos, ang, w, tol_p, tol_a, shift, kept):
+def _grid_pass(pos, ang, w, tol_p, tol_a, shift):
     """Merge the beams that share a cell of the grid at ``shift``, from one
     sort.
 
     Each beam's packed cell key carries its index in the low bits, so the
-    keys are unique and any sort kernel orders them the same way.  In the
-    sorted keys a cell is shared where neighbouring ``key >> bits`` are
-    equal, the same comparison marks where each cell's run starts, and the
-    low bits are the order; no cell array is gathered.
+    keys are unique and any sort kernel orders them the same way: by cell,
+    and within a cell in the order the beams hold, which is the order a
+    shared cell sums them in.  In the sorted keys a cell is shared where
+    neighbouring ``key >> bits`` are equal, the same comparison marks where
+    each cell's run starts, and the low bits are the order; no cell array
+    is gathered.
 
-    ``kept`` is the order of an earlier pass that merged nothing and left
-    the beams where they were, or None.  A shared cell sums its beams in
-    that order, as if that pass had moved them: the summation order of the
-    stable sorts of ``_lexorder``.
-
-    Returns ``pos, ang, w, kept, merged``.  A pass that merges nothing
-    leaves the beams where they are and returns its order as ``kept``.  A
-    merging pass returns the merged beams in the order of the cells they
-    came from, and None.  When the index does not fit beside the cells,
-    sharing is read from the sorted plain keys, and a pass that merges
-    nothing returns its shift instead of an order it did not read.  A pass
-    that must merge then, or whose cells do not pack (a NaN, a span of
-    2^53 or more, or more than 63 bits), orders them with ``_lexorder`` and
-    moves the beams, merged or not.
+    Returns ``pos, ang, w, merged``.  A pass that merges nothing leaves the
+    beams where they are; a merging pass returns the merged beams in the
+    order of the cells they came from.  When the index does not fit beside
+    the cells, sharing is read from the sorted plain keys.  A pass that
+    must merge then, or whose cells do not pack (a NaN, a span of 2^53 or
+    more, or more than 63 bits), orders them with the stable `_lexorder`.
     """
     n = pos.size
     bits = max(n - 1, 0).bit_length()
@@ -329,7 +316,7 @@ def _grid_pass(pos, ang, w, tol_p, tol_a, shift, kept):
         del cell_p, cell_a, packed
         key.sort()
         if (key[1:] != key[:-1]).all():
-            return pos, ang, w, shift, False
+            return pos, ang, w, False
         del key
         cell_p, cell_a = _cells(pos, ang, tol_p, tol_a, shift)
         packed = None
@@ -340,8 +327,6 @@ def _grid_pass(pos, ang, w, tol_p, tol_a, shift, kept):
         starts[:1] = True
         starts[1:] = (cell_p[1:] != cell_p[:-1]) | (cell_a[1:] != cell_a[:-1])
         del cell_p, cell_a
-        if starts.all():
-            return pos[order], ang[order], w[order], None, False
     else:
         key = packed[0]
         del cell_p, cell_a, packed
@@ -354,32 +339,15 @@ def _grid_pass(pos, ang, w, tol_p, tol_a, shift, kept):
         del cell
         key &= (1 << bits) - 1
         order = key
-        if starts.all():
-            return pos, ang, w, order, False
-    if kept is not None:
-        if isinstance(kept, float):  # the shift of a pass whose order was not read
-            kept = _lexorder(*_cells(pos, ang, tol_p, tol_a, kept))
-        _order_shared_cells_by(order, starts, kept)
+    if starts.all():
+        return pos, ang, w, False
     idx = np.flatnonzero(starts)
     del starts
     w = w[order]
     wsum = np.add.reduceat(w, idx)
     pos = np.add.reduceat(w * pos[order], idx) / wsum
     ang = np.add.reduceat(w * ang[order], idx) / wsum
-    return pos, ang, wsum, None, True
-
-
-def _order_shared_cells_by(order, starts, kept):
-    """Reorder, in place, the beams of each shared cell (the runs of
-    ``order`` that ``starts`` marks) by their place in ``kept``; the order
-    of the cells stays."""
-    rank = np.empty(order.size, dtype=np.int64)
-    rank[kept] = np.arange(order.size)
-    shared = ~starts
-    shared[:-1] |= ~starts[1:]
-    slots = np.flatnonzero(shared)
-    beams = order[slots]
-    order[slots] = beams[np.lexsort((rank[beams], np.cumsum(starts)[slots]))]
+    return pos, ang, wsum, True
 
 
 def _transport_to_far_mirror(
