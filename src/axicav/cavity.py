@@ -6,13 +6,14 @@ field passage splits every beam in two (angle +- theta_split at entry, the
 same-signed kick again at exit, weight halved) so the ensemble doubles per
 traversal; coalescing merges beams that have become indistinguishable.
 
-The ensemble is stored as flat numpy arrays: a traversal is a handful of
-vectorised affine operations plus one grid-based merge.  The merge sorts the
-beams, so for N beams a traversal costs O(N log N), not O(N).  Each grid
-pass sorts one int64 cell key per beam, and that one sort tells which beams
-share a cell, groups them and orders them.  An ensemble in which no two
-beams share a grid cell costs two such sorts (one per grid) plus the final
-ordering by position; a bnl-quad traversal, which merges, costs three.
+The ensemble is stored as flat numpy arrays.  A traversal carries them
+through two affine maps composed once per run from `rays` transfer matrices
+(`_legs`), then merges them on a grid.  The merge sorts the beams, so for N
+beams a traversal costs O(N log N), not O(N).  Each grid pass sorts one
+int64 cell key per beam, and that one sort tells which beams share a cell,
+groups them and orders them.  An ensemble in which no two beams share a
+grid cell costs two such sorts (one per grid) plus the final ordering by
+position; a bnl-quad traversal, which merges, costs three.
 How long a run can be is set by how many beams survive coalescing.
 Cavities whose branches reconverge (bnl-quad) stay at thousands of beams;
 the confocal cavity never merges a branch, so its ensemble doubles on every
@@ -21,13 +22,12 @@ the ensemble past MAX_BEAMS, rather than left to run out of memory.
 
 Memory: a run keeps every detector snapshot until it is rendered, 24 B per
 snapshot beam (a snapshot shares its weights array with the ensemble it was
-taken from).  Each stage allocates only the arrays it returns, so the
-traced peak of a whole `axicav simulate` is 48-55 B per snapshot beam,
-reached while the last traversal coalesces, with the snapshots, the
-reflected ensemble and the cell keys live.  A run at the budget (confocal
-n=20: 2^20 final beams, 2^21 - 2 snapshot beams) holds 50 MB of snapshots
-and peaks at 101 MB under tracemalloc and 128 MB resident (Linux x86-64,
-numpy 2.4.6).
+taken from).  Each stage allocates only the arrays it returns, so the traced
+peak of a whole `axicav simulate` is 48-54 B per snapshot beam, reached
+while the last traversal coalesces, with the snapshots, the next ensemble
+and the cell keys live.  A run at the budget (confocal n=20: 2^20 final
+beams, 2^21 - 2 snapshot beams) holds 50 MB of snapshots and peaks at 101 MB
+under tracemalloc and 127 MB resident (Linux x86-64, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rays
 from .checks import Count, NonNegative, NonZero, Positive, check_fields
 from .rays import PARAXIAL_LIMIT, ParaxialError
 
@@ -93,7 +94,7 @@ class BeamEnsemble:
     there, per waist).
 
     A stage passes on the arrays it leaves unchanged instead of copying
-    them, so ensembles share arrays (a snapshot, the reflected ensemble and
+    them, so ensembles share arrays (a snapshot, the next ensemble and
     ``initial`` may hold one weights array).  The rule that makes this
     safe: no stage writes into an array another ensemble may share."""
 
@@ -166,10 +167,9 @@ def coalesce(
     grid first checks in O(N) whether their recomputed cells still strictly
     increase; when they do, no two beams share a cell and no sort runs.  A
     merged mean can cross a cell edge, so the check is made, not assumed.
-    Two passes in a row that merge nothing
-    end the iteration: neither changed the beams, and each grid found no
-    shared cell in them.  An ensemble that merges nothing costs two sorts
-    plus the final ordering.
+    Two passes in a row that merge nothing end the iteration: neither
+    changed the beams, and each grid found no shared cell in them.  An
+    ensemble that merges nothing costs two sorts plus the final ordering.
 
     Both tolerances must be > 0 (a NaN is refused too): a grid needs a
     cell size.
@@ -290,22 +290,18 @@ def _cells_rise(pos, ang, tol_p, tol_a, shift):
 
 def _grid_pass(pos, ang, w, tol_p, tol_a, shift):
     """Merge the beams that share a cell of the grid at ``shift``, from one
-    sort.
+    sort; return ``pos, ang, w, merged``.
 
     Each beam's packed cell key carries its index in the low bits, so the
-    keys are unique and any sort kernel orders them the same way: by cell,
-    and within a cell in the order the beams hold, which is the order a
-    shared cell sums them in.  In the sorted keys a cell is shared where
-    neighbouring ``key >> bits`` are equal, the same comparison marks where
-    each cell's run starts, and the low bits are the order; no cell array
-    is gathered.
-
-    Returns ``pos, ang, w, merged``.  A pass that merges nothing leaves the
-    beams where they are; a merging pass returns the merged beams in the
-    order of the cells they came from.  When the index does not fit beside
-    the cells, sharing is read from the sorted plain keys.  A pass that
-    must merge then, or whose cells do not pack (a NaN, a span of 2^53 or
-    more, or more than 63 bits), orders them with the stable `_lexorder`.
+    keys are unique and any sort kernel orders them by cell, and within a
+    cell in the order the beams hold, the order a shared cell sums them in.
+    In the sorted keys a cell is shared where neighbouring ``key >> bits``
+    are equal, which also marks where each cell's run starts, and the low
+    bits are the order.  When the index does not fit beside the cells,
+    sharing is read from the sorted plain keys.  A pass that must merge
+    then, or whose cells do not pack (a NaN, a span of 2^53 or more, or
+    more than 63 bits), orders them with the stable `_lexorder`.  A pass
+    that merges nothing leaves the beams where they are.
     """
     n = pos.size
     bits = max(n - 1, 0).bit_length()
@@ -350,58 +346,6 @@ def _grid_pass(pos, ang, w, tol_p, tol_a, shift):
     return pos, ang, wsum, True
 
 
-def _transport_to_far_mirror(
-    ensemble: BeamEnsemble, config: CavityConfig, split: bool
-) -> BeamEnsemble:
-    """Carry every beam gap -> field -> gap, ending at the far mirror just
-    before reflection.
-
-    The geometry is symmetric, so both directions use the same sequence.
-    With ``split`` each beam enters the field as two half-weight branches
-    kicked by +-theta_split and takes the same-signed kick again at the
-    exit; otherwise the field region is plain propagation.
-
-    A split leg fills three 2N arrays in place (the ``+`` branch first) with
-    the float operations of the plain formulas, in their order.
-    """
-    ths, gap, length = config.theta_split_rad, config.gap_m, config.field_length_m
-    a = ensemble.angles
-    if not split:
-        pos = ensemble.positions + a * gap
-        pos += a * length
-        pos += a * gap
-        return BeamEnsemble(pos, a, ensemble.weights)
-    n = a.size
-    pos, ang, w = np.empty(2 * n), np.empty(2 * n), np.empty(2 * n)
-    np.multiply(a, gap, out=pos[:n])
-    pos[:n] += ensemble.positions
-    pos[n:] = pos[:n]
-    np.add(a, ths, out=ang[:n])
-    np.subtract(a, ths, out=ang[n:])
-    pos += np.multiply(ang, length, out=w)  # w is scratch until the weights go in
-    ang[:n] += ths
-    ang[n:] -= ths
-    pos += np.multiply(ang, gap, out=w)
-    np.multiply(ensemble.weights, 0.5, out=w[:n])
-    w[n:] = w[:n]
-    return BeamEnsemble(pos, ang, w)
-
-
-def _far_mirror_focal(config: CavityConfig, direction: str) -> float | None:
-    return config.mirror2_focal_m if direction == "forward" else config.mirror1_focal_m
-
-
-def _reflect_all(ensemble: BeamEnsemble, focal: float | None) -> BeamEnsemble:
-    """Mirror reflection in unfolded coordinates: positions unchanged, the
-    accumulated angles kept, plus a curved mirror's focusing kick
-    -position/f."""
-    if focal is None:
-        return ensemble
-    ang = ensemble.positions / focal
-    np.subtract(ensemble.angles, ang, out=ang)
-    return BeamEnsemble(ensemble.positions, ang, ensemble.weights)
-
-
 @dataclass(frozen=True)
 class DetectorSnapshot:
     """Ensemble transported to the detector plane after a given traversal."""
@@ -416,31 +360,63 @@ class RunResult:
     final: BeamEnsemble | None = None
 
 
-def _to_detector(ensemble: BeamEnsemble, config: CavityConfig) -> BeamEnsemble:
-    """Transmit through the exit mirror (unit transmission, no focusing) and
-    carry the beams to the detector plane.
+def _legs(config: CavityConfig):
+    """Per direction, forward first, the two affine maps of a traversal: to
+    the detector, and past the far mirror to the start of the next
+    traversal, each a transfer matrix M and on a split leg a kick k (else
+    None).  In unfolded coordinates a traversal is gap, field, gap.  A split
+    beam takes +-theta at the field entry and the same-signed kick at the
+    exit, so at the far mirror the two branches sit at P(L + 2 gap) (x, a)
+    +- b with b = theta (L + 2 gap, 2) (Siegman, *Lasers*, ch. 15), and the
+    detector trip or the reflection acts on both terms.  The trip passes the
+    exit mirror unfocused, then the thin lens at ``lens_offset_m`` if one is
+    configured."""
+    gap, length, theta = config.gap_m, config.field_length_m, config.theta_split_rad
+    step = rays.propagation_matrix
+    to_mirror = rays.compose([step(gap), step(length), step(gap)])
+    trip = step(config.detector_distance_m)
+    if config.lens_focal_m is not None:
+        trip = rays.compose([step(config.detector_distance_m - config.lens_offset_m),
+                             rays.focusing_matrix(config.lens_focal_m), step(config.lens_offset_m)])
+    bx, ba = theta * (length + 2 * gap), 2 * theta
+    legs = []
+    for focal, split in ((config.mirror2_focal_m, theta > 0),
+                         (config.mirror1_focal_m, theta > 0 and config.split_on_backward)):
+        reflect = rays.IDENTITY if focal is None else rays.focusing_matrix(focal)
+        legs.append([(rays.compose([after, to_mirror]),
+                      (after.a * bx + after.b * ba, after.c * bx + after.d * ba) if split else None)
+                     for after in (trip, reflect)])
+    return legs
 
-    With no external lens focal length configured the lens is an ideal relay
-    and the whole trip is one propagation over detector_distance_m; otherwise
-    the beams propagate lens_offset_m, get the thin-lens kick, and propagate
-    the remaining distance.
-    """
-    pos, ang = ensemble.positions, ensemble.angles
-    if config.lens_focal_m is None:
-        pos = pos + ang * config.detector_distance_m
-    else:
-        pos = pos + ang * config.lens_offset_m
-        ang = ang - pos / config.lens_focal_m
-        pos = pos + ang * (config.detector_distance_m - config.lens_offset_m)
-    return BeamEnsemble(pos, ang, ensemble.weights)
+
+def _transport(ensemble: BeamEnsemble, matrix, kick, weights) -> BeamEnsemble:
+    """Carry every beam (x, a) through one map: to M (x, a), or on a split
+    leg to the two branches M (x, a) +- k, the ``+`` branch first, each
+    coordinate filling one new 2N array in place.  ``weights`` is passed
+    on, not copied."""
+    x, a, n = ensemble.positions, ensemble.angles, len(ensemble)
+    rows = []
+    for (p, q), k in zip(((matrix.a, matrix.b), (matrix.c, matrix.d)), kick or (None, None)):
+        if kick is None:
+            v = x * p
+            v += a * q
+        else:
+            v = np.empty(2 * n)
+            np.multiply(x, p, out=v[:n])
+            v[:n] += np.multiply(a, q, out=v[n:])
+            v[n:] = v[:n]
+            v[:n] += k
+            v[n:] -= k
+        rows.append(v)
+    return BeamEnsemble(*rows, weights)
 
 
 def run(config: CavityConfig, initial: BeamEnsemble | None = None) -> RunResult:
     """Run n_traversals of the cavity from ``initial`` (default: the axial
-    beam), alternating direction each traversal: transport across the
-    cavity (splitting in the field region), reflect off the far mirror,
-    coalesce.  Detector snapshots are recorded at every extraction
-    opportunity.
+    beam), alternating direction each traversal: carry the beams across the
+    cavity, splitting them in the field region, and past the far mirror
+    (`_legs`), then coalesce.  A split leg's snapshot and next ensemble
+    share one array of half weights.
 
     With extraction through mirror 2 a snapshot is taken each traversal at
     whichever mirror the beams just reached (the symmetric-cavity detector
@@ -451,26 +427,24 @@ def run(config: CavityConfig, initial: BeamEnsemble | None = None) -> RunResult:
     Raises BeamBudgetError before a split leg would produce more than
     MAX_BEAMS beams.
     """
+    legs = _legs(config)
     ens = axial_beam() if initial is None else initial
     result = RunResult()
     for k in range(1, config.n_traversals + 1):
-        direction = "forward" if k % 2 == 1 else "backward"
-        split = config.theta_split_rad > 0 and (direction == "forward" or config.split_on_backward)
-        if split and 2 * len(ens) > MAX_BEAMS:
-            raise BeamBudgetError(
-                f"traversal {k} would split {len(ens)} beams into {2 * len(ens)}, "
-                f"past the budget of {MAX_BEAMS}"
-            )
-        at_mirror = _transport_to_far_mirror(ens, config, split)
-        if config.extraction_mirror == MIRROR_2 or direction == "backward":
-            result.snapshots.append(
-                DetectorSnapshot(traversal=k, ensemble=_to_detector(at_mirror, config))
-            )
-        # neither the previous ensemble nor the at-mirror one outlives this
-        # traversal, and only the reflected one is held while coalescing
-        ens = _reflect_all(at_mirror, _far_mirror_focal(config, direction))
-        at_mirror = None
+        forward = k % 2 == 1
+        to_detector, to_next = legs[not forward]
+        n, w = len(ens), ens.weights
+        if to_next[1] is not None:
+            if 2 * n > MAX_BEAMS:
+                raise BeamBudgetError(f"traversal {k} would split {n} beams into {2 * n}, "
+                                      f"past the budget of {MAX_BEAMS}")
+            w = np.empty(2 * n)
+            np.multiply(ens.weights, 0.5, out=w[:n])
+            w[n:] = w[:n]
+        if config.extraction_mirror == MIRROR_2 or not forward:
+            result.snapshots.append(DetectorSnapshot(k, _transport(ens, *to_detector, w)))
+        # the previous ensemble is dropped before coalescing starts
+        ens = _transport(ens, *to_next, w)
         ens = coalesce(ens, config.coalesce_tol_position_m, config.coalesce_tol_angle_rad)
     result.final = ens
     return result
-

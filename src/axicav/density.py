@@ -268,9 +268,11 @@ def _midpoint_order(n_max: int, delta: float) -> int:
 def _hermite_functions(u: np.ndarray, count: int) -> np.ndarray:
     """Rows E_1(u), ..., E_count(u), E_n(u) = He_{n-1}(u) exp(-u^2/2), by
     the recurrence of He started from the envelope, so that far from the
-    axis they underflow to zero rather than overflow."""
+    axis they underflow to zero rather than overflow.  The envelope comes
+    from the C library's exp, one value at a time: numpy's exp gives other
+    last bits on other SIMD kernels, and the table holds a few dozen values."""
     e = np.empty((count, u.size))
-    prev, cur = np.zeros_like(u), np.exp(-0.5 * u * u)
+    prev, cur = np.zeros_like(u), np.array([math.exp(-0.5 * v * v) for v in u.tolist()])
     for k in range(count):
         e[k] = cur
         prev, cur = cur, u * cur - k * prev
@@ -386,7 +388,8 @@ def rates(ensemble, profile: GaussianProfile, edges_m) -> tuple[np.ndarray, np.n
     r, scale = profile.waist_m, profile.amplitude * profile.waist_m
     m = moments(ensemble, r)
     change, mass = _window_table(edges.tobytes(), r, m.size - 1)
-    coef = m[1:] / [math.factorial(n) for n in range(1, m.size)]
+    # float factorials: past 20! an integer list would make an object array
+    coef = m[1:] / np.array([float(math.factorial(n)) for n in range(1, m.size)])
     norm = scale * math.sqrt(0.5 * math.pi)  # one unit beam over the whole line
     axial = norm * mass
     deviation = scale * (coef @ change) + axial * m[0]

@@ -659,16 +659,15 @@ def test_run_is_bitwise_equal_without_packed_keys(cfg, final_beams, monkeypatch)
 
 # sha256 of every snapshot's and the final ensemble's arrays (see
 # _run_digest).  Transport and coalescing only add, multiply, divide and
-# floor, so unlike the hashes of tests/test_golden_simulate.py, which carry
-# numpy's exp, these hold on numpy's AVX2 and AVX-512 kernels alike.
+# floor, so these hold on numpy's AVX2 and AVX-512 kernels alike.
 ENGINE_PINS = {
     "confocal": (replace(load_preset("confocal").cavity, n_traversals=14),
-                 "59a9310639b74ae56c6e97c2ac502955c2ef843847ab65f7c802add9e5d5f720"),
+                 "3c725ae4e42d4aef2d10ba2efec3eabfdb2f7d9dace2696088824fca4711040e"),
     "bnl-quad": (replace(load_preset("bnl-quad").cavity, n_traversals=40),
-                 "2142a2dfdd50ea40460d497e44df57f20833b5db7fbe3e10c06839226d99c3ad"),
+                 "fdafb33095e1336b7cb90a9ed9bfc94a84c57f129adc96b7c65c9f25ebe205a0"),
     "lens": (replace(load_preset("confocal").cavity, n_traversals=8, lens_focal_m=0.7,
                      split_on_backward=False),
-             "34f38686e410091971a119644c6f910ab4416f40abd8fb55866fc15adb9797e2"),
+             "66f8609966ca55ce6606698a13f13136611f87f3f4ce139ef5b4be59c6ed4433"),
 }
 
 

@@ -448,6 +448,34 @@ def test_a_wide_beam_renders_as_its_own_gaussian():
         assert abs(got - expect) <= 1e-12 * expect
 
 
+# one beam at max|x|/r = rho needs the orders 20, 21, ..., 32 of the series
+HIGH_ORDER_RHOS = [0.4, 0.45, 0.5, 0.55, 0.6, 0.67, 0.72, 0.8, 0.85, 0.9, 0.97, 1.03, 1.1]
+
+
+def test_rates_past_order_20_are_float_and_match_the_oracle():
+    """Past 20! the factorials no longer fit an int64; the deviation stays a
+    float64 array, its bytes repeat from call to call, and each bin's rate
+    matches the 40-digit oracle of tests/test_oracle.py (the deviation alone
+    changes sign between the axis and the beam, where no relative bound
+    holds)."""
+    from test_oracle import PROFILE as ORACLE_PROFILE, _assert_close, _oracle_deviation
+
+    edges = histogram_edges()
+    s = mp.mpf(ORACLE_PROFILE.waist_m) * mp.sqrt(2)
+    scale = ORACLE_PROFILE.amplitude * s * mp.sqrt(mp.pi) / 2
+    axial = [scale * (mp.erf(hi / s) - mp.erf(lo / s)) for lo, hi in zip(edges[:-1], edges[1:])]
+    orders = []
+    for rho in HIGH_ORDER_RHOS:
+        ens = BeamEnsemble([rho * ORACLE_PROFILE.waist_m], [0.0], [1.0])
+        orders.append(density.moments(ens, ORACLE_PROFILE.waist_m).size - 1)
+        got_axial, deviation = density.rates(ens, ORACLE_PROFILE, edges)
+        assert deviation.dtype == np.float64
+        assert density.rates(ens, ORACLE_PROFILE, edges)[1].tobytes() == deviation.tobytes()
+        want = [a + d for a, d in zip(axial, _oracle_deviation(ens, edges, direct=True))]
+        _assert_close(got_axial + deviation, want, f"rho={rho}")
+    assert orders == list(range(20, 33))
+
+
 def test_null_run_deviates_by_exact_zeros():
     res = run(CavityConfig(n_traversals=3, theta_split_rad=0.0))
     for snap in res.snapshots:
@@ -534,10 +562,10 @@ def test_asymmetric_ensembles_take_the_exact_sums(monkeypatch):
     w_moved[300] = np.nextafter(w[300], math.inf)
     assert density._is_mirrored(x, w)
     off_axis = BeamEnsemble([3e-5, -1e-5], [2e-7, -1e-7], [0.25, 0.75])
-    bnl = run(replace(BNL_QUAD, n_traversals=40, theta_split_rad=0.9 * BNL_QUAD.theta_split_rad))
+    bnl = run(replace(BNL_QUAD, n_traversals=40, theta_split_rad=1.1 * BNL_QUAD.theta_split_rad))
     late = [s.ensemble for s in bnl.snapshots
             if not density._is_mirrored(s.ensemble.positions, s.ensemble.weights)]
-    assert late  # 6 of the 20 snapshots at this split
+    assert late  # 4 of the 20 snapshots at 1.1 times the preset split
     ensembles = [off_axis, BeamEnsemble(x_moved, np.zeros(1000), w),
                  BeamEnsemble(x, np.zeros(1000), w_moved), *late]
     for ens in ensembles:
@@ -569,10 +597,9 @@ def test_confocal_simulate_sums_only_the_weights_exactly(tmp_path, monkeypatch):
 
 def _all_rates(ensembles, profile=PROFILE):
     """The bins and the central and sideband pixels of every ensemble, as
-    the bytes of their float values (past order 20 the deviation is an
-    array of Python floats)."""
+    the bytes of their values."""
     windows = [histogram_edges(), (-1e-6, 1e-6), (3.299e-3, 3.301e-3)]
-    return [b"".join(np.asarray(part, dtype=float).tobytes() for edges in windows
+    return [b"".join(part.tobytes() for edges in windows
                      for part in density.rates(ens, profile, edges)) for ens in ensembles]
 
 

@@ -9,9 +9,10 @@ hashes unchanged.  A change that alters the numbers on purpose re-pins them
 and logs the reason.
 
 The pinned outputs match the mpmath oracle of tests/test_oracle.py to
-2e-15 relative.  They depend on numpy's exp and on the C library's erf and
-erfc (through the math module), so a failure message names the numpy
-version and the C library.
+2e-15 relative.  They depend on the C library's exp, erf and erfc (through
+the math module), not on numpy's SIMD kernels, so they hold on its AVX2
+and AVX-512 kernels alike; a failure message names the numpy version and
+the C library.
 """
 
 import hashlib
@@ -24,44 +25,44 @@ from axicav import cli
 
 GOLDEN = {
     ("confocal", 14): {
-        "growth_series.csv": "0b4ac214361d8c2ad41711897c060987a2a0516d856897ea1170d4c9015fa3d5",
-        "profile_difference_t001.csv": "ee50db58256493e0a349d3acd9cbff20bc101ebb058e481b04ebad0746399862",
-        "profile_difference_t002.csv": "def7c4f01cbbad34b2c8cad36d03bfaa189f834d9315e3518ff6b9a4d0fdfcb3",
-        "profile_difference_t003.csv": "f93b052eca095500d32b1adbfcce65b4ce4c730685ae6fbb3443edb9ad60ac34",
-        "profile_difference_t004.csv": "d00c053c9428ea1b9f9b5438faea564a975e8fe479ed8c4cae97c21805784856",
-        "profile_difference_t005.csv": "77853e9d25834b6c927abfa75792f9e2b713a119a8a9725c54ada87617807209",
-        "profile_difference_t006.csv": "d624ede427f17bfb75c27ede6fb0d291ab5825d2f68e8beaf3e4c40a3714f4d4",
-        "profile_difference_t007.csv": "3e70635f241bb2e46aea2084f8c28f6fd340fcf8cc0ae1ec03ee44b61f0f7257",
-        "profile_difference_t008.csv": "f5642b06d515c183fc54786eaa37b12f8ff3c39e2182129f8561c2c2945d399a",
-        "profile_difference_t009.csv": "a1d7416488907b938b98c0eaff3c394106921f8959f98dea7393da2586ac2ad6",
-        "profile_difference_t010.csv": "97310f42b14250937e239c16ab2a158ffd0439853ee09b96e109ff12d59caf8b",
-        "profile_difference_t011.csv": "2254dde3964e3a3b7ae83ecdc082bf725d4aa42824ebb8f00d537a62de94dc22",
-        "profile_difference_t012.csv": "bd431017ee7a8f41a33ee9196e35da5a5ddd57fc905f8b05b8362aed01042365",
-        "profile_difference_t013.csv": "20cd7dff317624109b33fd729af3144a8fa5e9ebd61421b7518ba36167fc405d",
-        "profile_difference_t014.csv": "3afa2bb462fabb54cf308ed16c2a17d5b7785967747251c7cf02f4fe2f1004bf",
+        "growth_series.csv": "fc9423d9468ed2d2b2c4133e2357d80563483090872fb36cc7680638b78af81e",
+        "profile_difference_t001.csv": "924a3cfbefe2960163ddf8582d2427700a42e3737397a96d7d6cad805d460c56",
+        "profile_difference_t002.csv": "687438a5d778b61345725549941bd43e26884fbfcc95a30c654b1f9a98affa32",
+        "profile_difference_t003.csv": "42bcbe44f456a777a3c76a7993ba6f5d1fc0b34f7c6c89c7fd9514f3889805a5",
+        "profile_difference_t004.csv": "ee70a82f5cd267bd604b2f2ab8b38f12d5b2afa2d41faa6f0e79f8d4a03f2e61",
+        "profile_difference_t005.csv": "1b452886407f343462ba81405009b83151766a92e5af45c4f71688ad55bb11db",
+        "profile_difference_t006.csv": "e99563b7a1aef5852d4f220e48694ba0f5ae7fb3ba822ea1586f534b6f8bf6dc",
+        "profile_difference_t007.csv": "3c1464a1cbe25a209977046679dfd10617b3d267af540c552e9fe741a1be7428",
+        "profile_difference_t008.csv": "d8201a17182e4287c20be95d78c26affca2a773f32b8824022925186d07f3c4e",
+        "profile_difference_t009.csv": "fda9151ba6a723b09400c0e1a850e02c6106a4855b430b8fb5a465a6ad37547d",
+        "profile_difference_t010.csv": "08f943e874318af6d6829591ee73bd2ea8ed48ab0602d2a4b6d1548baf4edab3",
+        "profile_difference_t011.csv": "cdb95471bfb10ceda70a9606c497e148f8021141eaa2ae2c1dbbb5a1ab95be79",
+        "profile_difference_t012.csv": "7ecd9550ba979fa83fdbe6ef3bd0ab89b35b0030e8293d0aa3c610111b3fe1b6",
+        "profile_difference_t013.csv": "de727d8b45c241e75c9b382196b8fc81fb9d69b325b6891ef1ca180ee44cf425",
+        "profile_difference_t014.csv": "9ebf8f907e4ea0108561a26a3dbe2f81d41f32d079184b777edcefbac3896042",
     },
     ("bnl-quad", 12): {
-        "growth_series.csv": "12ab9728ed6c43d5656ed51a6fc9045977ed68fd4c2059540699c7e53168eb42",
-        "profile_difference_t002.csv": "fb1fce6227afc886679eeb3f4956e1a4dad233316fee3a0c45d85dd6ff6f47ab",
-        "profile_difference_t004.csv": "09850f382861e19ac0cc6517f1bb97154db6d1c620702df135601471b8a6c529",
-        "profile_difference_t006.csv": "d4ab1f700e8aa6e626cb57cd5c88e22208020a69437adfb35928061cf4cc5c65",
-        "profile_difference_t008.csv": "bbba1f2fd6d36c606e26bbd4769cfcaf275849969630cf945324158aa8c947de",
-        "profile_difference_t010.csv": "d331a2af2a22387a126a15eaf304fb6209d102591442c8eb017949dd3fcf7355",
-        "profile_difference_t012.csv": "285c115b2c9bfdc18b5eb9576d6374660775be52b2ef9d4c219ebf1db40f86e4",
+        "growth_series.csv": "2cc3f82a465f023c6b20090055d938807acb13c71c2d88534d982db62a5c91ac",
+        "profile_difference_t002.csv": "32383150defeb6aef62dafe788966f53cecfb8fd6c2ee81413908fd1fd893c50",
+        "profile_difference_t004.csv": "4ad56cf1724db93ba94dc802fff7f04c31e70b42e22470249b7732368b9a7a76",
+        "profile_difference_t006.csv": "172462591a99625cd6fab083c31f7516e11ac426c9db209b4e4a9bba686b3847",
+        "profile_difference_t008.csv": "367c9e25af354f4a1afde960f05eb20870328c9cb1b046c341ad1e516232f687",
+        "profile_difference_t010.csv": "03fcec55fed0cf2e08a695e2dad0aa348a08791654d10bc7de63896c86a23557",
+        "profile_difference_t012.csv": "ed0bf756171966c8752aac706a3d21c18b80060bfbab52f8f3c7d3edc7d457a0",
     },
 }
 
 
 GOLDEN_LENS = {
-    "growth_series.csv": "66ec8d4603ca2655be74db427336ca56df9535e5f69049386637be728ec036d8",
-    "profile_difference_t001.csv": "f57d12c318b8367e222eaba31f9c2947a2f94bcb44fa21276dedfd10c1a5f8c0",
-    "profile_difference_t002.csv": "d3c05614abc7cc8071529ace3436c20290c99cf3afd14167f3749fec50deeacc",
-    "profile_difference_t003.csv": "221b3ad5caff81f0596ed5bb4912d4bac061f732c42447cd3b11683157b43844",
-    "profile_difference_t004.csv": "d487d01e9d9322b104d22a33d895d1937a3c9e4c2579a0c2759a96118a24cdda",
-    "profile_difference_t005.csv": "851e323ebefd058479f33927a4ef6c8fb81976568134c1783c1577e68f851e7f",
-    "profile_difference_t006.csv": "1760e1972e170ef08db3d6a8f892f8d401504c31dae6ed565046f0f94b6d5627",
-    "profile_difference_t007.csv": "ee987af6331420144afe3eed9e0721d848302cf65d6fd5070601d7d03d4e8599",
-    "profile_difference_t008.csv": "3b7d47b84e17707f333e714e3e55c1a54193114ae0766c21cd96b2f218a3b28f",
+    "growth_series.csv": "115bf932e59e0b7f5a02569c7eb32bba2731de4934e60480f5cd7f0b13012477",
+    "profile_difference_t001.csv": "407d4b9e0101af6b496654233cf3fd3f76a5f3eee1ab766cca6e1c4f63289f4f",
+    "profile_difference_t002.csv": "507f32832f225369bda8ea78876e476b8ab8252ca4fccb3ddd4645794d68125e",
+    "profile_difference_t003.csv": "d812b7777ff54a1b61679bc99408d88720c33d9a4587731ac2c8ee7f79205b88",
+    "profile_difference_t004.csv": "1c3cb537628c206f5eace36a254b5452ae49ae5e4da03089bf9261ad50dfc501",
+    "profile_difference_t005.csv": "02a30f3090160faa946b0192ee5a7394bbaab94797c47eeaa708894036e81300",
+    "profile_difference_t006.csv": "6714ae3a4b9f9d34bba501ef9af9e14584ff3b8df0ae9e8d78b03297007ba8fe",
+    "profile_difference_t007.csv": "4744988b72013d02d7b44e6f0e4637503beaba579492b25796d42cb5e49c4b3a",
+    "profile_difference_t008.csv": "30bedfb6eae89142522cc7ee427c849880fac5cdc003289c4db904dfd56c3ad8",
 }
 
 
