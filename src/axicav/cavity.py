@@ -12,8 +12,8 @@ through two affine maps composed once per run from `rays` transfer matrices
 beams a traversal costs O(N log N), not O(N).  Each grid pass sorts one
 int64 cell key per beam, and that one sort tells which beams share a cell,
 groups them and orders them.  An ensemble in which no two beams share a
-grid cell costs two such sorts (one per grid) plus the final ordering by
-position; a bnl-quad traversal, which merges, costs three.
+grid cell costs two such sorts, one per grid, and comes back as it went
+in; a bnl-quad traversal, which merges, costs three.
 How long a run can be is set by how many beams survive coalescing.
 Cavities whose branches reconverge (bnl-quad) stay at thousands of beams;
 the confocal cavity never merges a branch, so its ensemble doubles on every
@@ -26,8 +26,8 @@ taken from).  Each stage allocates only the arrays it returns, so the traced
 peak of a whole `axicav simulate` is 48-54 B per snapshot beam, reached
 while the last traversal coalesces, with the snapshots, the next ensemble
 and the cell keys live.  A run at the budget (confocal n=20: 2^20 final
-beams, 2^21 - 2 snapshot beams) holds 50 MB of snapshots and peaks at 101 MB
-under tracemalloc and 127 MB resident (Linux x86-64, numpy 2.4.6).
+beams, 2^21 - 2 snapshot beams) holds 48 MiB of snapshots and peaks at
+96 MiB under tracemalloc and 127 MiB resident (Linux x86-64, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -153,12 +153,17 @@ def coalesce(
     one grid splits their positions and the other their angles, and merges
     chain (a merged beam sits at its members' weighted mean, where it may
     share a cell with a third beam), so beams more than a full tolerance
-    apart can end up in one beam.  Output is sorted by (position, angle),
-    which makes the result order deterministic.  No two output beams share
-    a (position, angle), so a symmetric ensemble (each beam at (x, theta)
-    matched by one of the same weight at (-x, -theta)) comes out in the
-    layout x == -x[::-1], w == w[::-1]; `density.moments` reads its odd
-    moments as exact zeros from that layout.
+    apart can end up in one beam.
+
+    The output is not sorted.  A call in which no pass merges returns
+    ``ensemble`` itself.  A call that merges returns the beams in the cell
+    order of its last merging pass: by position cell, then angle cell, on
+    that pass's grid, each cell's beams summed in the order they held.
+    Both orders are deterministic, since every pass orders unique keys.
+    An unmerged split of a mirrored ensemble stays mirrored in the layout
+    x == -x[::-1], w == w[::-1] that `cavity._transport` gives it, while a
+    merge's cell order need not be; `density.moments` checks the layout,
+    bit for bit, rather than assuming it.
 
     Each pass sorts its beams' cell keys once (`_grid_pass`).  A pass that
     merges nothing leaves the beams where they are, and a pass that merges
@@ -169,7 +174,7 @@ def coalesce(
     merged mean can cross a cell edge, so the check is made, not assumed.
     Two passes in a row that merge nothing end the iteration: neither
     changed the beams, and each grid found no shared cell in them.  An
-    ensemble that merges nothing costs two sorts plus the final ordering.
+    ensemble that merges nothing costs two sorts.
 
     Both tolerances must be > 0 (a NaN is refused too): a grid needs a
     cell size.
@@ -190,8 +195,7 @@ def coalesce(
             quiet += 1
             if quiet == 2:
                 break
-    order = _final_order(pos, ang)
-    return BeamEnsemble(pos[order], ang[order], w[order])
+    return ensemble if in_order_of is None else BeamEnsemble(pos, ang, w)
 
 
 def _lexorder(major, minor):
@@ -203,31 +207,6 @@ def _lexorder(major, minor):
     key.real = major
     key.imag = minor
     return np.argsort(key, kind="stable")
-
-
-def _final_order(pos, ang):
-    """The permutation ``_lexorder(pos, ang)`` returns.  A plain argsort
-    already puts every beam whose position ties with no other in its final
-    slot; only the slots of tied beams (equal neighbours in sorted order,
-    ±0.0 included) are re-sorted, by position, then angle, then input index.
-    With a tie and a NaN in either key, the whole ensemble goes through
-    ``_lexorder``: its complex key sorts a NaN angle past every number,
-    which moves that beam out of position order even where it ties with no
-    other."""
-    order = np.argsort(pos)
-    sorted_pos = pos[order]
-    rises = sorted_pos[1:] > sorted_pos[:-1]
-    if rises.all():
-        return order
-    if np.isnan(sorted_pos[-1]) or np.isnan(ang).any():
-        return _lexorder(pos, ang)
-    # Without NaN, a neighbour that does not rise is equal.
-    tied = np.zeros(pos.size, dtype=bool)
-    tied[1:] = ~rises
-    tied[:-1] |= ~rises
-    sub = np.sort(order[tied])
-    order[tied] = sub[_lexorder(pos[sub], ang[sub])]
-    return order
 
 
 def _cells(pos, ang, tol_p, tol_a, shift):

@@ -21,9 +21,9 @@ error function of the math module, so no verb loads scipy.
 
 Two results are known in advance and are not recomputed.  A run started on
 the axis stays its own mirror image bit for bit (the kicks are +-theta and
-IEEE rounding does not depend on the sign), so its odd moments are exactly
-0.0 and `moments` sets them without summing; any other ensemble has them
-summed exactly.  The Hermite table of a set of windows depends only on the
+IEEE rounding does not depend on the sign), so where its beams are listed
+mirrored, which `moments` checks, its odd moments are exactly 0.0 and are
+set without summing; any other ensemble has them summed exactly.  The Hermite table of a set of windows depends only on the
 edges, the waist and the highest order, so `rates` builds it once per key
 (`_window_table`) and every snapshot of a run reads it.
 """
@@ -297,8 +297,10 @@ def moments(ensemble, waist_m: float) -> np.ndarray:
     exact sum returns: negation and multiplication round the same for
     either sign, so the term w (x/r)^n of the beam at -x is the negated
     term of the beam at x, and the terms cancel in pairs (a beam on the
-    axis gives a zero term).  An on-axis run stays mirrored, and
-    `cavity.coalesce`'s order lists it that way.  The result is kept on the
+    axis gives a zero term).  An on-axis run that merges nothing stays
+    mirrored in that layout (`cavity._transport` lays each split out so);
+    a merge lists the beams in its cell order, which may break the layout,
+    so it is checked, never assumed.  The result is kept on the
     ensemble, per waist, so a snapshot's histogram and its window series
     read the beams once."""
     memo = ensemble.moment_memo

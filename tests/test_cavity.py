@@ -10,6 +10,7 @@ import pytest
 
 import axicav
 import axicav.cavity as cavity
+import axicav.density as density
 from axicav.cavity import (
     BeamBudgetError,
     BeamEnsemble,
@@ -231,7 +232,6 @@ def _lexorder_cases():
     major = np.repeat(rng.normal(size=500), 4)
     yield major, rng.normal(size=major.size)
     yield np.array([]), np.array([])
-    # distinct majors: _final_order takes its plain-argsort path
     yield rng.normal(size=3000), rng.normal(size=3000)
 
 
@@ -240,64 +240,10 @@ def test_lexorder_matches_lexsort(major, minor):
     assert np.array_equal(_lexorder(major, minor), np.lexsort((minor, major)))
 
 
-@pytest.mark.parametrize("major, minor", list(_lexorder_cases()))
-def test_final_order_matches_lexsort(major, minor):
-    assert np.array_equal(cavity._final_order(major, minor), np.lexsort((minor, major)))
-
-
-def _tie_run_cases():
-    rng = np.random.default_rng(12)
-    # sparse runs of equal positions among distinct ones, minors tied too
-    major = rng.normal(size=4000)
-    major[rng.integers(0, 4000, 600)] = major[rng.integers(0, 4000, 600)]
-    yield pytest.param(major, rng.integers(-1, 2, 4000).astype(float), id="tie-runs")
-    # runs of +0.0 and -0.0, which compare equal, among distinct values
-    major = rng.normal(size=2000)
-    major[rng.integers(0, 2000, 300)] = rng.choice(np.array([0.0, -0.0]), 300)
-    yield pytest.param(major, rng.choice(np.array([0.0, -0.0, 1.0]), 2000), id="signed-zeros")
-    yield pytest.param(np.full(1000, 3.5), rng.normal(size=1000), id="all-tied")
-    yield pytest.param(np.array([2.0, 1.0, 2.0]), np.array([1.0, 0.0, -1.0]), id="one-pair")
-
-
-@pytest.mark.parametrize("major, minor", list(_tie_run_cases()))
-def test_final_order_sorts_only_the_tied_slots(major, minor, monkeypatch):
-    """Only the beams whose position ties with another go through _lexorder."""
-    calls = []
-    lexorder = cavity._lexorder
-    monkeypatch.setattr(cavity, "_lexorder", lambda a, b: calls.append(a.size) or lexorder(a, b))
-    order = cavity._final_order(major, minor)
-    assert np.array_equal(order, np.lexsort((minor, major)))
-    sorted_major = np.sort(major)
-    tied = np.zeros(major.size, dtype=bool)
-    tied[1:] |= sorted_major[1:] == sorted_major[:-1]
-    tied[:-1] |= sorted_major[1:] == sorted_major[:-1]
-    assert calls == [tied.sum()]
-
-
-def _nan_cases():
-    rng = np.random.default_rng(13)
-    major = rng.integers(-5, 6, 500).astype(float)
-    minor = rng.integers(-2, 3, 500).astype(float)
-    nan_major = major.copy()
-    nan_major[rng.integers(0, 500, 20)] = np.nan
-    yield nan_major, minor
-    # a NaN angle on a beam whose position ties with no other, ties elsewhere
-    distinct = np.arange(500.0)
-    distinct[10] = distinct[11]
-    nan_minor = minor.copy()
-    nan_minor[300] = np.nan
-    yield distinct, nan_minor
-    yield np.array([np.nan, np.nan, 1.0]), np.array([1.0, 0.0, 0.0])
-
-
-@pytest.mark.parametrize("major, minor", list(_nan_cases()))
-def test_final_order_with_a_nan_is_the_full_lexorder(major, minor):
-    assert np.array_equal(cavity._final_order(major, minor), _lexorder(major, minor))
-
-
 def _coalesce_reference(ens, tol_p, tol_a):
     """The lexsort / int64-cell formulation of coalesce, kept as an oracle.
-    A pass that merges nothing leaves the beams where they are."""
+    A pass that merges nothing leaves the beams where they are, and a
+    merging pass leaves them in its cells' order."""
     pos, ang, w = ens.positions, ens.angles, ens.weights
     for _ in range(64):
         merged_any = False
@@ -318,8 +264,7 @@ def _coalesce_reference(ens, tol_p, tol_a):
             w = wsum
         if not merged_any:
             break
-    order = np.lexsort((ang, pos))
-    return pos[order], ang[order], w[order]
+    return pos, ang, w
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -376,14 +321,13 @@ def test_coalesce_can_keep_beams_closer_than_half_a_tolerance_apart():
 
 def _shares_cell_brute(pos, ang, tol_p, tol_a, shifts=(0.0, 0.5)):
     """Whether any pair of beams shares a cell of a grid at one of ``shifts``,
-    pair by pair."""
+    pair by pair (an N x N table of cell equalities per grid)."""
     for shift in shifts:
         cell_p = np.floor(pos / tol_p + shift)
         cell_a = np.floor(ang / tol_a + shift)
-        for i in range(pos.size):
-            for j in range(i + 1, pos.size):
-                if cell_p[i] == cell_p[j] and cell_a[i] == cell_a[j]:
-                    return True
+        same = (cell_p[:, None] == cell_p) & (cell_a[:, None] == cell_a)
+        if np.triu(same, 1).any():
+            return True
     return False
 
 
@@ -552,7 +496,7 @@ def test_merge_after_a_pass_that_merged_nothing_sums_in_input_order(far, monkeyp
     lexorder_calls = _count_lexorder(monkeypatch)
     out = _assert_matches_reference(BeamEnsemble(pos, ang, w), EDGE_TOL_P, EDGE_TOL_A)
     assert log[:2] == [("pass", 0.0, False), ("pass", 0.5, True)]
-    assert len(out) == 1 + far  # the far beam sorts last
+    assert len(out) == 1 + far  # the far beam's cell comes last
     assert all(_same_bits(x[:1], y) for x, y in
                zip((out.positions, out.angles, out.weights), in_input_order))
     assert len(lexorder_calls) == far
@@ -580,7 +524,7 @@ def _non_merging_ensembles():
     n = 2000
     # distinct beams, many tolerances apart
     yield BeamEnsemble(rng.permutation(n) * 7e-12, rng.normal(scale=1e-14, size=n), np.full(n, 1 / n))
-    # tied positions, angles in distinct cells: the final order needs the angles
+    # tied positions, angles in distinct cells
     pos = np.repeat(rng.permutation(n // 4) * 7e-12, 4)
     ang = np.tile([3e-16, -3e-16, 9e-16, 0.0], n // 4)
     yield BeamEnsemble(pos, ang, rng.uniform(0.1, 1.0, n))
@@ -662,12 +606,12 @@ def test_run_is_bitwise_equal_without_packed_keys(cfg, final_beams, monkeypatch)
 # floor, so these hold on numpy's AVX2 and AVX-512 kernels alike.
 ENGINE_PINS = {
     "confocal": (replace(load_preset("confocal").cavity, n_traversals=14),
-                 "3c725ae4e42d4aef2d10ba2efec3eabfdb2f7d9dace2696088824fca4711040e"),
+                 "d7608d18e71aa396ff61f95a27c83c9466487750f565f471a8a16b84f0067526"),
     "bnl-quad": (replace(load_preset("bnl-quad").cavity, n_traversals=40),
-                 "fdafb33095e1336b7cb90a9ed9bfc94a84c57f129adc96b7c65c9f25ebe205a0"),
+                 "4120d9126c140b383b3e40d8aff121baf4059dc8786d197d45f4f3f3681c11ba"),
     "lens": (replace(load_preset("confocal").cavity, n_traversals=8, lens_focal_m=0.7,
                      split_on_backward=False),
-             "66f8609966ca55ce6606698a13f13136611f87f3f4ce139ef5b4be59c6ed4433"),
+             "57884c85bddf6d541b35be846744ade234f984f1f3836ea2f551e6267ced799b"),
 }
 
 
@@ -711,15 +655,6 @@ def test_each_coalesce_sorts_at_most(preset, n, most, monkeypatch):
         assert all(call == [("pass", 0.0, False), ("pass", 0.5, False)] for call in calls)
 
 
-def test_bnl_quad_run_is_bitwise_equal_with_the_full_lexorder(monkeypatch):
-    """bnl-quad keeps beams that share a position; ordering only their slots
-    gives the same run as ordering every beam by the complex key."""
-    cfg = replace(load_preset("bnl-quad").cavity, n_traversals=40)
-    bits = _run_bits(cfg)
-    monkeypatch.setattr(cavity, "_final_order", _lexorder)
-    assert _run_bits(cfg) == bits
-
-
 def test_coalesce_conserves_weight_exactly_for_dyadic_weights():
     rng = np.random.default_rng(7)
     n = 64
@@ -732,10 +667,119 @@ def test_coalesce_conserves_weight_exactly_for_dyadic_weights():
     assert len(out) <= n
 
 
-def test_coalesce_output_is_sorted():
-    ens = BeamEnsemble([3e-9, -3e-9, 0.0], [0.0, 0.0, 0.0], [0.3, 0.3, 0.4])
-    out = coalesce(ens, 1e-12, 1e-16)
-    assert np.all(np.diff(out.positions) > 0)
+# --- the order coalesce leaves ----------------------------------------------
+# coalesce does not sort its output: a call that merges nothing returns its
+# input, and a merging call leaves the beams in the cell order of its last
+# merging pass.
+
+
+def _unmerging_cases():
+    yield pytest.param([BeamEnsemble([3e-9, -3e-9, 0.0], [0.0, 0.0, 0.0], [0.3, 0.3, 0.4])],
+                       1e-12, 1e-16, id="three-beams")
+    for case, ens in zip(["distinct", "tied-positions", "signed-zeros"], _non_merging_ensembles()):
+        yield pytest.param([ens], 1e-12, 1e-16, id=case)
+    edges = [BeamEnsemble(pos, ang, np.ones(pos.size)) for pos, ang in _edge_ensembles()
+             if not _shares_cell_brute(pos, ang, EDGE_TOL_P, EDGE_TOL_A)]
+    yield pytest.param(edges, EDGE_TOL_P, EDGE_TOL_A, id="edge-cells")
+
+
+@pytest.mark.parametrize("ensembles, tol_p, tol_a", list(_unmerging_cases()))
+def test_coalesce_that_merges_nothing_returns_its_input(ensembles, tol_p, tol_a):
+    for ens in ensembles:
+        assert coalesce(ens, tol_p, tol_a) is ens
+
+
+def _cells_strictly_rise(pos, ang, tol_p, tol_a, shift):
+    """By position cell, then angle cell, in the beams' present order."""
+    cell_p, cell_a = np.floor(pos / tol_p + shift), np.floor(ang / tol_a + shift)
+    return bool(np.all((cell_p[1:] > cell_p[:-1])
+                       | ((cell_p[1:] == cell_p[:-1]) & (cell_a[1:] > cell_a[:-1]))))
+
+
+def _assert_merge_order(ens, tol_p, tol_a, monkeypatch):
+    """A merging coalesce leaves strictly rising cells on the grid of its
+    last merging pass, and no two beams in a cell of either grid."""
+    with monkeypatch.context() as patch:
+        log = _record_passes(patch)
+        out = coalesce(ens, tol_p, tol_a)
+    last = [shift for kind, shift, merged in log if kind == "pass" and merged][-1]
+    assert _cells_strictly_rise(out.positions, out.angles, tol_p, tol_a, last)
+    assert not _shares_cell_brute(out.positions, out.angles, tol_p, tol_a)
+    return out
+
+
+def _merging_cases():
+    for seed in (0, 1, 2):
+        rng = np.random.default_rng(seed)
+        pos, ang = rng.normal(scale=3e-12, size=1500), rng.normal(scale=3e-16, size=1500)
+        pos[:300] = 0.0
+        pos[300:600] = -0.0
+        ens = BeamEnsemble(pos, ang, rng.uniform(0.1, 1.0, 1500))
+        yield pytest.param([ens], 1e-12, 1e-16, id=f"cloud-{seed}")
+    edges = [BeamEnsemble(pos, ang, np.ones(pos.size)) for pos, ang in _edge_ensembles()
+             if _shares_cell_brute(pos, ang, EDGE_TOL_P, EDGE_TOL_A)]
+    yield pytest.param(edges, EDGE_TOL_P, EDGE_TOL_A, id="edge-cells")
+    pos, ang, w = ONE_HALF_CELL
+    far = BeamEnsemble(*_with_far_beam(pos * EDGE_TOL_P, ang * EDGE_TOL_A), np.append(w, 1.0))
+    yield pytest.param([far], EDGE_TOL_P, EDGE_TOL_A, id="plain-keys")
+
+
+@pytest.mark.parametrize("ensembles, tol_p, tol_a", list(_merging_cases()))
+def test_merging_coalesce_leaves_the_cells_of_its_last_merge_rising(ensembles, tol_p, tol_a,
+                                                                     monkeypatch):
+    for ens in ensembles:
+        out = _assert_merge_order(ens, tol_p, tol_a, monkeypatch)
+        assert len(out) < len(ens)
+
+
+@pytest.mark.parametrize(
+    "cfg, final_beams",
+    [
+        (replace(load_preset("bnl-quad").cavity, n_traversals=12), 539),
+        (CavityConfig(n_traversals=10, coalesce_tol_position_m=1e-9,
+                      coalesce_tol_angle_rad=1e-10), 882),
+        (CavityConfig(n_traversals=10, coalesce_tol_position_m=1e-8,
+                      coalesce_tol_angle_rad=1e-9), 60),
+    ],
+    ids=["bnl-quad", "confocal-merging", "confocal-coarse"],
+)
+def test_run_coalesces_into_the_order_of_the_last_merge(cfg, final_beams, monkeypatch):
+    """Every merging coalesce of these runs keeps the contract; the others
+    return their input."""
+    merging = []
+    original = cavity.coalesce
+
+    def checked(ens, tol_p, tol_a):
+        out = original(ens, tol_p, tol_a)
+        if out is not ens:
+            merging.append(_assert_merge_order(ens, tol_p, tol_a, monkeypatch))
+        return out
+
+    monkeypatch.setattr(cavity, "coalesce", checked)
+    assert len(run(cfg).final) == final_beams
+    assert merging
+
+
+@pytest.mark.parametrize("case", ["confocal", "lens"])
+def test_runs_without_merges_stay_mirrored(case):
+    """Transport lays out the split of a mirrored ensemble mirrored again,
+    and these runs merge nothing, so every snapshot and the final ensemble
+    list their beams mirrored from one end."""
+    res = run(ENGINE_PINS[case][0])
+    for ens in [s.ensemble for s in res.snapshots] + [res.final]:
+        assert density._is_mirrored(ens.positions, ens.weights)
+        assert np.array_equal(ens.angles, -ens.angles[::-1])
+
+
+# beams per snapshot of a bnl-quad run at n=40 before coalescing, and in
+# its final ensemble; the same as when coalesce sorted its output
+BNL_QUAD_40_BEAMS = ([4, 16, 56, 160, 380, 784, 1456, 2496, 4020, 6160, 9064, 12896, 17836,
+                      24080, 31840, 41344, 52836, 66576, 82840, 101920], 56301)
+
+
+def test_bnl_quad_beam_counts_are_pinned():
+    res = run(ENGINE_PINS["bnl-quad"][0])
+    assert ([len(s.ensemble) for s in res.snapshots], len(res.final)) == BNL_QUAD_40_BEAMS
 
 
 # --- traversal mechanics ---------------------------------------------------

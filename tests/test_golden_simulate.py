@@ -25,27 +25,27 @@ from axicav import cli
 
 GOLDEN = {
     ("confocal", 14): {
-        "growth_series.csv": "fc9423d9468ed2d2b2c4133e2357d80563483090872fb36cc7680638b78af81e",
+        "growth_series.csv": "776c1af07784804c7916843cc6636652224ded26a9ffc3e8dfeab6126c253c83",
         "profile_difference_t001.csv": "924a3cfbefe2960163ddf8582d2427700a42e3737397a96d7d6cad805d460c56",
         "profile_difference_t002.csv": "687438a5d778b61345725549941bd43e26884fbfcc95a30c654b1f9a98affa32",
-        "profile_difference_t003.csv": "42bcbe44f456a777a3c76a7993ba6f5d1fc0b34f7c6c89c7fd9514f3889805a5",
+        "profile_difference_t003.csv": "cfbde9438cd78b366b1a40660ed7097f7ac0ddb155b3bbf2bddd9f89427038a1",
         "profile_difference_t004.csv": "ee70a82f5cd267bd604b2f2ab8b38f12d5b2afa2d41faa6f0e79f8d4a03f2e61",
-        "profile_difference_t005.csv": "1b452886407f343462ba81405009b83151766a92e5af45c4f71688ad55bb11db",
+        "profile_difference_t005.csv": "09b7667fcfac6465574ae02bcbba3cd36d91e4fccf04fccf822c2fae2c87ff22",
         "profile_difference_t006.csv": "e99563b7a1aef5852d4f220e48694ba0f5ae7fb3ba822ea1586f534b6f8bf6dc",
         "profile_difference_t007.csv": "3c1464a1cbe25a209977046679dfd10617b3d267af540c552e9fe741a1be7428",
         "profile_difference_t008.csv": "d8201a17182e4287c20be95d78c26affca2a773f32b8824022925186d07f3c4e",
-        "profile_difference_t009.csv": "fda9151ba6a723b09400c0e1a850e02c6106a4855b430b8fb5a465a6ad37547d",
+        "profile_difference_t009.csv": "39ef51d5d9b1b5cb283901c0e7cc20724b3354b80e4e59ce32d666458a246ab2",
         "profile_difference_t010.csv": "08f943e874318af6d6829591ee73bd2ea8ed48ab0602d2a4b6d1548baf4edab3",
         "profile_difference_t011.csv": "cdb95471bfb10ceda70a9606c497e148f8021141eaa2ae2c1dbbb5a1ab95be79",
-        "profile_difference_t012.csv": "7ecd9550ba979fa83fdbe6ef3bd0ab89b35b0030e8293d0aa3c610111b3fe1b6",
+        "profile_difference_t012.csv": "6ee9cbbe9bc7b5ca0e71b365b1f16df8cdd5d56623d5f59df116f841863b3ece",
         "profile_difference_t013.csv": "de727d8b45c241e75c9b382196b8fc81fb9d69b325b6891ef1ca180ee44cf425",
-        "profile_difference_t014.csv": "9ebf8f907e4ea0108561a26a3dbe2f81d41f32d079184b777edcefbac3896042",
+        "profile_difference_t014.csv": "63c893678b06c161b533ec3a11a800165dd4c23fe25bbc3d1114fc48eac90ee9",
     },
     ("bnl-quad", 12): {
-        "growth_series.csv": "2cc3f82a465f023c6b20090055d938807acb13c71c2d88534d982db62a5c91ac",
+        "growth_series.csv": "dbab512d8e6f0745721e51f3f3f15a5855d72ba61997e11fca09a9cab563ec68",
         "profile_difference_t002.csv": "32383150defeb6aef62dafe788966f53cecfb8fd6c2ee81413908fd1fd893c50",
-        "profile_difference_t004.csv": "4ad56cf1724db93ba94dc802fff7f04c31e70b42e22470249b7732368b9a7a76",
-        "profile_difference_t006.csv": "172462591a99625cd6fab083c31f7516e11ac426c9db209b4e4a9bba686b3847",
+        "profile_difference_t004.csv": "e1cc5a033c18f8aea41c1f9c1c046ccbb9f1810ad2ca532cd72f0fc7b0569a94",
+        "profile_difference_t006.csv": "5dd4ef71198d8fbff42ca23c7cef37453913c7f2c67ec284b3ce69b1ff82db40",
         "profile_difference_t008.csv": "367c9e25af354f4a1afde960f05eb20870328c9cb1b046c341ad1e516232f687",
         "profile_difference_t010.csv": "03fcec55fed0cf2e08a695e2dad0aa348a08791654d10bc7de63896c86a23557",
         "profile_difference_t012.csv": "ed0bf756171966c8752aac706a3d21c18b80060bfbab52f8f3c7d3edc7d457a0",
@@ -54,13 +54,13 @@ GOLDEN = {
 
 
 GOLDEN_LENS = {
-    "growth_series.csv": "115bf932e59e0b7f5a02569c7eb32bba2731de4934e60480f5cd7f0b13012477",
+    "growth_series.csv": "5481bb905d1a2b9aad885c91ab96482435e0fdb5f93ca3a51dada835daaf0cfb",
     "profile_difference_t001.csv": "407d4b9e0101af6b496654233cf3fd3f76a5f3eee1ab766cca6e1c4f63289f4f",
     "profile_difference_t002.csv": "507f32832f225369bda8ea78876e476b8ab8252ca4fccb3ddd4645794d68125e",
     "profile_difference_t003.csv": "d812b7777ff54a1b61679bc99408d88720c33d9a4587731ac2c8ee7f79205b88",
     "profile_difference_t004.csv": "1c3cb537628c206f5eace36a254b5452ae49ae5e4da03089bf9261ad50dfc501",
     "profile_difference_t005.csv": "02a30f3090160faa946b0192ee5a7394bbaab94797c47eeaa708894036e81300",
-    "profile_difference_t006.csv": "6714ae3a4b9f9d34bba501ef9af9e14584ff3b8df0ae9e8d78b03297007ba8fe",
+    "profile_difference_t006.csv": "4af03eb7f7126863e3f7551ac7c0200d837f67a46ee7ae778977b580c25b3ffb",
     "profile_difference_t007.csv": "4744988b72013d02d7b44e6f0e4637503beaba579492b25796d42cb5e49c4b3a",
     "profile_difference_t008.csv": "30bedfb6eae89142522cc7ee427c849880fac5cdc003289c4db904dfd56c3ad8",
 }
