@@ -237,10 +237,12 @@ def cmd_mass_scan(args) -> int:
             raise scenario.ScenarioError("--log needs --m-min > 0")
         if args.m_max <= 0:
             raise scenario.ScenarioError("--log needs --m-max > 0")
-        masses = np.logspace(math.log10(args.m_min), math.log10(args.m_max), args.steps)
+        # the C library's pow, one mass at a time: numpy's power gives other
+        # last bits on other SIMD kernels
+        exponents = np.linspace(math.log10(args.m_min), math.log10(args.m_max), args.steps)
+        masses = [math.pow(10.0, y) for y in exponents.tolist()]
     else:
-        masses = np.linspace(args.m_min, args.m_max, args.steps)
-    masses = masses.tolist()
+        masses = np.linspace(args.m_min, args.m_max, args.steps).tolist()
     p = axion.MixingParameters(sc.axion.omega_ev, sc.axion.g_a_gev, sc.axion.b_mixing_t, 0.0)
     points = axion.mass_scan(p, masses)
     # Computed before anything is written, so a refused run leaves no file.

@@ -98,24 +98,35 @@ def deficit(x, alpha_m: NonNegative, epsilon_m: NonNegative, profile: GaussianPr
     -(|x| - alpha)^2/w^2 so that no factor overflows far from the axis.
     Past |x| = alpha + 40 w both Gaussians are below the smallest double,
     so D is +0 there; |x| is capped at that point, which keeps the squares
-    finite for any x."""
-    r = profile.waist_m
+    finite for any x.
+
+    Each point takes exp, expm1, log1p and sinh from the C library, one
+    value at a time: numpy's give other last bits on other SIMD kernels."""
+    r, amplitude = profile.waist_m, profile.amplitude
     w2 = r * (r + epsilon_m)
     log_peak = -math.log1p(epsilon_m / r)  # ln(r^2/w^2)
-    x = np.minimum(np.abs(np.asarray(x, dtype=float)), alpha_m + 40.0 * math.sqrt(w2))
-    y = (alpha_m / w2) * x
-    s = np.sinh(np.minimum(y, 1.0))
-    # ln(1 + e^{-4y}) - ln 2: the pair's cosh over its larger exponential
-    tail = np.log1p(np.exp(-4.0 * y)) - math.log(2.0)
-    log_cosh = np.where(y < 1.0, np.log1p(2.0 * s * s), 2.0 * y + tail)
-    log_ratio = (epsilon_m / (r * w2)) * x * x + log_peak - alpha_m**2 / w2 + log_cosh
-    ref = np.exp(-((x / r) ** 2))
-    pair = np.exp(log_peak - (x - alpha_m) ** 2 / w2 + tail)
-    near = log_ratio < 1.0
-    # 0.0 - : an unsplit beam gives +0, not -0
-    return profile.amplitude * np.where(
-        near, 0.0 - ref * np.expm1(np.minimum(log_ratio, 1.0)), ref - pair
-    )
+    cap = alpha_m + 40.0 * math.sqrt(w2)
+    spread, slope, offset = epsilon_m / (r * w2), alpha_m / w2, alpha_m**2 / w2
+
+    def at(x):
+        x = min(abs(x), cap)
+        y = slope * x
+        # ln(1 + e^{-4y}) - ln 2: the pair's cosh over its larger exponential
+        tail = math.log1p(math.exp(-4.0 * y)) - math.log(2.0)
+        if y < 1.0:
+            s = math.sinh(y)
+            log_cosh = math.log1p(2.0 * s * s)
+        else:
+            log_cosh = 2.0 * y + tail
+        log_ratio = spread * x * x + log_peak - offset + log_cosh
+        u, v = x / r, x - alpha_m
+        ref = math.exp(-(u * u))
+        if log_ratio < 1.0:
+            return amplitude * (0.0 - ref * math.expm1(log_ratio))  # +0 for an unsplit beam
+        return amplitude * (ref - math.exp(log_peak - v * v / w2 + tail))
+
+    x = np.asarray(x, dtype=float)
+    return np.array([at(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 @check_args

@@ -6,21 +6,32 @@ table at 2,000,000 passes and at a 0.5 m pass length, a 20000-point
 log-spaced mass scan on the confocal preset, and the deficit curve of the
 README example and of a broadened split past a tenth of the waist.  Both
 curves were checked against a 50-digit mpmath evaluation of the split-pair
-model before they were pinned (within 4e-16 of the curve's largest value);
-they depend on numpy's exp, expm1, log1p and sinh, whose last bits differ
-on a CPU without AVX-512.  A refactor of the lattice
-moments or of the mixing formulas must leave these hashes unchanged; a
-change that alters the numbers on purpose re-pins them and logs the reason.
+model before they were pinned (within 4e-16 of the curve's largest value),
+and the masses against 10^y at 50 digits (within 0.51 ulp).  The curves
+take exp, expm1, log1p and sinh, and the masses pow, from the C library,
+not from numpy's SIMD kernels, so the hashes hold on numpy's AVX2 and
+AVX-512 kernels alike; one case of each verb runs under the AVX2 setting
+in a subprocess below.  A refactor of the lattice moments or of the mixing
+formulas must leave these hashes unchanged; a change that alters the
+numbers on purpose re-pins them and logs the reason.
 
 The printed half-suppression mass is not pinned: it is a derived summary
 line, not part of the CSV.
 """
 
 import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from test_golden_simulate import GOLDEN_LENS, LENS_ARGS
 
+import axicav
 from axicav import cli
 
 GOLDEN = {
@@ -35,15 +46,15 @@ GOLDEN = {
     "mass-scan-confocal": (
         ["--preset", "confocal", "mass-scan", "--log", "--m-min", "1e-9", "--m-max", "1e-4",
          "--steps", "20000"],
-        "b83a7b7aea02d87281490fae118a1a3a823b6ed9c23cbe7e859c10a81f4a7326",
+        "79ff000bda3f0ab5c30cef78b2d90fb42b3ef67429388780eee18d1be0a76ad2",
     ),
     "profile-readme": (
         ["profile", "--alpha", "5.6e-9"],
-        "128dcd8335c455044fbed46807ca94dcdfed1f7fe223cb12f084b4fe8674024d",
+        "a0d80118789df3cf61d3ca9e97ae5d3742e1deade051f9321bd89ec7d9b3d1a5",
     ),
     "profile-broadened": (
         ["profile", "--alpha", "1e-4", "--epsilon", "1e-5"],
-        "ce973d16bab148e6c78de33d1c4996e9e8a4f4c2f7a798aec7c9278cb5216126",
+        "4bb65298d48fed1630760a3925c3dbe735a8296a6325e9426bf28242e1e658c3",
     ),
 }
 
@@ -54,5 +65,49 @@ def test_analysis_outputs_are_byte_identical(name, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert cli.main([*args, "--out-file", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (
-        f"{name} output changed (numpy {np.__version__})"
+        f"{name} output changed (numpy {np.__version__}, libc {platform.libc_ver()})"
+    )
+
+
+# numpy's dispatch without its AVX-512 kernels; on a CPU without AVX-512
+# numpy only warns at import (ImportWarning) and runs as it would anyway
+AVX2_ONLY = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
+
+# Prints the sha256 of every file each case writes, as JSON; the cases come
+# as JSON in argv[1], each a verb's arguments before its output flag.
+_HASH_CASES = """
+import hashlib, json, sys, tempfile
+from pathlib import Path
+from axicav import cli
+digests = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for name, (simulate, args) in json.loads(sys.argv[1]).items():
+        out = Path(tmp, name)
+        flags = ["--out", str(out), "simulate"] if simulate else ["--out-file", str(out / "out.csv")]
+        assert cli.main([*args, *flags]) == 0, name
+        digests[name] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                         for p in sorted(out.iterdir())}
+print(json.dumps(digests))
+"""
+
+
+def test_golden_outputs_hold_on_the_avx2_kernels():
+    """One golden `simulate`, `profile` and `mass-scan` run in a fresh
+    interpreter with numpy's AVX-512 kernels disabled hash as pinned."""
+    cases = {"simulate-lens": (True, LENS_ARGS),
+             "profile-broadened": (False, GOLDEN["profile-broadened"][0]),
+             "mass-scan-confocal": (False, GOLDEN["mass-scan-confocal"][0])}
+    expected = {"simulate-lens": GOLDEN_LENS,
+                "profile-broadened": {"out.csv": GOLDEN["profile-broadened"][1]},
+                "mass-scan-confocal": {"out.csv": GOLDEN["mass-scan-confocal"][1]}}
+    src = str(Path(axicav.__file__).resolve().parents[1])
+    env = {**os.environ, **AVX2_ONLY,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-W", "ignore::ImportWarning", "-c", _HASH_CASES,
+                           json.dumps(cases)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == expected, (
+        f"outputs differ on the AVX2 kernels (numpy {np.__version__}, "
+        f"libc {platform.libc_ver()})"
     )

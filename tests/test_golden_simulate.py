@@ -53,6 +53,8 @@ GOLDEN = {
 }
 
 
+LENS_ARGS = ["--preset", "confocal", "--override", "cavity.n_traversals=8",
+             "--override", "cavity.lens_focal_m=0.7", "--override", "cavity.split_on_backward=false"]
 GOLDEN_LENS = {
     "growth_series.csv": "5481bb905d1a2b9aad885c91ab96482435e0fdb5f93ca3a51dada835daaf0cfb",
     "profile_difference_t001.csv": "407d4b9e0101af6b496654233cf3fd3f76a5f3eee1ab766cca6e1c4f63289f4f",
@@ -81,6 +83,4 @@ def test_simulate_outputs_are_byte_identical(preset, n, tmp_path):
 
 
 def test_simulate_lens_and_unsplit_legs_are_byte_identical(tmp_path):
-    args = ["--preset", "confocal", "--override", "cavity.n_traversals=8",
-            "--override", "cavity.lens_focal_m=0.7", "--override", "cavity.split_on_backward=false"]
-    _assert_outputs(tmp_path, args, GOLDEN_LENS)
+    _assert_outputs(tmp_path, LENS_ARGS, GOLDEN_LENS)
