@@ -325,10 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--epsilon",
         type=_finite_float,
         default=0.0,
-        help="broadening, m: each half-beam's width becomes sqrt(waist*(waist+epsilon))",
+        help="broadening, m: each half-beam's 1/e half-width r = sqrt(2)*waist "
+        "becomes sqrt(r*(r+epsilon))",
     )
     laser = scenario.LaserParams
-    p_pr.add_argument("--waist", type=_finite_float, default=laser.waist_m, help="beam waist, m")
+    p_pr.add_argument("--waist", type=_finite_float, default=laser.waist_m,
+                      help="rms beam width, m, as in simulate")
     p_pr.add_argument(
         "--amplitude",
         type=_finite_float,

@@ -5,10 +5,11 @@ Two sides live here.  The numerical side (`bin_ensemble`,
 weighted beam ensemble in detector windows, with the beam profile
 A*exp(-x^2 / 2 r^2) so r is the rms width.  The analytic side is one
 model, a beam split into a displaced, broadened half-beam pair: `deficit`
-gives its exact density change in the width convention the paper writes it
-in, A*exp(-x^2 / r^2) with r the 1/e half-width, and reduces to the paper's
-second-order form for a small split.  The two conventions are kept separate
-on purpose and each function documents which one it uses.
+gives its exact density change and reduces to the paper's second-order form
+for a small split.  Both sides read `GaussianProfile.waist_m` as the rms
+width; `deficit` works inside with the paper's 1/e half-width, sqrt(2)
+times it, so the `profile` curve and `simulate`'s histograms describe one
+beam.
 
 The beams of a cavity run stay far inside one waist of the axis (max|x|/r
 is 1.5e-4 on the confocal preset), so the rate is expanded about the axis:
@@ -58,8 +59,8 @@ class GuardError(ValueError):
 
 @dataclass(frozen=True)
 class GaussianProfile:
-    """Reference beam profile on the axis: peak rate density and transverse
-    width."""
+    """Reference beam profile on the axis: peak rate density and rms
+    transverse width (the profile is A*exp(-x^2 / 2 waist^2))."""
 
     amplitude: Positive  # photons/s at the peak
     waist_m: Positive
@@ -78,16 +79,19 @@ def gaussian_density(x, profile: GaussianProfile):
 def deficit(x, alpha_m: NonNegative, epsilon_m: NonNegative, profile: GaussianProfile):
     """Density change, reference minus split pair, of a beam split into two
     half-weight beams at +-alpha, each widened from r to w = sqrt(r (r + eps))
-    with its peak scaled by r^2/w^2 (1/e-half-width convention: the
-    reference is A e^{-x^2/r^2}; the pair carries r/w of its integrated
-    rate).  Exact for any alpha, eps >= 0:
+    with its peak scaled by r^2/w^2 (the pair carries r/w of its integrated
+    rate).  As in the paper, r is the 1/e half-width: the reference is
+    A e^{-x^2/r^2}.  The profile gives the rms width sigma that `simulate`
+    uses, so r = sqrt(2) sigma, and eps broadens r.  Exact for any
+    alpha, eps >= 0:
 
         D = -A e^{-x^2/r^2} expm1(L),
         L = x^2 eps/(r w^2) - log1p(eps/r) - alpha^2/w^2 + ln cosh(2 alpha x/w^2),
 
     so nothing cancels however small alpha and eps are.  Positive near the
     axis (photons lost from the center), negative past the crossover, near
-    x = r/sqrt(2) for a small split.  To second order in alpha/r and first
+    x = r/sqrt(2) = sigma for a small split, where `simulate`'s difference
+    histograms change sign too.  To second order in alpha/r and first
     in eps/r, D is the paper's
 
         A e^{-x^2/r^2} [1 - ((r-eps)/r) e^{x^2 eps/r^3}
@@ -102,7 +106,7 @@ def deficit(x, alpha_m: NonNegative, epsilon_m: NonNegative, profile: GaussianPr
 
     Each point takes exp, expm1, log1p and sinh from the C library, one
     value at a time: numpy's give other last bits on other SIMD kernels."""
-    r, amplitude = profile.waist_m, profile.amplitude
+    r, amplitude = math.sqrt(2.0) * profile.waist_m, profile.amplitude
     w2 = r * (r + epsilon_m)
     log_peak = -math.log1p(epsilon_m / r)  # ln(r^2/w^2)
     cap = alpha_m + 40.0 * math.sqrt(w2)

@@ -462,10 +462,12 @@ def test_criterion_12_invariant_suite(confocal_run):
         and np.all(np.abs(np.sort(e.angles) - want_ang) <= 1e-12 * np.abs(want_ang))
     )
 
-    # (d) the shipped deficit curve vs the brute-force displaced pair at alpha/r = 0.01
+    # (d) the shipped deficit curve vs the brute-force displaced pair at
+    # alpha = 0.01 waist; the pair's 1/e half-width r is sqrt(2) times the
+    # profile's rms width
     alpha = 0.01 * PROFILE.waist_m
     xs = np.linspace(0.0, 3 * PROFILE.waist_m, 601)
-    r = PROFILE.waist_m
+    r = math.sqrt(2) * PROFILE.waist_m
     brute = PROFILE.amplitude * np.exp(-(xs**2) / r**2) - 0.5 * PROFILE.amplitude * (
         np.exp(-((xs - alpha) ** 2) / r**2) + np.exp(-((xs + alpha) ** 2) / r**2)
     )

@@ -328,8 +328,26 @@ def test_profile_curve_to_stdout(capsys):
     assert len(lines) == 5
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == 0.0
-    # A (alpha/r)^2 (1 - (alpha/r)^2/2 + ...) = -A expm1(-alpha^2/r^2), from 50-digit mpmath
-    assert first[1] == pytest.approx(278755555.5477850, rel=1e-15)
+    # -A expm1(-alpha^2/r^2) with r^2 = 2 waist^2, from 50-digit mpmath
+    assert first[1] == pytest.approx(139377777.7758351, rel=1e-15)
+
+
+def test_profile_and_simulate_change_sign_within_one_bin(tmp_path, capsys):
+    """The default `profile` curve (the README's alpha) and every difference
+    histogram of the default confocal `simulate` turn negative within one
+    0.1 mm bin of each other: both read the waist as the rms width."""
+    out = tmp_path / "profile.csv"
+    assert cli.main(["profile", "--alpha", "5.6e-9", "--out-file", str(out)]) == 0
+    curve = np.loadtxt(out, delimiter=",", skiprows=1)
+    x_curve = curve[np.argmax(curve[:, 1] < 0), 0]
+    assert cli.main(["--preset", "confocal", "--out", str(tmp_path / "sim"), "simulate"]) == 0
+    histograms = sorted((tmp_path / "sim").glob("profile_difference_t*.csv"))
+    assert len(histograms) == 15
+    for path in histograms:
+        lo, hi, counts = np.loadtxt(path, delimiter=",", skiprows=1).T
+        first_gain = np.argmax(counts < 0)
+        assert np.all(counts[:first_gain] > 0), path.name
+        assert abs(x_curve - lo[first_gain]) <= hi[0] - lo[0], (path.name, x_curve)
 
 
 def test_profile_zero_alpha_is_flat(capsys):

@@ -57,9 +57,11 @@ def test_gaussian_peak_and_falloff():
 def _exact_deficit(x, alpha, eps, profile=PROFILE):
     """The split-pair deficit at 50 digits, straight from its definition:
     reference A e^{-x^2/r^2} minus two half-weight beams at +-alpha of
-    width w = sqrt(r (r + eps)) and peak r^2/w^2."""
+    width w = sqrt(r (r + eps)) and peak r^2/w^2, with r = sqrt(2) times
+    the profile's rms width."""
     with mp.workdps(50):
         x, a, e, r = (mp.mpf(float(v)) for v in (x, alpha, eps, profile.waist_m))
+        r *= mp.sqrt(2)
         w2 = r * (r + e)
         pair = (r * r / w2) * (mp.exp(-((x - a) ** 2) / w2) + mp.exp(-((x + a) ** 2) / w2)) / 2
         return mp.mpf(profile.amplitude) * (mp.exp(-x * x / (r * r)) - pair)
@@ -68,9 +70,12 @@ def _exact_deficit(x, alpha, eps, profile=PROFILE):
 def _paper_deficit(x, alpha, eps, profile=PROFILE):
     """The paper's form at 50 digits: second order in alpha/r, first in eps/r,
 
-        A e^{-x^2/r^2} [1 - ((r-eps)/r) e^{x^2 eps/r^3} (1 - alpha^2/r^2) cosh(2 alpha x/r^2)]."""
+        A e^{-x^2/r^2} [1 - ((r-eps)/r) e^{x^2 eps/r^3} (1 - alpha^2/r^2) cosh(2 alpha x/r^2)],
+
+    r = sqrt(2) times the profile's rms width."""
     with mp.workdps(50):
         x, a, e, r = (mp.mpf(float(v)) for v in (x, alpha, eps, profile.waist_m))
+        r *= mp.sqrt(2)
         inner = ((r - e) / r) * mp.exp(x * x * e / r**3) * (1 - a * a / (r * r)) * mp.cosh(2 * a * x / (r * r))
         return mp.mpf(profile.amplitude) * mp.exp(-x * x / (r * r)) * (1 - inner)
 
@@ -121,11 +126,11 @@ def test_deficit_is_zero_without_displacement():
 
 def test_deficit_peak_value_at_the_axis():
     """At x = 0 the pair sits alpha out on either side: D = -A expm1(-alpha^2/r^2),
-    the paper's A alpha^2/r^2 to second order."""
+    the paper's A alpha^2/r^2 to second order, with r^2 = 2 waist^2."""
     alpha = 0.01 * WAIST
     got = deficit(0.0, alpha, 0.0, PROFILE)
-    assert got == pytest.approx(-AMPLITUDE * math.expm1(-((alpha / WAIST) ** 2)), rel=1e-15)
-    assert got == pytest.approx(AMPLITUDE * (alpha / WAIST) ** 2, rel=1e-4)
+    assert got == pytest.approx(-AMPLITUDE * math.expm1(-0.5 * (alpha / WAIST) ** 2), rel=1e-15)
+    assert got == pytest.approx(0.5 * AMPLITUDE * (alpha / WAIST) ** 2, rel=1e-4)
 
 
 def test_deficit_is_continuous_near_the_axis():
@@ -142,7 +147,7 @@ def test_deficit_is_even_in_x():
 
 def test_deficit_changes_sign_once_near_the_crossover():
     """Photons leave the core and pile up in the shoulders; the curve
-    crosses zero near waist/sqrt(2)."""
+    crosses zero near the rms width, r/sqrt(2) for the 1/e half-width r."""
     alpha = 0.02 * WAIST
     xs = np.linspace(0.0, 2.5 * WAIST, 1001)
     vals = deficit(xs, alpha, 0.0, PROFILE)
@@ -150,9 +155,9 @@ def test_deficit_changes_sign_once_near_the_crossover():
     flips = np.nonzero(np.diff(signs))[0]
     assert len(flips) == 1
     crossing = xs[flips[0]]
-    assert abs(crossing - WAIST / math.sqrt(2)) < 0.05 * WAIST
-    assert deficit(0.5 * WAIST, alpha, 0.0, PROFILE) > 0
-    assert deficit(WAIST, alpha, 0.0, PROFILE) < 0
+    assert abs(crossing - WAIST) < 0.05 * WAIST
+    assert deficit(0.9 * WAIST, alpha, 0.0, PROFILE) > 0
+    assert deficit(1.1 * WAIST, alpha, 0.0, PROFILE) < 0
 
 
 def test_deficit_refuses_negative_and_non_finite_splits():
@@ -191,12 +196,13 @@ def test_deficit_computes_without_overflow_at_any_distance():
 def test_paper_form_matches_brute_force_within_one_percent():
     """Reference minus two displaced half-Gaussians of the same width
     convention, evaluated exactly, bounds the paper's second-order form."""
-    alpha = 0.01 * WAIST
-    xs = np.linspace(0.0, 3 * WAIST, 601)
-    brute_ref = AMPLITUDE * np.exp(-(xs**2) / WAIST**2)
+    r = math.sqrt(2) * WAIST  # the 1/e half-width
+    alpha = 0.01 * r
+    xs = np.linspace(0.0, 3 * r, 601)
+    brute_ref = AMPLITUDE * np.exp(-(xs**2) / r**2)
     brute_pair = 0.5 * AMPLITUDE * (
-        np.exp(-((xs - alpha) ** 2) / WAIST**2)
-        + np.exp(-((xs + alpha) ** 2) / WAIST**2)
+        np.exp(-((xs - alpha) ** 2) / r**2)
+        + np.exp(-((xs + alpha) ** 2) / r**2)
     )
     brute = brute_ref - brute_pair
     approx = np.array([float(_paper_deficit(x, alpha, 0.0)) for x in xs])
@@ -206,10 +212,11 @@ def test_paper_form_matches_brute_force_within_one_percent():
 
 
 def test_broadening_alone_depletes_the_axis():
-    """With alpha = 0 the axis keeps r^2/w^2 = r/(r + eps) of the reference."""
+    """With alpha = 0 the axis keeps r^2/w^2 = r/(r + eps) of the reference,
+    r = sqrt(2) waist."""
     eps = 1e-5
     got = deficit(0.0, 0.0, eps, PROFILE)
-    assert got == pytest.approx(AMPLITUDE * eps / (WAIST + eps), rel=1e-15)
+    assert got == pytest.approx(AMPLITUDE * eps / (math.sqrt(2) * WAIST + eps), rel=1e-15)
     assert got > 0
 
 
