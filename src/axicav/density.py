@@ -111,23 +111,24 @@ def deficit(x, alpha_m: NonNegative, epsilon_m: NonNegative, profile: GaussianPr
     log_peak = -math.log1p(epsilon_m / r)  # ln(r^2/w^2)
     cap = alpha_m + 40.0 * math.sqrt(w2)
     spread, slope, offset = epsilon_m / (r * w2), alpha_m / w2, alpha_m**2 / w2
+    exp, expm1, log1p, ln2 = math.exp, math.expm1, math.log1p, math.log(2.0)
 
     def at(x):
         x = min(abs(x), cap)
         y = slope * x
         # ln(1 + e^{-4y}) - ln 2: the pair's cosh over its larger exponential
-        tail = math.log1p(math.exp(-4.0 * y)) - math.log(2.0)
+        tail = log1p(exp(-4.0 * y)) - ln2
         if y < 1.0:
             s = math.sinh(y)
-            log_cosh = math.log1p(2.0 * s * s)
+            log_cosh = log1p(2.0 * s * s)
         else:
             log_cosh = 2.0 * y + tail
         log_ratio = spread * x * x + log_peak - offset + log_cosh
         u, v = x / r, x - alpha_m
-        ref = math.exp(-(u * u))
+        ref = exp(-(u * u))
         if log_ratio < 1.0:
-            return amplitude * (0.0 - ref * math.expm1(log_ratio))  # +0 for an unsplit beam
-        return amplitude * (ref - math.exp(log_peak - v * v / w2 + tail))
+            return amplitude * (0.0 - ref * expm1(log_ratio))  # +0 for an unsplit beam
+        return amplitude * (ref - exp(log_peak - v * v / w2 + tail))
 
     x = np.asarray(x, dtype=float)
     return np.array([at(v) for v in x.ravel().tolist()]).reshape(x.shape)
