@@ -159,7 +159,8 @@ def coalesce(
     ``ensemble`` itself.  A call that merges returns the beams in the cell
     order of its last merging pass: by position cell, then angle cell, on
     that pass's grid, each cell's beams summed in the order they held.
-    Both orders are deterministic, since every pass orders unique keys.
+    Both orders are deterministic: every pass orders unique keys, or the
+    cells by a stable sort.
     An unmerged split of a mirrored ensemble stays mirrored in the layout
     x == -x[::-1], w == w[::-1] that `cavity._transport` gives it, while a
     merge's cell order need not be; `density.moments` checks the layout,

@@ -24,9 +24,10 @@ Two results are known in advance and are not recomputed.  A run started on
 the axis stays its own mirror image bit for bit (the kicks are +-theta and
 IEEE rounding does not depend on the sign), so where its beams are listed
 mirrored, which `moments` checks, its odd moments are exactly 0.0 and are
-set without summing; any other ensemble has them summed exactly.  The Hermite table of a set of windows depends only on the
-edges, the waist and the highest order, so `rates` builds it once per key
-(`_window_table`) and every snapshot of a run reads it.
+set without summing; any other ensemble has them summed exactly.  The
+Hermite table of a set of windows depends only on the edges, the waist and
+the highest order, so `rates` builds it once per key (`_window_table`) and
+every snapshot of a run reads it.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def deficit(x, alpha_m: NonNegative, epsilon_m: NonNegative, profile: GaussianPr
     log_peak = -math.log1p(epsilon_m / r)  # ln(r^2/w^2)
     cap = alpha_m + 40.0 * math.sqrt(w2)
     spread, slope, offset = epsilon_m / (r * w2), alpha_m / w2, alpha_m**2 / w2
-    exp, expm1, log1p, ln2 = math.exp, math.expm1, math.log1p, math.log(2.0)
+    exp, expm1, log1p, sinh, ln2 = math.exp, math.expm1, math.log1p, math.sinh, math.log(2.0)
 
     def at(x):
         x = min(abs(x), cap)
@@ -119,7 +120,7 @@ def deficit(x, alpha_m: NonNegative, epsilon_m: NonNegative, profile: GaussianPr
         # ln(1 + e^{-4y}) - ln 2: the pair's cosh over its larger exponential
         tail = log1p(exp(-4.0 * y)) - ln2
         if y < 1.0:
-            s = math.sinh(y)
+            s = sinh(y)
             log_cosh = log1p(2.0 * s * s)
         else:
             log_cosh = 2.0 * y + tail

@@ -69,10 +69,6 @@ def test_analysis_outputs_are_byte_identical(name, tmp_path, capsys):
     )
 
 
-# numpy's dispatch without its AVX-512 kernels; on a CPU without AVX-512
-# numpy only warns at import (ImportWarning) and runs as it would anyway
-AVX2_ONLY = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
-
 # Prints the sha256 of every file each case writes, as JSON; the cases come
 # as JSON in argv[1], each a verb's arguments before its output flag.
 _HASH_CASES = """
@@ -101,7 +97,9 @@ def test_golden_outputs_hold_on_the_avx2_kernels():
                 "profile-broadened": {"out.csv": GOLDEN["profile-broadened"][1]},
                 "mass-scan-confocal": {"out.csv": GOLDEN["mass-scan-confocal"][1]}}
     src = str(Path(axicav.__file__).resolve().parents[1])
-    env = {**os.environ, **AVX2_ONLY,
+    # numpy's dispatch without its AVX-512 kernels; on a CPU without AVX-512
+    # numpy only warns at import (ImportWarning) and runs as it would anyway
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-W", "ignore::ImportWarning", "-c", _HASH_CASES,
                            json.dumps(cases)], env=env, capture_output=True, text=True,
