@@ -60,9 +60,10 @@ class CavityConfig:
     """Geometry, mirrors and split strength for one cavity run.
 
     The mirrors are ``field_length_m + 2 * gap_m`` apart.  ``mirror*_focal_m``
-    of ``None`` means a planar mirror (identity reflection).  ``lens_focal_m``
-    of ``None`` models the external detector lens as an ideal relay, so the
-    trip from the exit mirror to the detector is pure propagation over
+    of ``None`` means a planar mirror (identity reflection).  Every field
+    passage, forward and backward, splits the beams when
+    ``theta_split_rad > 0``.  The detector sits behind an ideal relay, so
+    the trip from the exit mirror to the detector is pure propagation over
     ``detector_distance_m``.
     """
 
@@ -74,9 +75,6 @@ class CavityConfig:
     n_traversals: Count = 15
     extraction_mirror: str = MIRROR_2
     detector_distance_m: NonNegative = 2.0
-    lens_offset_m: NonNegative = 0.5
-    lens_focal_m: NonZero | None = None
-    split_on_backward: bool = True
     coalesce_tol_position_m: Positive = 1e-12
     coalesce_tol_angle_rad: Positive = 1e-16
 
@@ -84,8 +82,6 @@ class CavityConfig:
         check_fields(self, ConfigError)
         if self.extraction_mirror not in (MIRROR_1, MIRROR_2):
             raise ConfigError(f"extraction_mirror must be {MIRROR_1!r} or {MIRROR_2!r}")
-        if self.lens_focal_m is not None and self.lens_offset_m > self.detector_distance_m:
-            raise ConfigError("lens_offset_m exceeds detector_distance_m")
 
 
 class BeamEnsemble:
@@ -106,10 +102,13 @@ class BeamEnsemble:
         weights = np.atleast_1d(np.asarray(weights, dtype=float))
         if not (positions.shape == angles.shape == weights.shape):
             raise ValueError("positions, angles and weights must have equal length")
-        # min and max only, no temporary arrays; a NaN fails both tests
+        # min and max only, no temporary arrays; a NaN fails every test
         lo, hi = (float(weights.min()), float(weights.max())) if weights.size else (0.0, 0.0)
         if not (lo >= 0 and hi < math.inf):
             raise ValueError(f"weights must be finite and >= 0, got {hi if lo >= 0 else lo!r}")
+        lo, hi = (float(positions.min()), float(positions.max())) if positions.size else (0.0, 0.0)
+        if not (-math.inf < lo and hi < math.inf):
+            raise ValueError(f"positions must be finite, got {hi if lo > -math.inf else lo!r}")
         amax = max(-float(angles.min()), float(angles.max())) if angles.size else 0.0
         if not (amax < PARAXIAL_LIMIT):
             raise ParaxialError(
@@ -343,30 +342,25 @@ class RunResult:
 def _legs(config: CavityConfig):
     """Per direction, forward first, the two affine maps of a traversal: to
     the detector, and past the far mirror to the start of the next
-    traversal, each a transfer matrix M and on a split leg a kick k (else
+    traversal, each a transfer matrix M and, when theta > 0, a kick k (else
     None).  In unfolded coordinates a traversal is gap, field, gap.  A split
     beam takes +-theta at the field entry and the same-signed kick at the
     exit, so at the far mirror the two branches sit at P(L + 2 gap) (x, a)
     +- b with b = theta (L + 2 gap, 2) (Siegman, *Lasers*, ch. 15), and the
     detector trip or the reflection acts on both terms.  The trip passes the
-    exit mirror unfocused, then the thin lens at ``lens_offset_m`` if one is
-    configured."""
+    exit mirror unfocused and propagates ``detector_distance_m``."""
     gap, length, theta = config.gap_m, config.field_length_m, config.theta_split_rad
     step = rays.propagation_matrix
     to_mirror = rays.compose([step(gap), step(length), step(gap)])
-    trip = step(config.detector_distance_m)
-    if config.lens_focal_m is not None:
-        trip = rays.compose([step(config.detector_distance_m - config.lens_offset_m),
-                             rays.focusing_matrix(config.lens_focal_m), step(config.lens_offset_m)])
     bx, ba = theta * (length + 2 * gap), 2 * theta
-    legs = []
-    for focal, split in ((config.mirror2_focal_m, theta > 0),
-                         (config.mirror1_focal_m, theta > 0 and config.split_on_backward)):
-        reflect = rays.IDENTITY if focal is None else rays.focusing_matrix(focal)
-        legs.append([(rays.compose([after, to_mirror]),
-                      (after.a * bx + after.b * ba, after.c * bx + after.d * ba) if split else None)
-                     for after in (trip, reflect)])
-    return legs
+
+    def leg(after):
+        kick = (after.a * bx + after.b * ba, after.c * bx + after.d * ba) if theta > 0 else None
+        return rays.compose([after, to_mirror]), kick
+
+    to_detector = leg(step(config.detector_distance_m))
+    return [(to_detector, leg(rays.IDENTITY if focal is None else rays.focusing_matrix(focal)))
+            for focal in (config.mirror2_focal_m, config.mirror1_focal_m)]
 
 
 def _transport(ensemble: BeamEnsemble, matrix, kick, weights) -> BeamEnsemble:

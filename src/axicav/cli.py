@@ -12,7 +12,8 @@ Verbs:
 
 Global flags (before the verb): --config/--preset select the scenario,
 --override section.key=value patches it, --out picks the output directory.
-Exit codes: 0 success, 2 configuration error, 3 numerical guard violation.
+Exit codes: 0 success, 2 configuration error (an unreadable or unwritable
+path too), 3 numerical guard violation.
 All CSV numbers carry 17 significant digits so repeated runs are
 byte-identical.
 
@@ -384,6 +385,10 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # e.g. an output path under a regular file; the message names the path
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
 
 

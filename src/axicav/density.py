@@ -194,6 +194,8 @@ class DetectorHistogram:
             part = np.asarray(getattr(self, name), dtype=float)
             if part.shape != (edges.size - 1,):
                 raise ValueError(f"{name} length must be len(edges) - 1")
+            if not np.all(np.isfinite(part)):
+                raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, part)
         object.__setattr__(self, "counts", self.axial + self.deviation)
 

@@ -6,8 +6,8 @@ is INI (configparser): human-editable, diff-friendly, and round-trippable.
 The schema is read off the config dataclasses: each section is one of them,
 each key one of its fields, parsed by the field's annotation.  A number's
 annotation also names its domain (``checks``), which the dataclass enforces.
-Planar mirrors are spelled ``planar`` and the ideal detector relay ``relay``;
-every other value is a plain number, boolean, or word.
+Planar mirrors are spelled ``planar``; every other value is a plain number
+or word.
 """
 
 from __future__ import annotations
@@ -72,9 +72,9 @@ class Scenario:
     analysis: AnalysisParams
 
 
-# Words read as None.  A None is written back as the word whose prefix its
-# key starts with: planar mirrors, the relay lens, "none" for anything else.
-_NONE_WORDS = {"planar": "mirror", "relay": "lens", "none": ""}
+# Words read as None: a mirror focal length, the only optional key, is
+# written back as ``planar``.
+_NONE_WORDS = ("planar", "none")
 
 
 def _parse_float(section, key, raw):
@@ -97,15 +97,6 @@ def _parse_int(section, key, raw):
         raise ScenarioError(f"{section}.{key}: not an integer: {raw!r}") from None
 
 
-def _parse_bool(section, key, raw):
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ScenarioError(f"{section}.{key}: not a boolean: {raw!r}")
-
-
 # field annotation (a string: the config modules postpone annotations) -> parser;
 # the annotation also names the domain the dataclass checks the value against
 _PARSERS = {
@@ -113,7 +104,6 @@ _PARSERS = {
     "NonNegative": _parse_float,
     "NonZero | None": _parse_optional_float,
     "Count": _parse_int,
-    "bool": _parse_bool,
     "str": lambda section, key, raw: raw.strip(),
 }
 
@@ -133,11 +123,9 @@ _KEYS = {
 }
 
 
-def _fmt(key: str, value) -> str:
+def _fmt(value) -> str:
     if value is None:
-        return next(word for word, prefix in _NONE_WORDS.items() if key.startswith(prefix))
-    if isinstance(value, bool):
-        return "true" if value else "false"
+        return "planar"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -186,7 +174,7 @@ def scenario_to_mapping(sc: Scenario) -> dict:
     mapping: dict[str, dict[str, str]] = {}
     for section, keys in _KEYS.items():
         part = getattr(sc, section)
-        mapping[section] = {key: _fmt(key, getattr(part, key)) for key in keys}
+        mapping[section] = {key: _fmt(getattr(part, key)) for key in keys}
     return mapping
 
 

@@ -26,7 +26,8 @@ DEFAULT_SIDEBAND_PIXEL_CENTER_M = 3.3e-3
 
 @dataclass(frozen=True)
 class GrowthSeries:
-    """Signal vs traversal count, n finite and strictly increasing."""
+    """Signal vs traversal count, n finite and strictly increasing, the
+    signal finite."""
 
     n: np.ndarray
     signal: np.ndarray
@@ -38,6 +39,8 @@ class GrowthSeries:
             raise ValueError("n and signal must be 1-d arrays of equal length")
         if not (np.all(np.isfinite(n)) and np.all(np.diff(n) > 0)):
             raise ValueError("traversal counts must be finite and strictly increasing")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("signal must be finite")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "signal", s)
 

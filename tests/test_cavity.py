@@ -42,8 +42,6 @@ def test_config_rejects_bad_values():
         CavityConfig(mirror1_focal_m=0.0)
     with pytest.raises(ConfigError):
         CavityConfig(coalesce_tol_position_m=0.0)
-    with pytest.raises(ConfigError):
-        CavityConfig(lens_focal_m=3.0, lens_offset_m=2.5, detector_distance_m=2.0)
 
 
 def _config_classes():
@@ -71,7 +69,7 @@ def test_every_config_number_declares_its_domain():
     for cls in CONFIG_CLASSES:
         for f in fields(cls):
             domain = f.type.partition(" | ")[0]
-            assert domain in DOMAINS or f.type in ("bool", "str"), f"{cls.__name__}.{f.name}"
+            assert domain in DOMAINS or f.type == "str", f"{cls.__name__}.{f.name}"
 
 
 # refused values per domain: NaN fails every range comparison, so without a
@@ -127,6 +125,17 @@ def test_ensemble_refuses_weights_that_are_not_finite_and_nonnegative(bad):
         initial.weights[0] = bad
         with pytest.raises(ValueError, match="finite and >= 0"):
             run(cfg, initial=initial)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ensemble_refuses_positions_that_are_not_finite(bad):
+    """A NaN or infinite position used to pass, and a run from it ended,
+    after a RuntimeWarning, in a paraxial error about the angle it made.
+    The message names the positions."""
+    with pytest.raises(ValueError, match=re.escape(f"positions must be finite, got {bad!r}")):
+        BeamEnsemble([0.0, bad], [0.0, 0.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match="positions must be finite"):
+        run(CavityConfig(n_traversals=2), initial=BeamEnsemble([bad], [0.0], [1.0]))
 
 
 def test_ensemble_enforces_paraxial_window():
@@ -408,11 +417,10 @@ def test_cells_rise_exactly_where_the_sorted_cells_are_distinct():
             assert rises == (not shares), (pos, ang, shift)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 def test_grid_pass_declines_to_pack_nan_cells(monkeypatch):
     """A NaN cell shares no cell, but it does not pack into a key either, so
-    the pass decides with _lexorder and the O(N) check declines.  (The
-    reference casts the NaN cell to an int64, which numpy warns about.)"""
+    the pass decides with _lexorder and the O(N) check declines.  An
+    ensemble cannot carry the NaN position to a pass: it is refused."""
     pos = np.array([np.nan, 0.0, 5.0 * EDGE_TOL_P])
     ang = np.zeros(3)
     assert not _shares_cell_brute(pos, ang, EDGE_TOL_P, EDGE_TOL_A)
@@ -423,7 +431,8 @@ def test_grid_pass_declines_to_pack_nan_cells(monkeypatch):
         assert not cavity._cells_rise(pos, ang, EDGE_TOL_P, EDGE_TOL_A, shift)
         assert not _one_pass(pos, ang, shift)
     assert len(calls) == 2
-    _assert_matches_reference(BeamEnsemble(pos, ang, [0.25, 0.25, 0.5]), EDGE_TOL_P, EDGE_TOL_A)
+    with pytest.raises(ValueError, match="positions must be finite, got nan"):
+        BeamEnsemble(pos, ang, [0.25, 0.25, 0.5])
 
 
 def test_grid_pass_keeps_the_index_guard_for_a_single_beam():
@@ -586,9 +595,8 @@ def _run_bits(cfg):
                       coalesce_tol_angle_rad=1e-10), 882),
         (CavityConfig(n_traversals=10, coalesce_tol_position_m=1e-8,
                       coalesce_tol_angle_rad=1e-9), 60),
-        (CavityConfig(n_traversals=8, lens_focal_m=0.7, split_on_backward=False), 16),
     ],
-    ids=["confocal", "bnl-quad", "confocal-merging", "confocal-coarse", "lens"],
+    ids=["confocal", "bnl-quad", "confocal-merging", "confocal-coarse"],
 )
 def test_run_is_bitwise_equal_without_packed_keys(cfg, final_beams, monkeypatch):
     """With key packing declined every grid pass sorts with _lexorder and
@@ -609,9 +617,6 @@ ENGINE_PINS = {
                  "d7608d18e71aa396ff61f95a27c83c9466487750f565f471a8a16b84f0067526"),
     "bnl-quad": (replace(load_preset("bnl-quad").cavity, n_traversals=40),
                  "4120d9126c140b383b3e40d8aff121baf4059dc8786d197d45f4f3f3681c11ba"),
-    "lens": (replace(load_preset("confocal").cavity, n_traversals=8, lens_focal_m=0.7,
-                     split_on_backward=False),
-             "57884c85bddf6d541b35be846744ade234f984f1f3836ea2f551e6267ced799b"),
 }
 
 
@@ -760,10 +765,10 @@ def test_run_coalesces_into_the_order_of_the_last_merge(cfg, final_beams, monkey
     assert merging
 
 
-@pytest.mark.parametrize("case", ["confocal", "lens"])
+@pytest.mark.parametrize("case", ["confocal"])
 def test_runs_without_merges_stay_mirrored(case):
     """Transport lays out the split of a mirrored ensemble mirrored again,
-    and these runs merge nothing, so every snapshot and the final ensemble
+    and this run merges nothing, so every snapshot and the final ensemble
     list their beams mirrored from one end."""
     res = run(ENGINE_PINS[case][0])
     for ens in [s.ensemble for s in res.snapshots] + [res.final]:
@@ -812,15 +817,6 @@ def test_two_planar_traversals_build_the_four_state_pattern():
     mids = np.sort(ens.positions[np.abs(ens.angles) < THETA])
     assert mids[0] == -mids[1]
     assert mids[1] > 0
-
-
-def test_split_on_backward_false_splits_half_as_often():
-    cfg = CavityConfig(split_on_backward=False, n_traversals=1)
-    ens = run(cfg).final
-    assert len(ens) == 2 and np.array_equal(ens.weights, [0.5, 0.5])
-    ens = run(replace(cfg, n_traversals=2)).final
-    # no split on the return leg: still two half-weight beams
-    assert len(ens) == 2 and np.array_equal(ens.weights, [0.5, 0.5])
 
 
 def test_traversal_count_growth_on_planar_mirrors():
@@ -880,8 +876,9 @@ def test_run_snapshots_are_left_right_symmetric():
 
 
 def test_first_snapshot_matches_transfer_matrix_prediction_axial():
-    """One traversal of an axial beam lands at +-theta*(length + 2*relay)
-    with angle +-2*theta; the chain is short enough to write out by hand."""
+    """One traversal of an axial beam lands at
+    +-theta*(length + 2*gap + 2*distance) with angle +-2*theta; the chain
+    is short enough to write out by hand."""
     cfg = CavityConfig(n_traversals=1)
     res = run(cfg)
     e = res.snapshots[0].ensemble
@@ -904,20 +901,6 @@ def test_first_snapshot_matches_transfer_matrix_prediction_general():
     assert np.allclose(offsets, [-THETA * 18.0, THETA * 18.0], rtol=1e-12)
     ang_off = np.sort(e.angles) - a0
     assert np.allclose(ang_off, [-2 * THETA, 2 * THETA], rtol=1e-12)
-
-
-def test_detector_lens_path():
-    """With an explicit external lens the detector trip is offset, thin-lens
-    kick, remainder; check one branch against the hand-computed chain."""
-    cfg = CavityConfig(n_traversals=1, lens_focal_m=3.0)
-    res = run(cfg)
-    e = res.snapshots[0].ensemble
-    p, a = 5.6e-9, 8e-10  # plus branch at the far mirror, pre-reflection
-    p1 = p + a * cfg.lens_offset_m
-    a1 = a - p1 / 3.0
-    p2 = p1 + a1 * (cfg.detector_distance_m - cfg.lens_offset_m)
-    assert np.max(e.positions) == pytest.approx(p2, rel=1e-12)
-    assert np.min(e.angles) == pytest.approx(a1, rel=1e-12)
 
 
 def test_long_run_conserves_weight_with_coarse_merging():
@@ -956,15 +939,10 @@ def test_run_refuses_a_split_past_the_beam_budget(monkeypatch):
         run(CavityConfig(n_traversals=5))
 
 
-def test_beam_budget_counts_only_split_legs(monkeypatch):
-    """Without backward splits the ensemble doubles every other traversal,
-    and the budget applies to the merged ensemble being split: on planar
+def test_beam_budget_counts_the_merged_ensemble(monkeypatch):
+    """The budget applies to the merged ensemble being split: on planar
     mirrors 26 beams split into 52 at traversal 6, where the unmerged
     confocal ensemble would be 64."""
-    monkeypatch.setattr(cavity, "MAX_BEAMS", 8)
-    assert len(run(CavityConfig(n_traversals=6, split_on_backward=False)).final) == 8
-    with pytest.raises(BeamBudgetError):
-        run(CavityConfig(n_traversals=7, split_on_backward=False))
     monkeypatch.setattr(cavity, "MAX_BEAMS", 52)
     planar = CavityConfig(mirror1_focal_m=None, mirror2_focal_m=None)
     assert len(run(replace(planar, n_traversals=6)).final) == 42
@@ -973,9 +951,10 @@ def test_beam_budget_counts_only_split_legs(monkeypatch):
 
 
 # --- shared arrays -----------------------------------------------------------
-# Stages pass unchanged arrays on instead of copying them, so a snapshot may
-# share its weights (and, on an unsplit leg, its angles) with the ensemble
-# that goes on to the next traversal.  No stage may write into them.
+# Stages pass unchanged arrays on instead of copying them, so a snapshot
+# shares its weights array with the ensemble that goes on to the next
+# traversal (transport builds fresh position and angle arrays on every leg).
+# No stage may write into them.
 
 
 @pytest.mark.parametrize(
@@ -983,10 +962,9 @@ def test_beam_budget_counts_only_split_legs(monkeypatch):
     [
         CavityConfig(n_traversals=9),
         replace(load_preset("bnl-quad").cavity, n_traversals=14),
-        CavityConfig(n_traversals=8, lens_focal_m=0.7, split_on_backward=False),
         CavityConfig(n_traversals=6, theta_split_rad=0.0),
     ],
-    ids=["confocal", "bnl-quad", "lens-unsplit", "field-off"],
+    ids=["confocal", "bnl-quad", "field-off"],
 )
 def test_later_traversals_leave_earlier_snapshots_unchanged(cfg):
     k = cfg.n_traversals

@@ -208,6 +208,53 @@ def test_simulate_refuses_non_finite_numbers_and_writes_nothing(path, tmp_path, 
     assert not out.exists()
 
 
+# keys of the detector lens and of the forward-only split: every field
+# passage splits and the detector sits behind an ideal relay
+RETIRED_CAVITY_KEYS = ["lens_focal_m=0.7", "lens_offset_m=0.5", "split_on_backward=true"]
+
+
+@pytest.mark.parametrize("setting", RETIRED_CAVITY_KEYS)
+@pytest.mark.parametrize("source", ["file", "override"])
+def test_simulate_refuses_retired_cavity_keys_by_name(setting, source, tmp_path, capsys):
+    out = tmp_path / "out"
+    if source == "file":
+        cfg = tmp_path / "old.ini"
+        cfg.write_text("[cavity]\nn_traversals = 1\n" + setting.replace("=", " = ") + "\n")
+        args = ["--config", str(cfg)]
+    else:
+        args = ["--preset", "confocal", "--override", f"cavity.{setting}"]
+    assert cli.main([*args, "--out", str(out), "simulate"]) == 2
+    err = capsys.readouterr().err
+    assert f"cavity.{setting.split('=')[0]}" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+# each verb that writes files, with its output path under a regular file
+UNWRITABLE_OUTPUT = {
+    "simulate": lambda bad, tmp: ["--preset", "bnl-quad", "--override", "cavity.n_traversals=2",
+                                  "--out", bad, "simulate"],
+    "analyze": lambda bad, tmp: ["--preset", "confocal", "--out", bad, "analyze",
+                                 "--series", _series_file(tmp)],
+    "profile": lambda bad, tmp: ["profile", "--alpha", "5.6e-9", "--out-file", f"{bad}/x.csv"],
+    "mass-scan": lambda bad, tmp: ["--preset", "confocal", "mass-scan",
+                                   "--out-file", f"{bad}/x.csv"],
+    "pascal": lambda bad, tmp: ["pascal", "--n-passes", "100", "--out-file", f"{bad}/x.csv"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(UNWRITABLE_OUTPUT))
+def test_unwritable_output_path_is_a_one_line_error(verb, tmp_path, capsys):
+    bad = tmp_path / "taken"
+    bad.write_text("a file, not a directory\n")
+    assert cli.main(UNWRITABLE_OUTPUT[verb](str(bad), tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1 and str(bad) in err
+    assert "wrote" not in out
+    assert bad.read_text() == "a file, not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["taken", "series.csv"] if verb == "analyze" else ["taken"])
+
+
 # --- analyze verb ------------------------------------------------------------
 
 

@@ -378,16 +378,25 @@ def test_histogram_counts_are_axial_plus_deviation():
     assert math.fsum(hist.counts.tolist()) == 2.0
 
 
-@pytest.mark.parametrize("edges", [
-    [0.0, math.nan, 1e-4], [0.0, 1e-4, math.inf], [-math.inf, 0.0, 1e-4],
-    [0.0, 1e-4, 1e-4], [0.0, 2e-4, 1e-4], [0.0],
-], ids=["nan", "inf", "-inf", "repeated", "descending", "no-bin"])
-def test_histogram_refuses_edges_that_rates_refuses(edges):
+_EDGES = "finite and strictly ascending"
+
+
+@pytest.mark.parametrize("edges, axial, deviation, match", [
+    ([0.0, math.nan, 1e-4], None, None, _EDGES), ([0.0, 1e-4, math.inf], None, None, _EDGES),
+    ([-math.inf, 0.0, 1e-4], None, None, _EDGES), ([0.0, 1e-4, 1e-4], None, None, _EDGES),
+    ([0.0, 2e-4, 1e-4], None, None, _EDGES), ([0.0], None, None, _EDGES),
+    ([0.0, 1e-4], [math.nan], None, "axial must be finite"),
+    ([0.0, 1e-4], None, [math.inf], "deviation must be finite"),
+    ([0.0, 1e-4, 2e-4], None, [0.0, -math.inf], "deviation must be finite"),
+], ids=["nan", "inf", "-inf", "repeated", "descending", "no-bin",
+        "nan-axial", "inf-deviation", "-inf-deviation"])
+def test_histogram_refuses_bad_edges_and_non_finite_rates(edges, axial, deviation, match):
     """One edge rule for histograms and windows: finite, strictly
-    ascending, at least one bin."""
-    parts = np.zeros(max(len(edges) - 1, 0))
-    with pytest.raises(ValueError, match="finite and strictly ascending"):
-        DetectorHistogram(edges, parts, parts)
+    ascending, at least one bin.  The rates in the bins must be finite."""
+    zeros = [0.0] * max(len(edges) - 1, 0)
+    with pytest.raises(ValueError, match=match):
+        DetectorHistogram(edges, zeros if axial is None else axial,
+                          zeros if deviation is None else deviation)
 
 
 # --- the moment series -------------------------------------------------------
@@ -500,8 +509,6 @@ MIRRORED_RUNS = {
     "confocal-0.9theta": replace(CONFOCAL, n_traversals=12, theta_split_rad=0.9 * CONFOCAL.theta_split_rad),
     "confocal-1.1theta": replace(CONFOCAL, n_traversals=12, theta_split_rad=1.1 * CONFOCAL.theta_split_rad),
     "bnl-quad": replace(BNL_QUAD, n_traversals=40),
-    "lens": replace(CONFOCAL, n_traversals=8, lens_focal_m=0.7, split_on_backward=False),
-    "no-backward-split": replace(CONFOCAL, n_traversals=12, split_on_backward=False),
     "coarse-tolerance": replace(CONFOCAL, n_traversals=10, coalesce_tol_position_m=1e-9,
                                 coalesce_tol_angle_rad=1e-10),
 }

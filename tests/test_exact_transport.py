@@ -3,9 +3,8 @@
 Every float input of a configuration is read as a Fraction, and every sign
 sequence of the +-theta kicks is carried exactly through the plain steps of
 a traversal: gap, entry kick, field, exit kick (same sign), gap, then the
-detector trip (a propagation, or offset, thin lens, rest) or the far
-mirror's reflection.  Exactly equal states are merged into one with the
-summed weight.  Nothing here calls the engine's transfer maps, so the
+detector trip (a propagation) or the far mirror's reflection.  Exactly
+equal states are merged into one with the summed weight.  Nothing here calls the engine's transfer maps, so the
 comparison checks how they were composed and applied.
 """
 
@@ -25,30 +24,23 @@ BNL_QUAD = load_preset("bnl-quad").cavity
 
 def _exact_run(cfg):
     """The exact detector states (x, a, w) of every snapshot, keyed by
-    traversal, and the final states {(x, a): w} after the last reflection."""
+    traversal, and the final states {(x, a): w} after the last reflection.
+    Every field passage splits, so ``cfg`` needs theta > 0."""
     q = Fraction
     gap, length, theta = q(cfg.gap_m), q(cfg.field_length_m), q(cfg.theta_split_rad)
-    distance, offset = q(cfg.detector_distance_m), q(cfg.lens_offset_m)
+    distance = q(cfg.detector_distance_m)
     states = {(q(0), q(0)): q(1)}
     snapshots = {}
     for k in range(1, cfg.n_traversals + 1):
         forward = k % 2 == 1
-        split = theta > 0 and (forward or cfg.split_on_backward)
         at_mirror = []  # the engine splits every beam before it merges any
         for (x, a), w in states.items():
-            for sign in (1, -1) if split else (0,):
+            for sign in (1, -1):
                 x1, a1 = x + a * gap, a + sign * theta
                 x2, a2 = x1 + a1 * length, a1 + sign * theta
-                at_mirror.append((x2 + a2 * gap, a2, w / 2 if split else w))
+                at_mirror.append((x2 + a2 * gap, a2, w / 2))
         if cfg.extraction_mirror == MIRROR_2 or not forward:
-            if cfg.lens_focal_m is None:
-                snapshots[k] = [(x + a * distance, a, w) for x, a, w in at_mirror]
-            else:
-                snapshots[k] = []
-                for x, a, w in at_mirror:
-                    x1 = x + a * offset
-                    a1 = a - x1 / q(cfg.lens_focal_m)
-                    snapshots[k].append((x1 + a1 * (distance - offset), a1, w))
+            snapshots[k] = [(x + a * distance, a, w) for x, a, w in at_mirror]
         focal = cfg.mirror2_focal_m if forward else cfg.mirror1_focal_m
         states = defaultdict(Fraction)
         for x, a, w in at_mirror:
@@ -76,13 +68,6 @@ def test_confocal_positions_are_within_4_ulp_of_exact_transport():
     """Confocal n <= 10: the run at n=10 takes every snapshot of the shorter
     runs.  Measured: 2.3 ulp (2.6 before the transfer maps)."""
     assert _worst_position_ulps(replace(CONFOCAL, n_traversals=10)) <= 4
-
-
-def test_lens_positions_are_within_4_ulp_of_exact_transport():
-    """The thin-lens trip to the detector and field passages without a
-    split.  Measured: 1.8 ulp (3.0 before the transfer maps)."""
-    cfg = replace(CONFOCAL, n_traversals=8, lens_focal_m=0.7, split_on_backward=False)
-    assert _worst_position_ulps(cfg) <= 4
 
 
 def test_bnl_quad_second_moments_and_merges_are_exact():

@@ -60,7 +60,7 @@ def test_bad_values_are_rejected_with_context():
     with pytest.raises(ScenarioError):
         loads_scenario("[laser]\nwaist_m = strong\n", "bad")
     with pytest.raises(ScenarioError):
-        loads_scenario("[cavity]\nsplit_on_backward = perhaps\n", "bad")
+        loads_scenario("[cavity]\nmirror1_focal_m = flat\n", "bad")
     with pytest.raises(ScenarioError):
         loads_scenario("[cavity]\nn_traversals = 2.5\n", "bad")
 
@@ -73,15 +73,11 @@ def test_inconsistent_geometry_is_rejected():
         loads_scenario(text, "bad")
 
 
-def test_planar_and_relay_words_mean_none():
-    text = (
-        "[cavity]\nmirror1_focal_m = planar\nmirror2_focal_m = planar\n"
-        "lens_focal_m = relay\n"
-    )
+def test_planar_and_none_words_mean_none():
+    text = "[cavity]\nmirror1_focal_m = planar\nmirror2_focal_m = None\n"
     sc = loads_scenario(text, "words")
     assert sc.cavity.mirror1_focal_m is None
     assert sc.cavity.mirror2_focal_m is None
-    assert sc.cavity.lens_focal_m is None
 
 
 def test_inline_comments_are_stripped():
@@ -139,7 +135,7 @@ def test_dump_renders_none_words_back():
     )
     text = dump_scenario(sc)
     assert "mirror2_focal_m = planar" in text
-    assert "lens_focal_m = relay" in text
+    assert "mirror1_focal_m = 12.5" in text
 
 
 def test_mapping_to_scenario_rejects_unknown_section():
@@ -209,6 +205,9 @@ UNREAD_SETTINGS = (
     "axion.m_a_ev",
     "cavity.kind",
     "cavity.length_m",
+    "cavity.lens_focal_m",
+    "cavity.lens_offset_m",
+    "cavity.split_on_backward",
 )
 
 
@@ -233,7 +232,7 @@ ALL_SETTINGS = [f"{sec}.{f.name}" for sec, cls in CONFIG_CLASSES.items() for f i
 def test_dump_lists_every_field_in_order():
     dumped = scenario_to_mapping(loads_scenario("", "d"))
     assert [f"{sec}.{key}" for sec, keys in dumped.items() for key in keys] == ALL_SETTINGS
-    assert len(ALL_SETTINGS) == 26
+    assert len(ALL_SETTINGS) == 23
 
 
 @pytest.mark.parametrize("path", ALL_SETTINGS)
@@ -249,7 +248,7 @@ NON_FINITE = ("nan", "inf", "-inf", "NaN", "-Infinity")
 
 @pytest.mark.parametrize(
     "path",
-    ("cavity.theta_split_rad", "cavity.lens_focal_m", "laser.waist_m", "analysis.bin_width_m"),
+    ("cavity.theta_split_rad", "cavity.mirror1_focal_m", "laser.waist_m", "analysis.bin_width_m"),
 )
 @pytest.mark.parametrize("raw", NON_FINITE)
 def test_non_finite_numbers_are_refused_by_name(path, raw):

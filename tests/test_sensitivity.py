@@ -38,15 +38,21 @@ def test_series_requires_increasing_n():
         GrowthSeries(np.array([1.0, 2.0]), np.array([1.0]))
 
 
-@pytest.mark.parametrize("n", [
-    [1.0, math.nan, 3.0], [math.nan, 2.0, 3.0], [1.0, 2.0, math.nan], [math.nan],
-    [1.0, 2.0, math.inf],
-], ids=["nan-middle", "nan-first", "nan-last", "nan-only", "inf"])
-def test_series_refuses_non_finite_counts(n):
+_COUNTS = "finite and strictly increasing"
+
+
+@pytest.mark.parametrize("n, signal, match", [
+    ([1.0, math.nan, 3.0], None, _COUNTS), ([math.nan, 2.0, 3.0], None, _COUNTS),
+    ([1.0, 2.0, math.nan], None, _COUNTS), ([math.nan], None, _COUNTS),
+    ([1.0, 2.0, math.inf], None, _COUNTS),
+    ([1.0, 2.0, 3.0], [1.0, math.nan, 3.0], "signal must be finite"),
+    ([1.0, 2.0, 3.0], [1.0, 2.0, -math.inf], "signal must be finite"),
+], ids=["nan-middle", "nan-first", "nan-last", "nan-only", "inf", "nan-signal", "inf-signal"])
+def test_series_refuses_non_finite_values(n, signal, match):
     """A NaN fails every comparison, so the increasing test alone would let
     it through to the fits."""
-    with pytest.raises(ValueError, match="finite and strictly increasing"):
-        GrowthSeries(np.array(n), np.ones(len(n)))
+    with pytest.raises(ValueError, match=match):
+        GrowthSeries(np.array(n), np.ones(len(n)) if signal is None else np.array(signal))
 
 
 def test_fit_linear_recovers_exact_line():
