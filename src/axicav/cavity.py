@@ -144,7 +144,8 @@ def coalesce(
 
     Beams are binned on a (position, angle) grid with cell sizes equal to the
     tolerances; each occupied cell collapses to its weight-weighted mean with
-    the summed weight.  The pass is repeated on a half-cell-shifted grid and
+    the summed weight (a cell whose beams all weigh 0 to its first beam's
+    position and angle).  The pass is repeated on a half-cell-shifted grid and
     iterated to a fixed point (at most 64 iterations).  Each pass merges
     exactly the beams that share one of its cells, so at the fixed point no
     two beams share a cell of either grid.  That bounds no distance: two
@@ -320,9 +321,16 @@ def _grid_pass(pos, ang, w, tol_p, tol_a, shift):
     del starts
     w = w[order]
     wsum = np.add.reduceat(w, idx)
-    pos = np.add.reduceat(w * pos[order], idx) / wsum
-    ang = np.add.reduceat(w * ang[order], idx) / wsum
-    return pos, ang, wsum, True
+    # A cell whose beams all weigh 0 has no weighted mean: it keeps its
+    # first beam's position and angle.
+    empty = np.flatnonzero(wsum == 0.0)
+    first = order[idx[empty]]
+    divisor = np.where(wsum == 0.0, 1.0, wsum) if empty.size else wsum
+    new_pos = np.add.reduceat(w * pos[order], idx) / divisor
+    new_ang = np.add.reduceat(w * ang[order], idx) / divisor
+    new_pos[empty] = pos[first]
+    new_ang[empty] = ang[first]
+    return new_pos, new_ang, wsum, True
 
 
 @dataclass(frozen=True)

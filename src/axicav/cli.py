@@ -25,6 +25,7 @@ other verb pays only for numpy and its own arithmetic.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -32,24 +33,30 @@ from pathlib import Path
 
 import numpy as np
 
-from . import axion, density, lattice, scenario, sensitivity
+from . import axion, density, g17, lattice, scenario, sensitivity
 from .cavity import BeamBudgetError, axial_beam, run
 from .density import GuardError
 from .rays import ParaxialError
 
-FLOAT_FMT = "%.17g"
+FLOAT_FMT = g17.FLOAT_FMT
+# _csv's path switch: see its docstring
+COLUMN_PATH_MIN_ROWS = 256
+BLOCK_ROWS = 4096
 
 
 def _f(value: float) -> str:
     return FLOAT_FMT % value
 
 
-def _write_or_print(text: str, path: str | None) -> None:
+def _write_or_print(parts, path: str | None) -> None:
+    """Write the text pieces ``parts`` to ``path`` (making its directory),
+    or to stdout when no path is given."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            f.writelines(parts)
         print(f"wrote {path}")
 
 
@@ -76,19 +83,58 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _csv(header: str, rows) -> str:
-    """Floats (any float subclass) as FLOAT_FMT, anything else (the integer
-    columns) as str().  Each row is one % with a format string built once
-    per tuple of value types."""
-    formats = {}
-    lines = [header]
-    for row in rows:
-        row = tuple(row)
-        kinds = tuple(map(type, row))
-        if kinds not in formats:
-            formats[kinds] = ",".join([FLOAT_FMT if issubclass(k, float) else "%s" for k in kinds])
-        lines.append(formats[kinds] % row)
-    return "\n".join(lines) + "\n"
+def _csv(header: str, columns):
+    """A CSV table from whole columns, as text pieces: a float ndarray is
+    written as FLOAT_FMT, any other column (an integer array or a list)
+    with str().
+
+    Two paths give the same bytes.  A table of fewer than
+    COLUMN_PATH_MIN_ROWS rows is one piece, formatted row by row with one %
+    per row and a format string built once per table.  A longer one takes
+    the column path and yields the header, then one piece per BLOCK_ROWS
+    rows: `g17.fields` writes each float column from its 17 digits,
+    computed in numpy and certified to lie more than g17.TIE_BOUND (1e-9
+    of the last digit) from a rounding tie and from a decade edge; a value
+    it cannot certify, and any zero, subnormal, inf or NaN, is written by
+    % instead.  A block's fields sit side by side in a NUL-padded byte
+    matrix, and the NULs go in one pass.
+
+    The column path costs a few dozen numpy calls per column and block
+    whatever the row count, so short tables (the 30-bin histograms, the
+    growth series, `pascal`) are cheaper by %.  On a 2-core VM, three float
+    columns took 0.86 ms by % and 0.89 ms by column at 256 rows, 1.22 ms
+    and 1.00 ms at 384, and 14.2 ms and 4.2 ms at 4096; COLUMN_PATH_MIN_ROWS
+    sits at that crossover.
+    """
+    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
+    n = len(columns[0])
+    if n < COLUMN_PATH_MIN_ROWS:
+        row = ",".join([FLOAT_FMT if f else "%s" for f in floats])
+        values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+        yield "\n".join([header, *(row % r for r in zip(*values))]) + "\n"
+        return
+    yield header + "\n"
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        texts = [
+            None if f else np.array([str(v) for v in c[start:stop]], dtype="S")
+            for c, f in zip(columns, floats)
+        ]
+        widths = [g17.WIDTH if t is None else t.itemsize for t in texts]
+        # one row per byte position, one column per table row
+        block = np.empty((sum(widths) + len(widths), stop - start), dtype=np.uint8)
+        top = 0
+        for c, text, width in zip(columns, texts, widths):
+            if text is None:
+                g17.fields(c[start:stop], block[top : top + width])
+            else:
+                block[top : top + width] = text.view(np.uint8).reshape(-1, width).T
+            block[top + width] = ord(",")
+            top += width + 1
+        block[-1] = ord("\n")
+        # rows no value in the block uses need not be transposed
+        block = block[block.any(axis=1)]
+        yield block.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -134,21 +180,15 @@ def cmd_simulate(args) -> int:
         if stale.name not in diffs:
             stale.unlink()
     for name, diff in diffs.items():
-        (out_dir / name).write_text(_csv("bin_lo_m,bin_hi_m,photons_per_s", diff.to_csv_rows()))
-    rows = zip(
-        central.n.astype(int).tolist(),
-        central.signal.tolist(),
-        sideband.signal.tolist(),
-        amb.signal.tolist(),
-    )
+        columns = [diff.edges_m[:-1], diff.edges_m[1:], diff.counts]
+        (out_dir / name).write_text("".join(_csv("bin_lo_m,bin_hi_m,photons_per_s", columns)))
     series_path = out_dir / "growth_series.csv"
-    series_path.write_text(
-        _csv(
-            "n,central_loss_photons_per_s,sideband_gain_photons_per_s,"
-            "center_minus_sidebands_photons_per_s",
-            rows,
-        )
+    series = _csv(
+        "n,central_loss_photons_per_s,sideband_gain_photons_per_s,"
+        "center_minus_sidebands_photons_per_s",
+        [central.n.astype(int), central.signal, sideband.signal, amb.signal],
     )
+    series_path.write_text("".join(series))
     print(f"wrote {len(signal_run.snapshots)} difference histograms and {series_path}")
     print(f"final ensemble: {final_beams} beams")
     return 0
@@ -177,7 +217,7 @@ def cmd_analyze(args) -> int:
         name, fit, n_target, g_ref, time_s, total_rate=rate
     )
     text = json.dumps(report, indent=2) + "\n"
-    _write_or_print(text, str(Path(args.out) / "report.json") if args.out else None)
+    _write_or_print([text], str(Path(args.out) / "report.json") if args.out else None)
     return 0
 
 
@@ -221,10 +261,7 @@ def cmd_profile(args) -> int:
     profile = density.GaussianProfile(args.amplitude, args.waist)
     xs = np.linspace(0.0, args.x_max, args.steps)
     vals = density.deficit(xs, args.alpha, args.epsilon, profile)
-    text = _csv(
-        "x_m,deficit_photons_per_s",
-        ((float(x), float(v)) for x, v in zip(xs, vals)),
-    )
+    text = _csv("x_m,deficit_photons_per_s", [xs, vals])
     _write_or_print(text, args.out_file)
     return 0
 
@@ -248,10 +285,12 @@ def cmd_mass_scan(args) -> int:
     points = axion.mass_scan(p, masses)
     # Computed before anything is written, so a refused run leaves no file.
     half = axion.max_measurable_mass(p, 0.5) if args.out_file else None
-    text = _csv(
-        "m_a_ev,phi_rad,suppression",
-        [(m, phi, sup) for m, (phi, sup) in zip(masses, points)],
-    )
+    # one flat read of the pairs: np.array(points) would first work out
+    # their shape, at three times the cost
+    pairs = np.fromiter(itertools.chain.from_iterable(points), float, 2 * len(points))
+    phi, sup = pairs.reshape(-1, 2).T
+    masses = np.array(masses)
+    text = _csv("m_a_ev,phi_rad,suppression", [masses, phi, sup])
     _write_or_print(text, args.out_file)
     if half is not None:
         print(f"half-suppression mass: {_f(half)} eV")
@@ -260,11 +299,13 @@ def cmd_mass_scan(args) -> int:
 
 def cmd_pascal(args) -> int:
     cmp = lattice.compare_growth(args.n_passes, args.pass_length, args.points)
-    rows = (
-        (s.n_pass, s.distance_m, s.spread_bifurcation_m, s.spread_pascal_m)
-        for s in cmp.samples
-    )
-    text = _csv("n_pass,distance_m,spread_bifurcation,spread_pascal", rows)
+    columns = [
+        [s.n_pass for s in cmp.samples],
+        np.array([s.distance_m for s in cmp.samples]),
+        np.array([s.spread_bifurcation_m for s in cmp.samples]),
+        np.array([s.spread_pascal_m for s in cmp.samples]),
+    ]
+    text = _csv("n_pass,distance_m,spread_bifurcation,spread_pascal", columns)
     _write_or_print(text, args.out_file)
     if args.out_file:
         print(cmp.classification)

@@ -199,10 +199,6 @@ class DetectorHistogram:
             object.__setattr__(self, name, part)
         object.__setattr__(self, "counts", self.axial + self.deviation)
 
-    def to_csv_rows(self):
-        for lo, hi, c in zip(self.edges_m[:-1], self.edges_m[1:], self.counts):
-            yield float(lo), float(hi), float(c)
-
 
 @check_args
 def histogram_edges(

@@ -190,6 +190,25 @@ def test_coalesce_takes_weighted_means():
     assert out.weights[0] == 4.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_coalesce_gives_a_zero_weight_cell_its_first_beams_place():
+    """A cell of zero-weight beams has no weighted mean; it takes its first
+    beam's position and angle, without a 0/0, and a cell beside it that
+    weighs something still takes its weighted mean."""
+    out = coalesce(BeamEnsemble([0.0, 1e-13], [0.0, 0.0], [0.0, 0.0]), 1e-12, 1e-16)
+    assert (out.positions.tolist(), out.angles.tolist(), out.weights.tolist()) == (
+        [0.0], [0.0], [0.0]
+    )
+    ens = BeamEnsemble(
+        [3.2e-12, 3.3e-12, 7.1e-12, 7.2e-12], [2e-17, 1e-17, 0.0, 0.0], [0.0, 0.0, 1.0, 3.0]
+    )
+    out = coalesce(ens, 1e-12, 1e-16)
+    assert out.weights.tolist() == [0.0, 4.0]
+    assert out.positions[0] == 3.2e-12 and out.angles[0] == 2e-17
+    assert out.positions[1] == (1.0 * 7.1e-12 + 3.0 * 7.2e-12) / 4.0
+    assert out.angles[1] == 0.0
+
+
 def test_coalesce_keeps_separated_beams_apart():
     ens = BeamEnsemble([0.0, 2.5e-12], [0.0, 0.0], [0.5, 0.5])
     out = coalesce(ens, 1e-12, 1e-16)

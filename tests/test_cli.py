@@ -604,37 +604,61 @@ def _csv_per_value(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def test_csv_matches_the_per_value_formatter():
-    rows = [
-        (0, 0.0, -0.0),
-        (1, 1e-300, -5e-324),
-        (10**17, 1e17, 123456789012345678),
-        (2**63 + 5, float("inf"), float("-inf")),
-        (-7, 0.1, 2.0 / 3.0),
-        (3, float("nan"), 1.7976931348623157e308),
-    ]
-    text = cli._csv("a,b,c", rows)
+@pytest.fixture(params=["row", "column"])
+def csv_path(request, monkeypatch):
+    """Run a test once on each path of `cli._csv`."""
+    monkeypatch.setattr(cli, "COLUMN_PATH_MIN_ROWS", 10**9 if request.param == "row" else 0)
+    return request.param
+
+
+def test_csv_matches_the_per_value_formatter(csv_path):
+    ints = [0, 1, 10**17, 2**63 + 5, -7, 123456789012345678]
+    floats = np.array([0.0, 1e-300, 1e17, float("inf"), 0.1, float("nan")])
+    more = np.array([-0.0, -5e-324, 2.0 / 3.0, float("-inf"), 1.7976931348623157e308, 3.0])
+    text = "".join(cli._csv("a,b,c", [ints, floats, more]))
+    rows = zip(ints, floats.tolist(), more.tolist())
     assert text == _csv_per_value("a,b,c", rows)
     # integers keep every digit; floats take 17 significant digits
-    assert text.splitlines()[3] == "100000000000000000,1e+17,123456789012345678"
     assert text.splitlines()[1] == "0,0,-0"
+    assert text.splitlines()[3] == "100000000000000000,1e+17,0.66666666666666663"
+    assert text.splitlines()[4] == "9223372036854775813,inf,-inf"
+    assert text.splitlines()[6] == "123456789012345678,nan,3"
 
 
-def test_csv_formats_by_each_value_type_not_by_column():
-    """Each row is formatted by a format string built for its tuple of value
-    types, so rows of one table may mix ints, floats and numpy scalars, and
-    lists as well as tuples."""
-    rows = [
-        (1, 0.1, np.float64(0.1)),
-        (np.float64(-2.5e-300), 2, 1.0 / 3.0),
-        [np.int64(7), np.float32(0.1), True],
-        (1, 0.1, np.float64(0.1)),
-        (2.0, 3, np.float64("nan")),
-    ]
-    text = cli._csv("a,b,c", rows)
-    assert text == _csv_per_value("a,b,c", rows)
-    assert text.splitlines()[1] == "1,0.10000000000000001,0.10000000000000001"
-    assert text.splitlines()[3] == "7,0.1,True"
+def test_csv_formats_each_column_by_its_kind(csv_path):
+    """A float array is written as FLOAT_FMT whatever scalars built it;
+    any other column, a list or an integer array, with str()."""
+    listed = [1, np.float64(-2.5e-300), np.int64(7), True, 2.0]
+    floats = np.array([0.1, np.float64(-2.5e-300), np.float32(0.1), 2.0, np.float64("nan")])
+    ints = np.array([7, -1, 0, 2**40, 3])
+    text = "".join(cli._csv("a,b,c", [listed, floats, ints]))
+    rows = zip(listed, floats.tolist(), ints.tolist())
+    assert text == _csv_per_value("a,b,c", [[str(a), b, c] for a, b, c in rows])
+    assert text.splitlines()[1] == "1,0.10000000000000001,7"
+    assert text.splitlines()[3] == "7,0.10000000149011612,0"
+    assert text.splitlines()[4] == "True,2,1099511627776"
+
+
+def test_csv_takes_the_column_path_from_its_row_count(monkeypatch):
+    """Short tables keep the % path; from COLUMN_PATH_MIN_ROWS rows on,
+    g17 writes the float columns, BLOCK_ROWS rows at a time."""
+    calls = []
+
+    def fields(values, out):
+        calls.append(len(values))
+        return real(values, out)
+
+    real = cli.g17.fields
+    monkeypatch.setattr(cli.g17, "fields", fields)
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 100)
+    n = cli.COLUMN_PATH_MIN_ROWS
+    xs = np.linspace(0.0, 1.0, n)
+    short = "".join(cli._csv("i,x", [list(range(n - 1)), xs[:-1]]))
+    assert calls == []
+    full = "".join(cli._csv("i,x", [list(range(n)), xs]))
+    assert calls == [100] * (n // 100) + ([n % 100] if n % 100 else [])
+    assert full == _csv_per_value("i,x", zip(range(n), xs.tolist()))
+    assert full.startswith(short)
 
 
 SCIPY_PROBE = """

@@ -362,13 +362,11 @@ def test_profile_difference_signs_and_validation():
         profile_difference(ref, other)
 
 
-def test_csv_rows_cover_every_bin():
+def test_histogram_edges_cover_every_bin():
     hist = bin_ensemble(BeamEnsemble([0.0], [0.0], [1.0]), PROFILE)
-    rows = list(hist.to_csv_rows())
-    assert len(rows) == 30
-    assert rows[0][0] == 0.0
-    assert rows[-1][1] == pytest.approx(3e-3, rel=1e-15)
-    assert rows[0][2] == hist.counts[0]
+    assert hist.edges_m.shape == (31,) and hist.counts.shape == (30,)
+    assert hist.edges_m[0] == 0.0
+    assert hist.edges_m[-1] == pytest.approx(3e-3, rel=1e-15)
 
 
 def test_histogram_counts_are_axial_plus_deviation():
@@ -459,7 +457,8 @@ def test_a_wide_beam_renders_as_its_own_gaussian():
     hist = bin_ensemble(BeamEnsemble([x0], [0.0], [1.0]), PROFILE)
     s = mp.mpf(WAIST) * mp.sqrt(2)
     norm = AMPLITUDE * mp.mpf(WAIST) * mp.sqrt(mp.pi / 2)
-    for lo, hi, got in hist.to_csv_rows():
+    edges = hist.edges_m.tolist()
+    for lo, hi, got in zip(edges[:-1], edges[1:], hist.counts.tolist()):
         expect = norm * (mp.erf((hi - mp.mpf(x0)) / s) - mp.erf((lo - mp.mpf(x0)) / s))
         assert abs(got - expect) <= 1e-12 * expect
 
