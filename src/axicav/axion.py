@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .checks import NonNegative, Positive, check_args, check_fields
 
 FINE_STRUCTURE = 1.0 / 137.036
@@ -83,16 +85,17 @@ def suppression_factor(p: MixingParameters) -> float:
     return math.sin(2.0 * mixing_angle(p)) ** 2
 
 
-def mass_scan(p: MixingParameters, masses) -> list[tuple[float, float]]:
-    """``(mixing_angle, suppression_factor)`` of ``p`` with its mass replaced
-    by each of ``masses`` in turn, bit for bit the per-point values: Qm and
-    Qgamma do not depend on the mass, so they are computed once, and each
-    mass then takes the same float operations as the per-point functions.
-    Raises like them on a negative or NaN mass and on a degenerate matrix."""
+def mass_scan(p: MixingParameters, masses) -> tuple[np.ndarray, np.ndarray]:
+    """The columns ``(mixing_angle, suppression_factor)`` of ``p`` with its
+    mass replaced by each of ``masses`` in turn, as float arrays, bit for
+    bit the per-point values: Qm and Qgamma do not depend on the mass, so
+    they are computed once, and each mass then takes the same float
+    operations as the per-point functions.  Raises like them on a negative
+    or NaN mass and on a degenerate matrix."""
     two_qm = 2.0 * q_m(p)
     qgamma = q_gamma(p)
     atan2, sin = math.atan2, math.sin
-    out = []
+    phis, suppressions = [], []
     for m in masses:
         if not m >= 0:
             raise ValueError("mass must be >= 0")
@@ -100,8 +103,9 @@ def mass_scan(p: MixingParameters, masses) -> list[tuple[float, float]]:
         if two_qm == 0.0 and diag == 0.0:
             raise DegenerateMixingError("mixing angle undefined: all Q entries equal")
         phi = 0.5 * atan2(two_qm, diag)
-        out.append((phi, sin(2.0 * phi) ** 2))
-    return out
+        phis.append(phi)
+        suppressions.append(sin(2.0 * phi) ** 2)
+    return np.array(phis), np.array(suppressions)
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,12 @@ the ensemble past MAX_BEAMS, rather than left to run out of memory.
 Memory: a run keeps every detector snapshot until it is rendered, 24 B per
 snapshot beam (a snapshot shares its weights array with the ensemble it was
 taken from).  Each stage allocates only the arrays it returns, so the traced
-peak of a whole `axicav simulate` is 48-54 B per snapshot beam, reached
-while the last traversal coalesces, with the snapshots, the next ensemble
-and the cell keys live.  A run at the budget (confocal n=20: 2^20 final
-beams, 2^21 - 2 snapshot beams) holds 48 MiB of snapshots and peaks at
-96 MiB under tracemalloc and 127 MiB resident (Linux x86-64, numpy 2.4.6).
+peak of a whole `axicav simulate` is 48-52 B per snapshot beam (50 B on
+confocal n=14, 52 B on bnl-quad n=20), reached while the last traversal
+coalesces, with the snapshots, the next ensemble and the cell keys live.
+A run at the budget (confocal n=20: 2^20 final beams, 2^21 - 2 snapshot
+beams) holds 48 MiB of snapshots and peaks at 96 MiB under tracemalloc and
+127 MiB resident (Linux x86-64, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -109,6 +110,21 @@ class BeamEnsemble:
         lo, hi = (float(positions.min()), float(positions.max())) if positions.size else (0.0, 0.0)
         if not (-math.inf < lo and hi < math.inf):
             raise ValueError(f"positions must be finite, got {hi if lo > -math.inf else lo!r}")
+        self._hold(positions, angles, weights)
+
+    @classmethod
+    def _derived(cls, positions, angles, weights):
+        """An ensemble `run` or `coalesce` builds from a checked one: equal
+        float arrays whose weights are halves or sums of checked weights.
+        Transport can still tilt a beam out of the paraxial window, so only
+        that check is made.  A transport leg can also overflow a position:
+        the next `coalesce` refuses that, naming the positions, and
+        `density.moments` refuses it in a snapshot."""
+        ens = cls.__new__(cls)
+        ens._hold(positions, angles, weights)
+        return ens
+
+    def _hold(self, positions, angles, weights):
         amax = max(-float(angles.min()), float(angles.max())) if angles.size else 0.0
         if not (amax < PARAXIAL_LIMIT):
             raise ParaxialError(
@@ -167,8 +183,10 @@ def coalesce(
     bit for bit, rather than assuming it.
 
     Each pass sorts its beams' cell keys once (`_grid_pass`).  A pass that
-    merges nothing leaves the beams where they are, and a pass that merges
-    sums each shared cell in the order the beams hold.  A merging pass
+    merges nothing leaves the beams where they are.  A pass that merges
+    adds each cell's weights, w*x and w*a left to right from 0.0, in the
+    order the beams hold, so a cell of one beam at -0.0 comes out at +0.0;
+    the sums cost O(N) on top of the O(N log N) sort.  A merging pass
     leaves the merged beams in its grid's order, so the next pass on that
     grid first checks in O(N) whether their recomputed cells still strictly
     increase; when they do, no two beams share a cell and no sort runs.  A
@@ -196,7 +214,7 @@ def coalesce(
             quiet += 1
             if quiet == 2:
                 break
-    return ensemble if in_order_of is None else BeamEnsemble(pos, ang, w)
+    return ensemble if in_order_of is None else BeamEnsemble._derived(pos, ang, w)
 
 
 def _lexorder(major, minor):
@@ -218,6 +236,11 @@ def _cells(pos, ang, tol_p, tol_a, shift):
         # the ensemble's scale (far past 2^53, where the half-cell shift is
         # lost).  A NaN fails both tests; `_pack_cells` then declines it.
         if cell.min(initial=0.0) <= -(2.0**62) or cell.max(initial=0.0) >= 2.0**62:
+            # unless a transport leg overflowed a position (angles are
+            # paraxial): name that instead
+            beyond = pos[np.isinf(pos)]
+            if beyond.size:
+                raise ValueError(f"positions must be finite, got {float(beyond[0])!r}")
             raise ValueError("coalescing tolerance too small for the ensemble scale")
         np.floor(cell, out=cell)
     # The floored floats are exact integers, so they key the cells directly.
@@ -274,14 +297,21 @@ def _grid_pass(pos, ang, w, tol_p, tol_a, shift):
 
     Each beam's packed cell key carries its index in the low bits, so the
     keys are unique and any sort kernel orders them by cell, and within a
-    cell in the order the beams hold, the order a shared cell sums them in.
-    In the sorted keys a cell is shared where neighbouring ``key >> bits``
-    are equal, which also marks where each cell's run starts, and the low
-    bits are the order.  When the index does not fit beside the cells,
-    sharing is read from the sorted plain keys.  A pass that must merge
-    then, or whose cells do not pack (a NaN, a span of 2^53 or more, or
-    more than 63 bits), orders them with the stable `_lexorder`.  A pass
-    that merges nothing leaves the beams where they are.
+    cell in the order the beams hold.  In the sorted keys a cell is shared
+    where neighbouring ``key >> bits`` are equal, which also marks where
+    each cell's run starts, and the low bits are the order.  When the index
+    does not fit beside the cells, sharing is read from the sorted plain
+    keys.  A pass that must merge then, or whose cells do not pack (a NaN,
+    a span of 2^53 or more, or more than 63 bits), orders them with the
+    stable `_lexorder`.  A pass that merges nothing leaves the beams where
+    they are.
+
+    A merge numbers the cells in sorted order and scatters each beam's cell
+    number back to the beam, then takes each sum with one `np.bincount`
+    over the beams as they are: it adds every cell's terms left to right
+    from 0.0 in the beams' order.  No sorted copy of the beams is gathered,
+    and no sum pays a fixed cost per cell, so a merging pass costs its sort
+    plus a handful of O(N) sweeps.
     """
     n = pos.size
     bits = max(n - 1, 0).bit_length()
@@ -317,17 +347,24 @@ def _grid_pass(pos, ang, w, tol_p, tol_a, shift):
         order = key
     if starts.all():
         return pos, ang, w, False
-    idx = np.flatnonzero(starts)
-    del starts
-    w = w[order]
-    wsum = np.add.reduceat(w, idx)
+    # each beam's cell number, in sorted order (a bool cumsum given an intp
+    # `out` runs in under half the time it takes to pick its own dtype)
+    cell = np.cumsum(starts, out=np.empty(n, dtype=np.intp))
+    cell -= 1
+    ids = np.empty(n, dtype=np.intp)
+    ids[order] = cell
+    del cell
+    wsum = np.bincount(ids, weights=w)
     # A cell whose beams all weigh 0 has no weighted mean: it keeps its
     # first beam's position and angle.
     empty = np.flatnonzero(wsum == 0.0)
-    first = order[idx[empty]]
+    first = order[np.flatnonzero(starts)[empty]] if empty.size else empty
+    del order, starts
     divisor = np.where(wsum == 0.0, 1.0, wsum) if empty.size else wsum
-    new_pos = np.add.reduceat(w * pos[order], idx) / divisor
-    new_ang = np.add.reduceat(w * ang[order], idx) / divisor
+    new_pos = np.bincount(ids, weights=w * pos)
+    new_pos /= divisor
+    new_ang = np.bincount(ids, weights=w * ang)
+    new_ang /= divisor
     new_pos[empty] = pos[first]
     new_ang[empty] = ang[first]
     return new_pos, new_ang, wsum, True
@@ -390,7 +427,7 @@ def _transport(ensemble: BeamEnsemble, matrix, kick, weights) -> BeamEnsemble:
             v[:n] += k
             v[n:] -= k
         rows.append(v)
-    return BeamEnsemble(*rows, weights)
+    return BeamEnsemble._derived(*rows, weights)
 
 
 def run(config: CavityConfig, initial: BeamEnsemble | None = None) -> RunResult:
@@ -407,10 +444,14 @@ def run(config: CavityConfig, initial: BeamEnsemble | None = None) -> RunResult:
     reflection, since the transmitted light never feels the mirror curvature.
 
     Raises BeamBudgetError before a split leg would produce more than
-    MAX_BEAMS beams.
+    MAX_BEAMS beams, and ValueError when ``initial`` holds a weight that is
+    negative or not finite, or a position that is not finite.
     """
     legs = _legs(config)
-    ens = axial_beam() if initial is None else initial
+    # the only beams from outside, checked in full: their arrays may have
+    # been written since they were built
+    ens = axial_beam() if initial is None else BeamEnsemble(
+        initial.positions, initial.angles, initial.weights)
     result = RunResult()
     for k in range(1, config.n_traversals + 1):
         forward = k % 2 == 1

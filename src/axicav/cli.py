@@ -25,7 +25,6 @@ other verb pays only for numpy and its own arithmetic.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -282,13 +281,9 @@ def cmd_mass_scan(args) -> int:
     else:
         masses = np.linspace(args.m_min, args.m_max, args.steps).tolist()
     p = axion.MixingParameters(sc.axion.omega_ev, sc.axion.g_a_gev, sc.axion.b_mixing_t, 0.0)
-    points = axion.mass_scan(p, masses)
+    phi, sup = axion.mass_scan(p, masses)
     # Computed before anything is written, so a refused run leaves no file.
     half = axion.max_measurable_mass(p, 0.5) if args.out_file else None
-    # one flat read of the pairs: np.array(points) would first work out
-    # their shape, at three times the cost
-    pairs = np.fromiter(itertools.chain.from_iterable(points), float, 2 * len(points))
-    phi, sup = pairs.reshape(-1, 2).T
     masses = np.array(masses)
     text = _csv("m_a_ev,phi_rad,suppression", [masses, phi, sup])
     _write_or_print(text, args.out_file)

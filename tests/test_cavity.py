@@ -119,7 +119,7 @@ def test_ensemble_refuses_weights_that_are_not_finite_and_nonnegative(bad):
     with pytest.raises(ValueError, match="finite and >= 0"):
         run(CavityConfig(n_traversals=2), initial=BeamEnsemble([0.0, 1e-9], [0.0, 0.0], [bad, 0.5]))
     # written into the weights after construction, it is refused by the
-    # first ensemble the run builds, split leg or not
+    # check `run` makes of its initial ensemble, split leg or not
     for cfg in (CavityConfig(n_traversals=2), CavityConfig(n_traversals=2, theta_split_rad=0.0)):
         initial = BeamEnsemble([0.0, 1e-9], [0.0, 0.0], [0.5, 0.5])
         initial.weights[0] = bad
@@ -136,6 +136,19 @@ def test_ensemble_refuses_positions_that_are_not_finite(bad):
         BeamEnsemble([0.0, bad], [0.0, 0.0], [0.5, 0.5])
     with pytest.raises(ValueError, match="positions must be finite"):
         run(CavityConfig(n_traversals=2), initial=BeamEnsemble([bad], [0.0], [1.0]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_run_refuses_a_position_that_overflows_in_transport():
+    """Only the initial ensemble is checked in full.  A beam near the
+    largest double that a 1e307 m field carries past it is refused by the
+    next coalesce, which names the positions, not its tolerance."""
+    cfg = CavityConfig(mirror2_focal_m=None, field_length_m=1e307, n_traversals=1,
+                       coalesce_tol_position_m=1e290)
+    with pytest.raises(ValueError, match=r"^positions must be finite, got inf$"):
+        run(cfg, initial=BeamEnsemble([1.79e308], [0.09], [1.0]))
+    with pytest.raises(ValueError, match="tolerance too small"):
+        run(replace(cfg, coalesce_tol_position_m=1e-300), initial=BeamEnsemble([1e10], [0.0], [1.0]))
 
 
 def test_ensemble_enforces_paraxial_window():
@@ -268,28 +281,40 @@ def test_lexorder_matches_lexsort(major, minor):
     assert np.array_equal(_lexorder(major, minor), np.lexsort((minor, major)))
 
 
+def _merged(pos, ang, w, members):
+    """The beam that ``members`` merge into, (position, angle, weight), in
+    Python floats: each sum runs left to right from 0.0 in the order of
+    ``members``.  Members that all weigh 0 keep the first one's place."""
+    wsum = sum_x = sum_a = 0.0
+    for i in members:
+        wsum += float(w[i])
+        sum_x += float(w[i]) * float(pos[i])
+        sum_a += float(w[i]) * float(ang[i])
+    if wsum == 0.0:
+        return float(pos[members[0]]), float(ang[members[0]]), wsum
+    return sum_x / wsum, sum_a / wsum, wsum
+
+
 def _coalesce_reference(ens, tol_p, tol_a):
-    """The lexsort / int64-cell formulation of coalesce, kept as an oracle.
-    A pass that merges nothing leaves the beams where they are, and a
-    merging pass leaves them in its cells' order."""
+    """coalesce written out plainly, kept as an oracle: each pass groups the
+    beams by int64 cell with lexsort, and a shared cell sums its beams in
+    the order they hold (`_merged`).  A pass that merges nothing leaves the
+    beams where they are, and a merging pass leaves them in its cells'
+    order."""
     pos, ang, w = ens.positions, ens.angles, ens.weights
     for _ in range(64):
         merged_any = False
         for shift in (0.0, 0.5):
             cell_p = np.floor(pos / tol_p + shift).astype(np.int64)
             cell_a = np.floor(ang / tol_a + shift).astype(np.int64)
-            order = np.lexsort((cell_a, cell_p))
-            cell_p, cell_a = cell_p[order], cell_a[order]
-            starts = np.concatenate([[True], (np.diff(cell_p) != 0) | (np.diff(cell_a) != 0)])
-            if starts.all():
+            cells = {}
+            for i in np.lexsort((cell_a, cell_p)).tolist():
+                cells.setdefault((cell_p[i], cell_a[i]), []).append(i)
+            if len(cells) == pos.size:
                 continue
-            pos, ang, w = pos[order], ang[order], w[order]
             merged_any = True
-            idx = np.flatnonzero(starts)
-            wsum = np.add.reduceat(w, idx)
-            pos = np.add.reduceat(w * pos, idx) / wsum
-            ang = np.add.reduceat(w * ang, idx) / wsum
-            w = wsum
+            beams = [_merged(pos, ang, w, members) for members in cells.values()]
+            pos, ang, w = (np.array(column) for column in zip(*beams))
         if not merged_any:
             break
     return pos, ang, w
@@ -325,6 +350,50 @@ def _assert_matches_reference(ens, tol_p, tol_a):
     assert _same_bits(out.angles, ref_ang)
     assert _same_bits(out.weights, ref_w)
     return out
+
+
+def _cells_of(k):
+    """24 cells of ``k`` beams each, 4 cells apart, with a lone beam between
+    each two, shuffled together.  A cell's beams lie in the lower half of
+    one cell of both grids, so the first pass merges exactly them.  The
+    cell at the axis holds only +0.0 and -0.0 positions, a third of all
+    angles are signed zeros, a quarter of the weights are 0, and one cell
+    weighs 0 as a whole.  The last beam, at position -0.0 in a cell of its
+    own, weighs 0.5.  Units of EDGE_TOL_P and EDGE_TOL_A."""
+    rng = np.random.default_rng(k)
+    home = 4.0 * (np.arange(24) - 12)
+    pos = np.concatenate([np.repeat(home, k) + rng.uniform(0.0, 0.5, 24 * k), home + 2.0, [-0.0]])
+    ang = np.concatenate([rng.uniform(0.0, 0.5, 24 * k), np.zeros(24), [2.0]])
+    w = np.concatenate([rng.uniform(0.1, 1.0, 24 * k), rng.uniform(0.1, 1.0, 25)])
+    pos[12 * k : 13 * k] = rng.choice([0.0, -0.0], k)
+    zeros = np.flatnonzero(rng.random(ang.size - 1) < 1 / 3)  # not the last beam's 2.0
+    ang[zeros] = rng.choice([0.0, -0.0], zeros.size)
+    w[rng.random(w.size) < 0.25] = 0.0
+    w[5 * k : 6 * k] = 0.0
+    w[-1] = 0.5
+    order = rng.permutation(pos.size)
+    return pos[order] * EDGE_TOL_P, ang[order] * EDGE_TOL_A, w[order]
+
+
+@pytest.mark.parametrize("keys", ["packed", "lexorder"])
+@pytest.mark.parametrize("k", range(1, 21))
+def test_coalesce_sums_cells_of_k_beams_in_input_order(k, keys, monkeypatch):
+    """Each cell sums its beams left to right from 0.0 in the order they
+    hold, on both sort paths, bit for bit, signed zeros included: a lone
+    -0.0 term sums to +0.0, and a cell that weighs 0 keeps its first beam's
+    place.  From three beams on, the same beams in reverse order give other
+    means."""
+    if keys == "lexorder":
+        monkeypatch.setattr(cavity, "_pack_cells", lambda *a: None)
+    calls = _count_lexorder(monkeypatch)
+    pos, ang, w = _cells_of(k)
+    out = _assert_matches_reference(BeamEnsemble(pos, ang, w), EDGE_TOL_P, EDGE_TOL_A)
+    assert len(out) == (pos.size if k == 1 else 24 + 25)
+    assert (len(calls) > 0) == (keys == "lexorder")
+    assert np.signbit(out.positions[out.angles > EDGE_TOL_A]).tolist() == [k == 1]
+    if k >= 3:
+        backwards = coalesce(BeamEnsemble(pos[::-1], ang[::-1], w[::-1]), EDGE_TOL_P, EDGE_TOL_A)
+        assert not _same_bits(backwards.positions, out.positions)
 
 
 def test_coalesce_merges_chain_past_a_full_tolerance():
@@ -489,19 +558,18 @@ def _record_passes(monkeypatch):
 
 
 def _weighted_means(pos, ang, w, order):
-    """The merged beam of all of ``order``, summed in that order."""
-    w = w[order]
-    wsum = np.add.reduceat(w, [0])
-    return [np.add.reduceat(w * x[order], [0]) / wsum for x in (pos, ang)] + [wsum]
+    """The merged beam of all of ``order``, summed in that order, as three
+    one-element arrays."""
+    return [np.array([v]) for v in _merged(pos, ang, w, order.tolist())]
 
 
 # Four beams in one cell of the shift-0.5 grid, in four distinct cells of the
 # shift-0 grid (units of EDGE_TOL_P and EDGE_TOL_A), with weights whose
 # weighted means round differently when summed in another order.
 ONE_HALF_CELL = (
-    np.array([0.824, 1.215, 0.83, 1.232]),
-    np.array([0.711, 0.927, 1.265, 1.218]),
-    np.array([0.06, 0.87, 0.86, 0.76]),
+    np.array([0.574, 1.41, 0.842, 1.394]),
+    np.array([0.596, 0.901, 1.096, 1.041]),
+    np.array([0.86, 0.86, 0.88, 0.48]),
 )
 
 
@@ -538,7 +606,7 @@ def test_merged_mean_across_a_cell_edge_fails_the_check(monkeypatch):
     two."""
     below = np.nextafter(1.0, 0.0)
     pos = np.array([below, below, below, 1.7]) * EDGE_TOL_P
-    w = np.array([0.2, 0.3, 0.4, 0.1])
+    w = np.array([0.2, 0.2, 0.3, 0.1])
     assert _weighted_means(pos, np.zeros(4), w, np.arange(3))[0][0] == EDGE_TOL_P
     log = _record_passes(monkeypatch)
     out = _assert_matches_reference(BeamEnsemble(pos, np.zeros(4), w), EDGE_TOL_P, EDGE_TOL_A)

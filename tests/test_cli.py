@@ -208,6 +208,44 @@ def test_simulate_refuses_non_finite_numbers_and_writes_nothing(path, tmp_path, 
     assert not out.exists()
 
 
+# Only the initial ensemble is checked in full; the ensembles a run builds
+# from it are checked for the paraxial window alone.  An overflowing
+# snapshot position (planar far mirror, a detector 1e308 m away, a beam
+# near the largest double) is refused by the rendering's moment series.
+OVERFLOW = ["cavity.mirror2_focal_m=planar", "cavity.detector_distance_m=1e308",
+            "cavity.coalesce_tol_position_m=1e300"]
+
+
+@pytest.mark.parametrize(
+    "initial, overrides, rc, message",
+    [
+        (([math.nan], [0.0], [1.0]), [], 2, "positions must be finite, got nan"),
+        (([0.0], [0.0], [math.inf]), [], 2, "weights must be finite and >= 0, got inf"),
+        (([1.79e308], [0.09], [1.0]), OVERFLOW, 3, "moment series"),
+        # the maps themselves overflow: 0 * inf gives NaN angles
+        (None, ["cavity.field_length_m=1e308", "cavity.gap_m=1e308"], 3, "angle nan"),
+    ],
+    ids=["nan-initial", "inf-initial", "snapshot-overflow", "map-overflow"],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_simulate_refuses_non_finite_beams_and_writes_nothing(
+    initial, overrides, rc, message, tmp_path, capsys, monkeypatch
+):
+    if initial is not None:
+        # built valid, then written, as a caller may
+        ens = cavity.BeamEnsemble([0.0], [0.0], [1.0])
+        ens.positions[:], ens.angles[:], ens.weights[:] = initial
+        monkeypatch.setattr(cli, "run", lambda config: cavity.run(config, initial=ens))
+    out = tmp_path / "out"
+    args = ["--preset", "confocal", "--override", "cavity.n_traversals=1"]
+    for setting in overrides:
+        args += ["--override", setting]
+    assert cli.main([*args, "--out", str(out), "simulate"]) == rc
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # keys of the detector lens and of the forward-only split: every field
 # passage splits and the detector sits behind an ideal relay
 RETIRED_CAVITY_KEYS = ["lens_focal_m=0.7", "lens_offset_m=0.5", "split_on_backward=true"]

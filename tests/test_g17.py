@@ -116,7 +116,7 @@ def test_the_golden_mass_scan_grid_falls_back_a_handful_of_times():
     exponents = np.linspace(math.log10(1e-9), math.log10(1e-4), 20000)
     masses = [math.pow(10.0, y) for y in exponents.tolist()]
     p = axion.MixingParameters(sc.axion.omega_ev, sc.axion.g_a_gev, sc.axion.b_mixing_t, 0.0)
-    phi, sup = np.array(axion.mass_scan(p, masses)).T
+    phi, sup = axion.mass_scan(p, masses)
     fallbacks = sum(int((~g17.decimal17(c)[0]).sum()) for c in (np.array(masses), phi, sup))
     assert fallbacks <= 4
 

@@ -6,10 +6,11 @@ with the ensemble it was taken from).  Everything else a traversal or the
 rendering allocates is transient.  The budget bounds the traced peak of a
 whole ``simulate`` call per snapshot beam, so a stage that copies arrays it
 does not return, or keeps them past their last reader, shows here.  Each
-stage allocating only what it returns brings the peak to about 55 B per
-snapshot beam on both cavities below, reached while the last traversal
-coalesces; copies and arrays held past their last reader had cost 68 B
-(confocal) and 71 B (bnl-quad).
+stage allocating only what it returns brings the peak to 50 B (confocal)
+and 52 B (bnl-quad) per snapshot beam below, reached while the last
+traversal coalesces; merging passes that gathered sorted copies of the
+beams had cost 54 B on bnl-quad, and copies and arrays held past their
+last reader 68 B (confocal) and 71 B (bnl-quad).
 """
 
 import tracemalloc
@@ -18,7 +19,7 @@ import pytest
 
 from axicav import cavity, cli
 
-BUDGET_BYTES_PER_SNAPSHOT_BEAM = 60
+BUDGET_BYTES_PER_SNAPSHOT_BEAM = 58
 
 
 @pytest.mark.parametrize("preset, n", [("confocal", 14), ("bnl-quad", 20)])
