@@ -27,8 +27,10 @@ peak of a whole `axicav simulate` is 48-52 B per snapshot beam (50 B on
 confocal n=14, 52 B on bnl-quad n=20), reached while the last traversal
 coalesces, with the snapshots, the next ensemble and the cell keys live.
 A run at the budget (confocal n=20: 2^20 final beams, 2^21 - 2 snapshot
-beams) holds 48 MiB of snapshots and peaks at 96 MiB under tracemalloc and
-127 MiB resident (Linux x86-64, numpy 2.4.6).
+beams) holds 48 MiB of snapshots and peaks at 96 MiB under tracemalloc.
+Through `axicav.cli.main`, which keeps freed arrays in glibc's heap, it
+peaks at about 134 MiB resident on its first op and stays there on later
+ops in the same process (Linux x86-64, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -81,6 +83,12 @@ class CavityConfig:
 
     def __post_init__(self):
         check_fields(self, ConfigError)
+        # each is finite, but the spacing the transfer maps hold may not be
+        if not math.isfinite(self.field_length_m + 2 * self.gap_m):
+            raise ConfigError(
+                "field_length_m + 2 * gap_m (the mirror spacing) must be finite, "
+                f"got {self.field_length_m!r} + 2 * {self.gap_m!r}"
+            )
         if self.extraction_mirror not in (MIRROR_1, MIRROR_2):
             raise ConfigError(f"extraction_mirror must be {MIRROR_1!r} or {MIRROR_2!r}")
 
