@@ -24,7 +24,11 @@ other verb pays only for numpy and its own arithmetic.
 On its first call in a process, `main` fixes glibc's mmap and trim
 thresholds (see `_keep_freed_heap`), so the arrays one op frees stay in
 the heap for the next instead of going back to the kernel and being
-faulted in again, page by page.
+faulted in again, page by page.  It also builds the argument parser then,
+not at import, and every later call reuses it: building the whole tree
+costs about 1 ms, and its garbage set off most of the collector's passes
+in an analysis op.  Each call still parses into a fresh namespace, so no
+flag or override of one call reaches the next.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +56,7 @@ M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
 MMAP_THRESHOLD_BYTES = 32 * 2**20
 TRIM_THRESHOLD_BYTES = 128 * 2**20
-_heap_kept = False
+_parser = None  # built by the first `main` call in the process
 
 
 def _f(value: float) -> str:
@@ -288,14 +293,13 @@ def cmd_mass_scan(args) -> int:
         # the C library's pow, one mass at a time: numpy's power gives other
         # last bits on other SIMD kernels
         exponents = np.linspace(math.log10(args.m_min), math.log10(args.m_max), args.steps)
-        masses = [math.pow(10.0, y) for y in exponents.tolist()]
+        masses = np.fromiter(map(math.pow, repeat(10.0), memoryview(exponents)), float, args.steps)
     else:
-        masses = np.linspace(args.m_min, args.m_max, args.steps).tolist()
+        masses = np.linspace(args.m_min, args.m_max, args.steps)
     p = axion.MixingParameters(sc.axion.omega_ev, sc.axion.g_a_gev, sc.axion.b_mixing_t, 0.0)
     phi, sup = axion.mass_scan(p, masses)
     # Computed before anything is written, so a refused run leaves no file.
     half = axion.max_measurable_mass(p, 0.5) if args.out_file else None
-    masses = np.array(masses)
     text = _csv("m_a_ev,phi_rad,suppression", [masses, phi, sup])
     _write_or_print(text, args.out_file)
     if half is not None:
@@ -420,7 +424,7 @@ _COMMANDS = {
 
 
 def _keep_freed_heap() -> None:
-    """Once per process, fix glibc's mmap and trim thresholds.
+    """Fix glibc's mmap and trim thresholds (`main` calls it once per process).
 
     By default glibc serves a block of 128 KiB or more with mmap and gives
     the heap top back to the kernel once 128 KiB of it is free; each freed
@@ -434,10 +438,6 @@ def _keep_freed_heap() -> None:
     run at `MAX_BEAMS` (100.7 MB).  Nothing happens where the C library has
     no `mallopt`.
     """
-    global _heap_kept
-    if _heap_kept:
-        return
-    _heap_kept = True
     import ctypes
 
     try:
@@ -454,9 +454,11 @@ def _keep_freed_heap() -> None:
 
 
 def main(argv=None) -> int:
-    _keep_freed_heap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _keep_freed_heap()
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     if args.command == "presets" and args.action == "show" and not args.name:
         print("presets show needs a preset name", file=sys.stderr)
         return 2

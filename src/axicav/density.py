@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,15 +104,27 @@ def deficit(x, alpha_m: NonNegative, epsilon_m: NonNegative, profile: GaussianPr
     -(|x| - alpha)^2/w^2 so that no factor overflows far from the axis.
     Past |x| = alpha + 40 w both Gaussians are below the smallest double,
     so D is +0 there; |x| is capped at that point, which keeps the squares
-    finite for any x.
+    finite for any x.  A waist for which r w^2 underflows a double, or a split
+    so wide for its waist that alpha^2/w^2 overflows one, is refused.
 
     Each point takes exp, expm1, log1p and sinh from the C library, one
     value at a time: numpy's give other last bits on other SIMD kernels."""
     r, amplitude = math.sqrt(2.0) * profile.waist_m, profile.amplitude
     w2 = r * (r + epsilon_m)
+    if not r * w2 >= sys.float_info.min:
+        raise ValueError(f"waist_m is too small: r w^2 underflows, got {profile.waist_m!r}")
     log_peak = -math.log1p(epsilon_m / r)  # ln(r^2/w^2)
     cap = alpha_m + 40.0 * math.sqrt(w2)
-    spread, slope, offset = epsilon_m / (r * w2), alpha_m / w2, alpha_m**2 / w2
+    try:
+        offset = alpha_m**2 / w2
+    except OverflowError:  # alpha^2
+        offset = math.inf
+    if offset == math.inf:  # then slope = alpha/w^2 is finite too
+        raise ValueError(
+            f"alpha_m is too large for waist_m: alpha^2/w^2 overflows a double, "
+            f"got {alpha_m!r} and {profile.waist_m!r}"
+        )
+    spread, slope = epsilon_m / (r * w2), alpha_m / w2
     exp, expm1, log1p, sinh, ln2 = math.exp, math.expm1, math.log1p, math.sinh, math.log(2.0)
 
     def at(x):

@@ -153,14 +153,25 @@ def compare_growth(
     as n), the reset rule by its rms (growing as sqrt(n)); the conserving
     ensemble's own rms is carried as a diagnostic column.  Slopes are
     fitted over checkpoints with n >= slope_min_n when enough of the range
-    lies there, else over all checkpoints.
+    lies there, else over all checkpoints.  A pass length whose square
+    overflows a double is refused, and so is a pass count for which the
+    table's largest value, the last rms squared, would.
     """
-    marks = np.unique(
-        np.round(np.logspace(0.0, math.log10(n_passes), n_points)).astype(int)
-    )
-    marks = marks[(marks >= 1) & (marks <= n_passes)]
-    wanted = set(int(v) for v in marks) | {1, n_passes}
     L = pass_length_m
+    if not L * L < math.inf:
+        raise ValueError(f"pass_length_m must square to a finite double, got {L!r}")
+    try:
+        top = n_passes * (n_passes + 1) * (2 * n_passes + 1) // 6 * (L * L)
+    except OverflowError:  # the int is past the largest double
+        top = math.inf
+    if not top < math.inf:
+        raise ValueError(
+            f"n_passes is too large for pass_length_m: the last rms squared overflows "
+            f"a double, got {n_passes!r} and {L!r}"
+        )
+    # Python ints, not int64: a pass count may lie past 2**63
+    marks = {round(v) for v in np.logspace(0.0, math.log10(n_passes), n_points).tolist()}
+    wanted = {k for k in marks if 1 <= k <= n_passes} | {1, n_passes}
     # k(k+1)(2k+1)/6 is exact in Python ints and rounds once against L^2
     samples = [
         SpreadSample(k, k * L, k * L, math.sqrt(k * (L * L)),
@@ -171,7 +182,7 @@ def compare_growth(
     if len(fit_pts) < 3:
         fit_pts = samples
     if len(fit_pts) >= 3:
-        ln = np.log([s.n_pass for s in fit_pts])
+        ln = np.log([float(s.n_pass) for s in fit_pts])
         slope_b = float(np.polyfit(ln, np.log([s.spread_bifurcation_m for s in fit_pts]), 1)[0])
         slope_p = float(np.polyfit(ln, np.log([s.spread_pascal_m for s in fit_pts]), 1)[0])
     else:

@@ -115,6 +115,9 @@ def _scan_cases():
         yield p, masses
     # no coupling: phi = 0 for every mass, as long as the field is on
     yield MixingParameters(1.0, 0.0, 1.0), [0.0, 1e-9, 1e-3]
+    # the log grid of the benchmark's reach-analysis op, built as mass-scan --log builds it
+    exponents = np.linspace(math.log10(1e-9), math.log10(1e-4), 20000)
+    yield POINT, [math.pow(10.0, y) for y in exponents.tolist()]
 
 
 @pytest.mark.parametrize("p, masses", list(_scan_cases()))
@@ -146,6 +149,44 @@ def test_mass_scan_refuses_what_the_per_point_functions_refuse():
     assert [a.tolist() for a in mass_scan(off, [1e-9])] == [[0.0], [0.0]]
     with pytest.raises(ValueError, match="mass must be >= 0"):
         mass_scan(POINT, [1e-9, -1e-9])
+
+
+OFF = MixingParameters(1.0, 0.0, 0.0)  # degenerate at zero mass
+
+
+@pytest.mark.parametrize(
+    "masses, error, match",
+    [
+        ([1e-9, 0.0, -1e-9], DegenerateMixingError, "all Q entries equal"),
+        ([1e-9, -1e-9, 0.0], ValueError, "^mass must be >= 0"),
+        ([math.nan, 0.0], ValueError, "^mass must be >= 0"),
+        ([0.0, 1e200], DegenerateMixingError, "all Q entries equal"),
+        ([1e200, 0.0], ValueError, "^mass must square to a finite double, got 1e\\+200 eV"),
+        ([-1e-9, 1e200], ValueError, "^mass must be >= 0"),
+        ([1e200, -1e-9], ValueError, "^mass must square"),
+    ],
+)
+def test_the_first_mass_refused_decides_the_error(masses, error, match):
+    """The scan validates whole arrays, yet raises what the per-point
+    functions raise at the first mass they refuse."""
+    with pytest.raises(error, match=match):
+        mass_scan(OFF, masses)
+    with pytest.raises(error, match=match):
+        for m in masses:
+            mixing_angle_from_q(q_m(OFF), q_gamma(OFF), q_a(m))
+
+
+def test_squares_past_a_double_are_refused_by_name():
+    with pytest.raises(ValueError, match="^mass must square to a finite double"):
+        q_a(1e155)
+    assert q_a(1e154) == -(1e154**2)
+    with pytest.raises(ValueError, match=r"finite Qgamma, got 1.0 eV and 1e\+300 T"):
+        q_gamma(MixingParameters(1.0, 1e-12, 1e300))
+    # no square overflows, but their product does
+    with pytest.raises(ValueError, match="finite Qgamma"):
+        q_gamma(MixingParameters(1e154, 1e-12, 1e20))
+    with pytest.raises(ValueError, match="finite Qgamma"):
+        mass_scan(MixingParameters(1.0, 1e-12, 1e300), [0.0])
 
 
 def test_suppression_decreases_monotonically_with_mass():

@@ -491,6 +491,22 @@ def test_profile_refuses_steps_below_one_naming_the_flag(steps, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--alpha", "1e200"], "alpha_m is too large for waist_m"),
+        (["--alpha", "1e-4", "--waist", "1e-300"], "waist_m is too small"),
+    ],
+    ids=["alpha-squared-overflows", "waist-underflows"],
+)
+def test_profile_refuses_a_split_past_a_double_naming_the_flag(flags, named, tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    assert cli.main(["profile", *flags, "--out-file", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and named in err
+    assert not out.exists()
+
+
 def test_profile_writes_file(tmp_path, capsys):
     out = tmp_path / "curve.csv"
     rc = cli.main(["profile", "--alpha", "5.6e-9", "--out-file", str(out)])
@@ -568,6 +584,24 @@ def test_mass_scan_refuses_arguments_naming_the_flag(flags, named, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["mass-scan", "--m-max", "1e200"], "mass must square to a finite double"),
+        (["mass-scan", "--log", "--m-min", "1e-9", "--m-max", "1e200"], "mass must square"),
+        (["--override", "axion.b_mixing_t=1e300", "mass-scan"], "and 1e+300 T"),
+        (["--override", "axion.omega_ev=1e200", "mass-scan"], "got 1e+200 eV"),
+    ],
+    ids=["mass", "log-mass", "field", "photon-energy"],
+)
+def test_mass_scan_refuses_a_square_past_a_double_naming_the_input(args, named, tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    assert cli.main(["--preset", "confocal", *args, "--out-file", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and named in err
+    assert not out.exists()
+
+
 # --- pascal verb --------------------------------------------------------------
 
 
@@ -610,6 +644,32 @@ def test_pascal_refuses_points_below_one_naming_the_setting(points, tmp_path, ca
     assert "n_points must be an int >= 1" in err
     assert "Number of samples" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--n-passes", "1000", "--pass-length", "1e160"], "pass_length_m must square"),
+        (["--n-passes", str(10**107)], "n_passes is too large"),
+        (["--n-passes", str(10**60), "--pass-length", "1e100"], "n_passes is too large"),
+    ],
+    ids=["pass-length", "passes", "passes-for-the-length"],
+)
+def test_pascal_refuses_a_table_past_a_double_naming_the_flag(flags, named, tmp_path, capsys):
+    out = tmp_path / "spread.csv"
+    assert cli.main(["pascal", *flags, "--out-file", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and named in err
+    assert not out.exists()
+
+
+def test_pascal_takes_pass_counts_past_int64(capsys):
+    """Checkpoints are Python ints, so counts past 2**63 still give a table."""
+    n = 10**102
+    assert cli.main(["pascal", "--n-passes", str(n), "--points", "4"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [int(r[0]) for r in rows][-1] == n
+    assert all(math.isfinite(float(v)) for r in rows for v in r[1:])
 
 
 # --- float flags ---------------------------------------------------------------
@@ -772,7 +832,7 @@ class _FakeMallopt:
 def test_main_fixes_the_heap_thresholds_once_per_process(monkeypatch, tmp_path, capsys):
     mallopt = _FakeMallopt()
     monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
-    monkeypatch.setattr(cli, "_heap_kept", False)
+    monkeypatch.setattr(cli, "_parser", None)
     assert cli.main(["presets", "list"]) == 0
     assert cli.main(["presets", "show"]) == 2
     args = ["--preset", "confocal", "--override", "cavity.n_traversals=2", "--out", str(tmp_path)]
@@ -780,6 +840,37 @@ def test_main_fixes_the_heap_thresholds_once_per_process(monkeypatch, tmp_path, 
     # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD
     assert mallopt.calls == [(-3, 32 * 2**20), (-1, 128 * 2**20)]
     assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build()
+
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_parser", None)
+    assert cli.main(["presets", "list"]) == 0
+    assert cli.main(["pascal", "--n-passes", "10"]) == 0
+    assert cli.main(["--preset", "confocal", "mass-scan", "--steps", "3"]) == 0
+    assert len(built) == 1
+
+
+def test_flags_of_one_call_do_not_reach_the_next(monkeypatch, capsys):
+    """The parser is shared; its namespaces are not."""
+    plain = ["--preset", "confocal", "mass-scan", "--steps", "3"]
+    monkeypatch.setattr(cli, "_parser", None)
+    assert cli.main(plain) == 0
+    expect = capsys.readouterr().out
+    patched = ["--preset", "confocal", "--override", "axion.g_a_gev=1e-10",
+               "--override", "axion.b_mixing_t=3", "mass-scan", "--log", "--m-min", "1e-9",
+               "--steps", "3"]
+    assert cli.main(patched) == 0
+    assert capsys.readouterr().out != expect
+    assert cli.main(plain) == 0
+    assert capsys.readouterr().out == expect
 
 
 def _no_libc(name):
@@ -791,12 +882,12 @@ def _no_libc(name):
                          ids=["no-mallopt", "no-libc"])
 def test_every_verb_runs_without_mallopt(verb, libc, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(ctypes, "CDLL", libc)
-    monkeypatch.setattr(cli, "_heap_kept", False)
+    monkeypatch.setattr(cli, "_parser", None)
     # the argument lists that fail on an unwritable path succeed on a fresh one
     args = ["presets", "list"] if verb == "presets" else UNWRITABLE_OUTPUT[verb](
         str(tmp_path / "out"), tmp_path)
     assert cli.main(args) == 0
-    assert cli._heap_kept
+    assert cli._parser is not None
 
 
 FAULT_PROBE = """
