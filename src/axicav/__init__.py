@@ -37,18 +37,12 @@ from .density import (
     GuardError,
     bin_ensemble,
     deficit,
-    gaussian_density,
     histogram_edges,
     integrate_window,
     profile_difference,
     single_pass_estimate,
 )
-from .lattice import (
-    compare_growth,
-    initial_ensemble,
-    step_bifurcation,
-    step_pascal,
-)
+from .lattice import compare_growth
 from .rays import (
     ParaxialError,
     RayState,

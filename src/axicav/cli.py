@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import axion, density, g17, lattice, scenario, sensitivity
-from .cavity import BeamBudgetError, axial_beam, run
+from .cavity import BeamBudgetError, run
 from .density import GuardError
 from .rays import ParaxialError
 
@@ -162,18 +162,17 @@ def cmd_simulate(args) -> int:
         sc.laser.amplitude_photons_per_s, sc.laser.waist_m
     )
     edges = density.histogram_edges(sc.analysis.bin_width_m, sc.analysis.histogram_max_m)
-    # A field-off run never leaves the axis, so the axial beam's histogram
-    # is the reference for every snapshot.
-    ref_hist = density.bin_ensemble(axial_beam(), profile, edges)
 
     signal_run = run(sc.cavity)
     # only the final ensemble's size is reported: do not hold it while rendering
     final_beams = len(signal_run.final)
     signal_run.final = None
+    # The reference, a field-off run, is the axial beam: its axial part is
+    # each snapshot's own and its deviation +0, so a difference is minus the
+    # snapshot's deviation (0.0 - x: a bin that never changed reads +0).
     diffs = {
-        f"profile_difference_t{snap.traversal:03d}.csv": density.profile_difference(
-            ref_hist, density.bin_ensemble(snap.ensemble, profile, edges)
-        )
+        f"profile_difference_t{snap.traversal:03d}.csv":
+            0.0 - density.bin_ensemble(snap.ensemble, profile, edges).deviation
         for snap in signal_run.snapshots
     }
     central = sensitivity.central_loss_series(
@@ -195,7 +194,7 @@ def cmd_simulate(args) -> int:
         if stale.name not in diffs:
             stale.unlink()
     for name, diff in diffs.items():
-        columns = [diff.edges_m[:-1], diff.edges_m[1:], diff.counts]
+        columns = [edges[:-1], edges[1:], diff]
         (out_dir / name).write_text("".join(_csv("bin_lo_m,bin_hi_m,photons_per_s", columns)))
     series_path = out_dir / "growth_series.csv"
     series = _csv(
@@ -297,6 +296,13 @@ def cmd_mass_scan(args) -> int:
     else:
         masses = np.linspace(args.m_min, args.m_max, args.steps)
     p = axion.MixingParameters(sc.axion.omega_ev, sc.axion.g_a_gev, sc.axion.b_mixing_t, 0.0)
+    try:
+        axion.q_gamma(p)
+    except ValueError:  # named by the scenario's keys, not the fields of p
+        raise scenario.ScenarioError(
+            f"axion.omega_ev and axion.b_mixing_t must give a finite Qgamma, "
+            f"got {p.omega_ev!r} eV and {p.b_field_t!r} T"
+        ) from None
     phi, sup = axion.mass_scan(p, masses)
     # Computed before anything is written, so a refused run leaves no file.
     half = axion.max_measurable_mass(p, 0.5) if args.out_file else None

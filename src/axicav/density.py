@@ -71,12 +71,6 @@ class GaussianProfile:
         check_fields(self, ValueError)
 
 
-def gaussian_density(x, profile: GaussianProfile):
-    """Reference density A*exp(-x^2 / 2 r^2) (rms-width convention)."""
-    u = np.asarray(x, dtype=float) / profile.waist_m
-    return profile.amplitude * np.exp(-0.5 * u * u)
-
-
 @check_args
 def deficit(x, alpha_m: NonNegative, epsilon_m: NonNegative, profile: GaussianProfile):
     """Density change, reference minus split pair, of a beam split into two
@@ -104,8 +98,9 @@ def deficit(x, alpha_m: NonNegative, epsilon_m: NonNegative, profile: GaussianPr
     -(|x| - alpha)^2/w^2 so that no factor overflows far from the axis.
     Past |x| = alpha + 40 w both Gaussians are below the smallest double,
     so D is +0 there; |x| is capped at that point, which keeps the squares
-    finite for any x.  A waist for which r w^2 underflows a double, or a split
-    so wide for its waist that alpha^2/w^2 overflows one, is refused.
+    finite for any x.  A waist for which r w^2 underflows a double is refused,
+    and so is a split so wide for its waist that alpha^2/w^2 overflows one,
+    or a broadening for which eps/(r w^2) does.
 
     Each point takes exp, expm1, log1p and sinh from the C library, one
     value at a time: numpy's give other last bits on other SIMD kernels."""
@@ -125,6 +120,11 @@ def deficit(x, alpha_m: NonNegative, epsilon_m: NonNegative, profile: GaussianPr
             f"got {alpha_m!r} and {profile.waist_m!r}"
         )
     spread, slope = epsilon_m / (r * w2), alpha_m / w2
+    if spread == math.inf:  # x^2 eps/(r w^2) would be inf * 0 = nan on the axis
+        raise ValueError(
+            f"epsilon_m is too large for waist_m: eps/(r w^2) overflows a double, "
+            f"got {epsilon_m!r} and {profile.waist_m!r}"
+        )
     exp, expm1, log1p, sinh, ln2 = math.exp, math.expm1, math.log1p, math.sinh, math.log(2.0)
 
     def at(x):
@@ -150,19 +150,16 @@ def deficit(x, alpha_m: NonNegative, epsilon_m: NonNegative, profile: GaussianPr
 
 @check_args
 def single_pass_estimate(
-    theta_split_rad: NonNegative,
-    cavity_length_m: Positive,
-    waist_m: Positive,
-    amplitude_scale: float = TRIANGLE_SCALE_PHOTONS_PER_S,
+    theta_split_rad: NonNegative, cavity_length_m: Positive, waist_m: Positive
 ) -> float:
     """Triangle-area estimate of the photon rate moved out of the beam core
-    by a single cavity pass: amplitude_scale * (theta_split * d / r)^2.
+    by a single cavity pass: TRIANGLE_SCALE_PHOTONS_PER_S * (theta_split * d / r)^2.
 
     The displacement after one pass is alpha = theta_split * d, the relative
     center deficit is (alpha/r)^2, and the affected region is modeled as a
     triangle of that fractional height against an effective peak rate.
     """
-    return amplitude_scale * (theta_split_rad * cavity_length_m / waist_m) ** 2
+    return TRIANGLE_SCALE_PHOTONS_PER_S * (theta_split_rad * cavity_length_m / waist_m) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -43,16 +43,6 @@ class TransferMatrix:
     c: float
     d: float
 
-    @property
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
-    def apply(self, ray: RayState) -> RayState:
-        return RayState(
-            position=self.a * ray.position + self.b * ray.angle,
-            angle=self.c * ray.position + self.d * ray.angle,
-        )
-
     def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
         return TransferMatrix(
             a=self.a * other.a + self.b * other.c,

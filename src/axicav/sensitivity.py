@@ -166,16 +166,14 @@ def scenario_report(
     g_ref: Positive,
     integration_time_s: Positive,
     total_rate: Positive = DEFAULT_BEAM_RATE,
-    noise_fraction_1s: Positive | None = None,
 ) -> dict:
     """Bundle the full extrapolation chain into a JSON-ready report.
 
-    noise_fraction_1s defaults to the 1-second shot noise of the full beam,
+    The noise floor is the 1-second shot noise of the full beam,
     1/sqrt(total_rate); integrating longer scales the reach by t^(-1/4)
     (noise drops as sqrt(t), coupling as the fourth root).
     """
-    if noise_fraction_1s is None:
-        noise_fraction_1s = shot_noise_fraction(NoiseBudget(total_rate, 1.0))
+    noise_fraction_1s = shot_noise_fraction(NoiseBudget(total_rate, 1.0))
     extrapolated = extrapolate(fit, n_target)
     fraction = extrapolated / total_rate
     g1 = min_coupling(g_ref, fraction, noise_fraction_1s)

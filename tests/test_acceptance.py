@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import initial_ensemble, momentum_spectrum, step_bifurcation, step_pascal
 
 from axicav.axion import (
     MixingParameters,
@@ -30,7 +31,7 @@ from axicav.density import (
     profile_difference,
     single_pass_estimate,
 )
-from axicav.lattice import compare_growth, initial_ensemble, momentum_spectrum, step_bifurcation, step_pascal
+from axicav.lattice import compare_growth
 from axicav.sensitivity import (
     GrowthFit,
     GrowthSeries,

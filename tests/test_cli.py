@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import axicav
-from axicav import cavity, cli
+from axicav import cavity, cli, density
 
 SERIES = "n,signal\n1,64124793\n2,128224793\n3,192324793\n4,256424793\n5,320524793\n"
 
@@ -117,6 +117,29 @@ def test_simulate_null_field_writes_exact_zeros(tmp_path, capsys):
         assert all(line.endswith(",0") for line in lines[1:])
     series = (tmp_path / "growth_series.csv").read_text().splitlines()
     assert [line.split(",")[1] for line in series[1:]] == ["0", "0"]
+
+
+def test_simulate_renders_each_snapshot_once_and_no_reference_beam(tmp_path, capsys, monkeypatch):
+    """The reference is the axial beam, whose deviation is +0, so a
+    difference histogram needs only the snapshot's own render."""
+    rendered, runs = [], []
+    bin_ensemble, run = density.bin_ensemble, cli.run
+
+    def spy_bin_ensemble(ensemble, *args):
+        rendered.append(ensemble)
+        return bin_ensemble(ensemble, *args)
+
+    def spy_run(*args):
+        runs.append(run(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(density, "bin_ensemble", spy_bin_ensemble)
+    monkeypatch.setattr(cli, "run", spy_run)
+    args = ["--preset", "confocal", "--override", "cavity.n_traversals=3"]
+    assert cli.main([*args, "--out", str(tmp_path), "simulate"]) == 0
+    snapshots = [snap.ensemble for snap in runs[0].snapshots]
+    assert len(rendered) == len(snapshots) == 3
+    assert all(got is snap for got, snap in zip(rendered, snapshots))
 
 
 def test_simulate_is_deterministic(tmp_path, capsys):
@@ -496,8 +519,10 @@ def test_profile_refuses_steps_below_one_naming_the_flag(steps, tmp_path, capsys
     [
         (["--alpha", "1e200"], "alpha_m is too large for waist_m"),
         (["--alpha", "1e-4", "--waist", "1e-300"], "waist_m is too small"),
+        (["--alpha", "0", "--epsilon", "100", "--waist", "3.5e-155", "--steps", "3"],
+         "epsilon_m is too large for waist_m"),
     ],
-    ids=["alpha-squared-overflows", "waist-underflows"],
+    ids=["alpha-squared-overflows", "waist-underflows", "broadening-overflows"],
 )
 def test_profile_refuses_a_split_past_a_double_naming_the_flag(flags, named, tmp_path, capsys):
     out = tmp_path / "curve.csv"
@@ -602,6 +627,16 @@ def test_mass_scan_refuses_a_square_past_a_double_naming_the_input(args, named, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["axion.b_mixing_t", "axion.omega_ev"])
+def test_mass_scan_names_the_scenario_key_of_an_overflowing_qgamma(key, tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    args = ["--preset", "confocal", "--override", f"{key}=1e300", "mass-scan", "--out-file", str(out)]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err and "b_field_t" not in err
+    assert not out.exists()
+
+
 # --- pascal verb --------------------------------------------------------------
 
 
@@ -650,10 +685,11 @@ def test_pascal_refuses_points_below_one_naming_the_setting(points, tmp_path, ca
     "flags, named",
     [
         (["--n-passes", "1000", "--pass-length", "1e160"], "pass_length_m must square"),
-        (["--n-passes", str(10**107)], "n_passes is too large"),
-        (["--n-passes", str(10**60), "--pass-length", "1e100"], "n_passes is too large"),
+        (["--n-passes", "100", "--pass-length", "1e-170"], "pass_length_m must square"),
+        (["--n-passes", str(10**309)], "n_passes is too large"),
+        (["--n-passes", str(10**120), "--pass-length", "1e100"], "n_passes is too large"),
     ],
-    ids=["pass-length", "passes", "passes-for-the-length"],
+    ids=["pass-length", "pass-length-underflows", "passes", "passes-for-the-length"],
 )
 def test_pascal_refuses_a_table_past_a_double_naming_the_flag(flags, named, tmp_path, capsys):
     out = tmp_path / "spread.csv"
@@ -663,9 +699,9 @@ def test_pascal_refuses_a_table_past_a_double_naming_the_flag(flags, named, tmp_
     assert not out.exists()
 
 
-def test_pascal_takes_pass_counts_past_int64(capsys):
+@pytest.mark.parametrize("n", [10**102, 10**300], ids=["1e102", "1e300"])
+def test_pascal_takes_pass_counts_past_int64(n, capsys):
     """Checkpoints are Python ints, so counts past 2**63 still give a table."""
-    n = 10**102
     assert cli.main(["pascal", "--n-passes", str(n), "--points", "4"]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
     assert [int(r[0]) for r in rows][-1] == n

@@ -5,6 +5,7 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
+from oracles import gaussian_density
 
 from axicav import cli, density
 from axicav.cavity import BeamEnsemble, CavityConfig, axial_beam, run
@@ -17,7 +18,6 @@ from axicav.density import (
     GuardError,
     bin_ensemble,
     deficit,
-    gaussian_density,
     histogram_edges,
     integrate_window,
     profile_difference,
@@ -591,9 +591,9 @@ def test_asymmetric_ensembles_take_the_exact_sums(monkeypatch):
 
 
 def test_confocal_simulate_sums_only_the_weights_exactly(tmp_path, monkeypatch):
-    """A confocal `simulate` reads each ensemble's moments once (the axial
-    reference and every snapshot), and each of them is mirrored, so
-    `_exact_sum` runs once per ensemble, on its weights."""
+    """A confocal `simulate` reads each snapshot's moments once, and each
+    snapshot is mirrored, so `_exact_sum` runs once per snapshot, on its
+    weights."""
     sizes, checked = [], []
     exact_sum, is_mirrored = density._exact_sum, density._is_mirrored
     monkeypatch.setattr(density, "_exact_sum", lambda p: sizes.append(p.size) or exact_sum(p))
@@ -601,7 +601,7 @@ def test_confocal_simulate_sums_only_the_weights_exactly(tmp_path, monkeypatch):
                         lambda x, w: checked.append(x.size) or is_mirrored(x, w))
     assert cli.main(["--preset", "confocal", "--override", "cavity.n_traversals=8",
                      "--out", str(tmp_path), "simulate"]) == 0
-    assert checked == [1] + [2**n for n in range(1, 9)]
+    assert checked == [2**n for n in range(1, 9)]
     assert sizes == [n + 1 for n in checked]
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import apply, det
 
 from axicav.rays import (
     IDENTITY,
@@ -41,7 +42,7 @@ def test_ray_state_rejects_nonfinite():
 
 def test_propagation_moves_position_not_angle():
     ray = RayState(0.0, 1e-3)
-    out = propagation_matrix(2.0).apply(ray)
+    out = apply(propagation_matrix(2.0), ray)
     assert out.position == pytest.approx(2e-3, rel=1e-15)
     assert out.angle == 1e-3
 
@@ -57,13 +58,13 @@ def test_propagation_rejects_negative_distance():
 
 
 def test_focusing_kicks_angle_by_position_over_f():
-    out = focusing_matrix(12.5).apply(RayState(1e-3, 0.0))
+    out = apply(focusing_matrix(12.5), RayState(1e-3, 0.0))
     assert out.position == 1e-3
     assert out.angle == pytest.approx(-8e-5, rel=1e-15)
 
 
 def test_defocusing_mirror_pushes_outward():
-    out = focusing_matrix(-5.5).apply(RayState(1e-3, 0.0))
+    out = apply(focusing_matrix(-5.5), RayState(1e-3, 0.0))
     assert out.angle == pytest.approx(1e-3 / 5.5, rel=1e-15)
     assert out.angle > 0
 
@@ -74,7 +75,7 @@ def test_focusing_rejects_zero_focal_length():
 
 
 def test_axial_ray_ignores_focusing():
-    out = focusing_matrix(12.5).apply(RayState(0.0, 4e-10))
+    out = apply(focusing_matrix(12.5), RayState(0.0, 4e-10))
     assert out.position == 0.0
     assert out.angle == 4e-10
 
@@ -90,15 +91,15 @@ def test_axial_ray_ignores_focusing():
     ],
 )
 def test_determinant_is_unity(matrix):
-    assert matrix.det == pytest.approx(1.0, abs=1e-12)
+    assert det(matrix) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_compose_applies_rightmost_first():
     prop = propagation_matrix(3.0)
     focus = focusing_matrix(2.0)
     ray = RayState(1e-3, 1e-4)
-    chained = compose([focus, prop]).apply(ray)
-    stepwise = focus.apply(prop.apply(ray))
+    chained = apply(compose([focus, prop]), ray)
+    stepwise = apply(focus, apply(prop, ray))
     assert chained.position == pytest.approx(stepwise.position, rel=1e-15)
     assert chained.angle == pytest.approx(stepwise.angle, rel=1e-15)
 
@@ -121,8 +122,8 @@ def test_matrix_apply_is_linear():
     m = propagation_matrix(5.0) @ focusing_matrix(-3.0)
     r1 = RayState(1e-4, 2e-5)
     r2 = RayState(-3e-4, 1e-5)
-    both = m.apply(RayState(r1.position + r2.position, r1.angle + r2.angle))
-    o1, o2 = m.apply(r1), m.apply(r2)
+    both = apply(m, RayState(r1.position + r2.position, r1.angle + r2.angle))
+    o1, o2 = apply(m, r1), apply(m, r2)
     assert both.position == pytest.approx(o1.position + o2.position, rel=1e-12)
     assert both.angle == pytest.approx(o1.angle + o2.angle, rel=1e-12)
 
@@ -176,7 +177,7 @@ def test_field_passage_ends_at_twice_split_angle():
     length = 10.0
     for sign in (+1, -1):
         branch = split(RayState(0.0, 0.0), theta)[0 if sign > 0 else 1]
-        drifted = propagation_matrix(length).apply(branch)
+        drifted = apply(propagation_matrix(length), branch)
         out = angular_enhance(drifted, theta, sign)
         assert out.angle == pytest.approx(sign * 2 * theta, rel=1e-15)
         assert out.position == pytest.approx(sign * theta * length, rel=1e-15)
@@ -197,5 +198,5 @@ def test_matmul_matches_compose():
 
 def test_identity_apply_returns_equal_ray():
     ray = RayState(2e-4, -5e-6)
-    out = IDENTITY.apply(ray)
+    out = apply(IDENTITY, ray)
     assert out == ray

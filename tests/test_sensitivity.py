@@ -239,12 +239,6 @@ def test_report_zero_signal_notes_blindness():
     assert "note" in rep
 
 
-def test_report_accepts_explicit_noise_fraction():
-    fit = GrowthFit(kind="linear", slope=6.41e7, intercept=24793.0)
-    rep = scenario_report("custom", fit, 12000, 1e-6, 1.0, noise_fraction_1s=1e-9)
-    assert rep["noise_fraction"] == 1e-9
-
-
 @pytest.mark.parametrize("time_s", [-1.0, 0.0])
 def test_report_refuses_a_non_positive_integration_time(time_s):
     fit = GrowthFit(kind="linear", slope=6.41e7, intercept=24793.0)
