@@ -11,9 +11,11 @@ through two affine maps composed once per run from `rays` transfer matrices
 (`_legs`), then merges them on a grid.  The merge sorts the beams, so for N
 beams a traversal costs O(N log N), not O(N).  Each grid pass sorts one
 int64 cell key per beam, and that one sort tells which beams share a cell,
-groups them and orders them.  An ensemble in which no two beams share a
-grid cell costs two such sorts, one per grid, and comes back as it went
-in; a bnl-quad traversal, which merges, costs three.
+groups them and orders them.  A bnl-quad traversal, which merges, costs
+three such sorts.  An ensemble in which no two beams share a grid cell
+comes back as it went in, after two such sorts, one per grid, or, where
+its angles are sparse in cells (the confocal one), after one sort of its
+angle cells (`_apart`).
 How long a run can be is set by how many beams survive coalescing.
 Cavities whose branches reconverge (bnl-quad) stay at thousands of beams;
 the confocal cavity never merges a branch, so its ensemble doubles on every
@@ -23,14 +25,14 @@ the ensemble past MAX_BEAMS, rather than left to run out of memory.
 Memory: a run keeps every detector snapshot until it is rendered, 24 B per
 snapshot beam (a snapshot shares its weights array with the ensemble it was
 taken from).  Each stage allocates only the arrays it returns, so the traced
-peak of a whole `axicav simulate` is 48-52 B per snapshot beam (50 B on
-confocal n=14, 52 B on bnl-quad n=20), reached while the last traversal
+peak of a whole `axicav simulate` is 44-50 B per snapshot beam (45 B on
+confocal n=14, 50 B on bnl-quad n=20), reached while the last traversal
 coalesces, with the snapshots, the next ensemble and the cell keys live.
 A run at the budget (confocal n=20: 2^20 final beams, 2^21 - 2 snapshot
-beams) holds 48 MiB of snapshots and peaks at 96 MiB under tracemalloc.
+beams) holds 48 MiB of snapshots and peaks at 89 MiB under tracemalloc.
 Through `axicav.cli.main`, which keeps freed arrays in glibc's heap, it
-peaks at about 134 MiB resident on its first op and stays there on later
-ops in the same process (Linux x86-64, numpy 2.4.6).
+peaks at about 126 MiB resident on its first op (Linux x86-64, numpy
+2.4.6).
 """
 
 from __future__ import annotations
@@ -91,6 +93,12 @@ class CavityConfig:
             )
         if self.extraction_mirror not in (MIRROR_1, MIRROR_2):
             raise ConfigError(f"extraction_mirror must be {MIRROR_1!r} or {MIRROR_2!r}")
+        # mirror 1 is reached on even traversals only: a run needs a snapshot
+        if self.extraction_mirror == MIRROR_1 and self.n_traversals < 2:
+            raise ConfigError(
+                f"n_traversals must be >= 2 with extraction_mirror = {MIRROR_1!r} "
+                f"(it takes a snapshot on even traversals only), got {self.n_traversals!r}"
+            )
 
 
 class BeamEnsemble:
@@ -201,7 +209,10 @@ def coalesce(
     merged mean can cross a cell edge, so the check is made, not assumed.
     Two passes in a row that merge nothing end the iteration: neither
     changed the beams, and each grid found no shared cell in them.  An
-    ensemble that merges nothing costs two sorts.
+    ensemble that merges nothing costs two sorts, or one where its angles
+    are sparse in cells: before any pass, `_apart` tries to prove from one
+    sort of the angle cells that no two beams share a cell of either grid,
+    and when it does the ensemble is returned as the passes would return it.
 
     Both tolerances must be > 0 (a NaN is refused too): a grid needs a
     cell size.
@@ -209,6 +220,8 @@ def coalesce(
     if not (tol_position_m > 0 and tol_angle_rad > 0):
         raise ValueError("coalescing tolerances must be > 0")
     pos, ang, w = ensemble.positions, ensemble.angles, ensemble.weights
+    if _apart(pos, ang, tol_position_m, tol_angle_rad):
+        return ensemble
     in_order_of = None  # the grid of the last merge, whose order the beams are in
     quiet = 0  # passes in a row that merged nothing
     for shift in (0.0, 0.5) * 64:
@@ -286,6 +299,74 @@ def _pack_cells(cell_p, cell_a, low_bits):
     field_a <<= low_bits
     key |= field_a
     return key, low_bits
+
+
+def _apart(pos, ang, tol_p, tol_a):
+    """True when no two beams share a cell of either grid, proven from one
+    sort; False when the proof fails or is not tried.
+
+    With u = a/tol_a, both floor(u) and floor(u + 0.5) rise with u (and so
+    do their rounded forms in `_cells`), so two beams whose shift-0 angle
+    cells differ by 2 or more share no cell of either grid.  One int64 key
+    per beam, its shift-0 angle cell offset by the minimum with its index
+    in the low bits, sorts the beams by angle cell.  The pairs within one
+    angle cell of each other then lie in runs of neighbouring keys, found
+    offset by offset, and only their cells are recomputed, on both grids,
+    by `_cells`.
+
+    N beams over a span of S angle cells hold about N^2/(2S) pairs that
+    share an angle cell, so the proof is tried only where that is at most
+    N/64, and it gives up past N/64 pairs within one angle cell of each
+    other.  It gives up too on a NaN or an inf, and wherever `_cells` would
+    refuse a cell, which leaves merging and refusing to the grid passes.
+    Its temporaries are three int64 or float arrays of N, one fewer than a
+    grid pass's.
+    """
+    n = pos.size
+    if n < 2:
+        return False
+    # `_cells`' guard, on the extremes of its scaled coordinates (the
+    # half-cell shift is lost long before 2^62); a NaN fails every test
+    lo, hi = ang.min() / tol_a, ang.max() / tol_a
+    if not (-(2.0**62) < lo and hi < 2.0**62):
+        return False
+    lo_cell = math.floor(lo)
+    span = math.floor(hi) - lo_cell
+    bits = (n - 1).bit_length()
+    if not (32 * n <= span < 2**53 and span.bit_length() + bits <= 63):
+        return False
+    if not (-(2.0**62) < pos.min() / tol_p and pos.max() / tol_p < 2.0**62):
+        return False
+    cell = ang / tol_a
+    np.floor(cell, out=cell)
+    cell -= lo_cell
+    key = cell.astype(np.int64)
+    del cell
+    key <<= bits
+    key |= np.arange(n)
+    key.sort()
+    cell = key >> bits
+    # the sorted places i whose key k places on is at most one angle cell
+    # higher; the cells rise, so each is also among those of k - 1
+    near = np.flatnonzero(cell[1:] - cell[:-1] <= 1)
+    pairs, links, k = [], 0, 1
+    while near.size:
+        links += near.size
+        if 64 * links > n:
+            return False
+        pairs.append((near, near + k))
+        k += 1
+        near = near[near < n - k]
+        near = near[cell[near + k] - cell[near] <= 1]
+    if pairs:
+        index = (1 << bits) - 1
+        first, second = (key[np.concatenate(side)] & index for side in zip(*pairs))
+        for shift in (0.0, 0.5):
+            (p1, a1), (p2, a2) = (_cells(pos[b], ang[b], tol_p, tol_a, shift)
+                                  for b in (first, second))
+            if ((p1 == p2) & (a1 == a2)).any():
+                return False
+    return True
 
 
 def _cells_rise(pos, ang, tol_p, tol_a, shift):

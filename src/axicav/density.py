@@ -257,6 +257,32 @@ def _exact_sum(p: np.ndarray) -> float:
             sigma *= phi
 
 
+def _two_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The products a*b as 2N doubles whose exact sum is the exact sum of
+    the products: each rounded product, then its rounding error.
+
+    Dekker's TwoProduct with Veltkamp's split (Ogita, Rump and Oishi, SIAM
+    J. Sci. Comput. 26, 1955, 2005): each factor splits into two halves of
+    26 bits, whose products are exact, so the error of a*b is found with
+    IEEE + - * alone.  Exact unless a product or a factor times 2^27 leaves
+    the normal range, far outside the weights and positions of a run."""
+    def split(x):  # x = hi + lo exactly
+        c = x * 134217729.0  # 2^27 + 1
+        hi = c - (c - x)
+        return hi, x - hi
+
+    out = np.empty(2 * a.size)
+    p, e = out[: a.size], out[a.size :]
+    np.multiply(a, b, out=p)
+    (a_hi, a_lo), (b_hi, b_lo) = split(a), split(b)
+    np.multiply(a_hi, b_hi, out=e)
+    e -= p
+    e += a_hi * b_lo
+    e += a_lo * b_hi
+    e += a_lo * b_lo
+    return out
+
+
 def _order(rho: float) -> int:
     """The highest moment order `rates` needs when max|x|/r = rho.
 
@@ -325,9 +351,13 @@ def moments(ensemble, waist_m: float) -> np.ndarray:
     axis gives a zero term).  An on-axis run that merges nothing stays
     mirrored in that layout (`cavity._transport` lays each split out so);
     a merge lists the beams in its cell order, which may break the layout,
-    so it is checked, never assumed.  The result is kept on the
-    ensemble, per waist, so a snapshot's histogram and its window series
-    read the beams once."""
+    so it is checked, never assumed.  Off the mirrored layout, order 1,
+    which a window near a sign change of the deviation cancels against
+    order 2, is the exact sum of the error-free products w x
+    (`_two_product`) divided once by r: rounding each term w (x/r) would leave
+    it 7e-16 off on an off-axis start, and a bin there 7e-13.  The result is
+    kept on the ensemble, per waist, so a snapshot's histogram and its
+    window series read the beams once."""
     memo = ensemble.moment_memo
     if waist_m not in memo:
         # the weight first, so its buffers are gone before y and term exist
@@ -337,12 +367,14 @@ def moments(ensemble, waist_m: float) -> np.ndarray:
         order = _order(max(-float(y.min()), float(y.max())) if y.size else 0.0)
         m = np.zeros(order + 1)  # a mirrored ensemble's odd moments stay 0.0
         m[0] = weight
+        if not mirrored:
+            m[1] = _exact_sum(_two_product(ensemble.weights, ensemble.positions)) / waist_m
         term = ensemble.weights.copy()
         for n in range(1, order + 1):
             term *= y
             if n % 2 == 0:
                 m[n] = float(term.sum())
-            elif not mirrored:
+            elif n > 1 and not mirrored:
                 m[n] = _exact_sum(term)
         memo[waist_m] = m
     return memo[waist_m]

@@ -42,6 +42,9 @@ def test_config_rejects_bad_values():
         CavityConfig(mirror1_focal_m=0.0)
     with pytest.raises(ConfigError):
         CavityConfig(coalesce_tol_position_m=0.0)
+    with pytest.raises(ConfigError, match="n_traversals must be >= 2 with extraction_mirror"):
+        CavityConfig(extraction_mirror=MIRROR_1, n_traversals=1)
+    assert len(run(CavityConfig(extraction_mirror=MIRROR_1, n_traversals=2)).snapshots) == 1
 
 
 def _config_classes():
@@ -725,13 +728,19 @@ def test_run_arrays_are_pinned(case):
     assert _run_digest(cfg) == pinned
 
 
-@pytest.mark.parametrize("preset, n, most", [("bnl-quad", 40, 3), ("confocal", 14, 2)])
+@pytest.mark.parametrize("preset, n, most", [("bnl-quad", 40, 3), ("confocal", 14, 0)])
 def test_each_coalesce_sorts_at_most(preset, n, most, monkeypatch):
-    """Each grid pass sorts once.  Most bnl-quad traversals sort three
-    times: the merges at shift 0 and 0.5, then the shift-0 pass that merges
-    nothing, after which the O(N) check stands in for the shift-0.5 pass.
-    The confocal ensemble, which merges nothing, sorts twice."""
+    """Each grid pass sorts once, and so does a proof (`_apart`) that
+    holds.  Most bnl-quad traversals sort three times: the merges at shift
+    0 and 0.5, then the shift-0 pass that merges nothing, after which the
+    O(N) check stands in for the shift-0.5 pass; a proof holds only on its
+    first traversals, before any beams meet.  The confocal ensemble, which
+    merges nothing, sorts once: its proof holds on every traversal, and no
+    grid pass runs."""
     log = _record_passes(monkeypatch)
+    apart = cavity._apart
+    monkeypatch.setattr(cavity, "_apart", lambda *a: log.append(("apart", None, apart(*a)))
+                        or log[-1][2])
     starts = []
     coalesce = cavity.coalesce
     monkeypatch.setattr(cavity, "coalesce", lambda *a: starts.append(len(log)) or coalesce(*a))
@@ -740,11 +749,13 @@ def test_each_coalesce_sorts_at_most(preset, n, most, monkeypatch):
     assert len(calls) == n
     assert max(sum(kind == "pass" for kind, _, _ in call) for call in calls) == most
     if preset == "bnl-quad":
-        common = [("pass", 0.0, True), ("pass", 0.5, True),
+        proven = [call == [("apart", None, True)] for call in calls]
+        assert proven[:3] == [True] * 3 and not any(proven[3:])
+        common = [("apart", None, False), ("pass", 0.0, True), ("pass", 0.5, True),
                   ("pass", 0.0, False), ("check", 0.5, True)]
         assert calls.count(common) > n // 2
     else:
-        assert all(call == [("pass", 0.0, False), ("pass", 0.5, False)] for call in calls)
+        assert all(call == [("apart", None, True)] for call in calls)
 
 
 def test_coalesce_conserves_weight_exactly_for_dyadic_weights():
@@ -872,6 +883,148 @@ BNL_QUAD_40_BEAMS = ([4, 16, 56, 160, 380, 784, 1456, 2496, 4020, 6160, 9064, 12
 def test_bnl_quad_beam_counts_are_pinned():
     res = run(ENGINE_PINS["bnl-quad"][0])
     assert ([len(s.ensemble) for s in res.snapshots], len(res.final)) == BNL_QUAD_40_BEAMS
+
+
+# --- the proof that nothing merges -------------------------------------------
+# Before any grid pass, `coalesce` tries to prove from one sort of the angle
+# cells that no two beams share a cell of either grid (`_apart`).  Whatever
+# the proof says, coalesce must return bitwise what the passes alone return.
+
+
+def _sparse_beams(rng, n):
+    """n beams in angle cells at least 4 apart in [2^20, 2^21), at
+    scattered positions (units of EDGE_TOL_P and EDGE_TOL_A): no two of
+    them are within one angle cell, and the span fits the sparse bound up
+    to n = 2^15."""
+    ang = 4.0 * rng.choice(2**18, n, replace=False) + 2.0**20 + rng.uniform(0.0, 1.0, n)
+    return rng.uniform(-(2.0**20), 2.0**20, n), ang
+
+
+def _cluster(rng, offset):
+    """2 to 5 beams on half-cell lattice points of both coordinates about
+    angle cell ``offset``, so that they sit on cell edges of both grids and
+    chain within one angle cell of each other; some are nudged one ulp
+    below their edge, some lie many position cells apart in one angle
+    cell, and at the axis a zero may be -0.0."""
+    k = int(rng.integers(2, 6))
+    pos = rng.integers(-4, 5, k) / 2.0 * rng.choice([1.0, 16.0])
+    ang = offset + rng.integers(-2, 3, k) / 2.0
+    pos = np.where(rng.random(k) < 0.3, np.nextafter(pos, -np.inf), pos)
+    ang = np.where(rng.random(k) < 0.3, np.nextafter(ang, -np.inf), ang)
+    pos = np.where(pos == 0.0, rng.choice([0.0, -0.0], k), pos)
+    ang = np.where(ang == 0.0, rng.choice([0.0, -0.0], k), ang)
+    return pos, ang
+
+
+def _proof_cases():
+    """A sparse background of 1024 beams with one to four clusters (the
+    first at the axis), shuffled together."""
+    rng = np.random.default_rng(24)
+    for _ in range(80):
+        parts = [_sparse_beams(rng, 1024)]
+        parts += [_cluster(rng, -8.0 * j) for j in range(int(rng.integers(1, 5)))]
+        pos, ang = (np.concatenate(c) for c in zip(*parts))
+        order = rng.permutation(pos.size)
+        yield pos[order] * EDGE_TOL_P, ang[order] * EDGE_TOL_A, rng.uniform(0.1, 1.0, pos.size)
+
+
+def _links(ang, tol_a):
+    """Pairs of beams whose shift-0 angle cells differ by at most 1."""
+    cell = np.floor(ang / tol_a)
+    return int(np.triu(np.abs(cell[:, None] - cell) <= 1, 1).sum())
+
+
+def _assert_as_the_passes_alone(ens, tol_p, tol_a, monkeypatch):
+    out = coalesce(ens, tol_p, tol_a)
+    with monkeypatch.context() as patch:
+        patch.setattr(cavity, "_apart", lambda *a: False)
+        alone = coalesce(ens, tol_p, tol_a)
+    assert (out is ens) == (alone is ens)
+    assert all(_same_bits(a, b) for a, b in zip((out.positions, out.angles, out.weights),
+                                                 (alone.positions, alone.angles, alone.weights)))
+
+
+def test_apart_holds_exactly_where_no_beams_share_a_cell(monkeypatch):
+    """Within the budget of N/64 pairs of neighbouring angle cells the proof
+    holds exactly when no two beams share a cell of either grid, edges one
+    ulp apart and signed zeros included; past it, it gives up.  Either way
+    coalesce returns what the passes alone return."""
+    seen = {"proven with pairs": 0, "shared": 0, "gave up": 0}
+    for pos, ang, w in _proof_cases():
+        shares = _shares_cell_brute(pos, ang, EDGE_TOL_P, EDGE_TOL_A)
+        links = _links(ang, EDGE_TOL_A)
+        proven = cavity._apart(pos, ang, EDGE_TOL_P, EDGE_TOL_A)
+        assert proven == (not shares and 64 * links <= pos.size), (shares, links)
+        seen["proven with pairs"] += proven and links > 0
+        seen["shared"] += shares
+        seen["gave up"] += not shares and not proven
+        _assert_as_the_passes_alone(BeamEnsemble(pos, ang, w), EDGE_TOL_P, EDGE_TOL_A, monkeypatch)
+    assert all(seen.values()), seen  # 26, 51 and 3 of the 80 cases
+
+
+def test_apart_tries_only_sparse_angles_and_gives_up_past_n_over_64_pairs(monkeypatch):
+    """640 beams 32 angle cells apart, the last 64 apart, so that the span
+    is 32 N; one cell less is declined.  Then pairs of beams in neighbouring
+    angle cells, far apart in position: 10 = N/64 pairs are proven apart,
+    11 are given up.  Nothing merges in any of them."""
+    n = 640
+    pos = 4.0 * np.arange(n) * EDGE_TOL_P
+    ang = 32.0 * np.arange(n) + 0.25
+    for last, holds in ((32.0 * n - 0.75, False), (32.0 * n + 0.25, True)):
+        ang[-1] = last
+        assert cavity._apart(pos, ang * EDGE_TOL_A, EDGE_TOL_P, EDGE_TOL_A) == holds
+    for pairs, holds in ((10, True), (11, False)):
+        paired = ang.copy()
+        paired[1 : 2 * pairs : 2] = paired[0 : 2 * pairs : 2] + 1.0
+        assert _links(paired * EDGE_TOL_A, EDGE_TOL_A) == pairs
+        assert cavity._apart(pos, paired * EDGE_TOL_A, EDGE_TOL_P, EDGE_TOL_A) == holds
+        ens = BeamEnsemble(pos, paired * EDGE_TOL_A, np.full(n, 1.0 / n))
+        assert coalesce(ens, EDGE_TOL_P, EDGE_TOL_A) is ens
+        _assert_as_the_passes_alone(ens, EDGE_TOL_P, EDGE_TOL_A, monkeypatch)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_apart_at_the_index_guard(sign, monkeypatch):
+    """Two beams in the last position cell below the 2^62 guard, in
+    neighbouring angle cells: the proof runs there as anywhere, holding
+    where their shift-0.5 angle cells differ and failing where they are
+    shared, and coalesce merges the shared pair as the passes do.  A beam
+    at the guard, or an inf or NaN position, makes the proof decline and
+    leaves the refusal to the passes."""
+    rng = np.random.default_rng(62)
+    pos, ang = _sparse_beams(rng, 256)
+    below = np.nextafter(2.0**62, 0.0)
+    for second, holds in ((1.6, True), (1.2, False)):
+        p = np.append(pos, [sign * below] * 2) * EDGE_TOL_P
+        a = np.append(ang, [0.7, second]) * EDGE_TOL_A
+        assert _shares_cell_brute(p, a, EDGE_TOL_P, EDGE_TOL_A) != holds
+        assert cavity._apart(p, a, EDGE_TOL_P, EDGE_TOL_A) == holds
+        ens = BeamEnsemble(p, a, np.full(p.size, 1.0 / p.size))
+        assert len(coalesce(ens, EDGE_TOL_P, EDGE_TOL_A)) == p.size - (not holds)
+        _assert_as_the_passes_alone(ens, EDGE_TOL_P, EDGE_TOL_A, monkeypatch)
+    p = np.append(pos, [sign * 2.0**62, 0.0]) * EDGE_TOL_P
+    a = np.append(ang, [0.7, 1.6]) * EDGE_TOL_A
+    assert not cavity._apart(p, a, EDGE_TOL_P, EDGE_TOL_A)
+    with pytest.raises(ValueError, match="tolerance too small"):
+        coalesce(BeamEnsemble(p, a, np.full(p.size, 1.0 / p.size)), EDGE_TOL_P, EDGE_TOL_A)
+    # angles 2^20 cells apart, all near the guard: sparse, and narrow
+    # enough to key, so only the guard stops the proof
+    a = sign * (2.0**62 - 2.0**20 * np.arange(pos.size))
+    ens = BeamEnsemble(pos * EDGE_TOL_P, a * EDGE_TOL_A, np.full(pos.size, 1.0 / pos.size))
+    assert not cavity._apart(ens.positions, ens.angles, EDGE_TOL_P, EDGE_TOL_A)
+    with pytest.raises(ValueError, match="tolerance too small"):
+        coalesce(ens, EDGE_TOL_P, EDGE_TOL_A)
+    a[0] = np.nextafter(a[0], 0.0)
+    ens = BeamEnsemble(pos * EDGE_TOL_P, a * EDGE_TOL_A, np.full(pos.size, 1.0 / pos.size))
+    assert cavity._apart(ens.positions, ens.angles, EDGE_TOL_P, EDGE_TOL_A)
+    assert coalesce(ens, EDGE_TOL_P, EDGE_TOL_A) is ens
+    for bad in (sign * math.inf, math.nan):
+        p = np.append(pos, [bad, 0.0]) * EDGE_TOL_P
+        assert not cavity._apart(p, np.append(ang, [0.7, 1.6]) * EDGE_TOL_A, EDGE_TOL_P, EDGE_TOL_A)
+    with pytest.raises(ValueError, match="positions must be finite, got -?inf"):
+        p = np.append(pos, [sign * math.inf, 0.0]) * EDGE_TOL_P
+        ens = BeamEnsemble._derived(p, np.append(ang, [0.7, 1.6]) * EDGE_TOL_A, np.ones(p.size))
+        coalesce(ens, EDGE_TOL_P, EDGE_TOL_A)
 
 
 # --- traversal mechanics ---------------------------------------------------

@@ -289,6 +289,27 @@ def test_simulate_refuses_a_mirror_spacing_past_a_double(length, rc, message, tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "preset, overrides, message",
+    [
+        # mirror 1 is reached on even traversals only: no snapshot, no series
+        ("confocal", ["cavity.extraction_mirror=mirror1", "cavity.n_traversals=1"],
+         "cavity.n_traversals must be >= 2 with extraction_mirror = 'mirror1'"),
+        # sparse angles, but cells past 2^62: the grid passes refuse
+        ("bnl-quad", ["cavity.coalesce_tol_angle_rad=1e-300", "cavity.n_traversals=3"],
+         "coalescing tolerance too small for the ensemble scale"),
+    ],
+    ids=["no-snapshot", "tolerance-too-small"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_refuses_a_run_it_cannot_make(preset, overrides, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["--preset", preset, *sum((["--override", o] for o in overrides), [])]
+    assert cli.main([*args, "--out", str(out), "simulate"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # keys of the detector lens and of the forward-only split: every field
 # passage splits and the detector sits behind an ideal relay
 RETIRED_CAVITY_KEYS = ["lens_focal_m=0.7", "lens_offset_m=0.5", "split_on_backward=true"]

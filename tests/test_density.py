@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -427,6 +428,18 @@ def test_exact_sum_is_faithful(n):
     for p in (spread, mirrored, nearly, np.append(spread, -math.fsum(spread))):
         assert density._exact_sum(p) in _neighbours(math.fsum(p.tolist()))
     assert density._exact_sum(mirrored) == 0.0
+
+
+def test_two_product_is_error_free():
+    """Each product and its error add up to the exact product, signs and
+    scales mixed."""
+    rng = np.random.default_rng(24)
+    a = rng.normal(size=2000) * 10.0 ** rng.integers(-20, 5, 2000)
+    b = rng.normal(size=2000) * 10.0 ** rng.integers(-20, 5, 2000)
+    a[:3], b[:3] = [0.0, -0.0, 1.0], [5.0, 1e-3, -0.0]
+    out = density._two_product(a, b)
+    for x, y, p, e in zip(a.tolist(), b.tolist(), out[:2000].tolist(), out[2000:].tolist()):
+        assert p == x * y and Fraction(p) + Fraction(e) == Fraction(x) * Fraction(y)
 
 
 def test_moments_are_read_once_per_waist():
