@@ -22,17 +22,18 @@ the confocal cavity never merges a branch, so its ensemble doubles on every
 traversal.  A run is refused with BeamBudgetError before a split would take
 the ensemble past MAX_BEAMS, rather than left to run out of memory.
 
-Memory: a run keeps every detector snapshot until it is rendered, 24 B per
-snapshot beam (a snapshot shares its weights array with the ensemble it was
-taken from).  Each stage allocates only the arrays it returns, so the traced
-peak of a whole `axicav simulate` is 44-50 B per snapshot beam (45 B on
-confocal n=14, 50 B on bnl-quad n=20), reached while the last traversal
-coalesces, with the snapshots, the next ensemble and the cell keys live.
-A run at the budget (confocal n=20: 2^20 final beams, 2^21 - 2 snapshot
-beams) holds 48 MiB of snapshots and peaks at 89 MiB under tracemalloc.
-Through `axicav.cli.main`, which keeps freed arrays in glibc's heap, it
-peaks at about 126 MiB resident on its first op (Linux x86-64, numpy
-2.4.6).
+Memory: a run keeps every detector snapshot until it is rendered, 16 B per
+snapshot beam: a snapshot is a `BeamSample` of positions and weights, which
+shares its weights array with the ensemble it was taken from, and keeps of
+the angles only the largest |angle| (`_detect`).  Each stage allocates only
+the arrays it returns, so the traced peak of a whole `axicav simulate` is
+33-42 B per snapshot beam (33 B on confocal n=14, 42 B on bnl-quad n=20),
+reached while the last traversal coalesces, with the snapshots, the next
+ensemble and the cell keys live.  A run at the budget (confocal n=20: 2^20
+final beams, 2^21 - 2 snapshot beams) holds 32 MiB of snapshots and peaks
+at 66 MiB under tracemalloc.  Through `axicav.cli.main`, which keeps freed
+arrays in glibc's heap, it peaks at about 102 MiB resident on its first op
+(Linux x86-64, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -101,17 +102,53 @@ class CavityConfig:
             )
 
 
-class BeamEnsemble:
-    """Weighted beams stored as three parallel arrays, plus a memo of
-    quantities derived from them (`density.moments` keeps its moments
-    there, per waist).
+class BeamSample:
+    """Weighted beam positions, as a detector records them: two parallel
+    arrays, the largest |angle| among the beams, checked against
+    PARAXIAL_LIMIT when the sample was made, and a memo of quantities
+    derived from the arrays (`density.moments` keeps its moments there, per
+    waist).  A detector snapshot is one; the photon density reads nothing
+    else of a beam."""
+
+    __slots__ = ("positions", "weights", "max_angle", "moment_memo")
+
+    def __init__(self, positions, weights, max_angle):
+        self.positions = positions
+        self.weights = weights
+        self.max_angle = max_angle
+        self.moment_memo = {}
+
+    def __len__(self) -> int:
+        return self.positions.size
+
+    @property
+    def total_weight(self) -> float:
+        # fsum, not np.sum: the conservation checks care about the last digit
+        return math.fsum(self.weights.tolist())
+
+
+def _max_angle(angles) -> float:
+    """The largest |angle| of beams whose angles have the extremes of
+    ``angles`` (all of them, or only the extremes); raises ParaxialError
+    unless it lies inside the paraxial window (a NaN does not)."""
+    amax = max(-float(angles.min()), float(angles.max())) if angles.size else 0.0
+    if not (amax < PARAXIAL_LIMIT):
+        raise ParaxialError(
+            f"ensemble angle {amax!r} outside paraxial window (< {PARAXIAL_LIMIT})"
+        )
+    return abs(amax)  # +0.0, not -0.0, for beams that all lie on the axis
+
+
+class BeamEnsemble(BeamSample):
+    """Weighted beams stored as three parallel arrays: a `BeamSample` that
+    also holds each beam's angle, so it can be carried further.
 
     A stage passes on the arrays it leaves unchanged instead of copying
     them, so ensembles share arrays (a snapshot, the next ensemble and
     ``initial`` may hold one weights array).  The rule that makes this
     safe: no stage writes into an array another ensemble may share."""
 
-    __slots__ = ("positions", "angles", "weights", "moment_memo")
+    __slots__ = ("angles",)
 
     def __init__(self, positions, angles, weights):
         positions = np.atleast_1d(np.asarray(positions, dtype=float))
@@ -141,23 +178,8 @@ class BeamEnsemble:
         return ens
 
     def _hold(self, positions, angles, weights):
-        amax = max(-float(angles.min()), float(angles.max())) if angles.size else 0.0
-        if not (amax < PARAXIAL_LIMIT):
-            raise ParaxialError(
-                f"ensemble angle {amax!r} outside paraxial window (< {PARAXIAL_LIMIT})"
-            )
-        self.positions = positions
+        BeamSample.__init__(self, positions, weights, _max_angle(angles))
         self.angles = angles
-        self.weights = weights
-        self.moment_memo = {}
-
-    def __len__(self) -> int:
-        return self.positions.size
-
-    @property
-    def total_weight(self) -> float:
-        # fsum, not np.sum: the conservation checks care about the last digit
-        return math.fsum(self.weights.tolist())
 
 
 def axial_beam() -> BeamEnsemble:
@@ -194,7 +216,7 @@ def coalesce(
     Both orders are deterministic: every pass orders unique keys, or the
     cells by a stable sort.
     An unmerged split of a mirrored ensemble stays mirrored in the layout
-    x == -x[::-1], w == w[::-1] that `cavity._transport` gives it, while a
+    x == -x[::-1], w == w[::-1] that `cavity._row` gives it, while a
     merge's cell order need not be; `density.moments` checks the layout,
     bit for bit, rather than assuming it.
 
@@ -319,8 +341,7 @@ def _apart(pos, ang, tol_p, tol_a):
     N/64, and it gives up past N/64 pairs within one angle cell of each
     other.  It gives up too on a NaN or an inf, and wherever `_cells` would
     refuse a cell, which leaves merging and refusing to the grid passes.
-    Its temporaries are three int64 or float arrays of N, one fewer than a
-    grid pass's.
+    Beside the sorted keys it holds at most one more array of N at a time.
     """
     n = pos.size
     if n < 2:
@@ -340,15 +361,20 @@ def _apart(pos, ang, tol_p, tol_a):
     cell = ang / tol_a
     np.floor(cell, out=cell)
     cell -= lo_cell
-    key = cell.astype(np.int64)
+    key = cell.astype(np.uint64)
     del cell
     key <<= bits
-    key |= np.arange(n)
+    key |= np.arange(n, dtype=np.uint64)
     key.sort()
-    cell = key >> bits
+    # A key below bound[i] = (its cell + 2) << bits lies at most one angle
+    # cell above key i, since the index bits stay below 1 << bits.  The
+    # keys are unsigned: (span + 2) << bits may pass 2^63 - 1, not 2^64.
+    bound = key[:-1] >> bits
+    bound += 2
+    bound <<= bits
     # the sorted places i whose key k places on is at most one angle cell
     # higher; the cells rise, so each is also among those of k - 1
-    near = np.flatnonzero(cell[1:] - cell[:-1] <= 1)
+    near = np.flatnonzero(key[1:] < bound)
     pairs, links, k = [], 0, 1
     while near.size:
         links += near.size
@@ -357,7 +383,7 @@ def _apart(pos, ang, tol_p, tol_a):
         pairs.append((near, near + k))
         k += 1
         near = near[near < n - k]
-        near = near[cell[near + k] - cell[near] <= 1]
+        near = near[key[near + k] < bound[near]]
     if pairs:
         index = (1 << bits) - 1
         first, second = (key[np.concatenate(side)] & index for side in zip(*pairs))
@@ -461,10 +487,10 @@ def _grid_pass(pos, ang, w, tol_p, tol_a, shift):
 
 @dataclass(frozen=True)
 class DetectorSnapshot:
-    """Ensemble transported to the detector plane after a given traversal."""
+    """The beams at the detector plane after a given traversal."""
 
     traversal: int
-    ensemble: BeamEnsemble
+    ensemble: BeamSample
 
 
 @dataclass
@@ -497,26 +523,52 @@ def _legs(config: CavityConfig):
             for focal in (config.mirror2_focal_m, config.mirror1_focal_m)]
 
 
+def _row(x, a, p, q, k):
+    """One coordinate p x + q a of every beam, in a new array of N; or, on a
+    split leg, of both branches, p x + q a + k then - k, filling one new
+    2N array in place."""
+    if k is None:
+        v = x * p
+        v += a * q
+        return v
+    n = x.size
+    v = np.empty(2 * n)
+    np.multiply(x, p, out=v[:n])
+    v[:n] += np.multiply(a, q, out=v[n:])
+    v[n:] = v[:n]
+    v[:n] += k
+    v[n:] -= k
+    return v
+
+
 def _transport(ensemble: BeamEnsemble, matrix, kick, weights) -> BeamEnsemble:
     """Carry every beam (x, a) through one map: to M (x, a), or on a split
-    leg to the two branches M (x, a) +- k, the ``+`` branch first, each
-    coordinate filling one new 2N array in place.  ``weights`` is passed
-    on, not copied."""
-    x, a, n = ensemble.positions, ensemble.angles, len(ensemble)
-    rows = []
-    for (p, q), k in zip(((matrix.a, matrix.b), (matrix.c, matrix.d)), kick or (None, None)):
-        if kick is None:
-            v = x * p
-            v += a * q
-        else:
-            v = np.empty(2 * n)
-            np.multiply(x, p, out=v[:n])
-            v[:n] += np.multiply(a, q, out=v[n:])
-            v[n:] = v[:n]
-            v[:n] += k
-            v[n:] -= k
-        rows.append(v)
-    return BeamEnsemble._derived(*rows, weights)
+    leg to the two branches M (x, a) +- k, the ``+`` branch first.
+    ``weights`` is passed on, not copied."""
+    x, a = ensemble.positions, ensemble.angles
+    kx, ka = kick or (None, None)
+    return BeamEnsemble._derived(_row(x, a, matrix.a, matrix.b, kx),
+                                 _row(x, a, matrix.c, matrix.d, ka), weights)
+
+
+def _detect(ensemble: BeamEnsemble, matrix, kick, weights) -> BeamSample:
+    """What `_transport` would carry to the detector, kept as a sample: the
+    same position row, and the largest |angle| of the angle row, checked
+    as `_transport` checks it, from the row's extremes alone.  With
+    u = c x + d a, each branch angle fl(u + k) or fl(u - k) rises with u
+    (rounding is monotone), so the row's minimum and maximum are among
+    fl(min u +- k) and fl(max u +- k), and a NaN in the row puts one
+    there too.  The row itself is never stored."""
+    x, a = ensemble.positions, ensemble.angles
+    kx, ka = kick or (None, None)
+    positions = _row(x, a, matrix.a, matrix.b, kx)
+    u = x * matrix.c
+    u += a * matrix.d
+    ends = np.array([u.min(), u.max()]) if u.size else u
+    del u
+    if ka is not None:
+        ends = np.concatenate((ends + ka, ends - ka))
+    return BeamSample(positions, weights, _max_angle(ends))
 
 
 def run(config: CavityConfig, initial: BeamEnsemble | None = None) -> RunResult:
@@ -554,7 +606,7 @@ def run(config: CavityConfig, initial: BeamEnsemble | None = None) -> RunResult:
             np.multiply(ens.weights, 0.5, out=w[:n])
             w[n:] = w[:n]
         if config.extraction_mirror == MIRROR_2 or not forward:
-            result.snapshots.append(DetectorSnapshot(k, _transport(ens, *to_detector, w)))
+            result.snapshots.append(DetectorSnapshot(k, _detect(ens, *to_detector, w)))
         # the previous ensemble is dropped before coalescing starts
         ens = _transport(ens, *to_next, w)
         ens = coalesce(ens, config.coalesce_tol_position_m, config.coalesce_tol_angle_rad)

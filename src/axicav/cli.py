@@ -203,7 +203,11 @@ def cmd_simulate(args) -> int:
         [central.n.astype(int), central.signal, sideband.signal, amb.signal],
     )
     series_path.write_text("".join(series))
-    print(f"wrote {len(signal_run.snapshots)} difference histograms and {series_path}")
+    rows = len(signal_run.snapshots)
+    print(f"wrote {rows} difference histograms and {series_path}")
+    if rows < sensitivity.MIN_FIT_POINTS:
+        print(f"note: the series has {rows} rows; analyze needs at least "
+              f"{sensitivity.MIN_FIT_POINTS} to fit")
     print(f"final ensemble: {final_beams} beams")
     return 0
 
@@ -261,8 +265,11 @@ def _read_series(path: str) -> sensitivity.GrowthSeries:
             )
         ns.append(values[0])
         signals.append(values[1])
-    if len(ns) < 3:
-        raise scenario.ScenarioError("series too short: need at least 3 rows to fit")
+    if len(ns) < sensitivity.MIN_FIT_POINTS:
+        raise scenario.ScenarioError(
+            f"series too short: need at least {sensitivity.MIN_FIT_POINTS} rows to fit, "
+            f"got {len(ns)}"
+        )
     try:
         return sensitivity.GrowthSeries(np.array(ns), np.array(signals))
     except ValueError as exc:
@@ -441,7 +448,7 @@ def _keep_freed_heap() -> None:
     either threshold turns the dynamic rule off, so both are set.  32 MiB is
     glibc's own dynamic ceiling on 64-bit and lies above every engine array
     at `cavity.MAX_BEAMS` (8 MiB); 128 MiB lies above the traced peak of a
-    run at `MAX_BEAMS` (100.7 MB).  Nothing happens where the C library has
+    run at `MAX_BEAMS` (68.9 MB).  Nothing happens where the C library has
     no `mallopt`.
     """
     import ctypes

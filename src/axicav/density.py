@@ -349,7 +349,7 @@ def moments(ensemble, waist_m: float) -> np.ndarray:
     either sign, so the term w (x/r)^n of the beam at -x is the negated
     term of the beam at x, and the terms cancel in pairs (a beam on the
     axis gives a zero term).  An on-axis run that merges nothing stays
-    mirrored in that layout (`cavity._transport` lays each split out so);
+    mirrored in that layout (`cavity._row` lays each split out so);
     a merge lists the beams in its cell order, which may break the layout,
     so it is checked, never assumed.  Off the mirrored layout, order 1,
     which a window near a sign change of the deviation cancels against

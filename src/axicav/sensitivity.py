@@ -88,6 +88,10 @@ class NoiseBudget:
         check_fields(self, ValueError)
 
 
+# fewest points either fit takes: a line through two points has no residual
+MIN_FIT_POINTS = 3
+
+
 def _r_squared(y, fitted) -> float:
     res = float(np.sum((y - fitted) ** 2))
     tot = float(np.sum((y - np.mean(y)) ** 2))
@@ -98,8 +102,8 @@ def _r_squared(y, fitted) -> float:
 
 def fit_linear(series: GrowthSeries) -> GrowthFit:
     """Unweighted least-squares line through the series."""
-    if len(series) < 3:
-        raise ValueError("need at least 3 points to fit")
+    if len(series) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} points to fit")
     if np.all(series.n == series.n[0]):
         raise ValueError("degenerate series: all n equal")
     slope, intercept = np.polyfit(series.n, series.signal, 1)
@@ -114,8 +118,8 @@ def fit_linear(series: GrowthSeries) -> GrowthFit:
 
 def fit_power(series: GrowthSeries) -> GrowthFit:
     """Least squares in log-log space; signal = coefficient * n**exponent."""
-    if len(series) < 3:
-        raise ValueError("need at least 3 points to fit")
+    if len(series) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} points to fit")
     if np.any(series.signal <= 0) or np.any(series.n <= 0):
         raise ValueError("power-law fit requires positive n and signal")
     ln, ls = np.log(series.n), np.log(series.signal)

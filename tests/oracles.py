@@ -4,16 +4,19 @@ No verb calls these.  They are the direct forms of what the package
 computes another way: the planar lattice stepped pass by pass (against
 `lattice.compare_growth`'s closed-form spread laws), the reference beam
 profile sampled at a point (against the exact window integrals of
-`density`), and a 2x2 matrix acting on one ray (against `rays`' matrix
-algebra, which the engine applies to whole arrays).
+`density`), a 2x2 matrix acting on one ray (against `rays`' matrix
+algebra, which the engine applies to whole arrays), and the angle rows of
+the detector snapshots, which a run checks but does not keep.
 """
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 
+from axicav import cavity
 from axicav.density import GaussianProfile
 from axicav.rays import RayState, TransferMatrix
 
@@ -115,3 +118,25 @@ def apply(m: TransferMatrix, ray: RayState) -> RayState:
         position=m.a * ray.position + m.b * ray.angle,
         angle=m.c * ray.position + m.d * ray.angle,
     )
+
+
+# ---------------------------------------------------------------------------
+# detector snapshots
+
+
+def run_with_detector_angles(config, initial=None):
+    """``cavity.run(config, initial)`` and each snapshot's angles, in the
+    snapshot's beam order.  A snapshot keeps only the largest |angle| of
+    its beams; here the detector leg is also carried in full, as
+    `cavity._transport` carries every other leg, from the ensemble each
+    snapshot's traversal starts at."""
+    rows = []
+    detect = cavity._detect
+
+    def keep_angles(ensemble, matrix, kick, weights):
+        rows.append(cavity._transport(ensemble, matrix, kick, weights).angles)
+        return detect(ensemble, matrix, kick, weights)
+
+    with mock.patch.object(cavity, "_detect", keep_angles):
+        result = cavity.run(config, initial)
+    return result, rows

@@ -7,6 +7,7 @@ from dataclasses import MISSING, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
+from oracles import run_with_detector_angles
 
 import axicav
 import axicav.cavity as cavity
@@ -22,7 +23,7 @@ from axicav.cavity import (
     run,
 )
 from axicav.checks import DOMAINS
-from axicav.rays import ParaxialError
+from axicav.rays import PARAXIAL_LIMIT, ParaxialError, TransferMatrix
 from axicav.scenario import ScenarioError, load_preset
 
 THETA = 4e-10
@@ -668,11 +669,18 @@ def test_coalesce_packing_boundaries_match_reference(cells, packs, monkeypatch):
     assert (not calls) == packs
 
 
+def _arrays(ens):
+    """A snapshot's positions and weights, or an ensemble's three arrays."""
+    if isinstance(ens, BeamEnsemble):
+        return ens.positions, ens.angles, ens.weights
+    return ens.positions, ens.weights
+
+
 def _run_bits(cfg):
     res = run(cfg)
     ensembles = [s.ensemble for s in res.snapshots] + [res.final]
     return [s.traversal for s in res.snapshots], [
-        (e.positions.tobytes(), e.angles.tobytes(), e.weights.tobytes()) for e in ensembles
+        tuple(array.tobytes() for array in _arrays(e)) for e in ensembles
     ]
 
 
@@ -694,7 +702,7 @@ def test_run_is_bitwise_equal_without_packed_keys(cfg, final_beams, monkeypatch)
     merges nothing at its preset tolerances (2^10 beams after 10
     traversals); the two coarser pairs make it merge."""
     traversals, bits = _run_bits(cfg)
-    assert len(bits[-1][0]) == 8 * final_beams
+    assert len(bits[-1][0]) == 8 * final_beams and len(bits[-1]) == 3
     monkeypatch.setattr(cavity, "_pack_cells", lambda *a: None)
     assert _run_bits(cfg) == (traversals, bits)
 
@@ -704,20 +712,21 @@ def test_run_is_bitwise_equal_without_packed_keys(cfg, final_beams, monkeypatch)
 # floor, so these hold on numpy's AVX2 and AVX-512 kernels alike.
 ENGINE_PINS = {
     "confocal": (replace(load_preset("confocal").cavity, n_traversals=14),
-                 "d7608d18e71aa396ff61f95a27c83c9466487750f565f471a8a16b84f0067526"),
+                 "338f8f51c98192e2b5b3f1507f845454e5a8d4da0e969c7222646cda8777f6c0"),
     "bnl-quad": (replace(load_preset("bnl-quad").cavity, n_traversals=40),
-                 "4120d9126c140b383b3e40d8aff121baf4059dc8786d197d45f4f3f3681c11ba"),
+                 "af389ded0e6e659f0ac9e9a13093ef6232dd3f48997de6292b673dea448e81ad"),
 }
 
 
 def _run_digest(cfg):
-    """One sha256 over each snapshot's traversal, beam count and arrays,
-    then the final ensemble's (traversal 0)."""
+    """One sha256 over each snapshot's traversal, beam count, positions
+    and weights, then the final ensemble's (traversal 0) positions, angles
+    and weights."""
     res = run(cfg)
     digest = hashlib.sha256()
     for traversal, ens in [(s.traversal, s.ensemble) for s in res.snapshots] + [(0, res.final)]:
         digest.update(f"{traversal}:{len(ens)};".encode())
-        for array in (ens.positions, ens.angles, ens.weights):
+        for array in _arrays(ens):
             digest.update(array.tobytes())
     return digest.hexdigest()
 
@@ -726,6 +735,110 @@ def _run_digest(cfg):
 def test_run_arrays_are_pinned(case):
     cfg, pinned = ENGINE_PINS[case]
     assert _run_digest(cfg) == pinned
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_PINS))
+def test_snapshot_max_angle_is_the_angle_rows_extreme(case):
+    """A snapshot records the largest |angle| of the row `_transport`
+    would have stored, bit for bit, from the row's extremes alone."""
+    res, snapshot_angles = run_with_detector_angles(ENGINE_PINS[case][0])
+    for snap, angles in zip(res.snapshots, snapshot_angles, strict=True):
+        assert snap.ensemble.max_angle.hex() == float(np.abs(angles).max()).hex()
+        assert not hasattr(snap.ensemble, "angles")
+
+
+def _detector_outcome(detect, ensemble, matrix, kick):
+    """What a detector leg gives: the positions' bits and the largest
+    |angle|, or the ParaxialError message."""
+    try:
+        out = detect(ensemble, matrix, kick, ensemble.weights if kick is None else
+                     np.concatenate((ensemble.weights, ensemble.weights)))
+    except ParaxialError as exc:
+        return str(exc)
+    if isinstance(out, BeamEnsemble):  # the stored row of `_transport`
+        return out.positions.tobytes(), float(np.abs(out.angles).max()).hex()
+    return out.positions.tobytes(), out.max_angle.hex()
+
+
+def _near_limit(start, steps=3):
+    """Floats from ``steps`` ulp below ``start`` to ``steps`` above."""
+    out = [start]
+    for direction in (-1.0, 1.0):
+        x = start
+        for _ in range(steps):
+            x = math.nextafter(x, direction)
+            out.append(x)
+    return sorted(out)
+
+
+def test_detector_guard_refuses_what_the_stored_row_refused():
+    """`_detect` checks the angle row from its extremes; `_transport`
+    stores the row and checks all of it.  On angles one ulp either side of
+    PARAXIAL_LIMIT, on split legs and unsplit ones, through matrices with
+    c != 0 and d > 1, and with NaN in the row, both refuse the same beams
+    with the same message, or keep the same positions and largest |angle|."""
+    lens = TransferMatrix(1.0, 2.0, 0.1, 1.2)
+    tried = refused = 0
+    for matrix in (TransferMatrix(1.0, 0.0, 0.12, 1.0), lens):
+        for ka in (None, 2e-3, -2e-3):
+            kick = None if ka is None else (3e-3, ka)
+            for sign in (1.0, -1.0):
+                for edge in _near_limit(PARAXIAL_LIMIT):
+                    # the beam whose row angle u (+ kick) lands on the edge
+                    u = sign * edge - (abs(ka) if ka else 0.0) * sign
+                    a = (u - 0.5 * sign * matrix.c) / matrix.d
+                    for x_mid in (0.25, math.nan):
+                        ens = BeamEnsemble._derived(np.array([0.5 * sign, x_mid, -0.5 * sign]),
+                                                    np.array([a, 0.0, -0.01 * sign]),
+                                                    np.full(3, 1.0 / 3))
+                        old = _detector_outcome(cavity._transport, ens, matrix, kick)
+                        assert _detector_outcome(cavity._detect, ens, matrix, kick) == old
+                        tried += 1
+                        refused += isinstance(old, str)
+    assert 0 < refused < tried
+    # an empty ensemble has no angle to refuse
+    empty = BeamEnsemble([], [], [])
+    for kick in (None, (1.0, 1.0)):
+        assert _detector_outcome(cavity._detect, empty, lens, kick) == (b"", "0x0.0p+0")
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-3], ids=["unsplit", "split"])
+def test_run_refuses_a_detector_angle_exactly_as_the_stored_row_did(theta, monkeypatch):
+    """Initial beams whose detector-plane angle lies within 3 ulp of
+    PARAXIAL_LIMIT, on either side: `run` refuses exactly the runs it
+    refused while snapshots stored their angle rows, with the same
+    message.  The detector trip is pure propagation, so the detector angle
+    of a beam is its angle, plus the kick 2*theta on a split leg: on the
+    unsplit leg every valid initial angle is kept.  A kick of NaN (theta
+    at 1e308, where theta*(L + 2 gap) overflows) is refused, naming the NaN."""
+    cfg = CavityConfig(n_traversals=1, theta_split_rad=theta)
+    kick = 2 * theta
+    legs = (cavity._detect, cavity._transport)  # the sample, and the stored row
+    outcomes = {}
+    for target in _near_limit(PARAXIAL_LIMIT):
+        a = target - kick
+        while a + kick < target:
+            a = math.nextafter(a, 1.0)
+        while a + kick > target:
+            a = math.nextafter(a, 0.0)
+        for angle in (a, -a):
+            if not abs(angle) < PARAXIAL_LIMIT:
+                continue  # the initial ensemble itself is refused
+            initial = BeamEnsemble([0.0, 1e-6], [angle, 0.0], [0.5, 0.5])
+            for detect in legs:
+                monkeypatch.setattr(cavity, "_detect", detect)
+                try:
+                    res = run(cfg, initial)
+                    got = [_arrays(s.ensemble)[0].tobytes() for s in res.snapshots]
+                except ParaxialError as exc:
+                    got = str(exc)
+                outcomes.setdefault((target, angle), []).append(got)
+    assert all(new == old for new, old in outcomes.values())
+    refused = sum(isinstance(new, str) for new, _ in outcomes.values())
+    assert refused == (0 if theta == 0 else 8)  # 4 edges at or past the limit, 2 signs
+    monkeypatch.setattr(cavity, "_detect", legs[0])
+    with pytest.raises(ParaxialError, match=r"^ensemble angle nan outside paraxial window"):
+        run(CavityConfig(n_traversals=1, theta_split_rad=1e308))
 
 
 @pytest.mark.parametrize("preset, n, most", [("bnl-quad", 40, 3), ("confocal", 14, 0)])
@@ -867,11 +980,13 @@ def test_run_coalesces_into_the_order_of_the_last_merge(cfg, final_beams, monkey
 def test_runs_without_merges_stay_mirrored(case):
     """Transport lays out the split of a mirrored ensemble mirrored again,
     and this run merges nothing, so every snapshot and the final ensemble
-    list their beams mirrored from one end."""
-    res = run(ENGINE_PINS[case][0])
+    list their beams mirrored from one end, and so do the angles each
+    snapshot checks."""
+    res, snapshot_angles = run_with_detector_angles(ENGINE_PINS[case][0])
     for ens in [s.ensemble for s in res.snapshots] + [res.final]:
         assert density._is_mirrored(ens.positions, ens.weights)
-        assert np.array_equal(ens.angles, -ens.angles[::-1])
+    for angles in snapshot_angles + [res.final.angles]:
+        assert np.array_equal(angles, -angles[::-1])
 
 
 # beams per snapshot of a bnl-quad run at n=40 before coalescing, and in
@@ -1027,6 +1142,27 @@ def test_apart_at_the_index_guard(sign, monkeypatch):
         coalesce(ens, EDGE_TOL_P, EDGE_TOL_A)
 
 
+@pytest.mark.parametrize("second, holds", [(1.5, True), (1.0, False)])
+def test_apart_at_the_63_bit_key_edge(second, holds, monkeypatch):
+    """1025 beams (11 index bits) over 2^52 - 1 angle cells fill all 63
+    bits of a non-negative int64 key, so the bound (cell + 2) << 11 of the
+    top angle cell is 2^63, one past the largest int64.  Two beams in the
+    top two angle cells and one position cell: the proof holds where their
+    shift-0.5 angle cells differ and fails where they share one, as the
+    passes find."""
+    n, top = 1025, 2.0**52 - 2
+    assert int(top + 1).bit_length() + (n - 1).bit_length() == 63
+    pos = 4.0 * np.arange(n)
+    pos[-1] = pos[-2]
+    ang = np.append(2.0**41 * np.arange(n - 2) + 0.5, [top + 0.5, top + second])
+    p, a = pos * EDGE_TOL_P, ang * EDGE_TOL_A
+    assert _shares_cell_brute(p, a, EDGE_TOL_P, EDGE_TOL_A) != holds
+    assert cavity._apart(p, a, EDGE_TOL_P, EDGE_TOL_A) == holds
+    ens = BeamEnsemble(p, a, np.full(n, 1.0 / n))
+    assert len(coalesce(ens, EDGE_TOL_P, EDGE_TOL_A)) == n - (not holds)
+    _assert_as_the_passes_alone(ens, EDGE_TOL_P, EDGE_TOL_A, monkeypatch)
+
+
 # --- traversal mechanics ---------------------------------------------------
 
 
@@ -1097,22 +1233,22 @@ def test_run_weight_is_conserved_at_every_snapshot():
 
 def test_run_null_field_is_a_single_undisturbed_beam():
     cfg = replace(CavityConfig(n_traversals=8), theta_split_rad=0.0)
-    res = run(cfg)
-    for snap in res.snapshots:
+    res, snapshot_angles = run_with_detector_angles(cfg)
+    for snap, angles in zip(res.snapshots, snapshot_angles, strict=True):
         assert len(snap.ensemble) == 1
         assert snap.ensemble.positions[0] == 0.0
-        assert snap.ensemble.angles[0] == 0.0
+        assert angles[0] == 0.0 and snap.ensemble.max_angle.hex() == "0x0.0p+0"
         assert snap.ensemble.weights[0] == 1.0
 
 
 def test_run_snapshots_are_left_right_symmetric():
     """An axial input beam sees a symmetric cavity, so the weighted mean
     position and angle at the detector vanish identically."""
-    res = run(CavityConfig())
-    for snap in (res.snapshots[0], res.snapshots[7], res.snapshots[-1]):
-        e = snap.ensemble
+    res, snapshot_angles = run_with_detector_angles(CavityConfig())
+    for k in (0, 7, -1):
+        e, angles = res.snapshots[k].ensemble, snapshot_angles[k]
         assert math.fsum((e.weights * e.positions).tolist()) == 0.0
-        assert math.fsum((e.weights * e.angles).tolist()) == 0.0
+        assert math.fsum((e.weights * angles).tolist()) == 0.0
 
 
 def test_first_snapshot_matches_transfer_matrix_prediction_axial():
@@ -1120,12 +1256,13 @@ def test_first_snapshot_matches_transfer_matrix_prediction_axial():
     +-theta*(length + 2*gap + 2*distance) with angle +-2*theta; the chain
     is short enough to write out by hand."""
     cfg = CavityConfig(n_traversals=1)
-    res = run(cfg)
+    res, (angles,) = run_with_detector_angles(cfg)
     e = res.snapshots[0].ensemble
     d = cfg.field_length_m + 2 * cfg.gap_m + cfg.detector_distance_m + cfg.detector_distance_m
     assert np.allclose(np.sort(e.positions), [-THETA * 18.0, THETA * 18.0], rtol=1e-12)
     assert d == 18.0
-    assert np.allclose(np.sort(e.angles), [-2 * THETA, 2 * THETA], rtol=1e-12)
+    assert np.allclose(np.sort(angles), [-2 * THETA, 2 * THETA], rtol=1e-12)
+    assert e.max_angle == pytest.approx(2 * THETA, rel=1e-12)
 
 
 def test_first_snapshot_matches_transfer_matrix_prediction_general():
@@ -1134,13 +1271,14 @@ def test_first_snapshot_matches_transfer_matrix_prediction_general():
     centroid, and the angles by 2*theta around the input angle."""
     cfg = CavityConfig(n_traversals=1)
     r0, a0 = 1e-5, 2e-6
-    res = run(cfg, initial=BeamEnsemble([r0], [a0], [1.0]))
+    res, (angles,) = run_with_detector_angles(cfg, initial=BeamEnsemble([r0], [a0], [1.0]))
     e = res.snapshots[0].ensemble
     centroid = r0 + a0 * (cfg.field_length_m + 2 * cfg.gap_m + cfg.detector_distance_m)
     offsets = np.sort(e.positions) - centroid
     assert np.allclose(offsets, [-THETA * 18.0, THETA * 18.0], rtol=1e-12)
-    ang_off = np.sort(e.angles) - a0
+    ang_off = np.sort(angles) - a0
     assert np.allclose(ang_off, [-2 * THETA, 2 * THETA], rtol=1e-12)
+    assert e.max_angle == pytest.approx(a0 + 2 * THETA, rel=1e-12)
 
 
 def test_long_run_conserves_weight_with_coarse_merging():

@@ -205,6 +205,26 @@ def test_simulate_then_power_fit_on_bnl_quad(tmp_path, capsys):
     assert report["fit"]["kind"] == "power" and 2.0 < report["fit"]["exponent"] < 3.5
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_simulate_says_when_analyze_cannot_fit_its_series(n, tmp_path, capsys):
+    """A run of one or two snapshots writes a series too short to fit:
+    simulate says so on stdout and exits 0, then analyze of that series
+    exits 2 naming the rows it got.  Three rows fit."""
+    args = ["--preset", "confocal", "--override", f"cavity.n_traversals={n}"]
+    assert cli.main([*args, "--out", str(tmp_path), "simulate"]) == 0
+    note = f"note: the series has {n} rows; analyze needs at least 3 to fit"
+    assert (note in capsys.readouterr().out) == (n < 3)
+    series = str(tmp_path / "growth_series.csv")
+    rc = cli.main([*args, "--out", str(tmp_path), "analyze", "--series", series])
+    err = capsys.readouterr().err
+    if n < 3:
+        assert rc == 2
+        assert f"series too short: need at least 3 rows to fit, got {n}" in err
+        assert not (tmp_path / "report.json").exists()
+    else:
+        assert rc == 0 and (tmp_path / "report.json").exists()
+
+
 def test_simulate_past_the_beam_budget_is_a_guard_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cavity, "MAX_BEAMS", 16)
     args = ["--preset", "confocal", "--out", str(tmp_path), "--override"]
@@ -212,6 +232,17 @@ def test_simulate_past_the_beam_budget_is_a_guard_error(tmp_path, capsys, monkey
     capsys.readouterr()
     assert cli.main(args + ["cavity.n_traversals=5", "simulate"]) == 3
     assert "budget of 16" in capsys.readouterr().err
+
+
+def test_simulate_past_the_real_beam_budget_writes_nothing(tmp_path, capsys):
+    """Confocal n=21 would split the 2^20 beams of traversal 20 into 2^21:
+    exit 3 naming the budget, before any output is written."""
+    assert cavity.MAX_BEAMS == 2**20
+    out = tmp_path / "out"
+    args = ["--preset", "confocal", "--override", "cavity.n_traversals=21", "--out", str(out)]
+    assert cli.main([*args, "simulate"]) == 3
+    assert "past the budget of 1048576" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section, key", [("laser", "wavelength_nm"), ("magnet", "grad_b_t_per_m")])

@@ -1,16 +1,18 @@
 """Memory budget of ``axicav simulate``.
 
-A run must hold every detector snapshot until it is rendered: 24 B per
-snapshot beam (position, angle and weight; a snapshot shares its weights
-with the ensemble it was taken from).  Everything else a traversal or the
-rendering allocates is transient.  The budget bounds the traced peak of a
-whole ``simulate`` call per snapshot beam, so a stage that copies arrays it
-does not return, or keeps them past their last reader, shows here.  Each
-stage allocating only what it returns brings the peak to 50 B (confocal)
-and 52 B (bnl-quad) per snapshot beam below, reached while the last
-traversal coalesces; merging passes that gathered sorted copies of the
-beams had cost 54 B on bnl-quad, and copies and arrays held past their
-last reader 68 B (confocal) and 71 B (bnl-quad).
+A run must hold every detector snapshot until it is rendered: 16 B per
+snapshot beam (position and weight; a snapshot keeps its largest |angle|,
+not the angles, and shares its weights with the ensemble it was taken
+from).  Everything else a traversal or the rendering allocates is
+transient.  The budget bounds the traced peak of a whole ``simulate`` call
+per snapshot beam, so a stage that copies arrays it does not return, or
+keeps them past their last reader, shows here.  The peak is 33.3 B
+(confocal) and 41.5 B (bnl-quad) per snapshot beam below, reached while
+the last traversal coalesces.  Snapshots that stored their angles as well
+(24 B per snapshot beam) had brought it to 45.4 B and 49.5 B; merging
+passes that gathered sorted copies of the beams to 54 B on bnl-quad, and
+copies and arrays held past their last reader to 68 B (confocal) and 71 B
+(bnl-quad).
 """
 
 import tracemalloc
@@ -19,7 +21,7 @@ import pytest
 
 from axicav import cavity, cli
 
-BUDGET_BYTES_PER_SNAPSHOT_BEAM = 58
+BUDGET_BYTES_PER_SNAPSHOT_BEAM = 44
 
 
 @pytest.mark.parametrize("preset, n", [("confocal", 14), ("bnl-quad", 20)])
