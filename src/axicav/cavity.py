@@ -22,17 +22,18 @@ the confocal cavity never merges a branch, so its ensemble doubles on every
 traversal.  A run is refused with BeamBudgetError before a split would take
 the ensemble past MAX_BEAMS, rather than left to run out of memory.
 
-Memory: a run keeps every detector snapshot until it is rendered, 16 B per
-snapshot beam: a snapshot is a `BeamSample` of positions and weights, which
-shares its weights array with the ensemble it was taken from, and keeps of
-the angles only the largest |angle| (`_detect`).  Each stage allocates only
-the arrays it returns, so the traced peak of a whole `axicav simulate` is
-33-42 B per snapshot beam (33 B on confocal n=14, 42 B on bnl-quad n=20),
-reached while the last traversal coalesces, with the snapshots, the next
-ensemble and the cell keys live.  A run at the budget (confocal n=20: 2^20
-final beams, 2^21 - 2 snapshot beams) holds 32 MiB of snapshots and peaks
-at 66 MiB under tracemalloc.  Through `axicav.cli.main`, which keeps freed
-arrays in glibc's heap, it peaks at about 102 MiB resident on its first op
+Memory: a run keeps no snapshot beams.  `_detect` reduces each snapshot to
+a `BeamSample` as it takes it: the beam count, the largest |angle|, the
+waist and the moment vector (at most density.MAX_ORDER + 1 floats); the
+position row is read for its moments and dropped.  So a run holds the
+ensemble of the traversal at hand and what each stage returns, and its peak
+is set by its largest traversal, not by the sum over its snapshots.  The
+traced peak of a whole `axicav simulate` is 46 B per beam of the largest
+snapshot on confocal n=14, reached while the last snapshot's moments are
+summed, and 72 B on bnl-quad n=20, reached while the last grid pass
+merges.  A run at the budget (confocal n=20: 2^20 final beams) peaks at
+44 MiB under tracemalloc.  Through `axicav.cli.main`, which keeps freed
+arrays in glibc's heap, it peaks at about 77 MiB resident on its first op
 (Linux x86-64, numpy 2.4.6).
 """
 
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rays
+from . import density, rays
 from .checks import Count, NonNegative, NonZero, Positive, check_fields
 from .rays import PARAXIAL_LIMIT, ParaxialError
 
@@ -103,28 +104,23 @@ class CavityConfig:
 
 
 class BeamSample:
-    """Weighted beam positions, as a detector records them: two parallel
-    arrays, the largest |angle| among the beams, checked against
-    PARAXIAL_LIMIT when the sample was made, and a memo of quantities
-    derived from the arrays (`density.moments` keeps its moments there, per
-    waist).  A detector snapshot is one; the photon density reads nothing
-    else of a beam."""
+    """What a detector keeps of the beams it records: how many there are,
+    the largest |angle| among them, checked against PARAXIAL_LIMIT when the
+    sample was made, and their scaled raw moments, `density.moments` of
+    their positions and weights at the waist ``waist_m``.  The photon
+    density reads nothing else of a beam, so the arrays themselves are read
+    once, here, and not kept.  A detector snapshot is one."""
 
-    __slots__ = ("positions", "weights", "max_angle", "moment_memo")
+    __slots__ = ("beams", "max_angle", "waist_m", "moments")
 
-    def __init__(self, positions, weights, max_angle):
-        self.positions = positions
-        self.weights = weights
+    def __init__(self, positions, weights, max_angle, waist_m):
+        self.beams = positions.size
         self.max_angle = max_angle
-        self.moment_memo = {}
+        self.waist_m = waist_m
+        self.moments = density.moments(positions, weights, waist_m)
 
     def __len__(self) -> int:
-        return self.positions.size
-
-    @property
-    def total_weight(self) -> float:
-        # fsum, not np.sum: the conservation checks care about the last digit
-        return math.fsum(self.weights.tolist())
+        return self.beams
 
 
 def _max_angle(angles) -> float:
@@ -139,16 +135,16 @@ def _max_angle(angles) -> float:
     return abs(amax)  # +0.0, not -0.0, for beams that all lie on the axis
 
 
-class BeamEnsemble(BeamSample):
-    """Weighted beams stored as three parallel arrays: a `BeamSample` that
-    also holds each beam's angle, so it can be carried further.
+class BeamEnsemble:
+    """Weighted beams stored as three parallel arrays: positions, angles
+    and weights.
 
     A stage passes on the arrays it leaves unchanged instead of copying
-    them, so ensembles share arrays (a snapshot, the next ensemble and
-    ``initial`` may hold one weights array).  The rule that makes this
-    safe: no stage writes into an array another ensemble may share."""
+    them, so ensembles share arrays (the next ensemble and ``initial`` may
+    hold one weights array).  The rule that makes this safe: no stage
+    writes into an array another ensemble may share."""
 
-    __slots__ = ("angles",)
+    __slots__ = ("positions", "angles", "weights")
 
     def __init__(self, positions, angles, weights):
         positions = np.atleast_1d(np.asarray(positions, dtype=float))
@@ -171,15 +167,17 @@ class BeamEnsemble(BeamSample):
         float arrays whose weights are halves or sums of checked weights.
         Transport can still tilt a beam out of the paraxial window, so only
         that check is made.  A transport leg can also overflow a position:
-        the next `coalesce` refuses that, naming the positions, and
-        `density.moments` refuses it in a snapshot."""
+        the next `coalesce` refuses that, naming the positions."""
         ens = cls.__new__(cls)
         ens._hold(positions, angles, weights)
         return ens
 
     def _hold(self, positions, angles, weights):
-        BeamSample.__init__(self, positions, weights, _max_angle(angles))
-        self.angles = angles
+        _max_angle(angles)
+        self.positions, self.angles, self.weights = positions, angles, weights
+
+    def __len__(self) -> int:
+        return self.positions.size
 
 
 def axial_beam() -> BeamEnsemble:
@@ -487,7 +485,8 @@ def _grid_pass(pos, ang, w, tol_p, tol_a, shift):
 
 @dataclass(frozen=True)
 class DetectorSnapshot:
-    """The beams at the detector plane after a given traversal."""
+    """The beams at the detector plane after a given traversal, as the
+    sample the detector keeps of them."""
 
     traversal: int
     ensemble: BeamSample
@@ -508,7 +507,9 @@ def _legs(config: CavityConfig):
     exit, so at the far mirror the two branches sit at P(L + 2 gap) (x, a)
     +- b with b = theta (L + 2 gap, 2) (Siegman, *Lasers*, ch. 15), and the
     detector trip or the reflection acts on both terms.  The trip passes the
-    exit mirror unfocused and propagates ``detector_distance_m``."""
+    exit mirror unfocused and propagates ``detector_distance_m``: pure
+    propagation, so its matrix has c = 0 and d = 1 exactly and its kick
+    is (theta (L + 2 gap + distance), 2 theta), which `_detect` relies on."""
     gap, length, theta = config.gap_m, config.field_length_m, config.theta_split_rad
     step = rays.propagation_matrix
     to_mirror = rays.compose([step(gap), step(length), step(gap)])
@@ -519,6 +520,7 @@ def _legs(config: CavityConfig):
         return rays.compose([after, to_mirror]), kick
 
     to_detector = leg(step(config.detector_distance_m))
+    assert to_detector[0].c == 0.0 and to_detector[0].d == 1.0
     return [(to_detector, leg(rays.IDENTITY if focal is None else rays.focusing_matrix(focal)))
             for focal in (config.mirror2_focal_m, config.mirror1_focal_m)]
 
@@ -551,32 +553,32 @@ def _transport(ensemble: BeamEnsemble, matrix, kick, weights) -> BeamEnsemble:
                                  _row(x, a, matrix.c, matrix.d, ka), weights)
 
 
-def _detect(ensemble: BeamEnsemble, matrix, kick, weights) -> BeamSample:
+def _detect(ensemble: BeamEnsemble, matrix, kick, weights, waist_m) -> BeamSample:
     """What `_transport` would carry to the detector, kept as a sample: the
-    same position row, and the largest |angle| of the angle row, checked
-    as `_transport` checks it, from the row's extremes alone.  With
-    u = c x + d a, each branch angle fl(u + k) or fl(u - k) rises with u
-    (rounding is monotone), so the row's minimum and maximum are among
-    fl(min u +- k) and fl(max u +- k), and a NaN in the row puts one
-    there too.  The row itself is never stored."""
+    same position row, read for its moments and then dropped, and the
+    largest |angle| of the angle row, checked as `_transport` checks it,
+    without forming the row.  The trip is pure propagation (`_legs`), so a
+    beam's detector angle is its angle a, or on a split leg fl(a + k) and
+    fl(a - k), which rise with a (rounding is monotone): the row's minimum
+    and maximum are among fl(min a +- k) and fl(max a +- k), and a NaN kick
+    puts one there too.  A position row that holds a NaN or an inf is
+    refused by the moments (GuardError)."""
     x, a = ensemble.positions, ensemble.angles
     kx, ka = kick or (None, None)
-    positions = _row(x, a, matrix.a, matrix.b, kx)
-    u = x * matrix.c
-    u += a * matrix.d
-    ends = np.array([u.min(), u.max()]) if u.size else u
-    del u
+    ends = np.array([a.min(), a.max()]) if a.size else a
     if ka is not None:
         ends = np.concatenate((ends + ka, ends - ka))
-    return BeamSample(positions, weights, _max_angle(ends))
+    max_angle = _max_angle(ends)
+    return BeamSample(_row(x, a, matrix.a, matrix.b, kx), weights, max_angle, waist_m)
 
 
-def run(config: CavityConfig, initial: BeamEnsemble | None = None) -> RunResult:
+def run(config: CavityConfig, waist_m: float, initial: BeamEnsemble | None = None) -> RunResult:
     """Run n_traversals of the cavity from ``initial`` (default: the axial
     beam), alternating direction each traversal: carry the beams across the
     cavity, splitting them in the field region, and past the far mirror
     (`_legs`), then coalesce.  A split leg's snapshot and next ensemble
-    share one array of half weights.
+    read one array of half weights.  Each snapshot is reduced to its
+    moments at the profile waist ``waist_m`` when it is taken (`_detect`).
 
     With extraction through mirror 2 a snapshot is taken each traversal at
     whichever mirror the beams just reached (the symmetric-cavity detector
@@ -585,8 +587,10 @@ def run(config: CavityConfig, initial: BeamEnsemble | None = None) -> RunResult:
     reflection, since the transmitted light never feels the mirror curvature.
 
     Raises BeamBudgetError before a split leg would produce more than
-    MAX_BEAMS beams, and ValueError when ``initial`` holds a weight that is
-    negative or not finite, or a position that is not finite.
+    MAX_BEAMS beams, GuardError when a snapshot sits too far off the axis
+    for the moment series (or holds a position that is not finite), and
+    ValueError when ``initial`` holds a weight that is negative or not
+    finite, or a position that is not finite.
     """
     legs = _legs(config)
     # the only beams from outside, checked in full: their arrays may have
@@ -606,7 +610,7 @@ def run(config: CavityConfig, initial: BeamEnsemble | None = None) -> RunResult:
             np.multiply(ens.weights, 0.5, out=w[:n])
             w[n:] = w[:n]
         if config.extraction_mirror == MIRROR_2 or not forward:
-            result.snapshots.append(DetectorSnapshot(k, _detect(ens, *to_detector, w)))
+            result.snapshots.append(DetectorSnapshot(k, _detect(ens, *to_detector, w, waist_m)))
         # the previous ensemble is dropped before coalescing starts
         ens = _transport(ens, *to_next, w)
         ens = coalesce(ens, config.coalesce_tol_position_m, config.coalesce_tol_angle_rad)

@@ -163,10 +163,12 @@ def cmd_simulate(args) -> int:
     )
     edges = density.histogram_edges(sc.analysis.bin_width_m, sc.analysis.histogram_max_m)
 
-    signal_run = run(sc.cavity)
+    signal_run = run(sc.cavity, sc.laser.waist_m)
     # only the final ensemble's size is reported: do not hold it while rendering
     final_beams = len(signal_run.final)
     signal_run.final = None
+    traversals = [snap.traversal for snap in signal_run.snapshots]
+    moments = [snap.ensemble.moments for snap in signal_run.snapshots]
     # The reference, a field-off run, is the axial beam: its axial part is
     # each snapshot's own and its deviation +0, so a difference is minus the
     # snapshot's deviation (0.0 - x: a bin that never changed reads +0).
@@ -176,15 +178,16 @@ def cmd_simulate(args) -> int:
         for snap in signal_run.snapshots
     }
     central = sensitivity.central_loss_series(
-        signal_run, profile, sc.analysis.pixel_half_width_m
+        traversals, moments, profile, sc.analysis.pixel_half_width_m
     )
     sideband = sensitivity.sideband_gain_series(
-        signal_run,
+        traversals,
+        moments,
         profile,
         sc.analysis.sideband_pixel_center_m,
         sc.analysis.pixel_half_width_m,
     )
-    amb = sensitivity.center_sideband_series(signal_run, profile)
+    amb = sensitivity.center_sideband_series(traversals, moments, profile)
 
     # Everything is computed before the first write, so a refused run
     # leaves no file.  Histograms an earlier run left for traversals this
@@ -203,7 +206,7 @@ def cmd_simulate(args) -> int:
         [central.n.astype(int), central.signal, sideband.signal, amb.signal],
     )
     series_path.write_text("".join(series))
-    rows = len(signal_run.snapshots)
+    rows = len(traversals)
     print(f"wrote {rows} difference histograms and {series_path}")
     if rows < sensitivity.MIN_FIT_POINTS:
         print(f"note: the series has {rows} rows; analyze needs at least "
@@ -448,7 +451,7 @@ def _keep_freed_heap() -> None:
     either threshold turns the dynamic rule off, so both are set.  32 MiB is
     glibc's own dynamic ceiling on 64-bit and lies above every engine array
     at `cavity.MAX_BEAMS` (8 MiB); 128 MiB lies above the traced peak of a
-    run at `MAX_BEAMS` (68.9 MB).  Nothing happens where the C library has
+    run at `MAX_BEAMS` (46.2 MB).  Nothing happens where the C library has
     no `mallopt`.
     """
     import ctypes

@@ -13,9 +13,10 @@ beam.
 
 The beams of a cavity run stay far inside one waist of the axis (max|x|/r
 is 1.5e-4 on the confocal preset), so the rate is expanded about the axis:
-`moments` reads an ensemble once for its scaled raw moments
-m_n = sum_i w_i (x_i/r)^n, and `rates` turns them into the rate in any
-window as the rate of one unit beam on the axis plus the deviation from it.
+`moments` reads a detector's positions and weights once for their scaled
+raw moments m_n = sum_i w_i (x_i/r)^n, and `rates_from_moments` turns them
+into the rate in any window as the rate of one unit beam on the axis plus
+the deviation from it.
 A change against the unsplit beam is the deviation alone, never the
 difference of two totals of 1e13-1e15 photons/s.  The edges need only the
 error function of the math module, so no verb loads scipy.
@@ -26,8 +27,14 @@ IEEE rounding does not depend on the sign), so where its beams are listed
 mirrored, which `moments` checks, its odd moments are exactly 0.0 and are
 set without summing; any other ensemble has them summed exactly.  The
 Hermite table of a set of windows depends only on the edges, the waist and
-the highest order, so `rates` builds it once per key (`_window_table`) and
-every snapshot of a run reads it.
+the highest order, so `rates_from_moments` builds it once per key
+(`_window_table`) and every snapshot of a run reads it.
+
+A detector snapshot (`cavity.BeamSample`) is its moment vector: `cavity.run`
+calls `moments` on each snapshot's arrays as it takes it, at the profile
+waist, and keeps the vector, not the arrays.  `bin_ensemble` and
+`integrate_window` read a sample's moments and refuse a profile of another
+waist, at which those moments mean nothing.
 """
 
 from __future__ import annotations
@@ -44,8 +51,8 @@ from .checks import NonNegative, Positive, check_args, check_fields
 DEFAULT_BIN_WIDTH_M = 1.0e-4
 DEFAULT_HISTOGRAM_MAX_M = 3.0e-3
 
-# The moment series: the dropped terms of `rates` stay below TAIL of
-# A*r*m_2, and an ensemble that needs more than MAX_ORDER terms for that
+# The moment series: the dropped terms of `rates_from_moments` stay below
+# TAIL of A*r*m_2, and an ensemble that needs more than MAX_ORDER terms for that
 # (max|x|/r past about 1.1) is refused with GuardError.
 TAIL = 1e-17
 MAX_ORDER = 32
@@ -284,7 +291,8 @@ def _two_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _order(rho: float) -> int:
-    """The highest moment order `rates` needs when max|x|/r = rho.
+    """The highest moment order `rates_from_moments` needs when
+    max|x|/r = rho.
 
     Term n of the series is A*r*d_n*m_n/n!.  Cramer's inequality bounds
     |d_n| by 2*CRAMER*sqrt((n-1)!), and |m_n| <= rho^(n-2) m_2, so the
@@ -305,10 +313,10 @@ def _order(rho: float) -> int:
 
 def _midpoint_order(n_max: int, delta: float) -> int:
     """The highest odd power of delta <= 1/4 that the midpoint series of
-    `rates` needs for the orders n <= n_max.  Cramer's inequality bounds
-    term k by 2*CRAMER*sqrt((n+k-1)!) delta^k/k!; the series stops at the
-    first odd K whose next term is below TAIL/2 of the first term's bound,
-    and each later term is under half the one before."""
+    `rates_from_moments` needs for the orders n <= n_max.  Cramer's
+    inequality bounds term k by 2*CRAMER*sqrt((n+k-1)!) delta^k/k!; the
+    series stops at the first odd K whose next term is below TAIL/2 of the
+    first term's bound, and each later term is under half the one before."""
     k = 1
     while not (math.sqrt(math.factorial(n_max + k + 1) / math.factorial(n_max))
                * delta ** (k + 1) / math.factorial(k + 2) < TAIL / 2):
@@ -336,14 +344,16 @@ def _is_mirrored(positions: np.ndarray, weights: np.ndarray) -> bool:
     return np.array_equal(positions, -positions[::-1]) and np.array_equal(weights, weights[::-1])
 
 
-def moments(ensemble, waist_m: float) -> np.ndarray:
-    """The ensemble's scaled raw moments, index 0 holding the weight beyond
-    one unit beam: [sum(w) - 1, m_1, ..., m_N] with m_n = sum(w (x/r)^n)
-    and N from `_order`.
+def moments(positions: np.ndarray, weights: np.ndarray, waist_m: float) -> np.ndarray:
+    """The scaled raw moments of beams at ``positions`` with ``weights``
+    (two float arrays of one length), index 0 holding the weight beyond one
+    unit beam: [sum(w) - 1, m_1, ..., m_N] with m_n = sum(w (x/r)^n), r the
+    waist, and N from `_order`.  A NaN or an infinite position needs more
+    than MAX_ORDER terms, so it is refused with GuardError.
 
     Even orders are sums of nonnegative terms.  Odd orders cancel in a
     symmetric ensemble, so they and the weight are summed exactly
-    (`_exact_sum`), unless the ensemble is its own mirror image
+    (`_exact_sum`), unless the beams are their own mirror image
     (`_is_mirrored`).  Then every odd moment is exactly 0.0, the value the
     exact sum returns: negation and multiplication round the same for
     either sign, so the term w (x/r)^n of the beam at -x is the negated
@@ -355,29 +365,24 @@ def moments(ensemble, waist_m: float) -> np.ndarray:
     which a window near a sign change of the deviation cancels against
     order 2, is the exact sum of the error-free products w x
     (`_two_product`) divided once by r: rounding each term w (x/r) would leave
-    it 7e-16 off on an off-axis start, and a bin there 7e-13.  The result is
-    kept on the ensemble, per waist, so a snapshot's histogram and its
-    window series read the beams once."""
-    memo = ensemble.moment_memo
-    if waist_m not in memo:
-        # the weight first, so its buffers are gone before y and term exist
-        weight = _exact_sum(np.append(ensemble.weights, -1.0))
-        mirrored = _is_mirrored(ensemble.positions, ensemble.weights)
-        y = ensemble.positions / waist_m
-        order = _order(max(-float(y.min()), float(y.max())) if y.size else 0.0)
-        m = np.zeros(order + 1)  # a mirrored ensemble's odd moments stay 0.0
-        m[0] = weight
-        if not mirrored:
-            m[1] = _exact_sum(_two_product(ensemble.weights, ensemble.positions)) / waist_m
-        term = ensemble.weights.copy()
-        for n in range(1, order + 1):
-            term *= y
-            if n % 2 == 0:
-                m[n] = float(term.sum())
-            elif n > 1 and not mirrored:
-                m[n] = _exact_sum(term)
-        memo[waist_m] = m
-    return memo[waist_m]
+    it 7e-16 off on an off-axis start, and a bin there 7e-13."""
+    # the weight first, so its buffers are gone before y and term exist
+    weight = _exact_sum(np.append(weights, -1.0))
+    mirrored = _is_mirrored(positions, weights)
+    y = positions / waist_m
+    order = _order(max(-float(y.min()), float(y.max())) if y.size else 0.0)
+    m = np.zeros(order + 1)  # a mirrored ensemble's odd moments stay 0.0
+    m[0] = weight
+    if not mirrored:
+        m[1] = _exact_sum(_two_product(weights, positions)) / waist_m
+    term = weights.copy()
+    for n in range(1, order + 1):
+        term *= y
+        if n % 2 == 0:
+            m[n] = float(term.sum())
+        elif n > 1 and not mirrored:
+            m[n] = _exact_sum(term)
+    return m
 
 
 def _axial_mass(lo: float, hi: float) -> float:
@@ -393,10 +398,10 @@ def _axial_mass(lo: float, hi: float) -> float:
 
 @functools.lru_cache(maxsize=128)
 def _window_table(edges_bytes: bytes, r: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The part of `rates` that depends only on the windows, the waist and
-    the highest order: the changes E_n(l) - E_n(h) (row n-1 for orders 1
-    to n_max, one column per window) and each window's axial mass
-    erf(h/sqrt 2) - erf(l/sqrt 2).  Kept per key, read-only, since every
+    """The part of `rates_from_moments` that depends only on the windows,
+    the waist and the highest order: the changes E_n(l) - E_n(h) (row n-1
+    for orders 1 to n_max, one column per window) and each window's axial
+    mass erf(h/sqrt 2) - erf(l/sqrt 2).  Kept per key, read-only, since every
     snapshot of a run reads the same windows."""
     edges = np.frombuffer(edges_bytes)
     u = edges / r
@@ -420,10 +425,13 @@ def _window_table(edges_bytes: bytes, r: float, n_max: int) -> tuple[np.ndarray,
     return change, mass
 
 
-def rates(ensemble, profile: GaussianProfile, edges_m) -> tuple[np.ndarray, np.ndarray]:
-    """Photon rate of the ensemble in each window [edges[i], edges[i+1]),
-    from its `moments`, as (axial, deviation): the rate of one unit beam
-    on the axis, G(0), and the ensemble's deviation from it,
+def rates_from_moments(
+    m: np.ndarray, profile: GaussianProfile, edges_m
+) -> tuple[np.ndarray, np.ndarray]:
+    """Photon rate in each window [edges[i], edges[i+1]) of the beams whose
+    `moments` at the profile's waist are ``m``, as (axial, deviation): the
+    rate of one unit beam on the axis, G(0), and the beams' deviation from
+    it,
 
         G(0) (sum(w) - 1) + sum_{n>=1} A r [E_n(l) - E_n(h)] m_n / n!,
 
@@ -439,13 +447,12 @@ def rates(ensemble, profile: GaussianProfile, edges_m) -> tuple[np.ndarray, np.n
     which keeps its digits where the window straddles a maximum of E_n
     (on the default bin [0.7, 0.8] mm, around x = r, E_2(l) - E_2(h) is
     1/5000 of either edge value).  The changes and the axial masses depend
-    on the ensemble only through its order, so they are built once per
+    on the beams only through their order, so they are built once per
     windows, waist and order (`_window_table`).
 
     Raises ValueError unless the edges are finite and strictly ascending."""
     edges = _ascending_edges(edges_m)
     r, scale = profile.waist_m, profile.amplitude * profile.waist_m
-    m = moments(ensemble, r)
     change, mass = _window_table(edges.tobytes(), r, m.size - 1)
     # float factorials: past 20! an integer list would make an object array
     coef = m[1:] / np.array([float(math.factorial(n)) for n in range(1, m.size)])
@@ -455,20 +462,34 @@ def rates(ensemble, profile: GaussianProfile, edges_m) -> tuple[np.ndarray, np.n
     return axial, deviation
 
 
-def bin_ensemble(ensemble, profile: GaussianProfile, edges_m=None) -> DetectorHistogram:
-    """The ensemble's exact photon rate in each bin: every beam contributes
-    its weight times the integral of a Gaussian of the profile's waist
-    centered at the beam position.  Bins this narrow (0.13 sigma at the
-    defaults) make midpoint sampling visibly biased, hence integrals."""
+def _sample_moments(sample, profile: GaussianProfile) -> np.ndarray:
+    """The moments a sample holds, refused (ValueError) unless they were
+    taken at the profile's waist."""
+    if sample.waist_m != profile.waist_m:
+        raise ValueError(
+            f"the sample's moments are taken at waist {sample.waist_m!r} m, "
+            f"the profile's waist is {profile.waist_m!r} m"
+        )
+    return sample.moments
+
+
+def bin_ensemble(sample, profile: GaussianProfile, edges_m=None) -> DetectorHistogram:
+    """The exact photon rate of a detector sample (`cavity.BeamSample`) in
+    each bin, from its moments: every beam contributes its weight times the
+    integral of a Gaussian of the profile's waist centered at the beam
+    position.  Bins this narrow (0.13 sigma at the defaults) make midpoint
+    sampling visibly biased, hence integrals."""
     if edges_m is None:
         edges_m = histogram_edges()
-    return DetectorHistogram(edges_m, *rates(ensemble, profile, edges_m))
+    m = _sample_moments(sample, profile)
+    return DetectorHistogram(edges_m, *rates_from_moments(m, profile, edges_m))
 
 
-def integrate_window(ensemble, profile: GaussianProfile, lo_m: float, hi_m: float) -> float:
-    """Exact windowed photon rate of the ensemble over [lo, hi).  The
+def integrate_window(sample, profile: GaussianProfile, lo_m: float, hi_m: float) -> float:
+    """Exact windowed photon rate of a detector sample over [lo, hi).  The
     window is signed (lo may be negative for a two-sided center pixel)."""
-    axial, deviation = rates(ensemble, profile, [lo_m, hi_m])
+    m = _sample_moments(sample, profile)
+    axial, deviation = rates_from_moments(m, profile, [lo_m, hi_m])
     return float(axial[0] + deviation[0])
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import density
 from .checks import Count, Positive, check_args, check_fields
-from .cavity import RunResult
 
 DEFAULT_BEAM_RATE = 5e18  # photons/s carried by the full beam
 
@@ -198,43 +197,48 @@ def scenario_report(
 
 
 # ---------------------------------------------------------------------------
-# series builders on cavity runs
+# series builders on detector snapshots: each takes a run's snapshots as
+# their traversals and moment vectors (`density.moments` at the profile's waist)
 
 
 def _window_series(
-    result: RunResult,
+    traversals,
+    moments,
     profile: density.GaussianProfile,
     windows: list[tuple[float, float, float]],
 ) -> GrowthSeries:
     """S(reference) - S(snapshot) at every detector snapshot, where
-    S(ensemble) is the sum of coefficient * (exact rate in [lo, hi)) over
+    S(snapshot) is the sum of coefficient * (exact rate in [lo, hi)) over
     the ``(lo, hi, coefficient)`` windows and the reference is the unsplit
     axial beam.  Each window contributes minus its coefficient times the
-    snapshot's deviation from that beam (`density.rates`), so no two large
-    totals are subtracted."""
+    snapshot's deviation from that beam (`density.rates_from_moments`), so
+    no two large totals are subtracted."""
 
-    def change(ens):
+    def change(m):
         # 0.0 - x: a snapshot that never left the axis gives +0, not -0
-        return 0.0 - sum(c * density.rates(ens, profile, (lo, hi))[1][0] for lo, hi, c in windows)
+        return 0.0 - sum(c * density.rates_from_moments(m, profile, (lo, hi))[1][0]
+                         for lo, hi, c in windows)
 
-    ns = [snap.traversal for snap in result.snapshots]
-    vals = [change(snap.ensemble) for snap in result.snapshots]
-    return GrowthSeries(np.array(ns, dtype=float), np.array(vals, dtype=float))
+    return GrowthSeries(np.array(traversals, dtype=float),
+                        np.array([change(m) for m in moments], dtype=float))
 
 
 def central_loss_series(
-    result: RunResult,
+    traversals,
+    moments,
     profile: density.GaussianProfile,
     pixel_half_width_m: float = DEFAULT_PIXEL_HALF_WIDTH_M,
 ) -> GrowthSeries:
     """Photon rate lost from the central pixel (a two-sided window of
     +-pixel_half_width around the axis) at each detector snapshot, relative
     to the unsplit reference beam."""
-    return _window_series(result, profile, [(-pixel_half_width_m, pixel_half_width_m, 1.0)])
+    return _window_series(traversals, moments, profile,
+                          [(-pixel_half_width_m, pixel_half_width_m, 1.0)])
 
 
 def sideband_gain_series(
-    result: RunResult,
+    traversals,
+    moments,
     profile: density.GaussianProfile,
     pixel_center_m: float = DEFAULT_SIDEBAND_PIXEL_CENTER_M,
     pixel_half_width_m: float = DEFAULT_PIXEL_HALF_WIDTH_M,
@@ -242,10 +246,10 @@ def sideband_gain_series(
     """Photon rate gained in a narrow sideband pixel (both detector halves,
     via the symmetric doubling rule) relative to the unsplit reference."""
     lo, hi = pixel_center_m - pixel_half_width_m, pixel_center_m + pixel_half_width_m
-    return _window_series(result, profile, [(lo, hi, -2.0)])
+    return _window_series(traversals, moments, profile, [(lo, hi, -2.0)])
 
 
-def center_sideband_series(result: RunResult, profile: density.GaussianProfile) -> GrowthSeries:
+def center_sideband_series(traversals, moments, profile: density.GaussianProfile) -> GrowthSeries:
     """Change of the (center minus sidebands) observable per snapshot.
 
     With w the profile's waist, center is [0, w/2] and the sidebands run
@@ -256,4 +260,5 @@ def center_sideband_series(result: RunResult, profile: density.GaussianProfile) 
     center, once arriving in the sidebands).
     """
     w = profile.waist_m
-    return _window_series(result, profile, [(0.0, 0.5 * w, 2.0), (w, 4.0 * w + 1.0e-3, -2.0)])
+    return _window_series(traversals, moments, profile,
+                          [(0.0, 0.5 * w, 2.0), (w, 4.0 * w + 1.0e-3, -2.0)])

@@ -5,8 +5,8 @@ computes another way: the planar lattice stepped pass by pass (against
 `lattice.compare_growth`'s closed-form spread laws), the reference beam
 profile sampled at a point (against the exact window integrals of
 `density`), a 2x2 matrix acting on one ray (against `rays`' matrix
-algebra, which the engine applies to whole arrays), and the angle rows of
-the detector snapshots, which a run checks but does not keep.
+algebra, which the engine applies to whole arrays), and the beams of the
+detector snapshots, which a run reduces to their moments and does not keep.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 
-from axicav import cavity
+from axicav import cavity, density
 from axicav.density import GaussianProfile
 from axicav.rays import RayState, TransferMatrix
 
@@ -124,19 +124,35 @@ def apply(m: TransferMatrix, ray: RayState) -> RayState:
 # detector snapshots
 
 
-def run_with_detector_angles(config, initial=None):
-    """``cavity.run(config, initial)`` and each snapshot's angles, in the
-    snapshot's beam order.  A snapshot keeps only the largest |angle| of
-    its beams; here the detector leg is also carried in full, as
+def run_with_detector_beams(config, waist_m, initial=None):
+    """``cavity.run(config, waist_m, initial)`` and each snapshot's beams,
+    in the snapshot's beam order, as the `BeamEnsemble` of their positions,
+    angles and weights.  A snapshot keeps only its beam count, largest
+    |angle| and moments; here the detector leg is also carried in full, as
     `cavity._transport` carries every other leg, from the ensemble each
-    snapshot's traversal starts at."""
-    rows = []
+    snapshot's traversal starts at, so the arrays are the engine's own
+    bits."""
+    beams = []
     detect = cavity._detect
 
-    def keep_angles(ensemble, matrix, kick, weights):
-        rows.append(cavity._transport(ensemble, matrix, kick, weights).angles)
-        return detect(ensemble, matrix, kick, weights)
+    def keep_beams(ensemble, matrix, kick, weights, waist):
+        beams.append(cavity._transport(ensemble, matrix, kick, weights))
+        return detect(ensemble, matrix, kick, weights, waist)
 
-    with mock.patch.object(cavity, "_detect", keep_angles):
-        result = cavity.run(config, initial)
-    return result, rows
+    with mock.patch.object(cavity, "_detect", keep_beams):
+        result = cavity.run(config, waist_m, initial)
+    return result, beams
+
+
+def sample(ensemble, waist_m):
+    """The detector sample of ``ensemble``'s beams at the waist ``waist_m``,
+    as `cavity._detect` makes one of the beams it carries to the detector."""
+    return cavity.BeamSample(ensemble.positions, ensemble.weights,
+                             cavity._max_angle(ensemble.angles), waist_m)
+
+
+def rates(ensemble, profile, edges_m):
+    """`density.rates_from_moments` of ``ensemble``'s moments at the
+    profile's waist."""
+    return density.rates_from_moments(
+        density.moments(ensemble.positions, ensemble.weights, profile.waist_m), profile, edges_m)

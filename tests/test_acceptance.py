@@ -16,7 +16,7 @@ import pytest
 from oracles import (
     initial_ensemble,
     momentum_spectrum,
-    run_with_detector_angles,
+    run_with_detector_beams,
     step_bifurcation,
     step_pascal,
 )
@@ -347,10 +347,15 @@ def test_criterion_08_lattice_growth_comparison():
 # engine-level criteria share one reference run
 
 
+def _traversals_and_moments(result):
+    """A run's snapshots as the series builders take them."""
+    return [s.traversal for s in result.snapshots], [s.ensemble.moments for s in result.snapshots]
+
+
 @pytest.fixture(scope="module")
 def confocal_run():
     cfg = CavityConfig()  # 15 traversals at theta 4e-10
-    return cfg, run(cfg), run(replace(cfg, theta_split_rad=0.0))
+    return cfg, run(cfg, PROFILE.waist_m), run(replace(cfg, theta_split_rad=0.0), PROFILE.waist_m)
 
 
 def test_criterion_09_difference_histogram_sign_structure(confocal_run):
@@ -385,7 +390,7 @@ def test_criterion_10_central_loss_linearity(confocal_run):
     """Central-pixel loss versus traversal count is linear to R^2 > 0.99
     over the 15 refocusing-cavity traversals."""
     cfg, signal, _ = confocal_run
-    series = central_loss_series(signal, PROFILE)
+    series = central_loss_series(*_traversals_and_moments(signal), PROFILE)
     fit = fit_linear(series)
     parts = [
         ("15 points", len(series) == 15, f"{len(series)}"),
@@ -407,8 +412,8 @@ def test_criterion_11_defocusing_pair_superquadratic_growth():
     cfg = CavityConfig(
         mirror2_focal_m=-5.5, extraction_mirror=MIRROR_1, theta_split_rad=1e-9, n_traversals=20
     )
-    result = run(cfg)
-    series = center_sideband_series(result, PROFILE)
+    result = run(cfg, PROFILE.waist_m)
+    series = center_sideband_series(*_traversals_and_moments(result), PROFILE)
     fit = fit_power(series)
     parts = [
         ("exponent > 2", fit.exponent > 2.0, f"measured {fit.exponent!r}"),
@@ -436,11 +441,11 @@ def test_criterion_12_invariant_suite(confocal_run):
         coalesce_tol_position_m=1e-8,
         coalesce_tol_angle_rad=1e-7,
     )
-    drift = abs(run(long_cfg).final.total_weight - 1.0)
+    drift = abs(math.fsum(run(long_cfg, PROFILE.waist_m).final.weights.tolist()) - 1.0)
 
     # (b) null test: zero split angle leaves no bitwise trace at the detector
     null_cfg = replace(cfg, theta_split_rad=0.0)
-    null_run = run(null_cfg)
+    null_run, null_beams = run_with_detector_beams(null_cfg, PROFILE.waist_m)
     edges = histogram_edges()
     null_zero = True
     for snap_s, snap_n in zip(reference.snapshots, null_run.snapshots):
@@ -450,24 +455,24 @@ def test_criterion_12_invariant_suite(confocal_run):
         )
         null_zero = null_zero and bool(np.all(d.counts == 0.0))
     null_positions = bool(
-        np.all(null_run.snapshots[-1].ensemble.positions == 0.0)
+        np.all(null_beams[-1].positions == 0.0)
         and null_run.snapshots[-1].ensemble.max_angle == 0.0
     )
 
     # (c) one-traversal detector snapshot against the closed form
     r0, a0 = 1e-5, 2e-6
-    one, (one_angles,) = run_with_detector_angles(
+    one, (e,) = run_with_detector_beams(
         CavityConfig(n_traversals=1),
+        PROFILE.waist_m,
         initial=BeamEnsemble([r0], [a0], [1.0]),
     )
-    e = one.snapshots[0].ensemble
     centroid = r0 + a0 * (cfg.field_length_m + 2 * cfg.gap_m + cfg.detector_distance_m)
     want_pos = np.sort([centroid - THETA * 18.0, centroid + THETA * 18.0])
     want_ang = np.sort([a0 - 2 * THETA, a0 + 2 * THETA])
     oracle_ok = bool(
         np.all(np.abs(np.sort(e.positions) - want_pos) <= 1e-12 * np.abs(want_pos))
-        and np.all(np.abs(np.sort(one_angles) - want_ang) <= 1e-12 * np.abs(want_ang))
-        and e.max_angle == float(np.abs(one_angles).max())
+        and np.all(np.abs(np.sort(e.angles) - want_ang) <= 1e-12 * np.abs(want_ang))
+        and one.snapshots[0].ensemble.max_angle == float(np.abs(e.angles).max())
     )
 
     # (d) the shipped deficit curve vs the brute-force displaced pair at
@@ -494,16 +499,17 @@ def test_criterion_12_invariant_suite(confocal_run):
     leak = abs(math.fsum(diff_wide.counts.tolist())) / moved
 
     # (f) ensemble symmetry at the detector (a snapshot keeps only its
-    # largest |angle|, so the angles come from the detector leg, run again)
+    # moments and largest |angle|, so the beams come from the detector leg,
+    # run again)
     sym_ok = True
     sym_worst = 0.0
-    _, signal_angles = run_with_detector_angles(cfg)
+    _, signal_beams = run_with_detector_beams(cfg, PROFILE.waist_m)
     for k in (0, 7, -1):
-        ens, angles = signal.snapshots[k].ensemble, signal_angles[k]
+        ens = signal_beams[k]
         scale_p = float(np.max(np.abs(ens.positions)))
-        scale_a = ens.max_angle
+        scale_a = signal.snapshots[k].ensemble.max_angle
         mp = abs(math.fsum((ens.weights * ens.positions).tolist()))
-        ma = abs(math.fsum((ens.weights * angles).tolist()))
+        ma = abs(math.fsum((ens.weights * ens.angles).tolist()))
         sym_worst = max(sym_worst, mp / scale_p, ma / scale_a)
         sym_ok = sym_ok and mp <= 1e-15 * scale_p and ma <= 1e-15 * scale_a
 

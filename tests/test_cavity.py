@@ -7,7 +7,7 @@ from dataclasses import MISSING, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
-from oracles import run_with_detector_angles
+from oracles import run_with_detector_beams, sample
 
 import axicav
 import axicav.cavity as cavity
@@ -27,6 +27,9 @@ from axicav.rays import PARAXIAL_LIMIT, ParaxialError, TransferMatrix
 from axicav.scenario import ScenarioError, load_preset
 
 THETA = 4e-10
+WAIST = 7.5e-4  # the presets' laser waist, at which every snapshot's moments are taken
+# wide enough that beams metres off the axis stay inside the moment series
+WIDE_WAIST = 100.0
 
 
 # --- configuration ---------------------------------------------------------
@@ -45,7 +48,7 @@ def test_config_rejects_bad_values():
         CavityConfig(coalesce_tol_position_m=0.0)
     with pytest.raises(ConfigError, match="n_traversals must be >= 2 with extraction_mirror"):
         CavityConfig(extraction_mirror=MIRROR_1, n_traversals=1)
-    assert len(run(CavityConfig(extraction_mirror=MIRROR_1, n_traversals=2)).snapshots) == 1
+    assert len(run(CavityConfig(extraction_mirror=MIRROR_1, n_traversals=2), WAIST).snapshots) == 1
 
 
 def _config_classes():
@@ -121,14 +124,15 @@ def test_ensemble_refuses_weights_that_are_not_finite_and_nonnegative(bad):
     with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
         BeamEnsemble([0.0, 1e-9], [0.0, 0.0], [bad, 0.5])
     with pytest.raises(ValueError, match="finite and >= 0"):
-        run(CavityConfig(n_traversals=2), initial=BeamEnsemble([0.0, 1e-9], [0.0, 0.0], [bad, 0.5]))
+        run(CavityConfig(n_traversals=2), WAIST,
+            initial=BeamEnsemble([0.0, 1e-9], [0.0, 0.0], [bad, 0.5]))
     # written into the weights after construction, it is refused by the
     # check `run` makes of its initial ensemble, split leg or not
     for cfg in (CavityConfig(n_traversals=2), CavityConfig(n_traversals=2, theta_split_rad=0.0)):
         initial = BeamEnsemble([0.0, 1e-9], [0.0, 0.0], [0.5, 0.5])
         initial.weights[0] = bad
         with pytest.raises(ValueError, match="finite and >= 0"):
-            run(cfg, initial=initial)
+            run(cfg, WAIST, initial=initial)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -139,20 +143,23 @@ def test_ensemble_refuses_positions_that_are_not_finite(bad):
     with pytest.raises(ValueError, match=re.escape(f"positions must be finite, got {bad!r}")):
         BeamEnsemble([0.0, bad], [0.0, 0.0], [0.5, 0.5])
     with pytest.raises(ValueError, match="positions must be finite"):
-        run(CavityConfig(n_traversals=2), initial=BeamEnsemble([bad], [0.0], [1.0]))
+        run(CavityConfig(n_traversals=2), WAIST, initial=BeamEnsemble([bad], [0.0], [1.0]))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_run_refuses_a_position_that_overflows_in_transport():
     """Only the initial ensemble is checked in full.  A beam near the
     largest double that a 1e307 m field carries past it is refused by the
-    next coalesce, which names the positions, not its tolerance."""
-    cfg = CavityConfig(mirror2_focal_m=None, field_length_m=1e307, n_traversals=1,
-                       coalesce_tol_position_m=1e290)
+    next coalesce, which names the positions, not its tolerance.  Mirror 1
+    extraction takes no snapshot on traversal 1, whose moments would refuse
+    the overflowed position first (GuardError)."""
+    cfg = CavityConfig(mirror2_focal_m=None, field_length_m=1e307, n_traversals=2,
+                       extraction_mirror=MIRROR_1, coalesce_tol_position_m=1e290)
     with pytest.raises(ValueError, match=r"^positions must be finite, got inf$"):
-        run(cfg, initial=BeamEnsemble([1.79e308], [0.09], [1.0]))
+        run(cfg, WAIST, initial=BeamEnsemble([1.79e308], [0.09], [1.0]))
     with pytest.raises(ValueError, match="tolerance too small"):
-        run(replace(cfg, coalesce_tol_position_m=1e-300), initial=BeamEnsemble([1e10], [0.0], [1.0]))
+        run(replace(cfg, coalesce_tol_position_m=1e-300), WAIST,
+            initial=BeamEnsemble([1e10], [0.0], [1.0]))
 
 
 def test_ensemble_enforces_paraxial_window():
@@ -163,7 +170,7 @@ def test_ensemble_enforces_paraxial_window():
 def test_ensemble_total_weight():
     ens = BeamEnsemble([1e-3, -1e-3], [1e-6, -1e-6], [0.25, 0.75])
     assert len(ens) == 2
-    assert ens.total_weight == 1.0
+    assert math.fsum(ens.weights.tolist()) == 1.0
 
 
 # --- reflection ------------------------------------------------------------
@@ -173,7 +180,7 @@ def test_ensemble_total_weight():
 
 def test_planar_reflection_keeps_the_accumulated_angle():
     cfg = CavityConfig(mirror2_focal_m=None, theta_split_rad=0.0, n_traversals=1)
-    out = run(cfg, initial=BeamEnsemble([5.6e-9], [8e-10], [1.0])).final
+    out = run(cfg, WAIST, initial=BeamEnsemble([5.6e-9], [8e-10], [1.0])).final
     length = cfg.field_length_m + 2 * cfg.gap_m
     assert out.angles[0] == 8e-10
     assert out.positions[0] == pytest.approx(5.6e-9 + 8e-10 * length, rel=1e-15)
@@ -181,7 +188,7 @@ def test_planar_reflection_keeps_the_accumulated_angle():
 
 def test_curved_reflection_adds_focusing_kick():
     cfg = CavityConfig(theta_split_rad=0.0, n_traversals=1)
-    out = run(cfg, initial=BeamEnsemble([1e-3], [0.0], [1.0])).final
+    out = run(cfg, WIDE_WAIST, initial=BeamEnsemble([1e-3], [0.0], [1.0])).final
     assert out.positions[0] == 1e-3
     assert out.angles[0] == pytest.approx(-8e-5, rel=1e-15)
 
@@ -669,18 +676,15 @@ def test_coalesce_packing_boundaries_match_reference(cells, packs, monkeypatch):
     assert (not calls) == packs
 
 
-def _arrays(ens):
-    """A snapshot's positions and weights, or an ensemble's three arrays."""
-    if isinstance(ens, BeamEnsemble):
-        return ens.positions, ens.angles, ens.weights
-    return ens.positions, ens.weights
-
-
 def _run_bits(cfg):
-    res = run(cfg)
-    ensembles = [s.ensemble for s in res.snapshots] + [res.final]
+    """Each snapshot's traversal, and the bits of each snapshot's beams
+    and moments, then of the final ensemble."""
+    res, beams = run_with_detector_beams(cfg, WAIST)
+    arrays = [(e.positions, e.angles, e.weights, s.ensemble.moments)
+              for e, s in zip(beams, res.snapshots, strict=True)]
+    arrays.append((res.final.positions, res.final.angles, res.final.weights))
     return [s.traversal for s in res.snapshots], [
-        tuple(array.tobytes() for array in _arrays(e)) for e in ensembles
+        tuple(array.tobytes() for array in group) for group in arrays
     ]
 
 
@@ -720,14 +724,17 @@ ENGINE_PINS = {
 
 def _run_digest(cfg):
     """One sha256 over each snapshot's traversal, beam count, positions
-    and weights, then the final ensemble's (traversal 0) positions, angles
-    and weights."""
-    res = run(cfg)
+    and weights (its beams read through `run_with_detector_beams`), then
+    the final ensemble's (traversal 0) positions, angles and weights."""
+    res, beams = run_with_detector_beams(cfg, WAIST)
     digest = hashlib.sha256()
-    for traversal, ens in [(s.traversal, s.ensemble) for s in res.snapshots] + [(0, res.final)]:
-        digest.update(f"{traversal}:{len(ens)};".encode())
-        for array in _arrays(ens):
+    for s, ens in zip(res.snapshots, beams, strict=True):
+        digest.update(f"{s.traversal}:{len(s.ensemble)};".encode())
+        for array in (ens.positions, ens.weights):
             digest.update(array.tobytes())
+    digest.update(f"0:{len(res.final)};".encode())
+    for array in (res.final.positions, res.final.angles, res.final.weights):
+        digest.update(array.tobytes())
     return digest.hexdigest()
 
 
@@ -741,23 +748,25 @@ def test_run_arrays_are_pinned(case):
 def test_snapshot_max_angle_is_the_angle_rows_extreme(case):
     """A snapshot records the largest |angle| of the row `_transport`
     would have stored, bit for bit, from the row's extremes alone."""
-    res, snapshot_angles = run_with_detector_angles(ENGINE_PINS[case][0])
-    for snap, angles in zip(res.snapshots, snapshot_angles, strict=True):
-        assert snap.ensemble.max_angle.hex() == float(np.abs(angles).max()).hex()
-        assert not hasattr(snap.ensemble, "angles")
+    res, beams = run_with_detector_beams(ENGINE_PINS[case][0], WAIST)
+    for snap, ens in zip(res.snapshots, beams, strict=True):
+        assert snap.ensemble.max_angle.hex() == float(np.abs(ens.angles).max()).hex()
 
 
 def _detector_outcome(detect, ensemble, matrix, kick):
-    """What a detector leg gives: the positions' bits and the largest
-    |angle|, or the ParaxialError message."""
+    """What a detector leg gives: the bits of its beams' moments at
+    WIDE_WAIST and their largest |angle|, or the refusal's type and
+    message."""
+    weights = ensemble.weights if kick is None else np.concatenate((ensemble.weights,
+                                                                     ensemble.weights))
     try:
-        out = detect(ensemble, matrix, kick, ensemble.weights if kick is None else
-                     np.concatenate((ensemble.weights, ensemble.weights)))
-    except ParaxialError as exc:
-        return str(exc)
-    if isinstance(out, BeamEnsemble):  # the stored row of `_transport`
-        return out.positions.tobytes(), float(np.abs(out.angles).max()).hex()
-    return out.positions.tobytes(), out.max_angle.hex()
+        if detect is cavity._transport:  # the stored row
+            out = sample(cavity._transport(ensemble, matrix, kick, weights), WIDE_WAIST)
+        else:
+            out = detect(ensemble, matrix, kick, weights, WIDE_WAIST)
+    except (ParaxialError, density.GuardError) as exc:
+        return type(exc).__name__, str(exc)
+    return out.moments.tobytes(), out.max_angle.hex()
 
 
 def _near_limit(start, steps=3):
@@ -772,34 +781,55 @@ def _near_limit(start, steps=3):
 
 
 def test_detector_guard_refuses_what_the_stored_row_refused():
-    """`_detect` checks the angle row from its extremes; `_transport`
-    stores the row and checks all of it.  On angles one ulp either side of
-    PARAXIAL_LIMIT, on split legs and unsplit ones, through matrices with
-    c != 0 and d > 1, and with NaN in the row, both refuse the same beams
-    with the same message, or keep the same positions and largest |angle|."""
-    lens = TransferMatrix(1.0, 2.0, 0.1, 1.2)
+    """`_detect` checks the detector angles from the extremes of the
+    angles it starts from; `_transport` stores the angle row and checks all
+    of it.  The detector trip is pure propagation, c = 0 and d = 1 (`_legs`
+    asserts it), so on angles one ulp either side of PARAXIAL_LIMIT, on
+    split legs and unsplit ones, both refuse the same beams with the same
+    message, or keep the same moments and largest |angle|.  A NaN
+    position, which made the stored row's angle NaN, is refused by the
+    moments instead (GuardError), unless its beams' angles are refused
+    first."""
+    drift = TransferMatrix(1.0, 14.0, 0.0, 1.0)
     tried = refused = 0
-    for matrix in (TransferMatrix(1.0, 0.0, 0.12, 1.0), lens):
-        for ka in (None, 2e-3, -2e-3):
-            kick = None if ka is None else (3e-3, ka)
-            for sign in (1.0, -1.0):
-                for edge in _near_limit(PARAXIAL_LIMIT):
-                    # the beam whose row angle u (+ kick) lands on the edge
-                    u = sign * edge - (abs(ka) if ka else 0.0) * sign
-                    a = (u - 0.5 * sign * matrix.c) / matrix.d
-                    for x_mid in (0.25, math.nan):
-                        ens = BeamEnsemble._derived(np.array([0.5 * sign, x_mid, -0.5 * sign]),
-                                                    np.array([a, 0.0, -0.01 * sign]),
-                                                    np.full(3, 1.0 / 3))
-                        old = _detector_outcome(cavity._transport, ens, matrix, kick)
-                        assert _detector_outcome(cavity._detect, ens, matrix, kick) == old
-                        tried += 1
-                        refused += isinstance(old, str)
+    for ka in (None, 2e-3, -2e-3):
+        kick = None if ka is None else (3e-3, ka)
+        for sign in (1.0, -1.0):
+            for edge in _near_limit(PARAXIAL_LIMIT):
+                # the beam whose detector angle a (+ kick) lands on the edge
+                a = sign * edge - (abs(ka) if ka else 0.0) * sign
+                if not abs(a) < PARAXIAL_LIMIT:
+                    continue  # the ensemble itself is refused
+                angles, weights = np.array([a, 0.0, -0.01 * sign]), np.full(3, 1.0 / 3)
+                ens = BeamEnsemble._derived(np.array([0.5 * sign, 0.25, -0.5 * sign]),
+                                            angles, weights)
+                old = _detector_outcome(cavity._transport, ens, drift, kick)
+                assert _detector_outcome(cavity._detect, ens, drift, kick) == old
+                tried += 1
+                refused += old[0] == "ParaxialError"
+                nan = BeamEnsemble._derived(np.array([0.5 * sign, math.nan, -0.5 * sign]),
+                                            angles, weights)
+                got = _detector_outcome(cavity._detect, nan, drift, kick)
+                if old[0] == "ParaxialError":
+                    assert got == old
+                else:
+                    assert got[0] == "GuardError" and got[1].startswith("max|x|/r = nan")
     assert 0 < refused < tried
     # an empty ensemble has no angle to refuse
     empty = BeamEnsemble([], [], [])
     for kick in (None, (1.0, 1.0)):
-        assert _detector_outcome(cavity._detect, empty, lens, kick) == (b"", "0x0.0p+0")
+        assert _detector_outcome(cavity._detect, empty, drift, kick)[1] == "0x0.0p+0"
+
+
+def test_legs_carry_the_detector_by_pure_propagation():
+    """`_detect` reads the detector angles as a +- k, which holds because
+    every detector map `_legs` composes has c = 0.0 and d = 1.0 exactly,
+    whatever the distances, and a kick of 2 theta in angle."""
+    for cfg in (CavityConfig(), load_preset("bnl-quad").cavity,
+                CavityConfig(detector_distance_m=1e300, gap_m=0.0, theta_split_rad=0.0)):
+        for (matrix, kick), _ in cavity._legs(cfg):
+            assert (matrix.c, matrix.d) == (0.0, 1.0)
+            assert kick is None if cfg.theta_split_rad == 0 else kick[1] == 2 * cfg.theta_split_rad
 
 
 @pytest.mark.parametrize("theta", [0.0, 1e-3], ids=["unsplit", "split"])
@@ -813,7 +843,11 @@ def test_run_refuses_a_detector_angle_exactly_as_the_stored_row_did(theta, monke
     at 1e308, where theta*(L + 2 gap) overflows) is refused, naming the NaN."""
     cfg = CavityConfig(n_traversals=1, theta_split_rad=theta)
     kick = 2 * theta
-    legs = (cavity._detect, cavity._transport)  # the sample, and the stored row
+
+    def stored_row(ensemble, matrix, kick, weights, waist_m):
+        return sample(cavity._transport(ensemble, matrix, kick, weights), waist_m)
+
+    legs = (cavity._detect, stored_row)  # the sample, and the stored row
     outcomes = {}
     for target in _near_limit(PARAXIAL_LIMIT):
         a = target - kick
@@ -828,8 +862,9 @@ def test_run_refuses_a_detector_angle_exactly_as_the_stored_row_did(theta, monke
             for detect in legs:
                 monkeypatch.setattr(cavity, "_detect", detect)
                 try:
-                    res = run(cfg, initial)
-                    got = [_arrays(s.ensemble)[0].tobytes() for s in res.snapshots]
+                    res = run(cfg, WIDE_WAIST, initial)
+                    got = [(s.ensemble.moments.tobytes(), s.ensemble.max_angle.hex())
+                           for s in res.snapshots]
                 except ParaxialError as exc:
                     got = str(exc)
                 outcomes.setdefault((target, angle), []).append(got)
@@ -838,7 +873,7 @@ def test_run_refuses_a_detector_angle_exactly_as_the_stored_row_did(theta, monke
     assert refused == (0 if theta == 0 else 8)  # 4 edges at or past the limit, 2 signs
     monkeypatch.setattr(cavity, "_detect", legs[0])
     with pytest.raises(ParaxialError, match=r"^ensemble angle nan outside paraxial window"):
-        run(CavityConfig(n_traversals=1, theta_split_rad=1e308))
+        run(CavityConfig(n_traversals=1, theta_split_rad=1e308), WAIST)
 
 
 @pytest.mark.parametrize("preset, n, most", [("bnl-quad", 40, 3), ("confocal", 14, 0)])
@@ -857,7 +892,7 @@ def test_each_coalesce_sorts_at_most(preset, n, most, monkeypatch):
     starts = []
     coalesce = cavity.coalesce
     monkeypatch.setattr(cavity, "coalesce", lambda *a: starts.append(len(log)) or coalesce(*a))
-    run(replace(load_preset(preset).cavity, n_traversals=n))
+    run(replace(load_preset(preset).cavity, n_traversals=n), WAIST)
     calls = [log[a:b] for a, b in zip(starts, starts[1:] + [len(log)])]
     assert len(calls) == n
     assert max(sum(kind == "pass" for kind, _, _ in call) for call in calls) == most
@@ -879,7 +914,7 @@ def test_coalesce_conserves_weight_exactly_for_dyadic_weights():
     w = np.full(n, 1.0 / n)
     ens = BeamEnsemble(pos, ang, w)
     out = coalesce(ens, 1e-10, 1e-13)
-    assert out.total_weight == 1.0
+    assert math.fsum(out.weights.tolist()) == 1.0
     assert len(out) <= n
 
 
@@ -972,21 +1007,19 @@ def test_run_coalesces_into_the_order_of_the_last_merge(cfg, final_beams, monkey
         return out
 
     monkeypatch.setattr(cavity, "coalesce", checked)
-    assert len(run(cfg).final) == final_beams
+    assert len(run(cfg, WAIST).final) == final_beams
     assert merging
 
 
 @pytest.mark.parametrize("case", ["confocal"])
 def test_runs_without_merges_stay_mirrored(case):
     """Transport lays out the split of a mirrored ensemble mirrored again,
-    and this run merges nothing, so every snapshot and the final ensemble
-    list their beams mirrored from one end, and so do the angles each
-    snapshot checks."""
-    res, snapshot_angles = run_with_detector_angles(ENGINE_PINS[case][0])
-    for ens in [s.ensemble for s in res.snapshots] + [res.final]:
+    and this run merges nothing, so the beams of every snapshot and of the
+    final ensemble are listed mirrored from one end, angles too."""
+    res, beams = run_with_detector_beams(ENGINE_PINS[case][0], WAIST)
+    for ens in beams + [res.final]:
         assert density._is_mirrored(ens.positions, ens.weights)
-    for angles in snapshot_angles + [res.final.angles]:
-        assert np.array_equal(angles, -angles[::-1])
+        assert np.array_equal(ens.angles, -ens.angles[::-1])
 
 
 # beams per snapshot of a bnl-quad run at n=40 before coalescing, and in
@@ -996,7 +1029,7 @@ BNL_QUAD_40_BEAMS = ([4, 16, 56, 160, 380, 784, 1456, 2496, 4020, 6160, 9064, 12
 
 
 def test_bnl_quad_beam_counts_are_pinned():
-    res = run(ENGINE_PINS["bnl-quad"][0])
+    res = run(ENGINE_PINS["bnl-quad"][0], WAIST)
     assert ([len(s.ensemble) for s in res.snapshots], len(res.final)) == BNL_QUAD_40_BEAMS
 
 
@@ -1168,7 +1201,7 @@ def test_apart_at_the_63_bit_key_edge(second, holds, monkeypatch):
 
 def test_single_traversal_splits_axial_beam():
     cfg = CavityConfig(n_traversals=1)
-    out = run(cfg).final
+    out = run(cfg, WAIST).final
     assert len(out) == 2
     assert np.array_equal(out.weights, [0.5, 0.5])
     # position at the far mirror: one field passage walks the beam off axis
@@ -1183,7 +1216,7 @@ def test_single_traversal_splits_axial_beam():
 
 def test_two_planar_traversals_build_the_four_state_pattern():
     cfg = CavityConfig(mirror1_focal_m=None, mirror2_focal_m=None, n_traversals=2)
-    ens = run(cfg).final
+    ens = run(cfg, WAIST).final
     assert len(ens) == 4
     assert np.array_equal(ens.weights, np.full(4, 0.25))
     # angles in units of the per-passage kick 2*theta
@@ -1201,54 +1234,55 @@ def test_traversal_count_growth_on_planar_mirrors():
     (n^3 + 5 n + 6) / 6 exactly."""
     cfg = CavityConfig(mirror1_focal_m=None, mirror2_focal_m=None)
     for n in range(1, 26):
-        ens = run(replace(cfg, n_traversals=n)).final
+        ens = run(replace(cfg, n_traversals=n), WAIST).final
         assert len(ens) == (n**3 + 5 * n + 6) // 6, f"count law broke at n={n}"
-    assert ens.total_weight == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(ens.weights.tolist()) == pytest.approx(1.0, abs=1e-12)
 
 
 # --- full runs -------------------------------------------------------------
 
 
 def test_run_snapshot_cadence_mirror2_every_traversal():
-    res = run(CavityConfig(n_traversals=5))
+    res = run(CavityConfig(n_traversals=5), WAIST)
     assert [s.traversal for s in res.snapshots] == [1, 2, 3, 4, 5]
 
 
 def test_run_snapshot_cadence_mirror1_every_second_traversal():
-    res = run(CavityConfig(mirror2_focal_m=None, extraction_mirror=MIRROR_1, n_traversals=5))
+    res = run(CavityConfig(mirror2_focal_m=None, extraction_mirror=MIRROR_1, n_traversals=5), WAIST)
     assert [s.traversal for s in res.snapshots] == [2, 4]
     res = run(
         CavityConfig(
             mirror2_focal_m=-5.5, extraction_mirror=MIRROR_1, n_traversals=6, theta_split_rad=1e-12
-        )
+        ),
+        WAIST,
     )
     assert [s.traversal for s in res.snapshots] == [2, 4, 6]
 
 
 def test_run_weight_is_conserved_at_every_snapshot():
-    res = run(CavityConfig())
+    res = run(CavityConfig(), WAIST)
     for snap in res.snapshots:
-        assert abs(snap.ensemble.total_weight - 1.0) <= 1e-12
+        assert abs(snap.ensemble.moments[0]) <= 1e-12
 
 
 def test_run_null_field_is_a_single_undisturbed_beam():
     cfg = replace(CavityConfig(n_traversals=8), theta_split_rad=0.0)
-    res, snapshot_angles = run_with_detector_angles(cfg)
-    for snap, angles in zip(res.snapshots, snapshot_angles, strict=True):
-        assert len(snap.ensemble) == 1
-        assert snap.ensemble.positions[0] == 0.0
-        assert angles[0] == 0.0 and snap.ensemble.max_angle.hex() == "0x0.0p+0"
-        assert snap.ensemble.weights[0] == 1.0
+    res, beams = run_with_detector_beams(cfg, WAIST)
+    for snap, ens in zip(res.snapshots, beams, strict=True):
+        assert len(snap.ensemble) == len(ens) == 1
+        assert ens.positions[0] == 0.0
+        assert ens.angles[0] == 0.0 and snap.ensemble.max_angle.hex() == "0x0.0p+0"
+        assert ens.weights[0] == 1.0
 
 
 def test_run_snapshots_are_left_right_symmetric():
     """An axial input beam sees a symmetric cavity, so the weighted mean
     position and angle at the detector vanish identically."""
-    res, snapshot_angles = run_with_detector_angles(CavityConfig())
+    _, beams = run_with_detector_beams(CavityConfig(), WAIST)
     for k in (0, 7, -1):
-        e, angles = res.snapshots[k].ensemble, snapshot_angles[k]
+        e = beams[k]
         assert math.fsum((e.weights * e.positions).tolist()) == 0.0
-        assert math.fsum((e.weights * angles).tolist()) == 0.0
+        assert math.fsum((e.weights * e.angles).tolist()) == 0.0
 
 
 def test_first_snapshot_matches_transfer_matrix_prediction_axial():
@@ -1256,13 +1290,12 @@ def test_first_snapshot_matches_transfer_matrix_prediction_axial():
     +-theta*(length + 2*gap + 2*distance) with angle +-2*theta; the chain
     is short enough to write out by hand."""
     cfg = CavityConfig(n_traversals=1)
-    res, (angles,) = run_with_detector_angles(cfg)
-    e = res.snapshots[0].ensemble
+    res, (e,) = run_with_detector_beams(cfg, WAIST)
     d = cfg.field_length_m + 2 * cfg.gap_m + cfg.detector_distance_m + cfg.detector_distance_m
     assert np.allclose(np.sort(e.positions), [-THETA * 18.0, THETA * 18.0], rtol=1e-12)
     assert d == 18.0
-    assert np.allclose(np.sort(angles), [-2 * THETA, 2 * THETA], rtol=1e-12)
-    assert e.max_angle == pytest.approx(2 * THETA, rel=1e-12)
+    assert np.allclose(np.sort(e.angles), [-2 * THETA, 2 * THETA], rtol=1e-12)
+    assert res.snapshots[0].ensemble.max_angle == pytest.approx(2 * THETA, rel=1e-12)
 
 
 def test_first_snapshot_matches_transfer_matrix_prediction_general():
@@ -1271,14 +1304,13 @@ def test_first_snapshot_matches_transfer_matrix_prediction_general():
     centroid, and the angles by 2*theta around the input angle."""
     cfg = CavityConfig(n_traversals=1)
     r0, a0 = 1e-5, 2e-6
-    res, (angles,) = run_with_detector_angles(cfg, initial=BeamEnsemble([r0], [a0], [1.0]))
-    e = res.snapshots[0].ensemble
+    res, (e,) = run_with_detector_beams(cfg, WAIST, initial=BeamEnsemble([r0], [a0], [1.0]))
     centroid = r0 + a0 * (cfg.field_length_m + 2 * cfg.gap_m + cfg.detector_distance_m)
     offsets = np.sort(e.positions) - centroid
     assert np.allclose(offsets, [-THETA * 18.0, THETA * 18.0], rtol=1e-12)
-    ang_off = np.sort(angles) - a0
+    ang_off = np.sort(e.angles) - a0
     assert np.allclose(ang_off, [-2 * THETA, 2 * THETA], rtol=1e-12)
-    assert e.max_angle == pytest.approx(a0 + 2 * THETA, rel=1e-12)
+    assert res.snapshots[0].ensemble.max_angle == pytest.approx(a0 + 2 * THETA, rel=1e-12)
 
 
 def test_long_run_conserves_weight_with_coarse_merging():
@@ -1289,8 +1321,8 @@ def test_long_run_conserves_weight_with_coarse_merging():
         coalesce_tol_position_m=1e-8,
         coalesce_tol_angle_rad=1e-7,
     )
-    res = run(cfg)
-    assert abs(res.final.total_weight - 1.0) <= 1e-12
+    res = run(cfg, WAIST)
+    assert abs(math.fsum(res.final.weights.tolist()) - 1.0) <= 1e-12
     assert len(res.final) <= 16
 
 
@@ -1298,10 +1330,10 @@ def test_run_accepts_convex_concave_geometry():
     cfg = CavityConfig(
         mirror2_focal_m=-5.5, extraction_mirror=MIRROR_1, n_traversals=6, theta_split_rad=1e-9
     )
-    res = run(cfg)
+    res = run(cfg, WAIST)
     assert res.snapshots
     for snap in res.snapshots:
-        assert abs(snap.ensemble.total_weight - 1.0) <= 1e-12
+        assert abs(snap.ensemble.moments[0]) <= 1e-12
 
 
 # --- beam budget -------------------------------------------------------------
@@ -1312,9 +1344,9 @@ def test_run_refuses_a_split_past_the_beam_budget(monkeypatch):
     beams, four traversals fit and the fifth split is refused before any
     work is done on it."""
     monkeypatch.setattr(cavity, "MAX_BEAMS", 16)
-    assert len(run(CavityConfig(n_traversals=4)).final) == 16
+    assert len(run(CavityConfig(n_traversals=4), WAIST).final) == 16
     with pytest.raises(BeamBudgetError, match="traversal 5 would split 16 beams into 32"):
-        run(CavityConfig(n_traversals=5))
+        run(CavityConfig(n_traversals=5), WAIST)
 
 
 def test_beam_budget_counts_the_merged_ensemble(monkeypatch):
@@ -1323,9 +1355,9 @@ def test_beam_budget_counts_the_merged_ensemble(monkeypatch):
     confocal ensemble would be 64."""
     monkeypatch.setattr(cavity, "MAX_BEAMS", 52)
     planar = CavityConfig(mirror1_focal_m=None, mirror2_focal_m=None)
-    assert len(run(replace(planar, n_traversals=6)).final) == 42
+    assert len(run(replace(planar, n_traversals=6), WAIST).final) == 42
     with pytest.raises(BeamBudgetError):
-        run(CavityConfig(n_traversals=6))
+        run(CavityConfig(n_traversals=6), WAIST)
 
 
 # --- shared arrays -----------------------------------------------------------
@@ -1358,6 +1390,6 @@ def test_run_leaves_the_initial_arrays_unchanged(theta):
     initial = BeamEnsemble(rng.normal(scale=1e-9, size=64), rng.normal(scale=1e-12, size=64),
                            rng.uniform(0.0, 1.0 / 32, 64))
     before = [a.copy() for a in (initial.positions, initial.angles, initial.weights)]
-    run(CavityConfig(n_traversals=5, theta_split_rad=theta), initial=initial)
+    run(CavityConfig(n_traversals=5, theta_split_rad=theta), WAIST, initial=initial)
     after = (initial.positions, initial.angles, initial.weights)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))

@@ -268,7 +268,8 @@ def test_simulate_refuses_non_finite_numbers_and_writes_nothing(path, tmp_path, 
 # Only the initial ensemble is checked in full; the ensembles a run builds
 # from it are checked for the paraxial window alone.  An overflowing
 # snapshot position (planar far mirror, a detector 1e308 m away, a beam
-# near the largest double) is refused by the rendering's moment series.
+# near the largest double) is refused by the moments `run` takes of it at
+# detection.
 OVERFLOW = ["cavity.mirror2_focal_m=planar", "cavity.detector_distance_m=1e308",
             "cavity.coalesce_tol_position_m=1e300"]
 
@@ -291,13 +292,40 @@ def test_simulate_refuses_non_finite_beams_and_writes_nothing(
         # built valid, then written, as a caller may
         ens = cavity.BeamEnsemble([0.0], [0.0], [1.0])
         ens.positions[:], ens.angles[:], ens.weights[:] = initial
-        monkeypatch.setattr(cli, "run", lambda config: cavity.run(config, initial=ens))
+        monkeypatch.setattr(cli, "run",
+                            lambda config, waist_m: cavity.run(config, waist_m, initial=ens))
     out = tmp_path / "out"
     args = ["--preset", "confocal", "--override", "cavity.n_traversals=1"]
     for setting in overrides:
         args += ["--override", setting]
     assert cli.main([*args, "--out", str(out), "simulate"]) == rc
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_refused_at_detection_exits_3_and_writes_nothing(tmp_path, capsys,
+                                                                 monkeypatch):
+    """A snapshot too far off the axis for the moment series (confocal at
+    theta = 1e-4: max|x|/r = 2.4 at traversal 1) is refused as it is
+    taken, inside `run`, with GuardError: exit 3, nothing rendered, no
+    file written."""
+    raised, rendered = [], []
+    run = cli.run
+
+    def spy_run(*args):
+        try:
+            return run(*args)
+        except density.GuardError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(cli, "run", spy_run)
+    monkeypatch.setattr(density, "bin_ensemble", lambda *args: rendered.append(args))
+    out = tmp_path / "out"
+    args = ["--preset", "confocal", "--override", "cavity.theta_split_rad=1e-4"]
+    assert cli.main([*args, "--out", str(out), "simulate"]) == 3
+    assert "max|x|/r = 2.4: the moment series needs more than" in capsys.readouterr().err
+    assert len(raised) == 1 and not rendered
     assert not out.exists()
 
 

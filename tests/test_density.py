@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from oracles import gaussian_density
+from oracles import gaussian_density, rates, run_with_detector_beams, sample
 
 from axicav import cli, density
 from axicav.cavity import BeamEnsemble, CavityConfig, axial_beam, run
@@ -29,6 +29,11 @@ from axicav.scenario import load_preset
 AMPLITUDE = 5e18
 WAIST = 7.5e-4
 PROFILE = GaussianProfile(AMPLITUDE, WAIST)
+
+
+def _sample(positions, angles, weights, waist=WAIST):
+    """The detector sample, at ``waist``, of beams with these arrays."""
+    return sample(BeamEnsemble(positions, angles, weights), waist)
 
 
 # --- analytic profiles -----------------------------------------------------
@@ -275,7 +280,7 @@ def test_histogram_validation():
 def test_bin_single_beam_matches_erf_integral():
     from scipy.special import erf
 
-    ens = BeamEnsemble([0.0], [0.0], [1.0])
+    ens = _sample([0.0], [0.0], [1.0])
     hist = bin_ensemble(ens, PROFILE)
     s = WAIST * math.sqrt(2.0)
     norm = AMPLITUDE * WAIST * math.sqrt(math.pi / 2.0)
@@ -288,7 +293,7 @@ def test_bin_single_beam_matches_erf_integral():
 
 def test_binned_total_recovers_the_gaussian_norm():
     edges = np.linspace(-8 * WAIST, 8 * WAIST, 241)
-    ens = BeamEnsemble([0.0], [0.0], [1.0])
+    ens = _sample([0.0], [0.0], [1.0])
     hist = bin_ensemble(ens, PROFILE, edges)
     assert math.fsum(hist.counts.tolist()) == pytest.approx(
         AMPLITUDE * WAIST * math.sqrt(2 * math.pi), rel=1e-6
@@ -297,8 +302,8 @@ def test_binned_total_recovers_the_gaussian_norm():
 
 def test_binned_total_is_independent_of_beam_position():
     edges = np.linspace(-8 * WAIST, 8 * WAIST, 241)
-    at_zero = bin_ensemble(BeamEnsemble([0.0], [0.0], [1.0]), PROFILE, edges)
-    shifted = bin_ensemble(BeamEnsemble([1e-4], [0.0], [1.0]), PROFILE, edges)
+    at_zero = bin_ensemble(_sample([0.0], [0.0], [1.0]), PROFILE, edges)
+    shifted = bin_ensemble(_sample([1e-4], [0.0], [1.0]), PROFILE, edges)
     assert math.fsum(shifted.counts.tolist()) == pytest.approx(
         math.fsum(at_zero.counts.tolist()), rel=1e-9
     )
@@ -308,7 +313,7 @@ def test_exact_bin_integral_differs_from_midpoint_sampling():
     """The default bins are a small fraction of the waist, yet the curvature
     bias of midpoint sampling is well above the tolerance the growth series
     are held to; the erf form sidesteps it."""
-    ens = BeamEnsemble([0.0], [0.0], [1.0])
+    ens = _sample([0.0], [0.0], [1.0])
     hist = bin_ensemble(ens, PROFILE)
     mid = 0.5 * (hist.edges_m[:-1] + hist.edges_m[1:])
     midpoint = gaussian_density(mid, PROFILE) * np.diff(hist.edges_m)
@@ -318,15 +323,15 @@ def test_exact_bin_integral_differs_from_midpoint_sampling():
 
 def test_weighted_beams_superpose_linearly():
     edges = histogram_edges()
-    pair = BeamEnsemble([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
+    pair = _sample([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
     hist = bin_ensemble(pair, PROFILE, edges)
-    plus = bin_ensemble(BeamEnsemble([1e-5], [0.0], [1.0]), PROFILE, edges)
-    minus = bin_ensemble(BeamEnsemble([-1e-5], [0.0], [1.0]), PROFILE, edges)
+    plus = bin_ensemble(_sample([1e-5], [0.0], [1.0]), PROFILE, edges)
+    minus = bin_ensemble(_sample([-1e-5], [0.0], [1.0]), PROFILE, edges)
     assert np.allclose(hist.counts, 0.5 * plus.counts + 0.5 * minus.counts, rtol=1e-13)
 
 
 def test_integrate_window_matches_bin_sums():
-    ens = BeamEnsemble([2e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
+    ens = _sample([2e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
     hist = bin_ensemble(ens, PROFILE)
     window = integrate_window(ens, PROFILE, 0.0, DEFAULT_HISTOGRAM_MAX_M)
     assert window == pytest.approx(float(np.sum(hist.counts)), rel=1e-12)
@@ -336,8 +341,8 @@ def test_integrate_window_matches_bin_sums():
 
 def test_split_ensemble_loses_center_and_gains_shoulders():
     alpha = 1e-5
-    ref = BeamEnsemble([0.0], [0.0], [1.0])
-    pair = BeamEnsemble([alpha, -alpha], [0.0, 0.0], [0.5, 0.5])
+    ref = _sample([0.0], [0.0], [1.0])
+    pair = _sample([alpha, -alpha], [0.0, 0.0], [0.5, 0.5])
     core_ref = integrate_window(ref, PROFILE, -7e-4, 7e-4)
     core_pair = integrate_window(pair, PROFILE, -7e-4, 7e-4)
     assert core_ref > core_pair
@@ -347,9 +352,9 @@ def test_split_ensemble_loses_center_and_gains_shoulders():
 
 
 def test_profile_difference_signs_and_validation():
-    ref = bin_ensemble(BeamEnsemble([0.0], [0.0], [1.0]), PROFILE)
+    ref = bin_ensemble(_sample([0.0], [0.0], [1.0]), PROFILE)
     pair = bin_ensemble(
-        BeamEnsemble([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5]), PROFILE
+        _sample([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5]), PROFILE
     )
     diff = profile_difference(ref, pair)
     assert diff.counts[0] > 0  # central loss is positive
@@ -357,14 +362,14 @@ def test_profile_difference_signs_and_validation():
     same = profile_difference(ref, ref)
     assert np.array_equal(same.counts, np.zeros(30))
     other = bin_ensemble(
-        BeamEnsemble([0.0], [0.0], [1.0]), PROFILE, histogram_edges(1e-4, 2e-3)
+        _sample([0.0], [0.0], [1.0]), PROFILE, histogram_edges(1e-4, 2e-3)
     )
     with pytest.raises(ValueError):
         profile_difference(ref, other)
 
 
 def test_histogram_edges_cover_every_bin():
-    hist = bin_ensemble(BeamEnsemble([0.0], [0.0], [1.0]), PROFILE)
+    hist = bin_ensemble(_sample([0.0], [0.0], [1.0]), PROFILE)
     assert hist.edges_m.shape == (31,) and hist.counts.shape == (30,)
     assert hist.edges_m[0] == 0.0
     assert hist.edges_m[-1] == pytest.approx(3e-3, rel=1e-15)
@@ -406,7 +411,7 @@ def test_histogram_refuses_bad_edges_and_non_finite_rates(edges, axial, deviatio
     (1e-3, 1e-3), (1e-3, -1e-3),
 ])
 def test_window_edges_must_be_finite_and_ascending(lo, hi):
-    ens = BeamEnsemble([1e-6, -1e-6], [0.0, 0.0], [0.5, 0.5])
+    ens = _sample([1e-6, -1e-6], [0.0, 0.0], [0.5, 0.5])
     with pytest.raises(ValueError, match="finite and strictly ascending"):
         integrate_window(ens, PROFILE, lo, hi)
     with pytest.raises(ValueError, match="finite and strictly ascending"):
@@ -442,22 +447,46 @@ def test_two_product_is_error_free():
         assert p == x * y and Fraction(p) + Fraction(e) == Fraction(x) * Fraction(y)
 
 
-def test_moments_are_read_once_per_waist():
-    ens = BeamEnsemble([2e-5, -1e-5], [0.0, 0.0], [0.25, 0.75])
-    m = density.moments(ens, WAIST)
-    assert density.moments(ens, WAIST) is m
-    assert density.moments(ens, 2 * WAIST) is not m
+def test_moments_of_two_beams():
+    m = density.moments(np.array([2e-5, -1e-5]), np.array([0.25, 0.75]), WAIST)
     assert m[0] == 0.0  # the weights sum to one unit beam
     assert m[1] == pytest.approx((0.25 * 2e-5 - 0.75 * 1e-5) / WAIST, rel=1e-15)
+    assert m[2] == pytest.approx((0.25 * 2e-5**2 + 0.75 * 1e-5**2) / WAIST**2, rel=1e-15)
 
 
 def test_series_order_grows_with_the_spread_and_is_capped():
-    assert density.moments(BeamEnsemble([0.0], [0.0], [1.0]), WAIST).size == 3
-    wide = density.moments(BeamEnsemble([0.5 * WAIST], [0.0], [1.0]), WAIST)
+    one = np.array([1.0])
+    assert density.moments(np.array([0.0]), one, WAIST).size == 3
+    wide = density.moments(np.array([0.5 * WAIST]), one, WAIST)
     assert 3 < wide.size <= MAX_ORDER + 1
-    too_wide = BeamEnsemble([1.5 * WAIST], [0.0], [1.0])
     with pytest.raises(GuardError, match=f"more than {MAX_ORDER} terms"):
-        bin_ensemble(too_wide, PROFILE)
+        _sample([1.5 * WAIST], [0.0], [1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_moments_refuse_a_position_that_is_not_finite(bad):
+    """A detector position that overflowed, or a NaN, needs more than
+    MAX_ORDER terms: the sample is refused with GuardError, without a
+    RuntimeWarning on the way."""
+    with pytest.raises(GuardError, match=f"^max\\|x\\|/r = {abs(bad)!r}: "):
+        density.moments(np.array([0.0, bad, 1e-6]), np.full(3, 1.0 / 3), WAIST)
+
+
+def test_a_sample_is_read_at_its_own_waist_only():
+    """A sample's moments are scaled to the waist it was taken at; a
+    profile of another waist would read them as other beams, so
+    `bin_ensemble` and `integrate_window` refuse it."""
+    pair = _sample([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
+    wider = GaussianProfile(AMPLITUDE, 2 * WAIST)
+    with pytest.raises(ValueError, match="at waist 0.00075 m, the profile's waist is 0.0015 m"):
+        bin_ensemble(pair, wider)
+    with pytest.raises(ValueError, match="the profile's waist is 0.0015 m"):
+        integrate_window(pair, wider, -1e-6, 1e-6)
+    # taken at that waist, it is read as the beams it was taken from
+    at_wider = _sample([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5], 2 * WAIST)
+    beams = BeamEnsemble([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
+    assert bin_ensemble(at_wider, wider).deviation.tobytes() == rates(
+        beams, wider, histogram_edges())[1].tobytes()
 
 
 def test_a_wide_beam_renders_as_its_own_gaussian():
@@ -467,7 +496,7 @@ def test_a_wide_beam_renders_as_its_own_gaussian():
 
     mp.dps = 40
     x0 = 0.5 * WAIST
-    hist = bin_ensemble(BeamEnsemble([x0], [0.0], [1.0]), PROFILE)
+    hist = bin_ensemble(_sample([x0], [0.0], [1.0]), PROFILE)
     s = mp.mpf(WAIST) * mp.sqrt(2)
     norm = AMPLITUDE * mp.mpf(WAIST) * mp.sqrt(mp.pi / 2)
     edges = hist.edges_m.tolist()
@@ -495,17 +524,17 @@ def test_rates_past_order_20_are_float_and_match_the_oracle():
     orders = []
     for rho in HIGH_ORDER_RHOS:
         ens = BeamEnsemble([rho * ORACLE_PROFILE.waist_m], [0.0], [1.0])
-        orders.append(density.moments(ens, ORACLE_PROFILE.waist_m).size - 1)
-        got_axial, deviation = density.rates(ens, ORACLE_PROFILE, edges)
+        orders.append(density.moments(ens.positions, ens.weights, ORACLE_PROFILE.waist_m).size - 1)
+        got_axial, deviation = rates(ens, ORACLE_PROFILE, edges)
         assert deviation.dtype == np.float64
-        assert density.rates(ens, ORACLE_PROFILE, edges)[1].tobytes() == deviation.tobytes()
+        assert rates(ens, ORACLE_PROFILE, edges)[1].tobytes() == deviation.tobytes()
         want = [a + d for a, d in zip(axial, _oracle_deviation(ens, edges, direct=True))]
         _assert_close(got_axial + deviation, want, f"rho={rho}")
     assert orders == list(range(20, 33))
 
 
 def test_null_run_deviates_by_exact_zeros():
-    res = run(CavityConfig(n_traversals=3, theta_split_rad=0.0))
+    res = run(CavityConfig(n_traversals=3, theta_split_rad=0.0), WAIST)
     for snap in res.snapshots:
         hist = bin_ensemble(snap.ensemble, PROFILE)
         assert np.array_equal(hist.deviation, np.zeros(30))
@@ -540,23 +569,23 @@ def _moment_bits(ens, monkeypatch, mirror_check):
     with monkeypatch.context() as patch:
         if not mirror_check:
             patch.setattr(density, "_is_mirrored", lambda positions, weights: False)
-        ens.moment_memo.clear()
-        bits = density.moments(ens, WAIST).tobytes()
-    ens.moment_memo.clear()
-    return bits
+        return density.moments(ens.positions, ens.weights, WAIST).tobytes()
 
 
 @pytest.mark.parametrize("case", [*MIRRORED_RUNS, "odd-sized"])
 def test_mirrored_moments_are_bitwise_the_exact_sums(case, monkeypatch):
     """Every snapshot of these runs is its own mirror image, and its odd
-    moments set to 0.0 are bitwise what the exact sums return."""
+    moments set to 0.0 are bitwise what the exact sums return, and what the
+    run kept of it."""
     if case == "odd-sized":
-        ensembles = _odd_sized_mirrored()
+        ensembles, kept = _odd_sized_mirrored(), []
     else:
-        ensembles = [snap.ensemble for snap in run(MIRRORED_RUNS[case]).snapshots]
+        res, ensembles = run_with_detector_beams(MIRRORED_RUNS[case], WAIST)
+        kept = [snap.ensemble.moments.tobytes() for snap in res.snapshots]
     for ens in ensembles:
         assert density._is_mirrored(ens.positions, ens.weights)
         assert _moment_bits(ens, monkeypatch, True) == _moment_bits(ens, monkeypatch, False)
+    assert kept == [_moment_bits(ens, monkeypatch, True) for ens in ensembles[:len(kept)]]
 
 
 def _exact_sums_per_ensemble(monkeypatch, ensembles):
@@ -567,8 +596,7 @@ def _exact_sums_per_ensemble(monkeypatch, ensembles):
     counts = []
     for ens in ensembles:
         del sizes[:]
-        ens.moment_memo.clear()
-        m = density.moments(ens, WAIST)
+        m = density.moments(ens.positions, ens.weights, WAIST)
         assert sizes[0] == len(ens) + 1  # the weight, with the unit beam taken off
         counts.append((len(sizes), m.size - 1))
     return counts
@@ -588,9 +616,9 @@ def test_asymmetric_ensembles_take_the_exact_sums(monkeypatch):
     w_moved[300] = np.nextafter(w[300], math.inf)
     assert density._is_mirrored(x, w)
     off_axis = BeamEnsemble([3e-5, -1e-5], [2e-7, -1e-7], [0.25, 0.75])
-    bnl = run(replace(BNL_QUAD, n_traversals=40, theta_split_rad=1.1 * BNL_QUAD.theta_split_rad))
-    late = [s.ensemble for s in bnl.snapshots
-            if not density._is_mirrored(s.ensemble.positions, s.ensemble.weights)]
+    _, bnl = run_with_detector_beams(
+        replace(BNL_QUAD, n_traversals=40, theta_split_rad=1.1 * BNL_QUAD.theta_split_rad), WAIST)
+    late = [ens for ens in bnl if not density._is_mirrored(ens.positions, ens.weights)]
     assert late  # 4 of the 20 snapshots at 1.1 times the preset split
     ensembles = [off_axis, BeamEnsemble(x_moved, np.zeros(1000), w),
                  BeamEnsemble(x, np.zeros(1000), w_moved), *late]
@@ -626,11 +654,11 @@ def _all_rates(ensembles, profile=PROFILE):
     the bytes of their values."""
     windows = [histogram_edges(), (-1e-6, 1e-6), (3.299e-3, 3.301e-3)]
     return [b"".join(part.tobytes() for edges in windows
-                     for part in density.rates(ens, profile, edges)) for ens in ensembles]
+                     for part in rates(ens, profile, edges)) for ens in ensembles]
 
 
 def test_window_tables_from_a_cold_and_a_warm_cache_agree():
-    ensembles = [s.ensemble for s in run(replace(CONFOCAL, n_traversals=10)).snapshots]
+    _, ensembles = run_with_detector_beams(replace(CONFOCAL, n_traversals=10), WAIST)
     ensembles.append(BeamEnsemble([0.5 * WAIST], [0.0], [1.0]))  # a high order
     cold = []
     for ens in ensembles:
@@ -647,7 +675,7 @@ def test_window_tables_are_read_only():
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1.0
-    axial, deviation = density.rates(axial_beam(), PROFILE, histogram_edges())
+    axial, deviation = rates(axial_beam(), PROFILE, histogram_edges())
     assert axial.flags.writeable and deviation.flags.writeable
 
 
@@ -656,7 +684,8 @@ def test_window_tables_are_kept_per_waist_and_order():
     each rate matches the one computed from an empty cache."""
     near = BeamEnsemble([-1e-6, 1e-6], [0.0, 0.0], [0.5, 0.5])
     wide = BeamEnsemble([-0.3 * WAIST, 0.3 * WAIST], [0.0, 0.0], [0.5, 0.5])
-    assert density.moments(near, WAIST).size != density.moments(wide, WAIST).size
+    assert (density.moments(near.positions, near.weights, WAIST).size
+            != density.moments(wide.positions, wide.weights, WAIST).size)
     cases = [(near, PROFILE), (wide, PROFILE), (near, GaussianProfile(AMPLITUDE, 2 * WAIST))]
     cold = []
     for ens, profile in cases:

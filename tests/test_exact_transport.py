@@ -14,9 +14,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
+from oracles import run_with_detector_beams
 
-from axicav.cavity import MIRROR_2, run
+from axicav.cavity import MIRROR_2
 from axicav.scenario import load_preset
+
+WAIST = 7.5e-4  # the presets' laser waist
 
 CONFOCAL = load_preset("confocal").cavity
 BNL_QUAD = load_preset("bnl-quad").cavity
@@ -51,13 +54,13 @@ def _exact_run(cfg):
 def _worst_position_ulps(cfg):
     """Over every snapshot: the largest distance between the engine's sorted
     detector positions and the exact ones, in ulp of the largest |x|."""
-    res = run(cfg)
+    res, beams = run_with_detector_beams(cfg, WAIST)
     exact, _ = _exact_run(cfg)
     assert [s.traversal for s in res.snapshots] == sorted(exact)
     worst = Fraction(0)
-    for snap in res.snapshots:
+    for snap, ens in zip(res.snapshots, beams, strict=True):
         want = sorted(x for x, _, _ in exact[snap.traversal])
-        got = np.sort(snap.ensemble.positions).tolist()
+        got = np.sort(ens.positions).tolist()
         assert len(got) == len(want)
         ulp = Fraction(math.ulp(float(max(abs(want[0]), abs(want[-1])))))
         worst = max(worst, max(abs(Fraction(g) - x) for g, x in zip(got, want)) / ulp)
@@ -77,10 +80,9 @@ def test_bnl_quad_second_moments_and_merges_are_exact():
     coalescing cell of exactly one of them and carries its weight exactly,
     so every merge joined beams whose exact states are equal."""
     cfg = replace(BNL_QUAD, n_traversals=12)
-    res = run(cfg)
+    res, beams = run_with_detector_beams(cfg, WAIST)
     exact, final = _exact_run(cfg)
-    for snap in res.snapshots:
-        ens = snap.ensemble
+    for snap, ens in zip(res.snapshots, beams, strict=True):
         got = sum(Fraction(w) * Fraction(x) ** 2
                   for x, w in zip(ens.positions.tolist(), ens.weights.tolist()))
         want = sum(w * x * x for x, _, w in exact[snap.traversal])

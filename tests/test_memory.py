@@ -1,33 +1,33 @@
 """Memory budget of ``axicav simulate``.
 
-A run must hold every detector snapshot until it is rendered: 16 B per
-snapshot beam (position and weight; a snapshot keeps its largest |angle|,
-not the angles, and shares its weights with the ensemble it was taken
-from).  Everything else a traversal or the rendering allocates is
-transient.  The budget bounds the traced peak of a whole ``simulate`` call
-per snapshot beam, so a stage that copies arrays it does not return, or
-keeps them past their last reader, shows here.  The peak is 33.3 B
-(confocal) and 41.5 B (bnl-quad) per snapshot beam below, reached while
-the last traversal coalesces.  Snapshots that stored their angles as well
-(24 B per snapshot beam) had brought it to 45.4 B and 49.5 B; merging
-passes that gathered sorted copies of the beams to 54 B on bnl-quad, and
-copies and arrays held past their last reader to 68 B (confocal) and 71 B
-(bnl-quad).
+A run reduces each detector snapshot to its moment vector as it takes it
+(`cavity._detect`), so it holds no snapshot beams: peak memory is set by
+the largest traversal, not by the sum over the snapshots.  Everything a
+traversal or the rendering allocates is transient.  The budget bounds the
+traced peak of a whole ``simulate`` call per beam of the largest snapshot,
+so a stage that copies arrays it does not return, or keeps them past their
+last reader, shows here.  The peak is 45.6 B (confocal n=14) and 72.0 B
+(bnl-quad n=20) per beam of the largest snapshot, reached in the last
+traversal: on confocal while its snapshot's moments are summed, on bnl-quad
+while its last grid pass merges.  Snapshots that kept their positions and
+weights (16 B per snapshot beam, summed over the run) had brought it to
+66.6 B and 104.4 B.
 """
 
 import tracemalloc
 
 import pytest
 
-from axicav import cavity, cli
+from axicav import cavity, cli, density
+from axicav.scenario import load_preset
 
-BUDGET_BYTES_PER_SNAPSHOT_BEAM = 44
+BUDGET_BYTES_PER_LARGEST_SNAPSHOT_BEAM = {"confocal": 48, "bnl-quad": 75}
 
 
 @pytest.mark.parametrize("preset, n", [("confocal", 14), ("bnl-quad", 20)])
 def test_simulate_peak_per_snapshot_beam(preset, n, tmp_path, monkeypatch, capsys):
     runs = []
-    monkeypatch.setattr(cli, "run", lambda config: runs.append(cavity.run(config)) or runs[-1])
+    monkeypatch.setattr(cli, "run", lambda *args: runs.append(cavity.run(*args)) or runs[-1])
 
     def simulate(traversals, out):
         args = ["--preset", preset, "--override", f"cavity.n_traversals={traversals}"]
@@ -40,7 +40,22 @@ def test_simulate_peak_per_snapshot_beam(preset, n, tmp_path, monkeypatch, capsy
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    beams = sum(len(snap.ensemble) for snap in runs[-1].snapshots)
-    assert peak / beams < BUDGET_BYTES_PER_SNAPSHOT_BEAM, (
-        f"traced peak {peak} B over {beams} snapshot beams"
+    beams = max(len(snap.ensemble) for snap in runs[-1].snapshots)
+    assert peak / beams < BUDGET_BYTES_PER_LARGEST_SNAPSHOT_BEAM[preset], (
+        f"traced peak {peak} B over {beams} beams of the largest snapshot"
     )
+
+
+def test_a_snapshot_holds_no_per_beam_array():
+    """A snapshot keeps its beam count, largest |angle|, waist and moment
+    vector; the vector's length is the series order, at most
+    density.MAX_ORDER + 1, however many beams it was read from."""
+    cfg = load_preset("confocal", ["cavity.n_traversals=10"]).cavity
+    res = cavity.run(cfg, 7.5e-4)
+    assert len(res.snapshots[-1].ensemble) == 1024
+    for snap in res.snapshots:
+        sample = snap.ensemble
+        assert not hasattr(sample, "__dict__")
+        assert type(sample).__slots__ == ("beams", "max_angle", "waist_m", "moments")
+        assert isinstance(sample.beams, int) and isinstance(sample.max_angle, float)
+        assert sample.moments.ndim == 1 and sample.moments.size <= density.MAX_ORDER + 1

@@ -27,9 +27,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from mpmath import mp
+from oracles import run_with_detector_beams, sample
 
 from axicav import cli, scenario
-from axicav.cavity import MIRROR_1, BeamEnsemble, CavityConfig, run
+from axicav.cavity import MIRROR_1, BeamEnsemble, CavityConfig
 from axicav.density import (
     GaussianProfile,
     bin_ensemble,
@@ -56,10 +57,10 @@ WINDOWS = {  # series -> (lo, hi, coefficient) windows, as in sensitivity
     "sideband": [(C - H, C + H, -2.0)],
     "center_sideband": [(0.0, 0.5 * W, 2.0), (W, 4.0 * W + 1e-3, -2.0)],
 }
-BUILDERS = {
-    "central": lambda res: central_loss_series(res, PROFILE, H),
-    "sideband": lambda res: sideband_gain_series(res, PROFILE, C, H),
-    "center_sideband": lambda res: center_sideband_series(res, PROFILE),
+BUILDERS = {  # series -> builder of it from traversals and moment vectors
+    "central": lambda ns, ms: central_loss_series(ns, ms, PROFILE, H),
+    "sideband": lambda ns, ms: sideband_gain_series(ns, ms, PROFILE, C, H),
+    "center_sideband": lambda ns, ms: center_sideband_series(ns, ms, PROFILE),
 }
 
 
@@ -103,11 +104,12 @@ def _oracle_deviation(ensemble, edges, direct=False):
     return [scale * (hi - lo) for lo, hi in zip(at_edges[:-1], at_edges[1:])]
 
 
-def _oracle_series(result, windows):
-    """Reference minus snapshot of sum(coefficient * rate in window)."""
+def _oracle_series(beams, windows):
+    """Reference minus snapshot of sum(coefficient * rate in window), for
+    each snapshot's beams."""
     return [
-        -mp.fsum(c * _oracle_deviation(snap.ensemble, [lo, hi])[0] for lo, hi, c in windows)
-        for snap in result.snapshots
+        -mp.fsum(c * _oracle_deviation(ens, [lo, hi])[0] for lo, hi, c in windows)
+        for ens in beams
     ]
 
 
@@ -134,39 +136,43 @@ def test_simulate_outputs_match_the_oracle(case, tmp_path):
     preset, overrides = PRESET_CASES[case]
     args = ["--preset", preset, *sum((["--override", o] for o in overrides), [])]
     assert cli.main([*args, "--out", str(tmp_path), "simulate"]) == 0
-    result = run(scenario.load_preset(preset, overrides).cavity)
+    result, beams = run_with_detector_beams(scenario.load_preset(preset, overrides).cavity,
+                                            PROFILE.waist_m)
     edges = histogram_edges()
-    for snap in result.snapshots:
+    for snap, ens in zip(result.snapshots, beams, strict=True):
         got = _read_csv(tmp_path / f"profile_difference_t{snap.traversal:03d}.csv", 2)
-        want = [-v for v in _oracle_deviation(snap.ensemble, edges)]
+        want = [-v for v in _oracle_deviation(ens, edges)]
         _assert_close(got, want, f"{case} t{snap.traversal:03d}")
     series = tmp_path / "growth_series.csv"
     for column, name in enumerate(("central", "sideband", "center_sideband"), 1):
-        _assert_close(_read_csv(series, column), _oracle_series(result, WINDOWS[name]), name)
+        _assert_close(_read_csv(series, column), _oracle_series(beams, WINDOWS[name]), name)
 
 
 def _off_axis_run():
     """Two unequal beams off the axis: every moment order counts."""
     start = BeamEnsemble([3e-5, -1e-5], [2e-7, -1e-7], [0.25, 0.75])
-    return run(CavityConfig(n_traversals=5), initial=start)
+    return run_with_detector_beams(CavityConfig(n_traversals=5), PROFILE.waist_m, initial=start)
 
 
 def test_off_axis_start_matches_the_oracle():
-    result = _off_axis_run()
+    result, beams = _off_axis_run()
     edges = histogram_edges()
-    reference = bin_ensemble(BeamEnsemble([0.0], [0.0], [1.0]), PROFILE, edges)
-    for snap in result.snapshots:
+    reference = bin_ensemble(sample(BeamEnsemble([0.0], [0.0], [1.0]), W), PROFILE, edges)
+    for snap, ens in zip(result.snapshots, beams, strict=True):
         diff = profile_difference(reference, bin_ensemble(snap.ensemble, PROFILE, edges))
-        want = [-v for v in _oracle_deviation(snap.ensemble, edges)]
+        want = [-v for v in _oracle_deviation(ens, edges)]
         _assert_close(diff.counts, want, f"t{snap.traversal:03d}")
+    ns = [s.traversal for s in result.snapshots]
+    ms = [s.ensemble.moments for s in result.snapshots]
     for name, windows in WINDOWS.items():
-        _assert_close(BUILDERS[name](result).signal, _oracle_series(result, windows), name)
+        _assert_close(BUILDERS[name](ns, ms).signal, _oracle_series(beams, windows), name)
 
 
 def test_the_two_oracle_forms_agree():
     edges = [-H, H, 7e-4, 8e-4, C - H, C + H]
-    result = run(scenario.load_preset("confocal", ["cavity.n_traversals=5"]).cavity)
-    for ens in [result.snapshots[-1].ensemble, _off_axis_run().snapshots[-1].ensemble]:
+    _, beams = run_with_detector_beams(
+        scenario.load_preset("confocal", ["cavity.n_traversals=5"]).cavity, PROFILE.waist_m)
+    for ens in [beams[-1], _off_axis_run()[1][-1]]:
         direct = _oracle_deviation(ens, edges, direct=True)
         series = _oracle_deviation(ens, edges)
         for d, s in zip(direct, series):
@@ -181,27 +187,28 @@ def test_ensembles_of_any_size_match_the_oracle(n):
     rng = np.random.default_rng(n)
     ens = BeamEnsemble(rng.normal(scale=1e-6, size=n), np.zeros(n), rng.uniform(0.0, 2.0, n))
     for edges in (histogram_edges(), histogram_edges(1e-3)):  # 30 bins and 3
-        reference = bin_ensemble(BeamEnsemble([0.0], [0.0], [1.0]), PROFILE, edges)
-        diff = profile_difference(reference, bin_ensemble(ens, PROFILE, edges))
+        reference = bin_ensemble(sample(BeamEnsemble([0.0], [0.0], [1.0]), W), PROFILE, edges)
+        diff = profile_difference(reference, bin_ensemble(sample(ens, W), PROFILE, edges))
         _assert_close(diff.counts, [-v for v in _oracle_deviation(ens, edges)], f"n={n}")
     s = mp.mpf(PROFILE.waist_m) * mp.sqrt(2)
     axial = PROFILE.amplitude * s * mp.sqrt(mp.pi) * mp.erf(H / s)  # one unit beam on the axis
-    _assert_close([integrate_window(ens, PROFILE, -H, H)], [axial + _oracle_deviation(ens, [-H, H])[0]], "window")
+    _assert_close([integrate_window(sample(ens, W), PROFILE, -H, H)],
+                  [axial + _oracle_deviation(ens, [-H, H])[0]], "window")
 
 
 def test_acceptance_pins_are_fits_of_the_oracle_series():
     """Criteria 10 and 11 of tests/test_acceptance.py pin the fits of the
     engine's series; the same fits of the oracle's series agree to 1e-12."""
-    confocal = run(CavityConfig())
+    confocal, beams = run_with_detector_beams(CavityConfig(), PROFILE.waist_m)
     ns = [float(s.traversal) for s in confocal.snapshots]
-    oracle = [float(v) for v in _oracle_series(confocal, WINDOWS["central"])]
+    oracle = [float(v) for v in _oracle_series(beams, WINDOWS["central"])]
     r_squared = fit_linear(GrowthSeries(np.array(ns), np.array(oracle))).r_squared
     assert math.isclose(r_squared, 0.9917529346504957, rel_tol=1e-12)
 
-    defocusing = run(CavityConfig(
+    defocusing, beams = run_with_detector_beams(CavityConfig(
         mirror2_focal_m=-5.5, extraction_mirror=MIRROR_1, theta_split_rad=1e-9, n_traversals=20
-    ))
+    ), PROFILE.waist_m)
     ns = [float(s.traversal) for s in defocusing.snapshots]
-    oracle = [float(v) for v in _oracle_series(defocusing, WINDOWS["center_sideband"])]
+    oracle = [float(v) for v in _oracle_series(beams, WINDOWS["center_sideband"])]
     exponent = fit_power(GrowthSeries(np.array(ns), np.array(oracle))).exponent
     assert math.isclose(exponent, 2.934104619375521, rel_tol=1e-12)

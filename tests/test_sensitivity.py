@@ -3,8 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import rates, run_with_detector_beams, sample
 
-from axicav import density, scenario
+from axicav import scenario
 from axicav.cavity import MIRROR_1, CavityConfig, axial_beam, run
 from axicav.density import GaussianProfile, integrate_window
 from axicav.sensitivity import (
@@ -24,6 +25,12 @@ from axicav.sensitivity import (
 )
 
 PROFILE = GaussianProfile(5e18, 7.5e-4)
+
+
+def _snapshots(res):
+    """A run's snapshots as the series builders take them: traversals, and
+    moment vectors."""
+    return ([s.traversal for s in res.snapshots], [s.ensemble.moments for s in res.snapshots])
 
 
 # --- series and fits --------------------------------------------------------
@@ -250,8 +257,8 @@ def test_report_refuses_a_non_positive_integration_time(time_s):
 
 
 def test_central_loss_series_grows_with_traversals():
-    res = run(CavityConfig(n_traversals=6))
-    series = central_loss_series(res, PROFILE)
+    res = run(CavityConfig(n_traversals=6), PROFILE.waist_m)
+    series = central_loss_series(*_snapshots(res), PROFILE)
     assert np.array_equal(series.n, np.arange(1.0, 7.0))
     assert np.all(series.signal > 0)
     # later snapshots have lost at least as much as the first
@@ -259,62 +266,64 @@ def test_central_loss_series_grows_with_traversals():
 
 
 def test_sideband_gain_series_is_positive():
-    res = run(CavityConfig(n_traversals=6))
-    series = sideband_gain_series(res, PROFILE)
+    res = run(CavityConfig(n_traversals=6), PROFILE.waist_m)
+    series = sideband_gain_series(*_snapshots(res), PROFILE)
     assert np.all(series.signal > 0)
     assert series.signal[-1] > series.signal[0]
 
 
 def test_center_sideband_series_counts_migration_twice():
-    res = run(CavityConfig(n_traversals=6))
-    amb = center_sideband_series(res, PROFILE)
+    res = run(CavityConfig(n_traversals=6), PROFILE.waist_m)
+    amb = center_sideband_series(*_snapshots(res), PROFILE)
     assert np.all(amb.signal > 0)
     assert amb.signal[-1] > amb.signal[0]
 
 
 def test_series_on_null_run_are_exactly_zero():
     cfg = replace(CavityConfig(n_traversals=5), theta_split_rad=0.0)
-    res = run(cfg)
-    assert np.array_equal(central_loss_series(res, PROFILE).signal, np.zeros(5))
-    assert np.array_equal(sideband_gain_series(res, PROFILE).signal, np.zeros(5))
-    assert np.array_equal(center_sideband_series(res, PROFILE).signal, np.zeros(5))
+    res = run(cfg, PROFILE.waist_m)
+    assert np.array_equal(central_loss_series(*_snapshots(res), PROFILE).signal, np.zeros(5))
+    assert np.array_equal(sideband_gain_series(*_snapshots(res), PROFILE).signal, np.zeros(5))
+    assert np.array_equal(center_sideband_series(*_snapshots(res), PROFILE).signal, np.zeros(5))
 
 
 def test_mirror1_extraction_series_use_even_traversals():
-    res = run(CavityConfig(mirror2_focal_m=None, extraction_mirror=MIRROR_1, n_traversals=8))
-    series = central_loss_series(res, PROFILE)
+    cfg = CavityConfig(mirror2_focal_m=None, extraction_mirror=MIRROR_1, n_traversals=8)
+    res = run(cfg, PROFILE.waist_m)
+    series = central_loss_series(*_snapshots(res), PROFILE)
     assert np.array_equal(series.n, [2.0, 4.0, 6.0, 8.0])
 
 
 def test_series_windows_and_signs_match_the_change_form():
     """Each series is minus the coefficient-weighted deviation of its
-    windows from the axial beam (`density.rates`), bit for bit: the central
+    windows from the axial beam (`density.rates_from_moments` of the
+    snapshot beams' moments), bit for bit: the central
     pixel once, the sideband pixel doubled with the sign flipped (a gain),
     and the doubled center [0, w/2] minus the doubled sidebands
     [w, 4w + 1 mm].  The change equals the difference of the windows'
     direct integrals to the roundoff of those 1e13-1e15 photons/s totals."""
-    res = run(CavityConfig(n_traversals=4))
+    res, beams = run_with_detector_beams(CavityConfig(n_traversals=4), PROFILE.waist_m)
     h, c, w = 1e-6, 3.3e-3, PROFILE.waist_m
 
     def change(windows):
         def one(ens):
-            return 0.0 - sum(k * density.rates(ens, PROFILE, (lo, hi))[1][0] for lo, hi, k in windows)
+            return 0.0 - sum(k * rates(ens, PROFILE, (lo, hi))[1][0] for lo, hi, k in windows)
 
-        return [one(s.ensemble) for s in res.snapshots]
+        return [one(ens) for ens in beams]
 
     def direct(windows):
-        def total(ens):
-            return sum(k * integrate_window(ens, PROFILE, lo, hi) for lo, hi, k in windows)
+        def total(s):
+            return sum(k * integrate_window(s, PROFILE, lo, hi) for lo, hi, k in windows)
 
-        return [total(axial_beam()) - total(s.ensemble) for s in res.snapshots]
+        return [total(sample(axial_beam(), w)) - total(s.ensemble) for s in res.snapshots]
 
     central = [(-h, h, 1.0)]
     sideband = [(c - h, c + h, -2.0)]
     amb = [(0.0, 0.5 * w, 2.0), (w, 4.0 * w + 1e-3, -2.0)]
     for windows, series, scale in [
-        (central, central_loss_series(res, PROFILE, h), 1e13),
-        (sideband, sideband_gain_series(res, PROFILE, c, h), 1e9),
-        (amb, center_sideband_series(res, PROFILE), 1e15),
+        (central, central_loss_series(*_snapshots(res), PROFILE, h), 1e13),
+        (sideband, sideband_gain_series(*_snapshots(res), PROFILE, c, h), 1e9),
+        (amb, center_sideband_series(*_snapshots(res), PROFILE), 1e15),
     ]:
         assert np.array_equal(series.signal, change(windows))
         assert np.allclose(series.signal, direct(windows), rtol=0.0, atol=1e-15 * scale)
@@ -322,11 +331,11 @@ def test_series_windows_and_signs_match_the_change_form():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_series_builders_refuse_non_finite_windows(bad):
-    res = run(CavityConfig(n_traversals=2))
+    res = run(CavityConfig(n_traversals=2), PROFILE.waist_m)
     for build in (
-        lambda: central_loss_series(res, PROFILE, bad),
-        lambda: sideband_gain_series(res, PROFILE, bad),
-        lambda: sideband_gain_series(res, PROFILE, 3.3e-3, bad),
+        lambda: central_loss_series(*_snapshots(res), PROFILE, bad),
+        lambda: sideband_gain_series(*_snapshots(res), PROFILE, bad),
+        lambda: sideband_gain_series(*_snapshots(res), PROFILE, 3.3e-3, bad),
     ):
         with pytest.raises(ValueError, match="finite and strictly ascending"):
             build()
@@ -335,8 +344,8 @@ def test_series_builders_refuse_non_finite_windows(bad):
 def test_bnl_quad_sideband_gain_is_positive_and_increasing():
     """Exact observables: the sideband column of the preset was negative
     roundoff while it was the difference of two erf totals."""
-    res = run(scenario.load_preset("bnl-quad").cavity)
-    gain = sideband_gain_series(res, PROFILE).signal
+    res = run(scenario.load_preset("bnl-quad").cavity, PROFILE.waist_m)
+    gain = sideband_gain_series(*_snapshots(res), PROFILE).signal
     assert np.all(gain > 0)
     assert np.all(np.diff(gain) > 0)
     assert gain[-1] == pytest.approx(5.3827e-5, rel=1e-4)
