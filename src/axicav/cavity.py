@@ -5,6 +5,9 @@ region of length `field_length_m` centred between two symmetric gaps.  Each
 field passage splits every beam in two (angle +- theta_split at entry, the
 same-signed kick again at exit, weight halved) so the ensemble doubles per
 traversal; coalescing merges beams that have become indistinguishable.
+Every run starts from one beam on the axis (`axial_beam`), and the
+coalescing grid's cell sizes are the engine's constants
+COALESCE_TOL_POSITION_M and COALESCE_TOL_ANGLE_RAD, not scenario keys.
 
 The ensemble is stored as flat numpy arrays.  A traversal carries them
 through two affine maps composed once per run from `rays` transfer matrices
@@ -52,6 +55,9 @@ MIRROR_1 = "mirror1"
 MIRROR_2 = "mirror2"
 
 MAX_BEAMS = 2**20  # largest ensemble a split leg may produce
+# the coalescing grid's cell sizes; `run` reads them at each call
+COALESCE_TOL_POSITION_M = 1e-12
+COALESCE_TOL_ANGLE_RAD = 1e-16
 
 
 class ConfigError(ValueError):
@@ -82,8 +88,6 @@ class CavityConfig:
     n_traversals: Count = 15
     extraction_mirror: str = MIRROR_2
     detector_distance_m: NonNegative = 2.0
-    coalesce_tol_position_m: Positive = 1e-12
-    coalesce_tol_angle_rad: Positive = 1e-16
 
     def __post_init__(self):
         check_fields(self, ConfigError)
@@ -140,9 +144,9 @@ class BeamEnsemble:
     and weights.
 
     A stage passes on the arrays it leaves unchanged instead of copying
-    them, so ensembles share arrays (the next ensemble and ``initial`` may
-    hold one weights array).  The rule that makes this safe: no stage
-    writes into an array another ensemble may share."""
+    them, so ensembles share arrays (an unsplit leg's ensemble holds the
+    weights array of the one it came from).  The rule that makes this safe:
+    no stage writes into an array another ensemble may share."""
 
     __slots__ = ("positions", "angles", "weights")
 
@@ -182,8 +186,8 @@ class BeamEnsemble:
 
 def axial_beam() -> BeamEnsemble:
     """The unsplit beam: one unit-weight ray on the axis.  It is where every
-    run starts by default, and it is what a field-off run stays at, so it is
-    also the reference every difference is taken against."""
+    run starts, and it is what a field-off run stays at, so it is also the
+    reference every difference is taken against."""
     return BeamEnsemble([0.0], [0.0], [1.0])
 
 
@@ -273,25 +277,26 @@ def _cells(pos, ang, tol_p, tol_a, shift):
     cells = pos / tol_p, ang / tol_a
     for cell in cells:
         cell += shift
-        # Refuse cell indices of 2^62 and beyond: the grid is too fine for
-        # the ensemble's scale (far past 2^53, where the half-cell shift is
-        # lost).  A NaN fails both tests; `_pack_cells` then declines it.
+        # Refuse cell indices of 2^62 and beyond: the ensemble is too wide
+        # for the grid (far past 2^53, where the half-cell shift is lost).
+        # A NaN fails both tests; `_pack_cells` then declines it.
         if cell.min(initial=0.0) <= -(2.0**62) or cell.max(initial=0.0) >= 2.0**62:
             # unless a transport leg overflowed a position (angles are
             # paraxial): name that instead
             beyond = pos[np.isinf(pos)]
             if beyond.size:
                 raise ValueError(f"positions must be finite, got {float(beyond[0])!r}")
-            raise ValueError("coalescing tolerance too small for the ensemble scale")
+            raise ValueError("ensemble too wide for the coalescing grid "
+                             "(a cell index reaches 2^62)")
         np.floor(cell, out=cell)
     # The floored floats are exact integers, so they key the cells directly.
     return cells
 
 
 def _pack_cells(cell_p, cell_a, low_bits):
-    """One int64 per beam that orders like (cell_p, cell_a), and the number
-    of zero bits left free at the bottom: ``low_bits`` when they fit beside
-    the cells, else none.  None when the cells alone do not fit.
+    """One int64 per beam that orders like (cell_p, cell_a), with
+    ``low_bits`` zero bits free at the bottom; None when the cells and the
+    free bits do not fit.
 
     Each coordinate is offset by its minimum in place, so a packed call
     leaves ``cell_p`` and ``cell_a`` shifted by a constant each.  A span
@@ -300,17 +305,14 @@ def _pack_cells(cell_p, cell_a, low_bits):
     of a non-negative int64.
     """
     if cell_p.size == 0:
-        return np.zeros(0, dtype=np.int64), low_bits
+        return np.zeros(0, dtype=np.int64)
     lo_p, lo_a = cell_p.min(), cell_a.min()
     span_p, span_a = cell_p.max() - lo_p, cell_a.max() - lo_a
     if not (span_p < 2.0**53 and span_a < 2.0**53):
         return None
     bits_a = int(span_a).bit_length()
-    cell_bits = int(span_p).bit_length() + bits_a
-    if cell_bits > 63:
+    if int(span_p).bit_length() + bits_a + low_bits > 63:
         return None
-    if cell_bits + low_bits > 63:
-        low_bits = 0
     cell_p -= lo_p
     cell_a -= lo_a
     key = cell_p.astype(np.int64)
@@ -318,7 +320,7 @@ def _pack_cells(cell_p, cell_a, low_bits):
     field_a = cell_a.astype(np.int64)
     field_a <<= low_bits
     key |= field_a
-    return key, low_bits
+    return key
 
 
 def _apart(pos, ang, tol_p, tol_a):
@@ -412,11 +414,10 @@ def _grid_pass(pos, ang, w, tol_p, tol_a, shift):
     keys are unique and any sort kernel orders them by cell, and within a
     cell in the order the beams hold.  In the sorted keys a cell is shared
     where neighbouring ``key >> bits`` are equal, which also marks where
-    each cell's run starts, and the low bits are the order.  When the index
-    does not fit beside the cells, sharing is read from the sorted plain
-    keys.  A pass that must merge then, or whose cells do not pack (a NaN,
-    a span of 2^53 or more, or more than 63 bits), orders them with the
-    stable `_lexorder`.  A pass that merges nothing leaves the beams where
+    each cell's run starts, and the low bits are the order.  A pass whose
+    cells and index do not pack (a NaN, a span of 2^53 or more, or more
+    than 63 bits) orders the beams with the stable `_lexorder`, which gives
+    the same order.  A pass that merges nothing leaves the beams where
     they are.
 
     A merge numbers the cells in sorted order and scatters each beam's cell
@@ -429,17 +430,8 @@ def _grid_pass(pos, ang, w, tol_p, tol_a, shift):
     n = pos.size
     bits = max(n - 1, 0).bit_length()
     cell_p, cell_a = _cells(pos, ang, tol_p, tol_a, shift)
-    packed = _pack_cells(cell_p, cell_a, bits)
-    if packed is not None and packed[1] < bits:
-        key = packed[0]
-        del cell_p, cell_a, packed
-        key.sort()
-        if (key[1:] != key[:-1]).all():
-            return pos, ang, w, False
-        del key
-        cell_p, cell_a = _cells(pos, ang, tol_p, tol_a, shift)
-        packed = None
-    if packed is None:
+    key = _pack_cells(cell_p, cell_a, bits)
+    if key is None:
         order = _lexorder(cell_p, cell_a)
         cell_p, cell_a = cell_p[order], cell_a[order]
         starts = np.empty(n, dtype=bool)
@@ -447,8 +439,7 @@ def _grid_pass(pos, ang, w, tol_p, tol_a, shift):
         starts[1:] = (cell_p[1:] != cell_p[:-1]) | (cell_a[1:] != cell_a[:-1])
         del cell_p, cell_a
     else:
-        key = packed[0]
-        del cell_p, cell_a, packed
+        del cell_p, cell_a
         key |= np.arange(n)
         key.sort()
         cell = key >> bits
@@ -572,13 +563,14 @@ def _detect(ensemble: BeamEnsemble, matrix, kick, weights, waist_m) -> BeamSampl
     return BeamSample(_row(x, a, matrix.a, matrix.b, kx), weights, max_angle, waist_m)
 
 
-def run(config: CavityConfig, waist_m: float, initial: BeamEnsemble | None = None) -> RunResult:
-    """Run n_traversals of the cavity from ``initial`` (default: the axial
-    beam), alternating direction each traversal: carry the beams across the
-    cavity, splitting them in the field region, and past the far mirror
-    (`_legs`), then coalesce.  A split leg's snapshot and next ensemble
-    read one array of half weights.  Each snapshot is reduced to its
-    moments at the profile waist ``waist_m`` when it is taken (`_detect`).
+def run(config: CavityConfig, waist_m: float) -> RunResult:
+    """Run n_traversals of the cavity from the axial beam, alternating
+    direction each traversal: carry the beams across the cavity, splitting
+    them in the field region, and past the far mirror (`_legs`), then
+    coalesce on the grid of COALESCE_TOL_POSITION_M and
+    COALESCE_TOL_ANGLE_RAD.  A split leg's snapshot and next ensemble read
+    one array of half weights.  Each snapshot is reduced to its moments at
+    the profile waist ``waist_m`` when it is taken (`_detect`).
 
     With extraction through mirror 2 a snapshot is taken each traversal at
     whichever mirror the beams just reached (the symmetric-cavity detector
@@ -589,14 +581,10 @@ def run(config: CavityConfig, waist_m: float, initial: BeamEnsemble | None = Non
     Raises BeamBudgetError before a split leg would produce more than
     MAX_BEAMS beams, GuardError when a snapshot sits too far off the axis
     for the moment series (or holds a position that is not finite), and
-    ValueError when ``initial`` holds a weight that is negative or not
-    finite, or a position that is not finite.
+    ValueError when the ensemble grows too wide for the coalescing grid.
     """
     legs = _legs(config)
-    # the only beams from outside, checked in full: their arrays may have
-    # been written since they were built
-    ens = axial_beam() if initial is None else BeamEnsemble(
-        initial.positions, initial.angles, initial.weights)
+    ens = axial_beam()
     result = RunResult()
     for k in range(1, config.n_traversals + 1):
         forward = k % 2 == 1
@@ -613,6 +601,6 @@ def run(config: CavityConfig, waist_m: float, initial: BeamEnsemble | None = Non
             result.snapshots.append(DetectorSnapshot(k, _detect(ens, *to_detector, w, waist_m)))
         # the previous ensemble is dropped before coalescing starts
         ens = _transport(ens, *to_next, w)
-        ens = coalesce(ens, config.coalesce_tol_position_m, config.coalesce_tol_angle_rad)
+        ens = coalesce(ens, COALESCE_TOL_POSITION_M, COALESCE_TOL_ANGLE_RAD)
     result.final = ens
     return result

@@ -216,26 +216,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    sc = None
-    if args.config or args.preset:
-        sc = _load_scenario(args)
-    fit_kind = args.fit_kind or (sc.analysis.fit_kind if sc else "linear")
-    # An explicit 0 must reach validation, not fall back to the scenario.
-    def given(value, default):
-        return default if value is None else value
-
-    n_target = given(args.n_target, sc.analysis.extraction_count if sc else None)
-    g_ref = given(args.g_ref, sc.analysis.g_ref_gev if sc else None)
-    time_s = given(args.time, sc.analysis.integration_time_s if sc else 1.0)
-    rate = given(args.rate, sc.laser.amplitude_photons_per_s if sc else sensitivity.DEFAULT_BEAM_RATE)
-    if n_target is None or g_ref is None:
-        raise scenario.ScenarioError("analyze needs --n-target and --g-ref (or a scenario)")
-
+    sc = _load_scenario(args)
+    an = sc.analysis
     series = _read_series(args.series)
+    fit_kind = args.fit_kind or an.fit_kind
     fit = sensitivity.fit_linear(series) if fit_kind == "linear" else sensitivity.fit_power(series)
-    name = sc.name if sc else Path(args.series).stem
     report = sensitivity.scenario_report(
-        name, fit, n_target, g_ref, time_s, total_rate=rate
+        sc.name, fit, an.extraction_count, an.g_ref_gev, an.integration_time_s,
+        total_rate=sc.laser.amplitude_photons_per_s
     )
     text = json.dumps(report, indent=2) + "\n"
     _write_or_print([text], str(Path(args.out) / "report.json") if args.out else None)
@@ -379,11 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="fit a growth series and report reach")
     p_an.add_argument("--series", required=True, help="CSV with n,signal columns")
-    p_an.add_argument("--fit-kind", choices=("linear", "power"))
-    p_an.add_argument("--n-target", type=int, help="extraction count to extrapolate to")
-    p_an.add_argument("--g-ref", type=_finite_float, help="coupling the series was simulated at")
-    p_an.add_argument("--time", type=_finite_float, help="integration time, s")
-    p_an.add_argument("--rate", type=_finite_float, help="full-beam photon rate, photons/s")
+    p_an.add_argument("--fit-kind", choices=("linear", "power"),
+                      help="the fit to extrapolate (default: the scenario's analysis.fit_kind)")
 
     p_pr = sub.add_parser("profile", help="exact split-pair deficit curve")
     p_pr.add_argument(

@@ -361,11 +361,13 @@ def moments(positions: np.ndarray, weights: np.ndarray, waist_m: float) -> np.nd
     axis gives a zero term).  An on-axis run that merges nothing stays
     mirrored in that layout (`cavity._row` lays each split out so);
     a merge lists the beams in its cell order, which may break the layout,
-    so it is checked, never assumed.  Off the mirrored layout, order 1,
-    which a window near a sign change of the deviation cancels against
-    order 2, is the exact sum of the error-free products w x
-    (`_two_product`) divided once by r: rounding each term w (x/r) would leave
-    it 7e-16 off on an off-axis start, and a bin there 7e-13."""
+    so it is checked, never assumed (bnl-quad at 1.1 times its preset split
+    breaks it on 4 of the 20 snapshots of a 40-traversal run).  Off the
+    mirrored layout, order 1, which a window near a sign change of the
+    deviation cancels against order 2, is the exact sum of the error-free
+    products w x (`_two_product`) divided once by r: rounding each term
+    w (x/r) would leave it 7e-16 off on two unequal beams off the axis, and
+    a bin there 7e-13."""
     # the weight first, so its buffers are gone before y and term exist
     weight = _exact_sum(np.append(weights, -1.0))
     mirrored = _is_mirrored(positions, weights)

@@ -124,14 +124,15 @@ def apply(m: TransferMatrix, ray: RayState) -> RayState:
 # detector snapshots
 
 
-def run_with_detector_beams(config, waist_m, initial=None):
-    """``cavity.run(config, waist_m, initial)`` and each snapshot's beams,
-    in the snapshot's beam order, as the `BeamEnsemble` of their positions,
-    angles and weights.  A snapshot keeps only its beam count, largest
-    |angle| and moments; here the detector leg is also carried in full, as
+def run_with_detector_beams(config, waist_m, start=None):
+    """``cavity.run(config, waist_m)`` and each snapshot's beams, in the
+    snapshot's beam order, as the `BeamEnsemble` of their positions, angles
+    and weights.  A snapshot keeps only its beam count, largest |angle| and
+    moments; here the detector leg is also carried in full, as
     `cavity._transport` carries every other leg, from the ensemble each
     snapshot's traversal starts at, so the arrays are the engine's own
-    bits."""
+    bits.  A ``start`` ensemble takes the place of `cavity.axial_beam`,
+    which every run starts from."""
     beams = []
     detect = cavity._detect
 
@@ -140,8 +141,10 @@ def run_with_detector_beams(config, waist_m, initial=None):
         return detect(ensemble, matrix, kick, weights, waist)
 
     with mock.patch.object(cavity, "_detect", keep_beams):
-        result = cavity.run(config, waist_m, initial)
-    return result, beams
+        if start is None:
+            return cavity.run(config, waist_m), beams
+        with mock.patch.object(cavity, "axial_beam", lambda: start):
+            return cavity.run(config, waist_m), beams
 
 
 def sample(ensemble, waist_m):

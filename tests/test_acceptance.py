@@ -21,6 +21,7 @@ from oracles import (
     step_pascal,
 )
 
+from axicav import cavity
 from axicav.axion import (
     MixingParameters,
     mixing_angle,
@@ -429,19 +430,18 @@ def test_criterion_11_defocusing_pair_superquadratic_growth():
     _verdict(11, "defocusing-pair super-quadratic growth", parts)
 
 
-def test_criterion_12_invariant_suite(confocal_run):
+def test_criterion_12_invariant_suite(confocal_run, monkeypatch):
     """Engine invariants: long-run weight conservation, bitwise null test,
     closed-form detector oracle, the profile curve against a brute-force
     pair, redistribution sum rule, and ensemble symmetry."""
     cfg, signal, reference = confocal_run
 
     # (a) weight conservation over 1000 traversals with coarse merging
-    long_cfg = CavityConfig(
-        n_traversals=1000,
-        coalesce_tol_position_m=1e-8,
-        coalesce_tol_angle_rad=1e-7,
-    )
-    drift = abs(math.fsum(run(long_cfg, PROFILE.waist_m).final.weights.tolist()) - 1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(cavity, "COALESCE_TOL_POSITION_M", 1e-8)
+        patch.setattr(cavity, "COALESCE_TOL_ANGLE_RAD", 1e-7)
+        long_run = run(CavityConfig(n_traversals=1000), PROFILE.waist_m)
+    drift = abs(math.fsum(long_run.final.weights.tolist()) - 1.0)
 
     # (b) null test: zero split angle leaves no bitwise trace at the detector
     null_cfg = replace(cfg, theta_split_rad=0.0)
@@ -464,7 +464,7 @@ def test_criterion_12_invariant_suite(confocal_run):
     one, (e,) = run_with_detector_beams(
         CavityConfig(n_traversals=1),
         PROFILE.waist_m,
-        initial=BeamEnsemble([r0], [a0], [1.0]),
+        start=BeamEnsemble([r0], [a0], [1.0]),
     )
     centroid = r0 + a0 * (cfg.field_length_m + 2 * cfg.gap_m + cfg.detector_distance_m)
     want_pos = np.sort([centroid - THETA * 18.0, centroid + THETA * 18.0])

@@ -44,8 +44,6 @@ def test_config_rejects_bad_values():
         CavityConfig(extraction_mirror="mirror3")
     with pytest.raises(ConfigError):
         CavityConfig(mirror1_focal_m=0.0)
-    with pytest.raises(ConfigError):
-        CavityConfig(coalesce_tol_position_m=0.0)
     with pytest.raises(ConfigError, match="n_traversals must be >= 2 with extraction_mirror"):
         CavityConfig(extraction_mirror=MIRROR_1, n_traversals=1)
     assert len(run(CavityConfig(extraction_mirror=MIRROR_1, n_traversals=2), WAIST).snapshots) == 1
@@ -123,16 +121,6 @@ def test_ensemble_refuses_weights_that_are_not_finite_and_nonnegative(bad):
     and a run from it wrote NaN histograms.  The message names the weight."""
     with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
         BeamEnsemble([0.0, 1e-9], [0.0, 0.0], [bad, 0.5])
-    with pytest.raises(ValueError, match="finite and >= 0"):
-        run(CavityConfig(n_traversals=2), WAIST,
-            initial=BeamEnsemble([0.0, 1e-9], [0.0, 0.0], [bad, 0.5]))
-    # written into the weights after construction, it is refused by the
-    # check `run` makes of its initial ensemble, split leg or not
-    for cfg in (CavityConfig(n_traversals=2), CavityConfig(n_traversals=2, theta_split_rad=0.0)):
-        initial = BeamEnsemble([0.0, 1e-9], [0.0, 0.0], [0.5, 0.5])
-        initial.weights[0] = bad
-        with pytest.raises(ValueError, match="finite and >= 0"):
-            run(cfg, WAIST, initial=initial)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -142,24 +130,46 @@ def test_ensemble_refuses_positions_that_are_not_finite(bad):
     The message names the positions."""
     with pytest.raises(ValueError, match=re.escape(f"positions must be finite, got {bad!r}")):
         BeamEnsemble([0.0, bad], [0.0, 0.0], [0.5, 0.5])
-    with pytest.raises(ValueError, match="positions must be finite"):
-        run(CavityConfig(n_traversals=2), WAIST, initial=BeamEnsemble([bad], [0.0], [1.0]))
+
+
+def _coalesce_on(monkeypatch, tol_position_m, tol_angle_rad):
+    """Make every `run` coalesce on a grid of these cell sizes."""
+    monkeypatch.setattr(cavity, "COALESCE_TOL_POSITION_M", tol_position_m)
+    monkeypatch.setattr(cavity, "COALESCE_TOL_ANGLE_RAD", tol_angle_rad)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_run_refuses_a_position_that_overflows_in_transport():
-    """Only the initial ensemble is checked in full.  A beam near the
-    largest double that a 1e307 m field carries past it is refused by the
-    next coalesce, which names the positions, not its tolerance.  Mirror 1
-    extraction takes no snapshot on traversal 1, whose moments would refuse
-    the overflowed position first (GuardError)."""
+def test_run_refuses_a_position_that_overflows_in_transport(monkeypatch):
+    """The ensembles a run builds are checked for the paraxial window
+    alone.  A beam near the largest double that a 1e307 m field carries
+    past it is refused by the next coalesce, which names the positions, not
+    the grid.  Mirror 1 extraction takes no snapshot on traversal 1, whose
+    moments would refuse the overflowed position first (GuardError)."""
     cfg = CavityConfig(mirror2_focal_m=None, field_length_m=1e307, n_traversals=2,
-                       extraction_mirror=MIRROR_1, coalesce_tol_position_m=1e290)
+                       extraction_mirror=MIRROR_1)
+    _coalesce_on(monkeypatch, 1e290, cavity.COALESCE_TOL_ANGLE_RAD)
     with pytest.raises(ValueError, match=r"^positions must be finite, got inf$"):
-        run(cfg, WAIST, initial=BeamEnsemble([1.79e308], [0.09], [1.0]))
-    with pytest.raises(ValueError, match="tolerance too small"):
-        run(replace(cfg, coalesce_tol_position_m=1e-300), WAIST,
-            initial=BeamEnsemble([1e10], [0.0], [1.0]))
+        run_with_detector_beams(cfg, WAIST, start=BeamEnsemble([1.79e308], [0.09], [1.0]))
+    _coalesce_on(monkeypatch, 1e-300, cavity.COALESCE_TOL_ANGLE_RAD)
+    with pytest.raises(ValueError, match="too wide for the coalescing grid"):
+        run_with_detector_beams(cfg, WAIST, start=BeamEnsemble([1e10], [0.0], [1.0]))
+
+
+@pytest.mark.parametrize("tol_position_m, tol_angle_rad",
+                         [(1e-3, cavity.COALESCE_TOL_ANGLE_RAD),
+                          (cavity.COALESCE_TOL_POSITION_M, 1e-3)],
+                         ids=["coarse-position", "coarse-angle"])
+def test_run_reads_each_coalescing_tolerance_when_called(tol_position_m, tol_angle_rad,
+                                                         monkeypatch):
+    """The 256 beams of a confocal run of 8 traversals differ in both
+    position and angle, so cells coarse along one axis alone merge none of
+    them; coarse along the other axis as well, they merge them all.  Each
+    constant is read at the call, not bound at import."""
+    cfg = CavityConfig(n_traversals=8)
+    _coalesce_on(monkeypatch, tol_position_m, tol_angle_rad)
+    assert len(run(cfg, WAIST).final) == 256
+    _coalesce_on(monkeypatch, 1e-3, 1e-3)
+    assert len(run(cfg, WAIST).final) == 1
 
 
 def test_ensemble_enforces_paraxial_window():
@@ -180,7 +190,8 @@ def test_ensemble_total_weight():
 
 def test_planar_reflection_keeps_the_accumulated_angle():
     cfg = CavityConfig(mirror2_focal_m=None, theta_split_rad=0.0, n_traversals=1)
-    out = run(cfg, WAIST, initial=BeamEnsemble([5.6e-9], [8e-10], [1.0])).final
+    res, _ = run_with_detector_beams(cfg, WAIST, start=BeamEnsemble([5.6e-9], [8e-10], [1.0]))
+    out = res.final
     length = cfg.field_length_m + 2 * cfg.gap_m
     assert out.angles[0] == 8e-10
     assert out.positions[0] == pytest.approx(5.6e-9 + 8e-10 * length, rel=1e-15)
@@ -188,7 +199,8 @@ def test_planar_reflection_keeps_the_accumulated_angle():
 
 def test_curved_reflection_adds_focusing_kick():
     cfg = CavityConfig(theta_split_rad=0.0, n_traversals=1)
-    out = run(cfg, WIDE_WAIST, initial=BeamEnsemble([1e-3], [0.0], [1.0])).final
+    res, _ = run_with_detector_beams(cfg, WIDE_WAIST, start=BeamEnsemble([1e-3], [0.0], [1.0]))
+    out = res.final
     assert out.positions[0] == 1e-3
     assert out.angles[0] == pytest.approx(-8e-5, rel=1e-15)
 
@@ -264,9 +276,9 @@ def test_coalesce_guards_against_index_overflow():
     below = np.nextafter(2.0**62, 0.0)
     ok = coalesce(BeamEnsemble([below * tol_p, -below * tol_p], [0.0, 0.0], [0.5, 0.5]), tol_p, tol_a)
     assert len(ok) == 2
-    with pytest.raises(ValueError, match="tolerance too small"):
+    with pytest.raises(ValueError, match="too wide for the coalescing grid"):
         coalesce(BeamEnsemble([2.0**62 * tol_p], [0.0], [1.0]), tol_p, tol_a)
-    with pytest.raises(ValueError, match="tolerance too small"):
+    with pytest.raises(ValueError, match="too wide for the coalescing grid"):
         coalesce(BeamEnsemble([0.0], [-(2.0**62) * tol_a], [1.0]), tol_p, tol_a)
 
 
@@ -465,7 +477,7 @@ def _edge_ensembles():
 
 # A beam about 2^52 position cells and 700 angle cells away from the others
 # widens the packed cells to 53 + 10 = 63 bits, so no index fits beside them
-# and a pass reads sharing from the sorted plain keys.
+# and a pass orders the beams with _lexorder.
 FAR_CELLS = (2.0**52 + 8, 700.0)
 
 
@@ -479,12 +491,12 @@ def _one_pass(pos, ang, shift):
     return cavity._grid_pass(pos, ang, w, EDGE_TOL_P, EDGE_TOL_A, shift)[3]
 
 
-@pytest.mark.parametrize("far", [False, True], ids=["index-fits", "plain-keys"])
+@pytest.mark.parametrize("far", [False, True], ids=["index-fits", "no-index-room"])
 def test_grid_pass_shares_cells_like_brute_force(far, monkeypatch):
     """Each pass merges exactly when two beams share one of its cells (±0.0
-    included).  A pass that shares nothing needs no _lexorder, with or
-    without room for the index; one that must merge without room for it
-    orders with _lexorder."""
+    included).  A pass with room for the index beside the cells needs no
+    _lexorder; a pass without it orders with _lexorder, whether it merges
+    or not."""
     calls = _count_lexorder(monkeypatch)
     for pos, ang in _edge_ensembles():
         if far:
@@ -492,13 +504,13 @@ def test_grid_pass_shares_cells_like_brute_force(far, monkeypatch):
             if pos.size > 1:
                 for shift in (0.0, 0.5):
                     cells = cavity._cells(pos, ang, EDGE_TOL_P, EDGE_TOL_A, shift)
-                    assert cavity._pack_cells(*cells, 1)[1] == 0
+                    assert cavity._pack_cells(*cells, 1) is None
         for shift in (0.0, 0.5):
             shares = _shares_cell_brute(pos, ang, EDGE_TOL_P, EDGE_TOL_A, [shift])
             calls.clear()
             merged = _one_pass(pos, ang, shift)
             assert merged == shares, (pos, ang, shift)
-            assert len(calls) == (far and shares), (pos, ang, shift)
+            assert len(calls) == (far and pos.size > 1), (pos, ang, shift)
 
 
 def test_cells_rise_exactly_where_the_sorted_cells_are_distinct():
@@ -537,9 +549,9 @@ def test_grid_pass_declines_to_pack_nan_cells(monkeypatch):
 def test_grid_pass_keeps_the_index_guard_for_a_single_beam():
     for shift in (0.0, 0.5):
         at = np.array([(2.0**62 - shift) * EDGE_TOL_P])
-        with pytest.raises(ValueError, match="tolerance too small"):
+        with pytest.raises(ValueError, match="too wide for the coalescing grid"):
             _one_pass(at, np.zeros(1), shift)
-        with pytest.raises(ValueError, match="tolerance too small"):
+        with pytest.raises(ValueError, match="too wide for the coalescing grid"):
             cavity._cells_rise(at, np.zeros(1), EDGE_TOL_P, EDGE_TOL_A, shift)
     below = np.array([np.nextafter(2.0**62, 0.0) * EDGE_TOL_P]) - 0.5 * EDGE_TOL_P
     for shift in (0.0, 0.5):
@@ -584,12 +596,13 @@ ONE_HALF_CELL = (
 )
 
 
-@pytest.mark.parametrize("far", [False, True], ids=["index-fits", "plain-keys"])
+@pytest.mark.parametrize("far", [False, True], ids=["index-fits", "no-index-room"])
 def test_merge_after_a_pass_that_merged_nothing_sums_in_input_order(far, monkeypatch):
     """The shift-0 pass merges nothing and leaves the beams in input order;
     the shift-0.5 pass then sums its cell in that order, not in the order
     of the shift-0 cells, which rounds differently.  Without room for the
-    index only the merging pass orders with _lexorder."""
+    index every pass orders with _lexorder, which keeps the input order
+    within a cell as the packed keys do."""
     pos, ang, w = ONE_HALF_CELL
     pos, ang, w = pos[::-1] * EDGE_TOL_P, ang[::-1] * EDGE_TOL_A, w[::-1]
     cell_order = np.lexsort((np.floor(ang / EDGE_TOL_A), np.floor(pos / EDGE_TOL_P)))
@@ -606,7 +619,7 @@ def test_merge_after_a_pass_that_merged_nothing_sums_in_input_order(far, monkeyp
     assert len(out) == 1 + far  # the far beam's cell comes last
     assert all(_same_bits(x[:1], y) for x, y in
                zip((out.positions, out.angles, out.weights), in_input_order))
-    assert len(lexorder_calls) == far
+    assert len(lexorder_calls) == far * sum(kind == "pass" for kind, _, _ in log)
 
 
 def test_merged_mean_across_a_cell_edge_fails_the_check(monkeypatch):
@@ -688,23 +701,29 @@ def _run_bits(cfg):
     ]
 
 
+# coarser grids than the engine's, (position, angle) cell sizes, on which
+# the confocal cavity merges
+MERGING_TOLS = (1e-9, 1e-10)
+COARSE_TOLS = (1e-8, 1e-9)
+
+
 @pytest.mark.parametrize(
-    "cfg, final_beams",
+    "cfg, tols, final_beams",
     [
-        (CavityConfig(n_traversals=10), 1024),
-        (replace(load_preset("bnl-quad").cavity, n_traversals=16), 1593),
-        (CavityConfig(n_traversals=10, coalesce_tol_position_m=1e-9,
-                      coalesce_tol_angle_rad=1e-10), 882),
-        (CavityConfig(n_traversals=10, coalesce_tol_position_m=1e-8,
-                      coalesce_tol_angle_rad=1e-9), 60),
+        (CavityConfig(n_traversals=10), None, 1024),
+        (replace(load_preset("bnl-quad").cavity, n_traversals=16), None, 1593),
+        (CavityConfig(n_traversals=10), MERGING_TOLS, 882),
+        (CavityConfig(n_traversals=10), COARSE_TOLS, 60),
     ],
     ids=["confocal", "bnl-quad", "confocal-merging", "confocal-coarse"],
 )
-def test_run_is_bitwise_equal_without_packed_keys(cfg, final_beams, monkeypatch):
+def test_run_is_bitwise_equal_without_packed_keys(cfg, tols, final_beams, monkeypatch):
     """With key packing declined every grid pass sorts with _lexorder and
     every fixed-point iteration runs its two passes.  The confocal cavity
-    merges nothing at its preset tolerances (2^10 beams after 10
-    traversals); the two coarser pairs make it merge."""
+    merges nothing on the engine's grid (2^10 beams after 10 traversals);
+    the two coarser grids make it merge."""
+    if tols:
+        _coalesce_on(monkeypatch, *tols)
     traversals, bits = _run_bits(cfg)
     assert len(bits[-1][0]) == 8 * final_beams and len(bits[-1]) == 3
     monkeypatch.setattr(cavity, "_pack_cells", lambda *a: None)
@@ -834,12 +853,12 @@ def test_legs_carry_the_detector_by_pure_propagation():
 
 @pytest.mark.parametrize("theta", [0.0, 1e-3], ids=["unsplit", "split"])
 def test_run_refuses_a_detector_angle_exactly_as_the_stored_row_did(theta, monkeypatch):
-    """Initial beams whose detector-plane angle lies within 3 ulp of
+    """Starting beams whose detector-plane angle lies within 3 ulp of
     PARAXIAL_LIMIT, on either side: `run` refuses exactly the runs it
     refused while snapshots stored their angle rows, with the same
     message.  The detector trip is pure propagation, so the detector angle
     of a beam is its angle, plus the kick 2*theta on a split leg: on the
-    unsplit leg every valid initial angle is kept.  A kick of NaN (theta
+    unsplit leg every valid starting angle is kept.  A kick of NaN (theta
     at 1e308, where theta*(L + 2 gap) overflows) is refused, naming the NaN."""
     cfg = CavityConfig(n_traversals=1, theta_split_rad=theta)
     kick = 2 * theta
@@ -857,12 +876,13 @@ def test_run_refuses_a_detector_angle_exactly_as_the_stored_row_did(theta, monke
             a = math.nextafter(a, 0.0)
         for angle in (a, -a):
             if not abs(angle) < PARAXIAL_LIMIT:
-                continue  # the initial ensemble itself is refused
-            initial = BeamEnsemble([0.0, 1e-6], [angle, 0.0], [0.5, 0.5])
+                continue  # the starting ensemble itself is refused
+            start = BeamEnsemble([0.0, 1e-6], [angle, 0.0], [0.5, 0.5])
+            monkeypatch.setattr(cavity, "axial_beam", lambda: start)
             for detect in legs:
                 monkeypatch.setattr(cavity, "_detect", detect)
                 try:
-                    res = run(cfg, WIDE_WAIST, initial)
+                    res = run(cfg, WIDE_WAIST)
                     got = [(s.ensemble.moments.tobytes(), s.ensemble.max_angle.hex())
                            for s in res.snapshots]
                 except ParaxialError as exc:
@@ -871,7 +891,7 @@ def test_run_refuses_a_detector_angle_exactly_as_the_stored_row_did(theta, monke
     assert all(new == old for new, old in outcomes.values())
     refused = sum(isinstance(new, str) for new, _ in outcomes.values())
     assert refused == (0 if theta == 0 else 8)  # 4 edges at or past the limit, 2 signs
-    monkeypatch.setattr(cavity, "_detect", legs[0])
+    monkeypatch.undo()
     with pytest.raises(ParaxialError, match=r"^ensemble angle nan outside paraxial window"):
         run(CavityConfig(n_traversals=1, theta_split_rad=1e308), WAIST)
 
@@ -972,7 +992,7 @@ def _merging_cases():
     yield pytest.param(edges, EDGE_TOL_P, EDGE_TOL_A, id="edge-cells")
     pos, ang, w = ONE_HALF_CELL
     far = BeamEnsemble(*_with_far_beam(pos * EDGE_TOL_P, ang * EDGE_TOL_A), np.append(w, 1.0))
-    yield pytest.param([far], EDGE_TOL_P, EDGE_TOL_A, id="plain-keys")
+    yield pytest.param([far], EDGE_TOL_P, EDGE_TOL_A, id="no-index-room")
 
 
 @pytest.mark.parametrize("ensembles, tol_p, tol_a", list(_merging_cases()))
@@ -984,19 +1004,19 @@ def test_merging_coalesce_leaves_the_cells_of_its_last_merge_rising(ensembles, t
 
 
 @pytest.mark.parametrize(
-    "cfg, final_beams",
+    "cfg, tols, final_beams",
     [
-        (replace(load_preset("bnl-quad").cavity, n_traversals=12), 539),
-        (CavityConfig(n_traversals=10, coalesce_tol_position_m=1e-9,
-                      coalesce_tol_angle_rad=1e-10), 882),
-        (CavityConfig(n_traversals=10, coalesce_tol_position_m=1e-8,
-                      coalesce_tol_angle_rad=1e-9), 60),
+        (replace(load_preset("bnl-quad").cavity, n_traversals=12), None, 539),
+        (CavityConfig(n_traversals=10), MERGING_TOLS, 882),
+        (CavityConfig(n_traversals=10), COARSE_TOLS, 60),
     ],
     ids=["bnl-quad", "confocal-merging", "confocal-coarse"],
 )
-def test_run_coalesces_into_the_order_of_the_last_merge(cfg, final_beams, monkeypatch):
+def test_run_coalesces_into_the_order_of_the_last_merge(cfg, tols, final_beams, monkeypatch):
     """Every merging coalesce of these runs keeps the contract; the others
     return their input."""
+    if tols:
+        _coalesce_on(monkeypatch, *tols)
     merging = []
     original = cavity.coalesce
 
@@ -1153,14 +1173,14 @@ def test_apart_at_the_index_guard(sign, monkeypatch):
     p = np.append(pos, [sign * 2.0**62, 0.0]) * EDGE_TOL_P
     a = np.append(ang, [0.7, 1.6]) * EDGE_TOL_A
     assert not cavity._apart(p, a, EDGE_TOL_P, EDGE_TOL_A)
-    with pytest.raises(ValueError, match="tolerance too small"):
+    with pytest.raises(ValueError, match="too wide for the coalescing grid"):
         coalesce(BeamEnsemble(p, a, np.full(p.size, 1.0 / p.size)), EDGE_TOL_P, EDGE_TOL_A)
     # angles 2^20 cells apart, all near the guard: sparse, and narrow
     # enough to key, so only the guard stops the proof
     a = sign * (2.0**62 - 2.0**20 * np.arange(pos.size))
     ens = BeamEnsemble(pos * EDGE_TOL_P, a * EDGE_TOL_A, np.full(pos.size, 1.0 / pos.size))
     assert not cavity._apart(ens.positions, ens.angles, EDGE_TOL_P, EDGE_TOL_A)
-    with pytest.raises(ValueError, match="tolerance too small"):
+    with pytest.raises(ValueError, match="too wide for the coalescing grid"):
         coalesce(ens, EDGE_TOL_P, EDGE_TOL_A)
     a[0] = np.nextafter(a[0], 0.0)
     ens = BeamEnsemble(pos * EDGE_TOL_P, a * EDGE_TOL_A, np.full(pos.size, 1.0 / pos.size))
@@ -1304,7 +1324,7 @@ def test_first_snapshot_matches_transfer_matrix_prediction_general():
     centroid, and the angles by 2*theta around the input angle."""
     cfg = CavityConfig(n_traversals=1)
     r0, a0 = 1e-5, 2e-6
-    res, (e,) = run_with_detector_beams(cfg, WAIST, initial=BeamEnsemble([r0], [a0], [1.0]))
+    res, (e,) = run_with_detector_beams(cfg, WAIST, start=BeamEnsemble([r0], [a0], [1.0]))
     centroid = r0 + a0 * (cfg.field_length_m + 2 * cfg.gap_m + cfg.detector_distance_m)
     offsets = np.sort(e.positions) - centroid
     assert np.allclose(offsets, [-THETA * 18.0, THETA * 18.0], rtol=1e-12)
@@ -1313,15 +1333,11 @@ def test_first_snapshot_matches_transfer_matrix_prediction_general():
     assert res.snapshots[0].ensemble.max_angle == pytest.approx(a0 + 2 * THETA, rel=1e-12)
 
 
-def test_long_run_conserves_weight_with_coarse_merging():
+def test_long_run_conserves_weight_with_coarse_merging(monkeypatch):
     """A thousand traversals with aggressive merge tolerances: the beam count
     stays tiny and the total weight never drifts."""
-    cfg = CavityConfig(
-        n_traversals=1000,
-        coalesce_tol_position_m=1e-8,
-        coalesce_tol_angle_rad=1e-7,
-    )
-    res = run(cfg, WAIST)
+    _coalesce_on(monkeypatch, 1e-8, 1e-7)
+    res = run(CavityConfig(n_traversals=1000), WAIST)
     assert abs(math.fsum(res.final.weights.tolist()) - 1.0) <= 1e-12
     assert len(res.final) <= 16
 
@@ -1387,9 +1403,9 @@ def test_later_traversals_leave_earlier_snapshots_unchanged(cfg):
 @pytest.mark.parametrize("theta", [THETA, 0.0])
 def test_run_leaves_the_initial_arrays_unchanged(theta):
     rng = np.random.default_rng(11)
-    initial = BeamEnsemble(rng.normal(scale=1e-9, size=64), rng.normal(scale=1e-12, size=64),
-                           rng.uniform(0.0, 1.0 / 32, 64))
-    before = [a.copy() for a in (initial.positions, initial.angles, initial.weights)]
-    run(CavityConfig(n_traversals=5, theta_split_rad=theta), WAIST, initial=initial)
-    after = (initial.positions, initial.angles, initial.weights)
+    start = BeamEnsemble(rng.normal(scale=1e-9, size=64), rng.normal(scale=1e-12, size=64),
+                         rng.uniform(0.0, 1.0 / 32, 64))
+    before = [a.copy() for a in (start.positions, start.angles, start.weights)]
+    run_with_detector_beams(CavityConfig(n_traversals=5, theta_split_rad=theta), WAIST, start)
+    after = (start.positions, start.angles, start.weights)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))

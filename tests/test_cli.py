@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import axicav
-from axicav import cavity, cli, density
+from axicav import cavity, cli, density, sensitivity
 
 SERIES = "n,signal\n1,64124793\n2,128224793\n3,192324793\n4,256424793\n5,320524793\n"
 
@@ -265,41 +265,25 @@ def test_simulate_refuses_non_finite_numbers_and_writes_nothing(path, tmp_path, 
     assert not out.exists()
 
 
-# Only the initial ensemble is checked in full; the ensembles a run builds
-# from it are checked for the paraxial window alone.  An overflowing
-# snapshot position (planar far mirror, a detector 1e308 m away, a beam
-# near the largest double) is refused by the moments `run` takes of it at
-# detection.
-OVERFLOW = ["cavity.mirror2_focal_m=planar", "cavity.detector_distance_m=1e308",
-            "cavity.coalesce_tol_position_m=1e300"]
+# The ensembles a run builds are checked for the paraxial window alone.  An
+# overflowing snapshot position (planar far mirror, a detector 1e308 m away,
+# a run started from a beam near the largest double) is refused by the
+# moments `run` takes of it at detection, before any coalesce.
+OVERFLOW = ["cavity.mirror2_focal_m=planar", "cavity.detector_distance_m=1e308"]
 
 
-@pytest.mark.parametrize(
-    "initial, overrides, rc, message",
-    [
-        (([math.nan], [0.0], [1.0]), [], 2, "positions must be finite, got nan"),
-        (([0.0], [0.0], [math.inf]), [], 2, "weights must be finite and >= 0, got inf"),
-        (([1.79e308], [0.09], [1.0]), OVERFLOW, 3, "moment series"),
-    ],
-    ids=["nan-initial", "inf-initial", "snapshot-overflow"],
-)
 # the snapshot overflow warns on its way to the refusal
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_simulate_refuses_non_finite_beams_and_writes_nothing(
-    initial, overrides, rc, message, tmp_path, capsys, monkeypatch
-):
-    if initial is not None:
-        # built valid, then written, as a caller may
-        ens = cavity.BeamEnsemble([0.0], [0.0], [1.0])
-        ens.positions[:], ens.angles[:], ens.weights[:] = initial
-        monkeypatch.setattr(cli, "run",
-                            lambda config, waist_m: cavity.run(config, waist_m, initial=ens))
+def test_simulate_refuses_a_snapshot_that_overflows_and_writes_nothing(tmp_path, capsys,
+                                                                       monkeypatch):
+    monkeypatch.setattr(cavity, "axial_beam",
+                        lambda: cavity.BeamEnsemble([1.79e308], [0.09], [1.0]))
     out = tmp_path / "out"
     args = ["--preset", "confocal", "--override", "cavity.n_traversals=1"]
-    for setting in overrides:
+    for setting in OVERFLOW:
         args += ["--override", setting]
-    assert cli.main([*args, "--out", str(out), "simulate"]) == rc
-    assert message in capsys.readouterr().err
+    assert cli.main([*args, "--out", str(out), "simulate"]) == 3
+    assert "moment series" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -354,11 +338,14 @@ def test_simulate_refuses_a_mirror_spacing_past_a_double(length, rc, message, tm
         # mirror 1 is reached on even traversals only: no snapshot, no series
         ("confocal", ["cavity.extraction_mirror=mirror1", "cavity.n_traversals=1"],
          "cavity.n_traversals must be >= 2 with extraction_mirror = 'mirror1'"),
-        # sparse angles, but cells past 2^62: the grid passes refuse
-        ("bnl-quad", ["cavity.coalesce_tol_angle_rad=1e-300", "cavity.n_traversals=3"],
-         "coalescing tolerance too small for the ensemble scale"),
+        # planar mirrors and a 1e9 m field walk the split beams 1e7 m off
+        # the axis by traversal 3: cells past 2^62, and the grid passes refuse
+        ("confocal", ["laser.waist_m=1e8", "cavity.mirror1_focal_m=planar",
+                      "cavity.mirror2_focal_m=planar", "cavity.field_length_m=1e9",
+                      "cavity.theta_split_rad=1e-2", "cavity.n_traversals=3"],
+         "ensemble too wide for the coalescing grid (a cell index reaches 2^62)"),
     ],
-    ids=["no-snapshot", "tolerance-too-small"],
+    ids=["no-snapshot", "ensemble-too-wide"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_simulate_refuses_a_run_it_cannot_make(preset, overrides, message, tmp_path, capsys):
@@ -369,9 +356,11 @@ def test_simulate_refuses_a_run_it_cannot_make(preset, overrides, message, tmp_p
     assert not out.exists()
 
 
-# keys of the detector lens and of the forward-only split: every field
-# passage splits and the detector sits behind an ideal relay
-RETIRED_CAVITY_KEYS = ["lens_focal_m=0.7", "lens_offset_m=0.5", "split_on_backward=true"]
+# keys of the detector lens, of the forward-only split and of the coalescing
+# grid: every field passage splits, the detector sits behind an ideal relay,
+# and the grid's cell sizes are the engine's constants
+RETIRED_CAVITY_KEYS = ["lens_focal_m=0.7", "lens_offset_m=0.5", "split_on_backward=true",
+                       "coalesce_tol_position_m=1e-12", "coalesce_tol_angle_rad=1e-16"]
 
 
 @pytest.mark.parametrize("setting", RETIRED_CAVITY_KEYS)
@@ -420,24 +409,13 @@ def test_unwritable_output_path_is_a_one_line_error(verb, tmp_path, capsys):
 
 
 def test_analyze_reports_the_reach_chain(tmp_path, capsys):
-    rc = cli.main(
-        [
-            "analyze",
-            "--series",
-            _series_file(tmp_path),
-            "--fit-kind",
-            "linear",
-            "--n-target",
-            "12000",
-            "--g-ref",
-            "1e-6",
-            "--time",
-            "3e4",
-        ]
-    )
+    """The confocal preset's analysis: a linear fit extrapolated to 12000
+    extractions at g_ref = 1e-6 GeV^-1, integrated over 3e4 s."""
+    rc = cli.main(["--preset", "confocal", "analyze", "--series", _series_file(tmp_path)])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["scenario"] == "series"
+    assert report["scenario"] == "confocal"
+    assert report["integration_time_s"] == 3e4
     assert report["fit"]["kind"] == "linear"
     assert report["fit"]["slope"] == pytest.approx(6.41e7, rel=1e-9)
     assert report["extrapolated_photons"] == pytest.approx(769200024793.0, rel=1e-9)
@@ -447,15 +425,18 @@ def test_analyze_reports_the_reach_chain(tmp_path, capsys):
     assert report["g_min_integrated"] == pytest.approx(4.09677905635152e-09, rel=1e-9)
 
 
-def test_analyze_takes_defaults_from_a_scenario(tmp_path, capsys):
-    rc = cli.main(
-        ["--preset", "confocal", "analyze", "--series", _series_file(tmp_path)]
-    )
-    assert rc == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["scenario"] == "confocal"
-    assert report["integration_time_s"] == 3e4
-    assert report["g_min_integrated"] == pytest.approx(4.09677905635152e-09, rel=1e-9)
+def test_analyze_takes_its_numbers_from_overrides(tmp_path, capsys):
+    """Every number of the reach chain comes from the scenario, overrides
+    included: the report is the one `scenario_report` makes of them."""
+    overrides = ["analysis.extraction_count=120000", "analysis.g_ref_gev=2e-6",
+                 "analysis.integration_time_s=4.8e5", "analysis.fit_kind=power",
+                 "laser.amplitude_photons_per_s=5e19"]
+    args = ["--preset", "confocal", *sum((["--override", o] for o in overrides), [])]
+    series = _series_file(tmp_path)
+    assert cli.main([*args, "analyze", "--series", series]) == 0
+    fit = sensitivity.fit_power(cli._read_series(series))
+    want = sensitivity.scenario_report("confocal", fit, 120000, 2e-6, 4.8e5, total_rate=5e19)
+    assert json.loads(capsys.readouterr().out) == want
 
 
 def test_analyze_writes_report_file_with_out(tmp_path, capsys):
@@ -476,15 +457,13 @@ def test_analyze_writes_report_file_with_out(tmp_path, capsys):
 
 
 def test_analyze_missing_series_file(capsys):
-    assert cli.main(["analyze", "--series", "/no/such.csv", "--n-target", "10",
-                     "--g-ref", "1e-6"]) == 2
+    assert cli.main(["--preset", "confocal", "analyze", "--series", "/no/such.csv"]) == 2
 
 
 def test_analyze_short_series(tmp_path, capsys):
     path = tmp_path / "short.csv"
     path.write_text("n,signal\n1,10\n2,20\n")
-    rc = cli.main(["analyze", "--series", str(path), "--n-target", "10",
-                   "--g-ref", "1e-6"])
+    rc = cli.main(["--preset", "confocal", "analyze", "--series", str(path)])
     assert rc == 2
 
 
@@ -501,28 +480,70 @@ def test_analyze_short_series(tmp_path, capsys):
 def test_analyze_refuses_a_bad_row_after_the_header(tmp_path, capsys, text, line):
     path = tmp_path / "typo.csv"
     path.write_text(text)
-    rc = cli.main(["analyze", "--series", str(path), "--n-target", "10",
-                   "--g-ref", "1e-6"])
+    rc = cli.main(["--preset", "confocal", "analyze", "--series", str(path)])
     assert rc == 2
     assert f"line {line}:" in capsys.readouterr().err
 
 
-def test_analyze_needs_targets_without_scenario(tmp_path, capsys):
-    assert cli.main(["analyze", "--series", _series_file(tmp_path)]) == 2
+def test_analyze_needs_a_scenario(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), "analyze", "--series", _series_file(tmp_path)]) == 2
+    assert "this command needs --config FILE or --preset NAME" in capsys.readouterr().err
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("scenario", [["--preset", "confocal"], []], ids=["preset", "bare"])
-@pytest.mark.parametrize("flag, value", [("--time", "-1"), ("--time", "0"), ("--rate", "0"),
-                                         ("--g-ref", "0"), ("--n-target", "0")])
-def test_analyze_refuses_non_positive_arguments(tmp_path, capsys, scenario, flag, value):
-    """An explicit 0 (or a negative time) is refused with exit 2, not
-    replaced by the scenario's value or a default and not ended by a
-    traceback."""
-    args = {"--n-target": "10", "--g-ref": "1e-6", flag: value}
-    rc = cli.main([*scenario, "analyze", "--series", _series_file(tmp_path),
-                   *sum(args.items(), ())])
+# flags of the reach chain's numbers, which the scenario holds
+@pytest.mark.parametrize("flag", ["--n-target", "--g-ref", "--time", "--rate"])
+def test_analyze_refuses_retired_flags_by_name(flag, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--preset", "confocal", "--out", str(out), "analyze",
+                  "--series", _series_file(tmp_path), flag, "10"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["analysis.integration_time_s=-1",
+                                     "analysis.integration_time_s=0",
+                                     "laser.amplitude_photons_per_s=0",
+                                     "analysis.g_ref_gev=0", "analysis.extraction_count=0"])
+@pytest.mark.parametrize("source", ["file", "override"])
+def test_analyze_refuses_non_positive_arguments(tmp_path, capsys, setting, source):
+    """An explicit 0 (or a negative time) is refused with exit 2, naming
+    the key, not replaced by a default and not ended by a traceback,
+    whether a scenario file or an override sets it."""
+    rc = cli.main([*_analyze_scenario(setting, source, tmp_path), "analyze",
+                   "--series", _series_file(tmp_path)])
     assert rc == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err and setting.split("=")[0] in err
+
+
+def _analyze_scenario(setting, source, tmp_path):
+    """The global flags of a scenario that sets `setting`: a file holding it
+    alone, or the confocal preset with it as an override."""
+    if source == "file":
+        section, key = setting.split("=")[0].split(".")
+        cfg = tmp_path / "analysis.ini"
+        cfg.write_text(f"[{section}]\n{key} = {setting.split('=')[1]}\n")
+        return ["--config", str(cfg)]
+    return ["--preset", "confocal", "--override", setting]
+
+
+# the keys of analyze's retired float flags --g-ref, --time and --rate
+@pytest.mark.parametrize("key", ["analysis.g_ref_gev", "analysis.integration_time_s",
+                                 "laser.amplitude_photons_per_s"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_analyze_refuses_non_finite_numbers_and_writes_nothing(key, value, tmp_path, capsys):
+    """Exit 2 naming the key, before anything is written."""
+    out = tmp_path / "out"
+    rc = cli.main(["--preset", "confocal", "--override", f"{key}={value}", "--out", str(out),
+                   "analyze", "--series", _series_file(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be finite" in err and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 # --- profile verb ------------------------------------------------------------
@@ -790,15 +811,11 @@ def test_pascal_takes_pass_counts_past_int64(n, capsys):
 
 # --- float flags ---------------------------------------------------------------
 
-_ANALYZE = ["analyze", "--series", "s.csv", "--n-target", "10"]
 _PROFILE = ["profile", "--out-file", "out.csv"]
 _MASS_SCAN = ["--preset", "confocal", "mass-scan", "--out-file", "out.csv"]
 
 # every float flag of every verb -> the other arguments that verb needs
 _FLOAT_FLAGS = {
-    "--g-ref": _ANALYZE,
-    "--time": [*_ANALYZE, "--g-ref", "1e-6"],
-    "--rate": [*_ANALYZE, "--g-ref", "1e-6"],
     "--alpha": _PROFILE,
     "--epsilon": [*_PROFILE, "--alpha", "1e-5"],
     "--waist": [*_PROFILE, "--alpha", "1e-5"],

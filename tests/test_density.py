@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from oracles import gaussian_density, rates, run_with_detector_beams, sample
 
-from axicav import cli, density
+from axicav import cavity, cli, density
 from axicav.cavity import BeamEnsemble, CavityConfig, axial_beam, run
 from axicav.density import (
     DEFAULT_BIN_WIDTH_M,
@@ -550,8 +550,8 @@ MIRRORED_RUNS = {
     "confocal-0.9theta": replace(CONFOCAL, n_traversals=12, theta_split_rad=0.9 * CONFOCAL.theta_split_rad),
     "confocal-1.1theta": replace(CONFOCAL, n_traversals=12, theta_split_rad=1.1 * CONFOCAL.theta_split_rad),
     "bnl-quad": replace(BNL_QUAD, n_traversals=40),
-    "coarse-tolerance": replace(CONFOCAL, n_traversals=10, coalesce_tol_position_m=1e-9,
-                                coalesce_tol_angle_rad=1e-10),
+    # run on a coarser grid than the engine's, on which it merges
+    "coarse-tolerance": replace(CONFOCAL, n_traversals=10),
 }
 
 
@@ -580,6 +580,9 @@ def test_mirrored_moments_are_bitwise_the_exact_sums(case, monkeypatch):
     if case == "odd-sized":
         ensembles, kept = _odd_sized_mirrored(), []
     else:
+        if case == "coarse-tolerance":
+            monkeypatch.setattr(cavity, "COALESCE_TOL_POSITION_M", 1e-9)
+            monkeypatch.setattr(cavity, "COALESCE_TOL_ANGLE_RAD", 1e-10)
         res, ensembles = run_with_detector_beams(MIRRORED_RUNS[case], WAIST)
         kept = [snap.ensemble.moments.tobytes() for snap in res.snapshots]
     for ens in ensembles:

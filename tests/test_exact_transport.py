@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 from oracles import run_with_detector_beams
 
+from axicav import cavity
 from axicav.cavity import MIRROR_2
 from axicav.scenario import load_preset
 
@@ -94,8 +95,8 @@ def test_bnl_quad_second_moments_and_merges_are_exact():
     angles = np.array([float(a) for _, a in keys])
     matched = set()
     for x, a, w in zip(res.final.positions, res.final.angles, res.final.weights.tolist()):
-        near = np.flatnonzero((np.abs(xs - x) < cfg.coalesce_tol_position_m)
-                              & (np.abs(angles - a) < cfg.coalesce_tol_angle_rad))
+        near = np.flatnonzero((np.abs(xs - x) < cavity.COALESCE_TOL_POSITION_M)
+                              & (np.abs(angles - a) < cavity.COALESCE_TOL_ANGLE_RAD))
         assert near.size == 1, (x, a)
         assert Fraction(w) == final[keys[near[0]]]
         matched.add(int(near[0]))

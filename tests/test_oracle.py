@@ -151,7 +151,7 @@ def test_simulate_outputs_match_the_oracle(case, tmp_path):
 def _off_axis_run():
     """Two unequal beams off the axis: every moment order counts."""
     start = BeamEnsemble([3e-5, -1e-5], [2e-7, -1e-7], [0.25, 0.75])
-    return run_with_detector_beams(CavityConfig(n_traversals=5), PROFILE.waist_m, initial=start)
+    return run_with_detector_beams(CavityConfig(n_traversals=5), PROFILE.waist_m, start)
 
 
 def test_off_axis_start_matches_the_oracle():

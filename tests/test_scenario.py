@@ -232,7 +232,7 @@ ALL_SETTINGS = [f"{sec}.{f.name}" for sec, cls in CONFIG_CLASSES.items() for f i
 def test_dump_lists_every_field_in_order():
     dumped = scenario_to_mapping(loads_scenario("", "d"))
     assert [f"{sec}.{key}" for sec, keys in dumped.items() for key in keys] == ALL_SETTINGS
-    assert len(ALL_SETTINGS) == 23
+    assert len(ALL_SETTINGS) == 21
 
 
 @pytest.mark.parametrize("path", ALL_SETTINGS)
