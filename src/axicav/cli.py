@@ -34,6 +34,7 @@ flag or override of one call reaches the next.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -49,7 +50,7 @@ from .rays import ParaxialError
 
 FLOAT_FMT = g17.FLOAT_FMT
 # _csv's path switch: see its docstring
-COLUMN_PATH_MIN_ROWS = 256
+COLUMN_PATH_MIN_ROWS = 128
 BLOCK_ROWS = 4096
 # mallopt(3) parameters of glibc, and the values `_keep_freed_heap` gives them
 M_TRIM_THRESHOLD = -1
@@ -98,6 +99,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
+@contextlib.contextmanager
+def _rows_in_memory(flag: str, count: int):
+    """Run a verb's computation of ``count`` rows, refusing (exit 2, naming
+    ``flag``, before anything is written) a count past the largest float64
+    array numpy can make, or one whose arrays do not fit in memory."""
+    refusal = scenario.ScenarioError(f"{flag} {count}: too many rows to hold in memory")
+    if count > np.iinfo(np.intp).max // 8:
+        raise refusal
+    try:
+        yield
+    except MemoryError:
+        raise refusal from None
+
+
 def _csv(header: str, columns):
     """A CSV table from whole columns, as text pieces: a float ndarray is
     written as FLOAT_FMT, any other column (an integer array or a list)
@@ -107,19 +122,22 @@ def _csv(header: str, columns):
     COLUMN_PATH_MIN_ROWS rows is one piece, formatted row by row with one %
     per row and a format string built once per table.  A longer one takes
     the column path and yields the header, then one piece per BLOCK_ROWS
-    rows: `g17.fields` writes each float column from its 17 digits,
-    computed in numpy and certified to lie more than g17.TIE_BOUND (1e-9
-    of the last digit) from a rounding tie and from a decade edge; a value
-    it cannot certify, and any zero, subnormal, inf or NaN, is written by
-    % instead.  A block's fields sit side by side in a NUL-padded byte
-    matrix, and the NULs go in one pass.
+    rows: one `g17.fields` call writes all the block's float columns from
+    their 17 digits, computed in numpy and certified to lie more than
+    g17.TIE_BOUND (1e-9 of the last digit) from a rounding tie and from a
+    decade edge (a value it cannot certify, and any zero, subnormal, inf or
+    NaN, takes its digits from % instead).  The fields and the other
+    columns' bytes sit in one byte matrix; the rows no value of a column
+    uses are left out as the matrix is transposed into lines, and the
+    remaining NULs go in one pass.
 
-    The column path costs a few dozen numpy calls per column and block
-    whatever the row count, so short tables (the 30-bin histograms, the
-    growth series, `pascal`) are cheaper by %.  On a 2-core VM, three float
-    columns took 0.86 ms by % and 0.89 ms by column at 256 rows, 1.22 ms
-    and 1.00 ms at 384, and 14.2 ms and 4.2 ms at 4096; COLUMN_PATH_MIN_ROWS
-    sits at that crossover.
+    The column path costs over a hundred numpy calls per block whatever
+    its row count, so short tables (the 30-bin histograms, the growth
+    series, `pascal`'s 25 rows, `profile`'s default 121) are cheaper by %.
+    On a 2-core VM, three float columns of the mass-scan table took 0.063
+    ms by % and 0.185 ms by column at 30 rows, 0.194 and 0.206 ms at 96,
+    0.256 and 0.215 ms at 128, and 8.1 and 1.7 ms at 4096;
+    COLUMN_PATH_MIN_ROWS sits just past that crossover.
     """
     floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
     n = len(columns[0])
@@ -129,27 +147,42 @@ def _csv(header: str, columns):
         yield "\n".join([header, *(row % r for r in zip(*values))]) + "\n"
         return
     yield header + "\n"
+    float_count = sum(floats)
     for start in range(0, n, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n)
         texts = [
             None if f else np.array([str(v) for v in c[start:stop]], dtype="S")
             for c, f in zip(columns, floats)
         ]
-        widths = [g17.WIDTH if t is None else t.itemsize for t in texts]
-        # one row per byte position, one column per table row
-        block = np.empty((sum(widths) + len(widths), stop - start), dtype=np.uint8)
-        top = 0
-        for c, text, width in zip(columns, texts, widths):
+        # one row per byte position, one column per table row: byte r of
+        # float column i in row r * float_count + i, then the text columns'
+        # bytes, a comma and a newline
+        top = g17.WIDTH * float_count
+        block = np.empty(
+            (top + sum(t.itemsize for t in texts if t is not None) + 2, stop - start),
+            dtype=np.uint8,
+        )
+        comma, newline = len(block) - 2, len(block) - 1
+        block[comma] = ord(",")
+        block[newline] = ord("\n")
+        if float_count:
+            table = np.stack([c[start:stop] for c, f in zip(columns, floats) if f])
+            used = g17.fields(table.T, block[:top].reshape(g17.WIDTH, float_count, -1))
+        # the rows of each line in order, leaving out rows no value uses
+        order = []
+        i = 0
+        for text in texts:
             if text is None:
-                g17.fields(c[start:stop], block[top : top + width])
+                order.extend((np.flatnonzero(used[i]) * float_count + i).tolist())
+                i += 1
             else:
+                width = text.itemsize
                 block[top : top + width] = text.view(np.uint8).reshape(-1, width).T
-            block[top + width] = ord(",")
-            top += width + 1
-        block[-1] = ord("\n")
-        # rows no value in the block uses need not be transposed
-        block = block[block.any(axis=1)]
-        yield block.T.tobytes().translate(None, b"\0").decode("ascii")
+                order.extend(range(top, top + width))
+                top += width
+            order.append(comma)
+        order[-1] = newline
+        yield block[order].T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +304,9 @@ def cmd_profile(args) -> int:
     if args.steps < 1:
         raise scenario.ScenarioError("--steps must be >= 1")
     profile = density.GaussianProfile(args.amplitude, args.waist)
-    xs = np.linspace(0.0, args.x_max, args.steps)
-    vals = density.deficit(xs, args.alpha, args.epsilon, profile)
+    with _rows_in_memory("--steps", args.steps):
+        xs = np.linspace(0.0, args.x_max, args.steps)
+        vals = density.deficit(xs, args.alpha, args.epsilon, profile)
     text = _csv("x_m,deficit_photons_per_s", [xs, vals])
     _write_or_print(text, args.out_file)
     return 0
@@ -287,12 +321,6 @@ def cmd_mass_scan(args) -> int:
             raise scenario.ScenarioError("--log needs --m-min > 0")
         if args.m_max <= 0:
             raise scenario.ScenarioError("--log needs --m-max > 0")
-        # the C library's pow, one mass at a time: numpy's power gives other
-        # last bits on other SIMD kernels
-        exponents = np.linspace(math.log10(args.m_min), math.log10(args.m_max), args.steps)
-        masses = np.fromiter(map(math.pow, repeat(10.0), memoryview(exponents)), float, args.steps)
-    else:
-        masses = np.linspace(args.m_min, args.m_max, args.steps)
     p = axion.MixingParameters(sc.axion.omega_ev, sc.axion.g_a_gev, sc.axion.b_mixing_t, 0.0)
     try:
         axion.q_gamma(p)
@@ -301,7 +329,17 @@ def cmd_mass_scan(args) -> int:
             f"axion.omega_ev and axion.b_mixing_t must give a finite Qgamma, "
             f"got {p.omega_ev!r} eV and {p.b_field_t!r} T"
         ) from None
-    phi, sup = axion.mass_scan(p, masses)
+    with _rows_in_memory("--steps", args.steps):
+        if args.log:
+            # the C library's pow, one mass at a time: numpy's power gives
+            # other last bits on other SIMD kernels
+            exponents = np.linspace(math.log10(args.m_min), math.log10(args.m_max), args.steps)
+            masses = np.fromiter(
+                map(math.pow, repeat(10.0), memoryview(exponents)), float, args.steps
+            )
+        else:
+            masses = np.linspace(args.m_min, args.m_max, args.steps)
+        phi, sup = axion.mass_scan(p, masses)
     # Computed before anything is written, so a refused run leaves no file.
     half = axion.max_measurable_mass(p, 0.5) if args.out_file else None
     text = _csv("m_a_ev,phi_rad,suppression", [masses, phi, sup])
@@ -312,7 +350,8 @@ def cmd_mass_scan(args) -> int:
 
 
 def cmd_pascal(args) -> int:
-    cmp = lattice.compare_growth(args.n_passes, args.pass_length, args.points)
+    with _rows_in_memory("--points", args.points):
+        cmp = lattice.compare_growth(args.n_passes, args.pass_length, args.points)
     columns = [
         [s.n_pass for s in cmp.samples],
         np.array([s.distance_m for s in cmp.samples]),

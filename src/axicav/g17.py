@@ -1,8 +1,9 @@
 """``"%.17g" % v`` for whole float64 arrays, byte for byte.
 
 `fields` writes each value's text into one column of a NUL-padded uint8
-matrix with one row per byte position; a CSV writer stacks such matrices,
-one per CSV column, transposes them into lines and drops the NULs once.
+matrix with one row per byte position, all the float columns of a table
+block in one call, and says which rows each column uses; a CSV writer
+keeps those rows, transposes them into lines and drops the NULs once.
 
 Digits.  For each value with 1e-280 < |x| < 1e280 the 17 significant
 digits D (an integer, 10^16 <= D < 10^17) and the decimal exponent E come
@@ -15,19 +16,26 @@ wherever the product lies more than `TIE_BOUND` from a rounding tie.  E is
 guessed with np.log10 and certified by the product's range: the product
 must lie a relative `TIE_BOUND` inside [10^16, 10^17].  Only IEEE-exact
 +, - and × decide a digit, so the bytes do not depend on numpy's log10
-kernel.  Each power of ten is built once, when a value first needs it,
+kernel.  Each power of ten is built once, when a block first needs it,
 from exact Python integers (int-to-float conversion and int/int division
-round correctly).
+round correctly).  One int64 division splits D into its top 8 and bottom
+9 digits, both uint32, and the digits are peeled off the two halves
+together by uint32 division by 10, which numpy vectorises with SIMD.
 
-Fallback.  ``"%.17g" % v`` writes every value that is not certified (a
-product within the bound of a tie or of a decade edge) and every zero,
-subnormal, inf, NaN and value outside (1e-280, 1e280).
+Fallback.  ``"%.16e" % v`` gives D and E of every other finite nonzero
+value: one within the bound of a tie or of a decade edge, a subnormal, or
+one outside (1e-280, 1e280).  ``%.17g`` lays out the same digits.  A zero
+is D = 0, E = 0; inf and NaN are laid out as three digits with no point,
+which are then spelled over.
 
 Layout.  Python's ``g`` rules with precision 17: fixed notation for
 -4 <= E < 17, otherwise ``d.ddde±XX``, trailing zeros and a bare point
 stripped.  A field holds a sign byte, the ``0.000`` lead of E < 0, the 17
 digits each followed by a slot for the point, and ``e±XXX``; every byte a
-value does not use is NUL.
+value does not use is NUL.  The lead and the exponent of each E come from
+one table built at import, `AFFIXES`.  The rows a value uses follow from
+its sign, its E, how many digits it shows and where its point goes, so the
+rows no value of a block uses are set to NUL without being computed.
 """
 
 from __future__ import annotations
@@ -37,7 +45,6 @@ import numpy as np
 FLOAT_FMT = "%.17g"
 TIE_BOUND = 1e-9
 WIDTH = 45  # sign, "0.000", 17 digits with a point slot each, "e+XXX"
-FALLBACK_WIDTH = 24  # the longest "%.17g" text, e.g. "-2.2250738585072014e-308"
 
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 # |x| in (1e-280, 1e280) has E in [-280, 279], so k = 16 - E in [-263, 296]
@@ -49,9 +56,31 @@ _SPLITTER = 134217729.0  # 2^27 + 1: Dekker's split into two 26-bit halves
 _pow10 = np.zeros((3, _K_MAX - _K_MIN + 1))
 _pow10_known = np.zeros(_K_MAX - _K_MIN + 1, dtype=bool)
 
-_ROWS = np.arange(17)[:, None]
-_PLACES = np.arange(1, 18, dtype=np.uint8)[:, None]
-_LEAD = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
+# the decimal exponents of the nonzero finite doubles
+E_MIN, E_MAX = -324, 308
+_E_RANGE = range(E_MIN, E_MAX + 1)
+
+# per E (row E - E_MIN): the "0.000" lead of fixed notation in bytes 0-4
+# and the exponent of scientific notation in bytes 8-12, NUL-padded (16
+# bytes, so that taking a row per value is one fast copy)
+AFFIXES = np.array(
+    [(b"0.000"[: 1 - e] if -4 <= e < 0 else b"").ljust(8, b"\0")
+     + (b"" if -4 <= e < 17 else b"e%+03d" % e) for e in _E_RANGE],
+    dtype="S16",
+).view(np.uint8).reshape(-1, 16)
+# per E: the digits fixed notation shows whatever the trailing zeros, and
+# one more than the number of digits before the point (0: the lead holds it)
+_MIN_SHOWN = np.array([e + 1 if 0 <= e < 17 else 0 for e in _E_RANGE], dtype=np.uint8)
+_SLOT = np.array([e + 1 if 0 <= e < 17 else 0 if -4 <= e < 0 else 1 for e in _E_RANGE],
+                 dtype=np.uint8)
+
+# The field rows a value's lead and exponent use (per E) and its point uses
+# (per slot), as bits of a uint64
+_ROW_BITS = np.uint64(1) << np.arange(WIDTH, dtype=np.uint64)
+_AFFIX_ROWS = (AFFIXES[:, :5] != 0) @ _ROW_BITS[1:6] | (AFFIXES[:, 8:13] != 0) @ _ROW_BITS[40:]
+_POINT_ROWS = np.append(np.uint64(0), _ROW_BITS[7:41:2])
+
+_PLACES = np.arange(1, 18, dtype=np.uint8)[:, None, None]
 
 
 def _fill_pow10(ks) -> None:
@@ -80,73 +109,129 @@ def decimal17(x: np.ndarray):
     ok = (a > _FAST_MIN) & (a < _FAST_MAX)  # False for 0, subnormals, inf and NaN
     a[~ok] = 1.0
     exponent = np.floor(np.log10(a)).astype(np.intp)
-    k = np.clip(16 - exponent, _K_MIN, _K_MAX) - _K_MIN
-    missing = ~_pow10_known[k]
-    if missing.any():
-        _fill_pow10(np.unique(k[missing]) + _K_MIN)
-    p_hi, p_lo, rest = (row.take(k) for row in _pow10)
-    high = a * (p_hi + p_lo)
-    c = _SPLITTER * a
-    a_hi = c - (c - a)
+    k = np.clip(16 - _K_MIN - exponent, 0, _K_MAX - _K_MIN)
+    lo, hi = int(k.min()), int(k.max())
+    if not _pow10_known[lo : hi + 1].all():
+        _fill_pow10(np.flatnonzero(~_pow10_known[lo : hi + 1]) + lo + _K_MIN)
+    p_hi, p_lo, rest = _pow10.take(k, axis=1)
+    high = p_hi + p_lo
+    high *= a
+    a_hi = _SPLITTER * a  # Dekker's split: a_hi = c - (c - a), c = _SPLITTER a
+    a_hi -= a_hi - a
     a_lo = a - a_hi
-    # high + err is exactly a times the double nearest 10^k
-    err = ((a_hi * p_hi - high) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
-    low = err + a * rest
+    # high + err is exactly a times the double nearest 10^k, with
+    # err = ((a_hi p_hi - high) + a_hi p_lo + a_lo p_hi) + a_lo p_lo summed in
+    # that order; the steps work in place, as fewer temporaries are faster
+    err = a_hi * p_hi
+    err -= high
+    term = a_hi * p_lo
+    err += term
+    err += np.multiply(a_lo, p_hi, out=term)
+    err += np.multiply(a_lo, p_lo, out=term)
+    low = np.multiply(a, rest, out=rest)
+    low += err
     rounded = np.rint(low)
-    ok &= np.abs(np.abs(low - rounded) - 0.5) > TIE_BOUND
+    ok &= np.abs(low - rounded, out=err) < 0.5 - TIE_BOUND
     ok &= (high > 1e16 * (1 + TIE_BOUND)) & (high < 1e17 * (1 - TIE_BOUND))
-    high[~ok] = 1e16
-    rounded[~ok] = 0.0
-    # high >= 10^16 > 2^53 is an integer
-    digits = high.astype(np.int64) + rounded.astype(np.int64)
+    # high is an integer (10^16 > 2^53 where ok) and far from int64's limits
+    digits = high.astype(np.int64)
+    digits += rounded.astype(np.int64)
     return ok, digits, exponent
 
 
-def fields(values, out: np.ndarray) -> None:
-    """Write ``FLOAT_FMT % v`` of each of ``values`` into ``out``, a
-    (WIDTH, len(values)) uint8 array: one column per value, one row per
-    byte position, NUL where a value leaves a byte unused.  The layout is
-    column-major so that every step works on whole rows."""
+def _settle(x, ok, d, e, sign):
+    """Give each value of ``x`` that `decimal17` did not certify its D and E
+    in ``d`` and ``e``: 0 and 0 for a zero, ``%.16e``'s for any other
+    finite value, and 10^16 and 2 for inf and NaN (three digits, no point),
+    whose digits are to be spelled over.  A NaN loses its sign, as in ``%``.
+    Returns the indices of inf and NaN and their letters, uint8 (3, count)."""
+    slow = np.nonzero(~ok)
+    values = x[slow]
+    finite = np.isfinite(values)
+    ds = np.where(finite, 0, 10**16)
+    es = np.where(finite, 0, 2)
+    rest = np.flatnonzero(finite & (values != 0.0))
+    texts = ["%.16e" % v for v in np.abs(values[rest]).tolist()]  # d.dddddddddddddddde±XX
+    ds[rest] = [int(t[0] + t[2:18]) for t in texts]
+    es[rest] = [int(t[19:]) for t in texts]
+    d[slow], e[slow] = ds, es
+    spelled = tuple(axis[~finite] for axis in slow)
+    nan = np.isnan(x[spelled])
+    sign[spelled] &= ~nan
+    return spelled, np.where(nan, b"nan", b"inf").view(np.uint8).reshape(-1, 3).T
+
+
+def fields(values, out: np.ndarray) -> np.ndarray:
+    """Write ``FLOAT_FMT % v`` of each of ``values`` into ``out``: one
+    column per value, one row per byte position, NUL where a value leaves a
+    byte unused.  ``values`` is a 1-D array and ``out`` (WIDTH, len(values)),
+    or ``values`` is a table block (rows, columns) and ``out`` (WIDTH,
+    columns, rows).  The layout is column-major so that every step works on
+    whole rows; a block is best given column by column in memory (the
+    transpose of a C-contiguous (columns, rows) array).
+
+    Returns which rows each column uses, bool (WIDTH,) or (columns, WIDTH):
+    a row no value of a column uses holds NUL for all of them."""
     x = np.asarray(values, dtype=np.float64)
+    block = x.ndim == 2
+    rows = out if block else out[:, None]
+    x = np.ascontiguousarray(x.reshape(len(x), -1).T)  # (columns, rows)
     ok, d, e = decimal17(x)
+    sign = np.signbit(x)
+    spelled = None
+    if not ok.all():
+        spelled, letters = _settle(x, ok, d, e, sign)
 
-    # D in five groups of (up to) four digits, then digit by digit
-    high, low = np.divmod(d, 10**8)
-    groups = np.empty((5, x.size), dtype=np.int64)
-    groups[3], groups[4] = np.divmod(low, 10**4)
-    high, groups[2] = np.divmod(high, 10**4)
-    groups[0], groups[1] = np.divmod(high, 10**4)
-    digits = np.empty((5, 4, x.size), dtype=np.uint8)
-    for place in (3, 2, 1):
-        tens = groups // 10
-        digits[:, place] = groups - tens * 10
-        groups = tens
-    digits[:, 0] = groups
-    digits = digits.reshape(20, x.size)[3:]
-    keep = np.max((digits != 0) * _PLACES, axis=0)  # digits left once trailing zeros go
+    # D as two uint32 halves of 9 digits (the top one's first is 0), peeled
+    # together: a digit is h - 10 (h // 10), taken mod 256 in uint8
+    top = d // 10**9
+    halves = np.empty((2, *x.shape), dtype=np.uint32)
+    halves[0] = top
+    np.subtract(d, top * 10**9, out=halves[1], casting="unsafe")
+    digits = np.empty((2, 9, *x.shape), dtype=np.uint8)
+    low = halves.astype(np.uint8)
+    for place in range(8, 0, -1):
+        halves //= 10
+        tens = halves.astype(np.uint8)
+        np.subtract(low, tens * np.uint8(10), out=digits[:, place])
+        low = tens
+    digits[:, 0] = low
+    digits = digits.reshape(18, *x.shape)[1:]  # D's 17 digits
+    # the digits left once trailing zeros go
+    keep = np.max((digits != 0).view(np.uint8) * _PLACES, axis=0)
 
-    fixed = (e >= -4) & (e < 17)
-    whole = fixed & (e >= 0)
-    shown = np.where(whole, np.maximum(keep, e + 1), keep)  # digits written
-    point = np.where(whole, e, np.where(fixed, -1, 0))  # the digit the point follows
-    point[keep <= point + 1] = -1  # no digit after it: no point
+    index = e - E_MIN
+    shown = np.maximum(keep, _MIN_SHOWN.take(index))  # digits written
+    slot = _SLOT.take(index)  # the point follows digit slot - 1; 0: no point here
+    slot[keep <= slot] = 0  # no digit after it: no point
 
-    np.multiply(x < 0, np.uint8(ord("-")), out=out[0])
-    lead = np.where(fixed & (e < 0), 1 - e, 0)  # "0." and -E-1 zeros
-    np.multiply(_ROWS[:5] < lead, _LEAD, out=out[1:6])
+    # the rows each column uses: its values' sign, lead, exponent and point
+    # rows, and as many digit rows as its longest value shows
+    uses = _AFFIX_ROWS.take(index)
+    uses |= _POINT_ROWS.take(slot)
+    used = np.bitwise_or.reduce(uses, axis=1)[:, None] & _ROW_BITS != 0
+    used[:, 0] = sign.any(axis=1)
+    used[:, 6:40:2] = _PLACES[:, 0, 0] <= shown.max(axis=1)[:, None]
+    needed = used.any(axis=0)
+
+    rows[~needed] = 0
+    if needed[0]:
+        np.multiply(sign.view(np.uint8), np.uint8(ord("-")), out=rows[0])
+    leads, exponents = np.count_nonzero(needed[1:6]), np.count_nonzero(needed[40:])
+    if leads or exponents:
+        affixes = np.moveaxis(AFFIXES.take(index, axis=0), -1, 0)
+        rows[1 : 1 + leads] = affixes[:leads]
+        rows[40 : 40 + exponents] = affixes[8 : 8 + exponents]
+    count = np.count_nonzero(needed[6:40:2])
+    digits = digits[:count]
     digits += ord("0")
-    np.multiply(_ROWS < shown, digits, out=out[6:40:2])
-    np.multiply(_ROWS == point, np.uint8(ord(".")), out=out[7:41:2])
-    sci = ~fixed
-    mag = np.abs(e)
-    np.multiply(sci, np.uint8(ord("e")), out=out[40])
-    out[41] = np.where(sci, np.where(e < 0, ord("-"), ord("+")), 0)
-    out[42] = np.where(sci & (mag >= 100), ord("0") + mag // 100, 0)
-    out[43] = np.where(sci, ord("0") + mag // 10 % 10, 0)
-    out[44] = np.where(sci, ord("0") + mag % 10, 0)
-
-    slow = np.flatnonzero(~ok)
-    if slow.size:
-        text = np.array([FLOAT_FMT % v for v in x[slow].tolist()], dtype=f"S{FALLBACK_WIDTH}")
-        out[:, slow] = 0
-        out[:FALLBACK_WIDTH, slow] = text.view(np.uint8).reshape(-1, FALLBACK_WIDTH).T
+    if spelled is not None:
+        digits[(slice(0, 3), *spelled)] = letters
+    written = (_PLACES[:count] <= shown).view(np.uint8)
+    np.multiply(written, digits, out=rows[6 : 6 + 2 * count : 2])
+    points = np.flatnonzero(needed[7:41:2])
+    if points.size:  # the slots from the first to the last any value uses
+        first, last = points[0], points[-1] + 1
+        at = (_PLACES[first:last] == slot).view(np.uint8)
+        np.multiply(at, np.uint8(ord(".")), out=rows[7 + 2 * first : 7 + 2 * last : 2])
+    return used if block else used[0]

@@ -809,6 +809,47 @@ def test_pascal_takes_pass_counts_past_int64(n, capsys):
     assert all(math.isfinite(float(v)) for r in rows for v in r[1:])
 
 
+# --- row counts past memory ----------------------------------------------------
+
+# verb -> its arguments, the flag that sets its row count, and the numpy
+# function that allocates those rows first
+_ROW_FLAGS = {
+    "profile": (["profile", "--alpha", "1e-5"], "--steps", "linspace"),
+    "mass-scan": (["--preset", "confocal", "mass-scan"], "--steps", "linspace"),
+    "mass-scan-log": (["--preset", "confocal", "mass-scan", "--log", "--m-min", "1e-9"],
+                      "--steps", "linspace"),
+    "pascal": (["pascal", "--n-passes", "100"], "--points", "logspace"),
+}
+
+
+def _refused_rows(verb, count, tmp_path, capsys):
+    args, flag, _ = _ROW_FLAGS[verb]
+    out = tmp_path / "out.csv"
+    assert cli.main([*args, flag, str(count), "--out-file", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: {flag} {count}: too many rows to hold in memory\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", _ROW_FLAGS)
+def test_a_row_count_past_any_array_is_refused_naming_its_flag(verb, tmp_path, capsys):
+    """2**62 float64 rows are more bytes than numpy can address: refused
+    before anything is allocated."""
+    _refused_rows(verb, 2**62, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("verb", _ROW_FLAGS)
+def test_a_row_count_past_memory_is_refused_naming_its_flag(verb, tmp_path, capsys, monkeypatch):
+    """An allocation that fails is refused like a bad flag: exit 2, one line
+    naming the flag, no traceback and no file."""
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (10**12,)")
+
+    monkeypatch.setattr(np, _ROW_FLAGS[verb][2], refuse)
+    _refused_rows(verb, 10**12, tmp_path, capsys)
+
+
 # --- float flags ---------------------------------------------------------------
 
 _PROFILE = ["profile", "--out-file", "out.csv"]

@@ -139,3 +139,117 @@ def test_fields_takes_a_strided_column_and_leaves_its_input_alone():
     texts = [bytes(c[c != 0]).decode() for c in out.T]
     assert texts == ["-2.5e-300", "1.0000000000000001e-05", "-0"]
     assert np.array_equal(table, before, equal_nan=True)
+
+
+# --- tables of several columns --------------------------------------------------
+
+
+def _table_text(columns) -> str:
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    return "".join(cli._csv(header, columns))
+
+
+def _table_reference(columns) -> str:
+    """The table written one value at a time: %.17g for a float array,
+    str() for anything else."""
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    cells = [
+        ["%.17g" % v for v in c.tolist()] if isinstance(c, np.ndarray) and c.dtype.kind == "f"
+        else [str(v) for v in (c.tolist() if isinstance(c, np.ndarray) else c)]
+        for c in columns
+    ]
+    return header + "\n" + "".join(",".join(row) + "\n" for row in zip(*cells))
+
+
+def _bit_patterns(rng, n) -> np.ndarray:
+    return rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64)
+
+
+def test_three_float_columns_and_an_int_column_match_percent_formatting(csv_path):
+    rng = np.random.default_rng(SEED + 2)
+    n = 3 * cli.BLOCK_ROWS + 101
+    ints = rng.integers(-(2**63), 2**63 - 1, n)
+    columns = [_bit_patterns(rng, n), ints, _bit_patterns(rng, n), _bit_patterns(rng, n)]
+    assert _table_text(columns) == _table_reference(columns)
+
+
+def test_fallbacks_in_one_column_leave_the_others_alone(csv_path):
+    """Ties, signed zeros, NaN, infinities and subnormals, all written by
+    the fallback, share their blocks with columns that need none."""
+    rng = np.random.default_rng(SEED + 3)
+    odd = np.concatenate([
+        _ties(), SPECIALS, [0.0, -0.0] * 50,
+        rng.integers(1, 2**52, 500).view(np.float64),
+    ])
+    odd = odd[rng.permutation(odd.size)]
+    n = odd.size
+    columns = [
+        np.geomspace(1e-9, 1e-4, n),  # scientific notation only
+        odd,
+        rng.uniform(-1.0, 1.0, n),  # fixed notation, both signs
+        np.round(10.0 ** rng.uniform(0.0, 16.0, n)) / 8,  # the point after any of 16 digits
+    ]
+    assert _table_text(columns) == _table_reference(columns)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS, cli.BLOCK_ROWS + 1,
+     cli.COLUMN_PATH_MIN_ROWS - 1, cli.COLUMN_PATH_MIN_ROWS, cli.COLUMN_PATH_MIN_ROWS + 1],
+    ids=["block-1", "block", "block+1", "min-1", "min", "min+1"],
+)
+def test_row_counts_at_the_block_and_path_edges_match_percent_formatting(n, csv_path):
+    rng = np.random.default_rng(SEED + n)
+    columns = [list(range(n)), _bit_patterns(rng, n), rng.normal(size=n), _bit_patterns(rng, n)]
+    assert _table_text(columns) == _table_reference(columns)
+
+
+def test_strided_float_columns_match_percent_formatting(csv_path):
+    rng = np.random.default_rng(SEED + 4)
+    n = cli.BLOCK_ROWS + 7
+    pairs = _bit_patterns(rng, 2 * n).reshape(n, 2)
+    columns = [pairs[:, 1], rng.normal(size=n), pairs[::-1, 0]]
+    before = pairs.copy()
+    assert _table_text(columns) == _table_reference(columns)
+    assert np.array_equal(pairs, before, equal_nan=True)
+
+
+def test_fields_of_a_block_says_which_rows_each_column_uses():
+    """A (rows, columns) block: every column's text is %.17g's, a row the
+    call reports unused in a column is NUL there, and a used row is not."""
+    rng = np.random.default_rng(SEED + 5)
+    block = np.stack([
+        np.geomspace(1e-9, 1e-4, 300), rng.uniform(0.001, 0.01, 300),
+        _bit_patterns(rng, 300), np.full(300, 7.0),
+    ])
+    out = np.empty((g17.WIDTH, *block.shape), dtype=np.uint8)
+    used = g17.fields(block.T, out)
+    assert used.shape == (len(block), g17.WIDTH)
+    for column, rows, values in zip(out.transpose(1, 0, 2), used, block):
+        texts = [bytes(c[c != 0]).decode() for c in column.T]
+        assert texts == ["%.17g" % v for v in values.tolist()]
+        assert not column[~rows].any()
+        assert column[rows].any(axis=1).all()
+    # "7" needs one digit row and nothing else
+    assert np.flatnonzero(used[3]).tolist() == [6]
+
+
+def test_the_affix_table_covers_every_exponent_decimal17_certifies():
+    """`decimal17` certifies values with 1e-280 < |x| < 1e280, so E in
+    [-280, 279]; the fallback gives any finite nonzero double's E, in
+    [-324, 308].  Each E's lead and exponent in `AFFIXES` are %.17g's."""
+    certified = np.array([5.0 * 10.0**e for e in range(-280, 280)])
+    ok, _, exponent = g17.decimal17(certified)
+    assert ok.all()
+    assert exponent.tolist() == list(range(-280, 280))
+    assert (g17.E_MIN, g17.E_MAX) == (-324, 308)
+    assert len(g17.AFFIXES) == g17.E_MAX - g17.E_MIN + 1
+    for e in range(g17.E_MIN, g17.E_MAX + 1):
+        text = "%.17g" % (float(f"1.5e{e}") if e > g17.E_MIN else 5e-324)
+        assert int(("%.16e" % float(text)).split("e")[1]) == e
+        lead = text[: 1 - e] if -4 <= e < 0 else ""
+        exponent_text = text[text.index("e"):] if "e" in text else ""
+        row = g17.AFFIXES[e - g17.E_MIN]
+        assert row[:5].tobytes() == lead.encode().ljust(5, b"\0"), e
+        assert row[8:13].tobytes() == exponent_text.encode().ljust(5, b"\0"), e
+        assert not row[5:8].any() and not row[13:].any()
