@@ -5,7 +5,8 @@ Verbs:
               histograms and the signal growth series
   analyze     fit a growth series, extrapolate, and report coupling reach
   profile     evaluate the exact deficit curve of a displaced, broadened
-              half-beam pair on a grid
+              half-beam pair of the scenario's beam on a grid over its
+              detector range
   mass-scan   mixing angle and signal suppression across an axion mass range
   pascal      lattice growth comparison (momentum conserved vs reset)
   presets     list or show the shipped scenario files
@@ -301,11 +302,13 @@ def _read_series(path: str) -> sensitivity.GrowthSeries:
 
 
 def cmd_profile(args) -> int:
+    sc = _load_scenario(args)
     if args.steps < 1:
         raise scenario.ScenarioError("--steps must be >= 1")
-    profile = density.GaussianProfile(args.amplitude, args.waist)
+    # the beam simulate renders, over the range of its histograms
+    profile = density.GaussianProfile(sc.laser.amplitude_photons_per_s, sc.laser.waist_m)
     with _rows_in_memory("--steps", args.steps):
-        xs = np.linspace(0.0, args.x_max, args.steps)
+        xs = np.linspace(0.0, sc.analysis.histogram_max_m, args.steps)
         vals = density.deficit(xs, args.alpha, args.epsilon, profile)
     text = _csv("x_m,deficit_photons_per_s", [xs, vals])
     _write_or_print(text, args.out_file)
@@ -409,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--fit-kind", choices=("linear", "power"),
                       help="the fit to extrapolate (default: the scenario's analysis.fit_kind)")
 
-    p_pr = sub.add_parser("profile", help="exact split-pair deficit curve")
+    p_pr = sub.add_parser("profile", help="exact split-pair deficit curve of the scenario's beam")
     p_pr.add_argument(
         "--alpha", type=_finite_float, required=True, help="displacement of each half-beam, m"
     )
@@ -420,16 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="broadening, m: each half-beam's 1/e half-width r = sqrt(2)*waist "
         "becomes sqrt(r*(r+epsilon))",
     )
-    laser = scenario.LaserParams
-    p_pr.add_argument("--waist", type=_finite_float, default=laser.waist_m,
-                      help="rms beam width, m, as in simulate")
-    p_pr.add_argument(
-        "--amplitude",
-        type=_finite_float,
-        default=laser.amplitude_photons_per_s,
-        help="peak rate, photons/s",
-    )
-    p_pr.add_argument("--x-max", type=_finite_float, default=3e-3, help="grid end, m")
     p_pr.add_argument("--steps", type=int, default=121)
     p_pr.add_argument("--out-file", help="CSV path (default: stdout)")
 
@@ -469,14 +462,20 @@ def _keep_freed_heap() -> None:
     By default glibc serves a block of 128 KiB or more with mmap and gives
     the heap top back to the kernel once 128 KiB of it is free; each freed
     mmapped block raises the mmap threshold to its size and the trim
-    threshold to twice that.  An op's freed 2-8 MB numpy temporaries then
-    keep going back to the kernel, and the next allocation faults their
-    pages in again (about 7600 minor faults per confocal n=18 op).  Setting
-    either threshold turns the dynamic rule off, so both are set.  32 MiB is
-    glibc's own dynamic ceiling on 64-bit and lies above every engine array
-    at `cavity.MAX_BEAMS` (8 MiB); 128 MiB lies above the traced peak of a
-    run at `MAX_BEAMS` (46.2 MB).  Nothing happens where the C library has
-    no `mallopt`.
+    threshold to twice that.  An op's freed multi-megabyte numpy
+    temporaries then keep going back to the kernel, and the next allocation
+    faults their pages in again.  Measured in one process per setting
+    (2-core VM, 24 ops after a warm-up), with the policy and without it:
+    a confocal n=18 `simulate` takes 2 and 4674 minor faults per op and
+    0.038 and 0.049 s, a bnl-quad n=40 one 1 and 4176 faults and 0.090 and
+    0.103 s, and the op of two `analyze`, a 20000-row `mass-scan` and a
+    `pascal` 1 and 816 faults and 0.031 and 0.033 s.
+
+    Setting either threshold turns the dynamic rule off, so both are set.
+    32 MiB is glibc's own dynamic ceiling on 64-bit and lies above every
+    engine array at `cavity.MAX_BEAMS` (8 MiB); 128 MiB lies above the
+    traced peak of a run at `MAX_BEAMS` (46.2 MB).  Nothing happens where
+    the C library has no `mallopt`.
     """
     import ctypes
 

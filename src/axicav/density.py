@@ -48,9 +48,6 @@ import numpy as np
 
 from .checks import NonNegative, Positive, check_args, check_fields
 
-DEFAULT_BIN_WIDTH_M = 1.0e-4
-DEFAULT_HISTOGRAM_MAX_M = 3.0e-3
-
 # The moment series: the dropped terms of `rates_from_moments` stay below
 # TAIL of A*r*m_2, and an ensemble that needs more than MAX_ORDER terms for that
 # (max|x|/r past about 1.1) is refused with GuardError.
@@ -218,10 +215,7 @@ class DetectorHistogram:
 
 
 @check_args
-def histogram_edges(
-    bin_width_m: Positive = DEFAULT_BIN_WIDTH_M,
-    x_max_m: Positive = DEFAULT_HISTOGRAM_MAX_M,
-) -> np.ndarray:
+def histogram_edges(bin_width_m: Positive, x_max_m: Positive) -> np.ndarray:
     n = int(round(x_max_m / bin_width_m))
     if abs(n * bin_width_m - x_max_m) > 1e-9 * bin_width_m:
         raise ValueError("x_max must be an integer number of bins")
@@ -238,11 +232,10 @@ def _exact_sum(p: np.ndarray) -> float:
     exactly in any order and the low parts carry on to the next pass.
     When the high parts cancel to zero the passes start again on the
     remainders.  Holds for len(p) < 2^26, far above the 2^20 beams a run
-    may hold.  Works on one copy of ``p`` and one buffer of high parts,
-    both updated in place; ``p`` itself is left as it was."""
+    may hold.  Works in place on ``p``, which the caller hands over as a
+    temporary and must not read again, and on one buffer of high parts."""
     two_m = math.ldexp(1.0, (p.size + 1).bit_length())
     phi = two_m * 2.0**-53
-    p = p.copy()
     high = np.empty_like(p)
     while True:
         mu = max(-float(p.min()), float(p.max())) if p.size else 0.0
@@ -272,21 +265,27 @@ def _two_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     J. Sci. Comput. 26, 1955, 2005): each factor splits into two halves of
     26 bits, whose products are exact, so the error of a*b is found with
     IEEE + - * alone.  Exact unless a product or a factor times 2^27 leaves
-    the normal range, far outside the weights and positions of a run."""
-    def split(x):  # x = hi + lo exactly
+    the normal range, far outside the weights and positions of a run.
+    Besides the output it holds four arrays of N: b's halves, a's high
+    half (then its low half, in the same buffer) and one product."""
+    def high(x):  # the upper 26 bits of x; x - high(x) is exact
         c = x * 134217729.0  # 2^27 + 1
-        hi = c - (c - x)
-        return hi, x - hi
+        c -= c - x
+        return c
 
     out = np.empty(2 * a.size)
     p, e = out[: a.size], out[a.size :]
     np.multiply(a, b, out=p)
-    (a_hi, a_lo), (b_hi, b_lo) = split(a), split(b)
-    np.multiply(a_hi, b_hi, out=e)
+    b_hi = high(b)
+    b_lo = b - b_hi
+    a_half = high(a)
+    np.multiply(a_half, b_hi, out=e)
     e -= p
-    e += a_hi * b_lo
-    e += a_lo * b_hi
-    e += a_lo * b_lo
+    product = a_half * b_lo
+    e += product
+    np.subtract(a, a_half, out=a_half)  # now a's low half
+    e += np.multiply(a_half, b_hi, out=product)
+    e += np.multiply(a_half, b_lo, out=product)
     return out
 
 
@@ -368,22 +367,24 @@ def moments(positions: np.ndarray, weights: np.ndarray, waist_m: float) -> np.nd
     products w x (`_two_product`) divided once by r: rounding each term
     w (x/r) would leave it 7e-16 off on two unequal beams off the axis, and
     a bin there 7e-13."""
-    # the weight first, so its buffers are gone before y and term exist
+    # the exact sums of the weight and of m_1 first, so that their buffers
+    # are gone before y and term exist; max|x|/r is max|y|, as division by
+    # r > 0 keeps the order of the positions
     weight = _exact_sum(np.append(weights, -1.0))
     mirrored = _is_mirrored(positions, weights)
-    y = positions / waist_m
-    order = _order(max(-float(y.min()), float(y.max())) if y.size else 0.0)
-    m = np.zeros(order + 1)  # a mirrored ensemble's odd moments stay 0.0
+    span = max(-float(positions.min()), float(positions.max())) if positions.size else 0.0
+    m = np.zeros(_order(span / waist_m) + 1)  # a mirrored ensemble's odd moments stay 0.0
     m[0] = weight
     if not mirrored:
         m[1] = _exact_sum(_two_product(weights, positions)) / waist_m
+    y = positions / waist_m
     term = weights.copy()
-    for n in range(1, order + 1):
+    for n in range(1, m.size):
         term *= y
         if n % 2 == 0:
             m[n] = float(term.sum())
         elif n > 1 and not mirrored:
-            m[n] = _exact_sum(term)
+            m[n] = _exact_sum(term.copy())
     return m
 
 
@@ -475,14 +476,12 @@ def _sample_moments(sample, profile: GaussianProfile) -> np.ndarray:
     return sample.moments
 
 
-def bin_ensemble(sample, profile: GaussianProfile, edges_m=None) -> DetectorHistogram:
+def bin_ensemble(sample, profile: GaussianProfile, edges_m) -> DetectorHistogram:
     """The exact photon rate of a detector sample (`cavity.BeamSample`) in
     each bin, from its moments: every beam contributes its weight times the
     integral of a Gaussian of the profile's waist centered at the beam
-    position.  Bins this narrow (0.13 sigma at the defaults) make midpoint
+    position.  Bins this narrow (0.13 sigma on the presets) make midpoint
     sampling visibly biased, hence integrals."""
-    if edges_m is None:
-        edges_m = histogram_edges()
     m = _sample_moments(sample, profile)
     return DetectorHistogram(edges_m, *rates_from_moments(m, profile, edges_m))
 

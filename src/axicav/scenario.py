@@ -1,13 +1,13 @@
 """Scenario files: sectioned key-value configuration for whole runs.
 
 A scenario bundles the cavity geometry with the laser, mixing and analysis
-parameters that the command-line verbs read.  The on-disk format
-is INI (configparser): human-editable, diff-friendly, and round-trippable.
-The schema is read off the config dataclasses: each section is one of them,
-each key one of its fields, parsed by the field's annotation.  A number's
-annotation also names its domain (``checks``), which the dataclass enforces.
-Planar mirrors are spelled ``planar``; every other value is a plain number
-or word.
+parameters that the command-line verbs read; no verb and no library default
+holds a second copy of them.  The on-disk format is INI (configparser):
+human-editable and diff-friendly.  The schema is read off the config
+dataclasses: each section is one of them, each key one of its fields,
+parsed by the field's annotation.  A number's annotation also names its
+domain (``checks``), which the dataclass enforces.  Planar mirrors are
+spelled ``planar``; every other value is a plain number or word.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, fields
 from importlib import resources
 
-from . import density, sensitivity
 from .cavity import CavityConfig
 from .checks import Count, NonNegative, Positive, check_fields
 
@@ -27,8 +26,8 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class LaserParams:
-    amplitude_photons_per_s: Positive = sensitivity.DEFAULT_BEAM_RATE
-    waist_m: Positive = 7.5e-4
+    amplitude_photons_per_s: Positive = 5e18  # photons/s carried by the full beam
+    waist_m: Positive = 7.5e-4  # rms width
 
     def __post_init__(self):
         check_fields(self, ScenarioError)
@@ -48,10 +47,10 @@ class AxionParams:
 
 @dataclass(frozen=True)
 class AnalysisParams:
-    bin_width_m: Positive = density.DEFAULT_BIN_WIDTH_M
-    histogram_max_m: Positive = density.DEFAULT_HISTOGRAM_MAX_M
-    pixel_half_width_m: Positive = sensitivity.DEFAULT_PIXEL_HALF_WIDTH_M
-    sideband_pixel_center_m: Positive = sensitivity.DEFAULT_SIDEBAND_PIXEL_CENTER_M
+    bin_width_m: Positive = 1e-4
+    histogram_max_m: Positive = 3e-3  # also the end of the `profile` grid
+    pixel_half_width_m: Positive = 1e-6
+    sideband_pixel_center_m: Positive = 3.3e-3
     integration_time_s: Positive = 3e4
     fit_kind: str = "linear"
     extraction_count: Count = 12000
@@ -72,8 +71,8 @@ class Scenario:
     analysis: AnalysisParams
 
 
-# Words read as None: a mirror focal length, the only optional key, is
-# written back as ``planar``.
+# Words read as None, for a mirror focal length, the only optional key:
+# ``planar`` is a planar mirror.
 _NONE_WORDS = ("planar", "none")
 
 
@@ -107,7 +106,7 @@ _PARSERS = {
     "str": lambda section, key, raw: raw.strip(),
 }
 
-# section -> its dataclass, in dump order and in the order sections validate
+# section -> its dataclass, in the order sections validate
 _SECTIONS = {
     "cavity": CavityConfig,
     "laser": LaserParams,
@@ -121,14 +120,6 @@ _SECTIONS = {
 _KEYS = {
     section: {f.name: _PARSERS[f.type] for f in fields(cls)} for section, cls in _SECTIONS.items()
 }
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return "planar"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def apply_overrides(mapping: dict, pairs) -> dict:
@@ -168,24 +159,6 @@ def mapping_to_scenario(name: str, mapping: dict) -> Scenario:
             # every config error starts with the field it is about
             raise ScenarioError(f"{section}.{exc}") from exc
     return Scenario(name=name, **built)
-
-
-def scenario_to_mapping(sc: Scenario) -> dict:
-    mapping: dict[str, dict[str, str]] = {}
-    for section, keys in _KEYS.items():
-        part = getattr(sc, section)
-        mapping[section] = {key: _fmt(getattr(part, key)) for key in keys}
-    return mapping
-
-
-def dump_scenario(sc: Scenario) -> str:
-    lines = []
-    for section, values in scenario_to_mapping(sc).items():
-        lines.append(f"[{section}]")
-        for key, val in values.items():
-            lines.append(f"{key} = {val}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 def loads_scenario(text: str, name: str, overrides=()) -> Scenario:

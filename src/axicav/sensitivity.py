@@ -17,11 +17,6 @@ import numpy as np
 from . import density
 from .checks import Count, Positive, check_args, check_fields
 
-DEFAULT_BEAM_RATE = 5e18  # photons/s carried by the full beam
-
-DEFAULT_PIXEL_HALF_WIDTH_M = 1.0e-6
-DEFAULT_SIDEBAND_PIXEL_CENTER_M = 3.3e-3
-
 
 @dataclass(frozen=True)
 class GrowthSeries:
@@ -168,7 +163,7 @@ def scenario_report(
     n_target: Count,
     g_ref: Positive,
     integration_time_s: Positive,
-    total_rate: Positive = DEFAULT_BEAM_RATE,
+    total_rate: Positive,
 ) -> dict:
     """Bundle the full extrapolation chain into a JSON-ready report.
 
@@ -227,7 +222,7 @@ def central_loss_series(
     traversals,
     moments,
     profile: density.GaussianProfile,
-    pixel_half_width_m: float = DEFAULT_PIXEL_HALF_WIDTH_M,
+    pixel_half_width_m: float,
 ) -> GrowthSeries:
     """Photon rate lost from the central pixel (a two-sided window of
     +-pixel_half_width around the axis) at each detector snapshot, relative
@@ -240,8 +235,8 @@ def sideband_gain_series(
     traversals,
     moments,
     profile: density.GaussianProfile,
-    pixel_center_m: float = DEFAULT_SIDEBAND_PIXEL_CENTER_M,
-    pixel_half_width_m: float = DEFAULT_PIXEL_HALF_WIDTH_M,
+    pixel_center_m: float,
+    pixel_half_width_m: float,
 ) -> GrowthSeries:
     """Photon rate gained in a narrow sideband pixel (both detector halves,
     via the symmetric doubling rule) relative to the unsplit reference."""

@@ -53,8 +53,11 @@ from axicav.sensitivity import (
     shot_noise_fraction,
 )
 
+# the presets' beam, detector bins and central pixel
 BEAM_RATE = 5e18
 PROFILE = GaussianProfile(BEAM_RATE, 7.5e-4)
+EDGES = histogram_edges(1e-4, 3e-3)  # 30 bins of 0.1 mm out to 3 mm
+PIXEL_HALF_WIDTH_M = 1e-6
 THETA = 4e-10
 
 
@@ -173,6 +176,7 @@ def test_criterion_04_minimum_coupling_chains():
         15000,
         1e-10,
         3e6,
+        BEAM_RATE,
     )
 
     parts = [
@@ -364,16 +368,15 @@ def test_criterion_09_difference_histogram_sign_structure(confocal_run):
     (positive) inside the core and gain (negative) in the shoulders, with a
     single crossing within one bin of 0.75 mm."""
     cfg, signal, reference = confocal_run
-    edges = histogram_edges()  # 30 bins of 0.1 mm out to 3 mm
-    on = bin_ensemble(signal.snapshots[-1].ensemble, PROFILE, edges)
-    off = bin_ensemble(reference.snapshots[-1].ensemble, PROFILE, edges)
+    on = bin_ensemble(signal.snapshots[-1].ensemble, PROFILE, EDGES)
+    off = bin_ensemble(reference.snapshots[-1].ensemble, PROFILE, EDGES)
     diff = profile_difference(off, on)
     counts = diff.counts
     signs = np.sign(counts)
     flips = np.nonzero(np.diff(signs))[0]
-    crossing_m = edges[flips[0] + 1] if len(flips) == 1 else math.nan
-    below = counts[edges[1:] <= 0.75e-3 + 1e-12]  # bins fully below 0.75 mm
-    above = counts[edges[:-1] >= 0.85e-3 - 1e-12]  # bins fully beyond the crossing band
+    crossing_m = EDGES[flips[0] + 1] if len(flips) == 1 else math.nan
+    below = counts[EDGES[1:] <= 0.75e-3 + 1e-12]  # bins fully below 0.75 mm
+    above = counts[EDGES[:-1] >= 0.85e-3 - 1e-12]  # bins fully beyond the crossing band
     parts = [
         ("bins below 0.75 mm all positive", bool(np.all(below > 0)), f"{len(below)} bins"),
         ("bins beyond all negative", bool(np.all(above < 0)), f"{len(above)} bins"),
@@ -391,7 +394,7 @@ def test_criterion_10_central_loss_linearity(confocal_run):
     """Central-pixel loss versus traversal count is linear to R^2 > 0.99
     over the 15 refocusing-cavity traversals."""
     cfg, signal, _ = confocal_run
-    series = central_loss_series(*_traversals_and_moments(signal), PROFILE)
+    series = central_loss_series(*_traversals_and_moments(signal), PROFILE, PIXEL_HALF_WIDTH_M)
     fit = fit_linear(series)
     parts = [
         ("15 points", len(series) == 15, f"{len(series)}"),
@@ -446,12 +449,11 @@ def test_criterion_12_invariant_suite(confocal_run, monkeypatch):
     # (b) null test: zero split angle leaves no bitwise trace at the detector
     null_cfg = replace(cfg, theta_split_rad=0.0)
     null_run, null_beams = run_with_detector_beams(null_cfg, PROFILE.waist_m)
-    edges = histogram_edges()
     null_zero = True
     for snap_s, snap_n in zip(reference.snapshots, null_run.snapshots):
         d = profile_difference(
-            bin_ensemble(snap_s.ensemble, PROFILE, edges),
-            bin_ensemble(snap_n.ensemble, PROFILE, edges),
+            bin_ensemble(snap_s.ensemble, PROFILE, EDGES),
+            bin_ensemble(snap_n.ensemble, PROFILE, EDGES),
         )
         null_zero = null_zero and bool(np.all(d.counts == 0.0))
     null_positions = bool(

@@ -86,8 +86,8 @@ NAN_ARGUMENTS = {
     "compare_growth": (lambda: lattice.compare_growth(10, NAN), "pass_length_m"),
     "min_coupling": (lambda: min_coupling(NAN, 1e-7, 1e-10), "g_ref"),
     "extrapolate": (lambda: extrapolate(_FIT, NAN), "n"),
-    "scenario_report": (lambda: scenario_report("x", _FIT, 100, NAN, 1.0), "g_ref"),
-    "histogram_edges": (lambda: histogram_edges(NAN), "bin_width_m"),
+    "scenario_report": (lambda: scenario_report("x", _FIT, 100, NAN, 1.0, 5e18), "g_ref"),
+    "histogram_edges": (lambda: histogram_edges(NAN, 3e-3), "bin_width_m"),
     "mass_scan": (lambda: mass_scan(MixingParameters(g_a_gev=1e-12), [0.0, NAN]), "mass"),
     "q_a": (lambda: q_a(NAN), "mass"),
 }

@@ -385,7 +385,8 @@ UNWRITABLE_OUTPUT = {
                                   "--out", bad, "simulate"],
     "analyze": lambda bad, tmp: ["--preset", "confocal", "--out", bad, "analyze",
                                  "--series", _series_file(tmp)],
-    "profile": lambda bad, tmp: ["profile", "--alpha", "5.6e-9", "--out-file", f"{bad}/x.csv"],
+    "profile": lambda bad, tmp: ["--preset", "confocal", "profile", "--alpha", "5.6e-9",
+                                 "--out-file", f"{bad}/x.csv"],
     "mass-scan": lambda bad, tmp: ["--preset", "confocal", "mass-scan",
                                    "--out-file", f"{bad}/x.csv"],
     "pascal": lambda bad, tmp: ["pascal", "--n-passes", "100", "--out-file", f"{bad}/x.csv"],
@@ -548,9 +549,11 @@ def test_analyze_refuses_non_finite_numbers_and_writes_nothing(key, value, tmp_p
 
 # --- profile verb ------------------------------------------------------------
 
+_PROFILE = ["--preset", "confocal", "profile"]
+
 
 def test_profile_curve_to_stdout(capsys):
-    rc = cli.main(["profile", "--alpha", "5.6e-9", "--steps", "4"])
+    rc = cli.main([*_PROFILE, "--alpha", "5.6e-9", "--steps", "4"])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "x_m,deficit_photons_per_s"
@@ -562,11 +565,11 @@ def test_profile_curve_to_stdout(capsys):
 
 
 def test_profile_and_simulate_change_sign_within_one_bin(tmp_path, capsys):
-    """The default `profile` curve (the README's alpha) and every difference
-    histogram of the default confocal `simulate` turn negative within one
-    0.1 mm bin of each other: both read the waist as the rms width."""
+    """The confocal `profile` curve (the README's alpha) and every difference
+    histogram of the confocal `simulate` turn negative within one 0.1 mm
+    bin of each other: both read the scenario's waist as the rms width."""
     out = tmp_path / "profile.csv"
-    assert cli.main(["profile", "--alpha", "5.6e-9", "--out-file", str(out)]) == 0
+    assert cli.main([*_PROFILE, "--alpha", "5.6e-9", "--out-file", str(out)]) == 0
     curve = np.loadtxt(out, delimiter=",", skiprows=1)
     x_curve = curve[np.argmax(curve[:, 1] < 0), 0]
     assert cli.main(["--preset", "confocal", "--out", str(tmp_path / "sim"), "simulate"]) == 0
@@ -580,7 +583,7 @@ def test_profile_and_simulate_change_sign_within_one_bin(tmp_path, capsys):
 
 
 def test_profile_zero_alpha_is_flat(capsys):
-    rc = cli.main(["profile", "--alpha", "0", "--epsilon", "0", "--steps", "5"])
+    rc = cli.main([*_PROFILE, "--alpha", "0", "--epsilon", "0", "--steps", "5"])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()[1:]
     assert all(line.endswith(",0") for line in lines)
@@ -589,7 +592,7 @@ def test_profile_zero_alpha_is_flat(capsys):
 def test_profile_takes_any_split(capsys):
     """The curve is exact, so a split past a tenth of the waist is no
     longer refused (alpha/waist = 0.133 here)."""
-    rc = cli.main(["profile", "--alpha", "1e-4", "--epsilon", "1e-5"])
+    rc = cli.main([*_PROFILE, "--alpha", "1e-4", "--epsilon", "1e-5"])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 122
@@ -600,7 +603,7 @@ def test_profile_takes_any_split(capsys):
 def test_profile_refuses_a_negative_split_naming_it(flag, capsys):
     # joined with "=": a separate "-1e-9" would read as an option
     args = {"--alpha": "1e-5", flag: "-1e-9"}
-    rc = cli.main(["profile", *(f"{k}={v}" for k, v in args.items())])
+    rc = cli.main([*_PROFILE, *(f"{k}={v}" for k, v in args.items())])
     assert rc == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and flag[2:] + "_m must be finite and >= 0" in err
@@ -609,33 +612,61 @@ def test_profile_refuses_a_negative_split_naming_it(flag, capsys):
 @pytest.mark.parametrize("steps", ["0", "-3"])
 def test_profile_refuses_steps_below_one_naming_the_flag(steps, tmp_path, capsys):
     out = tmp_path / "curve.csv"
-    rc = cli.main(["profile", "--alpha", "5.6e-9", "--steps", steps, "--out-file", str(out)])
+    rc = cli.main([*_PROFILE, "--alpha", "5.6e-9", "--steps", steps, "--out-file", str(out)])
     assert rc == 2
     assert "--steps" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "flags, named",
+    "waist, flags, named",
     [
-        (["--alpha", "1e200"], "alpha_m is too large for waist_m"),
-        (["--alpha", "1e-4", "--waist", "1e-300"], "waist_m is too small"),
-        (["--alpha", "0", "--epsilon", "100", "--waist", "3.5e-155", "--steps", "3"],
+        ("7.5e-4", ["--alpha", "1e200"], "alpha_m is too large for waist_m"),
+        ("1e-300", ["--alpha", "1e-4"], "waist_m is too small"),
+        ("3.5e-155", ["--alpha", "0", "--epsilon", "100", "--steps", "3"],
          "epsilon_m is too large for waist_m"),
     ],
     ids=["alpha-squared-overflows", "waist-underflows", "broadening-overflows"],
 )
-def test_profile_refuses_a_split_past_a_double_naming_the_flag(flags, named, tmp_path, capsys):
+def test_profile_refuses_a_split_past_a_double_naming_the_flag(
+    waist, flags, named, tmp_path, capsys
+):
     out = tmp_path / "curve.csv"
-    assert cli.main(["profile", *flags, "--out-file", str(out)]) == 2
+    args = ["--preset", "confocal", "--override", f"laser.waist_m={waist}", "profile", *flags]
+    assert cli.main([*args, "--out-file", str(out)]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and named in err
     assert not out.exists()
 
 
+def test_profile_needs_a_scenario(tmp_path, capsys):
+    """The beam and the grid end are the scenario's, as for simulate."""
+    out = tmp_path / "curve.csv"
+    assert cli.main(["profile", "--alpha", "5.6e-9", "--out-file", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "configuration error: this command needs --config FILE or --preset NAME\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--waist", "--amplitude", "--x-max"])
+def test_profile_has_no_beam_flags(flag, tmp_path, capsys, monkeypatch):
+    """The retired flags are refused by argparse (exit 2, naming the flag):
+    laser.waist_m, laser.amplitude_photons_per_s and
+    analysis.histogram_max_m set them."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*_PROFILE_OUT, "--alpha", "1e-5", flag, "1e-3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_profile_writes_file(tmp_path, capsys):
     out = tmp_path / "curve.csv"
-    rc = cli.main(["profile", "--alpha", "5.6e-9", "--out-file", str(out)])
+    rc = cli.main([*_PROFILE, "--alpha", "5.6e-9", "--out-file", str(out)])
     assert rc == 0
     assert out.read_text().startswith("x_m,deficit_photons_per_s")
 
@@ -814,7 +845,7 @@ def test_pascal_takes_pass_counts_past_int64(n, capsys):
 # verb -> its arguments, the flag that sets its row count, and the numpy
 # function that allocates those rows first
 _ROW_FLAGS = {
-    "profile": (["profile", "--alpha", "1e-5"], "--steps", "linspace"),
+    "profile": ([*_PROFILE, "--alpha", "1e-5"], "--steps", "linspace"),
     "mass-scan": (["--preset", "confocal", "mass-scan"], "--steps", "linspace"),
     "mass-scan-log": (["--preset", "confocal", "mass-scan", "--log", "--m-min", "1e-9"],
                       "--steps", "linspace"),
@@ -852,16 +883,13 @@ def test_a_row_count_past_memory_is_refused_naming_its_flag(verb, tmp_path, caps
 
 # --- float flags ---------------------------------------------------------------
 
-_PROFILE = ["profile", "--out-file", "out.csv"]
+_PROFILE_OUT = [*_PROFILE, "--out-file", "out.csv"]
 _MASS_SCAN = ["--preset", "confocal", "mass-scan", "--out-file", "out.csv"]
 
 # every float flag of every verb -> the other arguments that verb needs
 _FLOAT_FLAGS = {
-    "--alpha": _PROFILE,
-    "--epsilon": [*_PROFILE, "--alpha", "1e-5"],
-    "--waist": [*_PROFILE, "--alpha", "1e-5"],
-    "--amplitude": [*_PROFILE, "--alpha", "1e-5"],
-    "--x-max": [*_PROFILE, "--alpha", "1e-5"],
+    "--alpha": _PROFILE_OUT,
+    "--epsilon": [*_PROFILE_OUT, "--alpha", "1e-5"],
     "--m-min": _MASS_SCAN,
     "--m-max": _MASS_SCAN,
     "--pass-length": ["pascal", "--n-passes", "10", "--out-file", "out.csv"],
@@ -964,7 +992,7 @@ calls = [
     ["pascal", "--n-passes", "1000", "--out-file", out + "/pascal.csv"],
     ["--preset", "confocal", "--out", out + "/an", "analyze", "--series", series],
     ["--preset", "confocal", "mass-scan", "--log", "--m-min", "1e-9", "--out-file", out + "/m.csv"],
-    ["profile", "--alpha", "5.6e-9", "--out-file", out + "/profile.csv"],
+    ["--preset", "confocal", "profile", "--alpha", "5.6e-9", "--out-file", out + "/profile.csv"],
     ["presets", "list"],
     ["--preset", "confocal", "--override", "cavity.n_traversals=2", "--out", out + "/sim", "simulate"],
 ]

@@ -11,8 +11,6 @@ from oracles import gaussian_density, rates, run_with_detector_beams, sample
 from axicav import cavity, cli, density
 from axicav.cavity import BeamEnsemble, CavityConfig, axial_beam, run
 from axicav.density import (
-    DEFAULT_BIN_WIDTH_M,
-    DEFAULT_HISTOGRAM_MAX_M,
     MAX_ORDER,
     DetectorHistogram,
     GaussianProfile,
@@ -29,6 +27,10 @@ from axicav.scenario import load_preset
 AMPLITUDE = 5e18
 WAIST = 7.5e-4
 PROFILE = GaussianProfile(AMPLITUDE, WAIST)
+# the presets' detector bins
+BIN_WIDTH_M = 1e-4
+HISTOGRAM_MAX_M = 3e-3
+EDGES = histogram_edges(BIN_WIDTH_M, HISTOGRAM_MAX_M)
 
 
 def _sample(positions, angles, weights, waist=WAIST):
@@ -86,7 +88,7 @@ def _paper_deficit(x, alpha, eps, profile=PROFILE):
         return mp.mpf(profile.amplitude) * mp.exp(-x * x / (r * r)) * (1 - inner)
 
 
-PROFILE_GRID = np.linspace(0.0, 3e-3, 121)  # the `profile` verb's default grid
+PROFILE_GRID = np.linspace(0.0, 3e-3, 121)  # the `profile` grid on the presets
 ALPHA_OVER_R = [0.0, 1e-8, 7.5e-6, 1e-3, 0.09, 0.3, 2.0, 20.0]
 EPSILON_OVER_R = [0.0, 1e-6, 1e-3, 0.5, 5.0]
 
@@ -254,11 +256,11 @@ def test_single_pass_estimate_validates():
 
 
 def test_histogram_edges_default_layout():
-    edges = histogram_edges()
+    edges = histogram_edges(BIN_WIDTH_M, HISTOGRAM_MAX_M)
     assert edges.size == 31
     assert edges[0] == 0.0
-    assert edges[-1] == pytest.approx(DEFAULT_HISTOGRAM_MAX_M, rel=1e-15)
-    assert np.allclose(np.diff(edges), DEFAULT_BIN_WIDTH_M)
+    assert edges[-1] == pytest.approx(HISTOGRAM_MAX_M, rel=1e-15)
+    assert np.allclose(np.diff(edges), BIN_WIDTH_M)
 
 
 def test_histogram_edges_require_integer_bin_count():
@@ -281,14 +283,14 @@ def test_bin_single_beam_matches_erf_integral():
     from scipy.special import erf
 
     ens = _sample([0.0], [0.0], [1.0])
-    hist = bin_ensemble(ens, PROFILE)
+    hist = bin_ensemble(ens, PROFILE, EDGES)
     s = WAIST * math.sqrt(2.0)
     norm = AMPLITUDE * WAIST * math.sqrt(math.pi / 2.0)
-    lo, hi = 0.0, DEFAULT_BIN_WIDTH_M
+    lo, hi = 0.0, BIN_WIDTH_M
     expect = norm * (erf(hi / s) - erf(lo / s))
     assert hist.counts[0] == pytest.approx(expect, rel=1e-13)
     assert hist.counts.size == 30
-    assert hist.edges_m[1] - hist.edges_m[0] == pytest.approx(DEFAULT_BIN_WIDTH_M, rel=1e-15)
+    assert hist.edges_m[1] - hist.edges_m[0] == pytest.approx(BIN_WIDTH_M, rel=1e-15)
 
 
 def test_binned_total_recovers_the_gaussian_norm():
@@ -314,7 +316,7 @@ def test_exact_bin_integral_differs_from_midpoint_sampling():
     bias of midpoint sampling is well above the tolerance the growth series
     are held to; the erf form sidesteps it."""
     ens = _sample([0.0], [0.0], [1.0])
-    hist = bin_ensemble(ens, PROFILE)
+    hist = bin_ensemble(ens, PROFILE, EDGES)
     mid = 0.5 * (hist.edges_m[:-1] + hist.edges_m[1:])
     midpoint = gaussian_density(mid, PROFILE) * np.diff(hist.edges_m)
     rel = np.abs(midpoint - hist.counts) / hist.counts
@@ -322,18 +324,17 @@ def test_exact_bin_integral_differs_from_midpoint_sampling():
 
 
 def test_weighted_beams_superpose_linearly():
-    edges = histogram_edges()
     pair = _sample([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
-    hist = bin_ensemble(pair, PROFILE, edges)
-    plus = bin_ensemble(_sample([1e-5], [0.0], [1.0]), PROFILE, edges)
-    minus = bin_ensemble(_sample([-1e-5], [0.0], [1.0]), PROFILE, edges)
+    hist = bin_ensemble(pair, PROFILE, EDGES)
+    plus = bin_ensemble(_sample([1e-5], [0.0], [1.0]), PROFILE, EDGES)
+    minus = bin_ensemble(_sample([-1e-5], [0.0], [1.0]), PROFILE, EDGES)
     assert np.allclose(hist.counts, 0.5 * plus.counts + 0.5 * minus.counts, rtol=1e-13)
 
 
 def test_integrate_window_matches_bin_sums():
     ens = _sample([2e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
-    hist = bin_ensemble(ens, PROFILE)
-    window = integrate_window(ens, PROFILE, 0.0, DEFAULT_HISTOGRAM_MAX_M)
+    hist = bin_ensemble(ens, PROFILE, EDGES)
+    window = integrate_window(ens, PROFILE, 0.0, HISTOGRAM_MAX_M)
     assert window == pytest.approx(float(np.sum(hist.counts)), rel=1e-12)
     with pytest.raises(ValueError):
         integrate_window(ens, PROFILE, 1e-3, 1e-3)
@@ -352,10 +353,8 @@ def test_split_ensemble_loses_center_and_gains_shoulders():
 
 
 def test_profile_difference_signs_and_validation():
-    ref = bin_ensemble(_sample([0.0], [0.0], [1.0]), PROFILE)
-    pair = bin_ensemble(
-        _sample([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5]), PROFILE
-    )
+    ref = bin_ensemble(_sample([0.0], [0.0], [1.0]), PROFILE, EDGES)
+    pair = bin_ensemble(_sample([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5]), PROFILE, EDGES)
     diff = profile_difference(ref, pair)
     assert diff.counts[0] > 0  # central loss is positive
     assert diff.counts[-1] < 0  # far shoulder gain is negative
@@ -369,7 +368,7 @@ def test_profile_difference_signs_and_validation():
 
 
 def test_histogram_edges_cover_every_bin():
-    hist = bin_ensemble(_sample([0.0], [0.0], [1.0]), PROFILE)
+    hist = bin_ensemble(_sample([0.0], [0.0], [1.0]), PROFILE, EDGES)
     assert hist.edges_m.shape == (31,) and hist.counts.shape == (30,)
     assert hist.edges_m[0] == 0.0
     assert hist.edges_m[-1] == pytest.approx(3e-3, rel=1e-15)
@@ -431,7 +430,7 @@ def test_exact_sum_is_faithful(n):
     mirrored = np.concatenate([spread, -spread[::-1]])
     nearly = np.append(mirrored, 1e-40)
     for p in (spread, mirrored, nearly, np.append(spread, -math.fsum(spread))):
-        assert density._exact_sum(p) in _neighbours(math.fsum(p.tolist()))
+        assert density._exact_sum(p.copy()) in _neighbours(math.fsum(p.tolist()))
     assert density._exact_sum(mirrored) == 0.0
 
 
@@ -479,14 +478,14 @@ def test_a_sample_is_read_at_its_own_waist_only():
     pair = _sample([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
     wider = GaussianProfile(AMPLITUDE, 2 * WAIST)
     with pytest.raises(ValueError, match="at waist 0.00075 m, the profile's waist is 0.0015 m"):
-        bin_ensemble(pair, wider)
+        bin_ensemble(pair, wider, EDGES)
     with pytest.raises(ValueError, match="the profile's waist is 0.0015 m"):
         integrate_window(pair, wider, -1e-6, 1e-6)
     # taken at that waist, it is read as the beams it was taken from
     at_wider = _sample([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5], 2 * WAIST)
     beams = BeamEnsemble([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
-    assert bin_ensemble(at_wider, wider).deviation.tobytes() == rates(
-        beams, wider, histogram_edges())[1].tobytes()
+    assert bin_ensemble(at_wider, wider, EDGES).deviation.tobytes() == rates(
+        beams, wider, EDGES)[1].tobytes()
 
 
 def test_a_wide_beam_renders_as_its_own_gaussian():
@@ -496,7 +495,7 @@ def test_a_wide_beam_renders_as_its_own_gaussian():
 
     mp.dps = 40
     x0 = 0.5 * WAIST
-    hist = bin_ensemble(_sample([x0], [0.0], [1.0]), PROFILE)
+    hist = bin_ensemble(_sample([x0], [0.0], [1.0]), PROFILE, EDGES)
     s = mp.mpf(WAIST) * mp.sqrt(2)
     norm = AMPLITUDE * mp.mpf(WAIST) * mp.sqrt(mp.pi / 2)
     edges = hist.edges_m.tolist()
@@ -517,18 +516,17 @@ def test_rates_past_order_20_are_float_and_match_the_oracle():
     holds)."""
     from test_oracle import PROFILE as ORACLE_PROFILE, _assert_close, _oracle_deviation
 
-    edges = histogram_edges()
     s = mp.mpf(ORACLE_PROFILE.waist_m) * mp.sqrt(2)
     scale = ORACLE_PROFILE.amplitude * s * mp.sqrt(mp.pi) / 2
-    axial = [scale * (mp.erf(hi / s) - mp.erf(lo / s)) for lo, hi in zip(edges[:-1], edges[1:])]
+    axial = [scale * (mp.erf(hi / s) - mp.erf(lo / s)) for lo, hi in zip(EDGES[:-1], EDGES[1:])]
     orders = []
     for rho in HIGH_ORDER_RHOS:
         ens = BeamEnsemble([rho * ORACLE_PROFILE.waist_m], [0.0], [1.0])
         orders.append(density.moments(ens.positions, ens.weights, ORACLE_PROFILE.waist_m).size - 1)
-        got_axial, deviation = rates(ens, ORACLE_PROFILE, edges)
+        got_axial, deviation = rates(ens, ORACLE_PROFILE, EDGES)
         assert deviation.dtype == np.float64
-        assert rates(ens, ORACLE_PROFILE, edges)[1].tobytes() == deviation.tobytes()
-        want = [a + d for a, d in zip(axial, _oracle_deviation(ens, edges, direct=True))]
+        assert rates(ens, ORACLE_PROFILE, EDGES)[1].tobytes() == deviation.tobytes()
+        want = [a + d for a, d in zip(axial, _oracle_deviation(ens, EDGES, direct=True))]
         _assert_close(got_axial + deviation, want, f"rho={rho}")
     assert orders == list(range(20, 33))
 
@@ -536,7 +534,7 @@ def test_rates_past_order_20_are_float_and_match_the_oracle():
 def test_null_run_deviates_by_exact_zeros():
     res = run(CavityConfig(n_traversals=3, theta_split_rad=0.0), WAIST)
     for snap in res.snapshots:
-        hist = bin_ensemble(snap.ensemble, PROFILE)
+        hist = bin_ensemble(snap.ensemble, PROFILE, EDGES)
         assert np.array_equal(hist.deviation, np.zeros(30))
         assert not np.any(np.signbit(hist.deviation))
 
@@ -655,7 +653,7 @@ def test_confocal_simulate_sums_only_the_weights_exactly(tmp_path, monkeypatch):
 def _all_rates(ensembles, profile=PROFILE):
     """The bins and the central and sideband pixels of every ensemble, as
     the bytes of their values."""
-    windows = [histogram_edges(), (-1e-6, 1e-6), (3.299e-3, 3.301e-3)]
+    windows = [EDGES, (-1e-6, 1e-6), (3.299e-3, 3.301e-3)]
     return [b"".join(part.tobytes() for edges in windows
                      for part in rates(ens, profile, edges)) for ens in ensembles]
 
@@ -672,13 +670,13 @@ def test_window_tables_from_a_cold_and_a_warm_cache_agree():
 
 
 def test_window_tables_are_read_only():
-    change, mass = density._window_table(histogram_edges().tobytes(), WAIST, 4)
+    change, mass = density._window_table(EDGES.tobytes(), WAIST, 4)
     assert change.shape == (4, 30) and mass.shape == (30,)
     for table in (change, mass):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1.0
-    axial, deviation = rates(axial_beam(), PROFILE, histogram_edges())
+    axial, deviation = rates(axial_beam(), PROFILE, EDGES)
     assert axial.flags.writeable and deviation.flags.writeable
 
 

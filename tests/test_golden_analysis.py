@@ -4,13 +4,14 @@
 Pins the sha256 of the CSV each command below writes: the lattice growth
 table at 2,000,000 passes and at a 0.5 m pass length, a 20000-point
 log-spaced mass scan on the confocal preset, and the deficit curve of the
-README example and of a broadened split past a tenth of the waist.  Both
-curves were checked against a 50-digit mpmath evaluation of the split-pair
-model before they were pinned (within 6e-16 of the curve's largest value),
-and the masses against 10^y at 50 digits (within 0.51 ulp).  The curves
-take exp, expm1, log1p and sinh, and the masses pow, from the C library,
-not from numpy's SIMD kernels, so the hashes hold on numpy's AVX2 and
-AVX-512 kernels alike; one case of each verb runs under the AVX2 setting
+README example, of a broadened split past a tenth of the waist, and of a
+wider split of another beam over another range.  All three curves were
+checked against a 50-digit mpmath evaluation of the split-pair model before
+they were pinned (within 6e-16 of the curve's largest value), and the
+masses against 10^y at 50 digits (within 0.51 ulp).  The curves take exp,
+expm1, log1p and sinh, and the masses pow, from the C library, not from
+numpy's SIMD kernels, so the hashes hold on numpy's AVX2 and AVX-512
+kernels alike; one case of each verb runs under the AVX2 setting
 in a subprocess below.  A refactor of the lattice moments or of the mixing
 formulas must leave these hashes unchanged; a change that alters the
 numbers on purpose re-pins them and logs the reason.
@@ -49,12 +50,21 @@ GOLDEN = {
         "79ff000bda3f0ab5c30cef78b2d90fb42b3ef67429388780eee18d1be0a76ad2",
     ),
     "profile-readme": (
-        ["profile", "--alpha", "5.6e-9"],
+        ["--preset", "confocal", "profile", "--alpha", "5.6e-9"],
         "3aed730bfba3bdf5320abf9a6f5160c18f8e677e9eba9b7027480ee6b2e3b129",
     ),
     "profile-broadened": (
-        ["profile", "--alpha", "1e-4", "--epsilon", "1e-5"],
+        ["--preset", "confocal", "profile", "--alpha", "1e-4", "--epsilon", "1e-5"],
         "8b773a937db49677bf5eae4983a83b4fbb96149aae051dddc64dec5150daa29f",
+    ),
+    # the beam and grid end overridden, on the column path: pinned from the
+    # same numbers given as profile's own flags before the scenario set them
+    "profile-overridden": (
+        ["--preset", "bnl-quad", "--override", "laser.waist_m=1e-3",
+         "--override", "laser.amplitude_photons_per_s=1e17",
+         "--override", "analysis.histogram_max_m=5e-3",
+         "profile", "--alpha", "2e-4", "--epsilon", "3e-5", "--steps", "200"],
+        "4b5cd4092b243494f0ba2dea4f6b33fba6314b13b0005513479b8351696a2bc2",
     ),
 }
 

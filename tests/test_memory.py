@@ -16,6 +16,7 @@ weights (16 B per snapshot beam, summed over the run) had brought it to
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from axicav import cavity, cli, density
@@ -59,3 +60,35 @@ def test_a_snapshot_holds_no_per_beam_array():
         assert type(sample).__slots__ == ("beams", "max_angle", "waist_m", "moments")
         assert isinstance(sample.beams, int) and isinstance(sample.max_angle, float)
         assert sample.moments.ndim == 1 and sample.moments.size <= density.MAX_ORDER + 1
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_exact_sum_works_in_place():
+    """`density._exact_sum` sums the temporary it is handed in place: beside
+    it, it holds one buffer of high parts."""
+    terms = np.random.default_rng(6).normal(size=100_000)
+    peak = _traced_peak(lambda: density._exact_sum(terms))
+    assert peak < 1.1 * terms.nbytes, f"traced peak {peak} B beside {terms.nbytes} B of terms"
+
+
+def test_moments_off_the_mirrored_layout_hold_six_arrays_per_beam():
+    """Off the mirrored layout `density.moments` sums the weight and m_1
+    exactly.  Its traced peak is the 2N error-free products of m_1 with four
+    arrays of N beside them, 48 B per beam (the positions and weights are
+    the caller's).  It read 64 B while `_two_product` kept all four split
+    halves and a product, and y was held while m_1 was summed."""
+    rng = np.random.default_rng(5)
+    n = 100_000
+    positions, weights = rng.normal(size=n) * 1e-5, rng.uniform(size=n) / n
+    assert not density._is_mirrored(positions, weights)
+    density.moments(positions, weights, 7.5e-4)  # first-call caches are not the sum's
+    peak = _traced_peak(lambda: density.moments(positions, weights, 7.5e-4))
+    assert peak / n < 52, f"traced peak {peak} B over {n} beams"

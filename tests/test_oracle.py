@@ -52,6 +52,7 @@ PROFILE = GaussianProfile(5e18, 7.5e-4)
 TOL = 1e-13
 
 H, C, W = 1e-6, 3.3e-3, PROFILE.waist_m  # the presets' pixel and the waist
+EDGES = histogram_edges(1e-4, 3e-3)  # the presets' 30 bins
 WINDOWS = {  # series -> (lo, hi, coefficient) windows, as in sensitivity
     "central": [(-H, H, 1.0)],
     "sideband": [(C - H, C + H, -2.0)],
@@ -138,10 +139,9 @@ def test_simulate_outputs_match_the_oracle(case, tmp_path):
     assert cli.main([*args, "--out", str(tmp_path), "simulate"]) == 0
     result, beams = run_with_detector_beams(scenario.load_preset(preset, overrides).cavity,
                                             PROFILE.waist_m)
-    edges = histogram_edges()
     for snap, ens in zip(result.snapshots, beams, strict=True):
         got = _read_csv(tmp_path / f"profile_difference_t{snap.traversal:03d}.csv", 2)
-        want = [-v for v in _oracle_deviation(ens, edges)]
+        want = [-v for v in _oracle_deviation(ens, EDGES)]
         _assert_close(got, want, f"{case} t{snap.traversal:03d}")
     series = tmp_path / "growth_series.csv"
     for column, name in enumerate(("central", "sideband", "center_sideband"), 1):
@@ -156,11 +156,10 @@ def _off_axis_run():
 
 def test_off_axis_start_matches_the_oracle():
     result, beams = _off_axis_run()
-    edges = histogram_edges()
-    reference = bin_ensemble(sample(BeamEnsemble([0.0], [0.0], [1.0]), W), PROFILE, edges)
+    reference = bin_ensemble(sample(BeamEnsemble([0.0], [0.0], [1.0]), W), PROFILE, EDGES)
     for snap, ens in zip(result.snapshots, beams, strict=True):
-        diff = profile_difference(reference, bin_ensemble(snap.ensemble, PROFILE, edges))
-        want = [-v for v in _oracle_deviation(ens, edges)]
+        diff = profile_difference(reference, bin_ensemble(snap.ensemble, PROFILE, EDGES))
+        want = [-v for v in _oracle_deviation(ens, EDGES)]
         _assert_close(diff.counts, want, f"t{snap.traversal:03d}")
     ns = [s.traversal for s in result.snapshots]
     ms = [s.ensemble.moments for s in result.snapshots]
@@ -186,7 +185,7 @@ def test_ensembles_of_any_size_match_the_oracle(n):
     point."""
     rng = np.random.default_rng(n)
     ens = BeamEnsemble(rng.normal(scale=1e-6, size=n), np.zeros(n), rng.uniform(0.0, 2.0, n))
-    for edges in (histogram_edges(), histogram_edges(1e-3)):  # 30 bins and 3
+    for edges in (EDGES, histogram_edges(1e-3, 3e-3)):  # 30 bins and 3
         reference = bin_ensemble(sample(BeamEnsemble([0.0], [0.0], [1.0]), W), PROFILE, edges)
         diff = profile_difference(reference, bin_ensemble(sample(ens, W), PROFILE, edges))
         _assert_close(diff.counts, [-v for v in _oracle_deviation(ens, edges)], f"n={n}")

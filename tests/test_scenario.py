@@ -10,14 +10,12 @@ from axicav.scenario import (
     Scenario,
     ScenarioError,
     apply_overrides,
-    dump_scenario,
     load_preset,
     load_scenario,
     loads_scenario,
     mapping_to_scenario,
     preset_names,
     preset_text,
-    scenario_to_mapping,
 )
 
 MINIMAL = """
@@ -114,9 +112,11 @@ def test_load_scenario_missing_file():
 
 
 def test_load_scenario_roundtrip(tmp_path):
+    """A preset's text saved as a file loads as the preset, named by the
+    file's stem."""
     sc = load_preset("confocal")
     path = tmp_path / "copy.ini"
-    path.write_text(dump_scenario(sc))
+    path.write_text(preset_text("confocal"))
     again = load_scenario(str(path))
     assert again == Scenario(
         name="copy",
@@ -125,17 +125,6 @@ def test_load_scenario_roundtrip(tmp_path):
         axion=sc.axion,
         analysis=sc.analysis,
     )
-
-
-def test_dump_renders_none_words_back():
-    sc = loads_scenario(
-        "[cavity]\nmirror2_focal_m = planar\nmirror1_focal_m = 12.5\n"
-        "extraction_mirror = mirror1\n",
-        "pc",
-    )
-    text = dump_scenario(sc)
-    assert "mirror2_focal_m = planar" in text
-    assert "mirror1_focal_m = 12.5" in text
 
 
 def test_mapping_to_scenario_rejects_unknown_section():
@@ -183,18 +172,6 @@ def test_quad_doublet_preset_values():
     assert sc.analysis.g_ref_gev == 1e-10
 
 
-def test_preset_roundtrip_via_dump(tmp_path):
-    for name in preset_names():
-        sc = load_preset(name)
-        path = tmp_path / f"{name}.ini"
-        path.write_text(dump_scenario(sc))
-        again = load_scenario(str(path))
-        assert again.cavity == sc.cavity
-        assert again.laser == sc.laser
-        assert again.axion == sc.axion
-        assert again.analysis == sc.analysis
-
-
 # settings that no verb reads are refused, not silently ignored
 UNREAD_SETTINGS = (
     "laser.wavelength_nm",
@@ -229,17 +206,13 @@ CONFIG_CLASSES = {
 ALL_SETTINGS = [f"{sec}.{f.name}" for sec, cls in CONFIG_CLASSES.items() for f in fields(cls)]
 
 
-def test_dump_lists_every_field_in_order():
-    dumped = scenario_to_mapping(loads_scenario("", "d"))
-    assert [f"{sec}.{key}" for sec, keys in dumped.items() for key in keys] == ALL_SETTINGS
-    assert len(ALL_SETTINGS) == 21
-
-
 @pytest.mark.parametrize("path", ALL_SETTINGS)
 def test_every_setting_overrides_with_its_dumped_default(path):
+    """Each setting's default, written out as text (a float as its shortest
+    repr), is accepted as an override and changes nothing."""
     section, key = path.split(".")
     default = loads_scenario("", "d")
-    dumped = scenario_to_mapping(default)[section][key]
+    dumped = getattr(getattr(default, section), key)
     assert loads_scenario("", "d", [f"{path}={dumped}"]) == default
 
 

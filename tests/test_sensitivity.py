@@ -9,7 +9,6 @@ from axicav import scenario
 from axicav.cavity import MIRROR_1, CavityConfig, axial_beam, run
 from axicav.density import GaussianProfile, integrate_window
 from axicav.sensitivity import (
-    DEFAULT_BEAM_RATE,
     GrowthFit,
     GrowthSeries,
     NoiseBudget,
@@ -24,7 +23,10 @@ from axicav.sensitivity import (
     sideband_gain_series,
 )
 
-PROFILE = GaussianProfile(5e18, 7.5e-4)
+# the presets' beam and pixels
+BEAM_RATE = 5e18  # photons/s carried by the full beam
+PROFILE = GaussianProfile(BEAM_RATE, 7.5e-4)
+H, C = 1e-6, 3.3e-3  # pixel half-width and sideband pixel center, m
 
 
 def _snapshots(res):
@@ -120,7 +122,7 @@ def test_second_linear_chain_and_fraction():
     fit = GrowthFit(kind="linear", slope=6.41e7, intercept=24793.0)
     photons = extrapolate(fit, 12000)
     assert photons == 769200024793.0
-    assert photons / DEFAULT_BEAM_RATE == pytest.approx(1.538400049586e-07, rel=1e-12)
+    assert photons / BEAM_RATE == pytest.approx(1.538400049586e-07, rel=1e-12)
 
 
 def test_power_chain_values():
@@ -146,7 +148,7 @@ def test_shot_noise_reference_points():
     assert shot_noise_fraction(NoiseBudget(1.92e14)) == pytest.approx(
         7.216878364870322e-08, rel=1e-12
     )
-    assert shot_noise_fraction(NoiseBudget(DEFAULT_BEAM_RATE)) == pytest.approx(
+    assert shot_noise_fraction(NoiseBudget(BEAM_RATE)) == pytest.approx(
         4.4721359549995793e-10, rel=1e-15
     )
 
@@ -210,7 +212,7 @@ REPORT_KEYS = {
 
 def test_report_confocal_reach():
     fit = GrowthFit(kind="linear", slope=6.41e7, intercept=24793.0)
-    rep = scenario_report("confocal", fit, 12000, 1e-6, 3e4)
+    rep = scenario_report("confocal", fit, 12000, 1e-6, 3e4, BEAM_RATE)
     assert set(rep) == REPORT_KEYS
     assert rep["g_min_1s"] == pytest.approx(5.3916644528722695e-08, rel=1e-12)
     assert rep["g_min_integrated"] == pytest.approx(4.09677905635152e-09, rel=1e-12)
@@ -218,21 +220,21 @@ def test_report_confocal_reach():
 
 def test_report_defocusing_pair_reach():
     fit = GrowthFit(kind="power", coefficient=1.0e9, exponent=2.959)
-    rep = scenario_report("convex-concave", fit, 1000, 1e-6, 3e4)
+    rep = scenario_report("convex-concave", fit, 1000, 1e-6, 3e4, BEAM_RATE)
     assert rep["g_min_1s"] == pytest.approx(5.448067767970739e-11, rel=1e-12)
     assert rep["g_min_integrated"] == pytest.approx(4.139636307952387e-12, rel=1e-12)
 
 
 def test_report_long_integration_reach():
     fit = GrowthFit(kind="power", coefficient=2.2, exponent=2.959)
-    rep = scenario_report("quad-doublet", fit, 15000, 1e-10, 3e6)
+    rep = scenario_report("quad-doublet", fit, 15000, 1e-10, 3e6, BEAM_RATE)
     assert rep["g_min_integrated"] == pytest.approx(5.0783640327805577e-14, rel=1e-12)
 
 
 def test_report_reach_follows_fourth_root_of_time():
     fit = GrowthFit(kind="linear", slope=6.41e7, intercept=24793.0)
-    base = scenario_report("x", fit, 12000, 1e-6, 1.0)
-    longer = scenario_report("x", fit, 12000, 1e-6, 1e4)
+    base = scenario_report("x", fit, 12000, 1e-6, 1.0, BEAM_RATE)
+    longer = scenario_report("x", fit, 12000, 1e-6, 1e4, BEAM_RATE)
     assert longer["g_min_integrated"] == pytest.approx(
         base["g_min_integrated"] / 10.0, rel=1e-12
     )
@@ -241,7 +243,7 @@ def test_report_reach_follows_fourth_root_of_time():
 
 def test_report_zero_signal_notes_blindness():
     fit = GrowthFit(kind="linear", slope=0.0, intercept=0.0)
-    rep = scenario_report("flat", fit, 100, 1e-6, 1.0)
+    rep = scenario_report("flat", fit, 100, 1e-6, 1.0, BEAM_RATE)
     assert math.isinf(rep["g_min_1s"])
     assert "note" in rep
 
@@ -250,7 +252,7 @@ def test_report_zero_signal_notes_blindness():
 def test_report_refuses_a_non_positive_integration_time(time_s):
     fit = GrowthFit(kind="linear", slope=6.41e7, intercept=24793.0)
     with pytest.raises(ValueError, match="^integration_time_s must be finite and > 0"):
-        scenario_report("x", fit, 12000, 1e-6, time_s)
+        scenario_report("x", fit, 12000, 1e-6, time_s, BEAM_RATE)
 
 
 # --- series builders on cavity runs ----------------------------------------
@@ -258,7 +260,7 @@ def test_report_refuses_a_non_positive_integration_time(time_s):
 
 def test_central_loss_series_grows_with_traversals():
     res = run(CavityConfig(n_traversals=6), PROFILE.waist_m)
-    series = central_loss_series(*_snapshots(res), PROFILE)
+    series = central_loss_series(*_snapshots(res), PROFILE, H)
     assert np.array_equal(series.n, np.arange(1.0, 7.0))
     assert np.all(series.signal > 0)
     # later snapshots have lost at least as much as the first
@@ -267,7 +269,7 @@ def test_central_loss_series_grows_with_traversals():
 
 def test_sideband_gain_series_is_positive():
     res = run(CavityConfig(n_traversals=6), PROFILE.waist_m)
-    series = sideband_gain_series(*_snapshots(res), PROFILE)
+    series = sideband_gain_series(*_snapshots(res), PROFILE, C, H)
     assert np.all(series.signal > 0)
     assert series.signal[-1] > series.signal[0]
 
@@ -282,15 +284,15 @@ def test_center_sideband_series_counts_migration_twice():
 def test_series_on_null_run_are_exactly_zero():
     cfg = replace(CavityConfig(n_traversals=5), theta_split_rad=0.0)
     res = run(cfg, PROFILE.waist_m)
-    assert np.array_equal(central_loss_series(*_snapshots(res), PROFILE).signal, np.zeros(5))
-    assert np.array_equal(sideband_gain_series(*_snapshots(res), PROFILE).signal, np.zeros(5))
+    assert np.array_equal(central_loss_series(*_snapshots(res), PROFILE, H).signal, np.zeros(5))
+    assert np.array_equal(sideband_gain_series(*_snapshots(res), PROFILE, C, H).signal, np.zeros(5))
     assert np.array_equal(center_sideband_series(*_snapshots(res), PROFILE).signal, np.zeros(5))
 
 
 def test_mirror1_extraction_series_use_even_traversals():
     cfg = CavityConfig(mirror2_focal_m=None, extraction_mirror=MIRROR_1, n_traversals=8)
     res = run(cfg, PROFILE.waist_m)
-    series = central_loss_series(*_snapshots(res), PROFILE)
+    series = central_loss_series(*_snapshots(res), PROFILE, H)
     assert np.array_equal(series.n, [2.0, 4.0, 6.0, 8.0])
 
 
@@ -303,7 +305,7 @@ def test_series_windows_and_signs_match_the_change_form():
     [w, 4w + 1 mm].  The change equals the difference of the windows'
     direct integrals to the roundoff of those 1e13-1e15 photons/s totals."""
     res, beams = run_with_detector_beams(CavityConfig(n_traversals=4), PROFILE.waist_m)
-    h, c, w = 1e-6, 3.3e-3, PROFILE.waist_m
+    h, c, w = H, C, PROFILE.waist_m
 
     def change(windows):
         def one(ens):
@@ -334,8 +336,8 @@ def test_series_builders_refuse_non_finite_windows(bad):
     res = run(CavityConfig(n_traversals=2), PROFILE.waist_m)
     for build in (
         lambda: central_loss_series(*_snapshots(res), PROFILE, bad),
-        lambda: sideband_gain_series(*_snapshots(res), PROFILE, bad),
-        lambda: sideband_gain_series(*_snapshots(res), PROFILE, 3.3e-3, bad),
+        lambda: sideband_gain_series(*_snapshots(res), PROFILE, bad, H),
+        lambda: sideband_gain_series(*_snapshots(res), PROFILE, C, bad),
     ):
         with pytest.raises(ValueError, match="finite and strictly ascending"):
             build()
@@ -345,7 +347,7 @@ def test_bnl_quad_sideband_gain_is_positive_and_increasing():
     """Exact observables: the sideband column of the preset was negative
     roundoff while it was the difference of two erf totals."""
     res = run(scenario.load_preset("bnl-quad").cavity, PROFILE.waist_m)
-    gain = sideband_gain_series(*_snapshots(res), PROFILE).signal
+    gain = sideband_gain_series(*_snapshots(res), PROFILE, C, H).signal
     assert np.all(gain > 0)
     assert np.all(np.diff(gain) > 0)
     assert gain[-1] == pytest.approx(5.3827e-5, rel=1e-4)
