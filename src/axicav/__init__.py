@@ -32,7 +32,6 @@ from .cavity import (
     run,
 )
 from .density import (
-    DetectorHistogram,
     GaussianProfile,
     GuardError,
     bin_ensemble,

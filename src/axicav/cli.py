@@ -206,11 +206,10 @@ def cmd_simulate(args) -> int:
     # The reference, a field-off run, is the axial beam: its axial part is
     # each snapshot's own and its deviation +0, so a difference is minus the
     # snapshot's deviation (0.0 - x: a bin that never changed reads +0).
-    diffs = {
-        f"profile_difference_t{snap.traversal:03d}.csv":
-            0.0 - density.bin_ensemble(snap.ensemble, profile, edges).deviation
-        for snap in signal_run.snapshots
-    }
+    deviations = density.bin_ensemble([snap.ensemble for snap in signal_run.snapshots],
+                                      profile, edges)[1]
+    diffs = {f"profile_difference_t{t:03d}.csv": 0.0 - row
+             for t, row in zip(traversals, deviations)}
     central = sensitivity.central_loss_series(
         traversals, moments, profile, sc.analysis.pixel_half_width_m
     )
@@ -254,11 +253,16 @@ def cmd_analyze(args) -> int:
     an = sc.analysis
     series = _read_series(args.series)
     fit_kind = args.fit_kind or an.fit_kind
-    fit = sensitivity.fit_linear(series) if fit_kind == "linear" else sensitivity.fit_power(series)
-    report = sensitivity.scenario_report(
-        sc.name, fit, an.extraction_count, an.g_ref_gev, an.integration_time_s,
-        total_rate=sc.laser.amplitude_photons_per_s
-    )
+    try:  # the fits and the extrapolation raise past the largest double
+        fit = sensitivity.fit_linear(series) if fit_kind == "linear" else sensitivity.fit_power(series)
+        report = sensitivity.scenario_report(
+            sc.name, fit, an.extraction_count, an.g_ref_gev, an.integration_time_s,
+            total_rate=sc.laser.amplitude_photons_per_s
+        )
+    except OverflowError:
+        raise scenario.ScenarioError(
+            f"the {fit_kind} fit of the series, or its value at analysis.extraction_count, "
+            f"lies past the largest double") from None
     text = json.dumps(report, indent=2) + "\n"
     _write_or_print([text], str(Path(args.out) / "report.json") if args.out else None)
     return 0

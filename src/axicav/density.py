@@ -25,24 +25,24 @@ Two results are known in advance and are not recomputed.  A run started on
 the axis stays its own mirror image bit for bit (the kicks are +-theta and
 IEEE rounding does not depend on the sign), so where its beams are listed
 mirrored, which `moments` checks, its odd moments are exactly 0.0 and are
-set without summing; any other ensemble has them summed exactly.  The
-Hermite table of a set of windows depends only on the edges, the waist and
-the highest order, so `rates_from_moments` builds it once per key
-(`_window_table`) and every snapshot of a run reads it.
+set without summing; any other ensemble has them summed exactly.
 
 A detector snapshot (`cavity.BeamSample`) is its moment vector: `cavity.run`
 calls `moments` on each snapshot's arrays as it takes it, at the profile
-waist, and keeps the vector, not the arrays.  `bin_ensemble` and
-`integrate_window` read a sample's moments and refuse a profile of another
-waist, at which those moments mean nothing.
+waist, and keeps the vector, not the arrays.  One call of
+`rates_from_moments` reads every snapshot of a run: it builds the Hermite
+table of its windows once for each series order among them and sums each
+snapshot's series over it one order at a time, so no rate goes through
+BLAS, whose kernels each sum in an order of their own.  `bin_ensemble`
+renders all of a run's snapshots so, as one (axial, deviation) pair, and
+refuses a profile of another waist, at which their moments mean nothing.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,56 +170,18 @@ def single_pass_estimate(
 # detector binning
 
 
-def _ascending_edges(edges_m) -> np.ndarray:
-    """The edges as a float array; ValueError unless they are at least two
-    finite, strictly ascending numbers (one bin or window or more)."""
-    edges = np.asarray(edges_m, dtype=float)
-    if (
-        edges.ndim != 1
-        or edges.size < 2
-        or not np.all(np.isfinite(edges))
-        or np.any(np.diff(edges) <= 0)
-    ):
-        raise ValueError(f"edges must be finite and strictly ascending, got {edges_m!r}")
-    return edges
-
-
-@dataclass(frozen=True)
-class DetectorHistogram:
-    """One-sided (x >= 0) binned photon rates.
-
-    Each bin holds the rate of one unit beam on the axis (``axial``) and the
-    deviation of the binned ensemble from it, kept apart so that a
-    difference of two histograms takes the difference part by part;
-    ``counts`` is their sum.  Totals that stand for both detector halves
-    use the doubling rule: the profile is symmetric, so a one-sided sum is
-    doubled rather than binning negative x explicitly.
-    """
-
-    edges_m: np.ndarray  # nbins+1 edges, ascending, starting at 0
-    axial: np.ndarray  # photons/s per bin of one unit beam on the axis
-    deviation: np.ndarray  # photons/s per bin, this ensemble minus `axial`
-    counts: np.ndarray = field(init=False)  # photons/s per bin
-
-    def __post_init__(self):
-        edges = _ascending_edges(self.edges_m)
-        object.__setattr__(self, "edges_m", edges)
-        for name in ("axial", "deviation"):
-            part = np.asarray(getattr(self, name), dtype=float)
-            if part.shape != (edges.size - 1,):
-                raise ValueError(f"{name} length must be len(edges) - 1")
-            if not np.all(np.isfinite(part)):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, part)
-        object.__setattr__(self, "counts", self.axial + self.deviation)
+def bin_count(bin_width_m: float, x_max_m: float) -> int:
+    """How many bins of bin_width_m make x_max_m; ValueError unless a whole
+    number of them does, to 1e-9 of a bin."""
+    n = x_max_m / bin_width_m
+    if not (n < math.inf and abs(round(n) * bin_width_m - x_max_m) <= 1e-9 * bin_width_m):
+        raise ValueError("x_max must be an integer number of bins")
+    return round(n)
 
 
 @check_args
 def histogram_edges(bin_width_m: Positive, x_max_m: Positive) -> np.ndarray:
-    n = int(round(x_max_m / bin_width_m))
-    if abs(n * bin_width_m - x_max_m) > 1e-9 * bin_width_m:
-        raise ValueError("x_max must be an integer number of bins")
-    return np.arange(n + 1, dtype=float) * bin_width_m
+    return np.arange(bin_count(bin_width_m, x_max_m) + 1, dtype=float) * bin_width_m
 
 
 def _exact_sum(p: np.ndarray) -> float:
@@ -399,14 +361,12 @@ def _axial_mass(lo: float, hi: float) -> float:
     return math.erf(hi * s) - math.erf(lo * s)
 
 
-@functools.lru_cache(maxsize=128)
-def _window_table(edges_bytes: bytes, r: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _changes(edges: np.ndarray, r: float, n_max: int) -> np.ndarray:
     """The part of `rates_from_moments` that depends only on the windows,
-    the waist and the highest order: the changes E_n(l) - E_n(h) (row n-1
-    for orders 1 to n_max, one column per window) and each window's axial
-    mass erf(h/sqrt 2) - erf(l/sqrt 2).  Kept per key, read-only, since every
-    snapshot of a run reads the same windows."""
-    edges = np.frombuffer(edges_bytes)
+    the waist and the highest order: the changes E_n(l) - E_n(h), row n-1
+    for orders 1 to n_max, one column per window.  A narrow window's
+    midpoint series runs to more terms at a higher order, so its rows at
+    one order are not the first rows of the table at another."""
     u = edges / r
     e = _hermite_functions(u, n_max)
     change = e[:, :-1] - e[:, 1:]
@@ -422,25 +382,24 @@ def _window_table(edges_bytes: bytes, r: float, n_max: int) -> tuple[np.ndarray,
         for k in range(k_max, 0, -2):  # the smallest terms first
             series += mid[k : k + n_max] * (2.0 * delta**k / math.factorial(k))
         change[:, narrow] = series
-    mass = np.array([_axial_mass(lo, hi) for lo, hi in zip(u[:-1], u[1:])])
-    change.flags.writeable = False
-    mass.flags.writeable = False
-    return change, mass
+    return change
 
 
 def rates_from_moments(
-    m: np.ndarray, profile: GaussianProfile, edges_m
+    moments, profile: GaussianProfile, edges_m
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Photon rate in each window [edges[i], edges[i+1]) of the beams whose
-    `moments` at the profile's waist are ``m``, as (axial, deviation): the
-    rate of one unit beam on the axis, G(0), and the beams' deviation from
-    it,
+    """Photon rate in each window [edges[i], edges[i+1]) of each set of
+    beams whose `moments` at the profile's waist are a vector of
+    ``moments``, as (axial, deviation): the rate of one unit beam on the
+    axis, G(0), one value per window, and each set's deviation from it,
+    one row per moment vector, in their order,
 
         G(0) (sum(w) - 1) + sum_{n>=1} A r [E_n(l) - E_n(h)] m_n / n!,
 
     with l = lo/r, h = hi/r and E_n(u) = He_{n-1}(u) exp(-u^2/2), He the
     probabilists' Hermite polynomials.  This is the Taylor series of each
-    beam's exact Gaussian integral about the axis, summed over the beams.
+    beam's exact Gaussian integral about the axis, summed over the beams
+    from order 1 up, one order at a time.
 
     A narrow window, delta = (h - l)/2 <= 1/4, takes its change from the
     midpoint c = (l + h)/2 instead (E_n' = -E_{n+1}):
@@ -449,54 +408,69 @@ def rates_from_moments(
 
     which keeps its digits where the window straddles a maximum of E_n
     (on the default bin [0.7, 0.8] mm, around x = r, E_2(l) - E_2(h) is
-    1/5000 of either edge value).  The changes and the axial masses depend
-    on the beams only through their order, so they are built once per
-    windows, waist and order (`_window_table`).
+    1/5000 of either edge value).  The changes depend on the beams only
+    through their order, so the vectors of one order share one table
+    (`_changes`): a run's snapshots take a few orders, and each vector reads
+    the table of its own order, as it would alone.
 
-    Raises ValueError unless the edges are finite and strictly ascending."""
-    edges = _ascending_edges(edges_m)
+    Raises ValueError unless the edges are finite and strictly ascending,
+    and unless every rate is finite."""
+    edges = np.asarray(edges_m, dtype=float)  # one bin or window or more
+    if not (edges.ndim == 1 and edges.size > 1 and np.all(np.isfinite(edges))
+            and np.all(np.diff(edges) > 0)):
+        raise ValueError(f"edges must be finite and strictly ascending, got {edges_m!r}")
     r, scale = profile.waist_m, profile.amplitude * profile.waist_m
-    change, mass = _window_table(edges.tobytes(), r, m.size - 1)
-    # float factorials: past 20! an integer list would make an object array
-    coef = m[1:] / np.array([float(math.factorial(n)) for n in range(1, m.size)])
+    u = edges / r
     norm = scale * math.sqrt(0.5 * math.pi)  # one unit beam over the whole line
-    axial = norm * mass
-    deviation = scale * (coef @ change) + axial * m[0]
+    axial = norm * np.array([_axial_mass(lo, hi) for lo, hi in zip(u[:-1], u[1:])])
+    if not np.all(np.isfinite(axial)):
+        raise ValueError("axial must be finite")
+    deviation = np.empty((len(moments), axial.size))
+    for size in sorted({v.size for v in moments}):
+        rows = [i for i, v in enumerate(moments) if v.size == size]
+        m = np.array([moments[i] for i in rows])
+        # float factorials: past 20! an integer list would make an object array
+        coef = m[:, 1:] / np.array([float(math.factorial(n)) for n in range(1, size)])
+        series = np.zeros((len(rows), axial.size))
+        for n, change in enumerate(_changes(edges, r, size - 1)):
+            series += coef[:, n, None] * change
+        deviation[rows] = scale * series + axial * m[:, :1]
+    if not np.all(np.isfinite(deviation)):
+        raise ValueError("deviation must be finite")
     return axial, deviation
 
 
-def _sample_moments(sample, profile: GaussianProfile) -> np.ndarray:
-    """The moments a sample holds, refused (ValueError) unless they were
-    taken at the profile's waist."""
-    if sample.waist_m != profile.waist_m:
-        raise ValueError(
-            f"the sample's moments are taken at waist {sample.waist_m!r} m, "
-            f"the profile's waist is {profile.waist_m!r} m"
-        )
-    return sample.moments
+def bin_ensemble(samples, profile: GaussianProfile, edges_m) -> tuple[np.ndarray, np.ndarray]:
+    """The exact photon rate of detector samples (`cavity.BeamSample`s) in
+    each bin, from their moments, as `rates_from_moments` gives it: every
+    beam contributes its weight times the integral of a Gaussian of the
+    profile's waist centered at the beam position.  Bins this narrow
+    (0.13 sigma on the presets) make midpoint sampling visibly biased,
+    hence integrals.  Refused (ValueError) unless every sample's moments
+    were taken at the profile's waist.
 
-
-def bin_ensemble(sample, profile: GaussianProfile, edges_m) -> DetectorHistogram:
-    """The exact photon rate of a detector sample (`cavity.BeamSample`) in
-    each bin, from its moments: every beam contributes its weight times the
-    integral of a Gaussian of the profile's waist centered at the beam
-    position.  Bins this narrow (0.13 sigma on the presets) make midpoint
-    sampling visibly biased, hence integrals."""
-    m = _sample_moments(sample, profile)
-    return DetectorHistogram(edges_m, *rates_from_moments(m, profile, edges_m))
+    Totals that stand for both detector halves use the doubling rule: the
+    profile is symmetric, so a one-sided sum is doubled rather than
+    binning negative x explicitly."""
+    for sample in samples:
+        if sample.waist_m != profile.waist_m:
+            raise ValueError(
+                f"the sample's moments are taken at waist {sample.waist_m!r} m, "
+                f"the profile's waist is {profile.waist_m!r} m"
+            )
+    return rates_from_moments([sample.moments for sample in samples], profile, edges_m)
 
 
 def integrate_window(sample, profile: GaussianProfile, lo_m: float, hi_m: float) -> float:
     """Exact windowed photon rate of a detector sample over [lo, hi).  The
     window is signed (lo may be negative for a two-sided center pixel)."""
-    m = _sample_moments(sample, profile)
-    axial, deviation = rates_from_moments(m, profile, [lo_m, hi_m])
-    return float(axial[0] + deviation[0])
+    axial, deviation = bin_ensemble([sample], profile, [lo_m, hi_m])
+    return float(axial[0] + deviation[0, 0])
 
 
-def profile_difference(off: DetectorHistogram, on: DetectorHistogram) -> DetectorHistogram:
-    """Field-off minus field-on histogram, part by part; central losses
-    come out positive, sideband gains negative."""
-    if off.edges_m.shape != on.edges_m.shape or not np.array_equal(off.edges_m, on.edges_m):
-        raise ValueError("histograms must share identical binning")
-    return DetectorHistogram(off.edges_m.copy(), off.axial - on.axial, off.deviation - on.deviation)
+def profile_difference(off, on, profile: GaussianProfile, edges_m) -> np.ndarray:
+    """Field-off minus field-on photon rate per bin of two detector
+    samples; central losses come out positive, sideband gains negative.
+    Both share the axial part, so this is the difference of deviations."""
+    deviation = bin_ensemble([off, on], profile, edges_m)[1]
+    return deviation[0] - deviation[1]

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import Count, Positive, check_args
+from .sensitivity import fit_line
 
 SLOPE_MIN_N = 100  # the slopes' fit starts here when three checkpoints lie past it
 
@@ -100,9 +101,9 @@ def compare_growth(
     if len(fit_pts) < 3:
         fit_pts = samples
     if len(fit_pts) >= 3:
-        ln = np.log([float(s.n_pass) for s in fit_pts])
-        slope_b = float(np.polyfit(ln, np.log([s.spread_bifurcation_m for s in fit_pts]), 1)[0])
-        slope_p = float(np.polyfit(ln, np.log([s.spread_pascal_m for s in fit_pts]), 1)[0])
+        ln = [math.log(s.n_pass) for s in fit_pts]
+        slope_b = fit_line(ln, [math.log(s.spread_bifurcation_m) for s in fit_pts])[0]
+        slope_p = fit_line(ln, [math.log(s.spread_pascal_m) for s in fit_pts])[0]
     else:
         slope_b = slope_p = None
     first, last = samples[0], samples[-1]

@@ -16,6 +16,7 @@ from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, fields
 from importlib import resources
 
+from . import density
 from .cavity import CavityConfig
 from .checks import Count, NonNegative, Positive, check_fields
 
@@ -58,6 +59,13 @@ class AnalysisParams:
 
     def __post_init__(self):
         check_fields(self, ScenarioError)
+        try:  # the rule simulate's histogram edges follow
+            density.bin_count(self.bin_width_m, self.histogram_max_m)
+        except ValueError:
+            raise ScenarioError(
+                f"histogram_max_m must be a whole number of analysis.bin_width_m bins, "
+                f"got {self.histogram_max_m!r} and {self.bin_width_m!r}"
+            ) from None
         if self.fit_kind not in ("linear", "power"):
             raise ScenarioError("fit_kind must be 'linear' or 'power'")
 

@@ -53,11 +53,13 @@ class GrowthFit:
     exponent: float | None = None
     r_squared: float = 1.0
 
-    def evaluate(self, n):
+    def evaluate(self, n: float) -> float:
+        """The fitted signal at n, in Python floats: the C library's pow,
+        not numpy's SIMD one, which differs from it in some last bits."""
         if self.kind == "linear":
-            return self.slope * np.asarray(n, dtype=float) + self.intercept
+            return self.slope * float(n) + self.intercept
         if self.kind == "power":
-            return self.coefficient * np.asarray(n, dtype=float) ** self.exponent
+            return self.coefficient * float(n) ** self.exponent
         raise ValueError(f"unknown fit kind {self.kind!r}")
 
     def as_dict(self) -> dict:
@@ -86,12 +88,30 @@ class NoiseBudget:
 MIN_FIT_POINTS = 3
 
 
-def _r_squared(y, fitted) -> float:
-    res = float(np.sum((y - fitted) ** 2))
-    tot = float(np.sum((y - np.mean(y)) ** 2))
-    if tot == 0.0:
-        return 1.0 if res == 0.0 else 0.0
-    return 1.0 - res / tot
+def _integers(values) -> tuple[list[int], int]:
+    """Integers v and a shift k with values[i] == v[i] / 2**k exactly."""
+    ratios = [float(x).as_integer_ratio() for x in values]
+    k = max(q.bit_length() for _, q in ratios) - 1  # every q is a power of two
+    return [p << (k - q.bit_length() + 1) for p, q in ratios], k
+
+
+def fit_line(x, y) -> tuple[float, float, float]:
+    """The least-squares line y = slope * x + intercept through the points
+    (two sequences of floats, the x not all equal) and its r^2, each the
+    exact value for these points rounded once: the centred sums
+    n sum(x y) - sum(x) sum(y) are taken in Python integers (a float is an
+    integer over a power of two), so no BLAS, LAPACK or SIMD kernel orders a
+    sum or sets a digit.  OverflowError for a line past the largest double."""
+    (u, kx), (v, ky) = _integers(x), _integers(y)
+    n, sx, sy = len(u), sum(u), sum(v)
+    sxx = n * sum(a * a for a in u) - sx * sx
+    sxy = n * sum(a * b for a, b in zip(u, v)) - sx * sy
+    syy = n * sum(b * b for b in v) - sy * sy
+    # an int over an int is the exact quotient rounded once
+    slope = (sxy << kx) / (sxx << ky)
+    intercept = (sy * sxx - sxy * sx) / ((n * sxx) << ky)
+    r_squared = sxy * sxy / (sxx * syy) if syy else 1.0  # a level line fits exactly
+    return slope, intercept, r_squared
 
 
 def fit_linear(series: GrowthSeries) -> GrowthFit:
@@ -100,37 +120,28 @@ def fit_linear(series: GrowthSeries) -> GrowthFit:
         raise ValueError(f"need at least {MIN_FIT_POINTS} points to fit")
     if np.all(series.n == series.n[0]):
         raise ValueError("degenerate series: all n equal")
-    slope, intercept = np.polyfit(series.n, series.signal, 1)
-    fitted = slope * series.n + intercept
-    return GrowthFit(
-        kind="linear",
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=_r_squared(series.signal, fitted),
-    )
+    slope, intercept, r_squared = fit_line(series.n.tolist(), series.signal.tolist())
+    return GrowthFit(kind="linear", slope=slope, intercept=intercept, r_squared=r_squared)
 
 
 def fit_power(series: GrowthSeries) -> GrowthFit:
-    """Least squares in log-log space; signal = coefficient * n**exponent."""
+    """Least squares in log-log space; signal = coefficient * n**exponent.
+    The logarithms and the coefficient come from the C library, one value at
+    a time."""
     if len(series) < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} points to fit")
     if np.any(series.signal <= 0) or np.any(series.n <= 0):
         raise ValueError("power-law fit requires positive n and signal")
-    ln, ls = np.log(series.n), np.log(series.signal)
-    exponent, log_coef = np.polyfit(ln, ls, 1)
-    fitted = exponent * ln + log_coef
-    return GrowthFit(
-        kind="power",
-        coefficient=float(np.exp(log_coef)),
-        exponent=float(exponent),
-        r_squared=_r_squared(ls, fitted),
-    )
+    exponent, log_coef, r_squared = fit_line([math.log(v) for v in series.n.tolist()],
+                                             [math.log(v) for v in series.signal.tolist()])
+    return GrowthFit(kind="power", coefficient=math.exp(log_coef), exponent=exponent,
+                     r_squared=r_squared)
 
 
 @check_args
 def extrapolate(fit: GrowthFit, n: Count) -> float:
     """Evaluate the fitted growth law at traversal count n."""
-    return float(fit.evaluate(n))
+    return fit.evaluate(n)
 
 
 def shot_noise_fraction(budget: NoiseBudget) -> float:
@@ -206,16 +217,12 @@ def _window_series(
     S(snapshot) is the sum of coefficient * (exact rate in [lo, hi)) over
     the ``(lo, hi, coefficient)`` windows and the reference is the unsplit
     axial beam.  Each window contributes minus its coefficient times the
-    snapshot's deviation from that beam (`density.rates_from_moments`), so
-    no two large totals are subtracted."""
-
-    def change(m):
-        # 0.0 - x: a snapshot that never left the axis gives +0, not -0
-        return 0.0 - sum(c * density.rates_from_moments(m, profile, (lo, hi))[1][0]
-                         for lo, hi, c in windows)
-
-    return GrowthSeries(np.array(traversals, dtype=float),
-                        np.array([change(m) for m in moments], dtype=float))
+    snapshots' deviations from that beam, all of them from one call of
+    `density.rates_from_moments`, so no two large totals are subtracted."""
+    # 0.0 - x: a snapshot that never left the axis gives +0, not -0
+    change = 0.0 - sum(c * density.rates_from_moments(moments, profile, (lo, hi))[1][:, 0]
+                       for lo, hi, c in windows)
+    return GrowthSeries(np.array(traversals, dtype=float), change)
 
 
 def central_loss_series(

@@ -156,6 +156,8 @@ def sample(ensemble, waist_m):
 
 def rates(ensemble, profile, edges_m):
     """`density.rates_from_moments` of ``ensemble``'s moments at the
-    profile's waist."""
-    return density.rates_from_moments(
-        density.moments(ensemble.positions, ensemble.weights, profile.waist_m), profile, edges_m)
+    profile's waist, taken alone: the axial part and the ensemble's one
+    deviation row."""
+    m = density.moments(ensemble.positions, ensemble.weights, profile.waist_m)
+    axial, deviation = density.rates_from_moments([m], profile, edges_m)
+    return axial, deviation[0]

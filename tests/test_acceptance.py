@@ -32,7 +32,6 @@ from axicav.axion import (
 from axicav.cavity import MIRROR_1, BeamEnsemble, CavityConfig, run
 from axicav.density import (
     GaussianProfile,
-    bin_ensemble,
     deficit,
     histogram_edges,
     profile_difference,
@@ -368,10 +367,8 @@ def test_criterion_09_difference_histogram_sign_structure(confocal_run):
     (positive) inside the core and gain (negative) in the shoulders, with a
     single crossing within one bin of 0.75 mm."""
     cfg, signal, reference = confocal_run
-    on = bin_ensemble(signal.snapshots[-1].ensemble, PROFILE, EDGES)
-    off = bin_ensemble(reference.snapshots[-1].ensemble, PROFILE, EDGES)
-    diff = profile_difference(off, on)
-    counts = diff.counts
+    counts = profile_difference(reference.snapshots[-1].ensemble,
+                                signal.snapshots[-1].ensemble, PROFILE, EDGES)
     signs = np.sign(counts)
     flips = np.nonzero(np.diff(signs))[0]
     crossing_m = EDGES[flips[0] + 1] if len(flips) == 1 else math.nan
@@ -451,11 +448,8 @@ def test_criterion_12_invariant_suite(confocal_run, monkeypatch):
     null_run, null_beams = run_with_detector_beams(null_cfg, PROFILE.waist_m)
     null_zero = True
     for snap_s, snap_n in zip(reference.snapshots, null_run.snapshots):
-        d = profile_difference(
-            bin_ensemble(snap_s.ensemble, PROFILE, EDGES),
-            bin_ensemble(snap_n.ensemble, PROFILE, EDGES),
-        )
-        null_zero = null_zero and bool(np.all(d.counts == 0.0))
+        d = profile_difference(snap_s.ensemble, snap_n.ensemble, PROFILE, EDGES)
+        null_zero = null_zero and bool(np.all(d == 0.0))
     null_positions = bool(
         np.all(null_beams[-1].positions == 0.0)
         and null_run.snapshots[-1].ensemble.max_angle == 0.0
@@ -493,12 +487,10 @@ def test_criterion_12_invariant_suite(confocal_run, monkeypatch):
     # (e) redistribution: over a wide window the difference histogram sums to
     # zero relative to the photons it moves around
     wide = histogram_edges(1e-4, 6e-3)
-    diff_wide = profile_difference(
-        bin_ensemble(reference.snapshots[-1].ensemble, PROFILE, wide),
-        bin_ensemble(signal.snapshots[-1].ensemble, PROFILE, wide),
-    )
-    moved = 2.0 * float(np.sum(np.abs(diff_wide.counts)))  # both detector halves
-    leak = abs(math.fsum(diff_wide.counts.tolist())) / moved
+    diff_wide = profile_difference(reference.snapshots[-1].ensemble,
+                                   signal.snapshots[-1].ensemble, PROFILE, wide)
+    moved = 2.0 * float(np.sum(np.abs(diff_wide)))  # both detector halves
+    leak = abs(math.fsum(diff_wide.tolist())) / moved
 
     # (f) ensemble symmetry at the detector (a snapshot keeps only its
     # moments and largest |angle|, so the beams come from the detector leg,

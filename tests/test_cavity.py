@@ -61,7 +61,7 @@ def _config_classes():
                 and is_dataclass(obj)
                 and obj.__module__ == module.__name__
                 and "__post_init__" in vars(obj)
-                and obj.__name__ not in ("RayState", "DetectorHistogram", "GrowthSeries")
+                and obj.__name__ not in ("RayState", "GrowthSeries")
             ):
                 yield obj
 

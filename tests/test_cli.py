@@ -121,13 +121,14 @@ def test_simulate_null_field_writes_exact_zeros(tmp_path, capsys):
 
 def test_simulate_renders_each_snapshot_once_and_no_reference_beam(tmp_path, capsys, monkeypatch):
     """The reference is the axial beam, whose deviation is +0, so a
-    difference histogram needs only the snapshot's own render."""
+    difference histogram needs only the snapshot's own render: one
+    `bin_ensemble` call holds every snapshot, in order, and nothing else."""
     rendered, runs = [], []
     bin_ensemble, run = density.bin_ensemble, cli.run
 
-    def spy_bin_ensemble(ensemble, *args):
-        rendered.append(ensemble)
-        return bin_ensemble(ensemble, *args)
+    def spy_bin_ensemble(samples, *args):
+        rendered.append(list(samples))
+        return bin_ensemble(samples, *args)
 
     def spy_run(*args):
         runs.append(run(*args))
@@ -138,8 +139,8 @@ def test_simulate_renders_each_snapshot_once_and_no_reference_beam(tmp_path, cap
     args = ["--preset", "confocal", "--override", "cavity.n_traversals=3"]
     assert cli.main([*args, "--out", str(tmp_path), "simulate"]) == 0
     snapshots = [snap.ensemble for snap in runs[0].snapshots]
-    assert len(rendered) == len(snapshots) == 3
-    assert all(got is snap for got, snap in zip(rendered, snapshots))
+    assert len(rendered) == 1 and len(rendered[0]) == len(snapshots) == 3
+    assert all(got is snap for got, snap in zip(rendered[0], snapshots))
 
 
 def test_simulate_is_deterministic(tmp_path, capsys):
@@ -547,6 +548,25 @@ def test_analyze_refuses_non_finite_numbers_and_writes_nothing(key, value, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, rows", [
+    ("power", "1,1\n2,1e100\n3,1e200\n"),  # the target's n**exponent
+    ("power", "2,1e308\n3,1e300\n4,1e290\n"),  # the coefficient
+    ("linear", "1,1e300\n1.0000000000000002,2e300\n1.0000000000000004,3e300\n"),  # the slope
+], ids=["power-at-target", "coefficient", "slope"])
+def test_analyze_refuses_a_fit_past_a_double(kind, rows, tmp_path, capsys):
+    """A fit whose law or extrapolation lies past the largest double is
+    refused with exit 2, and writes nothing: neither a traceback nor NaN or
+    Infinity in the JSON report."""
+    series, out = tmp_path / "steep.csv", tmp_path / "out"
+    series.write_text("n,signal\n" + rows)
+    assert cli.main(["--preset", "bnl-quad", "--out", str(out), "analyze", "--series", str(series),
+                     "--fit-kind", kind]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: the {kind} fit of the series, or its value at "
+        f"analysis.extraction_count, lies past the largest double\n")
+    assert not out.exists()
+
+
 # --- profile verb ------------------------------------------------------------
 
 _PROFILE = ["--preset", "confocal", "profile"]
@@ -648,6 +668,29 @@ def test_profile_needs_a_scenario(tmp_path, capsys):
         "configuration error: this command needs --config FILE or --preset NAME\n"
     )
     assert captured.out == ""
+    assert not out.exists()
+
+
+# a histogram end that is not a whole number of bins
+_PARTIAL_BIN = ["--preset", "confocal", "--override", "analysis.histogram_max_m=3.05e-3"]
+_PARTIAL_BIN_ERROR = ("configuration error: analysis.histogram_max_m must be a whole number of "
+                      "analysis.bin_width_m bins, got 0.00305 and 0.0001\n")
+
+
+def test_profile_refuses_a_partial_last_bin(tmp_path, capsys):
+    """The grid end is the histograms' end, so the scenario that simulate
+    refuses is refused here too, as it loads: exit 2, both keys named,
+    nothing written."""
+    out = tmp_path / "curve.csv"
+    assert cli.main([*_PARTIAL_BIN, "profile", "--alpha", "1e-5", "--out-file", str(out)]) == 2
+    assert capsys.readouterr().err == _PARTIAL_BIN_ERROR
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_partial_last_bin(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main([*_PARTIAL_BIN, "--out", str(out), "simulate"]) == 2
+    assert capsys.readouterr().err == _PARTIAL_BIN_ERROR
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@ import math
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -12,7 +13,6 @@ from axicav import cavity, cli, density
 from axicav.cavity import BeamEnsemble, CavityConfig, axial_beam, run
 from axicav.density import (
     MAX_ORDER,
-    DetectorHistogram,
     GaussianProfile,
     GuardError,
     bin_ensemble,
@@ -36,6 +36,12 @@ EDGES = histogram_edges(BIN_WIDTH_M, HISTOGRAM_MAX_M)
 def _sample(positions, angles, weights, waist=WAIST):
     """The detector sample, at ``waist``, of beams with these arrays."""
     return sample(BeamEnsemble(positions, angles, weights), waist)
+
+
+def _counts(sample, edges=EDGES):
+    """The photon rate of one sample in each bin: axial part plus deviation."""
+    axial, deviation = bin_ensemble([sample], PROFILE, edges)
+    return axial + deviation[0]
 
 
 # --- analytic profiles -----------------------------------------------------
@@ -271,43 +277,43 @@ def test_histogram_edges_require_integer_bin_count():
 
 
 def test_histogram_validation():
-    with pytest.raises(ValueError):
-        DetectorHistogram(np.array([0.0, -1e-4]), np.array([1.0]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        DetectorHistogram(np.array([0.0, 1e-4, 2e-4]), np.array([1.0]), np.array([0.0, 0.0]))
-    with pytest.raises(ValueError):
-        DetectorHistogram(np.array([0.0, 1e-4, 2e-4]), np.array([1.0, 2.0]), np.array([0.0]))
+    """A render is one axial value per bin and one deviation row per
+    sample, in the samples' order; descending edges are refused."""
+    ref, pair = _sample([0.0], [0.0], [1.0]), _sample([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match="finite and strictly ascending"):
+        bin_ensemble([pair], PROFILE, np.array([0.0, -1e-4]))
+    axial, deviation = bin_ensemble([ref, pair, ref], PROFILE, EDGES[:3])
+    assert axial.shape == (2,) and deviation.shape == (3, 2)
+    assert np.array_equal(deviation[0], [0.0, 0.0]) and np.array_equal(deviation[2], [0.0, 0.0])
+    assert deviation[1, 0] < 0.0  # the pair moved photons out of the first bin
 
 
 def test_bin_single_beam_matches_erf_integral():
     from scipy.special import erf
 
-    ens = _sample([0.0], [0.0], [1.0])
-    hist = bin_ensemble(ens, PROFILE, EDGES)
+    counts = _counts(_sample([0.0], [0.0], [1.0]))
     s = WAIST * math.sqrt(2.0)
     norm = AMPLITUDE * WAIST * math.sqrt(math.pi / 2.0)
     lo, hi = 0.0, BIN_WIDTH_M
     expect = norm * (erf(hi / s) - erf(lo / s))
-    assert hist.counts[0] == pytest.approx(expect, rel=1e-13)
-    assert hist.counts.size == 30
-    assert hist.edges_m[1] - hist.edges_m[0] == pytest.approx(BIN_WIDTH_M, rel=1e-15)
+    assert counts[0] == pytest.approx(expect, rel=1e-13)
+    assert counts.size == 30
 
 
 def test_binned_total_recovers_the_gaussian_norm():
     edges = np.linspace(-8 * WAIST, 8 * WAIST, 241)
-    ens = _sample([0.0], [0.0], [1.0])
-    hist = bin_ensemble(ens, PROFILE, edges)
-    assert math.fsum(hist.counts.tolist()) == pytest.approx(
+    counts = _counts(_sample([0.0], [0.0], [1.0]), edges)
+    assert math.fsum(counts.tolist()) == pytest.approx(
         AMPLITUDE * WAIST * math.sqrt(2 * math.pi), rel=1e-6
     )
 
 
 def test_binned_total_is_independent_of_beam_position():
     edges = np.linspace(-8 * WAIST, 8 * WAIST, 241)
-    at_zero = bin_ensemble(_sample([0.0], [0.0], [1.0]), PROFILE, edges)
-    shifted = bin_ensemble(_sample([1e-4], [0.0], [1.0]), PROFILE, edges)
-    assert math.fsum(shifted.counts.tolist()) == pytest.approx(
-        math.fsum(at_zero.counts.tolist()), rel=1e-9
+    at_zero = _counts(_sample([0.0], [0.0], [1.0]), edges)
+    shifted = _counts(_sample([1e-4], [0.0], [1.0]), edges)
+    assert math.fsum(shifted.tolist()) == pytest.approx(
+        math.fsum(at_zero.tolist()), rel=1e-9
     )
 
 
@@ -315,27 +321,24 @@ def test_exact_bin_integral_differs_from_midpoint_sampling():
     """The default bins are a small fraction of the waist, yet the curvature
     bias of midpoint sampling is well above the tolerance the growth series
     are held to; the erf form sidesteps it."""
-    ens = _sample([0.0], [0.0], [1.0])
-    hist = bin_ensemble(ens, PROFILE, EDGES)
-    mid = 0.5 * (hist.edges_m[:-1] + hist.edges_m[1:])
-    midpoint = gaussian_density(mid, PROFILE) * np.diff(hist.edges_m)
-    rel = np.abs(midpoint - hist.counts) / hist.counts
+    counts = _counts(_sample([0.0], [0.0], [1.0]))
+    mid = 0.5 * (EDGES[:-1] + EDGES[1:])
+    midpoint = gaussian_density(mid, PROFILE) * np.diff(EDGES)
+    rel = np.abs(midpoint - counts) / counts
     assert 1e-5 < rel.max() < 2e-2
 
 
 def test_weighted_beams_superpose_linearly():
-    pair = _sample([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
-    hist = bin_ensemble(pair, PROFILE, EDGES)
-    plus = bin_ensemble(_sample([1e-5], [0.0], [1.0]), PROFILE, EDGES)
-    minus = bin_ensemble(_sample([-1e-5], [0.0], [1.0]), PROFILE, EDGES)
-    assert np.allclose(hist.counts, 0.5 * plus.counts + 0.5 * minus.counts, rtol=1e-13)
+    pair = _counts(_sample([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5]))
+    plus = _counts(_sample([1e-5], [0.0], [1.0]))
+    minus = _counts(_sample([-1e-5], [0.0], [1.0]))
+    assert np.allclose(pair, 0.5 * plus + 0.5 * minus, rtol=1e-13)
 
 
 def test_integrate_window_matches_bin_sums():
     ens = _sample([2e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
-    hist = bin_ensemble(ens, PROFILE, EDGES)
     window = integrate_window(ens, PROFILE, 0.0, HISTOGRAM_MAX_M)
-    assert window == pytest.approx(float(np.sum(hist.counts)), rel=1e-12)
+    assert window == pytest.approx(float(np.sum(_counts(ens))), rel=1e-12)
     with pytest.raises(ValueError):
         integrate_window(ens, PROFILE, 1e-3, 1e-3)
 
@@ -353,53 +356,56 @@ def test_split_ensemble_loses_center_and_gains_shoulders():
 
 
 def test_profile_difference_signs_and_validation():
-    ref = bin_ensemble(_sample([0.0], [0.0], [1.0]), PROFILE, EDGES)
-    pair = bin_ensemble(_sample([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5]), PROFILE, EDGES)
-    diff = profile_difference(ref, pair)
-    assert diff.counts[0] > 0  # central loss is positive
-    assert diff.counts[-1] < 0  # far shoulder gain is negative
-    same = profile_difference(ref, ref)
-    assert np.array_equal(same.counts, np.zeros(30))
-    other = bin_ensemble(
-        _sample([0.0], [0.0], [1.0]), PROFILE, histogram_edges(1e-4, 2e-3)
-    )
-    with pytest.raises(ValueError):
-        profile_difference(ref, other)
+    ref = _sample([0.0], [0.0], [1.0])
+    pair = _sample([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
+    diff = profile_difference(ref, pair, PROFILE, EDGES)
+    assert diff[0] > 0  # central loss is positive
+    assert diff[-1] < 0  # far shoulder gain is negative
+    same = profile_difference(ref, ref, PROFILE, EDGES)
+    assert np.array_equal(same, np.zeros(30))
+    # both samples share the one binning; one taken at another waist is refused
+    other = _sample([0.0], [0.0], [1.0], 2 * WAIST)
+    with pytest.raises(ValueError, match="taken at waist 0.0015 m"):
+        profile_difference(ref, other, PROFILE, EDGES)
 
 
 def test_histogram_edges_cover_every_bin():
-    hist = bin_ensemble(_sample([0.0], [0.0], [1.0]), PROFILE, EDGES)
-    assert hist.edges_m.shape == (31,) and hist.counts.shape == (30,)
-    assert hist.edges_m[0] == 0.0
-    assert hist.edges_m[-1] == pytest.approx(3e-3, rel=1e-15)
+    axial, deviation = bin_ensemble([_sample([0.0], [0.0], [1.0])], PROFILE, EDGES)
+    assert EDGES.shape == (31,) and axial.shape == (30,) and deviation.shape == (1, 30)
+    assert EDGES[0] == 0.0
+    assert EDGES[-1] == pytest.approx(3e-3, rel=1e-15)
 
 
 def test_histogram_counts_are_axial_plus_deviation():
-    hist = DetectorHistogram(np.array([0.0, 1e-4, 2e-4]), np.array([2.0, 1.0]), np.array([1.0, -2.0]))
-    assert np.array_equal(hist.counts, [3.0, -1.0])
-    assert 2.0 * float(np.sum(np.abs(hist.counts))) == 8.0  # both detector halves
-    assert math.fsum(hist.counts.tolist()) == 2.0
+    """A bin's rate is its axial part plus the deviation: the rate
+    `integrate_window` gives over that bin."""
+    pair = _sample([2e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
+    counts = _counts(pair)
+    for lo, hi, got in zip(EDGES[:-1].tolist(), EDGES[1:].tolist(), counts.tolist()):
+        assert got == pytest.approx(integrate_window(pair, PROFILE, lo, hi), rel=1e-15)
 
 
 _EDGES = "finite and strictly ascending"
 
 
-@pytest.mark.parametrize("edges, axial, deviation, match", [
+@pytest.mark.parametrize("edges, amplitude, moments, match", [
     ([0.0, math.nan, 1e-4], None, None, _EDGES), ([0.0, 1e-4, math.inf], None, None, _EDGES),
     ([-math.inf, 0.0, 1e-4], None, None, _EDGES), ([0.0, 1e-4, 1e-4], None, None, _EDGES),
     ([0.0, 2e-4, 1e-4], None, None, _EDGES), ([0.0], None, None, _EDGES),
-    ([0.0, 1e-4], [math.nan], None, "axial must be finite"),
-    ([0.0, 1e-4], None, [math.inf], "deviation must be finite"),
-    ([0.0, 1e-4, 2e-4], None, [0.0, -math.inf], "deviation must be finite"),
+    ([0.0, 1e-4], math.nan, None, "axial must be finite"),
+    ([0.0, 1e-4], None, [0.0, math.inf, 0.0], "deviation must be finite"),
+    ([0.0, 1e-4, 2e-4], None, [-math.inf, 0.0, 0.0], "deviation must be finite"),
 ], ids=["nan", "inf", "-inf", "repeated", "descending", "no-bin",
         "nan-axial", "inf-deviation", "-inf-deviation"])
-def test_histogram_refuses_bad_edges_and_non_finite_rates(edges, axial, deviation, match):
+def test_histogram_refuses_bad_edges_and_non_finite_rates(edges, amplitude, moments, match):
     """One edge rule for histograms and windows: finite, strictly
-    ascending, at least one bin.  The rates in the bins must be finite."""
-    zeros = [0.0] * max(len(edges) - 1, 0)
+    ascending, at least one bin.  The rates in the bins must be finite: a
+    NaN amplitude (which `GaussianProfile` refuses, so a stand-in carries
+    it) or a moment past a double is refused, not rendered."""
+    profile = PROFILE if amplitude is None else SimpleNamespace(amplitude=amplitude, waist_m=WAIST)
+    m = np.zeros(3) if moments is None else np.array(moments)
     with pytest.raises(ValueError, match=match):
-        DetectorHistogram(edges, zeros if axial is None else axial,
-                          zeros if deviation is None else deviation)
+        density.rates_from_moments([m, np.zeros(3)], profile, edges)
 
 
 # --- the moment series -------------------------------------------------------
@@ -414,7 +420,7 @@ def test_window_edges_must_be_finite_and_ascending(lo, hi):
     with pytest.raises(ValueError, match="finite and strictly ascending"):
         integrate_window(ens, PROFILE, lo, hi)
     with pytest.raises(ValueError, match="finite and strictly ascending"):
-        bin_ensemble(ens, PROFILE, [0.0, lo, hi] if lo > 0 else [lo, hi])
+        bin_ensemble([ens], PROFILE, [0.0, lo, hi] if lo > 0 else [lo, hi])
 
 
 def _neighbours(x):
@@ -478,13 +484,13 @@ def test_a_sample_is_read_at_its_own_waist_only():
     pair = _sample([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
     wider = GaussianProfile(AMPLITUDE, 2 * WAIST)
     with pytest.raises(ValueError, match="at waist 0.00075 m, the profile's waist is 0.0015 m"):
-        bin_ensemble(pair, wider, EDGES)
+        bin_ensemble([pair], wider, EDGES)
     with pytest.raises(ValueError, match="the profile's waist is 0.0015 m"):
         integrate_window(pair, wider, -1e-6, 1e-6)
     # taken at that waist, it is read as the beams it was taken from
     at_wider = _sample([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5], 2 * WAIST)
     beams = BeamEnsemble([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
-    assert bin_ensemble(at_wider, wider, EDGES).deviation.tobytes() == rates(
+    assert bin_ensemble([at_wider], wider, EDGES)[1][0].tobytes() == rates(
         beams, wider, EDGES)[1].tobytes()
 
 
@@ -495,11 +501,11 @@ def test_a_wide_beam_renders_as_its_own_gaussian():
 
     mp.dps = 40
     x0 = 0.5 * WAIST
-    hist = bin_ensemble(_sample([x0], [0.0], [1.0]), PROFILE, EDGES)
+    counts = _counts(_sample([x0], [0.0], [1.0]))
     s = mp.mpf(WAIST) * mp.sqrt(2)
     norm = AMPLITUDE * mp.mpf(WAIST) * mp.sqrt(mp.pi / 2)
-    edges = hist.edges_m.tolist()
-    for lo, hi, got in zip(edges[:-1], edges[1:], hist.counts.tolist()):
+    edges = EDGES.tolist()
+    for lo, hi, got in zip(edges[:-1], edges[1:], counts.tolist()):
         expect = norm * (mp.erf((hi - mp.mpf(x0)) / s) - mp.erf((lo - mp.mpf(x0)) / s))
         assert abs(got - expect) <= 1e-12 * expect
 
@@ -533,10 +539,9 @@ def test_rates_past_order_20_are_float_and_match_the_oracle():
 
 def test_null_run_deviates_by_exact_zeros():
     res = run(CavityConfig(n_traversals=3, theta_split_rad=0.0), WAIST)
-    for snap in res.snapshots:
-        hist = bin_ensemble(snap.ensemble, PROFILE, EDGES)
-        assert np.array_equal(hist.deviation, np.zeros(30))
-        assert not np.any(np.signbit(hist.deviation))
+    deviation = bin_ensemble([snap.ensemble for snap in res.snapshots], PROFILE, EDGES)[1]
+    assert np.array_equal(deviation, np.zeros((3, 30)))
+    assert not np.any(np.signbit(deviation))
 
 
 # --- the mirror rule of `moments` --------------------------------------------
@@ -647,52 +652,35 @@ def test_confocal_simulate_sums_only_the_weights_exactly(tmp_path, monkeypatch):
     assert sizes == [n + 1 for n in checked]
 
 
-# --- one window table per windows, waist and order ------------------------------
+# --- one render per run ----------------------------------------------------------
 
 
 def _all_rates(ensembles, profile=PROFILE):
-    """The bins and the central and sideband pixels of every ensemble, as
-    the bytes of their values."""
+    """The bins and the central and sideband pixels of every ensemble,
+    stacked in one call per set of windows, as the bytes of each
+    ensemble's values."""
     windows = [EDGES, (-1e-6, 1e-6), (3.299e-3, 3.301e-3)]
-    return [b"".join(part.tobytes() for edges in windows
-                     for part in rates(ens, profile, edges)) for ens in ensembles]
+    ms = [density.moments(ens.positions, ens.weights, profile.waist_m) for ens in ensembles]
+    parts = [density.rates_from_moments(ms, profile, edges) for edges in windows]
+    return [b"".join(axial.tobytes() + deviation[i].tobytes() for axial, deviation in parts)
+            for i in range(len(ensembles))]
 
 
-def test_window_tables_from_a_cold_and_a_warm_cache_agree():
+def test_a_stacked_render_is_each_ensembles_own():
+    """One call over a run's snapshots gives every snapshot the bytes it
+    gets alone, in any order of the stack: on a confocal run, on bnl-quad
+    runs with odd moments, and with a beam half a waist off the axis
+    (order 22) in the stack.  A table built at order 22 holds two more
+    midpoint terms in each bin than one at order 5; reading the rows of
+    order 5 from it moves the last bits of 31 of these 51 snapshots, so
+    each order reads its own table."""
     _, ensembles = run_with_detector_beams(replace(CONFOCAL, n_traversals=10), WAIST)
-    ensembles.append(BeamEnsemble([0.5 * WAIST], [0.0], [1.0]))  # a high order
-    cold = []
-    for ens in ensembles:
-        density._window_table.cache_clear()
-        cold += _all_rates([ens])
-    assert _all_rates(ensembles) == cold
-    assert density._window_table.cache_info().hits > 0
-
-
-def test_window_tables_are_read_only():
-    change, mass = density._window_table(EDGES.tobytes(), WAIST, 4)
-    assert change.shape == (4, 30) and mass.shape == (30,)
-    for table in (change, mass):
-        assert not table.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            table[0] = 1.0
-    axial, deviation = rates(axial_beam(), PROFILE, EDGES)
-    assert axial.flags.writeable and deviation.flags.writeable
-
-
-def test_window_tables_are_kept_per_waist_and_order():
-    """Two waists or two orders over the same edges build two tables, and
-    each rate matches the one computed from an empty cache."""
-    near = BeamEnsemble([-1e-6, 1e-6], [0.0, 0.0], [0.5, 0.5])
-    wide = BeamEnsemble([-0.3 * WAIST, 0.3 * WAIST], [0.0, 0.0], [0.5, 0.5])
-    assert (density.moments(near.positions, near.weights, WAIST).size
-            != density.moments(wide.positions, wide.weights, WAIST).size)
-    cases = [(near, PROFILE), (wide, PROFILE), (near, GaussianProfile(AMPLITUDE, 2 * WAIST))]
-    cold = []
-    for ens, profile in cases:
-        density._window_table.cache_clear()
-        cold += _all_rates([ens], profile)
-    density._window_table.cache_clear()
-    warm = [_all_rates([ens], profile)[0] for ens, profile in cases]
-    assert warm == cold
-    assert density._window_table.cache_info().currsize == 3 * 3
+    for theta in (2.2e-14, 3.5e-14):
+        ensembles += run_with_detector_beams(
+            replace(BNL_QUAD, n_traversals=40, theta_split_rad=theta), WAIST)[1]
+    ensembles.append(BeamEnsemble([0.5 * WAIST], [0.0], [1.0]))
+    orders = {density.moments(ens.positions, ens.weights, WAIST).size - 1 for ens in ensembles}
+    assert len(orders) > 2 and max(orders) == 22
+    alone = [_all_rates([ens])[0] for ens in ensembles]
+    assert _all_rates(ensembles) == alone
+    assert _all_rates(ensembles[::-1]) == alone[::-1]

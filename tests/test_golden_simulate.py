@@ -9,8 +9,10 @@ and logs the reason.
 The pinned outputs match the mpmath oracle of tests/test_oracle.py to
 2e-15 relative.  They depend on the C library's exp, erf and erfc (through
 the math module), not on numpy's SIMD kernels, so they hold on its AVX2
-and AVX-512 kernels alike; a failure message names the numpy version and
-the C library.
+and AVX-512 kernels alike.  No number they print goes through BLAS or
+LAPACK, so they hold under every OpenBLAS kernel too
+(tests/test_determinism.py).  A failure message names the numpy version
+and the C library.
 """
 
 import hashlib

@@ -33,7 +33,6 @@ from axicav import cli, scenario
 from axicav.cavity import MIRROR_1, BeamEnsemble, CavityConfig
 from axicav.density import (
     GaussianProfile,
-    bin_ensemble,
     histogram_edges,
     integrate_window,
     profile_difference,
@@ -156,11 +155,11 @@ def _off_axis_run():
 
 def test_off_axis_start_matches_the_oracle():
     result, beams = _off_axis_run()
-    reference = bin_ensemble(sample(BeamEnsemble([0.0], [0.0], [1.0]), W), PROFILE, EDGES)
+    reference = sample(BeamEnsemble([0.0], [0.0], [1.0]), W)
     for snap, ens in zip(result.snapshots, beams, strict=True):
-        diff = profile_difference(reference, bin_ensemble(snap.ensemble, PROFILE, EDGES))
+        diff = profile_difference(reference, snap.ensemble, PROFILE, EDGES)
         want = [-v for v in _oracle_deviation(ens, EDGES)]
-        _assert_close(diff.counts, want, f"t{snap.traversal:03d}")
+        _assert_close(diff, want, f"t{snap.traversal:03d}")
     ns = [s.traversal for s in result.snapshots]
     ms = [s.ensemble.moments for s in result.snapshots]
     for name, windows in WINDOWS.items():
@@ -186,9 +185,9 @@ def test_ensembles_of_any_size_match_the_oracle(n):
     rng = np.random.default_rng(n)
     ens = BeamEnsemble(rng.normal(scale=1e-6, size=n), np.zeros(n), rng.uniform(0.0, 2.0, n))
     for edges in (EDGES, histogram_edges(1e-3, 3e-3)):  # 30 bins and 3
-        reference = bin_ensemble(sample(BeamEnsemble([0.0], [0.0], [1.0]), W), PROFILE, edges)
-        diff = profile_difference(reference, bin_ensemble(sample(ens, W), PROFILE, edges))
-        _assert_close(diff.counts, [-v for v in _oracle_deviation(ens, edges)], f"n={n}")
+        reference = sample(BeamEnsemble([0.0], [0.0], [1.0]), W)
+        diff = profile_difference(reference, sample(ens, W), PROFILE, edges)
+        _assert_close(diff, [-v for v in _oracle_deviation(ens, edges)], f"n={n}")
     s = mp.mpf(PROFILE.waist_m) * mp.sqrt(2)
     axial = PROFILE.amplitude * s * mp.sqrt(mp.pi) * mp.erf(H / s)  # one unit beam on the axis
     _assert_close([integrate_window(sample(ens, W), PROFILE, -H, H)],

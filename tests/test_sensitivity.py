@@ -1,6 +1,8 @@
 import math
+import random
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from oracles import rates, run_with_detector_beams, sample
@@ -87,6 +89,41 @@ def test_fit_power_recovers_exact_law():
     assert fit.coefficient == pytest.approx(2.2, rel=1e-9)
     assert fit.exponent == pytest.approx(2.959, rel=1e-9)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+
+
+def _least_squares(x, y):
+    """Slope and intercept of the least-squares line through float points,
+    at 50 digits."""
+    with mp.workdps(50):
+        x, y = [mp.mpf(v) for v in x], [mp.mpf(v) for v in y]
+        x_mean, y_mean = mp.fsum(x) / len(x), mp.fsum(y) / len(y)
+        slope = (mp.fsum((a - x_mean) * (b - y_mean) for a, b in zip(x, y))
+                 / mp.fsum((a - x_mean) ** 2 for a in x))
+        return slope, y_mean - slope * x_mean
+
+
+def test_fits_match_a_50_digit_least_squares_line():
+    """Over 200 seeded series shaped like the benchmark's reach series
+    (n = 1..15, a power law with exponent 1-1.3 and 1 % noise), the slope,
+    the intercept and the power law's exponent and log coefficient are the
+    50-digit least-squares values of the same doubles (the logarithms taken
+    by math.log), rounded once; np.polyfit was off by up to 2.7e-15."""
+    worst = 0.0
+    for seed in range(200):
+        rng = random.Random(seed)
+        exponent, scale = rng.uniform(1.0, 1.3), 10 ** rng.uniform(2.0, 4.0)
+        n = [float(k) for k in range(1, 16)]
+        signal = [scale * k**exponent * (1.0 + rng.gauss(0.0, 0.01)) for k in n]
+        series = GrowthSeries(np.array(n), np.array(signal))
+        linear, power = fit_linear(series), fit_power(series)
+        slope, intercept = _least_squares(n, signal)
+        power_law = _least_squares([math.log(v) for v in n], [math.log(v) for v in signal])
+        for got, want in [(linear.slope, slope), (linear.intercept, intercept),
+                          (power.exponent, power_law[0])]:
+            assert got == float(want)
+            worst = max(worst, float(abs(got - want) / abs(want)))
+        assert math.log(power.coefficient) == pytest.approx(float(power_law[1]), rel=1e-15)
+    assert worst <= 2.0e-16
 
 
 def test_fit_power_rejects_nonpositive_signal():
