@@ -44,8 +44,15 @@ class MixingParameters:
 
 
 def q_m(p: MixingParameters) -> float:
-    """Off-diagonal coupling entry omega * g * B, in eV^2."""
-    return p.omega_ev * p.g_a_ev * p.b_field_t * TESLA_TO_EV2
+    """Off-diagonal coupling entry omega * g * B, in eV^2.  A product past
+    the largest double is refused."""
+    qm = p.omega_ev * p.g_a_ev * p.b_field_t * TESLA_TO_EV2
+    if qm == math.inf:
+        raise ValueError(
+            f"omega_ev, g_a_gev and b_field_t must give a finite Qm, "
+            f"got {p.omega_ev!r} eV, {p.g_a_gev!r} GeV^-1 and {p.b_field_t!r} T"
+        )
+    return qm
 
 
 def q_gamma(p: MixingParameters) -> float:
@@ -96,40 +103,48 @@ def mixing_angle(p: MixingParameters) -> float:
 def suppression_factor(p: MixingParameters) -> float:
     """Signal reduction for a massive axion relative to maximal mixing:
     sin^2(2 phi), equal to 1 when phi = pi/4 and falling toward 0 as the
-    mass term dominates."""
-    return math.sin(2.0 * mixing_angle(p)) ** 2
+    mass term dominates; the value `mass_scan` gives for ``p.mass_ev``."""
+    return mass_scan(p, [p.mass_ev])[1].item()
 
 
 def mass_scan(p: MixingParameters, masses) -> tuple[np.ndarray, np.ndarray]:
     """The columns ``(mixing_angle, suppression_factor)`` of ``p`` with its
     mass replaced by each of ``masses`` (a 1-D sequence or array) in turn,
-    as float arrays, bit for bit the per-point values.
+    as float arrays; the angles bit for bit `mixing_angle`'s.
 
     Qm and Qgamma do not depend on the mass, so they are computed once.
-    Each C-library call of the per-point functions is made once per mass,
-    through ``map``: pow(m, 2), atan2, sin and pow(s, 2); numpy's
-    transcendental ufuncs give other last bits on other SIMD kernels, and
-    on glibc 2.36 m*m differs from pow(m, 2) in the last bit for about 1
-    double in 1200.  The IEEE-exact steps run on whole arrays: the
-    validation, Qgamma - Qa, the factor 0.5 and the 2 phi.  The scan
-    refuses what the per-point functions refuse, and the first mass they
-    would refuse decides the error: a negative or NaN mass, one whose
-    square overflows, or a degenerate matrix."""
+    The square m^2 is np.float_power's, numpy's plain loop over the C
+    library's pow (it has no SIMD kernel, and numpy's power gives other
+    last bits on other kernels), so it is the per-point m**2.  The one
+    C-library call made per mass from Python is atan2, through ``map``
+    (a memoryview yields an array's values as Python floats, one at a
+    time, as fast as a list would and without building one).  The
+    suppression is the closed form sin^2(2 phi) = t^2 / (t^2 + d^2),
+    t = 2 Qm and d = Qgamma - Qa, in IEEE + - * / only, so its bits do not
+    depend on the kernel either; t and d are first scaled by the power of
+    two that brings the larger into [0.5, 1), so that no square overflows
+    or underflows where the quotient does not (elsewhere the scaling
+    changes no bit).  The scan refuses what the per-point functions
+    refuse, and the first mass they would refuse decides the error: a
+    negative or NaN mass, one whose square overflows, or a degenerate
+    matrix."""
     qm, qgamma = q_m(p), q_gamma(p)
     two_qm = 2.0 * qm
     m = np.ascontiguousarray(masses, dtype=float)
-    # a memoryview yields an array's values as Python floats, one at a
-    # time, as fast as a list would and without building one
-    try:
-        diag = qgamma - -np.fromiter(map(math.pow, memoryview(m), repeat(2.0)), float, m.size)
-    except OverflowError:
-        diag = None
-    if diag is None or not np.all(m >= 0) or (two_qm == 0.0 and not np.all(diag)):
+    with np.errstate(over="ignore"):  # a square past a double is refused below
+        diag = np.float_power(m, 2.0)
+        diag += qgamma  # Qgamma - Qa
+    if not (np.all(m >= 0) and np.all(diag < math.inf)) or (two_qm == 0.0 and not np.all(diag)):
         for mass in memoryview(m):  # the first mass refused raises, as in mixing_angle
             mixing_angle_from_q(qm, qgamma, q_a(mass))
     phi = 0.5 * np.fromiter(map(math.atan2, repeat(two_qm), memoryview(diag)), float, m.size)
-    sines = map(math.sin, memoryview(2.0 * phi))
-    return phi, np.fromiter(map(math.pow, sines, repeat(2.0)), float, m.size)
+    scale = -np.frexp(np.maximum(diag, two_qm))[1]
+    t = np.ldexp(two_qm, scale)
+    t *= t
+    d = np.ldexp(diag, scale, out=diag)
+    d *= d
+    d += t
+    return phi, np.divide(t, d, out=t)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ import contextlib
 import json
 import math
 import sys
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -336,14 +335,26 @@ def cmd_mass_scan(args) -> int:
             f"axion.omega_ev and axion.b_mixing_t must give a finite Qgamma, "
             f"got {p.omega_ev!r} eV and {p.b_field_t!r} T"
         ) from None
+    try:
+        axion.q_m(p)
+    except ValueError:
+        raise scenario.ScenarioError(
+            f"axion.omega_ev, axion.g_a_gev and axion.b_mixing_t must give a finite Qm, "
+            f"got {p.omega_ev!r} eV, {p.g_a_gev!r} GeV^-1 and {p.b_field_t!r} T"
+        ) from None
     with _rows_in_memory("--steps", args.steps):
         if args.log:
-            # the C library's pow, one mass at a time: numpy's power gives
-            # other last bits on other SIMD kernels
+            # the C library's pow: numpy's power gives other last bits on
+            # other SIMD kernels, its float_power is a plain loop over pow
             exponents = np.linspace(math.log10(args.m_min), math.log10(args.m_max), args.steps)
-            masses = np.fromiter(
-                map(math.pow, repeat(10.0), memoryview(exponents)), float, args.steps
-            )
+            with np.errstate(over="ignore"):  # refused below, by the flag
+                masses = np.float_power(10.0, exponents)
+            if not np.all(masses < math.inf):
+                flag = "--m-max" if args.m_max >= args.m_min else "--m-min"
+                top = max(args.m_max, args.m_min)
+                raise scenario.ScenarioError(
+                    f"{flag} {top!r}: 10 to its log10 overflows a double; give a smaller mass"
+                )
         else:
             masses = np.linspace(args.m_min, args.m_max, args.steps)
         phi, sup = axion.mass_scan(p, masses)

@@ -12,21 +12,23 @@ TwoProduct of |x| and the double nearest 10^k, plus |x| times the double
 nearest the remainder 10^k - that double.  This is the idea of Grisu
 (Loitsch, PLDI 2010).  The product is within 1e-14 (in units of D's last
 digit) of the exact |x|·10^k, so D is its rounding to the nearest integer
-wherever the product lies more than `TIE_BOUND` from a rounding tie.  E is
-guessed with np.log10 and certified by the product's range: the product
-must lie a relative `TIE_BOUND` inside [10^16, 10^17].  Only IEEE-exact
-+, - and × decide a digit, so the bytes do not depend on numpy's log10
-kernel.  Each power of ten is built once, when a block first needs it,
-from exact Python integers (int-to-float conversion and int/int division
-round correctly).  One int64 division splits D into its top 8 and bottom
-9 digits, both uint32, and the digits are peeled off the two halves
-together by uint32 division by 10, which numpy vectorises with SIMD.
+wherever the product lies more than `TIE_BOUND` from a rounding tie, and
+wherever 10^k is itself a double (0 <= k <= 22): the product is then
+exact, and a tie rounds half to even as in %.  E is guessed with np.log10
+and certified by the product's range: the product must lie a relative
+`TIE_BOUND` inside [10^16, 10^17].  Only IEEE-exact +, - and × decide a
+digit, so the bytes do not depend on numpy's log10 kernel.  Each power of
+ten is built once, when a block first needs it, from exact Python integers
+(int-to-float conversion and int/int division round correctly).  One
+int64 division splits D into its top 8 and bottom 9 digits, both uint32,
+and the digits are peeled off the two halves together by uint32 division
+by 10, which numpy vectorises with SIMD.
 
 Fallback.  ``"%.16e" % v`` gives D and E of every other finite nonzero
-value: one within the bound of a tie or of a decade edge, a subnormal, or
-one outside (1e-280, 1e280).  ``%.17g`` lays out the same digits.  A zero
-is D = 0, E = 0; inf and NaN are laid out as three digits with no point,
-which are then spelled over.
+value: one within the bound of a tie it cannot settle or of a decade
+edge, a subnormal, or one outside (1e-280, 1e280).  ``%.17g`` lays out the
+same digits.  A zero is D = 0, E = 0; inf and NaN are laid out as three
+digits with no point, which are then spelled over.
 
 Layout.  Python's ``g`` rules with precision 17: fixed notation for
 -4 <= E < 17, otherwise ``d.ddde±XX``, trailing zeros and a bare point
@@ -114,6 +116,7 @@ def decimal17(x: np.ndarray):
     if not _pow10_known[lo : hi + 1].all():
         _fill_pow10(np.flatnonzero(~_pow10_known[lo : hi + 1]) + lo + _K_MIN)
     p_hi, p_lo, rest = _pow10.take(k, axis=1)
+    exact = rest == 0.0  # 10^k is a double (0 <= k <= 22): high + err is |x|·10^k
     high = p_hi + p_lo
     high *= a
     a_hi = _SPLITTER * a  # Dekker's split: a_hi = c - (c - a), c = _SPLITTER a
@@ -131,7 +134,9 @@ def decimal17(x: np.ndarray):
     low = np.multiply(a, rest, out=rest)
     low += err
     rounded = np.rint(low)
-    ok &= np.abs(low - rounded, out=err) < 0.5 - TIE_BOUND
+    # an exact product may lie on a tie: high is even (an integer past
+    # 2^53), so rint's half to even on low is %'s half to even on D
+    ok &= (np.abs(low - rounded, out=err) < 0.5 - TIE_BOUND) | exact
     ok &= (high > 1e16 * (1 + TIE_BOUND)) & (high < 1e17 * (1 - TIE_BOUND))
     # high is an integer (10^16 > 2^53 where ok) and far from int64's limits
     digits = high.astype(np.int64)

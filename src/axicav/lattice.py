@@ -74,9 +74,11 @@ def compare_growth(
     """Spread-vs-distance table for the two rules, with log-log slopes.
 
     The conserving rule is summarized by the tagged-branch drift (growing
-    as n), the reset rule by its rms (growing as sqrt(n)).  Slopes are
-    fitted over checkpoints with n >= SLOPE_MIN_N when enough of the range
-    lies there, else over all checkpoints.  A pass length whose square
+    as n), the reset rule by its rms (growing as sqrt(n)), at 1, n_passes
+    and the rounded 10^y of n_points evenly spaced y from 0 to
+    log10(n_passes), each the C library's pow.  Slopes are fitted over
+    checkpoints with n >= SLOPE_MIN_N when enough of the range lies there,
+    else over all checkpoints.  A pass length whose square
     overflows a double, or underflows a normal one (the reset rms would read
     0), is refused, and so is a pass count for which the last distance n L,
     or the last rms squared n L^2, overflows.
@@ -93,8 +95,13 @@ def compare_growth(
             f"n_passes is too large for pass_length_m: the last distance or rms squared "
             f"overflows a double, got {n_passes!r} and {L!r}"
         )
-    # Python ints, not int64: a pass count may lie past 2**63
-    marks = {round(v) for v in np.logspace(0.0, math.log10(n_passes), n_points).tolist()}
+    # np.float_power is a plain loop over pow (np.logspace takes numpy's
+    # SIMD power); the marks are Python ints, not int64: a pass count may
+    # lie past 2**63.  Near the largest double the last 10^y may overflow;
+    # like any mark past n_passes, it is dropped.
+    with np.errstate(over="ignore"):
+        tens = np.float_power(10.0, np.linspace(0.0, math.log10(n_passes), n_points))
+    marks = {round(v) for v in tens[tens < math.inf].tolist()}
     wanted = {k for k in marks if 1 <= k <= n_passes} | {1, n_passes}
     samples = [SpreadSample(k, k * L, k * L, math.sqrt(k * (L * L))) for k in sorted(wanted)]
     fit_pts = [s for s in samples if s.n_pass >= SLOPE_MIN_N]

@@ -170,7 +170,8 @@ def mapping_to_scenario(name: str, mapping: dict) -> Scenario:
 
 
 def loads_scenario(text: str, name: str, overrides=()) -> Scenario:
-    parser = ConfigParser(inline_comment_prefixes=(";", "#"))
+    # no interpolation: a % in a value is a character like any other
+    parser = ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         parser.read_string(text)
     except ConfigParserError as exc:

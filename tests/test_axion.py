@@ -2,9 +2,11 @@ import math
 import random
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from axicav import scenario
 from axicav.axion import (
     DEFAULT_CALIBRATION,
     DegenerateMixingError,
@@ -133,6 +135,94 @@ def test_mass_scan_matches_the_per_point_functions_bitwise(p, masses):
     ]
 
 
+@pytest.mark.parametrize("p, masses", list(_scan_cases()))
+def test_suppression_is_the_unscaled_closed_form_where_no_square_leaves_the_range(p, masses):
+    """Scaling t = 2 Qm and d = Qgamma - Qa by a power of two changes no bit
+    of t^2 / (t^2 + d^2) where no square overflows or underflows."""
+    t = 2.0 * q_m(p)
+    expect = [t * t / (t * t + d * d) for d in (q_gamma(p) - q_a(m) for m in masses)]
+    assert [s.hex() for s in mass_scan(p, masses)[1].tolist()] == [s.hex() for s in expect]
+
+
+CONFOCAL = MixingParameters(*(getattr(scenario.load_preset("confocal").axion, k)
+                              for k in ("omega_ev", "g_a_gev", "b_mixing_t")))
+
+
+def _ulp_errors(p, masses, values) -> np.ndarray:
+    """|value - exact| in units of the exact value's ulp, the exact value
+    being 4 Qm^2 / (4 Qm^2 + (Qgamma + m^2)^2) at 40 digits, of the
+    doubles Qm, Qgamma and m."""
+    with mp.workdps(40):
+        t, qgamma = 2 * mp.mpf(q_m(p)), mp.mpf(q_gamma(p))
+        errors = []
+        for m, v in zip(masses, values):
+            exact = t**2 / (t**2 + (qgamma + mp.mpf(m) ** 2) ** 2)
+            errors.append(float(abs(mp.mpf(v) - exact) / math.ulp(float(exact))))
+    return np.array(errors)
+
+
+def test_suppression_is_no_less_accurate_than_the_sine_of_the_angle():
+    """On the golden mass-scan grid (tests/test_golden_analysis.py) and on
+    seeded random masses, the closed form's largest and mean error against
+    mpmath are no larger than those of sin(2 phi)^2 of the computed angle."""
+    rng = random.Random(33)
+    grid = np.linspace(math.log10(1e-9), math.log10(1e-4), 20000).tolist()
+    for masses in ([math.pow(10.0, y) for y in grid],
+                   [10 ** rng.uniform(-12.0, -2.0) for _ in range(20000)]):
+        closed = _ulp_errors(CONFOCAL, masses, mass_scan(CONFOCAL, masses)[1].tolist())
+        sine = _ulp_errors(CONFOCAL, masses, [
+            math.sin(2.0 * mixing_angle(replace(CONFOCAL, mass_ev=m))) ** 2 for m in masses
+        ])
+        assert closed.max() <= sine.max() and closed.mean() <= sine.mean()
+        assert closed.max() < 4.5
+
+
+@pytest.mark.parametrize(
+    "p, mass",
+    [
+        # (2 Qm)^2 underflows to 0 unscaled; the suppression is a normal double
+        (replace(POINT, g_a_gev=1e-160), 0.0),
+        (replace(POINT, g_a_gev=1e-160), 1e-5),
+        # (2 Qm)^2 overflows unscaled (inf / inf)
+        (replace(POINT, g_a_gev=1e162), 1e70),
+        # (Qgamma + m^2)^2 overflows unscaled
+        (replace(POINT, g_a_gev=1e160), 1e80),
+        (POINT, 1e100),
+        # both squares underflow unscaled (0 / 0)
+        (replace(POINT, g_a_gev=1e-120, b_field_t=1e-100), 1e-112),
+    ],
+)
+def test_suppression_stays_accurate_where_an_unscaled_square_leaves_the_range(p, mass):
+    sup = suppression_factor(replace(p, mass_ev=mass))
+    assert 0.0 <= sup <= 1.0
+    assert _ulp_errors(p, [mass], [sup])[0] <= 4.5
+
+
+def test_float_power_is_the_c_librarys_pow():
+    """The masses' squares, `mass-scan --log`'s grid and `pascal`'s marks
+    take pow from np.float_power: numpy has no SIMD kernel for it, so it is
+    the C library's pow on every kernel.  A numpy that dispatches it to one
+    fails here, on whichever kernel the tests run."""
+    introspect = pytest.importorskip("numpy.lib.introspect")
+    assert introspect.opt_func_info(func_name="^float_power$") == {}
+    rng = np.random.default_rng(33)
+    bases = np.concatenate([  # squares from subnormal to near the largest double
+        rng.uniform(0.5, 1.0, 50_000) * np.exp2(rng.integers(-600, 512, 50_000)),
+        rng.uniform(0.0, 1e-2, 50_000),
+    ])
+    exponents = np.concatenate([
+        rng.uniform(-320.0, 308.0, 50_000),
+        # the golden grid, and grids like the benchmark's (1e-9..1e-8 to 1e-4..1e-3 eV)
+        np.linspace(math.log10(1e-9), math.log10(1e-4), 20000),
+        *(np.linspace(math.log10(10 ** rng.uniform(-9.0, -8.0)),
+                      math.log10(10 ** rng.uniform(-4.0, -3.0)), 20000) for _ in range(5)),
+    ])
+    squares = [math.pow(b, 2.0) for b in bases.tolist()]
+    tens = [math.pow(10.0, y) for y in exponents.tolist()]
+    assert np.float_power(bases, 2.0).tobytes() == np.array(squares).tobytes()
+    assert np.float_power(10.0, exponents).tobytes() == np.array(tens).tobytes()
+
+
 def test_mass_scan_ignores_the_mass_of_its_parameters():
     heavy, light = mass_scan(replace(POINT, mass_ev=1e-3), [0.0]), mass_scan(POINT, [0.0])
     assert [a.tobytes() for a in heavy] == [a.tobytes() for a in light]
@@ -174,6 +264,14 @@ def test_the_first_mass_refused_decides_the_error(masses, error, match):
     with pytest.raises(error, match=match):
         for m in masses:
             mixing_angle_from_q(q_m(OFF), q_gamma(OFF), q_a(m))
+
+
+def test_an_infinite_coupling_entry_is_refused():
+    huge = MixingParameters(1e10, 1e308, 1.0)
+    with pytest.raises(ValueError, match="^omega_ev, g_a_gev and b_field_t must give a finite Qm"):
+        q_m(huge)
+    with pytest.raises(ValueError, match="finite Qm"):
+        mass_scan(huge, [0.0])
 
 
 def test_squares_past_a_double_are_refused_by_name():

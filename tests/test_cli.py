@@ -802,6 +802,36 @@ def test_mass_scan_refuses_a_square_past_a_double_naming_the_input(args, named, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["--m-min", "1", "--m-max", "1.7976931348623157e308"], "--m-max 1.7976931348623157e+308"),
+        (["--m-min", "1.7976931348623157e308", "--m-max", "1"], "--m-min 1.7976931348623157e+308"),
+    ],
+    ids=["top", "reversed"],
+)
+def test_mass_scan_log_grid_past_a_double_names_its_flag(args, flag, tmp_path, capsys):
+    """10 to the log10 of the largest double overflows: a configuration
+    error naming the flag, with no traceback, warning or file."""
+    out = tmp_path / "scan.csv"
+    rc = cli.main(["--preset", "confocal", "mass-scan", "--log", *args, "--steps", "3",
+                   "--out-file", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {flag}: 10 to its log10 overflows a double")
+    assert not out.exists()
+
+
+def test_mass_scan_names_the_scenario_keys_of_an_overflowing_qm(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    args = ["--preset", "confocal", "--override", "axion.g_a_gev=1e308", "--override",
+            "axion.omega_ev=1e10", "mass-scan", "--out-file", str(out)]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert "axion.omega_ev, axion.g_a_gev and axion.b_mixing_t must give a finite Qm" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["axion.b_mixing_t", "axion.omega_ev"])
 def test_mass_scan_names_the_scenario_key_of_an_overflowing_qgamma(key, tmp_path, capsys):
     out = tmp_path / "scan.csv"
@@ -809,6 +839,19 @@ def test_mass_scan_names_the_scenario_key_of_an_overflowing_qgamma(key, tmp_path
     assert cli.main(args) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and key in err and "b_field_t" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw", ["7.5e-4%", "%(gap_m)s"])
+def test_a_percent_in_a_scenario_value_is_a_character(raw, tmp_path, capsys):
+    """Scenario files are read without interpolation: a % is refused as
+    part of a value that is not a number, not as a parser error."""
+    path = tmp_path / "pct.ini"
+    path.write_text(f"[cavity]\ngap_m = 2.0\n\n[laser]\nwaist_m = {raw}\n")
+    out = tmp_path / "scan.csv"
+    assert cli.main(["--config", str(path), "mass-scan", "--out-file", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: laser.waist_m: not a number: {raw!r}\n"
     assert not out.exists()
 
 

@@ -104,8 +104,13 @@ def test_decimal17_certifies_only_what_it_rounds():
     for v, d, e in zip(x[ok].tolist(), digits[ok].tolist(), exponent[ok].tolist()):
         mantissa, exp = ("%.16e" % abs(v)).split("e")
         assert (str(d), e) == (mantissa.replace(".", ""), int(exp))
-    # ties and decade edges fall back; a certified value is far from both
-    assert not g17.decimal17(_ties())[0].any()
+    # a tie is certified where its product is exact, 10^k a double (0 <=
+    # k = 16 - E <= 22), and falls back elsewhere; decade edges fall back
+    ties = _ties()
+    ok, _, exponent = g17.decimal17(ties)
+    exact = (16 - exponent >= 0) & (16 - exponent <= 22)
+    assert exact.any() and not exact.all()
+    assert np.array_equal(ok, exact)
     assert not g17.decimal17(np.array([1e-5, 1.0, 1e100, -1e17]))[0].any()
 
 

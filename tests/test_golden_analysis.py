@@ -7,12 +7,15 @@ log-spaced mass scan on the confocal preset, and the deficit curve of the
 README example, of a broadened split past a tenth of the waist, and of a
 wider split of another beam over another range.  All three curves were
 checked against a 50-digit mpmath evaluation of the split-pair model before
-they were pinned (within 6e-16 of the curve's largest value), and the
-masses against 10^y at 50 digits (within 0.51 ulp).  The curves take exp,
-expm1, log1p and sinh, and the masses pow, from the C library, not from
-numpy's SIMD kernels, so the hashes hold on numpy's AVX2 and AVX-512
-kernels alike; one case of each verb runs under the AVX2 setting
-in a subprocess below.  A refactor of the lattice moments or of the mixing
+they were pinned (within 6e-16 of the curve's largest value), the masses
+against 10^y at 50 digits (within 0.51 ulp), and the suppression column
+against a 40-digit mpmath value of 4 Qm^2 / (4 Qm^2 + (Qgamma + m^2)^2) at
+each printed mass (within 4.1 ulp, 0.83 ulp on average; tests/test_axion.py
+keeps that check).  The curves take exp, expm1, log1p and sinh, and the
+masses and their squares pow, from the C library, not from numpy's SIMD
+kernels, and the suppression IEEE + - * / only, so the hashes hold on
+numpy's AVX2 and AVX-512 kernels alike; one case of each verb runs under
+the AVX2 setting in a subprocess below.  A refactor of the lattice moments or of the mixing
 formulas must leave these hashes unchanged; a change that alters the
 numbers on purpose re-pins them and logs the reason.
 
@@ -47,7 +50,7 @@ GOLDEN = {
     "mass-scan-confocal": (
         ["--preset", "confocal", "mass-scan", "--log", "--m-min", "1e-9", "--m-max", "1e-4",
          "--steps", "20000"],
-        "79ff000bda3f0ab5c30cef78b2d90fb42b3ef67429388780eee18d1be0a76ad2",
+        "beb6ce725bafceb4474219af5b627f50d10af297ceb326066319293b6a0a1593",
     ),
     "profile-readme": (
         ["--preset", "confocal", "profile", "--alpha", "5.6e-9"],

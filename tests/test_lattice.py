@@ -1,6 +1,8 @@
 import math
+import sys
 import time
 
+import numpy as np
 import pytest
 from oracles import (
     initial_ensemble,
@@ -155,6 +157,25 @@ def test_growth_comparison_reference_run():
     assert cmp.samples[0].n_pass == 1
     assert cmp.samples[-1].n_pass == 10000
     assert cmp.samples[-1].distance_m == 10000.0
+
+
+@pytest.mark.parametrize(
+    "n_passes, n_points",
+    [(2_000_000, 25), (5000, 25), (2999, 3), (10**12, 100), (10**15, 25),
+     (int(sys.float_info.max), 25)],  # the last 10^y overflows a double
+    ids=["2e6", "5000", "2999-3-points", "1e12-100-points", "1e15", "largest-double"],
+)
+def test_marks_are_the_c_librarys_powers_of_ten(n_passes, n_points):
+    """The sample passes are 10^y from math.pow, rounded, over np.linspace's
+    n_points from 0 to log10(n_passes), with 1 and n_passes."""
+    marks = {1, n_passes}
+    for y in np.linspace(0.0, math.log10(n_passes), n_points).tolist():
+        try:
+            marks.add(round(math.pow(10.0, y)))
+        except OverflowError:  # past the largest double, so past n_passes
+            pass
+    expect = sorted(k for k in marks if 1 <= k <= n_passes)
+    assert [s.n_pass for s in compare_growth(n_passes, 1.0, n_points).samples] == expect
 
 
 def test_growth_comparison_single_pass():
