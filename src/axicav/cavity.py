@@ -10,11 +10,11 @@ coalescing grid's cell sizes are the engine's constants
 COALESCE_TOL_POSITION_M and COALESCE_TOL_ANGLE_RAD, not scenario keys.
 
 The ensemble is stored as flat numpy arrays.  A traversal carries them
-through two affine maps composed once per run from `rays` transfer matrices
-(`_legs`), then merges them on a grid.  The merge sorts the beams, so for N
-beams a traversal costs O(N log N), not O(N).  Each grid pass sorts one
-int64 cell key per beam, and that one sort tells which beams share a cell,
-groups them and orders them.  A bnl-quad traversal, which merges, costs
+through the affine map past the far mirror, composed once per run from
+`rays` transfer matrices (`_legs`), then merges them on a grid.  The merge
+sorts the beams, so for N beams a traversal costs O(N log N), not O(N).
+Each grid pass sorts one int64 cell key per beam, and that one sort tells
+which beams share a cell, groups them and orders them.  A bnl-quad traversal, which merges, costs
 three such sorts.  An ensemble in which no two beams share a grid cell
 comes back as it went in, after two such sorts, one per grid, or, where
 its angles are sparse in cells (the confocal one), after one sort of its
@@ -25,19 +25,28 @@ the confocal cavity never merges a branch, so its ensemble doubles on every
 traversal.  A run is refused with BeamBudgetError before a split would take
 the ensemble past MAX_BEAMS, rather than left to run out of memory.
 
-Memory: a run keeps no snapshot beams.  `_detect` reduces each snapshot to
-a `BeamSample` as it takes it: the beam count, the largest |angle|, the
-waist and the moment vector (at most density.MAX_ORDER + 1 floats); the
-position row is read for its moments and dropped.  So a run holds the
-ensemble of the traversal at hand and what each stage returns, and its peak
-is set by its largest traversal, not by the sum over its snapshots.  The
-traced peak of a whole `axicav simulate` is 46 B per beam of the largest
-snapshot on confocal n=14, reached while the last snapshot's moments are
-summed, and 72 B on bnl-quad n=20, reached while the last grid pass
-merges.  A run at the budget (confocal n=20: 2^20 final beams) peaks at
-44 MiB under tracemalloc.  Through `axicav.cli.main`, which keeps freed
-arrays in glibc's heap, it peaks at about 77 MiB resident on its first op
-(Linux x86-64, numpy 2.4.6).
+A snapshot's moments do not come from its beams.  From the axial start,
+transport is linear, so the detector position of snapshot k is
+sum_j s_j a_j over k independent signs s_j = +-1, one per field passage
+(`kick_coefficients`), and `density.snapshot_moments` turns those k numbers
+into the moment vector the photon density reads.  The ensemble is still
+carried and coalesced for what only the beams give: the snapshot's beam
+count, the paraxial guard on its angles (`_detect`), the beam budget and
+the final ensemble.
+
+Memory: a run keeps no snapshot beams and forms no detector position row.
+`_detect` reads the beam count and the angle extremes of the ensemble a
+snapshot's traversal starts from, and the snapshot keeps those, the waist
+and the moment vector (at most density.MAX_ORDER + 1 floats).  So a run
+holds the ensemble of the traversal at hand and what each stage returns,
+and its peak is set by its largest traversal, not by the sum over its
+snapshots.  The traced peak of a whole `axicav simulate` is 42.7 B per beam
+of the largest snapshot on confocal n=14, reached while the last
+traversal's `_apart` sorts its angle cells, and 72.5 B on bnl-quad n=20,
+reached while the last grid pass merges.  A run at the budget (confocal
+n=20: 2^20 final beams) peaks at 42 MiB under tracemalloc.  Through
+`axicav.cli.main`, which keeps freed arrays in glibc's heap, it peaks at
+about 73 MiB resident on its first op (Linux x86-64, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -110,18 +119,17 @@ class CavityConfig:
 class BeamSample:
     """What a detector keeps of the beams it records: how many there are,
     the largest |angle| among them, checked against PARAXIAL_LIMIT when the
-    sample was made, and their scaled raw moments, `density.moments` of
-    their positions and weights at the waist ``waist_m``.  The photon
-    density reads nothing else of a beam, so the arrays themselves are read
-    once, here, and not kept.  A detector snapshot is one."""
+    sample was made, and their scaled raw moments at the waist ``waist_m``
+    (`density.snapshot_moments`).  The photon density reads nothing else
+    of a beam.  A detector snapshot is one."""
 
     __slots__ = ("beams", "max_angle", "waist_m", "moments")
 
-    def __init__(self, positions, weights, max_angle, waist_m):
-        self.beams = positions.size
+    def __init__(self, beams, max_angle, waist_m, moments):
+        self.beams = beams
         self.max_angle = max_angle
         self.waist_m = waist_m
-        self.moments = density.moments(positions, weights, waist_m)
+        self.moments = moments
 
     def __len__(self) -> int:
         return self.beams
@@ -217,10 +225,6 @@ def coalesce(
     that pass's grid, each cell's beams summed in the order they held.
     Both orders are deterministic: every pass orders unique keys, or the
     cells by a stable sort.
-    An unmerged split of a mirrored ensemble stays mirrored in the layout
-    x == -x[::-1], w == w[::-1] that `cavity._row` gives it, while a
-    merge's cell order need not be; `density.moments` checks the layout,
-    bit for bit, rather than assuming it.
 
     Each pass sorts its beams' cell keys once (`_grid_pass`).  A pass that
     merges nothing leaves the beams where they are.  A pass that merges
@@ -500,7 +504,8 @@ def _legs(config: CavityConfig):
     detector trip or the reflection acts on both terms.  The trip passes the
     exit mirror unfocused and propagates ``detector_distance_m``: pure
     propagation, so its matrix has c = 0 and d = 1 exactly and its kick
-    is (theta (L + 2 gap + distance), 2 theta), which `_detect` relies on."""
+    is (theta (L + 2 gap + distance), 2 theta), which `_detect` relies on.
+    The detector leg is the same in both directions."""
     gap, length, theta = config.gap_m, config.field_length_m, config.theta_split_rad
     step = rays.propagation_matrix
     to_mirror = rays.compose([step(gap), step(length), step(gap)])
@@ -544,23 +549,52 @@ def _transport(ensemble: BeamEnsemble, matrix, kick, weights) -> BeamEnsemble:
                                  _row(x, a, matrix.c, matrix.d, ka), weights)
 
 
-def _detect(ensemble: BeamEnsemble, matrix, kick, weights, waist_m) -> BeamSample:
-    """What `_transport` would carry to the detector, kept as a sample: the
-    same position row, read for its moments and then dropped, and the
-    largest |angle| of the angle row, checked as `_transport` checks it,
-    without forming the row.  The trip is pure propagation (`_legs`), so a
-    beam's detector angle is its angle a, or on a split leg fl(a + k) and
-    fl(a - k), which rise with a (rounding is monotone): the row's minimum
-    and maximum are among fl(min a +- k) and fl(max a +- k), and a NaN kick
-    puts one there too.  A position row that holds a NaN or an inf is
-    refused by the moments (GuardError)."""
-    x, a = ensemble.positions, ensemble.angles
-    kx, ka = kick or (None, None)
+def _detect(ensemble: BeamEnsemble, kick) -> tuple[int, float]:
+    """The beam count and the largest |angle| of what `_transport` would
+    carry to the detector, without carrying it: the angle is checked as
+    `_transport` checks it, from the extremes of the angles the beams start
+    from.  The trip is pure propagation (`_legs`), so a beam's detector
+    angle is its angle a, or on a split leg fl(a + k) and fl(a - k), which
+    rise with a (rounding is monotone): the row's minimum and maximum are
+    among fl(min a +- k) and fl(max a +- k), and a NaN kick puts one there
+    too.  The positions are not read: a snapshot's moments come from the
+    kick coefficients (`run`)."""
+    a = ensemble.angles
     ends = np.array([a.min(), a.max()]) if a.size else a
-    if ka is not None:
-        ends = np.concatenate((ends + ka, ends - ka))
-    max_angle = _max_angle(ends)
-    return BeamSample(_row(x, a, matrix.a, matrix.b, kx), weights, max_angle, waist_m)
+    if kick is None:
+        return a.size, _max_angle(ends)
+    return 2 * a.size, _max_angle(np.concatenate((ends + kick[1], ends - kick[1])))
+
+
+def kick_coefficients(config: CavityConfig, n: int) -> tuple[list[float], list[float]]:
+    """The kick coefficients of the snapshots of an n-traversal run from
+    the axial beam, as two lists indexed by the parity of the traversal:
+    snapshot k's detector positions are the 2^k values sum_j s_j a_j over
+    the signs s_j = +-1 and its first k coefficients a_0, ..., a_{k-1} of
+    list ``k % 2``, each sign sequence at weight 2^-k.  Transport is
+    linear (Siegman, *Lasers*, ch. 15): a_j is the detector's position row
+    carried back over j traversals and dotted with the kick of the field
+    passage j traversals before the detector, so it depends on j and on
+    the parity of k only, and snapshot k + 2 holds snapshot k's
+    coefficients and two more.
+
+    One backward sweep per parity over `_legs`' float maps, from its last
+    snapshot K: a_0 is the detector kick; for j >= 1 the row (a, b) is
+    dotted with the to-next kick of traversal K - j, then multiplied by
+    that traversal's to-next matrix.  A field-off run has every
+    coefficient 0.0."""
+    legs = _legs(config)
+    (detector, detector_kick), _ = legs[0]  # the detector leg is the same both ways
+    out = ([], [])
+    for last in range(n, max(n - 2, 0), -1):
+        coefficients = out[last % 2]
+        a, b = detector.a, detector.b
+        coefficients.append(0.0 if detector_kick is None else detector_kick[0])
+        for t in range(last - 1, 0, -1):
+            matrix, kick = legs[t % 2 == 0][1]
+            coefficients.append(0.0 if kick is None else a * kick[0] + b * kick[1])
+            a, b = a * matrix.a + b * matrix.c, a * matrix.b + b * matrix.d
+    return out
 
 
 def run(config: CavityConfig, waist_m: float) -> RunResult:
@@ -568,22 +602,27 @@ def run(config: CavityConfig, waist_m: float) -> RunResult:
     direction each traversal: carry the beams across the cavity, splitting
     them in the field region, and past the far mirror (`_legs`), then
     coalesce on the grid of COALESCE_TOL_POSITION_M and
-    COALESCE_TOL_ANGLE_RAD.  A split leg's snapshot and next ensemble read
-    one array of half weights.  Each snapshot is reduced to its moments at
-    the profile waist ``waist_m`` when it is taken (`_detect`).
+    COALESCE_TOL_ANGLE_RAD.  A split leg's weights are halved into one
+    array of 2N.
 
     With extraction through mirror 2 a snapshot is taken each traversal at
     whichever mirror the beams just reached (the symmetric-cavity detector
     picture); with extraction through mirror 1 only traversals that end on
     mirror 1 (the even ones) are sampled.  Snapshots are taken before the
     reflection, since the transmitted light never feels the mirror curvature.
+    A snapshot's beam count and largest |angle| are read from the ensemble
+    (`_detect`); its moment vector at the profile waist ``waist_m`` comes
+    from its kick coefficients (`kick_coefficients`,
+    `density.snapshot_moments`), taken at its own traversal.
 
     Raises BeamBudgetError before a split leg would produce more than
     MAX_BEAMS beams, GuardError when a snapshot sits too far off the axis
-    for the moment series (or holds a position that is not finite), and
-    ValueError when the ensemble grows too wide for the coalescing grid.
+    for the moment series (or a coefficient is not finite), and ValueError
+    when the ensemble grows too wide for the coalescing grid.
     """
     legs = _legs(config)
+    series = [density.snapshot_moments(c, waist_m)
+              for c in kick_coefficients(config, config.n_traversals)]
     ens = axial_beam()
     result = RunResult()
     for k in range(1, config.n_traversals + 1):
@@ -598,7 +637,9 @@ def run(config: CavityConfig, waist_m: float) -> RunResult:
             np.multiply(ens.weights, 0.5, out=w[:n])
             w[n:] = w[:n]
         if config.extraction_mirror == MIRROR_2 or not forward:
-            result.snapshots.append(DetectorSnapshot(k, _detect(ens, *to_detector, w, waist_m)))
+            beams, max_angle = _detect(ens, to_detector[1])
+            sample = BeamSample(beams, max_angle, waist_m, next(series[k % 2]))
+            result.snapshots.append(DetectorSnapshot(k, sample))
         # the previous ensemble is dropped before coalescing starts
         ens = _transport(ens, *to_next, w)
         ens = coalesce(ens, COALESCE_TOL_POSITION_M, COALESCE_TOL_ANGLE_RAD)

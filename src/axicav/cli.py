@@ -100,11 +100,11 @@ def _finite_float(text: str) -> float:
 
 
 @contextlib.contextmanager
-def _rows_in_memory(flag: str, count: int):
+def _rows_in_memory(what: str, count: int):
     """Run a verb's computation of ``count`` rows, refusing (exit 2, naming
-    ``flag``, before anything is written) a count past the largest float64
-    array numpy can make, or one whose arrays do not fit in memory."""
-    refusal = scenario.ScenarioError(f"{flag} {count}: too many rows to hold in memory")
+    ``what`` set them, before anything is written) a count past the largest
+    float64 array numpy can make, or one whose arrays do not fit in memory."""
+    refusal = scenario.ScenarioError(f"{what}: too many rows to hold in memory")
     if count > np.iinfo(np.intp).max // 8:
         raise refusal
     try:
@@ -194,7 +194,10 @@ def cmd_simulate(args) -> int:
     profile = density.GaussianProfile(
         sc.laser.amplitude_photons_per_s, sc.laser.waist_m
     )
-    edges = density.histogram_edges(sc.analysis.bin_width_m, sc.analysis.histogram_max_m)
+    width, end = sc.analysis.bin_width_m, sc.analysis.histogram_max_m
+    keys = f"analysis.histogram_max_m {end!r} over analysis.bin_width_m {width!r}"
+    with _rows_in_memory(keys, density.bin_count(width, end)):
+        edges = density.histogram_edges(width, end)
 
     signal_run = run(sc.cavity, sc.laser.waist_m)
     # only the final ensemble's size is reported: do not hold it while rendering
@@ -310,7 +313,7 @@ def cmd_profile(args) -> int:
         raise scenario.ScenarioError("--steps must be >= 1")
     # the beam simulate renders, over the range of its histograms
     profile = density.GaussianProfile(sc.laser.amplitude_photons_per_s, sc.laser.waist_m)
-    with _rows_in_memory("--steps", args.steps):
+    with _rows_in_memory(f"--steps {args.steps}", args.steps):
         xs = np.linspace(0.0, sc.analysis.histogram_max_m, args.steps)
         vals = density.deficit(xs, args.alpha, args.epsilon, profile)
     text = _csv("x_m,deficit_photons_per_s", [xs, vals])
@@ -342,7 +345,7 @@ def cmd_mass_scan(args) -> int:
             f"axion.omega_ev, axion.g_a_gev and axion.b_mixing_t must give a finite Qm, "
             f"got {p.omega_ev!r} eV, {p.g_a_gev!r} GeV^-1 and {p.b_field_t!r} T"
         ) from None
-    with _rows_in_memory("--steps", args.steps):
+    with _rows_in_memory(f"--steps {args.steps}", args.steps):
         if args.log:
             # the C library's pow: numpy's power gives other last bits on
             # other SIMD kernels, its float_power is a plain loop over pow
@@ -368,7 +371,7 @@ def cmd_mass_scan(args) -> int:
 
 
 def cmd_pascal(args) -> int:
-    with _rows_in_memory("--points", args.points):
+    with _rows_in_memory(f"--points {args.points}", args.points):
         cmp = lattice.compare_growth(args.n_passes, args.pass_length, args.points)
     columns = [
         [s.n_pass for s in cmp.samples],

@@ -12,34 +12,34 @@ times it, so the `profile` curve and `simulate`'s histograms describe one
 beam.
 
 The beams of a cavity run stay far inside one waist of the axis (max|x|/r
-is 1.5e-4 on the confocal preset), so the rate is expanded about the axis:
-`moments` reads a detector's positions and weights once for their scaled
-raw moments m_n = sum_i w_i (x_i/r)^n, and `rates_from_moments` turns them
-into the rate in any window as the rate of one unit beam on the axis plus
-the deviation from it.
+is 1.5e-4 on the confocal preset), so the rate is expanded about the axis
+in the scaled raw moments m_n = sum_i w_i (x_i/r)^n of a detector's beams,
+and `rates_from_moments` turns them into the rate in any window as the rate
+of one unit beam on the axis plus the deviation from it.
 A change against the unsplit beam is the deviation alone, never the
 difference of two totals of 1e13-1e15 photons/s.  The edges need only the
 error function of the math module, so no verb loads scipy.
 
-Two results are known in advance and are not recomputed.  A run started on
-the axis stays its own mirror image bit for bit (the kicks are +-theta and
-IEEE rounding does not depend on the sign), so where its beams are listed
-mirrored, which `moments` checks, its odd moments are exactly 0.0 and are
-set without summing; any other ensemble has them summed exactly.
-
-A detector snapshot (`cavity.BeamSample`) is its moment vector: `cavity.run`
-calls `moments` on each snapshot's arrays as it takes it, at the profile
-waist, and keeps the vector, not the arrays.  One call of
-`rates_from_moments` reads every snapshot of a run: it builds the Hermite
-table of its windows once for each series order among them and sums each
-snapshot's series over it one order at a time, so no rate goes through
-BLAS, whose kernels each sum in an order of their own.  `bin_ensemble`
-renders all of a run's snapshots so, as one (axial, deviation) pair, and
-refuses a profile of another waist, at which their moments mean nothing.
+A detector snapshot (`cavity.BeamSample`) is its moment vector, and no
+beam position is read for it.  A run starts on the axis and its transport is
+linear, so snapshot k's beams are the 2^k sums sum_j s_j a_j of its kick
+coefficients over the signs s_j = +-1 (`cavity.kick_coefficients`), at
+equal weight.  `snapshot_moments` takes their moments from the k
+coefficients: the odd ones are exactly 0.0 (X and -X are equally likely),
+and the even ones come from a binomial convolution of nonnegative terms.
+`cavity.run` takes each snapshot's vector, at the profile waist, when it
+takes the snapshot.  One call of `rates_from_moments` reads every snapshot
+of a run: it builds the Hermite table of its windows once for each series
+order among them and sums each snapshot's series over it one order at a
+time, so no rate goes through BLAS, whose kernels each sum in an order of
+their own.  `bin_ensemble` renders all of a run's snapshots so, as one
+(axial, deviation) pair, and refuses a profile of another waist, at which
+their moments mean nothing.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -184,73 +184,6 @@ def histogram_edges(bin_width_m: Positive, x_max_m: Positive) -> np.ndarray:
     return np.arange(bin_count(bin_width_m, x_max_m) + 1, dtype=float) * bin_width_m
 
 
-def _exact_sum(p: np.ndarray) -> float:
-    """sum(p), faithfully rounded: the result is one of the two doubles
-    next to the exact sum, whatever the cancellation.
-
-    AccSum of Rump, Ogita and Oishi (SIAM J. Sci. Comput. 31, 189, 2008):
-    each pass cuts every term at one power of two, sigma * 2^-53 with
-    sigma >= 2^M max|p| and 2^M >= len(p) + 2, so the high parts add up
-    exactly in any order and the low parts carry on to the next pass.
-    When the high parts cancel to zero the passes start again on the
-    remainders.  Holds for len(p) < 2^26, far above the 2^20 beams a run
-    may hold.  Works in place on ``p``, which the caller hands over as a
-    temporary and must not read again, and on one buffer of high parts."""
-    two_m = math.ldexp(1.0, (p.size + 1).bit_length())
-    phi = two_m * 2.0**-53
-    high = np.empty_like(p)
-    while True:
-        mu = max(-float(p.min()), float(p.max())) if p.size else 0.0
-        if mu == 0.0:
-            return 0.0
-        sigma = math.ldexp(two_m, math.frexp(mu)[1])
-        t = 0.0
-        while True:
-            np.add(p, sigma, out=high)
-            high -= sigma
-            tau = float(high.sum())
-            p -= high
-            t_next = t + tau
-            if abs(t_next) >= two_m * phi * sigma or sigma <= 2.0**-1022:
-                return t_next + ((tau - (t_next - t)) + float(p.sum()))
-            t = t_next
-            if t == 0.0:
-                break
-            sigma *= phi
-
-
-def _two_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The products a*b as 2N doubles whose exact sum is the exact sum of
-    the products: each rounded product, then its rounding error.
-
-    Dekker's TwoProduct with Veltkamp's split (Ogita, Rump and Oishi, SIAM
-    J. Sci. Comput. 26, 1955, 2005): each factor splits into two halves of
-    26 bits, whose products are exact, so the error of a*b is found with
-    IEEE + - * alone.  Exact unless a product or a factor times 2^27 leaves
-    the normal range, far outside the weights and positions of a run.
-    Besides the output it holds four arrays of N: b's halves, a's high
-    half (then its low half, in the same buffer) and one product."""
-    def high(x):  # the upper 26 bits of x; x - high(x) is exact
-        c = x * 134217729.0  # 2^27 + 1
-        c -= c - x
-        return c
-
-    out = np.empty(2 * a.size)
-    p, e = out[: a.size], out[a.size :]
-    np.multiply(a, b, out=p)
-    b_hi = high(b)
-    b_lo = b - b_hi
-    a_half = high(a)
-    np.multiply(a_half, b_hi, out=e)
-    e -= p
-    product = a_half * b_lo
-    e += product
-    np.subtract(a, a_half, out=a_half)  # now a's low half
-    e += np.multiply(a_half, b_hi, out=product)
-    e += np.multiply(a_half, b_lo, out=product)
-    return out
-
-
 def _order(rho: float) -> int:
     """The highest moment order `rates_from_moments` needs when
     max|x|/r = rho.
@@ -260,9 +193,12 @@ def _order(rho: float) -> int:
     term is at most 2*CRAMER*rho^(n-2)/(n*sqrt((n-1)!)) of A*r*m_2.  The
     series stops at the first order N whose next term is below TAIL/2 of
     that; below the cap each later term is under half the one before, so
-    everything dropped stays below TAIL."""
+    everything dropped stays below TAIL.  Past rho = 2 no order up to the
+    cap will do, so the bound is taken at 2, where its powers cannot
+    overflow (a NaN stays NaN)."""
+    bounded = min(rho, 2.0)
     n = 2
-    while not 4.0 * CRAMER * rho ** (n - 1) / ((n + 1) * math.sqrt(math.factorial(n))) < TAIL:
+    while not 4.0 * CRAMER * bounded ** (n - 1) / ((n + 1) * math.sqrt(math.factorial(n))) < TAIL:
         n += 1
         if n > MAX_ORDER:
             raise GuardError(
@@ -299,55 +235,58 @@ def _hermite_functions(u: np.ndarray, count: int) -> np.ndarray:
     return e
 
 
-def _is_mirrored(positions: np.ndarray, weights: np.ndarray) -> bool:
-    """Whether the beams are their own mirror image bit for bit, listed
-    from one end: x == -x[::-1] and w == w[::-1], with no tolerance."""
-    return np.array_equal(positions, -positions[::-1]) and np.array_equal(weights, weights[::-1])
+def snapshot_moments(coefficients, waist_m: float):
+    """Yield the scaled raw moments of the snapshots that read the first k
+    of ``coefficients`` (k = 2, 4, ..., len for an even count, 1, 3, ...,
+    len for an odd one), each when it is asked for, at the waist r =
+    ``waist_m``: [0.0, m_1, ..., m_N] with m_n = E[(X/r)^n] for X = sum_j
+    s_j a_j over independent signs s_j = +-1 (`cavity.kick_coefficients`),
+    and N from `_order` of sum_j |a_j|/r, the largest |X|/r.  Index 0, the
+    weight beyond one unit beam, is 0.0: the 2^k sign sequences weigh 2^-k
+    each.  Every odd moment is 0.0: X and -X are equally likely.
 
+    Each even moment is a binomial convolution over the coefficients, one
+    at a time, with y = a/r:
 
-def moments(positions: np.ndarray, weights: np.ndarray, waist_m: float) -> np.ndarray:
-    """The scaled raw moments of beams at ``positions`` with ``weights``
-    (two float arrays of one length), index 0 holding the weight beyond one
-    unit beam: [sum(w) - 1, m_1, ..., m_N] with m_n = sum(w (x/r)^n), r the
-    waist, and N from `_order`.  A NaN or an infinite position needs more
-    than MAX_ORDER terms, so it is refused with GuardError.
+        M_n <- sum_{i even} C(n, i) y^i M_{n-i},
 
-    Even orders are sums of nonnegative terms.  Odd orders cancel in a
-    symmetric ensemble, so they and the weight are summed exactly
-    (`_exact_sum`), unless the beams are their own mirror image
-    (`_is_mirrored`).  Then every odd moment is exactly 0.0, the value the
-    exact sum returns: negation and multiplication round the same for
-    either sign, so the term w (x/r)^n of the beam at -x is the negated
-    term of the beam at x, and the terms cancel in pairs (a beam on the
-    axis gives a zero term).  An on-axis run that merges nothing stays
-    mirrored in that layout (`cavity._row` lays each split out so);
-    a merge lists the beams in its cell order, which may break the layout,
-    so it is checked, never assumed (bnl-quad at 1.1 times its preset split
-    breaks it on 4 of the 20 snapshots of a 40-traversal run).  Off the
-    mirrored layout, order 1, which a window near a sign change of the
-    deviation cancels against order 2, is the exact sum of the error-free
-    products w x (`_two_product`) divided once by r: rounding each term
-    w (x/r) would leave it 7e-16 off on two unequal beams off the axis, and
-    a bin there 7e-13."""
-    # the exact sums of the weight and of m_1 first, so that their buffers
-    # are gone before y and term exist; max|x|/r is max|y|, as division by
-    # r > 0 keeps the order of the positions
-    weight = _exact_sum(np.append(weights, -1.0))
-    mirrored = _is_mirrored(positions, weights)
-    span = max(-float(positions.min()), float(positions.max())) if positions.size else 0.0
-    m = np.zeros(_order(span / waist_m) + 1)  # a mirrored ensemble's odd moments stay 0.0
-    m[0] = weight
-    if not mirrored:
-        m[1] = _exact_sum(_two_product(weights, positions)) / waist_m
-    y = positions / waist_m
-    term = weights.copy()
-    for n in range(1, m.size):
-        term *= y
-        if n % 2 == 0:
-            m[n] = float(term.sum())
-        elif n > 1 and not mirrored:
-            m[n] = _exact_sum(term.copy())
-    return m
+    each snapshot adding its two coefficients to the moments of the one
+    before it.  Every term is >= 0, so nothing cancels.  m_2 = sum y^2 is
+    a compensated running sum (Knuth's TwoSum), so its rounding does not
+    grow with the number of coefficients.  The moments are kept to the
+    order of the last snapshot, or MAX_ORDER where that one is past the
+    series, and a snapshot past the series raises GuardError only when it
+    is asked for.  Everything is + - * / on Python floats, so no SIMD
+    kernel can move a bit."""
+    ys = [a / waist_m for a in coefficients]
+    spans = [0.0, *itertools.accumulate(abs(a) for a in coefficients)]  # over the first k
+    try:
+        top = _order(spans[-1] / waist_m)
+    except GuardError:
+        top = MAX_ORDER
+    binomials = [[float(math.comb(n, i)) for i in range(2, n + 1, 2)] for n in range(2, top + 1, 2)]
+    big = [1.0] + [0.0] * (top // 2)  # M_0, M_2, M_4, ... of the coefficients so far
+    m2, m2_error = 0.0, 0.0
+    for k in range(2 - len(ys) % 2, len(ys) + 1, 2):
+        for y in ys[max(k - 2, 0):k]:
+            y2 = y * y
+            powers = [y2]
+            while len(powers) < top // 2:
+                powers.append(powers[-1] * y2)
+            for half in range(top // 2, 1, -1):  # from the top, so M_{n-i} is the old one
+                moment, row = big[half], binomials[half - 1]
+                for i in range(1, half + 1):
+                    moment += row[i - 1] * powers[i - 1] * big[half - i]
+                big[half] = moment
+            total = m2 + y2
+            rounded = total - m2
+            m2_error += (m2 - (total - rounded)) + (y2 - rounded)
+            m2 = total
+            big[1] = m2 + m2_error
+        order = _order(spans[k] / waist_m)
+        m = np.zeros(order + 1)
+        m[2::2] = big[1:order // 2 + 1]
+        yield m
 
 
 def _axial_mass(lo: float, hi: float) -> float:

@@ -204,7 +204,8 @@ def scenario_report(
 
 # ---------------------------------------------------------------------------
 # series builders on detector snapshots: each takes a run's snapshots as
-# their traversals and moment vectors (`density.moments` at the profile's waist)
+# their traversals and moment vectors (`density.snapshot_moments` at the
+# profile's waist)
 
 
 def _window_series(

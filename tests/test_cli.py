@@ -270,21 +270,16 @@ def test_simulate_refuses_non_finite_numbers_and_writes_nothing(path, tmp_path, 
 # overflowing snapshot position (planar far mirror, a detector 1e308 m away,
 # a run started from a beam near the largest double) is refused by the
 # moments `run` takes of it at detection, before any coalesce.
-OVERFLOW = ["cavity.mirror2_focal_m=planar", "cavity.detector_distance_m=1e308"]
-
-
-# the snapshot overflow warns on its way to the refusal
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_simulate_refuses_a_snapshot_that_overflows_and_writes_nothing(tmp_path, capsys,
-                                                                       monkeypatch):
-    monkeypatch.setattr(cavity, "axial_beam",
-                        lambda: cavity.BeamEnsemble([1.79e308], [0.09], [1.0]))
+def test_simulate_refuses_a_snapshot_that_overflows_and_writes_nothing(tmp_path, capsys):
+    """A detector 1e300 m away puts the first snapshot's beams 8e290 m off
+    the axis, where max|x|/r overflows every power the series order is
+    bounded by: refused with GuardError, exit 3, no traceback."""
     out = tmp_path / "out"
-    args = ["--preset", "confocal", "--override", "cavity.n_traversals=1"]
-    for setting in OVERFLOW:
-        args += ["--override", setting]
+    args = ["--preset", "confocal", "--override", "cavity.n_traversals=1",
+            "--override", "cavity.mirror2_focal_m=planar",
+            "--override", "cavity.detector_distance_m=1e300"]
     assert cli.main([*args, "--out", str(out), "simulate"]) == 3
-    assert "moment series" in capsys.readouterr().err
+    assert "max|x|/r = 1.07e+294: the moment series" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -692,6 +687,36 @@ def test_simulate_refuses_a_partial_last_bin(tmp_path, capsys):
     assert cli.main([*_PARTIAL_BIN, "--out", str(out), "simulate"]) == 2
     assert capsys.readouterr().err == _PARTIAL_BIN_ERROR
     assert not out.exists()
+
+
+# a histogram end that is a whole number of bins, 1e204 of them: more than
+# any array holds
+_UNHOLDABLE_BINS = ["--preset", "confocal", "--override", "analysis.histogram_max_m=1e200"]
+
+
+def test_simulate_refuses_a_bin_count_no_array_holds(tmp_path, capsys):
+    """Past np.iinfo(np.intp).max // 8 bins, the bound every row count
+    takes, `simulate` is refused before it runs: exit 2, both keys named,
+    nothing written."""
+    out = tmp_path / "out"
+    args = [*_UNHOLDABLE_BINS, "--override", "cavity.n_traversals=2"]
+    assert cli.main([*args, "--out", str(out), "simulate"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: analysis.histogram_max_m 1e+200 over analysis.bin_width_m "
+        "0.0001: too many rows to hold in memory\n"
+    )
+    assert not out.exists()
+
+
+def test_profile_reads_an_unholdable_bin_count_as_its_grid_end(tmp_path, capsys):
+    """`profile` reads analysis.histogram_max_m only as the end of its
+    grid, so the scenario `simulate` refuses gives it a curve: three rows,
+    the far two +0."""
+    out = tmp_path / "curve.csv"
+    args = [*_UNHOLDABLE_BINS, "profile", "--alpha", "1e-5", "--epsilon", "1e-6", "--steps", "3"]
+    assert cli.main([*args, "--out-file", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 4 and rows[2:] == ["4.9999999999999998e+199,0", "9.9999999999999997e+199,0"]
 
 
 @pytest.mark.parametrize("flag", ["--waist", "--amplitude", "--x-max"])

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import mpmath as mp
 import numpy as np
 import pytest
+import oracles
 from oracles import gaussian_density, rates, run_with_detector_beams, sample
 
 from axicav import cavity, cli, density
@@ -436,8 +437,8 @@ def test_exact_sum_is_faithful(n):
     mirrored = np.concatenate([spread, -spread[::-1]])
     nearly = np.append(mirrored, 1e-40)
     for p in (spread, mirrored, nearly, np.append(spread, -math.fsum(spread))):
-        assert density._exact_sum(p.copy()) in _neighbours(math.fsum(p.tolist()))
-    assert density._exact_sum(mirrored) == 0.0
+        assert oracles.exact_sum(p.copy()) in _neighbours(math.fsum(p.tolist()))
+    assert oracles.exact_sum(mirrored) == 0.0
 
 
 def test_two_product_is_error_free():
@@ -447,13 +448,13 @@ def test_two_product_is_error_free():
     a = rng.normal(size=2000) * 10.0 ** rng.integers(-20, 5, 2000)
     b = rng.normal(size=2000) * 10.0 ** rng.integers(-20, 5, 2000)
     a[:3], b[:3] = [0.0, -0.0, 1.0], [5.0, 1e-3, -0.0]
-    out = density._two_product(a, b)
+    out = oracles.two_product(a, b)
     for x, y, p, e in zip(a.tolist(), b.tolist(), out[:2000].tolist(), out[2000:].tolist()):
         assert p == x * y and Fraction(p) + Fraction(e) == Fraction(x) * Fraction(y)
 
 
 def test_moments_of_two_beams():
-    m = density.moments(np.array([2e-5, -1e-5]), np.array([0.25, 0.75]), WAIST)
+    m = oracles.moments(np.array([2e-5, -1e-5]), np.array([0.25, 0.75]), WAIST)
     assert m[0] == 0.0  # the weights sum to one unit beam
     assert m[1] == pytest.approx((0.25 * 2e-5 - 0.75 * 1e-5) / WAIST, rel=1e-15)
     assert m[2] == pytest.approx((0.25 * 2e-5**2 + 0.75 * 1e-5**2) / WAIST**2, rel=1e-15)
@@ -461,8 +462,8 @@ def test_moments_of_two_beams():
 
 def test_series_order_grows_with_the_spread_and_is_capped():
     one = np.array([1.0])
-    assert density.moments(np.array([0.0]), one, WAIST).size == 3
-    wide = density.moments(np.array([0.5 * WAIST]), one, WAIST)
+    assert oracles.moments(np.array([0.0]), one, WAIST).size == 3
+    wide = oracles.moments(np.array([0.5 * WAIST]), one, WAIST)
     assert 3 < wide.size <= MAX_ORDER + 1
     with pytest.raises(GuardError, match=f"more than {MAX_ORDER} terms"):
         _sample([1.5 * WAIST], [0.0], [1.0])
@@ -474,7 +475,7 @@ def test_moments_refuse_a_position_that_is_not_finite(bad):
     MAX_ORDER terms: the sample is refused with GuardError, without a
     RuntimeWarning on the way."""
     with pytest.raises(GuardError, match=f"^max\\|x\\|/r = {abs(bad)!r}: "):
-        density.moments(np.array([0.0, bad, 1e-6]), np.full(3, 1.0 / 3), WAIST)
+        oracles.moments(np.array([0.0, bad, 1e-6]), np.full(3, 1.0 / 3), WAIST)
 
 
 def test_a_sample_is_read_at_its_own_waist_only():
@@ -528,7 +529,7 @@ def test_rates_past_order_20_are_float_and_match_the_oracle():
     orders = []
     for rho in HIGH_ORDER_RHOS:
         ens = BeamEnsemble([rho * ORACLE_PROFILE.waist_m], [0.0], [1.0])
-        orders.append(density.moments(ens.positions, ens.weights, ORACLE_PROFILE.waist_m).size - 1)
+        orders.append(oracles.moments(ens.positions, ens.weights, ORACLE_PROFILE.waist_m).size - 1)
         got_axial, deviation = rates(ens, ORACLE_PROFILE, EDGES)
         assert deviation.dtype == np.float64
         assert rates(ens, ORACLE_PROFILE, EDGES)[1].tobytes() == deviation.tobytes()
@@ -544,7 +545,7 @@ def test_null_run_deviates_by_exact_zeros():
     assert not np.any(np.signbit(deviation))
 
 
-# --- the mirror rule of `moments` --------------------------------------------
+# --- the mirror rule of `oracles.moments` ------------------------------------
 
 CONFOCAL = load_preset("confocal").cavity
 BNL_QUAD = load_preset("bnl-quad").cavity
@@ -571,15 +572,15 @@ def _moment_bits(ens, monkeypatch, mirror_check):
     """The moments' bytes, with the mirror check as it is or forced off."""
     with monkeypatch.context() as patch:
         if not mirror_check:
-            patch.setattr(density, "_is_mirrored", lambda positions, weights: False)
-        return density.moments(ens.positions, ens.weights, WAIST).tobytes()
+            patch.setattr(oracles, "is_mirrored", lambda positions, weights: False)
+        return oracles.moments(ens.positions, ens.weights, WAIST).tobytes()
 
 
 @pytest.mark.parametrize("case", [*MIRRORED_RUNS, "odd-sized"])
 def test_mirrored_moments_are_bitwise_the_exact_sums(case, monkeypatch):
     """Every snapshot of these runs is its own mirror image, and its odd
     moments set to 0.0 are bitwise what the exact sums return, and what the
-    run kept of it."""
+    run kept (from the kick coefficients) at those orders."""
     if case == "odd-sized":
         ensembles, kept = _odd_sized_mirrored(), []
     else:
@@ -587,22 +588,27 @@ def test_mirrored_moments_are_bitwise_the_exact_sums(case, monkeypatch):
             monkeypatch.setattr(cavity, "COALESCE_TOL_POSITION_M", 1e-9)
             monkeypatch.setattr(cavity, "COALESCE_TOL_ANGLE_RAD", 1e-10)
         res, ensembles = run_with_detector_beams(MIRRORED_RUNS[case], WAIST)
-        kept = [snap.ensemble.moments.tobytes() for snap in res.snapshots]
+        kept = [snap.ensemble.moments for snap in res.snapshots]
     for ens in ensembles:
-        assert density._is_mirrored(ens.positions, ens.weights)
+        assert oracles.is_mirrored(ens.positions, ens.weights)
         assert _moment_bits(ens, monkeypatch, True) == _moment_bits(ens, monkeypatch, False)
-    assert kept == [_moment_bits(ens, monkeypatch, True) for ens in ensembles[:len(kept)]]
+    # the run's own vectors, from the kick coefficients, hold the same 0.0
+    # at index 0 and every odd order
+    for m, ens in zip(kept, ensembles, strict=False):
+        beams = np.frombuffer(_moment_bits(ens, monkeypatch, True))
+        for vector in (m, beams):
+            assert vector[:2].tobytes() + vector[3::2].tobytes() == bytes(8 * (vector.size // 2 + 1))
 
 
 def _exact_sums_per_ensemble(monkeypatch, ensembles):
     """How many times `moments` calls `_exact_sum` on each ensemble."""
     sizes = []
-    exact_sum = density._exact_sum
-    monkeypatch.setattr(density, "_exact_sum", lambda p: sizes.append(p.size) or exact_sum(p))
+    exact_sum = oracles.exact_sum
+    monkeypatch.setattr(oracles, "exact_sum", lambda p: sizes.append(p.size) or exact_sum(p))
     counts = []
     for ens in ensembles:
         del sizes[:]
-        m = density.moments(ens.positions, ens.weights, WAIST)
+        m = oracles.moments(ens.positions, ens.weights, WAIST)
         assert sizes[0] == len(ens) + 1  # the weight, with the unit beam taken off
         counts.append((len(sizes), m.size - 1))
     return counts
@@ -620,16 +626,16 @@ def test_asymmetric_ensembles_take_the_exact_sums(monkeypatch):
     x_moved, w_moved = x.copy(), w.copy()
     x_moved[700] = np.nextafter(x[700], math.inf)
     w_moved[300] = np.nextafter(w[300], math.inf)
-    assert density._is_mirrored(x, w)
+    assert oracles.is_mirrored(x, w)
     off_axis = BeamEnsemble([3e-5, -1e-5], [2e-7, -1e-7], [0.25, 0.75])
     _, bnl = run_with_detector_beams(
         replace(BNL_QUAD, n_traversals=40, theta_split_rad=1.1 * BNL_QUAD.theta_split_rad), WAIST)
-    late = [ens for ens in bnl if not density._is_mirrored(ens.positions, ens.weights)]
+    late = [ens for ens in bnl if not oracles.is_mirrored(ens.positions, ens.weights)]
     assert late  # 4 of the 20 snapshots at 1.1 times the preset split
     ensembles = [off_axis, BeamEnsemble(x_moved, np.zeros(1000), w),
                  BeamEnsemble(x, np.zeros(1000), w_moved), *late]
     for ens in ensembles:
-        assert not density._is_mirrored(ens.positions, ens.weights)
+        assert not oracles.is_mirrored(ens.positions, ens.weights)
     for calls, order in _exact_sums_per_ensemble(monkeypatch, ensembles):
         assert calls == 1 + (order + 1) // 2  # the weight and every odd order
     monkeypatch.undo()
@@ -638,18 +644,26 @@ def test_asymmetric_ensembles_take_the_exact_sums(monkeypatch):
 
 
 def test_confocal_simulate_sums_only_the_weights_exactly(tmp_path, monkeypatch):
-    """A confocal `simulate` reads each snapshot's moments once, and each
-    snapshot is mirrored, so `_exact_sum` runs once per snapshot, on its
-    weights."""
-    sizes, checked = [], []
-    exact_sum, is_mirrored = density._exact_sum, density._is_mirrored
-    monkeypatch.setattr(density, "_exact_sum", lambda p: sizes.append(p.size) or exact_sum(p))
-    monkeypatch.setattr(density, "_is_mirrored",
-                        lambda x, w: checked.append(x.size) or is_mirrored(x, w))
+    """A confocal `simulate` reads no beam's position for the moments:
+    each snapshot's vector comes from its kick coefficients, with the
+    weight beyond one unit beam and every odd moment exactly 0.0, and no
+    detector position row is formed (`cavity._row` runs twice per
+    traversal, for the next ensemble's positions and angles)."""
+    vectors, rows = [], []
+    snapshot_moments, row = density.snapshot_moments, cavity._row
+
+    def kept(coefficients, waist_m):
+        for m in snapshot_moments(coefficients, waist_m):
+            vectors.append(m)
+            yield m
+
+    monkeypatch.setattr(density, "snapshot_moments", kept)
+    monkeypatch.setattr(cavity, "_row", lambda *args: rows.append(args[0].size) or row(*args))
     assert cli.main(["--preset", "confocal", "--override", "cavity.n_traversals=8",
                      "--out", str(tmp_path), "simulate"]) == 0
-    assert checked == [2**n for n in range(1, 9)]
-    assert sizes == [n + 1 for n in checked]
+    assert len(vectors) == 8 and len(rows) == 16
+    for m in vectors:
+        assert m[0] == 0.0 and not np.any(m[1::2]) and np.all(m[2::2] > 0.0)
 
 
 # --- one render per run ----------------------------------------------------------
@@ -660,7 +674,7 @@ def _all_rates(ensembles, profile=PROFILE):
     stacked in one call per set of windows, as the bytes of each
     ensemble's values."""
     windows = [EDGES, (-1e-6, 1e-6), (3.299e-3, 3.301e-3)]
-    ms = [density.moments(ens.positions, ens.weights, profile.waist_m) for ens in ensembles]
+    ms = [oracles.moments(ens.positions, ens.weights, profile.waist_m) for ens in ensembles]
     parts = [density.rates_from_moments(ms, profile, edges) for edges in windows]
     return [b"".join(axial.tobytes() + deviation[i].tobytes() for axial, deviation in parts)
             for i in range(len(ensembles))]
@@ -679,7 +693,7 @@ def test_a_stacked_render_is_each_ensembles_own():
         ensembles += run_with_detector_beams(
             replace(BNL_QUAD, n_traversals=40, theta_split_rad=theta), WAIST)[1]
     ensembles.append(BeamEnsemble([0.5 * WAIST], [0.0], [1.0]))
-    orders = {density.moments(ens.positions, ens.weights, WAIST).size - 1 for ens in ensembles}
+    orders = {oracles.moments(ens.positions, ens.weights, WAIST).size - 1 for ens in ensembles}
     assert len(orders) > 2 and max(orders) == 22
     alone = [_all_rates([ens])[0] for ens in ensembles]
     assert _all_rates(ensembles) == alone

@@ -9,7 +9,7 @@ from oracles import rates, run_with_detector_beams, sample
 
 from axicav import scenario
 from axicav.cavity import MIRROR_1, CavityConfig, axial_beam, run
-from axicav.density import GaussianProfile, integrate_window
+from axicav.density import GaussianProfile, integrate_window, rates_from_moments
 from axicav.sensitivity import (
     GrowthFit,
     GrowthSeries,
@@ -335,20 +335,27 @@ def test_mirror1_extraction_series_use_even_traversals():
 
 def test_series_windows_and_signs_match_the_change_form():
     """Each series is minus the coefficient-weighted deviation of its
-    windows from the axial beam (`density.rates_from_moments` of the
-    snapshot beams' moments), bit for bit: the central
+    windows from the axial beam (`density.rates_from_moments` of each
+    snapshot's moments, taken alone), bit for bit: the central
     pixel once, the sideband pixel doubled with the sign flipped (a gain),
     and the doubled center [0, w/2] minus the doubled sidebands
     [w, 4w + 1 mm].  The change equals the difference of the windows'
-    direct integrals to the roundoff of those 1e13-1e15 photons/s totals."""
+    direct integrals to the roundoff of those 1e13-1e15 photons/s totals,
+    and the same change read from the snapshot's beams (`oracles.rates`)
+    to 1e-15 of it."""
     res, beams = run_with_detector_beams(CavityConfig(n_traversals=4), PROFILE.waist_m)
     h, c, w = H, C, PROFILE.waist_m
 
-    def change(windows):
-        def one(ens):
-            return 0.0 - sum(k * rates(ens, PROFILE, (lo, hi))[1][0] for lo, hi, k in windows)
+    def change(windows, of_beams=False):
+        def one(snap, ens):
+            def deviation(lo, hi):
+                if of_beams:
+                    return rates(ens, PROFILE, (lo, hi))[1][0]
+                return rates_from_moments([snap.ensemble.moments], PROFILE, (lo, hi))[1][0, 0]
 
-        return [one(ens) for ens in beams]
+            return 0.0 - sum(k * deviation(lo, hi) for lo, hi, k in windows)
+
+        return [one(snap, ens) for snap, ens in zip(res.snapshots, beams, strict=True)]
 
     def direct(windows):
         def total(s):
@@ -366,6 +373,7 @@ def test_series_windows_and_signs_match_the_change_form():
     ]:
         assert np.array_equal(series.signal, change(windows))
         assert np.allclose(series.signal, direct(windows), rtol=0.0, atol=1e-15 * scale)
+        assert np.allclose(series.signal, change(windows, of_beams=True), rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
