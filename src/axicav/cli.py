@@ -19,8 +19,10 @@ All CSV numbers carry 17 significant digits so repeated runs are
 byte-identical.
 
 No verb loads scipy: `simulate` computes its histograms and series from
-the ensemble's moments with the math module's error function, and every
-other verb pays only for numpy and its own arithmetic.
+the snapshot moments that `density.snapshot_moments` builds from the kick
+coefficients, with the math module's error function, and every other verb
+pays only for numpy and its own arithmetic.  Every verb writes its CSV
+tables through `g17.csv`.
 
 On its first call in a process, `main` fixes glibc's mmap and trim
 thresholds (see `_keep_freed_heap`), so the arrays one op frees stay in
@@ -48,20 +50,12 @@ from .cavity import BeamBudgetError, run
 from .density import GuardError
 from .rays import ParaxialError
 
-FLOAT_FMT = g17.FLOAT_FMT
-# _csv's path switch: see its docstring
-COLUMN_PATH_MIN_ROWS = 128
-BLOCK_ROWS = 4096
 # mallopt(3) parameters of glibc, and the values `_keep_freed_heap` gives them
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
 MMAP_THRESHOLD_BYTES = 32 * 2**20
 TRIM_THRESHOLD_BYTES = 128 * 2**20
 _parser = None  # built by the first `main` call in the process
-
-
-def _f(value: float) -> str:
-    return FLOAT_FMT % value
 
 
 def _write_or_print(parts, path: str | None) -> None:
@@ -113,78 +107,6 @@ def _rows_in_memory(what: str, count: int):
         raise refusal from None
 
 
-def _csv(header: str, columns):
-    """A CSV table from whole columns, as text pieces: a float ndarray is
-    written as FLOAT_FMT, any other column (an integer array or a list)
-    with str().
-
-    Two paths give the same bytes.  A table of fewer than
-    COLUMN_PATH_MIN_ROWS rows is one piece, formatted row by row with one %
-    per row and a format string built once per table.  A longer one takes
-    the column path and yields the header, then one piece per BLOCK_ROWS
-    rows: one `g17.fields` call writes all the block's float columns from
-    their 17 digits, computed in numpy and certified to lie more than
-    g17.TIE_BOUND (1e-9 of the last digit) from a rounding tie and from a
-    decade edge (a value it cannot certify, and any zero, subnormal, inf or
-    NaN, takes its digits from % instead).  The fields and the other
-    columns' bytes sit in one byte matrix; the rows no value of a column
-    uses are left out as the matrix is transposed into lines, and the
-    remaining NULs go in one pass.
-
-    The column path costs over a hundred numpy calls per block whatever
-    its row count, so short tables (the 30-bin histograms, the growth
-    series, `pascal`'s 25 rows, `profile`'s default 121) are cheaper by %.
-    On a 2-core VM, three float columns of the mass-scan table took 0.063
-    ms by % and 0.185 ms by column at 30 rows, 0.194 and 0.206 ms at 96,
-    0.256 and 0.215 ms at 128, and 8.1 and 1.7 ms at 4096;
-    COLUMN_PATH_MIN_ROWS sits just past that crossover.
-    """
-    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
-    n = len(columns[0])
-    if n < COLUMN_PATH_MIN_ROWS:
-        row = ",".join([FLOAT_FMT if f else "%s" for f in floats])
-        values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-        yield "\n".join([header, *(row % r for r in zip(*values))]) + "\n"
-        return
-    yield header + "\n"
-    float_count = sum(floats)
-    for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
-        texts = [
-            None if f else np.array([str(v) for v in c[start:stop]], dtype="S")
-            for c, f in zip(columns, floats)
-        ]
-        # one row per byte position, one column per table row: byte r of
-        # float column i in row r * float_count + i, then the text columns'
-        # bytes, a comma and a newline
-        top = g17.WIDTH * float_count
-        block = np.empty(
-            (top + sum(t.itemsize for t in texts if t is not None) + 2, stop - start),
-            dtype=np.uint8,
-        )
-        comma, newline = len(block) - 2, len(block) - 1
-        block[comma] = ord(",")
-        block[newline] = ord("\n")
-        if float_count:
-            table = np.stack([c[start:stop] for c, f in zip(columns, floats) if f])
-            used = g17.fields(table.T, block[:top].reshape(g17.WIDTH, float_count, -1))
-        # the rows of each line in order, leaving out rows no value uses
-        order = []
-        i = 0
-        for text in texts:
-            if text is None:
-                order.extend((np.flatnonzero(used[i]) * float_count + i).tolist())
-                i += 1
-            else:
-                width = text.itemsize
-                block[top : top + width] = text.view(np.uint8).reshape(-1, width).T
-                order.extend(range(top, top + width))
-                top += width
-            order.append(comma)
-        order[-1] = newline
-        yield block[order].T.tobytes().translate(None, b"\0").decode("ascii")
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -232,10 +154,10 @@ def cmd_simulate(args) -> int:
         if stale.name not in diffs:
             stale.unlink()
     for name, diff in diffs.items():
-        columns = [edges[:-1], edges[1:], diff]
-        (out_dir / name).write_text("".join(_csv("bin_lo_m,bin_hi_m,photons_per_s", columns)))
+        text = g17.csv("bin_lo_m,bin_hi_m,photons_per_s", [edges[:-1], edges[1:], diff])
+        (out_dir / name).write_text("".join(text))
     series_path = out_dir / "growth_series.csv"
-    series = _csv(
+    series = g17.csv(
         "n,central_loss_photons_per_s,sideband_gain_photons_per_s,"
         "center_minus_sidebands_photons_per_s",
         [central.n.astype(int), central.signal, sideband.signal, amb.signal],
@@ -265,7 +187,7 @@ def cmd_analyze(args) -> int:
         raise scenario.ScenarioError(
             f"the {fit_kind} fit of the series, or its value at analysis.extraction_count, "
             f"lies past the largest double") from None
-    text = json.dumps(report, indent=2) + "\n"
+    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     _write_or_print([text], str(Path(args.out) / "report.json") if args.out else None)
     return 0
 
@@ -316,7 +238,7 @@ def cmd_profile(args) -> int:
     with _rows_in_memory(f"--steps {args.steps}", args.steps):
         xs = np.linspace(0.0, sc.analysis.histogram_max_m, args.steps)
         vals = density.deficit(xs, args.alpha, args.epsilon, profile)
-    text = _csv("x_m,deficit_photons_per_s", [xs, vals])
+    text = g17.csv("x_m,deficit_photons_per_s", [xs, vals])
     _write_or_print(text, args.out_file)
     return 0
 
@@ -363,10 +285,10 @@ def cmd_mass_scan(args) -> int:
         phi, sup = axion.mass_scan(p, masses)
     # Computed before anything is written, so a refused run leaves no file.
     half = axion.max_measurable_mass(p, 0.5) if args.out_file else None
-    text = _csv("m_a_ev,phi_rad,suppression", [masses, phi, sup])
+    text = g17.csv("m_a_ev,phi_rad,suppression", [masses, phi, sup])
     _write_or_print(text, args.out_file)
     if half is not None:
-        print(f"half-suppression mass: {_f(half)} eV")
+        print(f"half-suppression mass: {g17.FLOAT_FMT % half} eV")
     return 0
 
 
@@ -379,7 +301,7 @@ def cmd_pascal(args) -> int:
         np.array([s.spread_bifurcation_m for s in cmp.samples]),
         np.array([s.spread_pascal_m for s in cmp.samples]),
     ]
-    text = _csv("n_pass,distance_m,spread_bifurcation,spread_pascal", columns)
+    text = g17.csv("n_pass,distance_m,spread_bifurcation,spread_pascal", columns)
     _write_or_print(text, args.out_file)
     if args.out_file:
         print(cmp.classification)
@@ -389,8 +311,8 @@ def cmd_pascal(args) -> int:
                 f"reset {cmp.slope_pascal:.4f}"
             )
         print(
-            f"spread factors over the run: conserving {_f(cmp.factor_bifurcation)}, "
-            f"reset {_f(cmp.factor_pascal)}"
+            f"spread factors over the run: conserving {g17.FLOAT_FMT % cmp.factor_bifurcation}, "
+            f"reset {g17.FLOAT_FMT % cmp.factor_pascal}"
         )
     return 0
 

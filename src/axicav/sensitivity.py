@@ -180,13 +180,24 @@ def scenario_report(
 
     The noise floor is the 1-second shot noise of the full beam,
     1/sqrt(total_rate); integrating longer scales the reach by t^(-1/4)
-    (noise drops as sqrt(t), coupling as the fourth root).
+    (noise drops as sqrt(t), coupling as the fourth root).  Where the
+    signal fraction is not positive no coupling reaches the noise floor:
+    both couplings are None (JSON null, as JSON has no infinity) and a
+    note says why.  A reach past the largest double raises ValueError.
     """
     noise_fraction_1s = shot_noise_fraction(NoiseBudget(total_rate, 1.0))
     extrapolated = extrapolate(fit, n_target)
     fraction = extrapolated / total_rate
+    # refuses a NaN fraction, and gives inf for one <= 0
     g1 = min_coupling(g_ref, fraction, noise_fraction_1s)
     g_t = g1 * integration_time_s ** (-0.25)
+    if fraction <= 0:
+        g1 = g_t = None
+    elif g_t == math.inf:
+        raise ValueError(
+            f"the coupling reach at g_ref {g_ref!r} over integration_time_s "
+            f"{integration_time_s!r} lies past the largest double"
+        )
     report = {
         "scenario": scenario_name,
         "fit": fit.as_dict(),
@@ -197,8 +208,8 @@ def scenario_report(
         "g_min_integrated": g_t,
         "integration_time_s": integration_time_s,
     }
-    if not math.isfinite(g1):
-        report["note"] = "no sensitivity: signal fraction is zero"
+    if g1 is None:
+        report["note"] = "no sensitivity: signal fraction is not positive"
     return report
 
 

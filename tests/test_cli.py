@@ -24,6 +24,15 @@ def _series_file(tmp_path):
     return str(path)
 
 
+def _refuse(constant):
+    raise ValueError(f"not JSON: {constant}")
+
+
+def _strict_json(text: str):
+    """``text`` parsed as JSON proper, which has no NaN or Infinity."""
+    return json.loads(text, parse_constant=_refuse)
+
+
 # --- presets verb ------------------------------------------------------------
 
 
@@ -202,7 +211,7 @@ def test_simulate_then_power_fit_on_bnl_quad(tmp_path, capsys):
     assert cli.main([*args, "simulate"]) == 0
     series = str(tmp_path / "growth_series.csv")
     assert cli.main([*args, "analyze", "--series", series, "--fit-kind", "power"]) == 0
-    report = json.loads((tmp_path / "report.json").read_text())
+    report = _strict_json((tmp_path / "report.json").read_text())
     assert report["fit"]["kind"] == "power" and 2.0 < report["fit"]["exponent"] < 3.5
 
 
@@ -410,7 +419,7 @@ def test_analyze_reports_the_reach_chain(tmp_path, capsys):
     extractions at g_ref = 1e-6 GeV^-1, integrated over 3e4 s."""
     rc = cli.main(["--preset", "confocal", "analyze", "--series", _series_file(tmp_path)])
     assert rc == 0
-    report = json.loads(capsys.readouterr().out)
+    report = _strict_json(capsys.readouterr().out)
     assert report["scenario"] == "confocal"
     assert report["integration_time_s"] == 3e4
     assert report["fit"]["kind"] == "linear"
@@ -433,7 +442,7 @@ def test_analyze_takes_its_numbers_from_overrides(tmp_path, capsys):
     assert cli.main([*args, "analyze", "--series", series]) == 0
     fit = sensitivity.fit_power(cli._read_series(series))
     want = sensitivity.scenario_report("confocal", fit, 120000, 2e-6, 4.8e5, total_rate=5e19)
-    assert json.loads(capsys.readouterr().out) == want
+    assert _strict_json(capsys.readouterr().out) == want
 
 
 def test_analyze_writes_report_file_with_out(tmp_path, capsys):
@@ -449,8 +458,22 @@ def test_analyze_writes_report_file_with_out(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    report = json.loads((tmp_path / "report.json").read_text())
+    report = _strict_json((tmp_path / "report.json").read_text())
     assert report["scenario"] == "confocal"
+
+
+def test_analyze_of_a_falling_series_writes_null_couplings(tmp_path, capsys):
+    """A linear fit that falls below zero at the extraction count reaches no
+    coupling: the report says so with null couplings and a note, and parses
+    as strict JSON (no Infinity)."""
+    series = tmp_path / "falling.csv"
+    series.write_text("n,signal\n1,100\n2,50\n3,10\n")
+    assert cli.main(["--preset", "confocal", "--out", str(tmp_path), "analyze",
+                     "--series", str(series), "--fit-kind", "linear"]) == 0
+    report = _strict_json((tmp_path / "report.json").read_text())
+    assert report["signal_fraction"] < 0
+    assert report["g_min_1s"] is None and report["g_min_integrated"] is None
+    assert report["note"] == "no sensitivity: signal fraction is not positive"
 
 
 def test_analyze_missing_series_file(capsys):
@@ -1021,75 +1044,7 @@ def test_float_flags_refuse_non_finite_values(flag, value, tmp_path, capsys, mon
     assert not (tmp_path / "out.csv").exists()
 
 
-# --- output formatting and imports ---------------------------------------------
-
-
-def _csv_per_value(header, rows):
-    """The formatter _csv replaced: one call per value."""
-    def f(v):
-        return cli.FLOAT_FMT % v
-
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(f(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-@pytest.fixture(params=["row", "column"])
-def csv_path(request, monkeypatch):
-    """Run a test once on each path of `cli._csv`."""
-    monkeypatch.setattr(cli, "COLUMN_PATH_MIN_ROWS", 10**9 if request.param == "row" else 0)
-    return request.param
-
-
-def test_csv_matches_the_per_value_formatter(csv_path):
-    ints = [0, 1, 10**17, 2**63 + 5, -7, 123456789012345678]
-    floats = np.array([0.0, 1e-300, 1e17, float("inf"), 0.1, float("nan")])
-    more = np.array([-0.0, -5e-324, 2.0 / 3.0, float("-inf"), 1.7976931348623157e308, 3.0])
-    text = "".join(cli._csv("a,b,c", [ints, floats, more]))
-    rows = zip(ints, floats.tolist(), more.tolist())
-    assert text == _csv_per_value("a,b,c", rows)
-    # integers keep every digit; floats take 17 significant digits
-    assert text.splitlines()[1] == "0,0,-0"
-    assert text.splitlines()[3] == "100000000000000000,1e+17,0.66666666666666663"
-    assert text.splitlines()[4] == "9223372036854775813,inf,-inf"
-    assert text.splitlines()[6] == "123456789012345678,nan,3"
-
-
-def test_csv_formats_each_column_by_its_kind(csv_path):
-    """A float array is written as FLOAT_FMT whatever scalars built it;
-    any other column, a list or an integer array, with str()."""
-    listed = [1, np.float64(-2.5e-300), np.int64(7), True, 2.0]
-    floats = np.array([0.1, np.float64(-2.5e-300), np.float32(0.1), 2.0, np.float64("nan")])
-    ints = np.array([7, -1, 0, 2**40, 3])
-    text = "".join(cli._csv("a,b,c", [listed, floats, ints]))
-    rows = zip(listed, floats.tolist(), ints.tolist())
-    assert text == _csv_per_value("a,b,c", [[str(a), b, c] for a, b, c in rows])
-    assert text.splitlines()[1] == "1,0.10000000000000001,7"
-    assert text.splitlines()[3] == "7,0.10000000149011612,0"
-    assert text.splitlines()[4] == "True,2,1099511627776"
-
-
-def test_csv_takes_the_column_path_from_its_row_count(monkeypatch):
-    """Short tables keep the % path; from COLUMN_PATH_MIN_ROWS rows on,
-    g17 writes the float columns, BLOCK_ROWS rows at a time."""
-    calls = []
-
-    def fields(values, out):
-        calls.append(len(values))
-        return real(values, out)
-
-    real = cli.g17.fields
-    monkeypatch.setattr(cli.g17, "fields", fields)
-    monkeypatch.setattr(cli, "BLOCK_ROWS", 100)
-    n = cli.COLUMN_PATH_MIN_ROWS
-    xs = np.linspace(0.0, 1.0, n)
-    short = "".join(cli._csv("i,x", [list(range(n - 1)), xs[:-1]]))
-    assert calls == []
-    full = "".join(cli._csv("i,x", [list(range(n)), xs]))
-    assert calls == [100] * (n // 100) + ([n % 100] if n % 100 else [])
-    assert full == _csv_per_value("i,x", zip(range(n), xs.tolist()))
-    assert full.startswith(short)
+# --- imports -------------------------------------------------------------------
 
 
 SCIPY_PROBE = """

@@ -1,5 +1,5 @@
-"""Byte identity of the vectorized ``%.17g`` writer (`axicav.g17`) and of
-both paths of the CSV writer `cli._csv`.
+"""Byte identity of the CSV writer `axicav.g17.csv` on both its paths, and
+of its vectorized ``%.17g`` block step `g17.fields`.
 
 Every case compares against Python's own ``"%.17g" % v``: seeded random
 bit patterns (every sign, exponent and NaN payload), every decade edge and
@@ -16,7 +16,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from axicav import axion, cli, g17, scenario
+from axicav import axion, g17, scenario
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -29,13 +29,13 @@ def _reference(values) -> str:
 
 @pytest.fixture(params=["row", "column"])
 def csv_path(request, monkeypatch):
-    """Run a test once on each path of `cli._csv`."""
-    monkeypatch.setattr(cli, "COLUMN_PATH_MIN_ROWS", 10**9 if request.param == "row" else 0)
+    """Run a test once on each path of `g17.csv`."""
+    monkeypatch.setattr(g17, "COLUMN_PATH_MIN_ROWS", 10**9 if request.param == "row" else 0)
     return request.param
 
 
 def _csv_text(values) -> str:
-    return "".join(cli._csv("v", [np.asarray(values, dtype=np.float64)]))
+    return "".join(g17.csv("v", [np.asarray(values, dtype=np.float64)]))
 
 
 def _decade_edges() -> np.ndarray:
@@ -127,21 +127,21 @@ def test_the_golden_mass_scan_grid_falls_back_a_handful_of_times():
 
 
 def test_no_runtime_warning_on_zero_inf_and_nan():
-    values = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.0])
-    out = np.empty((g17.WIDTH, values.size), dtype=np.uint8)
+    values = np.array([[0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.0]])
+    out = np.empty((g17.WIDTH, *values.shape), dtype=np.uint8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g17.fields(values, out)
-    texts = [bytes(col[col != 0]).decode() for col in out.T]
+    texts = [bytes(col[col != 0]).decode() for col in out[:, 0].T]
     assert texts == ["0", "-0", "inf", "-inf", "nan", "4.9406564584124654e-324", "1"]
 
 
 def test_fields_takes_a_strided_column_and_leaves_its_input_alone():
     table = np.array([[0.1, -2.5e-300], [1e22, 1e-5], [123.456, -0.0]])
     before = table.copy()
-    out = np.zeros((g17.WIDTH, 3), dtype=np.uint8)
-    g17.fields(table[:, 1], out)
-    texts = [bytes(c[c != 0]).decode() for c in out.T]
+    out = np.zeros((g17.WIDTH, 1, 3), dtype=np.uint8)
+    g17.fields(table.T[1:], out)  # one column, 16 bytes between its values
+    texts = [bytes(c[c != 0]).decode() for c in out[:, 0].T]
     assert texts == ["-2.5e-300", "1.0000000000000001e-05", "-0"]
     assert np.array_equal(table, before, equal_nan=True)
 
@@ -151,7 +151,7 @@ def test_fields_takes_a_strided_column_and_leaves_its_input_alone():
 
 def _table_text(columns) -> str:
     header = ",".join(f"c{i}" for i in range(len(columns)))
-    return "".join(cli._csv(header, columns))
+    return "".join(g17.csv(header, columns))
 
 
 def _table_reference(columns) -> str:
@@ -172,7 +172,7 @@ def _bit_patterns(rng, n) -> np.ndarray:
 
 def test_three_float_columns_and_an_int_column_match_percent_formatting(csv_path):
     rng = np.random.default_rng(SEED + 2)
-    n = 3 * cli.BLOCK_ROWS + 101
+    n = 3 * g17.BLOCK_ROWS + 101
     ints = rng.integers(-(2**63), 2**63 - 1, n)
     columns = [_bit_patterns(rng, n), ints, _bit_patterns(rng, n), _bit_patterns(rng, n)]
     assert _table_text(columns) == _table_reference(columns)
@@ -199,8 +199,8 @@ def test_fallbacks_in_one_column_leave_the_others_alone(csv_path):
 
 @pytest.mark.parametrize(
     "n",
-    [cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS, cli.BLOCK_ROWS + 1,
-     cli.COLUMN_PATH_MIN_ROWS - 1, cli.COLUMN_PATH_MIN_ROWS, cli.COLUMN_PATH_MIN_ROWS + 1],
+    [g17.BLOCK_ROWS - 1, g17.BLOCK_ROWS, g17.BLOCK_ROWS + 1,
+     g17.COLUMN_PATH_MIN_ROWS - 1, g17.COLUMN_PATH_MIN_ROWS, g17.COLUMN_PATH_MIN_ROWS + 1],
     ids=["block-1", "block", "block+1", "min-1", "min", "min+1"],
 )
 def test_row_counts_at_the_block_and_path_edges_match_percent_formatting(n, csv_path):
@@ -211,7 +211,7 @@ def test_row_counts_at_the_block_and_path_edges_match_percent_formatting(n, csv_
 
 def test_strided_float_columns_match_percent_formatting(csv_path):
     rng = np.random.default_rng(SEED + 4)
-    n = cli.BLOCK_ROWS + 7
+    n = g17.BLOCK_ROWS + 7
     pairs = _bit_patterns(rng, 2 * n).reshape(n, 2)
     columns = [pairs[:, 1], rng.normal(size=n), pairs[::-1, 0]]
     before = pairs.copy()
@@ -219,8 +219,56 @@ def test_strided_float_columns_match_percent_formatting(csv_path):
     assert np.array_equal(pairs, before, equal_nan=True)
 
 
+def test_csv_matches_the_per_value_formatter(csv_path):
+    ints = [0, 1, 10**17, 2**63 + 5, -7, 123456789012345678]
+    floats = np.array([0.0, 1e-300, 1e17, float("inf"), 0.1, float("nan")])
+    more = np.array([-0.0, -5e-324, 2.0 / 3.0, float("-inf"), 1.7976931348623157e308, 3.0])
+    text = _table_text([ints, floats, more])
+    assert text == _table_reference([ints, floats, more])
+    # integers keep every digit; floats take 17 significant digits
+    assert text.splitlines()[1] == "0,0,-0"
+    assert text.splitlines()[3] == "100000000000000000,1e+17,0.66666666666666663"
+    assert text.splitlines()[4] == "9223372036854775813,inf,-inf"
+    assert text.splitlines()[6] == "123456789012345678,nan,3"
+
+
+def test_csv_formats_each_column_by_its_kind(csv_path):
+    """A float array is written as FLOAT_FMT whatever scalars built it;
+    any other column, a list or an integer array, with str()."""
+    listed = [1, np.float64(-2.5e-300), np.int64(7), True, 2.0]
+    floats = np.array([0.1, np.float64(-2.5e-300), np.float32(0.1), 2.0, np.float64("nan")])
+    ints = np.array([7, -1, 0, 2**40, 3])
+    text = _table_text([listed, floats, ints])
+    assert text == _table_reference([listed, floats, ints])
+    assert text.splitlines()[1] == "1,0.10000000000000001,7"
+    assert text.splitlines()[3] == "7,0.10000000149011612,0"
+    assert text.splitlines()[4] == "True,2,1099511627776"
+
+
+def test_csv_takes_the_column_path_from_its_row_count(monkeypatch):
+    """Short tables keep the % path; from COLUMN_PATH_MIN_ROWS rows on,
+    `fields` writes the float columns, BLOCK_ROWS rows at a time."""
+    calls = []
+
+    def fields(table, out):
+        calls.append(table.shape[1])
+        return real(table, out)
+
+    real = g17.fields
+    monkeypatch.setattr(g17, "fields", fields)
+    monkeypatch.setattr(g17, "BLOCK_ROWS", 100)
+    n = g17.COLUMN_PATH_MIN_ROWS
+    xs = np.linspace(0.0, 1.0, n)
+    short = _table_text([list(range(n - 1)), xs[:-1]])
+    assert calls == []
+    full = _table_text([list(range(n)), xs])
+    assert calls == [100] * (n // 100) + ([n % 100] if n % 100 else [])
+    assert full == _table_reference([list(range(n)), xs])
+    assert full.startswith(short)
+
+
 def test_fields_of_a_block_says_which_rows_each_column_uses():
-    """A (rows, columns) block: every column's text is %.17g's, a row the
+    """A (columns, rows) block: every column's text is %.17g's, a row the
     call reports unused in a column is NUL there, and a used row is not."""
     rng = np.random.default_rng(SEED + 5)
     block = np.stack([
@@ -228,7 +276,7 @@ def test_fields_of_a_block_says_which_rows_each_column_uses():
         _bit_patterns(rng, 300), np.full(300, 7.0),
     ])
     out = np.empty((g17.WIDTH, *block.shape), dtype=np.uint8)
-    used = g17.fields(block.T, out)
+    used = g17.fields(block, out)
     assert used.shape == (len(block), g17.WIDTH)
     for column, rows, values in zip(out.transpose(1, 0, 2), used, block):
         texts = [bytes(c[c != 0]).decode() for c in column.T]

@@ -279,10 +279,22 @@ def test_report_reach_follows_fourth_root_of_time():
 
 
 def test_report_zero_signal_notes_blindness():
-    fit = GrowthFit(kind="linear", slope=0.0, intercept=0.0)
-    rep = scenario_report("flat", fit, 100, 1e-6, 1.0, BEAM_RATE)
-    assert math.isinf(rep["g_min_1s"])
-    assert "note" in rep
+    """A zero or negative fraction reaches no coupling: both are None,
+    JSON's null."""
+    for slope in (0.0, -1.0):
+        fit = GrowthFit(kind="linear", slope=slope, intercept=0.0)
+        rep = scenario_report("flat", fit, 100, 1e-6, 1.0, BEAM_RATE)
+        assert rep["g_min_1s"] is None and rep["g_min_integrated"] is None
+        assert rep["note"] == "no sensitivity: signal fraction is not positive"
+
+
+@pytest.mark.parametrize("g_ref, time_s", [(1e300, 1e-300), (1e300, 1.0)])
+def test_report_refuses_a_reach_past_the_largest_double(g_ref, time_s):
+    """A tiny positive fraction at a huge g_ref: the reach is refused, not
+    reported as inf, which JSON cannot hold."""
+    fit = GrowthFit(kind="linear", slope=1e-300, intercept=0.0)
+    with pytest.raises(ValueError, match="lies past the largest double"):
+        scenario_report("x", fit, 12000, g_ref, time_s, BEAM_RATE)
 
 
 @pytest.mark.parametrize("time_s", [-1.0, 0.0])
