@@ -30,9 +30,9 @@ class DegenerateMixingError(ValueError):
 class MixingParameters:
     """One mixing point, the scenario's `[axion]` section: coupling, photon
     energy and mixing field.  The axion mass is not part of it: the
-    functions that need one take it as an argument.  A point whose Qgamma
-    or Qm overflows a double is refused when it is built, so no function
-    of a point checks them again."""
+    functions that need one take it as an argument.  A point whose Qgamma,
+    Qm or 2 Qm overflows a double is refused when it is built, so no
+    function of a point checks them again."""
 
     g_a_gev: NonNegative = 1e-12  # axion-photon coupling, GeV^-1
     omega_ev: Positive = 1.0
@@ -45,9 +45,11 @@ class MixingParameters:
                 f"omega_ev and b_mixing_t must give a finite Qgamma, "
                 f"got {self.omega_ev!r} eV and {self.b_mixing_t!r} T"
             )
-        if q_m(self) == math.inf:
+        qm = q_m(self)
+        if 2.0 * qm == math.inf:  # the mixing angle and the suppression read 2 Qm
             raise ValueError(
-                f"omega_ev, g_a_gev and b_mixing_t must give a finite Qm, "
+                f"omega_ev, g_a_gev and b_mixing_t must give a finite "
+                f"{'Qm' if qm == math.inf else '2 Qm'}, "
                 f"got {self.omega_ev!r} eV, {self.g_a_gev!r} GeV^-1 and {self.b_mixing_t!r} T"
             )
 

@@ -25,24 +25,24 @@ the confocal cavity never merges a branch, so its ensemble doubles on every
 traversal.  A run is refused with BeamBudgetError before a split would take
 the ensemble past MAX_BEAMS, rather than left to run out of memory.
 
-A snapshot's moments do not come from its beams.  From the axial start,
-transport is linear, so the detector position of snapshot k is
-sum_j s_j a_j over k independent signs s_j = +-1, one per field passage
-(`kick_coefficients`), and `density.snapshot_moments` turns those k numbers
-into the moment vector the photon density reads.  The ensemble is still
-carried and coalesced for what only the beams give: the snapshot's beam
-count, the paraxial guard on its angles (`_detect`), the beam budget and
-the final ensemble.
+The engine does not know the laser.  From the axial start transport is
+linear, so the detector position of snapshot k is sum_j s_j a_j over k
+independent signs s_j = +-1, one per field passage (`kick_coefficients`),
+and `density.snapshot_moments` turns those k numbers into the moment
+vector the photon density reads, before any beam is carried.  The
+ensemble is carried and coalesced for what only the beams give: the
+snapshot's beam count, the paraxial guard on its angles (`_detect`), the
+beam budget and the final ensemble.  Which traversals are snapshots is
+`CavityConfig.snapshot_traversals`.
 
 Memory: a run keeps no snapshot beams and forms no detector position row.
 `_detect` reads the beam count and the angle extremes of the ensemble a
-snapshot's traversal starts from, and the snapshot keeps those, the waist
-and the moment vector (at most density.MAX_ORDER + 1 floats).  So a run
-holds the ensemble of the traversal at hand and what each stage returns,
-and its peak is set by its largest traversal, not by the sum over its
-snapshots: a fixed number of bytes per beam of the largest snapshot.  The
-README's Performance section gives the measured peaks, and
-tests/test_memory.py bounds the bytes per beam.
+snapshot's traversal starts from, and the snapshot keeps those two
+numbers.  So a run holds the ensemble of the traversal at hand and what
+each stage returns, and its peak is set by its largest traversal, not by
+the sum over its snapshots: a fixed number of bytes per beam of the
+largest snapshot.  The README's Performance section gives the measured
+peaks, and tests/test_memory.py bounds the bytes per beam.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import density, rays
+from . import rays
 from .checks import Count, NonNegative, NonZero, Positive, check_fields
 from .rays import PARAXIAL_LIMIT, ParaxialError
 
@@ -104,28 +104,36 @@ class CavityConfig:
             )
         if self.extraction_mirror not in (MIRROR_1, MIRROR_2):
             raise ConfigError(f"extraction_mirror must be {MIRROR_1!r} or {MIRROR_2!r}")
-        # mirror 1 is reached on even traversals only: a run needs a snapshot
-        if self.extraction_mirror == MIRROR_1 and self.n_traversals < 2:
+        if not self.snapshot_traversals:  # a run needs a snapshot
             raise ConfigError(
                 f"n_traversals must be >= 2 with extraction_mirror = {MIRROR_1!r} "
                 f"(it takes a snapshot on even traversals only), got {self.n_traversals!r}"
             )
 
+    @property
+    def snapshot_traversals(self) -> range:
+        """The traversals at which the detector takes a snapshot, in order.
+        With extraction through mirror 2 it is every traversal, at whichever
+        mirror the beams just reached (the symmetric-cavity detector
+        picture); with extraction through mirror 1 only the traversals that
+        end on mirror 1, the even ones.  Snapshots are taken before the
+        reflection, since the transmitted light never feels the mirror
+        curvature."""
+        if self.extraction_mirror == MIRROR_2:
+            return range(1, self.n_traversals + 1)
+        return range(2, self.n_traversals + 1, 2)
+
 
 class BeamSample:
-    """What a detector keeps of the beams it records: how many there are,
+    """What a detector keeps of the beams it records: how many there are and
     the largest |angle| among them, checked against PARAXIAL_LIMIT when the
-    sample was made, and their scaled raw moments at the waist ``waist_m``
-    (`density.snapshot_moments`).  The photon density reads nothing else
-    of a beam.  A detector snapshot is one."""
+    sample was made.  A detector snapshot is one."""
 
-    __slots__ = ("beams", "max_angle", "waist_m", "moments")
+    __slots__ = ("beams", "max_angle")
 
-    def __init__(self, beams, max_angle, waist_m, moments):
+    def __init__(self, beams, max_angle):
         self.beams = beams
         self.max_angle = max_angle
-        self.waist_m = waist_m
-        self.moments = moments
 
     def __len__(self) -> int:
         return self.beams
@@ -554,7 +562,7 @@ def _detect(ensemble: BeamEnsemble, kick) -> tuple[int, float]:
     rise with a (rounding is monotone): the row's minimum and maximum are
     among fl(min a +- k) and fl(max a +- k), and a NaN kick puts one there
     too.  The positions are not read: a snapshot's moments come from the
-    kick coefficients (`run`)."""
+    kick coefficients (`kick_coefficients`)."""
     a = ensemble.angles
     ends = np.array([a.min(), a.max()]) if a.size else a
     if kick is None:
@@ -593,37 +601,27 @@ def kick_coefficients(config: CavityConfig, n: int) -> tuple[list[float], list[f
     return out
 
 
-def run(config: CavityConfig, waist_m: float) -> RunResult:
+def run(config: CavityConfig) -> RunResult:
     """Run n_traversals of the cavity from the axial beam, alternating
     direction each traversal: carry the beams across the cavity, splitting
     them in the field region, and past the far mirror (`_legs`), then
     coalesce on the grid of COALESCE_TOL_POSITION_M and
     COALESCE_TOL_ANGLE_RAD.  A split leg's weights are halved into one
-    array of 2N.
-
-    With extraction through mirror 2 a snapshot is taken each traversal at
-    whichever mirror the beams just reached (the symmetric-cavity detector
-    picture); with extraction through mirror 1 only traversals that end on
-    mirror 1 (the even ones) are sampled.  Snapshots are taken before the
-    reflection, since the transmitted light never feels the mirror curvature.
-    A snapshot's beam count and largest |angle| are read from the ensemble
-    (`_detect`); its moment vector at the profile waist ``waist_m`` comes
-    from its kick coefficients (`kick_coefficients`,
-    `density.snapshot_moments`), taken at its own traversal.
+    array of 2N.  At each of `CavityConfig.snapshot_traversals` the beam
+    count and the largest |angle| at the detector are read from the
+    ensemble (`_detect`).
 
     Raises BeamBudgetError before a split leg would produce more than
-    MAX_BEAMS beams, GuardError when a snapshot sits too far off the axis
-    for the moment series (or a coefficient is not finite), and ValueError
-    when the ensemble grows too wide for the coalescing grid.
+    MAX_BEAMS beams, ParaxialError when an angle leaves the paraxial
+    window, and ValueError when the ensemble grows too wide for the
+    coalescing grid.
     """
     legs = _legs(config)
-    series = [density.snapshot_moments(c, waist_m)
-              for c in kick_coefficients(config, config.n_traversals)]
+    snapshots = config.snapshot_traversals
     ens = axial_beam()
     result = RunResult()
     for k in range(1, config.n_traversals + 1):
-        forward = k % 2 == 1
-        to_detector, to_next = legs[not forward]
+        to_detector, to_next = legs[k % 2 == 0]
         n, w = len(ens), ens.weights
         if to_next[1] is not None:
             if 2 * n > MAX_BEAMS:
@@ -632,10 +630,8 @@ def run(config: CavityConfig, waist_m: float) -> RunResult:
             w = np.empty(2 * n)
             np.multiply(ens.weights, 0.5, out=w[:n])
             w[n:] = w[:n]
-        if config.extraction_mirror == MIRROR_2 or not forward:
-            beams, max_angle = _detect(ens, to_detector[1])
-            sample = BeamSample(beams, max_angle, waist_m, next(series[k % 2]))
-            result.snapshots.append(DetectorSnapshot(k, sample))
+        if k in snapshots:
+            result.snapshots.append(DetectorSnapshot(k, BeamSample(*_detect(ens, to_detector[1]))))
         # the previous ensemble is dropped before coalescing starts
         ens = _transport(ens, *to_next, w)
         ens = coalesce(ens, COALESCE_TOL_POSITION_M, COALESCE_TOL_ANGLE_RAD)

@@ -20,9 +20,9 @@ byte-identical.
 
 No verb loads scipy: `simulate` computes its histograms and series from
 the snapshot moments that `density.snapshot_moments` builds from the kick
-coefficients, with the math module's error function, and every other verb
-pays only for numpy and its own arithmetic.  Every verb writes its CSV
-tables through `g17.csv`.
+coefficients before the beam engine runs, with the math module's error
+function, and every other verb pays only for numpy and its own
+arithmetic.  Every verb writes its CSV tables through `g17.csv`.
 
 On its first call in a process, `main` fixes glibc's mmap and trim
 thresholds (see `_keep_freed_heap`), so the arrays one op frees stay in
@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import axion, density, g17, lattice, scenario, sensitivity
+from . import axion, cavity, density, g17, lattice, scenario, sensitivity
 from .cavity import BeamBudgetError, run
 from .density import GuardError
 from .rays import ParaxialError
@@ -118,17 +118,16 @@ def cmd_simulate(args) -> int:
     with _rows_in_memory(keys, density.bin_count(width, end)):
         edges = density.histogram_edges(width, end)
 
-    signal_run = run(sc.cavity, sc.laser.waist_m)
-    # only the final ensemble's size is reported: do not hold it while rendering
-    final_beams = len(signal_run.final)
-    signal_run.final = None
-    traversals = [snap.traversal for snap in signal_run.snapshots]
-    moments = [snap.ensemble.moments for snap in signal_run.snapshots]
+    cfg = sc.cavity
+    traversals = list(cfg.snapshot_traversals)
+    moments = density.snapshot_moments(cavity.kick_coefficients(cfg, cfg.n_traversals),
+                                       traversals, sc.laser)
+    # the engine carries the beams for its guards and the final ensemble's size
+    final_beams = len(run(cfg).final)
     # The reference, a field-off run, is the axial beam: its axial part is
     # each snapshot's own and its deviation +0, so a difference is minus the
     # snapshot's deviation (0.0 - x: a bin that never changed reads +0).
-    deviations = density.bin_ensemble([snap.ensemble for snap in signal_run.snapshots],
-                                      sc.laser, edges)[1]
+    deviations = density.bin_ensemble(moments, sc.laser, edges)[1]
     diffs = {f"profile_difference_t{t:03d}.csv": 0.0 - row
              for t, row in zip(traversals, deviations)}
     central = sensitivity.central_loss_series(

@@ -1,12 +1,12 @@
 """Transverse photon-density profiles and detector histograms.
 
-Two sides live here.  The numerical side (`bin_ensemble`,
-`integrate_window`, `profile_difference`) gives the exact photon rate of a
-weighted beam ensemble in detector windows, with the beam profile
-A*exp(-x^2 / 2 r^2) so r is the rms width.  The analytic side is one
-model, a beam split into a displaced, broadened half-beam pair: `deficit`
-gives its exact density change and reduces to the paper's second-order form
-for a small split.  Both sides read `GaussianProfile.waist_m` as the rms
+Two sides live here.  The numerical side (`rates_from_moments`, with
+`integrate_window` and `profile_difference` on top) gives the exact photon
+rate of a detector snapshot in detector windows, from its moment vector,
+with the beam profile A*exp(-x^2 / 2 r^2) so r is the rms width.  The
+analytic side is one model, a beam split into a displaced, broadened
+half-beam pair: `deficit` gives its exact density change and reduces to
+the paper's second-order form for a small split.  Both sides read `GaussianProfile.waist_m` as the rms
 width; `deficit` works inside with the paper's 1/e half-width, sqrt(2)
 times it, so the `profile` curve and `simulate`'s histograms describe one
 beam.
@@ -20,21 +20,19 @@ A change against the unsplit beam is the deviation alone, never the
 difference of two totals of 1e13-1e15 photons/s.  The edges need only the
 error function of the math module, so no verb loads scipy.
 
-A detector snapshot (`cavity.BeamSample`) is its moment vector, and no
-beam position is read for it.  A run starts on the axis and its transport is
-linear, so snapshot k's beams are the 2^k sums sum_j s_j a_j of its kick
-coefficients over the signs s_j = +-1 (`cavity.kick_coefficients`), at
-equal weight.  `snapshot_moments` takes their moments from the k
-coefficients: the odd ones are exactly 0.0 (X and -X are equally likely),
-and the even ones come from a binomial convolution of nonnegative terms.
-`cavity.run` takes each snapshot's vector, at the profile waist, when it
-takes the snapshot.  One call of `rates_from_moments` reads every snapshot
-of a run: it builds the Hermite table of its windows once for each series
-order among them and sums each snapshot's series over it one order at a
-time, so no rate goes through BLAS, whose kernels each sum in an order of
-their own.  `bin_ensemble` renders all of a run's snapshots so, as one
-(axial, deviation) pair, and refuses a profile of another waist, at which
-their moments mean nothing.
+A detector snapshot is its moment vector, and no beam position is read for
+it.  A run starts on the axis and its transport is linear, so snapshot k's
+beams are the 2^k sums sum_j s_j a_j of its kick coefficients over the
+signs s_j = +-1 (`cavity.kick_coefficients`), at equal weight.
+`snapshot_moments` takes the vectors of a run's snapshots from their
+coefficients, at the profile's waist: the odd moments are exactly 0.0 (X
+and -X are equally likely), and the even ones come from a binomial
+convolution of nonnegative terms.  One call of `rates_from_moments` reads
+every snapshot of a run: it builds the Hermite table of its windows once
+for each series order among them and sums each snapshot's series over it
+one order at a time, so no rate goes through BLAS, whose kernels each sum
+in an order of their own.  `bin_ensemble` is its name for the rendering
+of a run's histograms.
 """
 
 from __future__ import annotations
@@ -241,15 +239,16 @@ def _hermite_functions(u: np.ndarray, count: int) -> np.ndarray:
     return e
 
 
-def snapshot_moments(coefficients, waist_m: float):
-    """Yield the scaled raw moments of the snapshots that read the first k
-    of ``coefficients`` (k = 2, 4, ..., len for an even count, 1, 3, ...,
-    len for an odd one), each when it is asked for, at the waist r =
-    ``waist_m``: [0.0, m_1, ..., m_N] with m_n = E[(X/r)^n] for X = sum_j
-    s_j a_j over independent signs s_j = +-1 (`cavity.kick_coefficients`),
-    and N from `_order` of sum_j |a_j|/r, the largest |X|/r.  Index 0, the
-    weight beyond one unit beam, is 0.0: the 2^k sign sequences weigh 2^-k
-    each.  Every odd moment is 0.0: X and -X are equally likely.
+def snapshot_moments(coefficients, traversals, profile: GaussianProfile) -> list[np.ndarray]:
+    """The scaled raw moments, at the waist r of ``profile``, of the
+    snapshots at ``traversals`` (increasing) of a run whose kick
+    coefficients are ``coefficients`` (`cavity.kick_coefficients`: snapshot
+    k reads the first k of list ``k % 2``), one vector per traversal in
+    their order: [0.0, m_1, ..., m_N] with m_n = E[(X/r)^n] for
+    X = sum_j s_j a_j over independent signs s_j = +-1, and N from `_order`
+    of sum_j |a_j|/r, the largest |X|/r.  Index 0, the weight beyond one
+    unit beam, is 0.0: the 2^k sign sequences weigh 2^-k each.  Every odd
+    moment is 0.0: X and -X are equally likely.
 
     Each even moment is a binomial convolution over the coefficients, one
     at a time, with y = a/r:
@@ -259,40 +258,48 @@ def snapshot_moments(coefficients, waist_m: float):
     each snapshot adding its two coefficients to the moments of the one
     before it.  Every term is >= 0, so nothing cancels.  m_2 = sum y^2 is
     a compensated running sum (Knuth's TwoSum), so its rounding does not
-    grow with the number of coefficients.  The moments are kept to the
-    order of the last snapshot, or MAX_ORDER where that one is past the
-    series, and a snapshot past the series raises GuardError only when it
-    is asked for.  Everything is + - * / on Python floats, so no SIMD
-    kernel can move a bit."""
-    ys = [a / waist_m for a in coefficients]
-    spans = [0.0, *itertools.accumulate(abs(a) for a in coefficients)]  # over the first k
-    try:
-        top = _order(spans[-1] / waist_m)
-    except GuardError:
-        top = MAX_ORDER
-    binomials = [[float(math.comb(n, i)) for i in range(2, n + 1, 2)] for n in range(2, top + 1, 2)]
-    big = [1.0] + [0.0] * (top // 2)  # M_0, M_2, M_4, ... of the coefficients so far
-    m2, m2_error = 0.0, 0.0
-    for k in range(2 - len(ys) % 2, len(ys) + 1, 2):
-        for y in ys[max(k - 2, 0):k]:
-            y2 = y * y
-            powers = [y2]
-            while len(powers) < top // 2:
-                powers.append(powers[-1] * y2)
-            for half in range(top // 2, 1, -1):  # from the top, so M_{n-i} is the old one
-                moment, row = big[half], binomials[half - 1]
-                for i in range(1, half + 1):
-                    moment += row[i - 1] * powers[i - 1] * big[half - i]
-                big[half] = moment
-            total = m2 + y2
-            rounded = total - m2
-            m2_error += (m2 - (total - rounded)) + (y2 - rounded)
-            m2 = total
-            big[1] = m2 + m2_error
-        order = _order(spans[k] / waist_m)
-        m = np.zeros(order + 1)
-        m[2::2] = big[1:order // 2 + 1]
-        yield m
+    grow with the number of coefficients.  The moments of each parity are
+    kept to the order of its last snapshot, or MAX_ORDER where that one is
+    past the series, and GuardError is raised at the first traversal past
+    the series.  Everything is + - * / on Python floats, so no SIMD kernel
+    can move a bit."""
+    wanted, waist_m = set(traversals), profile.waist_m
+
+    def parity(coefficients):  # the snapshots that read this list, as asked for
+        ys = [a / waist_m for a in coefficients]
+        spans = [0.0, *itertools.accumulate(abs(a) for a in coefficients)]  # over the first k
+        try:
+            top = _order(spans[-1] / waist_m)
+        except GuardError:
+            top = MAX_ORDER
+        binomials = [[float(math.comb(n, i)) for i in range(2, n + 1, 2)]
+                     for n in range(2, top + 1, 2)]
+        big = [1.0] + [0.0] * (top // 2)  # M_0, M_2, M_4, ... of the coefficients so far
+        m2, m2_error = 0.0, 0.0
+        for k in range(2 - len(ys) % 2, len(ys) + 1, 2):
+            for y in ys[max(k - 2, 0):k]:
+                y2 = y * y
+                powers = [y2]
+                while len(powers) < top // 2:
+                    powers.append(powers[-1] * y2)
+                for half in range(top // 2, 1, -1):  # from the top, so M_{n-i} is the old one
+                    moment, row = big[half], binomials[half - 1]
+                    for i in range(1, half + 1):
+                        moment += row[i - 1] * powers[i - 1] * big[half - i]
+                    big[half] = moment
+                total = m2 + y2
+                rounded = total - m2
+                m2_error += (m2 - (total - rounded)) + (y2 - rounded)
+                m2 = total
+                big[1] = m2 + m2_error
+            if k in wanted:
+                order = _order(spans[k] / waist_m)
+                m = np.zeros(order + 1)
+                m[2::2] = big[1:order // 2 + 1]
+                yield m
+
+    series = [parity(c) for c in coefficients]
+    return [next(series[k % 2]) for k in traversals]
 
 
 def _axial_mass(lo: float, hi: float) -> float:
@@ -385,37 +392,22 @@ def rates_from_moments(
     return axial, deviation
 
 
-def bin_ensemble(samples, profile: GaussianProfile, edges_m) -> tuple[np.ndarray, np.ndarray]:
-    """The exact photon rate of detector samples (`cavity.BeamSample`s) in
-    each bin, from their moments, as `rates_from_moments` gives it: every
-    beam contributes its weight times the integral of a Gaussian of the
-    profile's waist centered at the beam position.  Bins this narrow
-    (0.13 sigma on the presets) make midpoint sampling visibly biased,
-    hence integrals.  Refused (ValueError) unless every sample's moments
-    were taken at the profile's waist.
-
-    Totals that stand for both detector halves use the doubling rule: the
-    profile is symmetric, so a one-sided sum is doubled rather than
-    binning negative x explicitly."""
-    for sample in samples:
-        if sample.waist_m != profile.waist_m:
-            raise ValueError(
-                f"the sample's moments are taken at waist {sample.waist_m!r} m, "
-                f"the profile's waist is {profile.waist_m!r} m"
-            )
-    return rates_from_moments([sample.moments for sample in samples], profile, edges_m)
+# the histogram render of `simulate`, under the name its benchmark span reads
+bin_ensemble = rates_from_moments
 
 
-def integrate_window(sample, profile: GaussianProfile, lo_m: float, hi_m: float) -> float:
-    """Exact windowed photon rate of a detector sample over [lo, hi).  The
-    window is signed (lo may be negative for a two-sided center pixel)."""
-    axial, deviation = bin_ensemble([sample], profile, [lo_m, hi_m])
+def integrate_window(moments, profile: GaussianProfile, lo_m: float, hi_m: float) -> float:
+    """Exact photon rate over [lo, hi) of a detector snapshot whose moment
+    vector at the profile's waist is ``moments``.  The window is signed (lo
+    may be negative for a two-sided center pixel)."""
+    axial, deviation = rates_from_moments([moments], profile, [lo_m, hi_m])
     return float(axial[0] + deviation[0, 0])
 
 
 def profile_difference(off, on, profile: GaussianProfile, edges_m) -> np.ndarray:
     """Field-off minus field-on photon rate per bin of two detector
-    samples; central losses come out positive, sideband gains negative.
-    Both share the axial part, so this is the difference of deviations."""
-    deviation = bin_ensemble([off, on], profile, edges_m)[1]
+    snapshots, given as their moment vectors at the profile's waist;
+    central losses come out positive, sideband gains negative.  Both share
+    the axial part, so this is the difference of deviations."""
+    deviation = rates_from_moments([off, on], profile, edges_m)[1]
     return deviation[0] - deviation[1]

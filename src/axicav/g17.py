@@ -153,7 +153,8 @@ def _settle(x, ok, d, e, sign):
     in ``d`` and ``e``: 0 and 0 for a zero, ``%.16e``'s for any other
     finite value, and 10^16 and 2 for inf and NaN (three digits, no point),
     whose digits are to be spelled over.  A NaN loses its sign, as in ``%``.
-    Returns the indices of inf and NaN and their letters, uint8 (3, count)."""
+    Returns the indices of inf and NaN and their letters, uint8 (3, count),
+    or None and None where no value is inf or NaN."""
     slow = np.nonzero(~ok)
     values = x[slow]
     finite = np.isfinite(values)
@@ -164,6 +165,8 @@ def _settle(x, ok, d, e, sign):
     ds[rest] = [int(t[0] + t[2:18]) for t in texts]
     es[rest] = [int(t[19:]) for t in texts]
     d[slow], e[slow] = ds, es
+    if finite.all():  # nothing to spell, and fewer than three digit rows may be written
+        return None, None
     spelled = tuple(axis[~finite] for axis in slow)
     nan = np.isnan(x[spelled])
     sign[spelled] &= ~nan

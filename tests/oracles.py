@@ -126,18 +126,18 @@ def apply(m: TransferMatrix, ray: RayState) -> RayState:
 # detector snapshots
 
 
-def run_with_detector_beams(config, waist_m, start=None):
-    """``cavity.run(config, waist_m)`` and each snapshot's beams, in the
-    snapshot's beam order, as the `BeamEnsemble` of their positions, angles
-    and weights.  A snapshot keeps only its beam count, largest |angle| and
-    moments; here the detector leg is also carried in full, as
-    `cavity._transport` carries every other leg, from the ensemble each
-    snapshot's traversal starts at, so the arrays are the engine's own
-    bits.
+def run_with_detector_beams(config, start=None):
+    """``cavity.run(config)`` and each snapshot's beams, in the snapshot's
+    beam order, as the `BeamEnsemble` of their positions, angles and
+    weights.  A snapshot keeps only its beam count and largest |angle|;
+    here the detector leg is also carried in full, as `cavity._transport`
+    carries every other leg, from the ensemble each snapshot's traversal
+    starts at, so the arrays are the engine's own bits.
 
     A ``start`` ensemble takes the place of `cavity.axial_beam`, which
-    every run starts from.  The run's moments hold for the axial start
-    only, so each snapshot is then the `sample` of its beams."""
+    every run starts from.  The kick coefficients hold for the axial start
+    only, so the moments of such a run are those of its beams
+    (`beam_moments`)."""
     beams = []
     detect = cavity._detect
     (matrix, _), _ = cavity._legs(config)[0]  # the detector leg is the same both ways
@@ -147,21 +147,25 @@ def run_with_detector_beams(config, waist_m, start=None):
         beams.append(cavity._transport(ensemble, matrix, kick, weights))
         return detect(ensemble, kick)
 
-    with mock.patch.object(cavity, "_detect", keep_beams):
-        if start is None:
-            return cavity.run(config, waist_m), beams
-        with mock.patch.object(cavity, "axial_beam", lambda: start):
-            result = cavity.run(config, waist_m)
-    result.snapshots = [cavity.DetectorSnapshot(snap.traversal, sample(ens, waist_m))
-                        for snap, ens in zip(result.snapshots, beams, strict=True)]
-    return result, beams
+    axial = cavity.axial_beam if start is None else (lambda: start)
+    with mock.patch.object(cavity, "_detect", keep_beams), \
+            mock.patch.object(cavity, "axial_beam", axial):
+        return cavity.run(config), beams
 
 
-def sample(ensemble, waist_m):
-    """The detector sample of ``ensemble``'s beams at the waist ``waist_m``,
-    with the moments read from the beams (`moments`)."""
-    return cavity.BeamSample(len(ensemble), cavity._max_angle(ensemble.angles), waist_m,
-                             moments(ensemble.positions, ensemble.weights, waist_m))
+def run_moments(config, waist_m):
+    """The moment vectors of ``config``'s snapshots at the waist
+    ``waist_m``, in traversal order, as `simulate` takes them: from the kick
+    coefficients of the axial start (`density.snapshot_moments`)."""
+    coefficients = cavity.kick_coefficients(config, config.n_traversals)
+    return density.snapshot_moments(coefficients, config.snapshot_traversals,
+                                    GaussianProfile(waist_m=waist_m))
+
+
+def beam_moments(ensemble, waist_m):
+    """The moment vector of ``ensemble``'s beams at the waist ``waist_m``,
+    read from the beams (`moments`)."""
+    return moments(ensemble.positions, ensemble.weights, waist_m)
 
 
 def rates(ensemble, profile, edges_m):

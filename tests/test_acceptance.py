@@ -14,8 +14,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from oracles import (
+    beam_moments,
     initial_ensemble,
     momentum_spectrum,
+    run_moments,
     run_with_detector_beams,
     step_bifurcation,
     step_pascal,
@@ -351,15 +353,18 @@ def test_criterion_08_lattice_growth_comparison():
 # engine-level criteria share one reference run
 
 
-def _traversals_and_moments(result):
+def _traversals_and_moments(cfg):
     """A run's snapshots as the series builders take them."""
-    return [s.traversal for s in result.snapshots], [s.ensemble.moments for s in result.snapshots]
+    return list(cfg.snapshot_traversals), run_moments(cfg, PROFILE.waist_m)
 
 
 @pytest.fixture(scope="module")
 def confocal_run():
+    """The confocal configuration, and the moment vectors of its snapshots
+    with the field on and off."""
     cfg = CavityConfig()  # 15 traversals at theta 4e-10
-    return cfg, run(cfg, PROFILE.waist_m), run(replace(cfg, theta_split_rad=0.0), PROFILE.waist_m)
+    return (cfg, run_moments(cfg, PROFILE.waist_m),
+            run_moments(replace(cfg, theta_split_rad=0.0), PROFILE.waist_m))
 
 
 def test_criterion_09_difference_histogram_sign_structure(confocal_run):
@@ -367,8 +372,7 @@ def test_criterion_09_difference_histogram_sign_structure(confocal_run):
     (positive) inside the core and gain (negative) in the shoulders, with a
     single crossing within one bin of 0.75 mm."""
     cfg, signal, reference = confocal_run
-    counts = profile_difference(reference.snapshots[-1].ensemble,
-                                signal.snapshots[-1].ensemble, PROFILE, EDGES)
+    counts = profile_difference(reference[-1], signal[-1], PROFILE, EDGES)
     signs = np.sign(counts)
     flips = np.nonzero(np.diff(signs))[0]
     crossing_m = EDGES[flips[0] + 1] if len(flips) == 1 else math.nan
@@ -390,8 +394,8 @@ def test_criterion_09_difference_histogram_sign_structure(confocal_run):
 def test_criterion_10_central_loss_linearity(confocal_run):
     """Central-pixel loss versus traversal count is linear to R^2 > 0.99
     over the 15 refocusing-cavity traversals."""
-    cfg, signal, _ = confocal_run
-    series = central_loss_series(*_traversals_and_moments(signal), PROFILE, PIXEL_HALF_WIDTH_M)
+    cfg, _, _ = confocal_run
+    series = central_loss_series(*_traversals_and_moments(cfg), PROFILE, PIXEL_HALF_WIDTH_M)
     fit = fit_linear(series)
     parts = [
         ("15 points", len(series) == 15, f"{len(series)}"),
@@ -413,8 +417,7 @@ def test_criterion_11_defocusing_pair_superquadratic_growth():
     cfg = CavityConfig(
         mirror2_focal_m=-5.5, extraction_mirror=MIRROR_1, theta_split_rad=1e-9, n_traversals=20
     )
-    result = run(cfg, PROFILE.waist_m)
-    series = center_sideband_series(*_traversals_and_moments(result), PROFILE)
+    series = center_sideband_series(*_traversals_and_moments(cfg), PROFILE)
     fit = fit_power(series)
     parts = [
         ("exponent > 2", fit.exponent > 2.0, f"measured {fit.exponent!r}"),
@@ -440,15 +443,15 @@ def test_criterion_12_invariant_suite(confocal_run, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(cavity, "COALESCE_TOL_POSITION_M", 1e-8)
         patch.setattr(cavity, "COALESCE_TOL_ANGLE_RAD", 1e-7)
-        long_run = run(CavityConfig(n_traversals=1000), PROFILE.waist_m)
+        long_run = run(CavityConfig(n_traversals=1000))
     drift = abs(math.fsum(long_run.final.weights.tolist()) - 1.0)
 
     # (b) null test: zero split angle leaves no bitwise trace at the detector
     null_cfg = replace(cfg, theta_split_rad=0.0)
-    null_run, null_beams = run_with_detector_beams(null_cfg, PROFILE.waist_m)
+    null_run, null_beams = run_with_detector_beams(null_cfg)
     null_zero = True
-    for snap_s, snap_n in zip(reference.snapshots, null_run.snapshots):
-        d = profile_difference(snap_s.ensemble, snap_n.ensemble, PROFILE, EDGES)
+    for m, ens in zip(reference, null_beams, strict=True):
+        d = profile_difference(m, beam_moments(ens, PROFILE.waist_m), PROFILE, EDGES)
         null_zero = null_zero and bool(np.all(d == 0.0))
     null_positions = bool(
         np.all(null_beams[-1].positions == 0.0)
@@ -459,7 +462,6 @@ def test_criterion_12_invariant_suite(confocal_run, monkeypatch):
     r0, a0 = 1e-5, 2e-6
     one, (e,) = run_with_detector_beams(
         CavityConfig(n_traversals=1),
-        PROFILE.waist_m,
         start=BeamEnsemble([r0], [a0], [1.0]),
     )
     centroid = r0 + a0 * (cfg.field_length_m + 2 * cfg.gap_m + cfg.detector_distance_m)
@@ -487,21 +489,20 @@ def test_criterion_12_invariant_suite(confocal_run, monkeypatch):
     # (e) redistribution: over a wide window the difference histogram sums to
     # zero relative to the photons it moves around
     wide = histogram_edges(1e-4, 6e-3)
-    diff_wide = profile_difference(reference.snapshots[-1].ensemble,
-                                   signal.snapshots[-1].ensemble, PROFILE, wide)
+    diff_wide = profile_difference(reference[-1], signal[-1], PROFILE, wide)
     moved = 2.0 * float(np.sum(np.abs(diff_wide)))  # both detector halves
     leak = abs(math.fsum(diff_wide.tolist())) / moved
 
-    # (f) ensemble symmetry at the detector (a snapshot keeps only its
-    # moments and largest |angle|, so the beams come from the detector leg,
+    # (f) ensemble symmetry at the detector (a snapshot keeps only its beam
+    # count and largest |angle|, so the beams come from the detector leg,
     # run again)
     sym_ok = True
     sym_worst = 0.0
-    _, signal_beams = run_with_detector_beams(cfg, PROFILE.waist_m)
+    signal_run, signal_beams = run_with_detector_beams(cfg)
     for k in (0, 7, -1):
         ens = signal_beams[k]
         scale_p = float(np.max(np.abs(ens.positions)))
-        scale_a = signal.snapshots[k].ensemble.max_angle
+        scale_a = signal_run.snapshots[k].ensemble.max_angle
         mp = abs(math.fsum((ens.weights * ens.positions).tolist()))
         ma = abs(math.fsum((ens.weights * ens.angles).tolist()))
         sym_worst = max(sym_worst, mp / scale_p, ma / scale_a)

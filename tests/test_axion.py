@@ -265,6 +265,16 @@ def test_an_infinite_coupling_entry_is_refused():
         replace(POINT, g_a_gev=1e308, omega_ev=1e10)
 
 
+def test_a_coupling_entry_whose_double_overflows_is_refused():
+    """Qm = 9.75e307 is finite, but the mixing angle and the suppression
+    read 2 Qm, which is not: the point is refused, as it would otherwise
+    scan into a NaN suppression and an infinite half-suppression mass."""
+    assert q_m(MixingParameters(g_a_gev=1e308, omega_ev=4e6)) * 2.0 < math.inf
+    with pytest.raises(ValueError, match=r"^omega_ev, g_a_gev and b_mixing_t must give a finite "
+                                         r"2 Qm, got 5000000.0 eV, 1e\+308 GeV\^-1 and 1.0 T$"):
+        MixingParameters(g_a_gev=1e308, omega_ev=5e6)
+
+
 def test_squares_past_a_double_are_refused_by_name():
     with pytest.raises(ValueError, match="^mass must square to a finite double"):
         q_a(1e155)

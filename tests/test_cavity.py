@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import inspect
 import math
 import pkgutil
 import re
@@ -8,7 +9,7 @@ from dataclasses import MISSING, fields, is_dataclass, replace
 import numpy as np
 import pytest
 import oracles
-from oracles import run_with_detector_beams, sample
+from oracles import run_with_detector_beams
 
 import axicav
 import axicav.axion as axion
@@ -29,9 +30,6 @@ from axicav.rays import PARAXIAL_LIMIT, ParaxialError, TransferMatrix
 from axicav.scenario import ScenarioError, load_preset
 
 THETA = 4e-10
-WAIST = 7.5e-4  # the presets' laser waist, at which every snapshot's moments are taken
-# wide enough that beams metres off the axis stay inside the moment series
-WIDE_WAIST = 100.0
 
 
 # --- configuration ---------------------------------------------------------
@@ -48,7 +46,17 @@ def test_config_rejects_bad_values():
         CavityConfig(mirror1_focal_m=0.0)
     with pytest.raises(ConfigError, match="n_traversals must be >= 2 with extraction_mirror"):
         CavityConfig(extraction_mirror=MIRROR_1, n_traversals=1)
-    assert len(run(CavityConfig(extraction_mirror=MIRROR_1, n_traversals=2), WAIST).snapshots) == 1
+    assert len(run(CavityConfig(extraction_mirror=MIRROR_1, n_traversals=2)).snapshots) == 1
+
+
+def test_the_engine_does_not_know_the_laser():
+    """`cavity` holds no name from `density`, and `run` takes the
+    configuration alone: the moment vectors of a run's snapshots come from
+    its kick coefficients, outside the engine."""
+    assert "density" not in vars(cavity)
+    assert not [name for name, value in vars(cavity).items()
+                if getattr(value, "__module__", None) == "axicav.density"]
+    assert list(inspect.signature(run).parameters) == ["config"]
 
 
 def _config_classes():
@@ -198,16 +206,16 @@ def test_run_refuses_a_position_that_overflows_in_transport(monkeypatch):
     """The ensembles a run builds are checked for the paraxial window
     alone.  A beam near the largest double that a 1e307 m field carries
     past it is refused by the next coalesce, which names the positions, not
-    the grid.  Mirror 1 extraction takes no snapshot on traversal 1, whose
-    moments would refuse the overflowed position first (GuardError)."""
+    the grid.  A run reads no position at a snapshot, so nothing refuses
+    the overflowed one before that coalesce."""
     cfg = CavityConfig(mirror2_focal_m=None, field_length_m=1e307, n_traversals=2,
                        extraction_mirror=MIRROR_1)
     _coalesce_on(monkeypatch, 1e290, cavity.COALESCE_TOL_ANGLE_RAD)
     with pytest.raises(ValueError, match=r"^positions must be finite, got inf$"):
-        run_with_detector_beams(cfg, WAIST, start=BeamEnsemble([1.79e308], [0.09], [1.0]))
+        run_with_detector_beams(cfg, start=BeamEnsemble([1.79e308], [0.09], [1.0]))
     _coalesce_on(monkeypatch, 1e-300, cavity.COALESCE_TOL_ANGLE_RAD)
     with pytest.raises(ValueError, match="too wide for the coalescing grid"):
-        run_with_detector_beams(cfg, WAIST, start=BeamEnsemble([1e10], [0.0], [1.0]))
+        run_with_detector_beams(cfg, start=BeamEnsemble([1e10], [0.0], [1.0]))
 
 
 @pytest.mark.parametrize("tol_position_m, tol_angle_rad",
@@ -222,9 +230,9 @@ def test_run_reads_each_coalescing_tolerance_when_called(tol_position_m, tol_ang
     constant is read at the call, not bound at import."""
     cfg = CavityConfig(n_traversals=8)
     _coalesce_on(monkeypatch, tol_position_m, tol_angle_rad)
-    assert len(run(cfg, WAIST).final) == 256
+    assert len(run(cfg).final) == 256
     _coalesce_on(monkeypatch, 1e-3, 1e-3)
-    assert len(run(cfg, WAIST).final) == 1
+    assert len(run(cfg).final) == 1
 
 
 def test_ensemble_enforces_paraxial_window():
@@ -245,7 +253,7 @@ def test_ensemble_total_weight():
 
 def test_planar_reflection_keeps_the_accumulated_angle():
     cfg = CavityConfig(mirror2_focal_m=None, theta_split_rad=0.0, n_traversals=1)
-    res, _ = run_with_detector_beams(cfg, WAIST, start=BeamEnsemble([5.6e-9], [8e-10], [1.0]))
+    res, _ = run_with_detector_beams(cfg, start=BeamEnsemble([5.6e-9], [8e-10], [1.0]))
     out = res.final
     length = cfg.field_length_m + 2 * cfg.gap_m
     assert out.angles[0] == 8e-10
@@ -254,7 +262,7 @@ def test_planar_reflection_keeps_the_accumulated_angle():
 
 def test_curved_reflection_adds_focusing_kick():
     cfg = CavityConfig(theta_split_rad=0.0, n_traversals=1)
-    res, _ = run_with_detector_beams(cfg, WIDE_WAIST, start=BeamEnsemble([1e-3], [0.0], [1.0]))
+    res, _ = run_with_detector_beams(cfg, start=BeamEnsemble([1e-3], [0.0], [1.0]))
     out = res.final
     assert out.positions[0] == 1e-3
     assert out.angles[0] == pytest.approx(-8e-5, rel=1e-15)
@@ -745,10 +753,10 @@ def test_coalesce_packing_boundaries_match_reference(cells, packs, monkeypatch):
 
 
 def _run_bits(cfg):
-    """Each snapshot's traversal, and the bits of each snapshot's beams
-    and moments, then of the final ensemble."""
-    res, beams = run_with_detector_beams(cfg, WAIST)
-    arrays = [(e.positions, e.angles, e.weights, s.ensemble.moments)
+    """Each snapshot's traversal, and the bits of each snapshot's beams,
+    then of the final ensemble."""
+    res, beams = run_with_detector_beams(cfg)
+    arrays = [(e.positions, e.angles, e.weights)
               for e, s in zip(beams, res.snapshots, strict=True)]
     arrays.append((res.final.positions, res.final.angles, res.final.weights))
     return [s.traversal for s in res.snapshots], [
@@ -800,7 +808,7 @@ def _run_digest(cfg):
     """One sha256 over each snapshot's traversal, beam count, positions
     and weights (its beams read through `run_with_detector_beams`), then
     the final ensemble's (traversal 0) positions, angles and weights."""
-    res, beams = run_with_detector_beams(cfg, WAIST)
+    res, beams = run_with_detector_beams(cfg)
     digest = hashlib.sha256()
     for s, ens in zip(res.snapshots, beams, strict=True):
         digest.update(f"{s.traversal}:{len(s.ensemble)};".encode())
@@ -822,7 +830,7 @@ def test_run_arrays_are_pinned(case):
 def test_snapshot_max_angle_is_the_angle_rows_extreme(case):
     """A snapshot records the largest |angle| of the row `_transport`
     would have stored, bit for bit, from the row's extremes alone."""
-    res, beams = run_with_detector_beams(ENGINE_PINS[case][0], WAIST)
+    res, beams = run_with_detector_beams(ENGINE_PINS[case][0])
     for snap, ens in zip(res.snapshots, beams, strict=True):
         assert snap.ensemble.max_angle.hex() == float(np.abs(ens.angles).max()).hex()
 
@@ -834,10 +842,10 @@ def _detector_outcome(detect, ensemble, matrix, kick):
                                                                      ensemble.weights))
     try:
         if detect is cavity._transport:  # the stored row
-            out = sample(cavity._transport(ensemble, matrix, kick, weights), WIDE_WAIST)
-            return len(out), out.max_angle.hex()
+            out = cavity._transport(ensemble, matrix, kick, weights)
+            return len(out), cavity._max_angle(out.angles).hex()
         beams, max_angle = detect(ensemble, kick)
-    except (ParaxialError, density.GuardError) as exc:
+    except ParaxialError as exc:
         return type(exc).__name__, str(exc)
     return beams, max_angle.hex()
 
@@ -935,7 +943,7 @@ def test_run_refuses_a_detector_angle_exactly_as_the_stored_row_did(theta, monke
             for detect in legs:
                 monkeypatch.setattr(cavity, "_detect", detect)
                 try:
-                    res = run(cfg, WIDE_WAIST)
+                    res = run(cfg)
                     got = [(len(s.ensemble), s.ensemble.max_angle.hex()) for s in res.snapshots]
                 except ParaxialError as exc:
                     got = str(exc)
@@ -945,7 +953,7 @@ def test_run_refuses_a_detector_angle_exactly_as_the_stored_row_did(theta, monke
     assert refused == (0 if theta == 0 else 8)  # 4 edges at or past the limit, 2 signs
     monkeypatch.undo()
     with pytest.raises(ParaxialError, match=r"^ensemble angle nan outside paraxial window"):
-        run(CavityConfig(n_traversals=1, theta_split_rad=1e308), WAIST)
+        run(CavityConfig(n_traversals=1, theta_split_rad=1e308))
 
 
 @pytest.mark.parametrize("preset, n, most", [("bnl-quad", 40, 3), ("confocal", 14, 0)])
@@ -964,7 +972,7 @@ def test_each_coalesce_sorts_at_most(preset, n, most, monkeypatch):
     starts = []
     coalesce = cavity.coalesce
     monkeypatch.setattr(cavity, "coalesce", lambda *a: starts.append(len(log)) or coalesce(*a))
-    run(replace(load_preset(preset).cavity, n_traversals=n), WAIST)
+    run(replace(load_preset(preset).cavity, n_traversals=n))
     calls = [log[a:b] for a, b in zip(starts, starts[1:] + [len(log)])]
     assert len(calls) == n
     assert max(sum(kind == "pass" for kind, _, _ in call) for call in calls) == most
@@ -1079,7 +1087,7 @@ def test_run_coalesces_into_the_order_of_the_last_merge(cfg, tols, final_beams, 
         return out
 
     monkeypatch.setattr(cavity, "coalesce", checked)
-    assert len(run(cfg, WAIST).final) == final_beams
+    assert len(run(cfg).final) == final_beams
     assert merging
 
 
@@ -1088,7 +1096,7 @@ def test_runs_without_merges_stay_mirrored(case):
     """Transport lays out the split of a mirrored ensemble mirrored again,
     and this run merges nothing, so the beams of every snapshot and of the
     final ensemble are listed mirrored from one end, angles too."""
-    res, beams = run_with_detector_beams(ENGINE_PINS[case][0], WAIST)
+    res, beams = run_with_detector_beams(ENGINE_PINS[case][0])
     for ens in beams + [res.final]:
         assert oracles.is_mirrored(ens.positions, ens.weights)
         assert np.array_equal(ens.angles, -ens.angles[::-1])
@@ -1101,7 +1109,7 @@ BNL_QUAD_40_BEAMS = ([4, 16, 56, 160, 380, 784, 1456, 2496, 4020, 6160, 9064, 12
 
 
 def test_bnl_quad_beam_counts_are_pinned():
-    res = run(ENGINE_PINS["bnl-quad"][0], WAIST)
+    res = run(ENGINE_PINS["bnl-quad"][0])
     assert ([len(s.ensemble) for s in res.snapshots], len(res.final)) == BNL_QUAD_40_BEAMS
 
 
@@ -1273,7 +1281,7 @@ def test_apart_at_the_63_bit_key_edge(second, holds, monkeypatch):
 
 def test_single_traversal_splits_axial_beam():
     cfg = CavityConfig(n_traversals=1)
-    out = run(cfg, WAIST).final
+    out = run(cfg).final
     assert len(out) == 2
     assert np.array_equal(out.weights, [0.5, 0.5])
     # position at the far mirror: one field passage walks the beam off axis
@@ -1288,7 +1296,7 @@ def test_single_traversal_splits_axial_beam():
 
 def test_two_planar_traversals_build_the_four_state_pattern():
     cfg = CavityConfig(mirror1_focal_m=None, mirror2_focal_m=None, n_traversals=2)
-    ens = run(cfg, WAIST).final
+    ens = run(cfg).final
     assert len(ens) == 4
     assert np.array_equal(ens.weights, np.full(4, 0.25))
     # angles in units of the per-passage kick 2*theta
@@ -1306,7 +1314,7 @@ def test_traversal_count_growth_on_planar_mirrors():
     (n^3 + 5 n + 6) / 6 exactly."""
     cfg = CavityConfig(mirror1_focal_m=None, mirror2_focal_m=None)
     for n in range(1, 26):
-        ens = run(replace(cfg, n_traversals=n), WAIST).final
+        ens = run(replace(cfg, n_traversals=n)).final
         assert len(ens) == (n**3 + 5 * n + 6) // 6, f"count law broke at n={n}"
     assert math.fsum(ens.weights.tolist()) == pytest.approx(1.0, abs=1e-12)
 
@@ -1315,31 +1323,28 @@ def test_traversal_count_growth_on_planar_mirrors():
 
 
 def test_run_snapshot_cadence_mirror2_every_traversal():
-    res = run(CavityConfig(n_traversals=5), WAIST)
-    assert [s.traversal for s in res.snapshots] == [1, 2, 3, 4, 5]
+    cfg = CavityConfig(n_traversals=5)
+    assert [s.traversal for s in run(cfg).snapshots] == list(cfg.snapshot_traversals) == [1, 2, 3, 4, 5]
 
 
 def test_run_snapshot_cadence_mirror1_every_second_traversal():
-    res = run(CavityConfig(mirror2_focal_m=None, extraction_mirror=MIRROR_1, n_traversals=5), WAIST)
-    assert [s.traversal for s in res.snapshots] == [2, 4]
-    res = run(
-        CavityConfig(
-            mirror2_focal_m=-5.5, extraction_mirror=MIRROR_1, n_traversals=6, theta_split_rad=1e-12
-        ),
-        WAIST,
+    cfg = CavityConfig(mirror2_focal_m=None, extraction_mirror=MIRROR_1, n_traversals=5)
+    assert [s.traversal for s in run(cfg).snapshots] == list(cfg.snapshot_traversals) == [2, 4]
+    cfg = CavityConfig(
+        mirror2_focal_m=-5.5, extraction_mirror=MIRROR_1, n_traversals=6, theta_split_rad=1e-12
     )
-    assert [s.traversal for s in res.snapshots] == [2, 4, 6]
+    assert [s.traversal for s in run(cfg).snapshots] == list(cfg.snapshot_traversals) == [2, 4, 6]
 
 
 def test_run_weight_is_conserved_at_every_snapshot():
-    res = run(CavityConfig(), WAIST)
-    for snap in res.snapshots:
-        assert abs(snap.ensemble.moments[0]) <= 1e-12
+    _, beams = run_with_detector_beams(CavityConfig())
+    for ens in beams:
+        assert abs(math.fsum(ens.weights.tolist()) - 1.0) <= 1e-12
 
 
 def test_run_null_field_is_a_single_undisturbed_beam():
     cfg = replace(CavityConfig(n_traversals=8), theta_split_rad=0.0)
-    res, beams = run_with_detector_beams(cfg, WAIST)
+    res, beams = run_with_detector_beams(cfg)
     for snap, ens in zip(res.snapshots, beams, strict=True):
         assert len(snap.ensemble) == len(ens) == 1
         assert ens.positions[0] == 0.0
@@ -1350,7 +1355,7 @@ def test_run_null_field_is_a_single_undisturbed_beam():
 def test_run_snapshots_are_left_right_symmetric():
     """An axial input beam sees a symmetric cavity, so the weighted mean
     position and angle at the detector vanish identically."""
-    _, beams = run_with_detector_beams(CavityConfig(), WAIST)
+    _, beams = run_with_detector_beams(CavityConfig())
     for k in (0, 7, -1):
         e = beams[k]
         assert math.fsum((e.weights * e.positions).tolist()) == 0.0
@@ -1362,7 +1367,7 @@ def test_first_snapshot_matches_transfer_matrix_prediction_axial():
     +-theta*(length + 2*gap + 2*distance) with angle +-2*theta; the chain
     is short enough to write out by hand."""
     cfg = CavityConfig(n_traversals=1)
-    res, (e,) = run_with_detector_beams(cfg, WAIST)
+    res, (e,) = run_with_detector_beams(cfg)
     d = cfg.field_length_m + 2 * cfg.gap_m + cfg.detector_distance_m + cfg.detector_distance_m
     assert np.allclose(np.sort(e.positions), [-THETA * 18.0, THETA * 18.0], rtol=1e-12)
     assert d == 18.0
@@ -1376,7 +1381,7 @@ def test_first_snapshot_matches_transfer_matrix_prediction_general():
     centroid, and the angles by 2*theta around the input angle."""
     cfg = CavityConfig(n_traversals=1)
     r0, a0 = 1e-5, 2e-6
-    res, (e,) = run_with_detector_beams(cfg, WAIST, start=BeamEnsemble([r0], [a0], [1.0]))
+    res, (e,) = run_with_detector_beams(cfg, start=BeamEnsemble([r0], [a0], [1.0]))
     centroid = r0 + a0 * (cfg.field_length_m + 2 * cfg.gap_m + cfg.detector_distance_m)
     offsets = np.sort(e.positions) - centroid
     assert np.allclose(offsets, [-THETA * 18.0, THETA * 18.0], rtol=1e-12)
@@ -1389,7 +1394,7 @@ def test_long_run_conserves_weight_with_coarse_merging(monkeypatch):
     """A thousand traversals with aggressive merge tolerances: the beam count
     stays tiny and the total weight never drifts."""
     _coalesce_on(monkeypatch, 1e-8, 1e-7)
-    res = run(CavityConfig(n_traversals=1000), WAIST)
+    res = run(CavityConfig(n_traversals=1000))
     assert abs(math.fsum(res.final.weights.tolist()) - 1.0) <= 1e-12
     assert len(res.final) <= 16
 
@@ -1398,10 +1403,10 @@ def test_run_accepts_convex_concave_geometry():
     cfg = CavityConfig(
         mirror2_focal_m=-5.5, extraction_mirror=MIRROR_1, n_traversals=6, theta_split_rad=1e-9
     )
-    res = run(cfg, WAIST)
-    assert res.snapshots
-    for snap in res.snapshots:
-        assert abs(snap.ensemble.moments[0]) <= 1e-12
+    res, beams = run_with_detector_beams(cfg)
+    assert [s.traversal for s in res.snapshots] == [2, 4, 6]
+    for ens in beams:
+        assert abs(math.fsum(ens.weights.tolist()) - 1.0) <= 1e-12
 
 
 # --- beam budget -------------------------------------------------------------
@@ -1412,9 +1417,9 @@ def test_run_refuses_a_split_past_the_beam_budget(monkeypatch):
     beams, four traversals fit and the fifth split is refused before any
     work is done on it."""
     monkeypatch.setattr(cavity, "MAX_BEAMS", 16)
-    assert len(run(CavityConfig(n_traversals=4), WAIST).final) == 16
+    assert len(run(CavityConfig(n_traversals=4)).final) == 16
     with pytest.raises(BeamBudgetError, match="traversal 5 would split 16 beams into 32"):
-        run(CavityConfig(n_traversals=5), WAIST)
+        run(CavityConfig(n_traversals=5))
 
 
 def test_beam_budget_counts_the_merged_ensemble(monkeypatch):
@@ -1423,9 +1428,9 @@ def test_beam_budget_counts_the_merged_ensemble(monkeypatch):
     confocal ensemble would be 64."""
     monkeypatch.setattr(cavity, "MAX_BEAMS", 52)
     planar = CavityConfig(mirror1_focal_m=None, mirror2_focal_m=None)
-    assert len(run(replace(planar, n_traversals=6), WAIST).final) == 42
+    assert len(run(replace(planar, n_traversals=6)).final) == 42
     with pytest.raises(BeamBudgetError):
-        run(CavityConfig(n_traversals=6), WAIST)
+        run(CavityConfig(n_traversals=6))
 
 
 # --- shared arrays -----------------------------------------------------------
@@ -1458,6 +1463,6 @@ def test_run_leaves_the_initial_arrays_unchanged(theta):
     start = BeamEnsemble(rng.normal(scale=1e-9, size=64), rng.normal(scale=1e-12, size=64),
                          rng.uniform(0.0, 1.0 / 32, 64))
     before = [a.copy() for a in (start.positions, start.angles, start.weights)]
-    run_with_detector_beams(CavityConfig(n_traversals=5, theta_split_rad=theta), WAIST, start)
+    run_with_detector_beams(CavityConfig(n_traversals=5, theta_split_rad=theta), start)
     after = (start.positions, start.angles, start.weights)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import axicav
-from axicav import cavity, cli, density, sensitivity
+from axicav import cavity, cli, density, scenario, sensitivity
 
 SERIES = "n,signal\n1,64124793\n2,128224793\n3,192324793\n4,256424793\n5,320524793\n"
 
@@ -131,25 +131,25 @@ def test_simulate_null_field_writes_exact_zeros(tmp_path, capsys):
 def test_simulate_renders_each_snapshot_once_and_no_reference_beam(tmp_path, capsys, monkeypatch):
     """The reference is the axial beam, whose deviation is +0, so a
     difference histogram needs only the snapshot's own render: one
-    `bin_ensemble` call holds every snapshot, in order, and nothing else."""
-    rendered, runs = [], []
-    bin_ensemble, run = density.bin_ensemble, cli.run
+    `bin_ensemble` call holds every snapshot's moment vector, in order, and
+    nothing else."""
+    rendered, taken = [], []
+    bin_ensemble, snapshot_moments = density.bin_ensemble, density.snapshot_moments
 
-    def spy_bin_ensemble(samples, *args):
-        rendered.append(list(samples))
-        return bin_ensemble(samples, *args)
+    def spy_bin_ensemble(moments, *args):
+        rendered.append(list(moments))
+        return bin_ensemble(moments, *args)
 
-    def spy_run(*args):
-        runs.append(run(*args))
-        return runs[-1]
+    def spy_snapshot_moments(*args):
+        taken.append(snapshot_moments(*args))
+        return taken[-1]
 
     monkeypatch.setattr(density, "bin_ensemble", spy_bin_ensemble)
-    monkeypatch.setattr(cli, "run", spy_run)
+    monkeypatch.setattr(density, "snapshot_moments", spy_snapshot_moments)
     args = ["--preset", "confocal", "--override", "cavity.n_traversals=3"]
     assert cli.main([*args, "--out", str(tmp_path), "simulate"]) == 0
-    snapshots = [snap.ensemble for snap in runs[0].snapshots]
-    assert len(rendered) == 1 and len(rendered[0]) == len(snapshots) == 3
-    assert all(got is snap for got, snap in zip(rendered[0], snapshots))
+    assert len(rendered) == len(taken) == 1 and len(rendered[0]) == len(taken[0]) == 3
+    assert all(got is m for got, m in zip(rendered[0], taken[0]))
 
 
 def test_simulate_is_deterministic(tmp_path, capsys):
@@ -292,30 +292,51 @@ def test_simulate_refuses_a_snapshot_that_overflows_and_writes_nothing(tmp_path,
     assert not out.exists()
 
 
-def test_simulate_refused_at_detection_exits_3_and_writes_nothing(tmp_path, capsys,
-                                                                 monkeypatch):
+def test_simulate_refused_by_the_series_exits_3_and_writes_nothing(tmp_path, capsys,
+                                                                  monkeypatch):
     """A snapshot too far off the axis for the moment series (confocal at
-    theta = 1e-4: max|x|/r = 2.4 at traversal 1) is refused as it is
-    taken, inside `run`, with GuardError: exit 3, nothing rendered, no
-    file written."""
-    raised, rendered = [], []
-    run = cli.run
+    theta = 1e-4: max|x|/r = 2.4 at traversal 1) is refused with GuardError
+    by `density.snapshot_moments`, before the engine runs: exit 3, `run`
+    never called, nothing rendered, no file written."""
+    raised, runs, rendered = [], [], []
+    snapshot_moments = density.snapshot_moments
 
-    def spy_run(*args):
+    def spy_snapshot_moments(*args):
         try:
-            return run(*args)
+            return snapshot_moments(*args)
         except density.GuardError as exc:
             raised.append(exc)
             raise
 
-    monkeypatch.setattr(cli, "run", spy_run)
+    monkeypatch.setattr(density, "snapshot_moments", spy_snapshot_moments)
+    monkeypatch.setattr(cli, "run", lambda *args: runs.append(args))
     monkeypatch.setattr(density, "bin_ensemble", lambda *args: rendered.append(args))
     out = tmp_path / "out"
     args = ["--preset", "confocal", "--override", "cavity.theta_split_rad=1e-4"]
     assert cli.main([*args, "--out", str(out), "simulate"]) == 3
     assert "max|x|/r = 2.4: the moment series needs more than" in capsys.readouterr().err
-    assert len(raised) == 1 and not rendered
+    assert len(raised) == 1 and not runs and not rendered
     assert not out.exists()
+
+
+def test_simulate_refuses_a_geometry_whose_maps_overflow_before_the_engine_runs(
+        tmp_path, capsys, monkeypatch):
+    """Mirrors 3e300 m apart: the transfer maps overflow a double, so the
+    kick coefficients hold an inf and a NaN, as the beams carried through
+    the same maps would.  The series refuses the scenario before `run` is
+    called, so no beam at an overflowed or NaN position reaches
+    `cavity.coalesce`: exit 3, nothing written."""
+    overrides = ["cavity.field_length_m=1e300", "cavity.gap_m=1e300"]
+    cfg = scenario.load_preset("confocal", overrides).cavity
+    coefficients = sum(cavity.kick_coefficients(cfg, cfg.n_traversals), [])
+    assert math.inf in map(abs, coefficients) and any(map(math.isnan, coefficients))
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda *args: runs.append(args))
+    out = tmp_path / "out"
+    args = ["--preset", "confocal", *sum((["--override", o] for o in overrides), [])]
+    assert cli.main([*args, "--out", str(out), "simulate"]) == 3
+    assert "max|x|/r = 1.6e+294: the moment series" in capsys.readouterr().err
+    assert not runs and not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -323,8 +344,9 @@ def test_simulate_refused_at_detection_exits_3_and_writes_nothing(tmp_path, caps
     [
         # the spacing overflows a double: a configuration error, before any map is built
         ("1e308", 2, "cavity.field_length_m + 2 * gap_m (the mirror spacing) must be finite"),
-        # finite but huge: the first split leg leaves the paraxial window
-        ("1e300", 3, "outside paraxial window"),
+        # finite but huge: the transfer maps overflow, and the series
+        # refuses the first snapshot before any beam is carried
+        ("1e300", 3, "max|x|/r = inf: the moment series"),
     ],
     ids=["overflowing", "huge"],
 )
@@ -822,6 +844,17 @@ def test_mass_scan_without_a_half_suppression_mass_writes_its_file(override, rea
     assert out.read_text() == capsys.readouterr().out
 
 
+def test_mass_scan_of_zeros_past_the_column_path_edge_writes_its_table(tmp_path, capsys):
+    """With no coupling and one mass, every value of a 200-row scan is a
+    zero, which the CSV writer's column path formats by the fallback and
+    shows with one digit: the table is the one the per-row path writes."""
+    out = tmp_path / "z.csv"
+    args = ["--preset", "confocal", "--override", "axion.g_a_gev=0", "mass-scan",
+            "--m-min", "0", "--m-max", "0", "--steps", "200", "--out-file", str(out)]
+    assert cli.main(args) == 0
+    assert out.read_text() == "m_a_ev,phi_rad,suppression\n" + "0,0,0\n" * 200
+
+
 @pytest.mark.parametrize(
     "flags, named",
     [
@@ -904,6 +937,7 @@ def test_mass_scan_names_the_scenario_key_of_an_overflowing_qgamma(key, tmp_path
 # mixing points whose Qm or Qgamma overflows a double -> what the refusal names
 OVERFLOWING_MIXING_POINTS = {
     "qm": (["axion.g_a_gev=1e308", "axion.omega_ev=1e10"], "must give a finite Qm"),
+    "2qm": (["axion.g_a_gev=1e308", "axion.omega_ev=5e6"], "must give a finite 2 Qm"),
     "qgamma": (["axion.omega_ev=1e200"], "must give a finite Qgamma"),
 }
 

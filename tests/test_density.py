@@ -8,10 +8,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 import oracles
-from oracles import gaussian_density, rates, run_with_detector_beams, sample
+from oracles import gaussian_density, rates, run_moments, run_with_detector_beams
 
 from axicav import cavity, cli, density
-from axicav.cavity import BeamEnsemble, CavityConfig, axial_beam, run
+from axicav.cavity import BeamEnsemble, CavityConfig, axial_beam
 from axicav.density import (
     MAX_ORDER,
     GaussianProfile,
@@ -34,14 +34,15 @@ HISTOGRAM_MAX_M = 3e-3
 EDGES = histogram_edges(BIN_WIDTH_M, HISTOGRAM_MAX_M)
 
 
-def _sample(positions, angles, weights, waist=WAIST):
-    """The detector sample, at ``waist``, of beams with these arrays."""
-    return sample(BeamEnsemble(positions, angles, weights), waist)
+def _moments(positions, angles, weights):
+    """The moment vector, at the waist, of beams with these arrays."""
+    ens = BeamEnsemble(positions, angles, weights)
+    return oracles.moments(ens.positions, ens.weights, WAIST)
 
 
-def _counts(sample, edges=EDGES):
-    """The photon rate of one sample in each bin: axial part plus deviation."""
-    axial, deviation = bin_ensemble([sample], PROFILE, edges)
+def _counts(moments, edges=EDGES):
+    """The photon rate of one snapshot in each bin: axial part plus deviation."""
+    axial, deviation = bin_ensemble([moments], PROFILE, edges)
     return axial + deviation[0]
 
 
@@ -279,8 +280,8 @@ def test_histogram_edges_require_integer_bin_count():
 
 def test_histogram_validation():
     """A render is one axial value per bin and one deviation row per
-    sample, in the samples' order; descending edges are refused."""
-    ref, pair = _sample([0.0], [0.0], [1.0]), _sample([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
+    moment vector, in their order; descending edges are refused."""
+    ref, pair = _moments([0.0], [0.0], [1.0]), _moments([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
     with pytest.raises(ValueError, match="finite and strictly ascending"):
         bin_ensemble([pair], PROFILE, np.array([0.0, -1e-4]))
     axial, deviation = bin_ensemble([ref, pair, ref], PROFILE, EDGES[:3])
@@ -292,7 +293,7 @@ def test_histogram_validation():
 def test_bin_single_beam_matches_erf_integral():
     from scipy.special import erf
 
-    counts = _counts(_sample([0.0], [0.0], [1.0]))
+    counts = _counts(_moments([0.0], [0.0], [1.0]))
     s = WAIST * math.sqrt(2.0)
     norm = AMPLITUDE * WAIST * math.sqrt(math.pi / 2.0)
     lo, hi = 0.0, BIN_WIDTH_M
@@ -303,7 +304,7 @@ def test_bin_single_beam_matches_erf_integral():
 
 def test_binned_total_recovers_the_gaussian_norm():
     edges = np.linspace(-8 * WAIST, 8 * WAIST, 241)
-    counts = _counts(_sample([0.0], [0.0], [1.0]), edges)
+    counts = _counts(_moments([0.0], [0.0], [1.0]), edges)
     assert math.fsum(counts.tolist()) == pytest.approx(
         AMPLITUDE * WAIST * math.sqrt(2 * math.pi), rel=1e-6
     )
@@ -311,8 +312,8 @@ def test_binned_total_recovers_the_gaussian_norm():
 
 def test_binned_total_is_independent_of_beam_position():
     edges = np.linspace(-8 * WAIST, 8 * WAIST, 241)
-    at_zero = _counts(_sample([0.0], [0.0], [1.0]), edges)
-    shifted = _counts(_sample([1e-4], [0.0], [1.0]), edges)
+    at_zero = _counts(_moments([0.0], [0.0], [1.0]), edges)
+    shifted = _counts(_moments([1e-4], [0.0], [1.0]), edges)
     assert math.fsum(shifted.tolist()) == pytest.approx(
         math.fsum(at_zero.tolist()), rel=1e-9
     )
@@ -322,7 +323,7 @@ def test_exact_bin_integral_differs_from_midpoint_sampling():
     """The default bins are a small fraction of the waist, yet the curvature
     bias of midpoint sampling is well above the tolerance the growth series
     are held to; the erf form sidesteps it."""
-    counts = _counts(_sample([0.0], [0.0], [1.0]))
+    counts = _counts(_moments([0.0], [0.0], [1.0]))
     mid = 0.5 * (EDGES[:-1] + EDGES[1:])
     midpoint = gaussian_density(mid, PROFILE) * np.diff(EDGES)
     rel = np.abs(midpoint - counts) / counts
@@ -330,14 +331,14 @@ def test_exact_bin_integral_differs_from_midpoint_sampling():
 
 
 def test_weighted_beams_superpose_linearly():
-    pair = _counts(_sample([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5]))
-    plus = _counts(_sample([1e-5], [0.0], [1.0]))
-    minus = _counts(_sample([-1e-5], [0.0], [1.0]))
+    pair = _counts(_moments([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5]))
+    plus = _counts(_moments([1e-5], [0.0], [1.0]))
+    minus = _counts(_moments([-1e-5], [0.0], [1.0]))
     assert np.allclose(pair, 0.5 * plus + 0.5 * minus, rtol=1e-13)
 
 
 def test_integrate_window_matches_bin_sums():
-    ens = _sample([2e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
+    ens = _moments([2e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
     window = integrate_window(ens, PROFILE, 0.0, HISTOGRAM_MAX_M)
     assert window == pytest.approx(float(np.sum(_counts(ens))), rel=1e-12)
     with pytest.raises(ValueError):
@@ -346,8 +347,8 @@ def test_integrate_window_matches_bin_sums():
 
 def test_split_ensemble_loses_center_and_gains_shoulders():
     alpha = 1e-5
-    ref = _sample([0.0], [0.0], [1.0])
-    pair = _sample([alpha, -alpha], [0.0, 0.0], [0.5, 0.5])
+    ref = _moments([0.0], [0.0], [1.0])
+    pair = _moments([alpha, -alpha], [0.0, 0.0], [0.5, 0.5])
     core_ref = integrate_window(ref, PROFILE, -7e-4, 7e-4)
     core_pair = integrate_window(pair, PROFILE, -7e-4, 7e-4)
     assert core_ref > core_pair
@@ -357,21 +358,17 @@ def test_split_ensemble_loses_center_and_gains_shoulders():
 
 
 def test_profile_difference_signs_and_validation():
-    ref = _sample([0.0], [0.0], [1.0])
-    pair = _sample([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
+    ref = _moments([0.0], [0.0], [1.0])
+    pair = _moments([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
     diff = profile_difference(ref, pair, PROFILE, EDGES)
     assert diff[0] > 0  # central loss is positive
     assert diff[-1] < 0  # far shoulder gain is negative
     same = profile_difference(ref, ref, PROFILE, EDGES)
     assert np.array_equal(same, np.zeros(30))
-    # both samples share the one binning; one taken at another waist is refused
-    other = _sample([0.0], [0.0], [1.0], 2 * WAIST)
-    with pytest.raises(ValueError, match="taken at waist 0.0015 m"):
-        profile_difference(ref, other, PROFILE, EDGES)
 
 
 def test_histogram_edges_cover_every_bin():
-    axial, deviation = bin_ensemble([_sample([0.0], [0.0], [1.0])], PROFILE, EDGES)
+    axial, deviation = bin_ensemble([_moments([0.0], [0.0], [1.0])], PROFILE, EDGES)
     assert EDGES.shape == (31,) and axial.shape == (30,) and deviation.shape == (1, 30)
     assert EDGES[0] == 0.0
     assert EDGES[-1] == pytest.approx(3e-3, rel=1e-15)
@@ -380,7 +377,7 @@ def test_histogram_edges_cover_every_bin():
 def test_histogram_counts_are_axial_plus_deviation():
     """A bin's rate is its axial part plus the deviation: the rate
     `integrate_window` gives over that bin."""
-    pair = _sample([2e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
+    pair = _moments([2e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
     counts = _counts(pair)
     for lo, hi, got in zip(EDGES[:-1].tolist(), EDGES[1:].tolist(), counts.tolist()):
         assert got == pytest.approx(integrate_window(pair, PROFILE, lo, hi), rel=1e-15)
@@ -417,7 +414,7 @@ def test_histogram_refuses_bad_edges_and_non_finite_rates(edges, amplitude, mome
     (1e-3, 1e-3), (1e-3, -1e-3),
 ])
 def test_window_edges_must_be_finite_and_ascending(lo, hi):
-    ens = _sample([1e-6, -1e-6], [0.0, 0.0], [0.5, 0.5])
+    ens = _moments([1e-6, -1e-6], [0.0, 0.0], [0.5, 0.5])
     with pytest.raises(ValueError, match="finite and strictly ascending"):
         integrate_window(ens, PROFILE, lo, hi)
     with pytest.raises(ValueError, match="finite and strictly ascending"):
@@ -466,33 +463,16 @@ def test_series_order_grows_with_the_spread_and_is_capped():
     wide = oracles.moments(np.array([0.5 * WAIST]), one, WAIST)
     assert 3 < wide.size <= MAX_ORDER + 1
     with pytest.raises(GuardError, match=f"more than {MAX_ORDER} terms"):
-        _sample([1.5 * WAIST], [0.0], [1.0])
+        _moments([1.5 * WAIST], [0.0], [1.0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_moments_refuse_a_position_that_is_not_finite(bad):
     """A detector position that overflowed, or a NaN, needs more than
-    MAX_ORDER terms: the sample is refused with GuardError, without a
+    MAX_ORDER terms: the beams are refused with GuardError, without a
     RuntimeWarning on the way."""
     with pytest.raises(GuardError, match=f"^max\\|x\\|/r = {abs(bad)!r}: "):
         oracles.moments(np.array([0.0, bad, 1e-6]), np.full(3, 1.0 / 3), WAIST)
-
-
-def test_a_sample_is_read_at_its_own_waist_only():
-    """A sample's moments are scaled to the waist it was taken at; a
-    profile of another waist would read them as other beams, so
-    `bin_ensemble` and `integrate_window` refuse it."""
-    pair = _sample([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
-    wider = GaussianProfile(AMPLITUDE, 2 * WAIST)
-    with pytest.raises(ValueError, match="at waist 0.00075 m, the profile's waist is 0.0015 m"):
-        bin_ensemble([pair], wider, EDGES)
-    with pytest.raises(ValueError, match="the profile's waist is 0.0015 m"):
-        integrate_window(pair, wider, -1e-6, 1e-6)
-    # taken at that waist, it is read as the beams it was taken from
-    at_wider = _sample([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5], 2 * WAIST)
-    beams = BeamEnsemble([1e-5, -1e-5], [0.0, 0.0], [0.5, 0.5])
-    assert bin_ensemble([at_wider], wider, EDGES)[1][0].tobytes() == rates(
-        beams, wider, EDGES)[1].tobytes()
 
 
 def test_a_wide_beam_renders_as_its_own_gaussian():
@@ -502,7 +482,7 @@ def test_a_wide_beam_renders_as_its_own_gaussian():
 
     mp.dps = 40
     x0 = 0.5 * WAIST
-    counts = _counts(_sample([x0], [0.0], [1.0]))
+    counts = _counts(_moments([x0], [0.0], [1.0]))
     s = mp.mpf(WAIST) * mp.sqrt(2)
     norm = AMPLITUDE * mp.mpf(WAIST) * mp.sqrt(mp.pi / 2)
     edges = EDGES.tolist()
@@ -539,8 +519,8 @@ def test_rates_past_order_20_are_float_and_match_the_oracle():
 
 
 def test_null_run_deviates_by_exact_zeros():
-    res = run(CavityConfig(n_traversals=3, theta_split_rad=0.0), WAIST)
-    deviation = bin_ensemble([snap.ensemble for snap in res.snapshots], PROFILE, EDGES)[1]
+    deviation = bin_ensemble(run_moments(CavityConfig(n_traversals=3, theta_split_rad=0.0), WAIST),
+                             PROFILE, EDGES)[1]
     assert np.array_equal(deviation, np.zeros((3, 30)))
     assert not np.any(np.signbit(deviation))
 
@@ -587,8 +567,8 @@ def test_mirrored_moments_are_bitwise_the_exact_sums(case, monkeypatch):
         if case == "coarse-tolerance":
             monkeypatch.setattr(cavity, "COALESCE_TOL_POSITION_M", 1e-9)
             monkeypatch.setattr(cavity, "COALESCE_TOL_ANGLE_RAD", 1e-10)
-        res, ensembles = run_with_detector_beams(MIRRORED_RUNS[case], WAIST)
-        kept = [snap.ensemble.moments for snap in res.snapshots]
+        _, ensembles = run_with_detector_beams(MIRRORED_RUNS[case])
+        kept = run_moments(MIRRORED_RUNS[case], WAIST)
     for ens in ensembles:
         assert oracles.is_mirrored(ens.positions, ens.weights)
         assert _moment_bits(ens, monkeypatch, True) == _moment_bits(ens, monkeypatch, False)
@@ -629,7 +609,7 @@ def test_asymmetric_ensembles_take_the_exact_sums(monkeypatch):
     assert oracles.is_mirrored(x, w)
     off_axis = BeamEnsemble([3e-5, -1e-5], [2e-7, -1e-7], [0.25, 0.75])
     _, bnl = run_with_detector_beams(
-        replace(BNL_QUAD, n_traversals=40, theta_split_rad=1.1 * BNL_QUAD.theta_split_rad), WAIST)
+        replace(BNL_QUAD, n_traversals=40, theta_split_rad=1.1 * BNL_QUAD.theta_split_rad))
     late = [ens for ens in bnl if not oracles.is_mirrored(ens.positions, ens.weights)]
     assert late  # 4 of the 20 snapshots at 1.1 times the preset split
     ensembles = [off_axis, BeamEnsemble(x_moved, np.zeros(1000), w),
@@ -652,10 +632,9 @@ def test_confocal_simulate_sums_only_the_weights_exactly(tmp_path, monkeypatch):
     vectors, rows = [], []
     snapshot_moments, row = density.snapshot_moments, cavity._row
 
-    def kept(coefficients, waist_m):
-        for m in snapshot_moments(coefficients, waist_m):
-            vectors.append(m)
-            yield m
+    def kept(*args):
+        vectors.extend(snapshot_moments(*args))
+        return vectors
 
     monkeypatch.setattr(density, "snapshot_moments", kept)
     monkeypatch.setattr(cavity, "_row", lambda *args: rows.append(args[0].size) or row(*args))
@@ -688,10 +667,10 @@ def test_a_stacked_render_is_each_ensembles_own():
     midpoint terms in each bin than one at order 5; reading the rows of
     order 5 from it moves the last bits of 31 of these 51 snapshots, so
     each order reads its own table."""
-    _, ensembles = run_with_detector_beams(replace(CONFOCAL, n_traversals=10), WAIST)
+    _, ensembles = run_with_detector_beams(replace(CONFOCAL, n_traversals=10))
     for theta in (2.2e-14, 3.5e-14):
         ensembles += run_with_detector_beams(
-            replace(BNL_QUAD, n_traversals=40, theta_split_rad=theta), WAIST)[1]
+            replace(BNL_QUAD, n_traversals=40, theta_split_rad=theta))[1]
     ensembles.append(BeamEnsemble([0.5 * WAIST], [0.0], [1.0]))
     orders = {oracles.moments(ens.positions, ens.weights, WAIST).size - 1 for ens in ensembles}
     assert len(orders) > 2 and max(orders) == 22

@@ -19,15 +19,16 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from oracles import moments, run_with_detector_beams
+from oracles import moments, run_moments, run_with_detector_beams
 from test_exact_transport import _exact_run
 
-from axicav import cavity, density
+from axicav import cavity, cli, density
 from axicav.cavity import MIRROR_1, MIRROR_2, BeamBudgetError, CavityConfig
-from axicav.density import GuardError
+from axicav.density import GaussianProfile, GuardError
 from axicav.scenario import load_preset
 
 WAIST = 7.5e-4  # the presets' laser waist
+PROFILE = GaussianProfile(waist_m=WAIST)
 
 CONFOCAL = load_preset("confocal").cavity
 BNL_QUAD = load_preset("bnl-quad").cavity
@@ -103,10 +104,9 @@ def test_snapshot_moments_are_within_5e_15_of_the_exact_moments(case):
     snapshot's beams (`oracles.moments`)."""
     cfg = RUNS[case]
     exact = _exact_coefficients(cfg)
-    result, beams = run_with_detector_beams(cfg, WAIST)
+    result, beams = run_with_detector_beams(cfg)
     worst = worst_beams = 0.0
-    for snap, ens in zip(result.snapshots, beams, strict=True):
-        m = snap.ensemble.moments
+    for snap, ens, m in zip(result.snapshots, beams, run_moments(cfg, WAIST), strict=True):
         assert m[0] == 0.0 and m[1::2].tobytes() == bytes(8 * (m.size // 2))
         from_beams = moments(ens.positions, ens.weights, WAIST)
         assert from_beams.size == m.size, snap.traversal
@@ -129,11 +129,10 @@ def test_the_exact_coefficients_give_the_exact_transport_states(cfg):
     states, _ = _exact_run(cfg)
     coefficients = _exact_coefficients(cfg)
     r = Fraction(WAIST)
-    for snap in cavity.run(cfg, WAIST).snapshots:
-        m = snap.ensemble.moments
-        exact = _exact_moments(coefficients[snap.traversal], m.size - 1)
+    for k, m in zip(cfg.snapshot_traversals, run_moments(cfg, WAIST), strict=True):
+        exact = _exact_moments(coefficients[k], m.size - 1)
         for n in range(0, m.size, 2):
-            assert sum(w * (x / r) ** n for x, _, w in states[snap.traversal]) == exact[n // 2]
+            assert sum(w * (x / r) ** n for x, _, w in states[k]) == exact[n // 2]
         assert _worst_even_error(m, exact) <= 5e-15
 
 
@@ -142,8 +141,9 @@ def test_m2_is_a_compensated_sum_at_n_target():
     snapshot at N = 15000 lies within 2e-16 of the exact sum of the float
     coefficients (measured 7.9e-17); a plain running sum of the same
     squares lies 2.3e-15 from it."""
-    coefficients = cavity.kick_coefficients(BNL_QUAD, 15000)[0]
-    *_, last = density.snapshot_moments(coefficients, WAIST)
+    both = cavity.kick_coefficients(BNL_QUAD, 15000)
+    coefficients = both[0]
+    last, = density.snapshot_moments(both, [15000], PROFILE)
     exact = sum((Fraction(a) / Fraction(WAIST)) ** 2 for a in coefficients)
     plain = 0.0
     for a in coefficients:
@@ -153,29 +153,33 @@ def test_m2_is_a_compensated_sum_at_n_target():
     assert abs(Fraction(plain) - exact) > Fraction(1e-15) * exact
 
 
-def test_a_snapshot_past_the_series_is_refused_at_its_own_traversal(monkeypatch):
+def test_a_snapshot_past_the_series_is_refused_before_the_engine_runs(tmp_path, capsys,
+                                                                       monkeypatch):
     """At theta = 1e-5 confocal snapshot 5 has max|x|/r = 1.35, past the
     series, and snapshot 4 is at 1.0.  The moments of the first four come
-    out, and snapshot 5 is refused (GuardError) when it is taken, after
-    the detector has read its beams; later snapshots' orders, computed
-    ahead, raise nothing, so a beam budget reached first still raises
-    first."""
-    cfg = CavityConfig(n_traversals=8, theta_split_rad=1e-5)
-    series = [density.snapshot_moments(c, WAIST) for c in cavity.kick_coefficients(cfg, 8)]
-    sizes = [next(series[k % 2]).size for k in range(1, 5)]
+    out, and the run's snapshots are refused (GuardError) at snapshot 5,
+    in traversal order.  The series depends on the scenario alone, so
+    `simulate` refuses it before any beam is carried: no `_detect` call,
+    and ahead of a beam budget that `run` alone would reach first."""
+    cfg = replace(CONFOCAL, n_traversals=8, theta_split_rad=1e-5)
+    coefficients = cavity.kick_coefficients(cfg, 8)
+    sizes = [m.size for m in density.snapshot_moments(coefficients, range(1, 5), PROFILE)]
     assert sizes == sorted(sizes) and sizes[-1] == 31  # order 30 at max|x|/r = 1.0
     with pytest.raises(GuardError, match=r"^max\|x\|/r = 1.35: "):
-        next(series[1])
+        density.snapshot_moments(coefficients, cfg.snapshot_traversals, PROFILE)
 
     detected = []
     detect = cavity._detect
     monkeypatch.setattr(cavity, "_detect", lambda *args: detected.append(1) or detect(*args))
-    with pytest.raises(GuardError, match=r"^max\|x\|/r = 1.35: "):
-        cavity.run(cfg, WAIST)
-    assert len(detected) == 5
     monkeypatch.setattr(cavity, "MAX_BEAMS", 8)
     with pytest.raises(BeamBudgetError, match="traversal 4 would split 8 beams into 16"):
-        cavity.run(cfg, WAIST)
+        cavity.run(cfg)
+    del detected[:]
+    args = ["--preset", "confocal", "--override", "cavity.n_traversals=8",
+            "--override", "cavity.theta_split_rad=1e-5", "--out", str(tmp_path / "o"), "simulate"]
+    assert cli.main(args) == 3
+    assert "numerical guard violation: max|x|/r = 1.35: " in capsys.readouterr().err
+    assert not detected and not (tmp_path / "o").exists()
 
 
 def test_a_field_off_run_has_zero_coefficients_and_moments():
@@ -183,8 +187,8 @@ def test_a_field_off_run_has_zero_coefficients_and_moments():
     is [0.0, 0.0, 0.0], as the one beam on the axis gives."""
     cfg = CavityConfig(n_traversals=5, theta_split_rad=0.0)
     assert cavity.kick_coefficients(cfg, 5) == ([0.0] * 4, [0.0] * 5)
-    for snap in cavity.run(cfg, WAIST).snapshots:
-        assert snap.ensemble.moments.tobytes() == bytes(24) and len(snap.ensemble) == 1
+    assert [m.tobytes() for m in run_moments(cfg, WAIST)] == [bytes(24)] * 5
+    assert [len(snap.ensemble) for snap in cavity.run(cfg).snapshots] == [1] * 5
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -192,7 +196,8 @@ def test_a_coefficient_that_is_not_finite_is_refused(bad):
     """A coefficient that overflowed, or a NaN, puts max|x|/r past the
     series: its snapshot is refused with GuardError, and the one before it
     is not."""
-    series = density.snapshot_moments([1e-9, -2e-9, bad], WAIST)
-    assert next(series)[2] == (1e-9 / WAIST) ** 2
+    coefficients = ([], [1e-9, -2e-9, bad])  # odd snapshots only
+    m, = density.snapshot_moments(coefficients, [1], PROFILE)
+    assert m[2] == (1e-9 / WAIST) ** 2
     with pytest.raises(GuardError, match=f"^max\\|x\\|/r = {bad!r}: "):
-        next(series)
+        density.snapshot_moments(coefficients, [1, 3], PROFILE)

@@ -20,8 +20,6 @@ from axicav import cavity
 from axicav.cavity import MIRROR_2
 from axicav.scenario import load_preset
 
-WAIST = 7.5e-4  # the presets' laser waist
-
 CONFOCAL = load_preset("confocal").cavity
 BNL_QUAD = load_preset("bnl-quad").cavity
 
@@ -55,7 +53,7 @@ def _exact_run(cfg):
 def _worst_position_ulps(cfg):
     """Over every snapshot: the largest distance between the engine's sorted
     detector positions and the exact ones, in ulp of the largest |x|."""
-    res, beams = run_with_detector_beams(cfg, WAIST)
+    res, beams = run_with_detector_beams(cfg)
     exact, _ = _exact_run(cfg)
     assert [s.traversal for s in res.snapshots] == sorted(exact)
     worst = Fraction(0)
@@ -81,7 +79,7 @@ def test_bnl_quad_second_moments_and_merges_are_exact():
     coalescing cell of exactly one of them and carries its weight exactly,
     so every merge joined beams whose exact states are equal."""
     cfg = replace(BNL_QUAD, n_traversals=12)
-    res, beams = run_with_detector_beams(cfg, WAIST)
+    res, beams = run_with_detector_beams(cfg)
     exact, final = _exact_run(cfg)
     for snap, ens in zip(res.snapshots, beams, strict=True):
         got = sum(Fraction(w) * Fraction(x) ** 2

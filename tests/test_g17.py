@@ -86,8 +86,12 @@ def test_random_bit_patterns_match_percent_formatting(csv_path):
         # every subnormal exponent, and the normals around the fast range's ends
         np.random.default_rng(SEED).integers(1, 2**52, 20_000).view(np.float64),
         np.concatenate([np.geomspace(1e-282, 1e-278, 5000), np.geomspace(1e278, 1e282, 5000)]),
+        # fallbacks and no value showing three digits, with nothing to spell
+        np.zeros(200),
+        np.repeat([0.0, 0.5], 100),
     ],
-    ids=["decade-edges", "ties", "specials", "subnormals", "fast-range-ends"],
+    ids=["decade-edges", "ties", "specials", "subnormals", "fast-range-ends", "zeros",
+         "zeros-and-halves"],
 )
 def test_edge_cases_match_percent_formatting(values, csv_path):
     assert _csv_text(values) == _reference(values)

@@ -1,10 +1,10 @@
 """Memory budget of ``axicav simulate``.
 
-A run takes each detector snapshot's moment vector from its kick
-coefficients (`density.snapshot_moments`) and reads only the beam count
-and the angle extremes of the ensemble (`cavity._detect`), so it holds no
-snapshot beams and forms no detector position row: peak memory is set by
-the largest traversal, not by the sum over the snapshots.  Everything a
+`simulate` takes each detector snapshot's moment vector from its kick
+coefficients (`density.snapshot_moments`), and a run reads only the beam
+count and the angle extremes of the ensemble (`cavity._detect`), so it
+holds no snapshot beams and forms no detector position row: peak memory
+is set by the largest traversal, not by the sum over the snapshots.  Everything a
 traversal or the rendering allocates is transient.  The budget bounds the
 traced peak of a whole ``simulate`` call per beam of the largest snapshot,
 so a stage that copies arrays it does not return, or keeps them past their
@@ -45,15 +45,18 @@ def test_simulate_peak_per_snapshot_beam(preset, n, tmp_path, monkeypatch, capsy
 
 
 def test_a_snapshot_holds_no_per_beam_array():
-    """A snapshot keeps its beam count, largest |angle|, waist and moment
-    vector; the vector's length is the series order, at most
-    density.MAX_ORDER + 1, however many beams the snapshot holds."""
+    """A snapshot keeps its beam count and largest |angle|; the moment
+    vector `simulate` takes for it has the series order as its length, at
+    most density.MAX_ORDER + 1, however many beams the snapshot holds."""
     cfg = load_preset("confocal", ["cavity.n_traversals=10"]).cavity
-    res = cavity.run(cfg, 7.5e-4)
+    res = cavity.run(cfg)
     assert len(res.snapshots[-1].ensemble) == 1024
     for snap in res.snapshots:
         sample = snap.ensemble
         assert not hasattr(sample, "__dict__")
-        assert type(sample).__slots__ == ("beams", "max_angle", "waist_m", "moments")
+        assert type(sample).__slots__ == ("beams", "max_angle")
         assert isinstance(sample.beams, int) and isinstance(sample.max_angle, float)
-        assert sample.moments.ndim == 1 and sample.moments.size <= density.MAX_ORDER + 1
+    coefficients = cavity.kick_coefficients(cfg, cfg.n_traversals)
+    for m in density.snapshot_moments(coefficients, cfg.snapshot_traversals,
+                                      density.GaussianProfile()):
+        assert m.ndim == 1 and m.size <= density.MAX_ORDER + 1

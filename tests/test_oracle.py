@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from mpmath import mp
-from oracles import run_with_detector_beams, sample
+from oracles import beam_moments, run_with_detector_beams
 
 from axicav import cli, scenario
 from axicav.cavity import MIRROR_1, BeamEnsemble, CavityConfig
@@ -136,8 +136,7 @@ def test_simulate_outputs_match_the_oracle(case, tmp_path):
     preset, overrides = PRESET_CASES[case]
     args = ["--preset", preset, *sum((["--override", o] for o in overrides), [])]
     assert cli.main([*args, "--out", str(tmp_path), "simulate"]) == 0
-    result, beams = run_with_detector_beams(scenario.load_preset(preset, overrides).cavity,
-                                            PROFILE.waist_m)
+    result, beams = run_with_detector_beams(scenario.load_preset(preset, overrides).cavity)
     for snap, ens in zip(result.snapshots, beams, strict=True):
         got = _read_csv(tmp_path / f"profile_difference_t{snap.traversal:03d}.csv", 2)
         want = [-v for v in _oracle_deviation(ens, EDGES)]
@@ -150,18 +149,18 @@ def test_simulate_outputs_match_the_oracle(case, tmp_path):
 def _off_axis_run():
     """Two unequal beams off the axis: every moment order counts."""
     start = BeamEnsemble([3e-5, -1e-5], [2e-7, -1e-7], [0.25, 0.75])
-    return run_with_detector_beams(CavityConfig(n_traversals=5), PROFILE.waist_m, start)
+    return run_with_detector_beams(CavityConfig(n_traversals=5), start)
 
 
 def test_off_axis_start_matches_the_oracle():
     result, beams = _off_axis_run()
-    reference = sample(BeamEnsemble([0.0], [0.0], [1.0]), W)
-    for snap, ens in zip(result.snapshots, beams, strict=True):
-        diff = profile_difference(reference, snap.ensemble, PROFILE, EDGES)
+    reference = beam_moments(BeamEnsemble([0.0], [0.0], [1.0]), W)
+    ms = [beam_moments(ens, W) for ens in beams]
+    for snap, ens, m in zip(result.snapshots, beams, ms, strict=True):
+        diff = profile_difference(reference, m, PROFILE, EDGES)
         want = [-v for v in _oracle_deviation(ens, EDGES)]
         _assert_close(diff, want, f"t{snap.traversal:03d}")
     ns = [s.traversal for s in result.snapshots]
-    ms = [s.ensemble.moments for s in result.snapshots]
     for name, windows in WINDOWS.items():
         _assert_close(BUILDERS[name](ns, ms).signal, _oracle_series(beams, windows), name)
 
@@ -169,7 +168,7 @@ def test_off_axis_start_matches_the_oracle():
 def test_the_two_oracle_forms_agree():
     edges = [-H, H, 7e-4, 8e-4, C - H, C + H]
     _, beams = run_with_detector_beams(
-        scenario.load_preset("confocal", ["cavity.n_traversals=5"]).cavity, PROFILE.waist_m)
+        scenario.load_preset("confocal", ["cavity.n_traversals=5"]).cavity)
     for ens in [beams[-1], _off_axis_run()[1][-1]]:
         direct = _oracle_deviation(ens, edges, direct=True)
         series = _oracle_deviation(ens, edges)
@@ -185,19 +184,19 @@ def test_ensembles_of_any_size_match_the_oracle(n):
     rng = np.random.default_rng(n)
     ens = BeamEnsemble(rng.normal(scale=1e-6, size=n), np.zeros(n), rng.uniform(0.0, 2.0, n))
     for edges in (EDGES, histogram_edges(1e-3, 3e-3)):  # 30 bins and 3
-        reference = sample(BeamEnsemble([0.0], [0.0], [1.0]), W)
-        diff = profile_difference(reference, sample(ens, W), PROFILE, edges)
+        reference = beam_moments(BeamEnsemble([0.0], [0.0], [1.0]), W)
+        diff = profile_difference(reference, beam_moments(ens, W), PROFILE, edges)
         _assert_close(diff, [-v for v in _oracle_deviation(ens, edges)], f"n={n}")
     s = mp.mpf(PROFILE.waist_m) * mp.sqrt(2)
     axial = PROFILE.amplitude_photons_per_s * s * mp.sqrt(mp.pi) * mp.erf(H / s)  # one unit beam on the axis
-    _assert_close([integrate_window(sample(ens, W), PROFILE, -H, H)],
+    _assert_close([integrate_window(beam_moments(ens, W), PROFILE, -H, H)],
                   [axial + _oracle_deviation(ens, [-H, H])[0]], "window")
 
 
 def test_acceptance_pins_are_fits_of_the_oracle_series():
     """Criteria 10 and 11 of tests/test_acceptance.py pin the fits of the
     engine's series; the same fits of the oracle's series agree to 1e-12."""
-    confocal, beams = run_with_detector_beams(CavityConfig(), PROFILE.waist_m)
+    confocal, beams = run_with_detector_beams(CavityConfig())
     ns = [float(s.traversal) for s in confocal.snapshots]
     oracle = [float(v) for v in _oracle_series(beams, WINDOWS["central"])]
     r_squared = fit_linear(GrowthSeries(np.array(ns), np.array(oracle))).r_squared
@@ -205,7 +204,7 @@ def test_acceptance_pins_are_fits_of_the_oracle_series():
 
     defocusing, beams = run_with_detector_beams(CavityConfig(
         mirror2_focal_m=-5.5, extraction_mirror=MIRROR_1, theta_split_rad=1e-9, n_traversals=20
-    ), PROFILE.waist_m)
+    ))
     ns = [float(s.traversal) for s in defocusing.snapshots]
     oracle = [float(v) for v in _oracle_series(beams, WINDOWS["center_sideband"])]
     exponent = fit_power(GrowthSeries(np.array(ns), np.array(oracle))).exponent

@@ -5,10 +5,10 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
-from oracles import rates, run_with_detector_beams, sample
+from oracles import beam_moments, rates, run_moments, run_with_detector_beams
 
 from axicav import scenario
-from axicav.cavity import MIRROR_1, CavityConfig, axial_beam, run
+from axicav.cavity import MIRROR_1, CavityConfig, axial_beam
 from axicav.density import GaussianProfile, integrate_window, rates_from_moments
 from axicav.sensitivity import (
     GrowthFit,
@@ -31,10 +31,10 @@ PROFILE = GaussianProfile(BEAM_RATE, 7.5e-4)
 H, C = 1e-6, 3.3e-3  # pixel half-width and sideband pixel center, m
 
 
-def _snapshots(res):
+def _snapshots(cfg):
     """A run's snapshots as the series builders take them: traversals, and
     moment vectors."""
-    return ([s.traversal for s in res.snapshots], [s.ensemble.moments for s in res.snapshots])
+    return list(cfg.snapshot_traversals), run_moments(cfg, PROFILE.waist_m)
 
 
 # --- series and fits --------------------------------------------------------
@@ -308,8 +308,8 @@ def test_report_refuses_a_non_positive_integration_time(time_s):
 
 
 def test_central_loss_series_grows_with_traversals():
-    res = run(CavityConfig(n_traversals=6), PROFILE.waist_m)
-    series = central_loss_series(*_snapshots(res), PROFILE, H)
+    cfg = CavityConfig(n_traversals=6)
+    series = central_loss_series(*_snapshots(cfg), PROFILE, H)
     assert np.array_equal(series.n, np.arange(1.0, 7.0))
     assert np.all(series.signal > 0)
     # later snapshots have lost at least as much as the first
@@ -317,31 +317,29 @@ def test_central_loss_series_grows_with_traversals():
 
 
 def test_sideband_gain_series_is_positive():
-    res = run(CavityConfig(n_traversals=6), PROFILE.waist_m)
-    series = sideband_gain_series(*_snapshots(res), PROFILE, C, H)
+    cfg = CavityConfig(n_traversals=6)
+    series = sideband_gain_series(*_snapshots(cfg), PROFILE, C, H)
     assert np.all(series.signal > 0)
     assert series.signal[-1] > series.signal[0]
 
 
 def test_center_sideband_series_counts_migration_twice():
-    res = run(CavityConfig(n_traversals=6), PROFILE.waist_m)
-    amb = center_sideband_series(*_snapshots(res), PROFILE)
+    cfg = CavityConfig(n_traversals=6)
+    amb = center_sideband_series(*_snapshots(cfg), PROFILE)
     assert np.all(amb.signal > 0)
     assert amb.signal[-1] > amb.signal[0]
 
 
 def test_series_on_null_run_are_exactly_zero():
     cfg = replace(CavityConfig(n_traversals=5), theta_split_rad=0.0)
-    res = run(cfg, PROFILE.waist_m)
-    assert np.array_equal(central_loss_series(*_snapshots(res), PROFILE, H).signal, np.zeros(5))
-    assert np.array_equal(sideband_gain_series(*_snapshots(res), PROFILE, C, H).signal, np.zeros(5))
-    assert np.array_equal(center_sideband_series(*_snapshots(res), PROFILE).signal, np.zeros(5))
+    assert np.array_equal(central_loss_series(*_snapshots(cfg), PROFILE, H).signal, np.zeros(5))
+    assert np.array_equal(sideband_gain_series(*_snapshots(cfg), PROFILE, C, H).signal, np.zeros(5))
+    assert np.array_equal(center_sideband_series(*_snapshots(cfg), PROFILE).signal, np.zeros(5))
 
 
 def test_mirror1_extraction_series_use_even_traversals():
     cfg = CavityConfig(mirror2_focal_m=None, extraction_mirror=MIRROR_1, n_traversals=8)
-    res = run(cfg, PROFILE.waist_m)
-    series = central_loss_series(*_snapshots(res), PROFILE, H)
+    series = central_loss_series(*_snapshots(cfg), PROFILE, H)
     assert np.array_equal(series.n, [2.0, 4.0, 6.0, 8.0])
 
 
@@ -355,33 +353,35 @@ def test_series_windows_and_signs_match_the_change_form():
     direct integrals to the roundoff of those 1e13-1e15 photons/s totals,
     and the same change read from the snapshot's beams (`oracles.rates`)
     to 1e-15 of it."""
-    res, beams = run_with_detector_beams(CavityConfig(n_traversals=4), PROFILE.waist_m)
+    cfg = CavityConfig(n_traversals=4)
+    _, beams = run_with_detector_beams(cfg)
+    moments = run_moments(cfg, PROFILE.waist_m)
     h, c, w = H, C, PROFILE.waist_m
 
     def change(windows, of_beams=False):
-        def one(snap, ens):
+        def one(m, ens):
             def deviation(lo, hi):
                 if of_beams:
                     return rates(ens, PROFILE, (lo, hi))[1][0]
-                return rates_from_moments([snap.ensemble.moments], PROFILE, (lo, hi))[1][0, 0]
+                return rates_from_moments([m], PROFILE, (lo, hi))[1][0, 0]
 
             return 0.0 - sum(k * deviation(lo, hi) for lo, hi, k in windows)
 
-        return [one(snap, ens) for snap, ens in zip(res.snapshots, beams, strict=True)]
+        return [one(m, ens) for m, ens in zip(moments, beams, strict=True)]
 
     def direct(windows):
-        def total(s):
-            return sum(k * integrate_window(s, PROFILE, lo, hi) for lo, hi, k in windows)
+        def total(m):
+            return sum(k * integrate_window(m, PROFILE, lo, hi) for lo, hi, k in windows)
 
-        return [total(sample(axial_beam(), w)) - total(s.ensemble) for s in res.snapshots]
+        return [total(beam_moments(axial_beam(), w)) - total(m) for m in moments]
 
     central = [(-h, h, 1.0)]
     sideband = [(c - h, c + h, -2.0)]
     amb = [(0.0, 0.5 * w, 2.0), (w, 4.0 * w + 1e-3, -2.0)]
     for windows, series, scale in [
-        (central, central_loss_series(*_snapshots(res), PROFILE, h), 1e13),
-        (sideband, sideband_gain_series(*_snapshots(res), PROFILE, c, h), 1e9),
-        (amb, center_sideband_series(*_snapshots(res), PROFILE), 1e15),
+        (central, central_loss_series(*_snapshots(cfg), PROFILE, h), 1e13),
+        (sideband, sideband_gain_series(*_snapshots(cfg), PROFILE, c, h), 1e9),
+        (amb, center_sideband_series(*_snapshots(cfg), PROFILE), 1e15),
     ]:
         assert np.array_equal(series.signal, change(windows))
         assert np.allclose(series.signal, direct(windows), rtol=0.0, atol=1e-15 * scale)
@@ -390,11 +390,11 @@ def test_series_windows_and_signs_match_the_change_form():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_series_builders_refuse_non_finite_windows(bad):
-    res = run(CavityConfig(n_traversals=2), PROFILE.waist_m)
+    cfg = CavityConfig(n_traversals=2)
     for build in (
-        lambda: central_loss_series(*_snapshots(res), PROFILE, bad),
-        lambda: sideband_gain_series(*_snapshots(res), PROFILE, bad, H),
-        lambda: sideband_gain_series(*_snapshots(res), PROFILE, C, bad),
+        lambda: central_loss_series(*_snapshots(cfg), PROFILE, bad),
+        lambda: sideband_gain_series(*_snapshots(cfg), PROFILE, bad, H),
+        lambda: sideband_gain_series(*_snapshots(cfg), PROFILE, C, bad),
     ):
         with pytest.raises(ValueError, match="finite and strictly ascending"):
             build()
@@ -403,8 +403,8 @@ def test_series_builders_refuse_non_finite_windows(bad):
 def test_bnl_quad_sideband_gain_is_positive_and_increasing():
     """Exact observables: the sideband column of the preset was negative
     roundoff while it was the difference of two erf totals."""
-    res = run(scenario.load_preset("bnl-quad").cavity, PROFILE.waist_m)
-    gain = sideband_gain_series(*_snapshots(res), PROFILE, C, H).signal
+    cfg = scenario.load_preset("bnl-quad").cavity
+    gain = sideband_gain_series(*_snapshots(cfg), PROFILE, C, H).signal
     assert np.all(gain > 0)
     assert np.all(np.diff(gain) > 0)
     assert gain[-1] == pytest.approx(5.3827e-5, rel=1e-4)
