@@ -29,7 +29,7 @@ The engine does not know the laser.  From the axial start transport is
 linear, so the detector position of snapshot k is sum_j s_j a_j over k
 independent signs s_j = +-1, one per field passage (`kick_coefficients`),
 and `density.snapshot_moments` turns those k numbers into the moment
-vector the photon density reads, before any beam is carried.  The
+vector the photon density reads; its guard needs no beam either.  The
 ensemble is carried and coalesced for what only the beams give: the
 snapshot's beam count, the paraxial guard on its angles (`_detect`), the
 beam budget and the final ensemble.  Which traversals are snapshots is
@@ -124,16 +124,14 @@ class CavityConfig:
         return range(2, self.n_traversals + 1, 2)
 
 
+@dataclass(frozen=True, slots=True)
 class BeamSample:
     """What a detector keeps of the beams it records: how many there are and
     the largest |angle| among them, checked against PARAXIAL_LIMIT when the
     sample was made.  A detector snapshot is one."""
 
-    __slots__ = ("beams", "max_angle")
-
-    def __init__(self, beams, max_angle):
-        self.beams = beams
-        self.max_angle = max_angle
+    beams: int
+    max_angle: float
 
     def __len__(self) -> int:
         return self.beams

@@ -20,9 +20,9 @@ byte-identical.
 
 No verb loads scipy: `simulate` computes its histograms and series from
 the snapshot moments that `density.snapshot_moments` builds from the kick
-coefficients before the beam engine runs, with the math module's error
-function, and every other verb pays only for numpy and its own
-arithmetic.  Every verb writes its CSV tables through `g17.csv`.
+coefficients (`snapshot_series`), with the math module's error function,
+and every other verb pays only for numpy and its own arithmetic.  Every
+verb writes its CSV tables through `g17.csv`.
 
 On its first call in a process, `main` fixes glibc's mmap and trim
 thresholds (see `_keep_freed_heap`), so the arrays one op frees stay in
@@ -110,6 +110,15 @@ def _rows_in_memory(what: str, count: int):
 # ---------------------------------------------------------------------------
 
 
+def snapshot_series(config: cavity.CavityConfig, profile: density.GaussianProfile):
+    """``config``'s snapshot moment vectors at ``profile``'s waist and final
+    beam count: the series is checked before the engine runs, summed after it."""
+    coefficients = cavity.kick_coefficients(config, config.n_traversals)
+    density.check_series(coefficients, config.snapshot_traversals, profile)
+    final_beams = len(run(config).final)
+    return density.snapshot_moments(coefficients, config.snapshot_traversals, profile), final_beams
+
+
 def cmd_simulate(args) -> int:
     sc = _load_scenario(args)
     out_dir = Path(args.out or "axicav-out")
@@ -118,28 +127,18 @@ def cmd_simulate(args) -> int:
     with _rows_in_memory(keys, density.bin_count(width, end)):
         edges = density.histogram_edges(width, end)
 
-    cfg = sc.cavity
-    traversals = list(cfg.snapshot_traversals)
-    moments = density.snapshot_moments(cavity.kick_coefficients(cfg, cfg.n_traversals),
-                                       traversals, sc.laser)
-    # the engine carries the beams for its guards and the final ensemble's size
-    final_beams = len(run(cfg).final)
+    traversals = list(sc.cavity.snapshot_traversals)
+    moments, final_beams = snapshot_series(sc.cavity, sc.laser)
     # The reference, a field-off run, is the axial beam: its axial part is
     # each snapshot's own and its deviation +0, so a difference is minus the
     # snapshot's deviation (0.0 - x: a bin that never changed reads +0).
     deviations = density.bin_ensemble(moments, sc.laser, edges)[1]
     diffs = {f"profile_difference_t{t:03d}.csv": 0.0 - row
              for t, row in zip(traversals, deviations)}
-    central = sensitivity.central_loss_series(
-        traversals, moments, sc.laser, sc.analysis.pixel_half_width_m
-    )
-    sideband = sensitivity.sideband_gain_series(
-        traversals,
-        moments,
-        sc.laser,
-        sc.analysis.sideband_pixel_center_m,
-        sc.analysis.pixel_half_width_m,
-    )
+    an = sc.analysis
+    central = sensitivity.central_loss_series(traversals, moments, sc.laser, an.pixel_half_width_m)
+    sideband = sensitivity.sideband_gain_series(traversals, moments, sc.laser,
+                                                an.sideband_pixel_center_m, an.pixel_half_width_m)
     amb = sensitivity.center_sideband_series(traversals, moments, sc.laser)
 
     # Everything is computed before the first write, so a refused run

@@ -239,6 +239,18 @@ def _hermite_functions(u: np.ndarray, count: int) -> np.ndarray:
     return e
 
 
+def check_series(coefficients, traversals, profile: GaussianProfile) -> None:
+    """Raise `snapshot_moments`' GuardError from the prefix sums of |a| alone,
+    scanning the snapshots only where a list's last (and widest) one is past."""
+    spans = [[0.0, *itertools.accumulate(abs(a) for a in c)] for c in coefficients]
+    try:
+        for k in {k % 2: k for k in traversals}.values():  # each list's last snapshot
+            _order(spans[k % 2][k] / profile.waist_m)
+    except GuardError:
+        for k in traversals:
+            _order(spans[k % 2][k] / profile.waist_m)
+
+
 def snapshot_moments(coefficients, traversals, profile: GaussianProfile) -> list[np.ndarray]:
     """The scaled raw moments, at the waist r of ``profile``, of the
     snapshots at ``traversals`` (increasing) of a run whose kick
@@ -258,20 +270,18 @@ def snapshot_moments(coefficients, traversals, profile: GaussianProfile) -> list
     each snapshot adding its two coefficients to the moments of the one
     before it.  Every term is >= 0, so nothing cancels.  m_2 = sum y^2 is
     a compensated running sum (Knuth's TwoSum), so its rounding does not
-    grow with the number of coefficients.  The moments of each parity are
-    kept to the order of its last snapshot, or MAX_ORDER where that one is
-    past the series, and GuardError is raised at the first traversal past
-    the series.  Everything is + - * / on Python floats, so no SIMD kernel
-    can move a bit."""
+    grow with the number of coefficients.  GuardError (`check_series`) is
+    raised before any moment is summed; the moments of each parity are
+    kept to the order of its last snapshot, as no moment reads a higher
+    one.  Everything is + - * / on Python floats, so no SIMD kernel can
+    move a bit."""
+    check_series(coefficients, traversals, profile)
     wanted, waist_m = set(traversals), profile.waist_m
 
     def parity(coefficients):  # the snapshots that read this list, as asked for
         ys = [a / waist_m for a in coefficients]
         spans = [0.0, *itertools.accumulate(abs(a) for a in coefficients)]  # over the first k
-        try:
-            top = _order(spans[-1] / waist_m)
-        except GuardError:
-            top = MAX_ORDER
+        top = _order(spans[max((k for k in wanted if k % 2 == len(ys) % 2), default=0)] / waist_m)
         binomials = [[float(math.comb(n, i)) for i in range(2, n + 1, 2)]
                      for n in range(2, top + 1, 2)]
         big = [1.0] + [0.0] * (top // 2)  # M_0, M_2, M_4, ... of the coefficients so far

@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 
-from axicav import cavity, density
+from axicav import cavity, cli, density
 from axicav.density import GaussianProfile
 from axicav.rays import RayState, TransferMatrix
 
@@ -155,11 +155,9 @@ def run_with_detector_beams(config, start=None):
 
 def run_moments(config, waist_m):
     """The moment vectors of ``config``'s snapshots at the waist
-    ``waist_m``, in traversal order, as `simulate` takes them: from the kick
-    coefficients of the axial start (`density.snapshot_moments`)."""
-    coefficients = cavity.kick_coefficients(config, config.n_traversals)
-    return density.snapshot_moments(coefficients, config.snapshot_traversals,
-                                    GaussianProfile(waist_m=waist_m))
+    ``waist_m``, in traversal order, as `simulate` takes them
+    (`cli.snapshot_series`)."""
+    return cli.snapshot_series(config, GaussianProfile(waist_m=waist_m))[0]
 
 
 def beam_moments(ensemble, waist_m):

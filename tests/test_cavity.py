@@ -753,11 +753,11 @@ def test_coalesce_packing_boundaries_match_reference(cells, packs, monkeypatch):
 
 
 def _run_bits(cfg):
-    """Each snapshot's traversal, and the bits of each snapshot's beams,
-    then of the final ensemble."""
+    """Each snapshot's traversal, and the bits of each snapshot's beams and
+    of the moments `simulate` takes for it, then of the final ensemble."""
     res, beams = run_with_detector_beams(cfg)
-    arrays = [(e.positions, e.angles, e.weights)
-              for e, s in zip(beams, res.snapshots, strict=True)]
+    arrays = [(e.positions, e.angles, e.weights, m)
+              for e, m in zip(beams, oracles.run_moments(cfg, 7.5e-4), strict=True)]
     arrays.append((res.final.positions, res.final.angles, res.final.weights))
     return [s.traversal for s in res.snapshots], [
         tuple(array.tobytes() for array in group) for group in arrays

@@ -244,6 +244,21 @@ def test_simulate_past_the_beam_budget_is_a_guard_error(tmp_path, capsys, monkey
     assert "budget of 16" in capsys.readouterr().err
 
 
+def test_simulate_past_the_beam_budget_sums_no_moment(tmp_path, capsys, monkeypatch):
+    """The moments are summed only once the engine has met its guards, so a
+    scenario the beam budget refuses (confocal n=12000, within the series,
+    at traversal 5) pays for the series check alone:
+    `density.snapshot_moments` is never called."""
+    summed = []
+    monkeypatch.setattr(cavity, "MAX_BEAMS", 16)
+    monkeypatch.setattr(density, "snapshot_moments", lambda *args: summed.append(args))
+    args = ["--preset", "confocal", "--override", "cavity.n_traversals=12000",
+            "--out", str(tmp_path / "out"), "simulate"]
+    assert cli.main(args) == 3
+    assert "traversal 5 would split 16 beams into 32" in capsys.readouterr().err
+    assert not summed and not (tmp_path / "out").exists()
+
+
 def test_simulate_past_the_real_beam_budget_writes_nothing(tmp_path, capsys):
     """Confocal n=21 would split the 2^20 beams of traversal 20 into 2^21:
     exit 3 naming the budget, before any output is written."""
@@ -296,26 +311,27 @@ def test_simulate_refused_by_the_series_exits_3_and_writes_nothing(tmp_path, cap
                                                                   monkeypatch):
     """A snapshot too far off the axis for the moment series (confocal at
     theta = 1e-4: max|x|/r = 2.4 at traversal 1) is refused with GuardError
-    by `density.snapshot_moments`, before the engine runs: exit 3, `run`
-    never called, nothing rendered, no file written."""
-    raised, runs, rendered = [], [], []
-    snapshot_moments = density.snapshot_moments
+    by `density.check_series`, before the engine runs: exit 3, `run` never
+    called, no moment summed, nothing rendered, no file written."""
+    raised, runs, summed, rendered = [], [], [], []
+    check_series = density.check_series
 
-    def spy_snapshot_moments(*args):
+    def spy_check_series(*args):
         try:
-            return snapshot_moments(*args)
+            return check_series(*args)
         except density.GuardError as exc:
             raised.append(exc)
             raise
 
-    monkeypatch.setattr(density, "snapshot_moments", spy_snapshot_moments)
+    monkeypatch.setattr(density, "check_series", spy_check_series)
     monkeypatch.setattr(cli, "run", lambda *args: runs.append(args))
+    monkeypatch.setattr(density, "snapshot_moments", lambda *args: summed.append(args))
     monkeypatch.setattr(density, "bin_ensemble", lambda *args: rendered.append(args))
     out = tmp_path / "out"
     args = ["--preset", "confocal", "--override", "cavity.theta_split_rad=1e-4"]
     assert cli.main([*args, "--out", str(out), "simulate"]) == 3
     assert "max|x|/r = 2.4: the moment series needs more than" in capsys.readouterr().err
-    assert len(raised) == 1 and not runs and not rendered
+    assert len(raised) == 1 and not runs and not summed and not rendered
     assert not out.exists()
 
 
