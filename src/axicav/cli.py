@@ -20,9 +20,11 @@ byte-identical.
 
 No verb loads scipy: `simulate` computes its histograms and series from
 the snapshot moments that `density.snapshot_moments` builds from the kick
-coefficients (`snapshot_series`), with the math module's error function,
-and every other verb pays only for numpy and its own arithmetic.  Every
-verb writes its CSV tables through `g17.csv`.
+coefficients (`snapshot_series`: the call refuses a series past the
+moments' reach before the engine runs, and the vectors are summed after
+it), with the math module's error function, and every other verb pays only
+for numpy and its own arithmetic.  Every verb writes its CSV tables
+through `g17.csv`.
 
 On its first call in a process, `main` fixes glibc's mmap and trim
 thresholds (see `_keep_freed_heap`), so the arrays one op frees stay in
@@ -112,11 +114,12 @@ def _rows_in_memory(what: str, count: int):
 
 def snapshot_series(config: cavity.CavityConfig, profile: density.GaussianProfile):
     """``config``'s snapshot moment vectors at ``profile``'s waist and final
-    beam count: the series is checked before the engine runs, summed after it."""
-    coefficients = cavity.kick_coefficients(config, config.n_traversals)
-    density.check_series(coefficients, config.snapshot_traversals, profile)
+    beam count: the series refuses a run before the engine runs, and is
+    summed after it."""
+    moments = density.snapshot_moments(cavity.kick_coefficients(config, config.n_traversals),
+                                       config.snapshot_traversals, profile)
     final_beams = len(run(config).final)
-    return density.snapshot_moments(coefficients, config.snapshot_traversals, profile), final_beams
+    return list(moments), final_beams
 
 
 def cmd_simulate(args) -> int:
@@ -276,12 +279,7 @@ def cmd_mass_scan(args) -> int:
 def cmd_pascal(args) -> int:
     with _rows_in_memory(f"--points {args.points}", args.points):
         cmp = lattice.compare_growth(args.n_passes, args.pass_length, args.points)
-    columns = [
-        [s.n_pass for s in cmp.samples],
-        np.array([s.distance_m for s in cmp.samples]),
-        np.array([s.spread_bifurcation_m for s in cmp.samples]),
-        np.array([s.spread_pascal_m for s in cmp.samples]),
-    ]
+    columns = [cmp.n_pass, cmp.distance_m, cmp.spread_bifurcation_m, cmp.spread_pascal_m]
     text = g17.csv("n_pass,distance_m,spread_bifurcation,spread_pascal", columns)
     _write_or_print(text, args.out_file)
     if args.out_file:
@@ -385,12 +383,11 @@ def _keep_freed_heap() -> None:
     mmapped block raises the mmap threshold to its size and the trim
     threshold to twice that.  An op's freed multi-megabyte numpy
     temporaries then keep going back to the kernel, and the next allocation
-    faults their pages in again.  Measured in one process per setting
-    (2-core VM, 24 ops after a warm-up), with the policy and without it:
-    a confocal n=18 `simulate` takes 2 and 4674 minor faults per op and
-    0.038 and 0.049 s, a bnl-quad n=40 one 1 and 4176 faults and 0.090 and
-    0.103 s, and the op of two `analyze`, a 20000-row `mass-scan` and a
-    `pascal` 1 and 816 faults and 0.031 and 0.033 s.
+    faults their pages in again.  The policy pays while an op frees arrays
+    of megabytes, as the beam engine's are: without it a `simulate` op
+    faults thousands of pages back in and runs slower (the README's
+    Performance section gives the figures), so it stays until the engine
+    carries no beams (ROADMAP.md, item 4).
 
     Setting either threshold turns the dynamic rule off, so both are set.
     32 MiB is glibc's own dynamic ceiling on 64-bit and lies above every

@@ -25,8 +25,10 @@ it.  A run starts on the axis and its transport is linear, so snapshot k's
 beams are the 2^k sums sum_j s_j a_j of its kick coefficients over the
 signs s_j = +-1 (`cavity.kick_coefficients`), at equal weight.
 `snapshot_moments` takes the vectors of a run's snapshots from their
-coefficients, at the profile's waist: the odd moments are exactly 0.0 (X
-and -X are equally likely), and the even ones come from a binomial
+coefficients, at the profile's waist: it refuses a snapshot past the
+series when it is called, from the coefficients' prefix sums alone, and
+sums each vector as it is read.  The odd moments are exactly 0.0 (X and
+-X are equally likely), and the even ones come from a binomial
 convolution of nonnegative terms.  One call of `rates_from_moments` reads
 every snapshot of a run: it builds the Hermite table of its windows once
 for each series order among them and sums each snapshot's series over it
@@ -40,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,13 +73,21 @@ class GaussianProfile:
     right is open (ROADMAP.md, item 12).  `simulate` and `profile` render
     it as the peak A of that curve, so the beam they integrate carries
     A*r*sqrt(2 pi) photons/s.  `analyze` divides the signal by it as the
-    rate of the whole beam."""
+    rate of the whole beam.
+
+    A profile whose whole-beam rate A*r*sqrt(2 pi) overflows a double is
+    refused: that rate bounds the axial part of every window, so each
+    verb refuses the laser as its scenario loads, naming both fields."""
 
     amplitude_photons_per_s: Positive = 5e18
     waist_m: Positive = 7.5e-4
 
     def __post_init__(self):
         check_fields(self, ValueError)
+        if not self.amplitude_photons_per_s * self.waist_m * math.sqrt(2.0 * math.pi) < math.inf:
+            raise ValueError(f"amplitude_photons_per_s and waist_m must give a finite whole-beam "
+                             f"rate A*r*sqrt(2 pi), got {self.amplitude_photons_per_s!r} "
+                             f"photons/s and {self.waist_m!r} m")
 
 
 @check_args
@@ -239,19 +250,7 @@ def _hermite_functions(u: np.ndarray, count: int) -> np.ndarray:
     return e
 
 
-def check_series(coefficients, traversals, profile: GaussianProfile) -> None:
-    """Raise `snapshot_moments`' GuardError from the prefix sums of |a| alone,
-    scanning the snapshots only where a list's last (and widest) one is past."""
-    spans = [[0.0, *itertools.accumulate(abs(a) for a in c)] for c in coefficients]
-    try:
-        for k in {k % 2: k for k in traversals}.values():  # each list's last snapshot
-            _order(spans[k % 2][k] / profile.waist_m)
-    except GuardError:
-        for k in traversals:
-            _order(spans[k % 2][k] / profile.waist_m)
-
-
-def snapshot_moments(coefficients, traversals, profile: GaussianProfile) -> list[np.ndarray]:
+def snapshot_moments(coefficients, traversals, profile: GaussianProfile) -> Iterator[np.ndarray]:
     """The scaled raw moments, at the waist r of ``profile``, of the
     snapshots at ``traversals`` (increasing) of a run whose kick
     coefficients are ``coefficients`` (`cavity.kick_coefficients`: snapshot
@@ -262,6 +261,13 @@ def snapshot_moments(coefficients, traversals, profile: GaussianProfile) -> list
     unit beam, is 0.0: the 2^k sign sequences weigh 2^-k each.  Every odd
     moment is 0.0: X and -X are equally likely.
 
+    The call itself raises GuardError, from the prefix sums of |a| alone,
+    before any moment is summed: it checks each list's last (and widest)
+    snapshot, and only where one is past the series scans the snapshots in
+    traversal order, so the first past it is named.  The vectors are summed
+    as the returned iterator is read, so a caller may check a run's series
+    first and pay for its moments later, or never.
+
     Each even moment is a binomial convolution over the coefficients, one
     at a time, with y = a/r:
 
@@ -270,23 +276,28 @@ def snapshot_moments(coefficients, traversals, profile: GaussianProfile) -> list
     each snapshot adding its two coefficients to the moments of the one
     before it.  Every term is >= 0, so nothing cancels.  m_2 = sum y^2 is
     a compensated running sum (Knuth's TwoSum), so its rounding does not
-    grow with the number of coefficients.  GuardError (`check_series`) is
-    raised before any moment is summed; the moments of each parity are
+    grow with the number of coefficients.  The moments of each parity are
     kept to the order of its last snapshot, as no moment reads a higher
     one.  Everything is + - * / on Python floats, so no SIMD kernel can
     move a bit."""
-    check_series(coefficients, traversals, profile)
-    wanted, waist_m = set(traversals), profile.waist_m
+    waist_m = profile.waist_m
+    spans = [[0.0, *itertools.accumulate(abs(a) for a in c)] for c in coefficients]  # over the first k
+    lasts = {k % 2: k for k in traversals}  # each list's last snapshot
+    try:
+        tops = {p: _order(spans[p][k] / waist_m) for p, k in lasts.items()}
+    except GuardError:
+        for k in traversals:
+            _order(spans[k % 2][k] / waist_m)
 
-    def parity(coefficients):  # the snapshots that read this list, as asked for
-        ys = [a / waist_m for a in coefficients]
-        spans = [0.0, *itertools.accumulate(abs(a) for a in coefficients)]  # over the first k
-        top = _order(spans[max((k for k in wanted if k % 2 == len(ys) % 2), default=0)] / waist_m)
+    def parity(p):  # the snapshots that read list p, as asked for
+        wanted = set(traversals)
+        ys = [a / waist_m for a in coefficients[p]]
+        top = tops[p]
         binomials = [[float(math.comb(n, i)) for i in range(2, n + 1, 2)]
                      for n in range(2, top + 1, 2)]
         big = [1.0] + [0.0] * (top // 2)  # M_0, M_2, M_4, ... of the coefficients so far
         m2, m2_error = 0.0, 0.0
-        for k in range(2 - len(ys) % 2, len(ys) + 1, 2):
+        for k in range(2 - p, lasts[p] + 1, 2):
             for y in ys[max(k - 2, 0):k]:
                 y2 = y * y
                 powers = [y2]
@@ -303,13 +314,13 @@ def snapshot_moments(coefficients, traversals, profile: GaussianProfile) -> list
                 m2 = total
                 big[1] = m2 + m2_error
             if k in wanted:
-                order = _order(spans[k] / waist_m)
+                order = _order(spans[p][k] / waist_m)
                 m = np.zeros(order + 1)
                 m[2::2] = big[1:order // 2 + 1]
                 yield m
 
-    series = [parity(c) for c in coefficients]
-    return [next(series[k % 2]) for k in traversals]
+    series = {p: parity(p) for p in lasts}
+    return (next(series[k % 2]) for k in traversals)
 
 
 def _axial_mass(lo: float, hi: float) -> float:

@@ -26,8 +26,6 @@ import numpy as np
 from .checks import Count, Positive, check_args
 from .sensitivity import fit_line
 
-SLOPE_MIN_N = 100  # the slopes' fit starts here when three checkpoints lie past it
-
 # Stepping the ensembles explicitly is exponential for the conserving rule
 # (the state count grows cubically and the early passes double), but what
 # the table reports after k passes has a closed form:
@@ -38,16 +36,13 @@ SLOPE_MIN_N = 100  # the slopes' fit starts here when three checkpoints lie past
 
 
 @dataclass(frozen=True)
-class SpreadSample:
-    n_pass: int
-    distance_m: float
-    spread_bifurcation_m: float  # ballistic drift of the tagged branch
-    spread_pascal_m: float  # rms of the reset ensemble
-
-
-@dataclass(frozen=True)
 class GrowthComparison:
-    samples: list[SpreadSample]
+    """The table `pascal` writes, one column per field, and its summary."""
+
+    n_pass: list[int]  # Python ints: a pass count may lie past 2**63
+    distance_m: np.ndarray
+    spread_bifurcation_m: np.ndarray  # ballistic drift of the tagged branch
+    spread_pascal_m: np.ndarray  # rms of the reset ensemble
     slope_bifurcation: float | None
     slope_pascal: float | None
     factor_bifurcation: float
@@ -76,12 +71,12 @@ def compare_growth(
     The conserving rule is summarized by the tagged-branch drift (growing
     as n), the reset rule by its rms (growing as sqrt(n)), at 1, n_passes
     and the rounded 10^y of n_points evenly spaced y from 0 to
-    log10(n_passes), each the C library's pow.  Slopes are fitted over
-    checkpoints with n >= SLOPE_MIN_N when enough of the range lies there,
-    else over all checkpoints.  A pass length whose square
-    overflows a double, or underflows a normal one (the reset rms would read
-    0), is refused, and so is a pass count for which the last distance n L,
-    or the last rms squared n L^2, overflows.
+    log10(n_passes), each the C library's pow, as columns.  The spreads
+    follow their laws exactly, so the slopes are fitted over every
+    checkpoint, and there are none below three checkpoints.  A pass length
+    whose square overflows a double, or underflows a normal one (the reset
+    rms would read 0), is refused, and so is a pass count for which the
+    last distance n L, or the last rms squared n L^2, overflows.
     """
     L = pass_length_m
     if not sys.float_info.min <= L * L < math.inf:
@@ -102,24 +97,23 @@ def compare_growth(
     with np.errstate(over="ignore"):
         tens = np.float_power(10.0, np.linspace(0.0, math.log10(n_passes), n_points))
     marks = {round(v) for v in tens[tens < math.inf].tolist()}
-    wanted = {k for k in marks if 1 <= k <= n_passes} | {1, n_passes}
-    samples = [SpreadSample(k, k * L, k * L, math.sqrt(k * (L * L))) for k in sorted(wanted)]
-    fit_pts = [s for s in samples if s.n_pass >= SLOPE_MIN_N]
-    if len(fit_pts) < 3:
-        fit_pts = samples
-    if len(fit_pts) >= 3:
-        ln = [math.log(s.n_pass) for s in fit_pts]
-        slope_b = fit_line(ln, [math.log(s.spread_bifurcation_m) for s in fit_pts])[0]
-        slope_p = fit_line(ln, [math.log(s.spread_pascal_m) for s in fit_pts])[0]
-    else:
-        slope_b = slope_p = None
-    first, last = samples[0], samples[-1]
+    n_pass = sorted({k for k in marks if 1 <= k <= n_passes} | {1, n_passes})
+    distance = [k * L for k in n_pass]
+    rms = [math.sqrt(k * (L * L)) for k in n_pass]
+    slope_b = slope_p = None
+    if len(n_pass) >= 3:
+        ln = [math.log(k) for k in n_pass]
+        slope_b, slope_p = (fit_line(ln, [math.log(v) for v in spread])[0]
+                            for spread in (distance, rms))
     return GrowthComparison(
-        samples=samples,
+        n_pass=n_pass,
+        distance_m=np.array(distance),
+        spread_bifurcation_m=np.array(distance),
+        spread_pascal_m=np.array(rms),
         slope_bifurcation=slope_b,
         slope_pascal=slope_p,
-        factor_bifurcation=last.spread_bifurcation_m / first.spread_bifurcation_m,
-        factor_pascal=last.spread_pascal_m / first.spread_pascal_m,
+        factor_bifurcation=distance[-1] / distance[0],
+        factor_pascal=rms[-1] / rms[0],
         classification=(
             f"momentum-conserving: {_classify(slope_b)}; "
             f"momentum-reset: {_classify(slope_p)}"

@@ -55,12 +55,18 @@ class GrowthFit:
 
     def evaluate(self, n: float) -> float:
         """The fitted signal at n, in Python floats: the C library's pow,
-        not numpy's SIMD one, which differs from it in some last bits."""
+        not numpy's SIMD one, which differs from it in some last bits.
+        OverflowError where it lies past the largest double: a float
+        product that overflows gives +-inf, not the error."""
         if self.kind == "linear":
-            return self.slope * float(n) + self.intercept
-        if self.kind == "power":
-            return self.coefficient * float(n) ** self.exponent
-        raise ValueError(f"unknown fit kind {self.kind!r}")
+            value = self.slope * float(n) + self.intercept
+        elif self.kind == "power":
+            value = self.coefficient * float(n) ** self.exponent
+        else:
+            raise ValueError(f"unknown fit kind {self.kind!r}")
+        if not math.isfinite(value):
+            raise OverflowError(f"the {self.kind} fit at n = {n!r} is {value!r}")
+        return value
 
     def as_dict(self) -> dict:
         out = {"kind": self.kind, "r_squared": self.r_squared}

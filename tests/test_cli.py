@@ -141,8 +141,8 @@ def test_simulate_renders_each_snapshot_once_and_no_reference_beam(tmp_path, cap
         return bin_ensemble(moments, *args)
 
     def spy_snapshot_moments(*args):
-        taken.append(snapshot_moments(*args))
-        return taken[-1]
+        taken.append(list(snapshot_moments(*args)))
+        return iter(taken[-1])
 
     monkeypatch.setattr(density, "bin_ensemble", spy_bin_ensemble)
     monkeypatch.setattr(density, "snapshot_moments", spy_snapshot_moments)
@@ -247,16 +247,17 @@ def test_simulate_past_the_beam_budget_is_a_guard_error(tmp_path, capsys, monkey
 def test_simulate_past_the_beam_budget_sums_no_moment(tmp_path, capsys, monkeypatch):
     """The moments are summed only once the engine has met its guards, so a
     scenario the beam budget refuses (confocal n=12000, within the series,
-    at traversal 5) pays for the series check alone:
-    `density.snapshot_moments` is never called."""
-    summed = []
+    at traversal 5) pays for the series check alone: the series order of
+    each list's last snapshot is read, and no snapshot's vector, which
+    reads its own order, is summed."""
+    orders, order = [], density._order
     monkeypatch.setattr(cavity, "MAX_BEAMS", 16)
-    monkeypatch.setattr(density, "snapshot_moments", lambda *args: summed.append(args))
+    monkeypatch.setattr(density, "_order", lambda rho: orders.append(rho) or order(rho))
     args = ["--preset", "confocal", "--override", "cavity.n_traversals=12000",
             "--out", str(tmp_path / "out"), "simulate"]
     assert cli.main(args) == 3
     assert "traversal 5 would split 16 beams into 32" in capsys.readouterr().err
-    assert not summed and not (tmp_path / "out").exists()
+    assert len(orders) == 2 and not (tmp_path / "out").exists()
 
 
 def test_simulate_past_the_real_beam_budget_writes_nothing(tmp_path, capsys):
@@ -311,27 +312,27 @@ def test_simulate_refused_by_the_series_exits_3_and_writes_nothing(tmp_path, cap
                                                                   monkeypatch):
     """A snapshot too far off the axis for the moment series (confocal at
     theta = 1e-4: max|x|/r = 2.4 at traversal 1) is refused with GuardError
-    by `density.check_series`, before the engine runs: exit 3, `run` never
-    called, no moment summed, nothing rendered, no file written."""
-    raised, runs, summed, rendered = [], [], [], []
-    check_series = density.check_series
+    by the call of `density.snapshot_moments`, before the engine runs: exit
+    3, `run` never called, no moment summed (the call returns nothing to
+    read), nothing rendered, no file written."""
+    raised, runs, rendered = [], [], []
+    snapshot_moments = density.snapshot_moments
 
-    def spy_check_series(*args):
+    def spy_snapshot_moments(*args):
         try:
-            return check_series(*args)
+            return snapshot_moments(*args)
         except density.GuardError as exc:
             raised.append(exc)
             raise
 
-    monkeypatch.setattr(density, "check_series", spy_check_series)
+    monkeypatch.setattr(density, "snapshot_moments", spy_snapshot_moments)
     monkeypatch.setattr(cli, "run", lambda *args: runs.append(args))
-    monkeypatch.setattr(density, "snapshot_moments", lambda *args: summed.append(args))
     monkeypatch.setattr(density, "bin_ensemble", lambda *args: rendered.append(args))
     out = tmp_path / "out"
     args = ["--preset", "confocal", "--override", "cavity.theta_split_rad=1e-4"]
     assert cli.main([*args, "--out", str(out), "simulate"]) == 3
     assert "max|x|/r = 2.4: the moment series needs more than" in capsys.readouterr().err
-    assert len(raised) == 1 and not runs and not summed and not rendered
+    assert len(raised) == 1 and not runs and not rendered
     assert not out.exists()
 
 
@@ -608,7 +609,12 @@ def test_analyze_refuses_non_finite_numbers_and_writes_nothing(key, value, tmp_p
     ("power", "1,1\n2,1e100\n3,1e200\n"),  # the target's n**exponent
     ("power", "2,1e308\n3,1e300\n4,1e290\n"),  # the coefficient
     ("linear", "1,1e300\n1.0000000000000002,2e300\n1.0000000000000004,3e300\n"),  # the slope
-], ids=["power-at-target", "coefficient", "slope"])
+    # a float product at the target that overflows to +-inf without raising
+    ("linear", "1,1e308\n2,1.5e308\n3,1.7e308\n"),
+    ("power", "1,1e308\n2,1.5e308\n3,1.7e308\n"),
+    ("linear", "1,-1e308\n2,-1.5e308\n3,-1.7e308\n"),
+], ids=["power-at-target", "coefficient", "slope", "linear-product", "power-product",
+        "negative-linear-product"])
 def test_analyze_refuses_a_fit_past_a_double(kind, rows, tmp_path, capsys):
     """A fit whose law or extrapolation lies past the largest double is
     refused with exit 2, and writes nothing: neither a traceback nor NaN or
@@ -973,6 +979,22 @@ def test_every_verb_refuses_an_overflowing_mixing_point(verb, point, tmp_path, c
     assert captured.err.startswith("configuration error: axion.omega_ev")
     assert named in captured.err and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["analyze", "mass-scan", "profile", "simulate"])
+def test_every_verb_refuses_a_laser_whose_whole_beam_rate_overflows(verb, tmp_path, capsys):
+    """A*r*sqrt(2 pi) past a double is refused as the scenario loads, so
+    `profile` and `analyze`, which read the laser too, refuse it as
+    `simulate` does: exit 2, naming both laser keys, nothing written."""
+    out = tmp_path / "out"
+    args = ["--override", "laser.amplitude_photons_per_s=1.7e308", "--override", "laser.waist_m=2",
+            *UNWRITABLE_OUTPUT[verb](str(out), tmp_path)]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "configuration error: laser.amplitude_photons_per_s and waist_m must give a finite "
+        "whole-beam rate A*r*sqrt(2 pi), got 1.7e+308 photons/s and 2.0 m\n")
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("raw", ["7.5e-4%", "%(gap_m)s"])

@@ -56,6 +56,19 @@ def test_profile_validation():
         GaussianProfile(AMPLITUDE, -1e-3)
 
 
+def test_a_profile_whose_whole_beam_rate_overflows_is_refused():
+    """A*r*sqrt(2 pi), the whole beam's rate, bounds every window's axial
+    part, so a profile where it overflows a double is refused by name; one
+    just inside renders finite rates."""
+    for amplitude, waist in [(1.7e308, 2.0), (1e308, 1.0), (1e300, 1e10)]:
+        with pytest.raises(ValueError, match=r"^amplitude_photons_per_s and waist_m must give "
+                                             r"a finite whole-beam rate A\*r\*sqrt\(2 pi\), got "):
+            GaussianProfile(amplitude, waist)
+    edge = GaussianProfile(1e308 / math.sqrt(2.0 * math.pi), 0.999)
+    axial = density.rates_from_moments([np.zeros(3)], edge, [-1e3, 0.0, 1e3])[0]
+    assert axial.sum() < math.inf
+
+
 def test_gaussian_peak_and_falloff():
     assert gaussian_density(0.0, PROFILE) == AMPLITUDE
     # rms-width convention: one waist out is a factor exp(-1/2)

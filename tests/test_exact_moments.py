@@ -165,10 +165,8 @@ def test_a_snapshot_past_the_series_is_refused_before_the_engine_runs(tmp_path, 
     coefficients = cavity.kick_coefficients(cfg, 8)
     sizes = [m.size for m in density.snapshot_moments(coefficients, range(1, 5), PROFILE)]
     assert sizes == sorted(sizes) and sizes[-1] == 31  # order 30 at max|x|/r = 1.0
-    density.check_series(coefficients, range(1, 5), PROFILE)
-    for check in (density.check_series, density.snapshot_moments):
-        with pytest.raises(GuardError, match=r"^max\|x\|/r = 1.35: "):
-            check(coefficients, cfg.snapshot_traversals, PROFILE)
+    with pytest.raises(GuardError, match=r"^max\|x\|/r = 1.35: "):
+        density.snapshot_moments(coefficients, cfg.snapshot_traversals, PROFILE)  # not read
 
     detected = []
     detect = cavity._detect
@@ -201,23 +199,34 @@ def test_a_coefficient_that_is_not_finite_is_refused(bad):
     coefficients = ([], [1e-9, -2e-9, bad])  # odd snapshots only
     m, = density.snapshot_moments(coefficients, [1], PROFILE)
     assert m[2] == (1e-9 / WAIST) ** 2
-    density.check_series(coefficients, [1], PROFILE)
-    for check in (density.check_series, density.snapshot_moments):
-        with pytest.raises(GuardError, match=f"^max\\|x\\|/r = {bad!r}: "):
-            check(coefficients, [1, 3], PROFILE)
+    with pytest.raises(GuardError, match=f"^max\\|x\\|/r = {bad!r}: "):
+        density.snapshot_moments(coefficients, [1, 3], PROFILE)
 
 
 def test_the_series_check_names_the_first_snapshot_past_it_in_traversal_order():
-    """`check_series`, and so `snapshot_moments`, names the first traversal
-    past the series in traversal order across both lists, not the widest:
-    snapshot 3 (list 1, max|x|/r = 3.3) ahead of snapshots 4 (list 0, 2.2)
-    and 5 (list 1, 4.3), and snapshot 4 where 3 is not asked for.  Lists
-    whose last snapshots are within the series pass."""
+    """`snapshot_moments`' call names the first traversal past the series
+    in traversal order across both lists, not the widest: snapshot 3 (list
+    1, max|x|/r = 3.3) ahead of snapshots 4 (list 0, 2.2) and 5 (list 1,
+    4.3), and snapshot 4 where 3 is not asked for.  Lists whose last
+    snapshots are within the series pass."""
     r = WAIST
     coefficients = ([0.1 * r, 0.1 * r, 2.0 * r, 0.0], [0.1 * r, 0.2 * r, 3.0 * r, 0.0, r])
-    for check in (density.check_series, density.snapshot_moments):
-        with pytest.raises(GuardError, match=r"^max\|x\|/r = 3.3: "):
-            check(coefficients, [1, 2, 3, 4, 5], PROFILE)
-        with pytest.raises(GuardError, match=r"^max\|x\|/r = 2.2: "):
-            check(coefficients, [1, 2, 4, 5], PROFILE)
-    density.check_series(coefficients, [1, 2], PROFILE)
+    with pytest.raises(GuardError, match=r"^max\|x\|/r = 3.3: "):
+        density.snapshot_moments(coefficients, [1, 2, 3, 4, 5], PROFILE)
+    with pytest.raises(GuardError, match=r"^max\|x\|/r = 2.2: "):
+        density.snapshot_moments(coefficients, [1, 2, 4, 5], PROFILE)
+    assert len(list(density.snapshot_moments(coefficients, [1, 2], PROFILE))) == 2
+
+
+def test_the_series_is_checked_at_the_call_and_summed_as_it_is_read(monkeypatch):
+    """The call reads the series order of each list's last snapshot alone
+    (two `_order` calls for confocal's 12000 snapshots), and each vector
+    is summed, its order read, only as the result is read."""
+    orders, order = [], density._order
+    monkeypatch.setattr(density, "_order", lambda rho: orders.append(rho) or order(rho))
+    cfg = replace(CONFOCAL, n_traversals=12000)
+    moments = density.snapshot_moments(cavity.kick_coefficients(cfg, 12000),
+                                       cfg.snapshot_traversals, PROFILE)
+    assert len(orders) == 2
+    first, second = next(moments), next(moments)
+    assert len(orders) == 4 and 0.0 < first[2] < second[2]

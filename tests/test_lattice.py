@@ -18,6 +18,7 @@ from oracles import (
 )
 
 from axicav.lattice import compare_growth
+from axicav.sensitivity import fit_line
 
 
 def _advance(step, n):
@@ -117,8 +118,8 @@ def test_closed_forms_match_brute_force(pass_length):
     against explicitly stepped ensembles at a size where that is cheap."""
     n = 12
     cmp = compare_growth(n, pass_length_m=pass_length, n_points=200)
-    by_pass = {s.n_pass: s for s in cmp.samples}
-    assert sorted(by_pass) == list(range(1, n + 1))
+    assert cmp.n_pass == list(range(1, n + 1))
+    assert cmp.spread_bifurcation_m.tolist() == cmp.distance_m.tolist()
 
     e_b = initial_ensemble()
     e_p = initial_ensemble()
@@ -127,12 +128,10 @@ def test_closed_forms_match_brute_force(pass_length):
         e_b = step_bifurcation(e_b)
         e_p = step_pascal(e_p)
         tagged = positive_branch(e_b) if k == 1 else step_bifurcation(tagged)
-        s = by_pass[k]
-        assert s.spread_bifurcation_m == s.distance_m
-        assert s.spread_bifurcation_m == pytest.approx(
+        assert cmp.spread_bifurcation_m[k - 1] == pytest.approx(
             mean_position(tagged, pass_length), rel=1e-12
         )
-        assert s.spread_pascal_m == pytest.approx(rms_spread(e_p, pass_length), rel=1e-12)
+        assert cmp.spread_pascal_m[k - 1] == pytest.approx(rms_spread(e_p, pass_length), rel=1e-12)
 
 
 def test_growth_comparison_costs_nothing_per_pass():
@@ -141,7 +140,7 @@ def test_growth_comparison_costs_nothing_per_pass():
     elapsed = time.perf_counter() - start
     assert elapsed < 0.1
     assert cmp.classification == "momentum-conserving: linear; momentum-reset: square-root"
-    assert cmp.samples[-1].n_pass == 10**15
+    assert cmp.n_pass[-1] == 10**15
     assert cmp.factor_bifurcation == 1e15
     assert cmp.factor_pascal == pytest.approx(math.sqrt(1e15), rel=1e-15)
 
@@ -154,9 +153,14 @@ def test_growth_comparison_reference_run():
     assert abs(cmp.slope_pascal - 0.5) <= 0.05
     assert "linear" in cmp.classification
     assert "square-root" in cmp.classification
-    assert cmp.samples[0].n_pass == 1
-    assert cmp.samples[-1].n_pass == 10000
-    assert cmp.samples[-1].distance_m == 10000.0
+    assert cmp.n_pass[0] == 1
+    assert cmp.n_pass[-1] == 10000
+    assert cmp.distance_m[-1] == 10000.0
+    # the spreads follow their laws exactly: the slopes are fitted over every checkpoint
+    ln = [math.log(k) for k in cmp.n_pass]
+    for slope, spread in [(cmp.slope_bifurcation, cmp.spread_bifurcation_m),
+                          (cmp.slope_pascal, cmp.spread_pascal_m)]:
+        assert slope == fit_line(ln, [math.log(v) for v in spread.tolist()])[0]
 
 
 @pytest.mark.parametrize(
@@ -175,12 +179,13 @@ def test_marks_are_the_c_librarys_powers_of_ten(n_passes, n_points):
         except OverflowError:  # past the largest double, so past n_passes
             pass
     expect = sorted(k for k in marks if 1 <= k <= n_passes)
-    assert [s.n_pass for s in compare_growth(n_passes, 1.0, n_points).samples] == expect
+    got = compare_growth(n_passes, 1.0, n_points).n_pass
+    assert got == expect and all(type(k) is int for k in got)  # past 2**63 too
 
 
 def test_growth_comparison_single_pass():
     cmp = compare_growth(1)
-    assert len(cmp.samples) == 1
+    assert cmp.n_pass == [1] and cmp.slope_bifurcation is cmp.slope_pascal is None
     assert cmp.factor_bifurcation == 1.0
     assert cmp.factor_pascal == 1.0
 
@@ -188,12 +193,8 @@ def test_growth_comparison_single_pass():
 def test_growth_comparison_scales_with_pass_length():
     a = compare_growth(100, pass_length_m=1.0)
     b = compare_growth(100, pass_length_m=2.0)
-    assert b.samples[-1].spread_bifurcation_m == pytest.approx(
-        2 * a.samples[-1].spread_bifurcation_m, rel=1e-12
-    )
-    assert b.samples[-1].spread_pascal_m == pytest.approx(
-        2 * a.samples[-1].spread_pascal_m, rel=1e-12
-    )
+    assert b.spread_bifurcation_m[-1] == pytest.approx(2 * a.spread_bifurcation_m[-1], rel=1e-12)
+    assert b.spread_pascal_m[-1] == pytest.approx(2 * a.spread_pascal_m[-1], rel=1e-12)
 
 
 def test_growth_comparison_validation():

@@ -140,6 +140,19 @@ def test_fit_evaluate_roundtrip_and_unknown_kind():
         bad.evaluate(1.0)
 
 
+@pytest.mark.parametrize("fit", [
+    GrowthFit(kind="linear", slope=3.5e307, intercept=6.7e307),
+    GrowthFit(kind="linear", slope=-3.5e307, intercept=-6.7e307),
+    GrowthFit(kind="linear", slope=1e308, intercept=-math.inf),
+    GrowthFit(kind="power", coefficient=1e308, exponent=0.5),
+], ids=["linear", "negative-linear", "nan", "power"])
+def test_fit_evaluate_refuses_a_value_past_a_double(fit):
+    """A float product that overflows gives +-inf (or, against an infinite
+    intercept, NaN) without raising; `evaluate` raises OverflowError."""
+    with pytest.raises(OverflowError, match=f"^the {fit.kind} fit at n = 12000 is "):
+        fit.evaluate(12000)
+
+
 def test_as_dict_carries_only_relevant_fields():
     lin = GrowthFit(kind="linear", slope=1.0, intercept=0.0).as_dict()
     assert set(lin) == {"kind", "r_squared", "slope", "intercept"}
