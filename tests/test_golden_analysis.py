@@ -1,5 +1,5 @@
-"""Byte-identity gate for the analysis verbs ``pascal``, ``mass-scan`` and
-``profile``.
+"""Byte-identity gate for the analysis verbs ``pascal``, ``mass-scan``,
+``profile`` and ``analyze``.
 
 Pins the sha256 of the CSV each command below writes: the lattice growth
 table at 2,000,000 passes and at a 0.5 m pass length, a 20000-point
@@ -21,6 +21,11 @@ numbers on purpose re-pins them and logs the reason.
 
 The printed half-suppression mass is not pinned: it is a derived summary
 line, not part of the CSV.
+
+``analyze`` is pinned by the sha256 of its ``report.json``: the confocal
+preset's linear fit and the bnl-quad preset's power fit of one rising
+series, and the linear fit of a falling series, whose couplings are null.
+A refactor of the fits or of the reach chain must leave these unchanged.
 """
 
 import hashlib
@@ -79,6 +84,40 @@ def test_analysis_outputs_are_byte_identical(name, tmp_path, capsys):
     assert cli.main([*args, "--out-file", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, (
         f"{name} output changed (numpy {np.__version__}, libc {platform.libc_ver()})"
+    )
+
+
+RISING = ("n,signal\n1,64124793\n2,128224793.5\n3,192324794\n4,256424791\n5,320524796\n"
+          "6,384624790\n")
+FALLING = "n,signal\n1,100\n2,50\n3,10\n"
+
+GOLDEN_ANALYZE = {
+    "confocal-linear": (
+        ["--preset", "confocal"], "linear", RISING,
+        "713a3863203dfc58488d971e861cea7c3963c3d3edb7c6792c30bbe7ea98684a",
+    ),
+    "bnl-quad-power": (
+        ["--preset", "bnl-quad"], "power", RISING,
+        "0fa6b7c5bf9633ed5aae298524b529dbe8e945d7886df30ca3562de49fe3cebf",
+    ),
+    "confocal-falling": (
+        ["--preset", "confocal"], "linear", FALLING,
+        "e3b6670826dd77edd02f8ec3e66cb09c69223d62292884193a869481f2e21ec6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ANALYZE))
+def test_analyze_report_is_byte_identical(name, tmp_path, capsys):
+    scenario, kind, rows, digest = GOLDEN_ANALYZE[name]
+    series, out = tmp_path / "series.csv", tmp_path / "out"
+    series.write_text(rows)
+    assert cli.main([*scenario, "--out", str(out), "analyze", "--series", str(series),
+                     "--fit-kind", kind]) == 0
+    assert capsys.readouterr() == (f"wrote {out / 'report.json'}\n", "")
+    report = (out / "report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == digest, (
+        f"{name} report changed (libc {platform.libc_ver()}):\n{report.decode()}"
     )
 
 
