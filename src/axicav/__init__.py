@@ -56,13 +56,10 @@ from .scenario import Scenario, ScenarioError, load_preset, load_scenario, prese
 from .sensitivity import (
     GrowthFit,
     GrowthSeries,
-    NoiseBudget,
-    extrapolate,
     fit_linear,
     fit_power,
-    min_coupling,
+    reach,
     scenario_report,
-    shot_noise_fraction,
 )
 
 __version__ = "0.1.0"

@@ -175,16 +175,20 @@ def cmd_analyze(args) -> int:
     an = sc.analysis
     series = _read_series(args.series)
     fit_kind = args.fit_kind or an.fit_kind
+    rate = sc.laser.amplitude_photons_per_s
     try:  # the fits and the extrapolation raise past the largest double
         fit = sensitivity.fit_linear(series) if fit_kind == "linear" else sensitivity.fit_power(series)
         report = sensitivity.scenario_report(
-            sc.name, fit, an.extraction_count, an.g_ref_gev, an.integration_time_s,
-            total_rate=sc.laser.amplitude_photons_per_s
+            sc.name, fit, an.extraction_count, an.g_ref_gev, an.integration_time_s, total_rate=rate
         )
     except OverflowError:
         raise scenario.ScenarioError(
             f"the {fit_kind} fit of the series, or its value at analysis.extraction_count, "
             f"lies past the largest double") from None
+    except sensitivity.FractionError as exc:  # the fitted signal is finite: the rate is at fault
+        raise scenario.ScenarioError(
+            f"laser.amplitude_photons_per_s {rate!r} is too small for this series: {exc}"
+        ) from None
     text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     _write_or_print([text], str(Path(args.out) / "report.json") if args.out else None)
     return 0

@@ -1,10 +1,11 @@
-"""Signal growth fitting, shot-noise floors, and coupling reach.
+"""Signal growth fitting and coupling reach.
 
 The chain is always the same: a simulated (or quoted) signal-vs-traversal
-series is fitted, extrapolated to the planned number of extractions,
-divided by the full beam rate to get a fractional signal, and compared to
-the fractional shot noise.  Since the signal scales with the coupling
-squared, the smallest measurable coupling follows by square root.
+series is fitted and extrapolated to the planned number of extractions,
+and `reach` divides that signal by the full beam rate and sets the
+fraction against the fractional shot noise.  Since the signal scales with
+the coupling squared, the smallest measurable coupling follows by square
+root.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import density
-from .checks import Count, Positive, check_args, check_fields
+from .checks import Count, Positive, check_args
 
 
 @dataclass(frozen=True)
@@ -79,17 +80,6 @@ class GrowthFit:
         return out
 
 
-@dataclass(frozen=True)
-class NoiseBudget:
-    """Photon rate in the counted region and how long it is counted."""
-
-    photon_rate: Positive  # photons/s
-    integration_time_s: Positive = 1.0
-
-    def __post_init__(self):
-        check_fields(self, ValueError)
-
-
 # fewest points either fit takes: a line through two points has no residual
 MIN_FIT_POINTS = 3
 
@@ -143,77 +133,59 @@ def fit_power(series: GrowthSeries) -> GrowthFit:
                      r_squared=r_squared)
 
 
-@check_args
-def extrapolate(fit: GrowthFit, n: Count) -> float:
-    """Evaluate the fitted growth law at traversal count n."""
-    return fit.evaluate(n)
-
-
-def shot_noise_fraction(budget: NoiseBudget) -> float:
-    """Fractional 1/sqrt(N) fluctuation of the counted photons."""
-    return 1.0 / math.sqrt(budget.photon_rate * budget.integration_time_s)
+class FractionError(ValueError):
+    """A signal fraction that is not a number below inf: a signal that is
+    no number, or a rate too small for a finite signal."""
 
 
 @check_args
-def min_coupling(g_ref: Positive, signal_fraction_at_ref: float, noise_fraction: Positive) -> float:
-    """Smallest coupling whose signal still clears the noise floor.
+def reach(signal_photons: float, total_rate: Positive, g_ref: Positive,
+          integration_time_s: Positive) -> dict:
+    """The coupling reach of a signal of ``signal_photons`` per second,
+    measured at coupling g_ref, against the shot noise of the whole beam.
 
-    The fractional signal scales as (g/g_ref)^2 times the fraction measured
-    at g_ref, so the threshold crossing is at
-    g_min = g_ref * sqrt(noise_fraction / signal_fraction_at_ref).
-    A fraction <= 0 has no crossing and gives inf; NaN and +inf are refused.
+    The signal fraction is signal / total_rate and the noise floor is the
+    1-second shot noise 1/sqrt(total_rate).  The fraction scales as
+    (g/g_ref)^2, so it meets the floor at
+    g_min_1s = g_ref * sqrt(noise_fraction / signal_fraction), and
+    integrating longer scales that by t^(-1/4) (noise drops as sqrt(t),
+    coupling as the fourth root).  Where the fraction is not positive no
+    coupling reaches the floor: both couplings are None (JSON null, as JSON
+    has no infinity).  A fraction that is NaN or +inf raises FractionError,
+    and a reach past the largest double ValueError.
     """
-    if not signal_fraction_at_ref < math.inf:
-        raise ValueError(
-            f"signal_fraction_at_ref must be a number below inf, got {signal_fraction_at_ref!r}"
-        )
-    if signal_fraction_at_ref <= 0:
-        return math.inf
-    return g_ref * math.sqrt(noise_fraction / signal_fraction_at_ref)
+    noise = 1.0 / math.sqrt(total_rate)
+    fraction = signal_photons / total_rate
+    if not fraction < math.inf:
+        raise FractionError(f"signal_fraction must be a number below inf, got {fraction!r}")
+    g1 = g_t = None
+    if fraction > 0:
+        g1 = g_ref * math.sqrt(noise / fraction)
+        g_t = g1 * integration_time_s ** (-0.25)
+        if g_t == math.inf:
+            raise ValueError(
+                f"the coupling reach at g_ref {g_ref!r} over integration_time_s "
+                f"{integration_time_s!r} lies past the largest double"
+            )
+    return {"signal_fraction": fraction, "noise_fraction": noise,
+            "g_min_1s": g1, "g_min_integrated": g_t}
 
 
 @check_args
-def scenario_report(
-    scenario_name: str,
-    fit: GrowthFit,
-    n_target: Count,
-    g_ref: Positive,
-    integration_time_s: Positive,
-    total_rate: Positive,
-) -> dict:
-    """Bundle the full extrapolation chain into a JSON-ready report.
-
-    The noise floor is the 1-second shot noise of the full beam,
-    1/sqrt(total_rate); integrating longer scales the reach by t^(-1/4)
-    (noise drops as sqrt(t), coupling as the fourth root).  Where the
-    signal fraction is not positive no coupling reaches the noise floor:
-    both couplings are None (JSON null, as JSON has no infinity) and a
-    note says why.  A reach past the largest double raises ValueError.
-    """
-    noise_fraction_1s = shot_noise_fraction(NoiseBudget(total_rate, 1.0))
-    extrapolated = extrapolate(fit, n_target)
-    fraction = extrapolated / total_rate
-    # refuses a NaN fraction, and gives inf for one <= 0
-    g1 = min_coupling(g_ref, fraction, noise_fraction_1s)
-    g_t = g1 * integration_time_s ** (-0.25)
-    if fraction <= 0:
-        g1 = g_t = None
-    elif g_t == math.inf:
-        raise ValueError(
-            f"the coupling reach at g_ref {g_ref!r} over integration_time_s "
-            f"{integration_time_s!r} lies past the largest double"
-        )
+def scenario_report(scenario_name: str, fit: GrowthFit, n_target: Count, g_ref: Positive,
+                    integration_time_s: Positive, total_rate: Positive) -> dict:
+    """The JSON-ready report of `reach` for ``fit``'s signal at n_target,
+    with a note where no coupling is reached.  OverflowError where that
+    signal lies past the largest double."""
+    extrapolated = fit.evaluate(n_target)
     report = {
         "scenario": scenario_name,
         "fit": fit.as_dict(),
         "extrapolated_photons": extrapolated,
-        "signal_fraction": fraction,
-        "noise_fraction": noise_fraction_1s,
-        "g_min_1s": g1,
-        "g_min_integrated": g_t,
+        **reach(extrapolated, total_rate, g_ref, integration_time_s),
         "integration_time_s": integration_time_s,
     }
-    if g1 is None:
+    if report["g_min_1s"] is None:
         report["note"] = "no sensitivity: signal fraction is not positive"
     return report
 

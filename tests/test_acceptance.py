@@ -43,15 +43,12 @@ from axicav.lattice import compare_growth
 from axicav.sensitivity import (
     GrowthFit,
     GrowthSeries,
-    NoiseBudget,
     center_sideband_series,
     central_loss_series,
-    extrapolate,
     fit_linear,
     fit_power,
-    min_coupling,
+    reach,
     scenario_report,
-    shot_noise_fraction,
 )
 
 # the presets' beam, detector bins and central pixel
@@ -83,11 +80,11 @@ def test_criterion_01_central_loss_reach_chain():
     """Linear central-loss growth (slope 73907, intercept 274) extrapolated
     to 12000 extractions."""
     fit = GrowthFit(kind="linear", slope=73907.0, intercept=274.0)
-    value = extrapolate(fit, 12000)
+    value = fit.evaluate(12000)
     # same chain recovered through an actual least-squares fit
     n = np.arange(1.0, 16.0)
     refit = fit_linear(GrowthSeries(n, 73907.0 * n + 274.0))
-    revalue = extrapolate(refit, 12000)
+    revalue = refit.evaluate(12000)
     parts = [
         ("pinned", value == 886884274.0, f"{value!r}"),
         (
@@ -111,8 +108,8 @@ def test_criterion_02_sideband_gain_reach_chain():
     """Linear sideband-gain growth (slope 6.41e7, intercept 24793) at 12000
     extractions, and its fraction of the 5e18/s beam."""
     fit = GrowthFit(kind="linear", slope=6.41e7, intercept=24793.0)
-    photons = extrapolate(fit, 12000)
-    fraction = photons / BEAM_RATE
+    photons = fit.evaluate(12000)
+    fraction = reach(photons, BEAM_RATE, 1e-6, 1.0)["signal_fraction"]
     parts = [
         ("pinned", photons == 769200024793.0, f"{photons!r}"),
         (
@@ -131,8 +128,8 @@ def test_criterion_02_sideband_gain_reach_chain():
 
 def test_criterion_03_power_law_reach_chains():
     """Super-linear growth laws extrapolated to their working points."""
-    strong = extrapolate(GrowthFit(kind="power", coefficient=1.0e9, exponent=2.959), 1000)
-    weak = extrapolate(GrowthFit(kind="power", coefficient=2.2, exponent=2.959), 15000)
+    strong = GrowthFit(kind="power", coefficient=1.0e9, exponent=2.959).evaluate(1000)
+    weak = GrowthFit(kind="power", coefficient=2.2, exponent=2.959).evaluate(15000)
     parts = [
         ("pinned strong", _rel(strong, 7.533555637337178e17) <= 1e-12, f"{strong!r}"),
         (
@@ -154,22 +151,16 @@ def test_criterion_04_minimum_coupling_chains():
     """Noise-matched coupling floors for the three working points, at 1 s and
     at the integration times, using the 1/sqrt(5e18) noise fraction and the
     fourth-root-of-time scaling."""
-    noise = shot_noise_fraction(NoiseBudget(BEAM_RATE, 1.0))
-    frac_confocal = extrapolate(
-        GrowthFit(kind="linear", slope=6.41e7, intercept=24793.0), 12000
-    ) / BEAM_RATE
-    frac_defocus = extrapolate(
-        GrowthFit(kind="power", coefficient=1.0e9, exponent=2.959), 1000
-    ) / BEAM_RATE
-    frac_quad = extrapolate(
-        GrowthFit(kind="power", coefficient=2.2, exponent=2.959), 15000
-    ) / BEAM_RATE
-
-    g_confocal_1s = min_coupling(1e-6, frac_confocal, noise)
-    g_confocal_t = g_confocal_1s * (3e4) ** -0.25
-    g_defocus_1s = min_coupling(1e-6, frac_defocus, noise)
-    g_defocus_t = g_defocus_1s * (3e4) ** -0.25
-    g_quad_t = min_coupling(1e-10, frac_quad, noise) * (3e6) ** -0.25
+    confocal = reach(GrowthFit(kind="linear", slope=6.41e7, intercept=24793.0).evaluate(12000),
+                     BEAM_RATE, 1e-6, 3e4)
+    defocus = reach(GrowthFit(kind="power", coefficient=1.0e9, exponent=2.959).evaluate(1000),
+                    BEAM_RATE, 1e-6, 3e4)
+    quad = reach(GrowthFit(kind="power", coefficient=2.2, exponent=2.959).evaluate(15000),
+                 BEAM_RATE, 1e-10, 3e6)
+    noise = confocal["noise_fraction"]
+    g_confocal_1s, g_confocal_t = confocal["g_min_1s"], confocal["g_min_integrated"]
+    g_defocus_1s, g_defocus_t = defocus["g_min_1s"], defocus["g_min_integrated"]
+    g_quad_t = quad["g_min_integrated"]
 
     report = scenario_report(
         "quad",
@@ -209,6 +200,13 @@ def test_criterion_04_minimum_coupling_chains():
         (
             "long-magnet 3e6 s vs 5.1e-14 (5%)",
             _rel(g_quad_t, 5.1e-14) <= 5e-2,
+            f"{g_quad_t!r}",
+        ),
+        (
+            "integrated reaches scale as t^(-1/4)",
+            g_confocal_t == g_confocal_1s * (3e4) ** -0.25
+            and g_defocus_t == g_defocus_1s * (3e4) ** -0.25
+            and g_quad_t == quad["g_min_1s"] * (3e6) ** -0.25,
             f"{g_quad_t!r}",
         ),
         (
@@ -255,8 +253,9 @@ def test_criterion_05_single_pass_estimates():
 
 
 def test_criterion_06_shot_noise_fractions():
-    a = shot_noise_fraction(NoiseBudget(5.42e15))
-    b = shot_noise_fraction(NoiseBudget(1.92e14))
+    """The 1 s shot noise 1/sqrt(rate) of two beams, whatever their signal."""
+    a = reach(0.0, 5.42e15, 1e-6, 1.0)["noise_fraction"]
+    b = reach(0.0, 1.92e14, 1e-6, 1.0)["noise_fraction"]
     parts = [
         ("pinned 1/sqrt(5.42e15)", _rel(a, 1.3583145623104031e-08) <= 1e-12, f"{a!r}"),
         ("within 1% of 1.35e-8", _rel(a, 1.35e-8) <= 1e-2, f"rel {_rel(a, 1.35e-8):.2e}"),

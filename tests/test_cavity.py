@@ -80,7 +80,7 @@ CONFIG_CLASSES = sorted(_config_classes(), key=lambda cls: cls.__name__)
 
 
 def test_every_config_number_declares_its_domain():
-    assert len(CONFIG_CLASSES) == 6
+    assert len(CONFIG_CLASSES) == 5
     for cls in CONFIG_CLASSES:
         for f in fields(cls):
             domain = f.type.partition(" | ")[0]

@@ -11,7 +11,7 @@ from axicav import lattice
 from axicav.axion import MixingParameters, mass_scan, q_a, theta_split_from_coupling
 from axicav.checks import Count, NonNegative, NonZero, Positive, check_args, check_fields
 from axicav.density import histogram_edges, single_pass_estimate
-from axicav.sensitivity import GrowthFit, extrapolate, min_coupling, scenario_report
+from axicav.sensitivity import GrowthFit, reach, scenario_report
 
 NAN = math.nan
 
@@ -84,8 +84,9 @@ NAN_ARGUMENTS = {
     "theta_split_from_coupling": (lambda: theta_split_from_coupling(NAN, 1, 1), "g_a_gev"),
     "single_pass_estimate": (lambda: single_pass_estimate(NAN, 14.0, 1e-3), "theta_split_rad"),
     "compare_growth": (lambda: lattice.compare_growth(10, NAN), "pass_length_m"),
-    "min_coupling": (lambda: min_coupling(NAN, 1e-7, 1e-10), "g_ref"),
-    "extrapolate": (lambda: extrapolate(_FIT, NAN), "n"),
+    # the minimum coupling and the extrapolation, steps of the reach chain
+    "min_coupling": (lambda: reach(1.0, 5e18, NAN, 1.0), "g_ref"),
+    "extrapolate": (lambda: scenario_report("x", _FIT, NAN, 1e-6, 1.0, 5e18), "n_target"),
     "scenario_report": (lambda: scenario_report("x", _FIT, 100, NAN, 1.0, 5e18), "g_ref"),
     "histogram_edges": (lambda: histogram_edges(NAN, 3e-3), "bin_width_m"),
     "mass_scan": (lambda: mass_scan(MixingParameters(g_a_gev=1e-12), [0.0, NAN]), "mass"),

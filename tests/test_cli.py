@@ -629,6 +629,22 @@ def test_analyze_refuses_a_fit_past_a_double(kind, rows, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["linear", "power"])
+@pytest.mark.parametrize("preset", ["confocal", "bnl-quad"])
+def test_analyze_refuses_a_laser_rate_too_small_for_the_series(preset, kind, tmp_path, capsys):
+    """A finite signal over a beam rate of 1e-300 photons/s is a fraction
+    past the largest double: exit 2 naming the scenario key that set the
+    rate, and no report."""
+    out = tmp_path / "out"
+    assert cli.main(["--preset", preset, "--override", "laser.amplitude_photons_per_s=1e-300",
+                     "--out", str(out), "analyze", "--series", _series_file(tmp_path),
+                     "--fit-kind", kind]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: laser.amplitude_photons_per_s 1e-300 is too small for this "
+        "series: signal_fraction must be a number below inf, got inf\n")
+    assert not out.exists()
+
+
 # --- profile verb ------------------------------------------------------------
 
 _PROFILE = ["--preset", "confocal", "profile"]

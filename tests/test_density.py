@@ -403,7 +403,7 @@ _EDGES = "finite and strictly ascending"
     ([0.0, math.nan, 1e-4], None, None, _EDGES), ([0.0, 1e-4, math.inf], None, None, _EDGES),
     ([-math.inf, 0.0, 1e-4], None, None, _EDGES), ([0.0, 1e-4, 1e-4], None, None, _EDGES),
     ([0.0, 2e-4, 1e-4], None, None, _EDGES), ([0.0], None, None, _EDGES),
-    ([0.0, 1e-4], math.nan, None, "axial must be finite"),
+    ([0.0, 1e-4], math.nan, None, "deviation must be finite"),
     ([0.0, 1e-4], None, [0.0, math.inf, 0.0], "deviation must be finite"),
     ([0.0, 1e-4, 2e-4], None, [-math.inf, 0.0, 0.0], "deviation must be finite"),
 ], ids=["nan", "inf", "-inf", "repeated", "descending", "no-bin",
@@ -412,7 +412,8 @@ def test_histogram_refuses_bad_edges_and_non_finite_rates(edges, amplitude, mome
     """One edge rule for histograms and windows: finite, strictly
     ascending, at least one bin.  The rates in the bins must be finite: a
     NaN amplitude (which `GaussianProfile` refuses, so a stand-in carries
-    it) or a moment past a double is refused, not rendered."""
+    it) or a moment past a double is refused, not rendered.  The NaN
+    amplitude makes every rate NaN, so the deviations' check refuses it."""
     profile = PROFILE if amplitude is None else SimpleNamespace(amplitude_photons_per_s=amplitude, waist_m=WAIST)
     m = np.zeros(3) if moments is None else np.array(moments)
     with pytest.raises(ValueError, match=match):

@@ -13,15 +13,13 @@ from axicav.density import GaussianProfile, integrate_window, rates_from_moments
 from axicav.sensitivity import (
     GrowthFit,
     GrowthSeries,
-    NoiseBudget,
+    FractionError,
     center_sideband_series,
     central_loss_series,
-    extrapolate,
     fit_linear,
     fit_power,
-    min_coupling,
+    reach,
     scenario_report,
-    shot_noise_fraction,
     sideband_gain_series,
 )
 
@@ -165,85 +163,106 @@ def test_as_dict_carries_only_relevant_fields():
 
 def test_linear_chain_to_large_n():
     fit = GrowthFit(kind="linear", slope=73907.0, intercept=274.0)
-    assert extrapolate(fit, 12000) == 886884274.0
+    assert fit.evaluate(12000) == 886884274.0
 
 
 def test_second_linear_chain_and_fraction():
     fit = GrowthFit(kind="linear", slope=6.41e7, intercept=24793.0)
-    photons = extrapolate(fit, 12000)
+    photons = fit.evaluate(12000)
     assert photons == 769200024793.0
-    assert photons / BEAM_RATE == pytest.approx(1.538400049586e-07, rel=1e-12)
+    assert reach(photons, BEAM_RATE, 1e-6, 1.0)["signal_fraction"] == pytest.approx(
+        1.538400049586e-07, rel=1e-12)
 
 
 def test_power_chain_values():
     strong = GrowthFit(kind="power", coefficient=1.0e9, exponent=2.959)
-    assert extrapolate(strong, 1000) == pytest.approx(7.533555637337178e17, rel=1e-12)
+    assert strong.evaluate(1000) == pytest.approx(7.533555637337178e17, rel=1e-12)
     weak = GrowthFit(kind="power", coefficient=2.2, exponent=2.959)
-    assert extrapolate(weak, 15000) == pytest.approx(5005837142429.729, rel=1e-12)
+    assert weak.evaluate(15000) == pytest.approx(5005837142429.729, rel=1e-12)
 
 
 def test_extrapolate_rejects_n_below_one():
     fit = GrowthFit(kind="linear", slope=1.0, intercept=0.0)
-    with pytest.raises(ValueError):
-        extrapolate(fit, 0)
+    with pytest.raises(ValueError, match="^n_target must be an int >= 1, got 0$"):
+        scenario_report("x", fit, 0, 1e-6, 1.0, BEAM_RATE)
 
 
 # --- noise and coupling -----------------------------------------------------
 
 
+def _noise(rate):
+    """The 1 s shot-noise fraction `reach` sets against any signal."""
+    return reach(0.0, rate, 1e-6, 1.0)["noise_fraction"]
+
+
 def test_shot_noise_reference_points():
-    assert shot_noise_fraction(NoiseBudget(5.42e15)) == pytest.approx(
-        1.3583145623104031e-08, rel=1e-12
-    )
-    assert shot_noise_fraction(NoiseBudget(1.92e14)) == pytest.approx(
-        7.216878364870322e-08, rel=1e-12
-    )
-    assert shot_noise_fraction(NoiseBudget(BEAM_RATE)) == pytest.approx(
-        4.4721359549995793e-10, rel=1e-15
-    )
+    assert _noise(5.42e15) == pytest.approx(1.3583145623104031e-08, rel=1e-12)
+    assert _noise(1.92e14) == pytest.approx(7.216878364870322e-08, rel=1e-12)
+    assert _noise(BEAM_RATE) == pytest.approx(4.4721359549995793e-10, rel=1e-15)
 
 
 def test_shot_noise_integrates_as_sqrt_time():
-    one = shot_noise_fraction(NoiseBudget(5e18, 1.0))
-    long = shot_noise_fraction(NoiseBudget(5e18, 3e4))
-    assert long == pytest.approx(one / math.sqrt(3e4), rel=1e-12)
+    """Counting 3e4 s of a beam is counting 3e4 times its photons, and the
+    coupling that clears that floor is the 1 s one times t^(-1/4)."""
+    assert _noise(5e18 * 3e4) == pytest.approx(_noise(5e18) / math.sqrt(3e4), rel=1e-12)
+    one = reach(1e12, 5e18, 1e-6, 3e4)
+    assert one["g_min_integrated"] == one["g_min_1s"] * 3e4 ** -0.25
 
 
 def test_noise_budget_validation():
-    with pytest.raises(ValueError):
-        NoiseBudget(0.0)
-    with pytest.raises(ValueError):
-        NoiseBudget(5e18, -1.0)
+    """The rate and the integration time are refused by name unless finite
+    and positive."""
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        rule = f"must be finite and > 0, got {bad!r}$"
+        with pytest.raises(ValueError, match="^total_rate " + rule):
+            reach(1.0, bad, 1e-6, 1.0)
+        with pytest.raises(ValueError, match="^integration_time_s " + rule):
+            reach(1.0, 5e18, 1e-6, bad)
+
+
+def test_reach_returns_its_keys_in_report_order():
+    assert list(reach(1.0, 5e18, 1e-6, 1.0)) == [
+        "signal_fraction", "noise_fraction", "g_min_1s", "g_min_integrated"]
 
 
 def test_min_coupling_threshold_formula():
-    g = min_coupling(1e-6, 1.538400049586e-07, 4.4721359549995793e-10)
+    """g_min = g_ref * sqrt(noise / fraction) at the confocal chain's
+    fraction 1.5384e-7 of the 5e18/s beam."""
+    g = reach(769200024793.0, BEAM_RATE, 1e-6, 1.0)["g_min_1s"]
     assert g == pytest.approx(5.3916644528722695e-08, rel=1e-12)
 
 
 def test_min_coupling_scales_with_reference():
-    a = min_coupling(1e-6, 1e-7, 1e-10)
-    b = min_coupling(2e-6, 1e-7, 1e-10)
+    # fraction 1e-7 against a noise of 1e-10
+    a = reach(1e13, 1e20, 1e-6, 1.0)["g_min_1s"]
+    b = reach(1e13, 1e20, 2e-6, 1.0)["g_min_1s"]
     assert b == pytest.approx(2 * a, rel=1e-15)
 
 
 def test_min_coupling_improves_with_signal():
-    weak = min_coupling(1e-6, 1e-8, 1e-10)
-    strong = min_coupling(1e-6, 1e-6, 1e-10)
+    weak = reach(1e12, 1e20, 1e-6, 1.0)["g_min_1s"]
+    strong = reach(1e14, 1e20, 1e-6, 1.0)["g_min_1s"]
     assert strong < weak
 
 
 def test_min_coupling_zero_signal_is_blind():
-    assert min_coupling(1e-6, 0.0, 1e-10) == math.inf
-    assert min_coupling(1e-6, -1e-7, 1e-10) == math.inf
-    with pytest.raises(ValueError):
-        min_coupling(0.0, 1e-7, 1e-10)
+    """A fraction that is not positive, -0 included, reaches no coupling."""
+    for signal in (0.0, -0.0, -1e13):
+        blind = reach(signal, 1e20, 1e-6, 3e4)
+        assert blind["g_min_1s"] is None and blind["g_min_integrated"] is None
+    with pytest.raises(ValueError, match="^g_ref must be finite and > 0"):
+        reach(1e13, 1e20, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("fraction", [math.nan, math.inf])
-def test_min_coupling_refuses_a_fraction_that_is_no_number(fraction):
-    with pytest.raises(ValueError, match="signal_fraction_at_ref"):
-        min_coupling(1e-6, fraction, 1e-10)
+@pytest.mark.parametrize("signal", [math.nan, math.inf])
+def test_min_coupling_refuses_a_fraction_that_is_no_number(signal):
+    """A signal that is no number, or a finite one over a rate so small that
+    the fraction overflows, is refused, not reported."""
+    match = f"^signal_fraction must be a number below inf, got {signal!r}$"
+    with pytest.raises(FractionError, match=match):
+        reach(signal, 1e-10, 1e-6, 1.0)
+    with pytest.raises(FractionError, match="got inf$"):
+        reach(1e300, 1e-10, 1e-6, 1.0)
 
 
 # --- scenario reports -------------------------------------------------------
