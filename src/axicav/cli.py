@@ -177,7 +177,7 @@ def cmd_analyze(args) -> int:
     fit_kind = args.fit_kind or an.fit_kind
     rate = sc.laser.amplitude_photons_per_s
     try:  # the fits and the extrapolation raise past the largest double
-        fit = sensitivity.fit_linear(series) if fit_kind == "linear" else sensitivity.fit_power(series)
+        fit = getattr(sensitivity, f"fit_{fit_kind}")(series)  # kind k is `sensitivity.fit_k`
         report = sensitivity.scenario_report(
             sc.name, fit, an.extraction_count, an.g_ref_gev, an.integration_time_s, total_rate=rate
         )
@@ -328,14 +328,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory for file-producing verbs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("simulate", help="run the scenario cavity and write CSVs")
+    sub.add_parser("simulate", help="run the scenario cavity and write CSVs").set_defaults(
+        func=cmd_simulate)
 
     p_an = sub.add_parser("analyze", help="fit a growth series and report reach")
+    p_an.set_defaults(func=cmd_analyze)
     p_an.add_argument("--series", required=True, help="CSV with n,signal columns")
-    p_an.add_argument("--fit-kind", choices=("linear", "power"),
+    p_an.add_argument("--fit-kind", choices=sensitivity.FIT_KINDS,
                       help="the fit to extrapolate (default: the scenario's analysis.fit_kind)")
 
     p_pr = sub.add_parser("profile", help="exact split-pair deficit curve of the scenario's beam")
+    p_pr.set_defaults(func=cmd_profile)
     p_pr.add_argument(
         "--alpha", type=_finite_float, required=True, help="displacement of each half-beam, m"
     )
@@ -350,6 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pr.add_argument("--out-file", help="CSV path (default: stdout)")
 
     p_ms = sub.add_parser("mass-scan", help="suppression vs axion mass")
+    p_ms.set_defaults(func=cmd_mass_scan)
     p_ms.add_argument("--m-min", type=_finite_float, default=0.0, help="eV")
     p_ms.add_argument("--m-max", type=_finite_float, default=1e-5, help="eV")
     p_ms.add_argument("--steps", type=int, default=61)
@@ -357,26 +361,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_ms.add_argument("--out-file", help="CSV path (default: stdout)")
 
     p_pa = sub.add_parser("pascal", help="lattice growth comparison")
+    p_pa.set_defaults(func=cmd_pascal)
     p_pa.add_argument("--n-passes", type=int, required=True)
     p_pa.add_argument("--pass-length", type=_finite_float, default=1.0, help="m")
     p_pa.add_argument("--points", type=int, default=25)
     p_pa.add_argument("--out-file", help="CSV path (default: stdout)")
 
     p_ps = sub.add_parser("presets", help="list or show shipped scenarios")
+    p_ps.set_defaults(func=cmd_presets)
     p_ps.add_argument("action", choices=("list", "show"))
     p_ps.add_argument("name", nargs="?", help="preset name (for show)")
 
     return parser
-
-
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "analyze": cmd_analyze,
-    "profile": cmd_profile,
-    "mass-scan": cmd_mass_scan,
-    "pascal": cmd_pascal,
-    "presets": cmd_presets,
-}
 
 
 def _keep_freed_heap() -> None:
@@ -424,7 +420,7 @@ def main(argv=None) -> int:
         print("presets show needs a preset name", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](args)
+        return args.func(args)
     except (ParaxialError, GuardError, BeamBudgetError) as exc:
         print(f"numerical guard violation: {exc}", file=sys.stderr)
         return 3

@@ -19,7 +19,7 @@ from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, fields
 from importlib import resources
 
-from . import axion, density
+from . import axion, density, sensitivity
 from .cavity import CavityConfig
 from .checks import Count, Positive, check_fields
 
@@ -48,8 +48,9 @@ class AnalysisParams:
                 f"histogram_max_m must be a whole number of analysis.bin_width_m bins, "
                 f"got {self.histogram_max_m!r} and {self.bin_width_m!r}"
             ) from None
-        if self.fit_kind not in ("linear", "power"):
-            raise ScenarioError("fit_kind must be 'linear' or 'power'")
+        if self.fit_kind not in sensitivity.FIT_KINDS:
+            kinds = " or ".join(map(repr, sensitivity.FIT_KINDS))
+            raise ScenarioError(f"fit_kind must be {kinds}")
 
 
 @dataclass(frozen=True)

@@ -43,11 +43,15 @@ class GrowthSeries:
         return self.n.size
 
 
+# the kinds of fit: kind k is fitted by `fit_k`, and `GrowthFit.kind` names it
+FIT_KINDS = ("linear", "power")
+
+
 @dataclass(frozen=True)
 class GrowthFit:
     """Either signal = slope*n + intercept or signal = coefficient * n**exponent."""
 
-    kind: str  # "linear" or "power"
+    kind: str  # one of FIT_KINDS
     slope: float | None = None
     intercept: float | None = None
     coefficient: float | None = None
@@ -134,8 +138,8 @@ def fit_power(series: GrowthSeries) -> GrowthFit:
 
 
 class FractionError(ValueError):
-    """A signal fraction that is not a number below inf: a signal that is
-    no number, or a rate too small for a finite signal."""
+    """A signal fraction that is not finite: a signal that is no number, or
+    a rate too small for a finite signal."""
 
 
 @check_args
@@ -151,13 +155,13 @@ def reach(signal_photons: float, total_rate: Positive, g_ref: Positive,
     integrating longer scales that by t^(-1/4) (noise drops as sqrt(t),
     coupling as the fourth root).  Where the fraction is not positive no
     coupling reaches the floor: both couplings are None (JSON null, as JSON
-    has no infinity).  A fraction that is NaN or +inf raises FractionError,
+    has no infinity).  A fraction that is NaN or +-inf raises FractionError,
     and a reach past the largest double ValueError.
     """
     noise = 1.0 / math.sqrt(total_rate)
     fraction = signal_photons / total_rate
-    if not fraction < math.inf:
-        raise FractionError(f"signal_fraction must be a number below inf, got {fraction!r}")
+    if not math.isfinite(fraction):
+        raise FractionError(f"signal_fraction must be finite, got {fraction!r}")
     g1 = g_t = None
     if fraction > 0:
         g1 = g_ref * math.sqrt(noise / fraction)

@@ -524,6 +524,13 @@ def test_analyze_short_series(tmp_path, capsys):
     path.write_text("n,signal\n1,10\n2,20\n")
     rc = cli.main(["--preset", "confocal", "analyze", "--series", str(path)])
     assert rc == 2
+    # long enough, but its n do not increase
+    path.write_text("n,signal\n1,10\n3,30\n2,20\n")
+    capsys.readouterr()
+    assert cli.main(["--preset", "confocal", "analyze", "--series", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: bad series: traversal counts must be finite and strictly "
+        "increasing\n")
 
 
 @pytest.mark.parametrize(
@@ -641,7 +648,23 @@ def test_analyze_refuses_a_laser_rate_too_small_for_the_series(preset, kind, tmp
                      "--fit-kind", kind]) == 2
     assert capsys.readouterr().err == (
         "configuration error: laser.amplitude_photons_per_s 1e-300 is too small for this "
-        "series: signal_fraction must be a number below inf, got inf\n")
+        "series: signal_fraction must be finite, got inf\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", ["confocal", "bnl-quad"])
+def test_analyze_refuses_a_laser_rate_too_small_for_a_falling_series(preset, tmp_path, capsys):
+    """A falling fit's negative signal over a beam rate of 1e-310 photons/s
+    is a fraction of -inf: refused like +inf, naming the rate's key, not
+    left for the JSON writer to trip over."""
+    series, out = tmp_path / "falling.csv", tmp_path / "out"
+    series.write_text("n,signal\n1,100\n2,50\n3,10\n")
+    assert cli.main(["--preset", preset, "--override", "laser.amplitude_photons_per_s=1e-310",
+                     "--out", str(out), "analyze", "--series", str(series),
+                     "--fit-kind", "linear"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: laser.amplitude_photons_per_s 1e-310 is too small for this "
+        "series: signal_fraction must be finite, got -inf\n")
     assert not out.exists()
 
 
@@ -1153,7 +1176,16 @@ _FLOAT_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+# refused float flag value -> the refusal
+_REFUSED_FLOATS = {
+    "nan": "not a finite number",
+    "inf": "not a finite number",
+    "-inf": "not a finite number",
+    "abc": "not a number",
+}
+
+
+@pytest.mark.parametrize("value", list(_REFUSED_FLOATS))
 @pytest.mark.parametrize("flag", list(_FLOAT_FLAGS))
 def test_float_flags_refuse_non_finite_values(flag, value, tmp_path, capsys, monkeypatch):
     """Exit 2 naming the flag, before anything is written."""
@@ -1163,7 +1195,7 @@ def test_float_flags_refuse_non_finite_values(flag, value, tmp_path, capsys, mon
         cli.main([*_FLOAT_FLAGS[flag], f"{flag}={value}"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert flag in err and "not a finite number" in err
+    assert f"argument {flag}: {_REFUSED_FLOATS[value]}: {value!r}" in err
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -1206,6 +1238,26 @@ def _run_probe(probe, tmp_path):
 
 def test_no_verb_loads_scipy(tmp_path):
     _run_probe(SCIPY_PROBE, tmp_path)
+
+
+IMPORT_PROBE = """
+import sys
+import axicav
+
+assert isinstance(axicav.__version__, str)
+loaded = sorted(m for m in sys.modules if m.startswith("axicav."))
+assert not loaded, loaded
+import axicav.scenario
+
+loaded = {"axicav.cli", "axicav.g17", "axicav.lattice"} & set(sys.modules)
+assert not loaded, sorted(loaded)
+"""
+
+
+def test_the_package_loads_only_the_modules_imported_from_it(tmp_path):
+    """The package re-exports nothing, so importing it loads no module, and
+    importing the scenario schema loads none that a verb alone needs."""
+    _run_probe(IMPORT_PROBE, tmp_path)
 
 
 # --- heap policy -----------------------------------------------------------------

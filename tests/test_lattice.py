@@ -17,7 +17,7 @@ from oracles import (
     total_weight,
 )
 
-from axicav.lattice import compare_growth
+from axicav.lattice import _classify, compare_growth
 from axicav.sensitivity import fit_line
 
 
@@ -153,6 +153,9 @@ def test_growth_comparison_reference_run():
     assert abs(cmp.slope_pascal - 0.5) <= 0.05
     assert "linear" in cmp.classification
     assert "square-root" in cmp.classification
+    # the spreads follow exact laws, so only a direct call reaches the last label
+    assert [_classify(s) for s in (None, 1.05, 0.45, 2.0)] == [
+        "undetermined", "linear", "square-root", "power 2.000"]
     assert cmp.n_pass[0] == 1
     assert cmp.n_pass[-1] == 10000
     assert cmp.distance_m[-1] == 10000.0

@@ -168,6 +168,8 @@ def test_enhance_validates_branch_sign():
         angular_enhance(ray, 1e-10, 0)
     with pytest.raises(ValueError):
         angular_enhance(ray, 1e-10, 2)
+    with pytest.raises(ValueError, match="theta_split must be >= 0"):
+        angular_enhance(ray, -1e-10, 1)
 
 
 def test_field_passage_ends_at_twice_split_angle():

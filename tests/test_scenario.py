@@ -62,6 +62,8 @@ def test_bad_values_are_rejected_with_context():
         loads_scenario("[cavity]\nmirror1_focal_m = flat\n", "bad")
     with pytest.raises(ScenarioError):
         loads_scenario("[cavity]\nn_traversals = 2.5\n", "bad")
+    with pytest.raises(ScenarioError, match="cannot parse scenario"):
+        loads_scenario("waist_m = 1\n[laser]\n", "bad")  # a key before any section
 
 
 def test_inconsistent_geometry_is_rejected():

@@ -128,6 +128,8 @@ def test_fit_power_rejects_nonpositive_signal():
     n = np.array([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         fit_power(GrowthSeries(n, np.array([1.0, 0.0, 2.0])))
+    with pytest.raises(ValueError, match="need at least 3 points"):
+        fit_power(GrowthSeries(n[:2], np.array([1.0, 2.0])))
 
 
 def test_fit_evaluate_roundtrip_and_unknown_kind():
@@ -254,15 +256,17 @@ def test_min_coupling_zero_signal_is_blind():
         reach(1e13, 1e20, 0.0, 1.0)
 
 
-@pytest.mark.parametrize("signal", [math.nan, math.inf])
+@pytest.mark.parametrize("signal", [math.nan, math.inf, -math.inf])
 def test_min_coupling_refuses_a_fraction_that_is_no_number(signal):
     """A signal that is no number, or a finite one over a rate so small that
-    the fraction overflows, is refused, not reported."""
-    match = f"^signal_fraction must be a number below inf, got {signal!r}$"
+    the fraction overflows either way, is refused, not reported."""
+    match = f"^signal_fraction must be finite, got {signal!r}$"
     with pytest.raises(FractionError, match=match):
         reach(signal, 1e-10, 1e-6, 1.0)
     with pytest.raises(FractionError, match="got inf$"):
         reach(1e300, 1e-10, 1e-6, 1.0)
+    with pytest.raises(FractionError, match="got -inf$"):
+        reach(-1e300, 1e-10, 1e-6, 1.0)
 
 
 # --- scenario reports -------------------------------------------------------
