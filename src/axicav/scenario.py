@@ -126,7 +126,7 @@ def apply_overrides(mapping: dict, pairs) -> dict:
         section, key = path.split(".", 1)
         if key not in _KEYS.get(section, ()):
             raise ScenarioError(f"unknown override target {path!r}")
-        out.setdefault(section, {})[key.strip()] = value.strip()
+        out.setdefault(section, {})[key] = value.strip()
     return out
 
 

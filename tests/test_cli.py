@@ -213,6 +213,7 @@ def test_simulate_then_power_fit_on_bnl_quad(tmp_path, capsys):
     assert cli.main([*args, "analyze", "--series", series, "--fit-kind", "power"]) == 0
     report = _strict_json((tmp_path / "report.json").read_text())
     assert report["fit"]["kind"] == "power" and 2.0 < report["fit"]["exponent"] < 3.5
+    assert all(0 < report[k] < math.inf for k in ("g_min_1s", "g_min_integrated")), report
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -400,11 +401,13 @@ def test_simulate_refuses_a_run_it_cannot_make(preset, overrides, message, tmp_p
     assert not out.exists()
 
 
-# keys of the detector lens, of the forward-only split and of the coalescing
-# grid: every field passage splits, the detector sits behind an ideal relay,
-# and the grid's cell sizes are the engine's constants
-RETIRED_CAVITY_KEYS = ["lens_focal_m=0.7", "lens_offset_m=0.5", "split_on_backward=true",
-                       "coalesce_tol_position_m=1e-12", "coalesce_tol_angle_rad=1e-16"]
+# keys of the mirror spacing, of the detector lens, of the forward-only split
+# and of the coalescing grid: the spacing is field_length_m + 2 * gap_m,
+# every field passage splits, the detector sits behind an ideal relay, and
+# the grid's cell sizes are the engine's constants
+RETIRED_CAVITY_KEYS = ["length_m=14", "lens_focal_m=0.7", "lens_offset_m=0.5",
+                       "split_on_backward=true", "coalesce_tol_position_m=1e-12",
+                       "coalesce_tol_angle_rad=1e-16"]
 
 
 @pytest.mark.parametrize("setting", RETIRED_CAVITY_KEYS)
@@ -1213,6 +1216,8 @@ calls = [
     ["pascal", "--n-passes", "1000", "--out-file", out + "/pascal.csv"],
     ["--preset", "confocal", "--out", out + "/an", "analyze", "--series", series],
     ["--preset", "confocal", "mass-scan", "--log", "--m-min", "1e-9", "--out-file", out + "/m.csv"],
+    ["--preset", "bnl-quad", "mass-scan", "--log", "--m-min", "1e-9", "--m-max", "1e-4",
+     "--out-file", out + "/bnl.csv"],
     ["--preset", "confocal", "profile", "--alpha", "5.6e-9", "--out-file", out + "/profile.csv"],
     ["presets", "list"],
     ["--preset", "confocal", "--override", "cavity.n_traversals=2", "--out", out + "/sim", "simulate"],
@@ -1223,13 +1228,25 @@ for call in calls:
 """
 
 
+# the probe's second argument is the package file the test process imported
+SAME_PACKAGE = """
+import pathlib, sys
+import axicav
+
+assert pathlib.Path(axicav.__file__).resolve() == pathlib.Path(sys.argv[2]), axicav.__file__
+"""
+
+
 def _run_probe(probe, tmp_path):
-    """Run ``probe`` in a fresh interpreter that imports axicav from this tree."""
-    src = str(Path(axicav.__file__).resolve().parent.parent)
+    """Run ``probe`` in a fresh interpreter that imports the axicav this
+    process imported, from the directory that holds it, and check that it
+    did before the probe runs."""
+    package = Path(axicav.__file__).resolve()
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package.parent.parent),
+                                                      env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", probe, str(tmp_path)],
+        [sys.executable, "-c", SAME_PACKAGE + probe, str(tmp_path), str(package)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
