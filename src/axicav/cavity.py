@@ -26,27 +26,26 @@ traversal.  A run is refused with BeamBudgetError before a split would take
 the ensemble past MAX_BEAMS, rather than left to run out of memory.
 
 The engine does not know the laser.  From the axial start transport is
-linear, so the detector position of snapshot k is sum_j s_j a_j over k
-independent signs s_j = +-1, one per field passage (`kick_coefficients`),
-and `density.snapshot_moments` turns those k numbers into the moment
-vector the photon density reads; its guard needs no beam either.  The
-ensemble is carried and coalesced for what only the beams give: the
-snapshot's beam count, the paraxial guard on its angles (`_detect`), the
-beam budget and the final ensemble.  Which traversals are snapshots is
-`CavityConfig.snapshot_traversals`.
+linear, so snapshot k's detector positions are sum_j s_j a_j over k
+independent signs s_j = +-1, one per field passage, and its angles
+sum_j s_j c_j (`kick_coefficients`).  The a_j give the moment vector the
+photon density reads (`density.snapshot_moments`), and sum_j |c_j|, the
+largest angle, the snapshot's paraxial guard, which `kick_coefficients`
+raises: neither reads a beam.  The ensemble is carried and coalesced for
+the snapshot's beam count, the beam budget and the final ensemble.  Which
+traversals are snapshots is `CavityConfig.snapshot_traversals`.
 
-Memory: a run keeps no snapshot beams and forms no detector position row.
-`_detect` reads the beam count and the angle extremes of the ensemble a
-snapshot's traversal starts from, and the snapshot keeps those two
-numbers.  So a run holds the ensemble of the traversal at hand and what
-each stage returns, and its peak is set by its largest traversal, not by
-the sum over its snapshots: a fixed number of bytes per beam of the
-largest snapshot.  The README's Performance section gives the measured
-peaks, and tests/test_memory.py bounds the bytes per beam.
+Memory: a snapshot keeps only its beam count, so a run holds no snapshot
+beams, only the ensemble of the traversal at hand and what each stage
+returns: its peak is set by its largest traversal, not by the sum over its
+snapshots, a fixed number of bytes per beam of the largest snapshot.  The
+README's Performance section gives the measured peaks, and
+tests/test_memory.py bounds the bytes per beam.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -126,27 +125,12 @@ class CavityConfig:
 
 @dataclass(frozen=True, slots=True)
 class BeamSample:
-    """What a detector keeps of the beams it records: how many there are and
-    the largest |angle| among them, checked against PARAXIAL_LIMIT when the
-    sample was made.  A detector snapshot is one."""
+    """What a detector snapshot keeps of the beams it records: their count."""
 
     beams: int
-    max_angle: float
 
     def __len__(self) -> int:
         return self.beams
-
-
-def _max_angle(angles) -> float:
-    """The largest |angle| of beams whose angles have the extremes of
-    ``angles`` (all of them, or only the extremes); raises ParaxialError
-    unless it lies inside the paraxial window (a NaN does not)."""
-    amax = max(-float(angles.min()), float(angles.max())) if angles.size else 0.0
-    if not (amax < PARAXIAL_LIMIT):
-        raise ParaxialError(
-            f"ensemble angle {amax!r} outside paraxial window (< {PARAXIAL_LIMIT})"
-        )
-    return abs(amax)  # +0.0, not -0.0, for beams that all lie on the axis
 
 
 class BeamEnsemble:
@@ -187,7 +171,12 @@ class BeamEnsemble:
         return ens
 
     def _hold(self, positions, angles, weights):
-        _max_angle(angles)
+        # the largest |angle|, from the extremes; a NaN fails the test
+        amax = max(-float(angles.min()), float(angles.max())) if angles.size else 0.0
+        if not (amax < PARAXIAL_LIMIT):
+            raise ParaxialError(
+                f"ensemble angle {amax!r} outside paraxial window (< {PARAXIAL_LIMIT})"
+            )
         self.positions, self.angles, self.weights = positions, angles, weights
 
     def __len__(self) -> int:
@@ -504,10 +493,8 @@ def _legs(config: CavityConfig):
     exit, so at the far mirror the two branches sit at P(L + 2 gap) (x, a)
     +- b with b = theta (L + 2 gap, 2) (Siegman, *Lasers*, ch. 15), and the
     detector trip or the reflection acts on both terms.  The trip passes the
-    exit mirror unfocused and propagates ``detector_distance_m``: pure
-    propagation, so its matrix has c = 0 and d = 1 exactly and its kick
-    is (theta (L + 2 gap + distance), 2 theta), which `_detect` relies on.
-    The detector leg is the same in both directions."""
+    exit mirror unfocused and propagates ``detector_distance_m``, so the
+    detector leg is the same in both directions."""
     gap, length, theta = config.gap_m, config.field_length_m, config.theta_split_rad
     step = rays.propagation_matrix
     to_mirror = rays.compose([step(gap), step(length), step(gap)])
@@ -517,9 +504,8 @@ def _legs(config: CavityConfig):
         kick = (after.a * bx + after.b * ba, after.c * bx + after.d * ba) if theta > 0 else None
         return rays.compose([after, to_mirror]), kick
 
-    to_detector = leg(step(config.detector_distance_m))
-    assert to_detector[0].c == 0.0 and to_detector[0].d == 1.0
-    return [(to_detector, leg(rays.IDENTITY if focal is None else rays.focusing_matrix(focal)))
+    detector = leg(step(config.detector_distance_m))
+    return [(detector, leg(rays.IDENTITY if focal is None else rays.focusing_matrix(focal)))
             for focal in (config.mirror2_focal_m, config.mirror1_focal_m)]
 
 
@@ -551,23 +537,6 @@ def _transport(ensemble: BeamEnsemble, matrix, kick, weights) -> BeamEnsemble:
                                  _row(x, a, matrix.c, matrix.d, ka), weights)
 
 
-def _detect(ensemble: BeamEnsemble, kick) -> tuple[int, float]:
-    """The beam count and the largest |angle| of what `_transport` would
-    carry to the detector, without carrying it: the angle is checked as
-    `_transport` checks it, from the extremes of the angles the beams start
-    from.  The trip is pure propagation (`_legs`), so a beam's detector
-    angle is its angle a, or on a split leg fl(a + k) and fl(a - k), which
-    rise with a (rounding is monotone): the row's minimum and maximum are
-    among fl(min a +- k) and fl(max a +- k), and a NaN kick puts one there
-    too.  The positions are not read: a snapshot's moments come from the
-    kick coefficients (`kick_coefficients`)."""
-    a = ensemble.angles
-    ends = np.array([a.min(), a.max()]) if a.size else a
-    if kick is None:
-        return a.size, _max_angle(ends)
-    return 2 * a.size, _max_angle(np.concatenate((ends + kick[1], ends - kick[1])))
-
-
 def kick_coefficients(config: CavityConfig, n: int) -> tuple[list[float], list[float]]:
     """The kick coefficients of the snapshots of an n-traversal run from
     the axial beam, as two lists indexed by the parity of the traversal:
@@ -584,18 +553,46 @@ def kick_coefficients(config: CavityConfig, n: int) -> tuple[list[float], list[f
     snapshot K: a_0 is the detector kick; for j >= 1 the row (a, b) is
     dotted with the to-next kick of traversal K - j, then multiplied by
     that traversal's to-next matrix.  A field-off run has every
-    coefficient 0.0."""
+    coefficient 0.0.
+
+    The sweep carries the angle row (c, d) beside (a, b): snapshot k's
+    detector angles are sum_j s_j c_j, the largest sum_j |c_j|.  The call
+    raises ParaxialError at the first snapshot (`CavityConfig.
+    snapshot_traversals` up to n) whose sum, taken in order, is not below
+    PARAXIAL_LIMIT by a relative margin of k (k - 1) 2^-53 (a NaN is
+    refused).  The margin covers rounding: c_j ends j steps of the sweep
+    and a beam's angle j traversals, each a few roundings, so to first
+    order the two part by about j ulps a term, k (k - 1) / 2 over k terms,
+    on either side.  Snapshot 1's one term, 2 theta, is exact on both.  On
+    a seeded sample the beams' largest angle passed the sum by at most
+    0.28 k (k - 1) 2^-53 (tests/test_cavity.py)."""
     legs = _legs(config)
     (detector, detector_kick), _ = legs[0]  # the detector leg is the same both ways
-    out = ([], [])
+    out, angles = ([], []), ([], [])
     for last in range(n, max(n - 2, 0), -1):
-        coefficients = out[last % 2]
-        a, b = detector.a, detector.b
+        coefficients, slopes = out[last % 2], angles[last % 2]
+        a, b, c, d = detector.a, detector.b, detector.c, detector.d
         coefficients.append(0.0 if detector_kick is None else detector_kick[0])
+        slopes.append(0.0 if detector_kick is None else detector_kick[1])
         for t in range(last - 1, 0, -1):
             matrix, kick = legs[t % 2 == 0][1]
             coefficients.append(0.0 if kick is None else a * kick[0] + b * kick[1])
-            a, b = a * matrix.a + b * matrix.c, a * matrix.b + b * matrix.d
+            slopes.append(0.0 if kick is None else c * kick[0] + d * kick[1])
+            a, b, c, d = (a * matrix.a + b * matrix.c, a * matrix.b + b * matrix.d,
+                          c * matrix.a + d * matrix.c, c * matrix.b + d * matrix.d)
+    spans = [[0.0, *itertools.accumulate(abs(x) for x in row)] for row in angles]  # over the first k
+    snapshots = range(config.snapshot_traversals.start, n + 1, config.snapshot_traversals.step)
+
+    def refused(k):  # once true, true for every later snapshot of k's parity
+        return not spans[k % 2][k] * (1.0 + k * (k - 1) * 2.0**-53) < PARAXIAL_LIMIT
+
+    if any(map(refused, snapshots[-2:])):  # each list's last snapshot
+        k = next(filter(refused, snapshots))
+        raise ParaxialError(
+            f"traversal {k}: detector angles reach sum|c_j| = {spans[k % 2][k]!r}, outside the "
+            f"paraxial window (< {PARAXIAL_LIMIT}, less a rounding margin of "
+            f"{k * (k - 1) * 2.0**-53:.2g} relative)"
+        )
     return out
 
 
@@ -605,21 +602,21 @@ def run(config: CavityConfig) -> RunResult:
     them in the field region, and past the far mirror (`_legs`), then
     coalesce on the grid of COALESCE_TOL_POSITION_M and
     COALESCE_TOL_ANGLE_RAD.  A split leg's weights are halved into one
-    array of 2N.  At each of `CavityConfig.snapshot_traversals` the beam
-    count and the largest |angle| at the detector are read from the
-    ensemble (`_detect`).
+    array of 2N.  Each of `CavityConfig.snapshot_traversals` keeps its
+    beam count at the detector, 2N on a split leg; its paraxial guard is
+    `kick_coefficients`'.
 
     Raises BeamBudgetError before a split leg would produce more than
-    MAX_BEAMS beams, ParaxialError when an angle leaves the paraxial
-    window, and ValueError when the ensemble grows too wide for the
-    coalescing grid.
+    MAX_BEAMS beams, ParaxialError when a transported angle leaves the
+    paraxial window, and ValueError when the ensemble grows too wide for
+    the coalescing grid.
     """
     legs = _legs(config)
     snapshots = config.snapshot_traversals
     ens = axial_beam()
     result = RunResult()
     for k in range(1, config.n_traversals + 1):
-        to_detector, to_next = legs[k % 2 == 0]
+        to_next = legs[k % 2 == 0][1]
         n, w = len(ens), ens.weights
         if to_next[1] is not None:
             if 2 * n > MAX_BEAMS:
@@ -629,7 +626,7 @@ def run(config: CavityConfig) -> RunResult:
             np.multiply(ens.weights, 0.5, out=w[:n])
             w[n:] = w[:n]
         if k in snapshots:
-            result.snapshots.append(DetectorSnapshot(k, BeamSample(*_detect(ens, to_detector[1]))))
+            result.snapshots.append(DetectorSnapshot(k, BeamSample(w.size)))
         # the previous ensemble is dropped before coalescing starts
         ens = _transport(ens, *to_next, w)
         ens = coalesce(ens, COALESCE_TOL_POSITION_M, COALESCE_TOL_ANGLE_RAD)

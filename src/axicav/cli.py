@@ -20,11 +20,11 @@ byte-identical.
 
 No verb loads scipy: `simulate` computes its histograms and series from
 the snapshot moments that `density.snapshot_moments` builds from the kick
-coefficients (`snapshot_series`: the call refuses a series past the
-moments' reach before the engine runs, and the vectors are summed after
-it), with the math module's error function, and every other verb pays only
-for numpy and its own arithmetic.  Every verb writes its CSV tables
-through `g17.csv`.
+coefficients (`snapshot_series`: the paraxial bound of their angle row,
+then the series, refuse a run before the engine runs, and the vectors are
+summed after it; the engine gives only beam counts), with the math
+module's error function, and every other verb pays only for numpy and its
+own arithmetic.  Every verb writes its CSV tables through `g17.csv`.
 
 On its first call in a process, `main` fixes glibc's mmap and trim
 thresholds (see `_keep_freed_heap`), so the arrays one op frees stay in
@@ -114,8 +114,8 @@ def _rows_in_memory(what: str, count: int):
 
 def snapshot_series(config: cavity.CavityConfig, profile: density.GaussianProfile):
     """``config``'s snapshot moment vectors at ``profile``'s waist and final
-    beam count: the series refuses a run before the engine runs, and is
-    summed after it."""
+    beam count.  The paraxial bound, then the series, refuse a run before
+    the engine runs; the series is summed after it."""
     moments = density.snapshot_moments(cavity.kick_coefficients(config, config.n_traversals),
                                        config.snapshot_traversals, profile)
     final_beams = len(run(config).final)

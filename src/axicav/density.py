@@ -287,7 +287,10 @@ def snapshot_moments(coefficients, traversals, profile: GaussianProfile) -> Iter
         tops = {p: _order(spans[p][k] / waist_m) for p, k in lasts.items()}
     except GuardError:
         for k in traversals:
-            _order(spans[k % 2][k] / waist_m)
+            try:
+                _order(spans[k % 2][k] / waist_m)
+            except GuardError as exc:
+                raise GuardError(f"traversal {k}: {exc}") from None
 
     def parity(p):  # the snapshots that read list p, as asked for
         wanted = set(traversals)

@@ -13,6 +13,7 @@ coefficients.
 
 from __future__ import annotations
 
+import itertools
 import math
 from unittest import mock
 
@@ -129,26 +130,28 @@ def apply(m: TransferMatrix, ray: RayState) -> RayState:
 def run_with_detector_beams(config, start=None):
     """``cavity.run(config)`` and each snapshot's beams, in the snapshot's
     beam order, as the `BeamEnsemble` of their positions, angles and
-    weights.  A snapshot keeps only its beam count and largest |angle|;
-    here the detector leg is also carried in full, as `cavity._transport`
-    carries every other leg, from the ensemble each snapshot's traversal
-    starts at, so the arrays are the engine's own bits.
+    weights.  A snapshot keeps only its beam count; here the detector leg
+    is also carried in full, as `cavity._transport` carries every other
+    leg, from the ensemble each snapshot's traversal starts at and with the
+    weights `run` hands that traversal's transport, so the arrays are the
+    engine's own bits.  An angle the detector leg carries out of the
+    paraxial window is refused here, as `_transport` refuses one.
 
     A ``start`` ensemble takes the place of `cavity.axial_beam`, which
     every run starts from.  The kick coefficients hold for the axial start
     only, so the moments of such a run are those of its beams
     (`beam_moments`)."""
-    beams = []
-    detect = cavity._detect
-    (matrix, _), _ = cavity._legs(config)[0]  # the detector leg is the same both ways
+    beams, traversals = [], itertools.count(1)
+    transport = cavity._transport
+    (matrix, kick), _ = cavity._legs(config)[0]  # the detector leg is the same both ways
 
-    def keep_beams(ensemble, kick):
-        weights = ensemble.weights if kick is None else np.concatenate([0.5 * ensemble.weights] * 2)
-        beams.append(cavity._transport(ensemble, matrix, kick, weights))
-        return detect(ensemble, kick)
+    def keep_beams(ensemble, to_matrix, to_kick, weights):  # each traversal's one transport
+        if next(traversals) in config.snapshot_traversals:
+            beams.append(transport(ensemble, matrix, kick, weights))
+        return transport(ensemble, to_matrix, to_kick, weights)
 
     axial = cavity.axial_beam if start is None else (lambda: start)
-    with mock.patch.object(cavity, "_detect", keep_beams), \
+    with mock.patch.object(cavity, "_transport", keep_beams), \
             mock.patch.object(cavity, "axial_beam", axial):
         return cavity.run(config), beams
 

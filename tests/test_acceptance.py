@@ -453,8 +453,8 @@ def test_criterion_12_invariant_suite(confocal_run, monkeypatch):
         d = profile_difference(m, beam_moments(ens, PROFILE.waist_m), PROFILE, EDGES)
         null_zero = null_zero and bool(np.all(d == 0.0))
     null_positions = bool(
-        np.all(null_beams[-1].positions == 0.0)
-        and null_run.snapshots[-1].ensemble.max_angle == 0.0
+        np.all(null_beams[-1].positions == 0.0) and np.all(null_beams[-1].angles == 0.0)
+        and len(null_run.snapshots[-1].ensemble) == 1
     )
 
     # (c) one-traversal detector snapshot against the closed form
@@ -469,7 +469,7 @@ def test_criterion_12_invariant_suite(confocal_run, monkeypatch):
     oracle_ok = bool(
         np.all(np.abs(np.sort(e.positions) - want_pos) <= 1e-12 * np.abs(want_pos))
         and np.all(np.abs(np.sort(e.angles) - want_ang) <= 1e-12 * np.abs(want_ang))
-        and one.snapshots[0].ensemble.max_angle == float(np.abs(e.angles).max())
+        and len(one.snapshots[0].ensemble) == len(e) == 2
     )
 
     # (d) the shipped deficit curve vs the brute-force displaced pair at
@@ -493,15 +493,14 @@ def test_criterion_12_invariant_suite(confocal_run, monkeypatch):
     leak = abs(math.fsum(diff_wide.tolist())) / moved
 
     # (f) ensemble symmetry at the detector (a snapshot keeps only its beam
-    # count and largest |angle|, so the beams come from the detector leg,
-    # run again)
+    # count, so the beams come from the detector leg, run again)
     sym_ok = True
     sym_worst = 0.0
     signal_run, signal_beams = run_with_detector_beams(cfg)
     for k in (0, 7, -1):
         ens = signal_beams[k]
         scale_p = float(np.max(np.abs(ens.positions)))
-        scale_a = signal_run.snapshots[k].ensemble.max_angle
+        scale_a = float(np.max(np.abs(ens.angles)))
         mp = abs(math.fsum((ens.weights * ens.positions).tolist()))
         ma = abs(math.fsum((ens.weights * ens.angles).tolist()))
         sym_worst = max(sym_worst, mp / scale_p, ma / scale_a)

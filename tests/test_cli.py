@@ -14,6 +14,7 @@ import pytest
 
 import axicav
 from axicav import cavity, cli, density, scenario, sensitivity
+from axicav.rays import ParaxialError
 
 SERIES = "n,signal\n1,64124793\n2,128224793\n3,192324793\n4,256424793\n5,320524793\n"
 
@@ -178,19 +179,34 @@ def test_simulate_unknown_preset(capsys):
 
 
 def test_simulate_paraxial_blowup_is_a_guard_error(tmp_path, capsys):
-    rc = cli.main(
-        [
-            "--preset",
-            "confocal",
-            "--override",
-            "cavity.theta_split_rad=0.2",
-            "--out",
-            str(tmp_path),
-            "simulate",
-        ]
-    )
-    assert rc == 3
-    assert "guard" in capsys.readouterr().err
+    """A split of 0.2 rad puts snapshot 1's detector angles at +-0.4: the
+    paraxial bound refuses traversal 1, ahead of the moment series (its
+    beams sit 4.8e3 waists off the axis), and nothing is written."""
+    out = tmp_path / "out"
+    args = ["--preset", "confocal", "--override", "cavity.theta_split_rad=0.2"]
+    assert cli.main([*args, "--out", str(out), "simulate"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical guard violation: traversal 1: detector angles reach sum|c_j| = 0.4, "
+        "outside the paraxial window (< 0.1, less a rounding margin of 0 relative)\n")
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_detector_angle_the_series_would_pass(tmp_path, capsys):
+    """A micrometre cavity with no gaps and the detector on the mirror
+    keeps its beams within 1e-7 m of the axis, so only the angles fail:
+    at theta = 0.049 snapshot 1's are +-0.098, snapshot 2's reach 0.196.
+    The bound names traversal 2 (the engine's own check named none), and
+    no output directory is written."""
+    out = tmp_path / "out"
+    overrides = ["cavity.field_length_m=1e-6", "cavity.gap_m=0", "cavity.detector_distance_m=0",
+                 "cavity.theta_split_rad=0.049", "cavity.n_traversals=3"]
+    args = ["--preset", "confocal", *sum((["--override", o] for o in overrides), [])]
+    assert cli.main([*args, "--out", str(out), "simulate"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical guard violation: traversal 2: detector angles reach sum|c_j| = "
+        "0.19599999608000002, outside the paraxial window (< 0.1, less a rounding margin "
+        "of 2.2e-16 relative)\n")
+    assert not out.exists()
 
 
 def test_simulate_past_the_series_order_cap_is_a_guard_error(tmp_path, capsys):
@@ -340,20 +356,22 @@ def test_simulate_refused_by_the_series_exits_3_and_writes_nothing(tmp_path, cap
 def test_simulate_refuses_a_geometry_whose_maps_overflow_before_the_engine_runs(
         tmp_path, capsys, monkeypatch):
     """Mirrors 3e300 m apart: the transfer maps overflow a double, so the
-    kick coefficients hold an inf and a NaN, as the beams carried through
-    the same maps would.  The series refuses the scenario before `run` is
-    called, so no beam at an overflowed or NaN position reaches
-    `cavity.coalesce`: exit 3, nothing written."""
+    beams carried through them would reach an inf and a NaN.  The paraxial
+    bound refuses the scenario at snapshot 2, whose angle coefficient is
+    9.6e289, when the kick coefficients are swept, before `run` is called,
+    so no beam at an overflowed or NaN position reaches `cavity.coalesce`:
+    exit 3, nothing written."""
     overrides = ["cavity.field_length_m=1e300", "cavity.gap_m=1e300"]
     cfg = scenario.load_preset("confocal", overrides).cavity
-    coefficients = sum(cavity.kick_coefficients(cfg, cfg.n_traversals), [])
-    assert math.inf in map(abs, coefficients) and any(map(math.isnan, coefficients))
+    with pytest.raises(ParaxialError, match="^traversal 2: "):
+        cavity.kick_coefficients(cfg, cfg.n_traversals)
     runs = []
     monkeypatch.setattr(cli, "run", lambda *args: runs.append(args))
     out = tmp_path / "out"
     args = ["--preset", "confocal", *sum((["--override", o] for o in overrides), [])]
     assert cli.main([*args, "--out", str(out), "simulate"]) == 3
-    assert "max|x|/r = 1.6e+294: the moment series" in capsys.readouterr().err
+    assert "traversal 2: detector angles reach sum|c_j| = 9.600000000000001e+289, outside" \
+        in capsys.readouterr().err
     assert not runs and not out.exists()
 
 
@@ -362,9 +380,9 @@ def test_simulate_refuses_a_geometry_whose_maps_overflow_before_the_engine_runs(
     [
         # the spacing overflows a double: a configuration error, before any map is built
         ("1e308", 2, "cavity.field_length_m + 2 * gap_m (the mirror spacing) must be finite"),
-        # finite but huge: the transfer maps overflow, and the series
-        # refuses the first snapshot before any beam is carried
-        ("1e300", 3, "max|x|/r = inf: the moment series"),
+        # finite but huge: the transfer maps overflow, and the paraxial
+        # bound refuses snapshot 2 before any beam is carried
+        ("1e300", 3, "traversal 2: detector angles reach sum|c_j| = 1.090909090909091e+286,"),
     ],
     ids=["overflowing", "huge"],
 )
@@ -1240,14 +1258,17 @@ assert pathlib.Path(axicav.__file__).resolve() == pathlib.Path(sys.argv[2]), axi
 def _run_probe(probe, tmp_path):
     """Run ``probe`` in a fresh interpreter that imports the axicav this
     process imported, from the directory that holds it, and check that it
-    did before the probe runs."""
+    did before the probe runs.  ``python -c`` puts its working directory
+    first on sys.path, ahead of PYTHONPATH, so the probe runs in
+    ``tmp_path``: run from src/, it would import the checkout's axicav in
+    place of an installed one."""
     package = Path(axicav.__file__).resolve()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package.parent.parent),
                                                       env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", SAME_PACKAGE + probe, str(tmp_path), str(package)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc

@@ -159,27 +159,26 @@ def test_a_snapshot_past_the_series_is_refused_before_the_engine_runs(tmp_path, 
     series, and snapshot 4 is at 1.0.  The moments of the first four come
     out, and the run's snapshots are refused (GuardError) at snapshot 5,
     in traversal order.  The series depends on the scenario alone, so
-    `simulate` refuses it before any beam is carried: no `_detect` call,
-    and ahead of a beam budget that `run` alone would reach first."""
+    `simulate` refuses it before any beam is carried: no `run` call, and
+    ahead of a beam budget that `run` alone would reach first.  The
+    refusal names its traversal."""
     cfg = replace(CONFOCAL, n_traversals=8, theta_split_rad=1e-5)
     coefficients = cavity.kick_coefficients(cfg, 8)
     sizes = [m.size for m in density.snapshot_moments(coefficients, range(1, 5), PROFILE)]
     assert sizes == sorted(sizes) and sizes[-1] == 31  # order 30 at max|x|/r = 1.0
-    with pytest.raises(GuardError, match=r"^max\|x\|/r = 1.35: "):
+    with pytest.raises(GuardError, match=r"^traversal 5: max\|x\|/r = 1.35: "):
         density.snapshot_moments(coefficients, cfg.snapshot_traversals, PROFILE)  # not read
 
-    detected = []
-    detect = cavity._detect
-    monkeypatch.setattr(cavity, "_detect", lambda *args: detected.append(1) or detect(*args))
     monkeypatch.setattr(cavity, "MAX_BEAMS", 8)
     with pytest.raises(BeamBudgetError, match="traversal 4 would split 8 beams into 16"):
         cavity.run(cfg)
-    del detected[:]
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda *args: runs.append(args) or cavity.run(*args))
     args = ["--preset", "confocal", "--override", "cavity.n_traversals=8",
             "--override", "cavity.theta_split_rad=1e-5", "--out", str(tmp_path / "o"), "simulate"]
     assert cli.main(args) == 3
-    assert "numerical guard violation: max|x|/r = 1.35: " in capsys.readouterr().err
-    assert not detected and not (tmp_path / "o").exists()
+    assert "numerical guard violation: traversal 5: max|x|/r = 1.35: " in capsys.readouterr().err
+    assert not runs and not (tmp_path / "o").exists()
 
 
 def test_a_field_off_run_has_zero_coefficients_and_moments():
@@ -199,7 +198,7 @@ def test_a_coefficient_that_is_not_finite_is_refused(bad):
     coefficients = ([], [1e-9, -2e-9, bad])  # odd snapshots only
     m, = density.snapshot_moments(coefficients, [1], PROFILE)
     assert m[2] == (1e-9 / WAIST) ** 2
-    with pytest.raises(GuardError, match=f"^max\\|x\\|/r = {bad!r}: "):
+    with pytest.raises(GuardError, match=f"^traversal 3: max\\|x\\|/r = {bad!r}: "):
         density.snapshot_moments(coefficients, [1, 3], PROFILE)
 
 
@@ -211,9 +210,9 @@ def test_the_series_check_names_the_first_snapshot_past_it_in_traversal_order():
     snapshots are within the series pass."""
     r = WAIST
     coefficients = ([0.1 * r, 0.1 * r, 2.0 * r, 0.0], [0.1 * r, 0.2 * r, 3.0 * r, 0.0, r])
-    with pytest.raises(GuardError, match=r"^max\|x\|/r = 3.3: "):
+    with pytest.raises(GuardError, match=r"^traversal 3: max\|x\|/r = 3.3: "):
         density.snapshot_moments(coefficients, [1, 2, 3, 4, 5], PROFILE)
-    with pytest.raises(GuardError, match=r"^max\|x\|/r = 2.2: "):
+    with pytest.raises(GuardError, match=r"^traversal 4: max\|x\|/r = 2.2: "):
         density.snapshot_moments(coefficients, [1, 2, 4, 5], PROFILE)
     assert len(list(density.snapshot_moments(coefficients, [1, 2], PROFILE))) == 2
 

@@ -1,10 +1,11 @@
 """Memory budget of ``axicav simulate``.
 
 `simulate` takes each detector snapshot's moment vector from its kick
-coefficients (`density.snapshot_moments`), and a run reads only the beam
-count and the angle extremes of the ensemble (`cavity._detect`), so it
-holds no snapshot beams and forms no detector position row: peak memory
-is set by the largest traversal, not by the sum over the snapshots.  Everything a
+coefficients (`density.snapshot_moments`), and its paraxial refusal from
+their angle row (`cavity.kick_coefficients`); a snapshot keeps only its
+beam count, so a run holds no snapshot beams and forms no detector row:
+peak memory is set by the largest traversal, not by the sum over the
+snapshots.  Everything a
 traversal or the rendering allocates is transient.  The budget bounds the
 traced peak of a whole ``simulate`` call per beam of the largest snapshot,
 so a stage that copies arrays it does not return, or keeps them past their
@@ -45,7 +46,7 @@ def test_simulate_peak_per_snapshot_beam(preset, n, tmp_path, monkeypatch, capsy
 
 
 def test_a_snapshot_holds_no_per_beam_array():
-    """A snapshot keeps its beam count and largest |angle|; the moment
+    """A snapshot keeps its beam count alone; the moment
     vector `simulate` takes for it has the series order as its length, at
     most density.MAX_ORDER + 1, however many beams the snapshot holds."""
     cfg = load_preset("confocal", ["cavity.n_traversals=10"]).cavity
@@ -54,8 +55,7 @@ def test_a_snapshot_holds_no_per_beam_array():
     for snap in res.snapshots:
         sample = snap.ensemble
         assert not hasattr(sample, "__dict__")
-        assert type(sample).__slots__ == ("beams", "max_angle")
-        assert isinstance(sample.beams, int) and isinstance(sample.max_angle, float)
+        assert type(sample).__slots__ == ("beams",) and isinstance(sample.beams, int)
     coefficients = cavity.kick_coefficients(cfg, cfg.n_traversals)
     for m in density.snapshot_moments(coefficients, cfg.snapshot_traversals,
                                       density.GaussianProfile()):
