@@ -25,15 +25,14 @@ the confocal cavity never merges a branch, so its ensemble doubles on every
 traversal.  A run is refused with BeamBudgetError before a split would take
 the ensemble past MAX_BEAMS, rather than left to run out of memory.
 
-The engine does not know the laser.  From the axial start transport is
-linear, so snapshot k's detector positions are sum_j s_j a_j over k
-independent signs s_j = +-1, one per field passage, and its angles
-sum_j s_j c_j (`kick_coefficients`).  The a_j give the moment vector the
-photon density reads (`density.snapshot_moments`), and sum_j |c_j|, the
-largest angle, the snapshot's paraxial guard, which `kick_coefficients`
-raises: neither reads a beam.  The ensemble is carried and coalesced for
-the snapshot's beam count, the beam budget and the final ensemble.  Which
-traversals are snapshots is `CavityConfig.snapshot_traversals`.
+The engine does not know the laser, and checks no angle.  From the axial
+start transport is linear, so snapshot k's detector positions are
+sum_j s_j a_j over k independent signs s_j = +-1, one per field passage,
+and the angles each reflection leaves sum_j s_j e_j (`kick_coefficients`):
+the a_j give the moment vector the photon density reads
+(`density.snapshot_moments`), and sum_j |e_j| the run's paraxial guard.
+The ensemble is carried and coalesced for the snapshot's beam count, the
+beam budget and the final ensemble.
 
 Memory: a snapshot keeps only its beam count, so a run holds no snapshot
 beams, only the ensemble of the traversal at hand and what each stage
@@ -157,27 +156,15 @@ class BeamEnsemble:
         lo, hi = (float(positions.min()), float(positions.max())) if positions.size else (0.0, 0.0)
         if not (-math.inf < lo and hi < math.inf):
             raise ValueError(f"positions must be finite, got {hi if lo > -math.inf else lo!r}")
-        self._hold(positions, angles, weights)
+        self.positions, self.angles, self.weights = positions, angles, weights
 
     @classmethod
     def _derived(cls, positions, angles, weights):
-        """An ensemble `run` or `coalesce` builds from a checked one: equal
-        float arrays whose weights are halves or sums of checked weights.
-        Transport can still tilt a beam out of the paraxial window, so only
-        that check is made.  A transport leg can also overflow a position:
-        the next `coalesce` refuses that, naming the positions."""
+        """An ensemble `run` or `coalesce` builds from a checked one, taken
+        unchecked (the next `coalesce` refuses a position that overflowed)."""
         ens = cls.__new__(cls)
-        ens._hold(positions, angles, weights)
+        ens.positions, ens.angles, ens.weights = positions, angles, weights
         return ens
-
-    def _hold(self, positions, angles, weights):
-        # the largest |angle|, from the extremes; a NaN fails the test
-        amax = max(-float(angles.min()), float(angles.max())) if angles.size else 0.0
-        if not (amax < PARAXIAL_LIMIT):
-            raise ParaxialError(
-                f"ensemble angle {amax!r} outside paraxial window (< {PARAXIAL_LIMIT})"
-            )
-        self.positions, self.angles, self.weights = positions, angles, weights
 
     def __len__(self) -> int:
         return self.positions.size
@@ -276,8 +263,7 @@ def _cells(pos, ang, tol_p, tol_a, shift):
         # for the grid (far past 2^53, where the half-cell shift is lost).
         # A NaN fails both tests; `_pack_cells` then declines it.
         if cell.min(initial=0.0) <= -(2.0**62) or cell.max(initial=0.0) >= 2.0**62:
-            # unless a transport leg overflowed a position (angles are
-            # paraxial): name that instead
+            # unless a transport leg overflowed a position: name that instead
             beyond = pos[np.isinf(pos)]
             if beyond.size:
                 raise ValueError(f"positions must be finite, got {float(beyond[0])!r}")
@@ -550,49 +536,59 @@ def kick_coefficients(config: CavityConfig, n: int) -> tuple[list[float], list[f
     coefficients and two more.
 
     One backward sweep per parity over `_legs`' float maps, from its last
-    snapshot K: a_0 is the detector kick; for j >= 1 the row (a, b) is
+    traversal K: a_0 is the detector kick; for j >= 1 the row (a, b) is
     dotted with the to-next kick of traversal K - j, then multiplied by
     that traversal's to-next matrix.  A field-off run has every
-    coefficient 0.0.
+    coefficient 0.0.  Beside it the sweep carries the angle row (c, d) of
+    traversal K's to-next map: the beams leaving the far mirror after
+    traversal k have angles sum_j s_j e_j, and snapshot k's, the detector
+    trip being pure propagation, those of 2 theta and then k - 1's e_j.
 
-    The sweep carries the angle row (c, d) beside (a, b): snapshot k's
-    detector angles are sum_j s_j c_j, the largest sum_j |c_j|.  The call
-    raises ParaxialError at the first snapshot (`CavityConfig.
-    snapshot_traversals` up to n) whose sum, taken in order, is not below
+    ParaxialError is raised at the first bound sum |e_j| over k terms, in
+    traversal order and a snapshot before its reflection, not below
     PARAXIAL_LIMIT by a relative margin of k (k - 1) 2^-53 (a NaN is
-    refused).  The margin covers rounding: c_j ends j steps of the sweep
-    and a beam's angle j traversals, each a few roundings, so to first
-    order the two part by about j ulps a term, k (k - 1) / 2 over k terms,
-    on either side.  Snapshot 1's one term, 2 theta, is exact on both.  On
-    a seeded sample the beams' largest angle passed the sum by at most
-    0.28 k (k - 1) 2^-53 (tests/test_cavity.py)."""
+    refused): a term that ends j steps of the sweep and a beam's angle j
+    traversals part by about j ulps to first order.  On seeded samples the
+    beams' largest angle passed the bound by at most 0.33 of the margin
+    (tests/test_cavity.py), by 1.17 of it where a 2 m mirror faces one 23 m
+    away (CHANGES.md), and never on a one-term bound, which is exact."""
     legs = _legs(config)
     (detector, detector_kick), _ = legs[0]  # the detector leg is the same both ways
-    out, angles = ([], []), ([], [])
+    out, carried = ([], []), ([], [])
     for last in range(n, max(n - 2, 0), -1):
-        coefficients, slopes = out[last % 2], angles[last % 2]
-        a, b, c, d = detector.a, detector.b, detector.c, detector.d
+        coefficients, slopes = out[last % 2], carried[last % 2]
+        matrix, kick = legs[last % 2 == 0][1]
+        a, b, c, d = detector.a, detector.b, matrix.c, matrix.d
         coefficients.append(0.0 if detector_kick is None else detector_kick[0])
-        slopes.append(0.0 if detector_kick is None else detector_kick[1])
+        slopes.append(0.0 if kick is None else kick[1])
         for t in range(last - 1, 0, -1):
             matrix, kick = legs[t % 2 == 0][1]
             coefficients.append(0.0 if kick is None else a * kick[0] + b * kick[1])
             slopes.append(0.0 if kick is None else c * kick[0] + d * kick[1])
             a, b, c, d = (a * matrix.a + b * matrix.c, a * matrix.b + b * matrix.d,
                           c * matrix.a + d * matrix.c, c * matrix.b + d * matrix.d)
-    spans = [[0.0, *itertools.accumulate(abs(x) for x in row)] for row in angles]  # over the first k
     snapshots = range(config.snapshot_traversals.start, n + 1, config.snapshot_traversals.step)
+    detector_angle = 0.0 if detector_kick is None else detector_kick[1]
+    # each largest angle over k terms at index k of the list of k's parity
+    leaving = [[0.0, *itertools.accumulate(map(abs, row))] for row in carried]
+    at_detector = [[0.0, *itertools.accumulate(map(abs, [detector_angle, *carried[1 - p]]))]
+                   for p in (0, 1)]
 
-    def refused(k):  # once true, true for every later snapshot of k's parity
-        return not spans[k % 2][k] * (1.0 + k * (k - 1) * 2.0**-53) < PARAXIAL_LIMIT
+    def bounds(traversals):  # in traversal order, a snapshot before its reflection
+        for k in traversals:
+            if k in snapshots:
+                yield k, "detector angles reach sum|c_j|", at_detector[k % 2][k]
+            yield k, f"angles leaving mirror{1 + k % 2} reach sum|e_j|", leaving[k % 2][k]
 
-    if any(map(refused, snapshots[-2:])):  # each list's last snapshot
-        k = next(filter(refused, snapshots))
-        raise ParaxialError(
-            f"traversal {k}: detector angles reach sum|c_j| = {spans[k % 2][k]!r}, outside the "
-            f"paraxial window (< {PARAXIAL_LIMIT}, less a rounding margin of "
-            f"{k * (k - 1) * 2.0**-53:.2g} relative)"
-        )
+    def refused(bound):  # once true, true for every later bound of its kind and parity
+        k, _, total = bound
+        return not total * (1.0 + k * (k - 1) * 2.0**-53) < PARAXIAL_LIMIT
+
+    if any(map(refused, bounds(range(max(n - 1, 1), n + 1)))):  # each parity's last
+        k, what, total = next(filter(refused, bounds(range(1, n + 1))))
+        margin = k * (k - 1) * 2.0**-53
+        raise ParaxialError(f"traversal {k}: {what} = {total!r}, outside the paraxial window (< "
+                            f"{PARAXIAL_LIMIT}, less a rounding margin of {margin:.2g} relative)")
     return out
 
 
@@ -603,14 +599,12 @@ def run(config: CavityConfig) -> RunResult:
     coalesce on the grid of COALESCE_TOL_POSITION_M and
     COALESCE_TOL_ANGLE_RAD.  A split leg's weights are halved into one
     array of 2N.  Each of `CavityConfig.snapshot_traversals` keeps its
-    beam count at the detector, 2N on a split leg; its paraxial guard is
-    `kick_coefficients`'.
+    beam count at the detector, 2N on a split leg.  No angle is checked:
+    `kick_coefficients`, which `simulate` calls first, bounds them all.
 
     Raises BeamBudgetError before a split leg would produce more than
-    MAX_BEAMS beams, ParaxialError when a transported angle leaves the
-    paraxial window, and ValueError when the ensemble grows too wide for
-    the coalescing grid.
-    """
+    MAX_BEAMS beams, and ValueError when the ensemble grows too wide for
+    the coalescing grid."""
     legs = _legs(config)
     snapshots = config.snapshot_traversals
     ens = axial_beam()

@@ -355,8 +355,8 @@ def _changes(edges: np.ndarray, r: float, n_max: int) -> np.ndarray:
         k_max = _midpoint_order(n_max, float(delta.max()))
         mid = _hermite_functions((0.5 * (edges[:-1] + edges[1:]) / r)[narrow], n_max + k_max)
         series = np.zeros((n_max, delta.size))
-        for k in range(k_max, 0, -2):  # the smallest terms first
-            series += mid[k : k + n_max] * (2.0 * delta**k / math.factorial(k))
+        for k in range(k_max, 0, -2):  # smallest first; libm pow: numpy power varies by SIMD kernel
+            series += mid[k : k + n_max] * (2.0 * np.float_power(delta, k) / math.factorial(k))
         change[:, narrow] = series
     return change
 

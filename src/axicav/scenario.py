@@ -15,6 +15,7 @@ value is a plain number or word.
 
 from __future__ import annotations
 
+import math
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, fields
 from importlib import resources
@@ -48,6 +49,11 @@ class AnalysisParams:
                 f"histogram_max_m must be a whole number of analysis.bin_width_m bins, "
                 f"got {self.histogram_max_m!r} and {self.bin_width_m!r}"
             ) from None
+        c, h = self.sideband_pixel_center_m, self.pixel_half_width_m
+        if not c - h < c + h < math.inf:  # the edges `sideband_gain_series` integrates between
+            raise ScenarioError(f"sideband_pixel_center_m +- analysis.pixel_half_width_m (the "
+                                f"sideband pixel's edges) must be finite and distinct, got "
+                                f"{c!r} +- {h!r} = {(c - h, c + h)!r}")
         if self.fit_kind not in sensitivity.FIT_KINDS:
             kinds = " or ".join(map(repr, sensitivity.FIT_KINDS))
             raise ScenarioError(f"fit_kind must be {kinds}")

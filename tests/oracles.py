@@ -127,15 +127,16 @@ def apply(m: TransferMatrix, ray: RayState) -> RayState:
 # detector snapshots
 
 
-def run_with_detector_beams(config, start=None):
+def run_with_detector_beams(config, start=None, leaving=None):
     """``cavity.run(config)`` and each snapshot's beams, in the snapshot's
     beam order, as the `BeamEnsemble` of their positions, angles and
     weights.  A snapshot keeps only its beam count; here the detector leg
     is also carried in full, as `cavity._transport` carries every other
     leg, from the ensemble each snapshot's traversal starts at and with the
     weights `run` hands that traversal's transport, so the arrays are the
-    engine's own bits.  An angle the detector leg carries out of the
-    paraxial window is refused here, as `_transport` refuses one.
+    engine's own bits.  No angle is checked, as `run` checks none.  Given a
+    list ``leaving``, each traversal's beams as they leave the far mirror,
+    before coalescing, are appended to it.
 
     A ``start`` ensemble takes the place of `cavity.axial_beam`, which
     every run starts from.  The kick coefficients hold for the axial start
@@ -148,7 +149,10 @@ def run_with_detector_beams(config, start=None):
     def keep_beams(ensemble, to_matrix, to_kick, weights):  # each traversal's one transport
         if next(traversals) in config.snapshot_traversals:
             beams.append(transport(ensemble, matrix, kick, weights))
-        return transport(ensemble, to_matrix, to_kick, weights)
+        carried = transport(ensemble, to_matrix, to_kick, weights)
+        if leaving is not None:
+            leaving.append(carried)
+        return carried
 
     axial = cavity.axial_beam if start is None else (lambda: start)
     with mock.patch.object(cavity, "_transport", keep_beams), \

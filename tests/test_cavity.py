@@ -203,11 +203,10 @@ def _coalesce_on(monkeypatch, tol_position_m, tol_angle_rad):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_run_refuses_a_position_that_overflows_in_transport(monkeypatch):
-    """The ensembles a run builds are checked for the paraxial window
-    alone.  A beam near the largest double that a 1e307 m field carries
-    past it is refused by the next coalesce, which names the positions, not
-    the grid.  A run reads no position at a snapshot, so nothing refuses
-    the overflowed one before that coalesce."""
+    """A run checks no ensemble it builds.  A beam near the largest double
+    that a 1e307 m field carries past it is refused by the next coalesce,
+    which names the positions, not the grid.  A run reads no position at a
+    snapshot, so nothing refuses the overflowed one before that coalesce."""
     cfg = CavityConfig(mirror2_focal_m=None, field_length_m=1e307, n_traversals=2,
                        extraction_mirror=MIRROR_1)
     _coalesce_on(monkeypatch, 1e290, cavity.COALESCE_TOL_ANGLE_RAD)
@@ -233,11 +232,6 @@ def test_run_reads_each_coalescing_tolerance_when_called(tol_position_m, tol_ang
     assert len(run(cfg).final) == 256
     _coalesce_on(monkeypatch, 1e-3, 1e-3)
     assert len(run(cfg).final) == 1
-
-
-def test_ensemble_enforces_paraxial_window():
-    with pytest.raises(ParaxialError):
-        BeamEnsemble([0.0], [0.2], [1.0])
 
 
 def test_ensemble_total_weight():
@@ -856,41 +850,68 @@ def _random_geometries(count=200, seed=19):
             for _ in range(count)]
 
 
-@pytest.mark.parametrize("case, snapshots", [("sample", 1326), ("confocal", 14), ("bnl-quad", 20)],
+def _runs_with_beams(case):
+    """Each geometry of ``case`` (the seeded sample, or one engine pin) with
+    its snapshots' beams, by traversal, and each traversal's beams leaving
+    the far mirror, in traversal order."""
+    for cfg in _random_geometries() if case == "sample" else [ENGINE_PINS[case][0]]:
+        leaving = []
+        res, beams = run_with_detector_beams(cfg, leaving=leaving)
+        traversals = (snap.traversal for snap in res.snapshots)
+        yield cfg, dict(zip(traversals, beams, strict=True)), leaving
+
+
+def _refused_by(traversal, cfg, angle, monkeypatch):
+    """Whether `kick_coefficients` of ``traversal`` traversals, with
+    PARAXIAL_LIMIT at ``angle``, refuses the run at that traversal or
+    before, so that no beam at ``angle`` is carried."""
+    with monkeypatch.context() as patch, pytest.raises(ParaxialError) as refusal:
+        patch.setattr(cavity, "PARAXIAL_LIMIT", angle)
+        cavity.kick_coefficients(cfg, traversal)
+    return int(re.match(r"traversal (\d+): ", str(refusal.value))[1]) <= traversal
+
+
+@pytest.mark.parametrize("case, snapshots", [("sample", 1331), ("confocal", 14), ("bnl-quad", 20)],
                          ids=["sample", "confocal", "bnl-quad"])
 def test_the_angle_bound_covers_every_snapshots_beams(case, snapshots, monkeypatch):
     """Snapshot k's largest detector |angle|, read from its beams, never
-    passes the bound with its margin: with PARAXIAL_LIMIT at that angle,
-    `kick_coefficients` refuses the run at snapshot k or before.  The
-    float sum of |c_j| alone falls below the beams' angle on 287 of these
-    1360 snapshots, by up to 1.3e-14 relative (bnl-quad, k = 40), so the
-    margin is needed; the largest such gap is 0.28 k (k - 1) 2^-53 (k = 3).
-    Two sample geometries refuse a transported angle at traversal 14; they
-    are checked on the traversals before it."""
-    configs = _random_geometries() if case == "sample" else [ENGINE_PINS[case][0]]
+    passes the bounds with their margin: with PARAXIAL_LIMIT at that angle,
+    `kick_coefficients` refuses the run at traversal k or before.  Snapshot
+    k's bound is 2 theta, then traversal k - 1's carried coefficients.
+    Its float sum alone falls below the beams' angle on 287 of the 1365
+    snapshots of the three cases, by up to 1.3e-14 relative (bnl-quad, k = 40), so the margin
+    is needed; the largest such gap is 0.33 k (k - 1) 2^-53 (k = 3)."""
     checked = 0
-    for cfg in configs:
-        while True:
-            try:
-                res, beams = run_with_detector_beams(cfg)
-                break
-            except ParaxialError:
-                cfg = replace(cfg, n_traversals=cfg.n_traversals - 1)
-        for snap, ens in zip(res.snapshots, beams, strict=True):
-            with monkeypatch.context() as patch, \
-                    pytest.raises(ParaxialError, match=r"^traversal \d+: detector") as refusal:
-                patch.setattr(cavity, "PARAXIAL_LIMIT", float(np.abs(ens.angles).max()))
-                cavity.kick_coefficients(cfg, snap.traversal)
-            assert int(re.match(r"traversal (\d+):", str(refusal.value))[1]) <= snap.traversal
+    for cfg, beams, _ in _runs_with_beams(case):
+        for k, ens in beams.items():
+            assert _refused_by(k, cfg, float(np.abs(ens.angles).max()), monkeypatch), (cfg, k)
             checked += 1
     assert checked == snapshots
 
 
+@pytest.mark.parametrize("case, traversals", [("sample", 1755), ("confocal", 14), ("bnl-quad", 40)],
+                         ids=["sample", "confocal", "bnl-quad"])
+def test_the_carried_bound_covers_every_traversals_beams(case, traversals, monkeypatch):
+    """The beams leaving the far mirror after traversal k, read from the
+    engine's transport before coalescing, never pass the bounds with their
+    margin either, so the engine needs no angle check of its own.  Their
+    float sum alone falls below the beams' angle on 382 of the 1809
+    traversals of the three cases; the largest such gap is 0.33 k (k - 1) 2^-53 (k = 4)."""
+    checked = 0
+    for cfg, _, leaving in _runs_with_beams(case):
+        for k, ens in enumerate(leaving, 1):
+            assert _refused_by(k, cfg, float(np.abs(ens.angles).max()), monkeypatch), (cfg, k)
+            checked += 1
+    assert checked == traversals
+
+
 def test_legs_carry_the_detector_by_pure_propagation():
     """Every detector map `_legs` composes has c = 0.0 and d = 1.0 exactly,
-    whatever the distances, and a kick of 2 theta in angle: snapshot 1's
-    angle coefficient is 2 theta, as the beams' angles are, so its bound
-    takes no margin (`kick_coefficients`)."""
+    whatever the distances, and a kick of 2 theta in angle: snapshot k's
+    angle coefficients are 2 theta, then those of the beams leaving the
+    far mirror after traversal k - 1, bit for bit, so one angle row bounds
+    both (`kick_coefficients`).  Snapshot 1's is 2 theta, as the beams'
+    angles are, so its bound takes no margin."""
     for cfg in (CavityConfig(), load_preset("bnl-quad").cavity,
                 CavityConfig(detector_distance_m=1e300, gap_m=0.0, theta_split_rad=0.0)):
         for (matrix, kick), _ in cavity._legs(cfg):
@@ -918,6 +939,68 @@ def test_the_angle_bound_refuses_exactly_where_the_engine_did():
     assert refused == [t for t in thetas if 2 * t >= PARAXIAL_LIMIT] == thetas[3:]
     with pytest.raises(ParaxialError, match=r"^traversal 1: detector angles reach sum\|c_j\| = nan,"):
         cavity.kick_coefficients(CavityConfig(n_traversals=1, theta_split_rad=1e308), 1)
+
+
+def test_the_carried_bound_refuses_exactly_where_the_engine_did():
+    """The carried twin of the edge above.  One traversal from the axis
+    leaves the far mirror at +-e_0, e_0 = -theta (L + 2 gap) / f + 2 theta,
+    and the bound is |e_0| exactly, with no margin.  With L = 1 m, no gaps
+    and f = -1 m, e_0 = theta + 2 theta, the detector's 2 theta stays
+    inside the window, and with theta within 3 ulp of PARAXIAL_LIMIT / 3 on
+    either side the bound refuses exactly the runs whose beams leave the
+    mirror at an angle the engine refused while it checked them itself,
+    those at >= PARAXIAL_LIMIT, naming the traversal, the mirror and the
+    bound."""
+    thetas = _near_limit(PARAXIAL_LIMIT / 3)
+    refused, engine = [], []
+    for theta in thetas:
+        cfg = CavityConfig(field_length_m=1.0, gap_m=0.0, mirror2_focal_m=-1.0, n_traversals=1,
+                           theta_split_rad=theta)
+        leaving = []
+        run_with_detector_beams(cfg, leaving=leaving)
+        angle = float(np.abs(leaving[0].angles).max())
+        assert angle == theta + 2 * theta
+        if angle >= PARAXIAL_LIMIT:
+            engine.append(theta)
+        try:
+            cavity.kick_coefficients(cfg, 1)
+        except ParaxialError as exc:
+            assert str(exc) == (
+                f"traversal 1: angles leaving mirror2 reach sum|e_j| = {angle!r}, outside the "
+                "paraxial window (< 0.1, less a rounding margin of 0 relative)")
+            refused.append(theta)
+    assert refused == engine and 0 < len(refused) < len(thetas)
+
+
+def test_a_reflection_between_two_passing_snapshots_is_refused():
+    """Extraction through mirror 1 snapshots the even traversals only.  In
+    this bnl-quad geometry snapshots 2, 4 and 6 lie inside the window, but
+    mirror 1's reflection on traversal 4 tilts the carried beams to 0.234
+    rad, which the engine refused while it checked them itself: the
+    carried bound refuses the run at traversal 4."""
+    cfg = replace(load_preset("bnl-quad").cavity, field_length_m=9.179853796512223,
+                  gap_m=1.1290155801509005, mirror1_focal_m=-12.18361300816443,
+                  mirror2_focal_m=23.35681279062552, theta_split_rad=0.011743481141066232,
+                  n_traversals=7, detector_distance_m=4.779185081308793)
+    _, beams = run_with_detector_beams(cfg)
+    assert [float(np.abs(ens.angles).max()) < PARAXIAL_LIMIT for ens in beams] == [True] * 3
+    with pytest.raises(ParaxialError, match=re.escape(
+            "traversal 4: angles leaving mirror1 reach sum|e_j| = 0.23358848454508, outside the "
+            "paraxial window (< 0.1, less a rounding margin of 1.3e-15 relative)")):
+        cavity.kick_coefficients(cfg, cfg.n_traversals)
+
+
+@pytest.mark.parametrize("n_traversals", [3, 1])
+def test_the_bound_reads_the_snapshots_of_the_traversals_asked_for(n_traversals):
+    """`kick_coefficients(config, n)` bounds an n-traversal run, whatever
+    the config's own count: in a micrometre cavity at theta = 0.049,
+    snapshot 2's detector angles reach 0.196 before traversal 2's
+    reflection does, and the snapshot is named either way."""
+    cfg = CavityConfig(field_length_m=1e-6, gap_m=0.0, detector_distance_m=0.0,
+                       theta_split_rad=0.049, n_traversals=n_traversals)
+    with pytest.raises(ParaxialError, match=re.escape(
+            "traversal 2: detector angles reach sum|c_j| = 0.19599999608000002, outside")):
+        cavity.kick_coefficients(cfg, 3)
 
 
 @pytest.mark.parametrize("preset, n, most", [("bnl-quad", 40, 3), ("confocal", 14, 0)])

@@ -209,6 +209,31 @@ def test_simulate_refuses_a_detector_angle_the_series_would_pass(tmp_path, capsy
     assert not out.exists()
 
 
+def test_simulate_refuses_a_reflection_between_two_passing_snapshots(tmp_path, capsys,
+                                                                     monkeypatch):
+    """Through mirror 1, bnl-quad snapshots the even traversals only.  In
+    this geometry snapshots 2, 4 and 6 pass, but traversal 4's reflection
+    tilts the carried beams out of the window: the bound refuses it before
+    `run` is called (the engine refused it itself, naming no traversal),
+    exit 3, nothing written."""
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda *args: runs.append(args))
+    out = tmp_path / "out"
+    overrides = ["cavity.field_length_m=9.179853796512223", "cavity.gap_m=1.1290155801509005",
+                 "cavity.mirror1_focal_m=-12.18361300816443",
+                 "cavity.mirror2_focal_m=23.35681279062552",
+                 "cavity.theta_split_rad=0.011743481141066232", "cavity.n_traversals=7",
+                 "cavity.extraction_mirror=mirror1", "cavity.detector_distance_m=4.779185081308793",
+                 "laser.waist_m=10"]
+    args = ["--preset", "bnl-quad", *sum((["--override", o] for o in overrides), [])]
+    assert cli.main([*args, "--out", str(out), "simulate"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical guard violation: traversal 4: angles leaving mirror1 reach sum|e_j| = "
+        "0.23358848454508, outside the paraxial window (< 0.1, less a rounding margin of "
+        "1.3e-15 relative)\n")
+    assert not runs and not out.exists()
+
+
 def test_simulate_past_the_series_order_cap_is_a_guard_error(tmp_path, capsys):
     """A split of 1e-4 rad stays paraxial but puts the first snapshot's
     beams 2.4 waists off the axis: the moment series would need more than
@@ -308,10 +333,11 @@ def test_simulate_refuses_non_finite_numbers_and_writes_nothing(path, tmp_path, 
     assert not out.exists()
 
 
-# The ensembles a run builds are checked for the paraxial window alone.  An
-# overflowing snapshot position (planar far mirror, a detector 1e308 m away,
-# a run started from a beam near the largest double) is refused by the
-# moments `run` takes of it at detection, before any coalesce.
+# A run checks no ensemble it builds; the kick coefficients bound its
+# angles, and the moment series its snapshots' positions.  An overflowing
+# snapshot position (planar far mirror, a detector 1e300 m away) is
+# refused by the moment series of the kick coefficients, before any beam
+# is carried.
 def test_simulate_refuses_a_snapshot_that_overflows_and_writes_nothing(tmp_path, capsys):
     """A detector 1e300 m away puts the first snapshot's beams 8e290 m off
     the axis, where max|x|/r overflows every power the series order is
@@ -357,20 +383,20 @@ def test_simulate_refuses_a_geometry_whose_maps_overflow_before_the_engine_runs(
         tmp_path, capsys, monkeypatch):
     """Mirrors 3e300 m apart: the transfer maps overflow a double, so the
     beams carried through them would reach an inf and a NaN.  The paraxial
-    bound refuses the scenario at snapshot 2, whose angle coefficient is
-    9.6e289, when the kick coefficients are swept, before `run` is called,
-    so no beam at an overflowed or NaN position reaches `cavity.coalesce`:
-    exit 3, nothing written."""
+    bound refuses the scenario at traversal 1, whose beams leave mirror 2
+    at 9.6e289 rad, when the kick coefficients are swept, before `run` is
+    called, so no beam at an overflowed or NaN position reaches
+    `cavity.coalesce`: exit 3, nothing written."""
     overrides = ["cavity.field_length_m=1e300", "cavity.gap_m=1e300"]
     cfg = scenario.load_preset("confocal", overrides).cavity
-    with pytest.raises(ParaxialError, match="^traversal 2: "):
+    with pytest.raises(ParaxialError, match="^traversal 1: "):
         cavity.kick_coefficients(cfg, cfg.n_traversals)
     runs = []
     monkeypatch.setattr(cli, "run", lambda *args: runs.append(args))
     out = tmp_path / "out"
     args = ["--preset", "confocal", *sum((["--override", o] for o in overrides), [])]
     assert cli.main([*args, "--out", str(out), "simulate"]) == 3
-    assert "traversal 2: detector angles reach sum|c_j| = 9.600000000000001e+289, outside" \
+    assert "traversal 1: angles leaving mirror2 reach sum|e_j| = 9.600000000000001e+289, outside" \
         in capsys.readouterr().err
     assert not runs and not out.exists()
 
@@ -381,8 +407,9 @@ def test_simulate_refuses_a_geometry_whose_maps_overflow_before_the_engine_runs(
         # the spacing overflows a double: a configuration error, before any map is built
         ("1e308", 2, "cavity.field_length_m + 2 * gap_m (the mirror spacing) must be finite"),
         # finite but huge: the transfer maps overflow, and the paraxial
-        # bound refuses snapshot 2 before any beam is carried
-        ("1e300", 3, "traversal 2: detector angles reach sum|c_j| = 1.090909090909091e+286,"),
+        # bound refuses traversal 1's reflection before any beam is carried
+        ("1e300", 3,
+         "traversal 1: angles leaving mirror2 reach sum|e_j| = 1.090909090909091e+286,"),
     ],
     ids=["overflowing", "huge"],
 )
@@ -813,6 +840,28 @@ def test_simulate_refuses_a_partial_last_bin(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main([*_PARTIAL_BIN, "--out", str(out), "simulate"]) == 2
     assert capsys.readouterr().err == _PARTIAL_BIN_ERROR
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("center, half, edges", [("0.0033", "5e-324", (0.0033, 0.0033)),
+                                                 ("1", "1e-17", (1.0, 1.0)),
+                                                 ("1e308", "1e308", (0.0, math.inf))],
+                         ids=["subnormal-half-width", "half-width-under-an-ulp", "overflowing"])
+def test_simulate_refuses_a_sideband_pixel_with_no_width_by_both_keys(center, half, edges,
+                                                                        tmp_path, capsys):
+    """Edges c +- h that round to one double leave the sideband pixel no
+    width; an edge past the largest double none either.  The scenario is
+    refused as it loads, naming both keys (it was refused later, naming
+    neither: `edges must be finite and strictly ascending`), and nothing
+    is written."""
+    out = tmp_path / "out"
+    args = ["--preset", "confocal", "--override", f"analysis.sideband_pixel_center_m={center}",
+            "--override", f"analysis.pixel_half_width_m={half}", "--out", str(out), "simulate"]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: analysis.sideband_pixel_center_m +- analysis.pixel_half_width_m "
+        f"(the sideband pixel's edges) must be finite and distinct, got {float(center)!r} +- "
+        f"{float(half)!r} = {edges!r}\n")
     assert not out.exists()
 
 

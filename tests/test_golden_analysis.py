@@ -121,13 +121,27 @@ def test_analyze_report_is_byte_identical(name, tmp_path, capsys):
     )
 
 
-# Prints the sha256 of every file each case writes, as JSON; the cases come
-# as JSON in argv[1], each a verb's arguments before its output flag.
-_HASH_CASES = """
-import hashlib, json, sys, tempfile
+# The sha256 of `density._changes`' window tables at every order up to
+# MAX_ORDER, on the presets' bins (1e-4 m) and on bins twice as wide, at the
+# presets' waist, as ``changes``.
+_CHANGES_DIGEST = """
+import hashlib
+from axicav import density
+changes = hashlib.sha256()
+for width in (1e-4, 2e-4):
+    edges = density.histogram_edges(width, 3e-3)
+    for n_max in range(1, density.MAX_ORDER + 1):
+        changes.update(density._changes(edges, 7.5e-4, n_max).tobytes())
+"""
+
+# Prints the sha256 of every file each case writes and of the window tables
+# (as "changes"), as JSON; the cases come as JSON in argv[1], each a verb's
+# arguments before its output flag.
+_HASH_CASES = _CHANGES_DIGEST + """
+import json, sys, tempfile
 from pathlib import Path
 from axicav import cli
-digests = {}
+digests = {"changes": changes.hexdigest()}
 with tempfile.TemporaryDirectory() as tmp:
     for name, (simulate, args) in json.loads(sys.argv[1]).items():
         out = Path(tmp, name)
@@ -142,11 +156,15 @@ print(json.dumps(digests))
 def test_golden_outputs_hold_on_the_avx2_kernels():
     """One golden `simulate` (bnl-quad at n=12, which merges), `profile` and
     `mass-scan` run in a fresh interpreter with numpy's AVX-512 kernels
-    disabled hash as pinned.  On a host whose numpy AVX2 kernels give the C
-    library's bits for exp, log1p, sinh, expm1 and pow, as on the x86-64
-    host these pins were taken on, this cannot tell the two apart: a return
-    to numpy's SIMD functions is then caught only by the default-kernel
-    goldens, on an AVX-512 host."""
+    disabled hash as pinned, and `density._changes`' tables at every order
+    hash as they do on the default kernels.  Where numpy's AVX2 kernels give
+    the C library's bits for exp, log1p, sinh and expm1, as on the x86-64
+    host these pins were taken on, the goldens cannot tell the two apart:
+    a return to those SIMD functions is then caught only by the
+    default-kernel goldens, on an AVX-512 host.  numpy's `power` is not
+    among them: on an AVX-512 host its X86_V4 kernel gives other bits than
+    its AVX2 kernel, and `_changes` took delta^k from it, so its tables at
+    1e-4 m bins differed from order 11 up, and at 2e-4 m from order 5."""
     simulate_args = ["--preset", "bnl-quad", "--override", "cavity.n_traversals=12"]
     cases = {"simulate-bnl-quad": (True, simulate_args),
              "profile-broadened": (False, GOLDEN["profile-broadened"][0]),
@@ -163,6 +181,9 @@ def test_golden_outputs_hold_on_the_avx2_kernels():
                            json.dumps(cases)], env=env, capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stderr
+    scope = {}
+    exec(_CHANGES_DIGEST, scope)  # on this process's kernels
+    expected["changes"] = scope["changes"].hexdigest()
     assert json.loads(done.stdout.splitlines()[-1]) == expected, (
         f"outputs differ on the AVX2 kernels (numpy {np.__version__}, "
         f"libc {platform.libc_ver()})"
